@@ -5,16 +5,33 @@ use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
 use std::iter::Sum;
-use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
+use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Shl, Shr, Sub, SubAssign};
 
 /// A signed fixed-point number with `W` total bits and `F` fractional bits,
 /// mirroring `ap_fixed<W, W - F>` from Vivado HLS.
 ///
-/// The value is stored as a two's-complement raw integer in an `i64`;
-/// arithmetic widens to `i128` internally so no intermediate overflow can
-/// occur for `W <= 63`. Results are re-quantised with round-to-nearest and
-/// saturation, the configuration used by the paper's accelerator after the
-/// floating-point to fixed-point conversion.
+/// The value is stored as a two's-complement raw integer in an `i32`, so
+/// `W <= 32`. Arithmetic runs in the narrowest native integer that cannot
+/// overflow for this format. The word length is a compile-time constant,
+/// so the choice folds away and every instantiation compiles to a single
+/// straight-line datapath:
+///
+/// * Every intermediate is bounded by that of [`Fix::mul_add`]:
+///   `|a·b| + |c·2^F|` plus half an LSB for rounding, at most
+///   `2^(2W-2) + 2^(W-1+F) + 2^(F-1)`. Sums, differences, negations,
+///   products and shifted dividends stay below the same bound.
+/// * If the bound is below `2^31` the format computes in `i32`. Q4.12
+///   ([`Fix16`](crate::Fix16)) qualifies: `2^30 + 2^27 + 2^11 < 2^31`.
+/// * Otherwise, if it is below `2^63`, in `i64` (`Fix<24, 18>`,
+///   `Fix<32, 24>`).
+/// * Otherwise in `i128` (e.g. `Fix<32, 32>`).
+///
+/// Results are re-quantised with round-to-nearest (ties away from zero) and
+/// saturation, the `AP_RND`/`AP_SAT` configuration used by the paper's
+/// accelerator after the floating-point to fixed-point conversion. At every
+/// width this is the same integer function as the `i128`
+/// [`QFormat::round_shift`] + [`QFormat::saturate_raw`] composition that
+/// [`DynFix`](crate::DynFix) computes with.
 ///
 /// # Example
 ///
@@ -29,7 +46,70 @@ use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssi
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub struct Fix<const W: u32, const F: u32> {
-    raw: i64,
+    raw: i32,
+}
+
+/// The native integer a `Fix<W, F>` computes in (see [`Fix`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Datapath {
+    I32,
+    I64,
+    I128,
+}
+
+/// The integer operations the datapath needs, on each native width.
+trait Word:
+    Copy
+    + Ord
+    + From<i32>
+    + Add<Output = Self>
+    + Sub<Output = Self>
+    + Mul<Output = Self>
+    + Div<Output = Self>
+    + Neg<Output = Self>
+    + Shl<u32, Output = Self>
+    + Shr<u32, Output = Self>
+{
+    const BITS: u32;
+
+    /// The low 32 bits, for values already saturated into `W <= 32` bits.
+    fn low_i32(self) -> i32;
+}
+
+macro_rules! impl_word {
+    ($($t:ty),*) => {$(
+        impl Word for $t {
+            const BITS: u32 = <$t>::BITS;
+
+            #[inline(always)]
+            fn low_i32(self) -> i32 {
+                self as i32
+            }
+        }
+    )*};
+}
+impl_word!(i32, i64, i128);
+
+/// Evaluates `$body` with `$t` naming the integer type of `$path`. The
+/// path is an associated constant, so two of the three arms are dead in
+/// every instantiation.
+macro_rules! in_datapath {
+    ($path:expr, $t:ident => $body:expr) => {
+        match $path {
+            Datapath::I32 => {
+                type $t = i32;
+                $body
+            }
+            Datapath::I64 => {
+                type $t = i64;
+                $body
+            }
+            Datapath::I128 => {
+                type $t = i128;
+                $body
+            }
+        }
+    };
 }
 
 impl<const W: u32, const F: u32> Fix<W, F> {
@@ -39,9 +119,30 @@ impl<const W: u32, const F: u32> Fix<W, F> {
     pub const FORMAT: QFormat = QFormat::new_unchecked(W, F).with_rounding(RoundingMode::Nearest);
 
     // Compile-time validation of the const parameters. Instantiating an
-    // invalid format (zero width, width > 63 or F > W) fails to compile as
-    // soon as any associated item is used.
-    const VALID: () = assert!(W >= 1 && W <= 63 && F <= W, "invalid Fix<W, F> parameters");
+    // invalid format (zero width, width > 32 — the raw value is an `i32` —
+    // or F > W) fails to compile as soon as any arithmetic is used.
+    const VALID: () = assert!(W >= 1 && W <= 32 && F <= W, "invalid Fix<W, F> parameters");
+
+    /// The narrowest integer that holds every intermediate of this format's
+    /// arithmetic; the bound is derived in [`Fix`]'s documentation.
+    const DATAPATH: Datapath = {
+        #[allow(clippy::let_unit_value)]
+        let _ = Self::VALID;
+        let bound = (1u128 << (2 * W - 2)) + (1u128 << (W - 1 + F)) + ((1u128 << F) >> 1);
+        if bound < 1 << 31 {
+            Datapath::I32
+        } else if bound < 1 << 63 {
+            Datapath::I64
+        } else {
+            Datapath::I128
+        }
+    };
+
+    /// `2^F`, the weight of the integer one in raw units (exact in `f64`).
+    const SCALE: f64 = (1u64 << F) as f64;
+
+    /// `2^-F`, the weight of one LSB (exact in `f64`).
+    const LSB: f64 = 1.0 / Self::SCALE;
 
     /// The value zero.
     pub const ZERO: Self = Self { raw: 0 };
@@ -54,9 +155,9 @@ impl<const W: u32, const F: u32> Fix<W, F> {
             let ideal = 1i128 << F;
             let max = (1i128 << (W - 1)) - 1;
             if ideal > max {
-                max as i64
+                max as i32
             } else {
-                ideal as i64
+                ideal as i32
             }
         },
     };
@@ -66,52 +167,91 @@ impl<const W: u32, const F: u32> Fix<W, F> {
 
     /// Largest representable value.
     pub const MAX: Self = Self {
-        raw: ((1i128 << (W - 1)) - 1) as i64,
+        raw: ((1i128 << (W - 1)) - 1) as i32,
     };
 
     /// Smallest (most negative) representable value.
     pub const MIN: Self = Self {
-        raw: (-(1i128 << (W - 1))) as i64,
+        raw: (-(1i128 << (W - 1))) as i32,
     };
+
+    /// Saturates a wide intermediate into the `W`-bit range.
+    #[inline(always)]
+    fn saturate<T: Word>(wide: T) -> Self {
+        let min = T::from(Self::MIN.raw);
+        let max = T::from(Self::MAX.raw);
+        Self {
+            raw: wide.max(min).min(max).low_i32(),
+        }
+    }
+
+    /// Drops the `F` extra fractional bits of a product-scaled intermediate,
+    /// rounding to nearest with ties away from zero, then saturates.
+    #[inline(always)]
+    fn round_saturate<T: Word>(wide: T) -> Self {
+        if F == 0 {
+            return Self::saturate(wide);
+        }
+        // `wide >> (BITS - 1)` is -1 for a negative intermediate and 0
+        // otherwise. Adding it with the half LSB makes the floor shift round
+        // negative ties away from zero too, without a branch.
+        let half = T::from(1) << (F - 1);
+        Self::saturate((wide + half + (wide >> (T::BITS - 1))) >> F)
+    }
 
     /// Creates a value from its raw two's-complement representation.
     ///
     /// The raw value is saturated into the `W`-bit range, so this never
     /// produces an out-of-range value.
+    #[inline]
     pub fn from_raw(raw: i64) -> Self {
         #[allow(clippy::let_unit_value)]
         let _ = Self::VALID;
-        Self {
-            raw: Self::FORMAT.saturate_raw(raw as i128),
-        }
+        Self::saturate(raw)
     }
 
     /// Returns the raw two's-complement representation (`value * 2^F`).
+    #[inline]
     pub const fn raw(self) -> i64 {
-        self.raw
+        self.raw as i64
     }
 
-    /// Converts from `f64`, rounding to nearest and saturating.
+    /// Converts from `f64`, rounding to nearest and saturating; `NaN`
+    /// saturates to [`Fix::MAX`].
+    #[inline]
     pub fn from_f64(value: f64) -> Self {
         #[allow(clippy::let_unit_value)]
         let _ = Self::VALID;
+        // The scale and rounding of `QFormat::raw_from_f64`. The clamp runs
+        // in `f64`, where every `W <= 32` bound is exact, so the cast needs
+        // no wider integer. `f64::min` returns its non-NaN operand, so
+        // taking `min` first sends NaN to `MAX` without a branch.
+        let scaled = value * Self::SCALE;
+        let rounded = if scaled >= 0.0 {
+            (scaled + 0.5).floor()
+        } else {
+            -((-scaled) + 0.5).floor()
+        };
         Self {
-            raw: Self::FORMAT.raw_from_f64(value),
+            raw: rounded.min(Self::MAX.raw as f64).max(Self::MIN.raw as f64) as i32,
         }
     }
 
     /// Converts from `f32`, rounding to nearest and saturating.
+    #[inline]
     pub fn from_f32(value: f32) -> Self {
         Self::from_f64(value as f64)
     }
 
-    /// Converts to `f64` exactly (every `Fix` value with `W <= 52` is exactly
+    /// Converts to `f64` exactly (every `Fix` value is exactly
     /// representable as an `f64`).
+    #[inline]
     pub fn to_f64(self) -> f64 {
-        Self::FORMAT.raw_to_f64(self.raw)
+        self.raw as f64 * Self::LSB
     }
 
-    /// Converts to `f32` (may round for large widths).
+    /// Converts to `f32` (may round for `W > 24`).
+    #[inline]
     pub fn to_f32(self) -> f32 {
         self.to_f64() as f32
     }
@@ -171,29 +311,24 @@ impl<const W: u32, const F: u32> Fix<W, F> {
     /// the behaviour of an HLS multiply-accumulate datapath with a wide
     /// internal accumulator.
     #[must_use]
+    #[inline]
     pub fn mul_add(self, a: Self, b: Self) -> Self {
-        let product = self.raw as i128 * a.raw as i128; // 2F fractional bits
-        let addend = (b.raw as i128) << F;
-        let sum = product + addend;
-        let shifted = Self::FORMAT.round_shift(sum, F);
-        Self {
-            raw: Self::FORMAT.saturate_raw(shifted),
-        }
+        in_datapath!(Self::DATAPATH, T => Self::round_saturate(
+            T::from(self.raw) * T::from(a.raw) + (T::from(b.raw) << F)
+        ))
     }
 
     /// Multiplies by an integer without intermediate quantisation.
     #[must_use]
     pub fn scale_int(self, k: i64) -> Self {
-        Self {
-            raw: Self::FORMAT.saturate_raw(self.raw as i128 * k as i128),
-        }
+        Self::saturate(i128::from(self.raw) * i128::from(k))
     }
 
     /// Converts into a different fixed-point format, re-quantising.
     #[must_use]
+    #[inline]
     pub fn convert<const W2: u32, const F2: u32>(self) -> Fix<W2, F2> {
-        let raw = Fix::<W2, F2>::FORMAT.requantize(self.raw, &Self::FORMAT);
-        Fix { raw }
+        Fix::from_raw(Fix::<W2, F2>::FORMAT.requantize(self.raw(), &Self::FORMAT))
     }
 
     /// Raises the value to a non-negative real power using a fixed-point
@@ -244,32 +379,27 @@ impl<const W: u32, const F: u32> Ord for Fix<W, F> {
 impl<const W: u32, const F: u32> Add for Fix<W, F> {
     type Output = Self;
 
+    #[inline]
     fn add(self, rhs: Self) -> Self {
-        Self {
-            raw: Self::FORMAT.saturate_raw(self.raw as i128 + rhs.raw as i128),
-        }
+        in_datapath!(Self::DATAPATH, T => Self::saturate(T::from(self.raw) + T::from(rhs.raw)))
     }
 }
 
 impl<const W: u32, const F: u32> Sub for Fix<W, F> {
     type Output = Self;
 
+    #[inline]
     fn sub(self, rhs: Self) -> Self {
-        Self {
-            raw: Self::FORMAT.saturate_raw(self.raw as i128 - rhs.raw as i128),
-        }
+        in_datapath!(Self::DATAPATH, T => Self::saturate(T::from(self.raw) - T::from(rhs.raw)))
     }
 }
 
 impl<const W: u32, const F: u32> Mul for Fix<W, F> {
     type Output = Self;
 
+    #[inline]
     fn mul(self, rhs: Self) -> Self {
-        let product = self.raw as i128 * rhs.raw as i128;
-        let shifted = Self::FORMAT.round_shift(product, F);
-        Self {
-            raw: Self::FORMAT.saturate_raw(shifted),
-        }
+        in_datapath!(Self::DATAPATH, T => Self::round_saturate(T::from(self.raw) * T::from(rhs.raw)))
     }
 }
 
@@ -279,25 +409,23 @@ impl<const W: u32, const F: u32> Div for Fix<W, F> {
     /// Fixed-point division. Division by zero saturates to `MAX`/`MIN`
     /// depending on the sign of the dividend (hardware dividers typically
     /// flag-and-saturate rather than trap).
+    #[inline]
     fn div(self, rhs: Self) -> Self {
         if rhs.raw == 0 {
             return if self.raw >= 0 { Self::MAX } else { Self::MIN };
         }
-        let numerator = (self.raw as i128) << F;
-        let quotient = numerator / rhs.raw as i128;
-        Self {
-            raw: Self::FORMAT.saturate_raw(quotient),
-        }
+        in_datapath!(Self::DATAPATH, T => Self::saturate(
+            (T::from(self.raw) << F) / T::from(rhs.raw)
+        ))
     }
 }
 
 impl<const W: u32, const F: u32> Neg for Fix<W, F> {
     type Output = Self;
 
+    #[inline]
     fn neg(self) -> Self {
-        Self {
-            raw: Self::FORMAT.saturate_raw(-(self.raw as i128)),
-        }
+        in_datapath!(Self::DATAPATH, T => Self::saturate(-T::from(self.raw)))
     }
 }
 
@@ -366,6 +494,24 @@ mod tests {
     }
 
     #[test]
+    fn datapath_is_the_narrowest_word_whose_bound_holds() {
+        assert_eq!(F16::DATAPATH, Datapath::I32);
+        assert_eq!(F8::DATAPATH, Datapath::I32);
+        assert_eq!(Fix::<8, 8>::DATAPATH, Datapath::I32);
+        assert_eq!(Fix::<12, 9>::DATAPATH, Datapath::I32);
+        assert_eq!(Fix::<24, 18>::DATAPATH, Datapath::I64);
+        assert_eq!(Fix::<32, 24>::DATAPATH, Datapath::I64);
+        assert_eq!(Fix::<32, 32>::DATAPATH, Datapath::I128);
+    }
+
+    #[test]
+    fn lsb_constants_match_the_format() {
+        assert_eq!(F16::LSB, F16::FORMAT.epsilon());
+        assert_eq!(Fix::<32, 32>::LSB, Fix::<32, 32>::FORMAT.epsilon());
+        assert_eq!(Fix::<32, 32>::SCALE * Fix::<32, 32>::LSB, 1.0);
+    }
+
+    #[test]
     fn addition_and_subtraction() {
         let a = F16::from_f64(1.25);
         let b = F16::from_f64(0.75);
@@ -411,6 +557,7 @@ mod tests {
     fn negation_saturates_min() {
         assert_eq!((-F16::MIN).raw(), F16::MAX.raw());
         assert_eq!((-F16::ONE).to_f64(), -1.0);
+        assert_eq!((-Fix::<32, 24>::MIN).raw(), Fix::<32, 24>::MAX.raw());
     }
 
     #[test]
@@ -421,6 +568,16 @@ mod tests {
         let fused = a.mul_add(b, c);
         let expected = a.to_f64() * b.to_f64() + c.to_f64();
         assert!((fused.to_f64() - expected).abs() <= F16::FORMAT.epsilon());
+    }
+
+    #[test]
+    fn mul_add_rounds_negative_half_lsb_ties_away_from_zero() {
+        // -1 raw × 0.5 = exactly -½ LSB: rounds to -1 LSB, not 0.
+        let minus_lsb = -F16::EPSILON;
+        let half = F16::from_f64(0.5);
+        assert_eq!(minus_lsb.mul_add(half, F16::ZERO).raw(), -1);
+        assert_eq!(F16::EPSILON.mul_add(half, F16::ZERO).raw(), 1);
+        assert_eq!((minus_lsb * half).raw(), -1);
     }
 
     #[test]

@@ -33,6 +33,22 @@
 //! result does not fit in `W` bits — exactly the `AP_RND`/`AP_TRN` and
 //! `AP_SAT`/`AP_WRAP` behaviours of the HLS types.
 //!
+//! The two representations compute the same integer functions at different
+//! widths:
+//!
+//! * [`QFormat`] and [`DynFix`] (`W <= 63`) hold raw values in `i64` and
+//!   compute every product, shift and rounding step in `i128`. They are the
+//!   reference.
+//! * [`Fix`] (`W <= 32`) holds its raw value in an `i32` and computes in the
+//!   narrowest native integer whose overflow bound holds for its format:
+//!   `i32` when `2^(2W-2) + 2^(W-1+F) + 2^(F-1) < 2^31`, as for [`Fix16`];
+//!   `i64` below `2^63`, as for [`Fix32`]; `i128` otherwise. The bound
+//!   covers the largest intermediate, a multiply-accumulate plus its
+//!   rounding half-LSB, so no intermediate can overflow. Like the paper's
+//!   16-bit `ap_fixed` datapath, Q4.12 therefore runs on narrow integers,
+//!   and the property suite checks every operation against the `i128`
+//!   reference.
+//!
 //! # Example
 //!
 //! ```

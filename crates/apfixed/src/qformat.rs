@@ -151,11 +151,13 @@ impl QFormat {
     }
 
     /// The weight of one least-significant bit, `2^-frac`.
+    #[inline]
     pub fn epsilon(&self) -> f64 {
         (0.5f64).powi(self.frac as i32)
     }
 
     /// Largest representable raw value (`2^(width-1) - 1`).
+    #[inline]
     pub const fn max_raw(&self) -> i64 {
         if self.width == 0 {
             0
@@ -165,6 +167,7 @@ impl QFormat {
     }
 
     /// Smallest representable raw value (`-2^(width-1)`).
+    #[inline]
     pub const fn min_raw(&self) -> i64 {
         if self.width == 0 {
             0
@@ -185,6 +188,7 @@ impl QFormat {
 
     /// Applies the overflow policy to an arbitrary raw value, returning a raw
     /// value that fits in `width` bits.
+    #[inline]
     pub fn saturate_raw(&self, raw: i128) -> i64 {
         let max = self.max_raw() as i128;
         let min = self.min_raw() as i128;
@@ -204,6 +208,7 @@ impl QFormat {
     /// Right-shifts `raw` by `shift` bits applying the rounding policy, i.e.
     /// divides by `2^shift` with the configured rounding. `shift == 0` is the
     /// identity.
+    #[inline]
     pub fn round_shift(&self, raw: i128, shift: u32) -> i128 {
         if shift == 0 {
             return raw;
@@ -241,6 +246,7 @@ impl QFormat {
     /// Non-finite inputs saturate: `+inf`/`NaN` map to the maximum raw value
     /// and `-inf` to the minimum (matching the "garbage in, bounded garbage
     /// out" behaviour of hardware fixed-point datapaths).
+    #[inline]
     pub fn raw_from_f64(&self, value: f64) -> i64 {
         if value.is_nan() || (value.is_infinite() && value > 0.0) {
             return self.max_raw();
@@ -278,11 +284,13 @@ impl QFormat {
     }
 
     /// Converts a raw value in this format back to `f64`.
+    #[inline]
     pub fn raw_to_f64(&self, raw: i64) -> f64 {
         raw as f64 * self.epsilon()
     }
 
     /// Re-quantises a raw value expressed in `from` format into this format.
+    #[inline]
     pub fn requantize(&self, raw: i64, from: &QFormat) -> i64 {
         let raw = raw as i128;
         let adjusted = if from.frac > self.frac {

@@ -150,3 +150,308 @@ proptest! {
         prop_assert!((quantised.to_f64() - 1.0).abs() <= (2 * radius + 1) as f64 * F16::FORMAT.epsilon());
     }
 }
+
+// Differential suite: every `Fix` operation must equal the `i128` reference
+// (`QFormat::round_shift` + `QFormat::saturate_raw`, the composition
+// `DynFix` computes with), whatever native width the format computes in.
+// Operands cover the whole raw range, including MIN/MAX, saturating
+// results and exact rounding ties.
+
+/// The reference multiply-accumulate: the exact integer `x·y + z·2^F`,
+/// rounded back to `F` fractional bits and saturated.
+fn reference_mul_add(q: QFormat, x: i64, y: i64, z: i64) -> i64 {
+    let frac = q.frac_bits();
+    let exact = x as i128 * y as i128 + ((z as i128) << frac);
+    q.saturate_raw(q.round_shift(exact, frac))
+}
+
+fn assert_mul_add_matches<const W: u32, const F: u32>(x: i64, y: i64, z: i64) {
+    let (fx, fy, fz) = (
+        Fix::<W, F>::from_raw(x),
+        Fix::<W, F>::from_raw(y),
+        Fix::<W, F>::from_raw(z),
+    );
+    assert_eq!(
+        fx.mul_add(fy, fz).raw(),
+        reference_mul_add(Fix::<W, F>::FORMAT, x, y, z),
+        "mul_add on Fix<{W},{F}> raws ({x}, {y}, {z})"
+    );
+}
+
+fn assert_binary_ops_match<const W: u32, const F: u32>(x: i64, y: i64) {
+    let q = Fix::<W, F>::FORMAT;
+    let (fx, fy) = (Fix::<W, F>::from_raw(x), Fix::<W, F>::from_raw(y));
+    let (dx, dy) = (DynFix::from_raw(x, q), DynFix::from_raw(y, q));
+    assert_eq!(
+        (fx * fy).raw(),
+        dx.mul(dy).raw(),
+        "* on Fix<{W},{F}> raws ({x}, {y})"
+    );
+    assert_eq!(
+        (fx + fy).raw(),
+        dx.add(dy).raw(),
+        "+ on Fix<{W},{F}> raws ({x}, {y})"
+    );
+    assert_eq!(
+        (fx - fy).raw(),
+        dx.sub(dy).raw(),
+        "- on Fix<{W},{F}> raws ({x}, {y})"
+    );
+    assert_eq!(
+        (fx / fy).raw(),
+        dx.div(dy).raw(),
+        "/ on Fix<{W},{F}> raws ({x}, {y})"
+    );
+    assert_eq!((-fx).raw(), dx.neg().raw(), "neg on Fix<{W},{F}> raw {x}");
+}
+
+fn assert_matches_reference<const W: u32, const F: u32>(x: i64, y: i64, z: i64) {
+    assert_mul_add_matches::<W, F>(x, y, z);
+    assert_binary_ops_match::<W, F>(x, y);
+}
+
+fn assert_from_f64_matches<const W: u32, const F: u32>(value: f64) {
+    assert_eq!(
+        Fix::<W, F>::from_f64(value).raw(),
+        Fix::<W, F>::FORMAT.raw_from_f64(value),
+        "from_f64 on Fix<{W},{F}> of {value:e}"
+    );
+}
+
+/// `Fix16::from_f32` is the quantiser at the blur's accelerator boundary.
+fn assert_fix16_from_f32_matches(value: f32) {
+    assert_eq!(
+        apfixed::Fix16::from_f32(value).raw(),
+        apfixed::Fix16::FORMAT.raw_from_f64(value as f64),
+        "from_f32 of {value:e}"
+    );
+}
+
+fn assert_convert_matches<const W: u32, const F: u32, const W2: u32, const F2: u32>(x: i64) {
+    assert_eq!(
+        Fix::<W, F>::from_raw(x).convert::<W2, F2>().raw(),
+        Fix::<W2, F2>::FORMAT.requantize(x, &Fix::<W, F>::FORMAT),
+        "convert Fix<{W},{F}> -> Fix<{W2},{F2}> of raw {x}"
+    );
+}
+
+fn assert_converts_match<const W: u32, const F: u32>(x: i64) {
+    assert_convert_matches::<W, F, 16, 12>(x);
+    assert_convert_matches::<W, F, 8, 6>(x);
+    assert_convert_matches::<W, F, 8, 8>(x);
+    assert_convert_matches::<W, F, 32, 24>(x);
+}
+
+/// Raw operands over the whole `width`-bit range, drawing the range ends
+/// and the values around zero often.
+fn raw_operand(width: u32) -> impl Strategy<Value = i64> {
+    let max = (1i64 << (width - 1)) - 1;
+    let min = -max - 1;
+    prop_oneof![
+        min..=max,
+        min..=max,
+        min..=max,
+        Just(min),
+        Just(max),
+        min..=min + 2,
+        max - 2..=max,
+        -2i64..=2,
+    ]
+}
+
+/// Operand pairs whose product lies exactly on a rounding tie: `y = ±2^j`
+/// and `x` an odd multiple of `2^(F-1-j)`, so `x·y` is an odd multiple of
+/// half an LSB — with either sign, `-½` LSB included.
+fn tie_operands(width: u32, frac: u32) -> impl Strategy<Value = (i64, i64)> {
+    let j = (frac - 1).min(width - 2);
+    let step = 1i64 << (frac - 1 - j);
+    let odd_max = ((1i64 << (width - 1)) - 1) / step;
+    (0..=(odd_max - 1) / 2, any::<bool>(), any::<bool>()).prop_map(move |(k, neg_x, neg_y)| {
+        let x = (2 * k + 1) * step;
+        let y = 1i64 << j;
+        (if neg_x { -x } else { x }, if neg_y { -y } else { y })
+    })
+}
+
+/// Reals across and beyond the format's range: uniform values, exact
+/// half-LSB ties, non-finite values and arbitrary `f64` bit patterns.
+fn real_operand(width: u32, frac: u32) -> impl Strategy<Value = f64> {
+    let lsb = 0.5f64.powi(frac as i32);
+    let max = (1i64 << (width - 1)) - 1;
+    let span = (max + 1) as f64 * lsb;
+    prop_oneof![
+        -1.5 * span..1.5 * span,
+        (-max - 1..=max).prop_map(move |k| (k as f64 + 0.5) * lsb),
+        prop_oneof![
+            Just(f64::NAN),
+            Just(f64::INFINITY),
+            Just(f64::NEG_INFINITY),
+            Just(f64::MAX),
+            Just(-0.0),
+            Just(0.5 * lsb),
+            Just(-0.5 * lsb),
+        ],
+        any::<u64>().prop_map(f64::from_bits),
+    ]
+}
+
+/// The raw values where fixed-point arithmetic breaks first: the range
+/// ends, zero and its neighbours, and ±½, ±1 in value with their
+/// neighbours.
+fn edge_values(width: u32, frac: u32) -> Vec<i64> {
+    let max = (1i64 << (width - 1)) - 1;
+    let min = -max - 1;
+    let one = 1i64 << frac;
+    let half = one / 2;
+    let mut values = vec![
+        min,
+        min + 1,
+        max - 1,
+        max,
+        -2,
+        -1,
+        0,
+        1,
+        2,
+        half - 1,
+        half,
+        half + 1,
+        -half - 1,
+        -half,
+        -half + 1,
+        one - 1,
+        one,
+        one + 1,
+        -one - 1,
+        -one,
+        -one + 1,
+    ];
+    values.retain(|v| (min..=max).contains(v));
+    values.sort_unstable();
+    values.dedup();
+    values
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    #[test]
+    fn q4_12_arithmetic_equals_the_i128_reference(
+        x in raw_operand(16), y in raw_operand(16), z in raw_operand(16)
+    ) {
+        assert_matches_reference::<16, 12>(x, y, z);
+    }
+
+    #[test]
+    fn q2_6_arithmetic_equals_the_i128_reference(
+        x in raw_operand(8), y in raw_operand(8), z in raw_operand(8)
+    ) {
+        assert_matches_reference::<8, 6>(x, y, z);
+    }
+
+    #[test]
+    fn q0_8_arithmetic_equals_the_i128_reference(
+        x in raw_operand(8), y in raw_operand(8), z in raw_operand(8)
+    ) {
+        assert_matches_reference::<8, 8>(x, y, z);
+    }
+
+    #[test]
+    fn q8_24_arithmetic_equals_the_i128_reference(
+        x in raw_operand(32), y in raw_operand(32), z in raw_operand(32)
+    ) {
+        assert_matches_reference::<32, 24>(x, y, z);
+    }
+
+    #[test]
+    fn rounding_ties_equal_the_i128_reference(
+        (x16, y16) in tie_operands(16, 12), z16 in raw_operand(16),
+        (x8, y8) in tie_operands(8, 6), z8 in raw_operand(8),
+        (x0, y0) in tie_operands(8, 8), z0 in raw_operand(8),
+        (x32, y32) in tie_operands(32, 24), z32 in raw_operand(32),
+    ) {
+        assert_matches_reference::<16, 12>(x16, y16, z16);
+        assert_matches_reference::<8, 6>(x8, y8, z8);
+        assert_matches_reference::<8, 8>(x0, y0, z0);
+        assert_matches_reference::<32, 24>(x32, y32, z32);
+        // With no addend the product alone sits on the tie.
+        assert_mul_add_matches::<16, 12>(x16, y16, 0);
+        assert_mul_add_matches::<32, 24>(x32, y32, 0);
+    }
+
+    #[test]
+    fn from_f64_equals_the_reference(
+        a in real_operand(16, 12),
+        b in real_operand(8, 6),
+        c in real_operand(8, 8),
+        d in real_operand(32, 24),
+        bits in any::<u32>(),
+    ) {
+        assert_from_f64_matches::<16, 12>(a);
+        assert_from_f64_matches::<8, 6>(b);
+        assert_from_f64_matches::<8, 8>(c);
+        assert_from_f64_matches::<32, 24>(d);
+        assert_fix16_from_f32_matches(f32::from_bits(bits));
+    }
+
+    #[test]
+    fn conversions_equal_the_reference(
+        x16 in raw_operand(16), x8 in raw_operand(8), x32 in raw_operand(32)
+    ) {
+        assert_converts_match::<16, 12>(x16);
+        assert_converts_match::<8, 6>(x8);
+        assert_converts_match::<8, 8>(x8);
+        assert_converts_match::<32, 24>(x32);
+    }
+}
+
+#[test]
+fn edge_cube_equals_the_i128_reference() {
+    fn cube<const W: u32, const F: u32>() {
+        let edges = edge_values(W, F);
+        for &x in &edges {
+            for &y in &edges {
+                for &z in &edges {
+                    assert_matches_reference::<W, F>(x, y, z);
+                }
+            }
+            assert_converts_match::<W, F>(x);
+            assert_from_f64_matches::<W, F>(Fix::<W, F>::from_raw(x).to_f64());
+        }
+    }
+    cube::<16, 12>();
+    cube::<8, 6>();
+    cube::<8, 8>();
+    cube::<32, 24>();
+}
+
+#[test]
+fn eight_bit_formats_equal_the_reference_on_every_operand_pair() {
+    fn all_pairs<const W: u32, const F: u32>() {
+        let (min, max) = (Fix::<W, F>::MIN.raw(), Fix::<W, F>::MAX.raw());
+        let addends = edge_values(W, F);
+        for x in min..=max {
+            for y in min..=max {
+                assert_binary_ops_match::<W, F>(x, y);
+                for &z in &addends {
+                    assert_mul_add_matches::<W, F>(x, y, z);
+                }
+            }
+        }
+    }
+    all_pairs::<8, 6>();
+    all_pairs::<8, 8>();
+}
+
+#[test]
+fn q4_12_quantises_every_f32_on_the_raw_lattice_and_its_ties() {
+    // Every Q4.12 value and every midpoint between neighbours, plus the
+    // out-of-range ends — the inputs the blur's accelerator boundary sees.
+    for raw in -32769i64..=32768 {
+        for offset in [0.0, 0.5, -0.5] {
+            let value = (raw as f64 + offset) / 4096.0;
+            assert_from_f64_matches::<16, 12>(value);
+            assert_fix16_from_f32_matches(value as f32);
+        }
+    }
+}

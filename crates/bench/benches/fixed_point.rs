@@ -5,6 +5,8 @@ use apfixed::{Fix, Fix16};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use std::time::Duration;
+use tonemap_core::blur::{gaussian_kernel, quantize_kernel};
+use tonemap_core::{BlurParams, Sample};
 
 fn arithmetic(c: &mut Criterion) {
     let mut group = c.benchmark_group("fixed_point_arithmetic");
@@ -64,5 +66,54 @@ fn arithmetic(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, arithmetic);
+/// One tap-major pass of a 41-tap kernel over an edge-padded row: for each
+/// tap, one multiply-accumulate across the whole row. This is the loop shape
+/// of `StreamingToneMapper`'s line buffer, whose inner loop the compiler can
+/// vectorize across pixels — unlike the loop-carried `mac_*` chains above.
+fn tap_major_row<S: Sample>(dst: &mut [S], padded: &[S], kernel: &[S]) {
+    let width = dst.len();
+    dst.fill(S::zero());
+    for (k, &weight) in kernel.iter().enumerate() {
+        for (d, &sample) in dst.iter_mut().zip(&padded[k..k + width]) {
+            *d = weight.mul_add(sample, *d);
+        }
+    }
+}
+
+fn row_kernels(c: &mut Criterion) {
+    const WIDTH: usize = 1024;
+    let mut group = c.benchmark_group("tap_major_row_41_taps_1024_px");
+    group
+        .sample_size(30)
+        .warm_up_time(Duration::from_millis(300))
+        .measurement_time(Duration::from_secs(2));
+
+    let taps = gaussian_kernel(&BlurParams::paper_default());
+    let padded: Vec<f32> = (0..WIDTH + taps.len() - 1)
+        .map(|i| (i as f32 * 0.01).sin() * 0.5 + 0.5)
+        .collect();
+
+    let kernel_f32 = quantize_kernel::<f32>(&taps);
+    let mut row_f32 = vec![0.0f32; WIDTH];
+    group.bench_function("f32", |b| {
+        b.iter(|| {
+            tap_major_row(&mut row_f32, black_box(&padded), &kernel_f32);
+            black_box(row_f32[WIDTH / 2])
+        })
+    });
+
+    let kernel_fix16 = quantize_kernel::<Fix16>(&taps);
+    let padded_fix16: Vec<Fix16> = padded.iter().map(|&v| Fix16::from_f32(v)).collect();
+    let mut row_fix16 = vec![Fix16::ZERO; WIDTH];
+    group.bench_function("fix16", |b| {
+        b.iter(|| {
+            tap_major_row(&mut row_fix16, black_box(&padded_fix16), &kernel_fix16);
+            black_box(row_fix16[WIDTH / 2])
+        })
+    });
+
+    group.finish();
+}
+
+criterion_group!(benches, arithmetic, row_kernels);
 criterion_main!(benches);

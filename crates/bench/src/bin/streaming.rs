@@ -6,13 +6,15 @@
 //! in software. This gate checks both halves of that claim:
 //!
 //! * **Parity** — on every synthetic scene (plus degenerate 1×N / N×1
-//!   geometries) the streaming engines must match their two-pass
-//!   counterparts within 1e-6 for `f32` and within the established Fig. 5
-//!   fixed-point tolerance for `Fix16`. (They are in fact bit-identical;
-//!   the tolerances are the contract, bit-equality the observed margin.)
+//!   geometries) `sw-f32-stream` must equal `sw-f32` and `hw-fix16-stream`
+//!   must equal `hw-fix16` bit for bit: the streaming engines re-schedule
+//!   the same arithmetic, so even a 1-LSB slip is a bug.
 //! * **Speed** — at 1024×768 with the paper-default 41-tap kernel, one
 //!   *single-threaded* streaming pass must be at least 2× faster than the
-//!   two-pass `sw-f32` reference. The run fails (non-zero exit) otherwise.
+//!   two-pass `sw-f32` reference, and the Q4.12 stream (`Fix16` taps) may
+//!   cost at most 4× the `f32` stream, so a return to wide-integer
+//!   emulation of the 16-bit datapath fails. The run fails (non-zero exit)
+//!   otherwise.
 //!
 //! The measured seconds, speedup ratios and ns/pixel figures are persisted
 //! to `BENCH_streaming.json` in the working directory.
@@ -21,8 +23,8 @@
 //! cargo run -p bench --release --bin streaming    # CI=true trims iterations
 //! ```
 
+use apfixed::Fix16;
 use bench::{json, write_bench_json};
-use hdr_image::metrics::psnr;
 use hdr_image::synth::SceneKind;
 use hdr_image::LuminanceImage;
 use std::time::Instant;
@@ -32,13 +34,16 @@ use tonemap_core::{StreamingToneMapper, ToneMapParams, ToneMapper};
 const WIDTH: usize = 1024;
 const HEIGHT: usize = 768;
 const REQUIRED_SPEEDUP: f64 = 2.0;
+const MAX_FIX16_OVER_F32: f64 = 4.0;
 
-fn max_abs_diff(a: &LuminanceImage, b: &LuminanceImage) -> f32 {
+/// Index and values of the first pixel whose bits differ, if any.
+fn first_mismatch(a: &LuminanceImage, b: &LuminanceImage) -> Option<(usize, f32, f32)> {
+    assert_eq!(a.dimensions(), b.dimensions(), "dimensions differ");
     a.pixels()
         .iter()
         .zip(b.pixels())
-        .map(|(x, y)| (x - y).abs())
-        .fold(0.0f32, f32::max)
+        .position(|(x, y)| x.to_bits() != y.to_bits())
+        .map(|i| (i, a.pixels()[i], b.pixels()[i]))
 }
 
 fn parity_checks() {
@@ -77,23 +82,12 @@ fn parity_checks() {
                 .expect("display-referred payload")
                 .clone()
         };
-        let f32_diff = max_abs_diff(&run("sw-f32-stream"), &run("sw-f32"));
-        assert!(
-            f32_diff <= 1e-6,
-            "sw-f32-stream diverged from sw-f32 by {f32_diff} on {name}"
-        );
-        let fix_stream = run("hw-fix16-stream");
-        let fix_classic = run("hw-fix16");
-        let fix_diff = max_abs_diff(&fix_stream, &fix_classic);
-        let fix_psnr = psnr(&fix_classic, &fix_stream, 1.0);
-        // The Fig. 5 contract for the fixed-point engine is >= 30 dB against
-        // the reference; streaming vs two-pass must be far tighter than that
-        // (observed: bit-identical).
-        assert!(
-            fix_psnr.is_infinite() || fix_psnr > 60.0,
-            "hw-fix16-stream diverged from hw-fix16 by {fix_diff} ({fix_psnr:.1} dB) on {name}"
-        );
-        println!("  {name:<20} f32 max |Δ| = {f32_diff:.1e}   fix16 max |Δ| = {fix_diff:.1e}");
+        for (stream, classic) in [("sw-f32-stream", "sw-f32"), ("hw-fix16-stream", "hw-fix16")] {
+            if let Some((i, x, y)) = first_mismatch(&run(stream), &run(classic)) {
+                panic!("{stream} diverged from {classic} on {name} at pixel {i}: {x} vs {y}");
+            }
+        }
+        println!("  {name:<20} f32 and fix16 streams bit-identical");
     }
     println!();
 }
@@ -132,6 +126,11 @@ fn main() {
         sink += streaming.map_luminance(&hdr).pixels()[0];
     });
 
+    let streaming_fix16 = StreamingToneMapper::<Fix16>::new(params);
+    let fix16_seconds = time_best(iterations, || {
+        sink += streaming_fix16.map_luminance(&hdr).pixels()[0];
+    });
+
     let threads = tonemap_backend::default_stream_threads();
     let threaded = StreamingToneMapper::<f32>::new(params).with_threads(threads);
     let threaded_seconds = time_best(iterations, || {
@@ -153,9 +152,17 @@ fn main() {
         format!("streaming, {threads} thread(s)"),
         reference_seconds / threaded_seconds
     );
+    let fix16_over_f32 = fix16_seconds / streaming_seconds;
+    println!(
+        "  {:<30} {fix16_seconds:>8.3} s  ({fix16_over_f32:.2}x the f32 stream)",
+        "streaming Fix16, 1 thread"
+    );
     println!();
     println!(
         "single-thread streaming speedup over sw-f32: {speedup:.2}x (required >= {REQUIRED_SPEEDUP:.1}x)"
+    );
+    println!(
+        "Fix16 stream over f32 stream: {fix16_over_f32:.2}x (required <= {MAX_FIX16_OVER_F32:.1}x)"
     );
 
     let pixels = (WIDTH * HEIGHT) as f64;
@@ -183,14 +190,22 @@ fn main() {
                     ("two_pass", ns_per_pixel(reference_seconds)),
                     ("streaming", ns_per_pixel(streaming_seconds)),
                     ("threaded", ns_per_pixel(threaded_seconds)),
+                    ("streaming_fix16", ns_per_pixel(fix16_seconds)),
                 ]),
             ),
             ("required_speedup", json::num(REQUIRED_SPEEDUP)),
+            ("fix16_over_f32", json::num(fix16_over_f32)),
+            ("max_fix16_over_f32", json::num(MAX_FIX16_OVER_F32)),
         ]),
     );
 
     assert!(
         speedup >= REQUIRED_SPEEDUP,
         "streaming speedup {speedup:.2}x fell below the required {REQUIRED_SPEEDUP:.1}x"
+    );
+    assert!(
+        fix16_over_f32 <= MAX_FIX16_OVER_F32,
+        "the Fix16 stream costs {fix16_over_f32:.2}x the f32 stream, above the allowed \
+         {MAX_FIX16_OVER_F32:.1}x"
     );
 }
