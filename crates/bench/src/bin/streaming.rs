@@ -13,8 +13,14 @@
 //!   *single-threaded* streaming pass must be at least 2× faster than the
 //!   two-pass `sw-f32` reference, and the Q4.12 stream (`Fix16` taps) may
 //!   cost at most 4× the `f32` stream, so a return to wide-integer
-//!   emulation of the 16-bit datapath fails. The run fails (non-zero exit)
-//!   otherwise.
+//!   emulation of the 16-bit datapath fails.
+//! * **Colour points** — the `hsv-reinhard` colour plan streamed over an
+//!   RGB frame (normalize, RGB → HSV, Reinhard on V, HSV → RGB: the colour
+//!   walk's row pass) must equal the two-pass `map_rgb_hw_blur` bit for
+//!   bit and may cost at most 1.3× the single-thread `f32` paper stream,
+//!   so a return to a per-pixel interpreter of the colour ops fails.
+//!
+//! The run fails (non-zero exit) if any check fails.
 //!
 //! The measured seconds, speedup ratios and ns/pixel figures are persisted
 //! to `BENCH_streaming.json` in the working directory.
@@ -26,15 +32,18 @@
 use apfixed::Fix16;
 use bench::{json, write_bench_json};
 use hdr_image::synth::SceneKind;
-use hdr_image::LuminanceImage;
+use hdr_image::{LuminanceImage, RgbImage};
 use std::time::Instant;
 use tonemap_backend::{BackendRegistry, TonemapRequest};
-use tonemap_core::{StreamingToneMapper, ToneMapParams, ToneMapper};
+use tonemap_core::{PipelinePlan, PlanTuning, StreamingToneMapper, ToneMapParams, ToneMapper};
 
 const WIDTH: usize = 1024;
 const HEIGHT: usize = 768;
 const REQUIRED_SPEEDUP: f64 = 2.0;
 const MAX_FIX16_OVER_F32: f64 = 4.0;
+/// The colour row's bound over the f32 paper stream: ~1.65 with a per-pixel
+/// interpreter of the colour ops, ~1.0 with row kernels on the gate host.
+const MAX_COLOR_OVER_PAPER: f64 = 1.3;
 
 /// Index and values of the first pixel whose bits differ, if any.
 fn first_mismatch(a: &LuminanceImage, b: &LuminanceImage) -> Option<(usize, f32, f32)> {
@@ -44,6 +53,15 @@ fn first_mismatch(a: &LuminanceImage, b: &LuminanceImage) -> Option<(usize, f32,
         .zip(b.pixels())
         .position(|(x, y)| x.to_bits() != y.to_bits())
         .map(|i| (i, a.pixels()[i], b.pixels()[i]))
+}
+
+/// Index of the first RGB pixel whose channel bits differ, if any.
+fn first_rgb_mismatch(a: &RgbImage, b: &RgbImage) -> Option<usize> {
+    assert_eq!(a.dimensions(), b.dimensions(), "dimensions differ");
+    a.pixels()
+        .iter()
+        .zip(b.pixels())
+        .position(|(x, y)| [x.r, x.g, x.b].map(f32::to_bits) != [y.r, y.g, y.b].map(f32::to_bits))
 }
 
 fn parity_checks() {
@@ -136,6 +154,33 @@ fn main() {
     let threaded_seconds = time_best(iterations, || {
         sink += threaded.map_luminance(&hdr).pixels()[0];
     });
+
+    let color_plan = PipelinePlan::preset("hsv-reinhard", &params, &PlanTuning::default())
+        .expect("the hsv-reinhard preset is valid")
+        .expect("hsv-reinhard is a preset");
+    let color_hdr = SceneKind::WindowInDarkRoom.generate_rgb(WIDTH, HEIGHT, 2018);
+    let color_stream = StreamingToneMapper::<f32>::compile(color_plan.clone(), params)
+        .expect("paper parameters are valid");
+    let color_reference = ToneMapper::compile(color_plan, params)
+        .expect("paper parameters are valid")
+        .map_rgb_hw_blur::<f32>(&color_hdr)
+        .expect("colour plans execute");
+    let color_out = color_stream
+        .map_rgb(&color_hdr)
+        .expect("colour plans execute");
+    if let Some(i) = first_rgb_mismatch(&color_out, &color_reference) {
+        panic!(
+            "hsv-reinhard stream diverged from map_rgb_hw_blur at pixel {i}: {:?} vs {:?}",
+            color_out.pixels()[i],
+            color_reference.pixels()[i]
+        );
+    }
+    let color_seconds = time_best(iterations, || {
+        let out = color_stream
+            .map_rgb(&color_hdr)
+            .expect("colour plans execute");
+        sink += out.pixels()[0].r;
+    });
     assert!(sink.is_finite(), "outputs must be finite");
 
     let speedup = reference_seconds / streaming_seconds;
@@ -157,12 +202,21 @@ fn main() {
         "  {:<30} {fix16_seconds:>8.3} s  ({fix16_over_f32:.2}x the f32 stream)",
         "streaming Fix16, 1 thread"
     );
+    let color_over_paper = color_seconds / streaming_seconds;
+    println!(
+        "  {:<30} {color_seconds:>8.3} s  ({color_over_paper:.2}x the f32 stream)",
+        "hsv-reinhard colour, 1 thread"
+    );
     println!();
     println!(
         "single-thread streaming speedup over sw-f32: {speedup:.2}x (required >= {REQUIRED_SPEEDUP:.1}x)"
     );
     println!(
         "Fix16 stream over f32 stream: {fix16_over_f32:.2}x (required <= {MAX_FIX16_OVER_F32:.1}x)"
+    );
+    println!(
+        "hsv-reinhard colour stream over f32 stream: {color_over_paper:.2}x \
+         (required <= {MAX_COLOR_OVER_PAPER:.1}x)"
     );
 
     let pixels = (WIDTH * HEIGHT) as f64;
@@ -191,11 +245,14 @@ fn main() {
                     ("streaming", ns_per_pixel(streaming_seconds)),
                     ("threaded", ns_per_pixel(threaded_seconds)),
                     ("streaming_fix16", ns_per_pixel(fix16_seconds)),
+                    ("color_points", ns_per_pixel(color_seconds)),
                 ]),
             ),
             ("required_speedup", json::num(REQUIRED_SPEEDUP)),
             ("fix16_over_f32", json::num(fix16_over_f32)),
             ("max_fix16_over_f32", json::num(MAX_FIX16_OVER_F32)),
+            ("color_over_paper", json::num(color_over_paper)),
+            ("max_color_over_paper", json::num(MAX_COLOR_OVER_PAPER)),
         ]),
     );
 
@@ -207,5 +264,10 @@ fn main() {
         fix16_over_f32 <= MAX_FIX16_OVER_F32,
         "the Fix16 stream costs {fix16_over_f32:.2}x the f32 stream, above the allowed \
          {MAX_FIX16_OVER_F32:.1}x"
+    );
+    assert!(
+        color_over_paper <= MAX_COLOR_OVER_PAPER,
+        "the hsv-reinhard colour stream costs {color_over_paper:.2}x the f32 stream, above the \
+         allowed {MAX_COLOR_OVER_PAPER:.1}x"
     );
 }

@@ -76,6 +76,7 @@ pub mod ops;
 mod params;
 pub mod pipeline;
 pub mod plan;
+mod point;
 mod sample;
 pub mod stream;
 

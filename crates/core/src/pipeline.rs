@@ -240,7 +240,7 @@ impl ToneMapper {
     /// tone-map it, re-apply the chrominance by clamped ratio — bit-identical
     /// to the old path. A **colour-managed plan** ([`ChannelLayout::Rgb`]
     /// input) executes its colour point stages (RGB ↔ HSV, PQ/HLG transfer
-    /// curves, HSV-value tone curves, chroma split/merge) per pixel in `f32`
+    /// curves, HSV-value tone curves, chroma split/merge) in `f32` row passes
     /// and its embedded scalar sub-plans through the two-pass executor.
     ///
     /// # Errors

@@ -36,14 +36,15 @@
 //! [`PipelinePlan::paper_default`] reproduces Fig. 1 exactly — compiled by
 //! either planner it is bit-identical to the pre-redesign engines.
 
-use crate::adjust::adjusted_sample;
 use crate::color;
-use crate::normalize::normalize_sample;
+use crate::normalize::{finite_max, normalize_sample};
 use crate::ops::{OpCounts, PipelineProfile, StageKind, StageProfile};
 use crate::params::{AdjustParams, BlurParams, MaskingParams, ParamError, ToneMapParams};
+use crate::point::{CompiledPointOp, Ingest};
 use crate::sample::Sample;
 use hdr_image::rgb::{luminance_plane, reapply_color, Rgb};
 use hdr_image::{ImageBuffer, LuminanceImage, RgbImage};
+use std::borrow::Cow;
 use std::fmt;
 
 /// The channel layout of a pipeline register — the typed shape of the data
@@ -1548,65 +1549,58 @@ pub enum ColorStage {
 /// `Rgb` register: the reciprocal of the largest finite channel sample, or
 /// `None` for an all-black (or all-poisoned) image, where normalization
 /// keeps values unchanged — the colour analogue of
-/// [`crate::normalize::normalization_scale`].
+/// [`crate::normalize::normalization_scale`], folded in the same
+/// vectorized lanes.
 pub fn rgb_normalization_scale(image: &RgbImage) -> Option<f32> {
-    let mut max = 0.0f32;
-    for p in image.pixels() {
-        for c in [p.r, p.g, p.b] {
-            if c.is_finite() && c > max {
-                max = c;
-            }
-        }
-    }
+    let max = finite_max(image.pixels(), |p| [p.r, p.g, p.b]);
     (max > 0.0).then(|| 1.0 / max)
 }
 
-/// One scalar tone-curve sample of a point op running on the value channel
-/// of an `Hsv` register — arithmetic-for-arithmetic the same as the scalar
-/// executors ([`apply_register_op`] and the streaming point chain), so a
-/// curve applied to V agrees bit-exactly with the same curve applied to a
-/// luminance plane.
-fn scalar_point_sample(op: &PipelineOp, value: f32) -> f32 {
-    match *op {
-        PipelineOp::Invert => 1.0 - value,
-        PipelineOp::Adjust(a) => adjusted_sample(value, 0.5f32, a.contrast, 0.5 + a.brightness),
-        PipelineOp::Gamma { gamma } => Sample::powf(value, gamma).clamp01(),
-        PipelineOp::LogCurve { scale } => log_curve_sample(value, scale),
-        PipelineOp::Reinhard { key, white } => reinhard_sample(value, key, white),
-        PipelineOp::Hable { exposure } => color::hable_sample(value, exposure),
-        PipelineOp::Aces { exposure } => color::aces_sample(value, exposure),
-        PipelineOp::Drago { bias } => color::drago_sample(value, bias),
-        _ => unreachable!("layout validation keeps non-point ops off the hsv register"),
-    }
-}
-
-/// Applies one colour point op to one pixel of a register with the given
-/// layout: conversions change the layout, transfer curves run per channel,
-/// and tone curves on an `Hsv` register transform only the value channel.
-pub(crate) fn apply_color_op(op: &PipelineOp, layout: ChannelLayout, pixel: Rgb<f32>) -> Rgb<f32> {
-    match *op {
-        PipelineOp::RgbToHsv => color::rgb_to_hsv(pixel),
-        PipelineOp::HsvToRgb => color::hsv_to_rgb(pixel),
-        PipelineOp::PqOetf { peak_nits } => pixel.map(|c| color::pq_oetf(c, peak_nits)),
-        PipelineOp::PqEotf { peak_nits } => pixel.map(|c| color::pq_eotf(c, peak_nits)),
-        PipelineOp::HlgOetf => pixel.map(color::hlg_oetf),
-        PipelineOp::HlgEotf => pixel.map(color::hlg_eotf),
+/// Applies one colour point op in place to a colour row: conversions
+/// change the layout, transfer curves run per channel, and tone curves on
+/// an `Hsv` register transform only the value channel — through the same
+/// row kernels the scalar executors use, so a curve applied to V agrees
+/// bit-exactly with the same curve applied to a luminance plane.
+fn apply_color_op_row(op: &PipelineOp, layout: ChannelLayout, row: &mut [Rgb<f32>]) {
+    match op {
+        PipelineOp::RgbToHsv => row.iter_mut().for_each(|p| *p = color::rgb_to_hsv(*p)),
+        PipelineOp::HsvToRgb => row.iter_mut().for_each(|p| *p = color::hsv_to_rgb(*p)),
+        PipelineOp::PqOetf { .. }
+        | PipelineOp::PqEotf { .. }
+        | PipelineOp::HlgOetf
+        | PipelineOp::HlgEotf => CompiledPointOp::from_op(op).apply_row(
+            row.iter_mut().flat_map(|p| [&mut p.r, &mut p.g, &mut p.b]),
+            None,
+        ),
         _ => {
             debug_assert_eq!(layout, ChannelLayout::Hsv);
-            Rgb::new(pixel.r, pixel.g, scalar_point_sample(op, pixel.b))
+            CompiledPointOp::from_op(op).apply_row(row.iter_mut().map(|p| &mut p.b), None);
         }
     }
 }
 
-/// One fused per-pixel pass applying a run of colour point ops.
-pub(crate) fn apply_color_points(
+/// One row pass over a run of colour point ops: each row is ingested (the
+/// leading colour normalize, when the run follows it) and then every op
+/// runs op-major over the row.
+fn apply_color_points(
+    ingest: Ingest,
     ops: &[(PipelineOp, ChannelLayout)],
     image: &RgbImage,
 ) -> RgbImage {
-    image.map(|&p| {
-        ops.iter()
-            .fold(p, |px, (op, layout)| apply_color_op(op, *layout, px))
-    })
+    let (width, height) = image.dimensions();
+    let mut out: Vec<Rgb<f32>> = Vec::with_capacity(width * height);
+    for src in image.pixels().chunks_exact(width) {
+        let start = out.len();
+        out.extend_from_slice(src);
+        let row = &mut out[start..];
+        ingest.apply_row(row, |p: Rgb<f32>, scale| {
+            p.map(|c| normalize_sample(c, scale))
+        });
+        for (op, layout) in ops {
+            apply_color_op_row(op, *layout, row);
+        }
+    }
+    RgbImage::from_vec(width, height, out).expect("output dimensions equal input dimensions")
 }
 
 /// Executes a colour-managed plan over an RGB image, delegating every
@@ -1618,6 +1612,11 @@ pub(crate) fn apply_color_points(
 /// [`PipelinePlan::compose_for_rgb`] first, which makes this the explicit
 /// form of the old hard-coded backend RGB path: extract the luminance
 /// plane, run the scalar plan on it, reapply the colour by clamped ratio.
+///
+/// A leading normalize is resolved as the colour max-reduction before the
+/// walk, and its per-sample step becomes the first step of the first row
+/// pass (a colour point run, or an extract reading the raw input), so the
+/// normalized image is never materialized on its own.
 ///
 /// The `scalar` callback receives the global index of the sub-plan's first
 /// op, the sub-plan itself, and the luminance register; it returns the
@@ -1643,26 +1642,28 @@ where
         composed = plan.compose_for_rgb();
         &composed
     };
-    // A leading normalize is the colour max-reduction, resolved before the
-    // stage walk (exactly as the scalar executors resolve theirs).
-    let mut color: Option<RgbImage> = Some(if plan.starts_with_normalize() {
-        let scale = rgb_normalization_scale(hdr);
-        hdr.map(|&p| p.map(|c| normalize_sample(c, scale)))
+    // The colour register starts as the raw input, borrowed; the first
+    // stage that reads it applies the pending ingest.
+    let mut ingest = if plan.starts_with_normalize() {
+        Ingest::Source(rgb_normalization_scale(hdr))
     } else {
-        hdr.clone()
-    });
+        Ingest::Passthrough
+    };
+    let mut color: Option<Cow<'_, RgbImage>> = Some(Cow::Borrowed(hdr));
     let mut plane: Option<LuminanceImage> = None;
-    let mut chroma: Option<RgbImage> = None;
+    let mut chroma: Option<Cow<'_, RgbImage>> = None;
     for stage in plan.color_stages() {
         match stage {
             ColorStage::Points(ops) => {
                 let img = color
                     .take()
                     .expect("points stage reads the colour register");
-                color = Some(apply_color_points(&ops, &img));
+                let ingest = std::mem::replace(&mut ingest, Ingest::Passthrough);
+                color = Some(Cow::Owned(apply_color_points(ingest, &ops, &img)));
             }
             ColorStage::Extract => {
                 let img = color.take().expect("extract reads the colour register");
+                let img = settle_ingest(img, &mut ingest);
                 plane = Some(luminance_plane(&img));
                 chroma = Some(img);
             }
@@ -1677,11 +1678,23 @@ where
                     .take()
                     .expect("validation pairs reapply with extract");
                 let lum = plane.take().expect("reapply reads the luminance register");
-                color = Some(reapply_color(&saved, &lum)?);
+                color = Some(Cow::Owned(reapply_color(&saved, &lum)?));
             }
         }
     }
-    Ok(color.expect("validated rgb plans end in the colour register"))
+    let color = color.expect("validated rgb plans end in the colour register");
+    Ok(settle_ingest(color, &mut ingest).into_owned())
+}
+
+/// Applies a still-pending ingest (the leading colour normalize) to the
+/// colour register as a pass of its own — needed only where no colour
+/// point run follows the normalize to fold it into: an extract reading the
+/// raw input, or a normalize-only plan.
+fn settle_ingest<'a>(image: Cow<'a, RgbImage>, ingest: &mut Ingest) -> Cow<'a, RgbImage> {
+    match std::mem::replace(ingest, Ingest::Passthrough) {
+        Ingest::Passthrough => image,
+        pending => Cow::Owned(apply_color_points(pending, &[], &image)),
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -2534,5 +2547,57 @@ mod tests {
         // The black pixel is achromatic in, achromatic out.
         assert_eq!(out.pixels()[0].r, out.pixels()[0].g);
         assert_eq!(out.pixels()[0].g, out.pixels()[0].b);
+    }
+
+    #[test]
+    fn leading_colour_normalize_folds_into_the_stage_that_reads_it_first() {
+        // The normalize runs as the first step of whichever pass reads the
+        // raw input: a colour point run, an extract, or (normalize-only) a
+        // pass of its own. Each shape must equal the per-pixel definition,
+        // poisoned samples included.
+        let mut pixels = SceneKind::MemorialComposite
+            .generate_rgb(13, 7, 2)
+            .pixels()
+            .to_vec();
+        pixels[3] = Rgb::new(f32::NAN, 2.0, f32::NEG_INFINITY);
+        pixels[40] = Rgb::new(f32::INFINITY, -1.0, -0.0);
+        let hdr = RgbImage::from_vec(13, 7, pixels).unwrap();
+        let scale = rgb_normalization_scale(&hdr);
+        let normalized = hdr.map(|p| p.map(|c| normalize_sample(c, scale)));
+        let run = |ops: Vec<PipelineOp>| {
+            let plan = PipelinePlan::with_input(ChannelLayout::Rgb, ops).unwrap();
+            run_color_plan::<hdr_image::ImageError, _>(&plan, &hdr, |_, sub, l| {
+                Ok(execute_plan_hw_blur::<f32>(sub, l))
+            })
+            .unwrap()
+        };
+
+        assert_eq!(run(vec![PipelineOp::Normalize]), normalized);
+
+        let (key, white) = (6.0, 5.0);
+        let hsv = run(vec![
+            PipelineOp::Normalize,
+            PipelineOp::RgbToHsv,
+            PipelineOp::Reinhard { key, white },
+            PipelineOp::HsvToRgb,
+        ]);
+        let expected = normalized.map(|&p| {
+            let v = color::rgb_to_hsv(p);
+            color::hsv_to_rgb(Rgb::new(v.r, v.g, reinhard_sample(v.b, key, white)))
+        });
+        assert_eq!(hsv, expected);
+
+        let hlg = run(vec![PipelineOp::Normalize, PipelineOp::HlgOetf]);
+        assert_eq!(hlg, normalized.map(|p| p.map(color::hlg_oetf)));
+
+        let gamma = 0.7;
+        let wrapped = run(vec![
+            PipelineOp::Normalize,
+            PipelineOp::ExtractLuminance,
+            PipelineOp::Gamma { gamma },
+            PipelineOp::ReapplyRatio,
+        ]);
+        let lum = luminance_plane(&normalized).map(|&v| Sample::powf(v, gamma).clamp01());
+        assert_eq!(wrapped, reapply_color(&normalized, &lum).unwrap());
     }
 }

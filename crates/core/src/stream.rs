@@ -10,8 +10,9 @@
 //! in fused raster order:
 //!
 //! * **point ops** (normalize, invert, mask, adjust, gamma, log curve,
-//!   Reinhard) fuse freely into the per-sample chains of whichever fused
-//!   region consumes them;
+//!   Reinhard) fuse freely into the chains of whichever fused region
+//!   consumes them, applied as row kernels: each op matched once per row,
+//!   then run op-major over the row;
 //! * **each stencil op** (a separable Gaussian blur) becomes its own
 //!   rolling ring of `2·radius + 1` horizontally-blurred rows — one line
 //!   buffer per stencil, cascaded back-to-back so stage *k*'s ring is fed
@@ -70,16 +71,14 @@
 //! assert!(streaming.decision().is_fused());
 //! ```
 
-use crate::adjust::adjusted_sample;
 use crate::blur::{gaussian_kernel, quantize_kernel};
-use crate::color;
-use crate::masking::masked_sample;
 use crate::normalize::{normalization_scale, normalize_sample};
-use crate::params::{MaskingParams, ParamError, ToneMapParams};
+use crate::params::{ParamError, ToneMapParams};
 use crate::plan::{
-    execute_plan_hw_blur, histogram_equalize, log_curve_sample, reinhard_sample, run_color_plan,
-    ChannelLayout, ColorStage, PipelineOp, PipelineOpKind, PipelinePlan,
+    execute_plan_hw_blur, histogram_equalize, run_color_plan, ChannelLayout, ColorStage,
+    PipelineOp, PipelineOpKind, PipelinePlan,
 };
+use crate::point::{apply_chain, CompiledPointOp, Ingest};
 use crate::sample::Sample;
 use hdr_image::rgb::{luminance_plane, reapply_color};
 use hdr_image::{LuminanceImage, RgbImage};
@@ -223,85 +222,6 @@ impl fmt::Display for StreamingDecision {
                 }
                 Ok(())
             }
-        }
-    }
-}
-
-/// A point op compiled for the per-sample `f32` chains of the fused pass.
-/// Each arm applies exactly the arithmetic of the two-pass stage functions,
-/// so fused and materialized execution stay bit-identical.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum CompiledPointOp {
-    Invert,
-    Mask(MaskingParams),
-    Adjust { contrast: f32, offset: f32 },
-    Gamma(f32),
-    LogCurve(f32),
-    Reinhard { key: f32, white: f32 },
-    PqOetf(f32),
-    PqEotf(f32),
-    HlgOetf,
-    HlgEotf,
-    Hable(f32),
-    Aces(f32),
-    Drago(f32),
-}
-
-impl CompiledPointOp {
-    fn from_op(op: &PipelineOp) -> Self {
-        match *op {
-            PipelineOp::Invert => CompiledPointOp::Invert,
-            PipelineOp::Mask(masking) => CompiledPointOp::Mask(masking),
-            PipelineOp::Adjust(adjust) => CompiledPointOp::Adjust {
-                contrast: adjust.contrast,
-                offset: 0.5 + adjust.brightness,
-            },
-            PipelineOp::Gamma { gamma } => CompiledPointOp::Gamma(gamma),
-            PipelineOp::LogCurve { scale } => CompiledPointOp::LogCurve(scale),
-            PipelineOp::Reinhard { key, white } => CompiledPointOp::Reinhard { key, white },
-            PipelineOp::PqOetf { peak_nits } => CompiledPointOp::PqOetf(peak_nits),
-            PipelineOp::PqEotf { peak_nits } => CompiledPointOp::PqEotf(peak_nits),
-            PipelineOp::HlgOetf => CompiledPointOp::HlgOetf,
-            PipelineOp::HlgEotf => CompiledPointOp::HlgEotf,
-            PipelineOp::Hable { exposure } => CompiledPointOp::Hable(exposure),
-            PipelineOp::Aces { exposure } => CompiledPointOp::Aces(exposure),
-            PipelineOp::Drago { bias } => CompiledPointOp::Drago(bias),
-            PipelineOp::Normalize
-            | PipelineOp::BlurMask { .. }
-            | PipelineOp::HistogramEq { .. } => {
-                unreachable!("handled by the fused-program compiler")
-            }
-            PipelineOp::RgbToHsv
-            | PipelineOp::HsvToRgb
-            | PipelineOp::ExtractLuminance
-            | PipelineOp::ReapplyRatio => {
-                unreachable!("colour-register ops are handled by the colour program")
-            }
-        }
-    }
-
-    #[inline]
-    fn apply(&self, value: f32, mask: Option<f32>) -> f32 {
-        match *self {
-            CompiledPointOp::Invert => 1.0 - value,
-            CompiledPointOp::Mask(masking) => masked_sample(
-                value,
-                mask.expect("plan validation pairs mask with blur"),
-                &masking,
-            ),
-            CompiledPointOp::Adjust { contrast, offset } => {
-                adjusted_sample(value, 0.5f32, contrast, offset)
-            }
-            CompiledPointOp::Gamma(gamma) => Sample::powf(value, gamma).clamp01(),
-            CompiledPointOp::LogCurve(scale) => log_curve_sample(value, scale),
-            CompiledPointOp::Reinhard { key, white } => reinhard_sample(value, key, white),
-            CompiledPointOp::PqOetf(peak) => color::pq_oetf(value, peak),
-            CompiledPointOp::PqEotf(peak) => color::pq_eotf(value, peak),
-            CompiledPointOp::HlgOetf => color::hlg_oetf(value),
-            CompiledPointOp::HlgEotf => color::hlg_eotf(value),
-            CompiledPointOp::Hable(exposure) => color::hable_sample(value, exposure),
-            CompiledPointOp::Aces(exposure) => color::aces_sample(value, exposure),
-            CompiledPointOp::Drago(bias) => color::drago_sample(value, bias),
         }
     }
 }
@@ -456,26 +376,6 @@ fn compile_scalar_program<S: Sample>(plan: &PipelinePlan) -> Program<S> {
         normalize,
         segments,
     })
-}
-
-/// How a fused segment reads its input samples: the first segment ingests
-/// the raw HDR input (sanitizing and optionally normalizing, exactly like
-/// the two-pass executor's first step), later segments read the previous
-/// barrier's materialized `f32` register verbatim.
-#[derive(Debug, Clone, Copy)]
-enum Ingest {
-    Source(Option<f32>),
-    Passthrough,
-}
-
-impl Ingest {
-    #[inline]
-    fn apply(self, raw: f32) -> f32 {
-        match self {
-            Ingest::Source(scale) => normalize_sample(raw, scale),
-            Ingest::Passthrough => raw,
-        }
-    }
 }
 
 /// The streaming tone mapper: a [`PipelinePlan`] compiled into fused
@@ -784,12 +684,13 @@ fn run_fused_segment<S: Sample>(
         // Pure point chain: every pixel is independent, nothing to ring.
         let point_rows = |first_row: usize, chunk: &mut [f32]| {
             let pixels = &input.pixels()[first_row * width..first_row * width + chunk.len()];
-            for (dst, &raw) in chunk.iter_mut().zip(pixels) {
-                let mut v = ingest.apply(raw);
-                for op in &segment.epilog {
-                    v = op.apply(v, None);
-                }
-                *dst = v;
+            for (row, raw) in chunk
+                .chunks_exact_mut(width)
+                .zip(pixels.chunks_exact(width))
+            {
+                row.copy_from_slice(raw);
+                ingest.apply_row(row, normalize_sample);
+                apply_chain(&segment.epilog, row, None);
             }
         };
         if threads <= 1 {
@@ -830,9 +731,8 @@ struct RegionState<S: Sample> {
     padded: Vec<S>,
     /// Vertical accumulator scratch row.
     vacc: Vec<S>,
-    /// Scratch rows receiving the upstream region's value/mask streams
-    /// (empty for the first region, which reads the segment input).
-    up_v: Vec<f32>,
+    /// Scratch row receiving the upstream region's mask stream (empty for
+    /// the first region, which has no upstream mask).
     up_mask: Vec<f32>,
     /// The next source row this region will produce — rows are produced
     /// lazily, in order, the moment a consumer's vertical window first
@@ -845,17 +745,16 @@ impl<S: Sample> RegionState<S> {
         let taps = region.kernel.len();
         let radius = taps / 2;
         let len = taps.min(height).max(1);
-        let (up_v, up_mask) = if has_upstream {
-            (vec![0.0f32; width], vec![0.0f32; width])
+        let up_mask = if has_upstream {
+            vec![0.0f32; width]
         } else {
-            (Vec::new(), Vec::new())
+            Vec::new()
         };
         RegionState {
             hrows: vec![vec![S::zero(); width]; len],
             vrows: vec![vec![0.0f32; width]; len],
             padded: vec![S::zero(); width + 2 * radius],
             vacc: vec![S::zero(); width],
-            up_v,
             up_mask,
             next_row: None,
         }
@@ -880,7 +779,6 @@ fn run_rows<S: Sample>(
         .enumerate()
         .map(|(i, region)| RegionState::new(region, width, height, i > 0))
         .collect();
-    let mut v_row = vec![0.0f32; width];
     let mut mask_row = vec![0.0f32; width];
     for (row_index, out_row) in out.chunks_exact_mut(width).enumerate() {
         let y = first_row + row_index;
@@ -890,19 +788,12 @@ fn run_rows<S: Sample>(
             input,
             ingest,
             y,
-            &mut v_row,
+            out_row,
             &mut mask_row,
         );
         // Fused point-wise tail: the epilog chain runs against the last
         // region's value stream and blurred mask.
-        for ((dst, &value), &mask) in out_row.iter_mut().zip(v_row.iter()).zip(mask_row.iter()) {
-            let mut v = value;
-            let mask = Some(mask);
-            for op in &segment.epilog {
-                v = op.apply(v, mask);
-            }
-            *dst = v;
-        }
+        apply_chain(&segment.epilog, out_row, Some(&mask_row));
     }
 }
 
@@ -941,18 +832,14 @@ fn emit_row<S: Sample>(
     let mut next = state.next_row.unwrap_or_else(|| y.saturating_sub(radius));
     while next <= newest_needed {
         let slot = next % len;
+        let v_row = &mut state.vrows[slot];
         if upstream_regions.is_empty() {
             // First region: the value stream is the ingested segment input
             // through this region's point chain (mask-free by plan
             // validation — no mask exists before the first stencil).
-            let raw_row = &input.pixels()[next * width..(next + 1) * width];
-            for (dst, &raw) in state.vrows[slot].iter_mut().zip(raw_row) {
-                let mut v = ingest.apply(raw);
-                for op in &region.chain {
-                    v = op.apply(v, None);
-                }
-                *dst = v;
-            }
+            v_row.copy_from_slice(&input.pixels()[next * width..(next + 1) * width]);
+            ingest.apply_row(v_row, normalize_sample);
+            apply_chain(&region.chain, v_row, None);
         } else {
             // Later region: pull the upstream row on demand, then run this
             // region's chain against the upstream value/mask streams.
@@ -962,21 +849,10 @@ fn emit_row<S: Sample>(
                 input,
                 ingest,
                 next,
-                &mut state.up_v,
+                v_row,
                 &mut state.up_mask,
             );
-            for ((dst, &value), &mask) in state.vrows[slot]
-                .iter_mut()
-                .zip(state.up_v.iter())
-                .zip(state.up_mask.iter())
-            {
-                let mut v = value;
-                let mask = Some(mask);
-                for op in &region.chain {
-                    v = op.apply(v, mask);
-                }
-                *dst = v;
-            }
+            apply_chain(&region.chain, v_row, Some(&state.up_mask));
         }
         fill_blurred_row(
             &mut state.hrows[slot],
@@ -1050,7 +926,7 @@ fn fill_blurred_row<S: Sample>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::params::{AdjustParams, BlurParams};
+    use crate::params::{AdjustParams, BlurParams, MaskingParams};
     use crate::pipeline::ToneMapper;
     use crate::plan::PlanTuning;
     use apfixed::Fix16;

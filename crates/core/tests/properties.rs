@@ -1,12 +1,14 @@
 //! Property-based tests of the tone-mapping pipeline invariants.
 
 use apfixed::Fix16;
-use hdr_image::LuminanceImage;
+use hdr_image::rgb::Rgb;
+use hdr_image::{LuminanceImage, RgbImage};
 use proptest::prelude::*;
 use tonemap_core::blur::{blur_separable, gaussian_kernel};
 use tonemap_core::masking::{apply_masking, exponent_for_mask, invert};
-use tonemap_core::normalize::normalize;
+use tonemap_core::normalize::{max_pixel, normalization_scale, normalize};
 use tonemap_core::ops::PipelineProfile;
+use tonemap_core::plan::rgb_normalization_scale;
 use tonemap_core::{AdjustParams, BlurParams, MaskingParams, ToneMapParams, ToneMapper};
 
 /// Strategy producing small HDR-like images with a controllable dynamic
@@ -24,6 +26,125 @@ fn hdr_image_strategy(max_size: usize) -> impl Strategy<Value = LuminanceImage> 
 
 fn blur_params_strategy() -> impl Strategy<Value = BlurParams> {
     (1usize..=6, 0.5f32..4.0).prop_map(|(radius, sigma)| BlurParams { sigma, radius })
+}
+
+/// The lane width of the chunked maxima behind `max_pixel` and
+/// `rgb_normalization_scale`. The differential cases cover lengths from 1
+/// to three times this, so full chunks, tails and tail-only inputs all
+/// occur.
+const LANES: usize = 16;
+
+/// The serial, NaN-aware fold `max_pixel` computed before it was
+/// lane-chunked: the reference for the differential properties.
+fn serial_max_pixel(pixels: &[f32]) -> f32 {
+    pixels
+        .iter()
+        .copied()
+        .filter(|v| v.is_finite())
+        .fold(0.0f32, f32::max)
+}
+
+/// The serial per-channel loop `rgb_normalization_scale` computed before it
+/// was lane-chunked.
+fn serial_rgb_max(pixels: &[Rgb<f32>]) -> f32 {
+    let mut max = 0.0f32;
+    for p in pixels {
+        for c in [p.r, p.g, p.b] {
+            if c.is_finite() && c > max {
+                max = c;
+            }
+        }
+    }
+    max
+}
+
+/// The scale bits both normalizations derive from a maximum.
+fn scale_bits(max: f32) -> Option<u32> {
+    (max > 0.0).then(|| (1.0 / max).to_bits())
+}
+
+/// One sample from every class a raw HDR input can carry: NaN (both
+/// signs), ±Inf, ±0, denormals of both signs, negative and positive
+/// normals, and the extremes.
+fn sample_class_strategy() -> impl Strategy<Value = f32> {
+    prop_oneof![
+        Just(f32::NAN),
+        Just(-f32::NAN),
+        Just(f32::INFINITY),
+        Just(f32::NEG_INFINITY),
+        Just(0.0f32),
+        Just(-0.0f32),
+        (1u32..0x0080_0000).prop_map(f32::from_bits),
+        (0x8000_0001u32..0x8080_0000).prop_map(f32::from_bits),
+        -1.0e6f32..0.0,
+        0.0f32..1.0e6,
+        Just(f32::MAX),
+        Just(f32::MIN_POSITIVE),
+    ]
+}
+
+/// Raw sample runs of 1 to `3 × LANES` samples: either mixed classes, or
+/// one repeated class (all-zero, all-NaN, all-negative, …).
+fn samples_strategy(max_len: usize) -> impl Strategy<Value = Vec<f32>> {
+    prop_oneof![
+        prop::collection::vec(sample_class_strategy(), 1..max_len + 1),
+        (sample_class_strategy(), 1usize..max_len + 1).prop_map(|(v, n)| vec![v; n]),
+    ]
+}
+
+/// Asserts the lane-chunked maxima agree with the serial folds on one
+/// sample run, laid out as a `len × 1` luminance image and, three samples
+/// a pixel, as an RGB image.
+fn assert_maxima_match_serial_folds(samples: &[f32]) {
+    let image = LuminanceImage::from_vec(samples.len(), 1, samples.to_vec()).unwrap();
+    let reference = serial_max_pixel(samples);
+    let max = max_pixel(&image);
+    assert!(
+        max.to_bits() == reference.to_bits() || (max == 0.0 && reference == 0.0),
+        "max_pixel {max:e} vs serial {reference:e} on {samples:?}"
+    );
+    assert_eq!(
+        normalization_scale(&image).map(f32::to_bits),
+        scale_bits(reference),
+        "normalization_scale on {samples:?}"
+    );
+
+    let pixels: Vec<Rgb<f32>> = samples
+        .iter()
+        .enumerate()
+        .map(|(i, _)| {
+            let at = |k: usize| samples[(i * 3 + k) % samples.len()];
+            Rgb::new(at(0), at(1), at(2))
+        })
+        .collect();
+    let rgb = RgbImage::from_vec(pixels.len(), 1, pixels.clone()).unwrap();
+    assert_eq!(
+        rgb_normalization_scale(&rgb).map(f32::to_bits),
+        scale_bits(serial_rgb_max(&pixels)),
+        "rgb_normalization_scale on {pixels:?}"
+    );
+}
+
+#[test]
+fn lane_chunked_maxima_find_the_peak_at_every_position() {
+    // A deterministic sweep: for every length up to three lane widths, the
+    // peak sits at every position in turn among NaN, ±Inf, −0 and negative
+    // neighbours, so each lane and each tail slot must carry it.
+    let noise = [f32::NAN, f32::INFINITY, -0.0, f32::NEG_INFINITY, -3.5, 0.25];
+    for len in 1..=3 * LANES {
+        for peak in 0..len {
+            let samples: Vec<f32> = (0..len)
+                .map(|i| {
+                    if i == peak {
+                        7.5
+                    } else {
+                        noise[i % noise.len()]
+                    }
+                })
+                .collect();
+            assert_maxima_match_serial_folds(&samples);
+        }
+    }
 }
 
 proptest! {
@@ -152,5 +273,15 @@ proptest! {
             .stage(tonemap_core::ops::StageKind::GaussianBlur)
             .expect("blur stage present");
         prop_assert_eq!(blur.ops.stores, 2 * (width * height) as u64);
+    }
+}
+
+proptest! {
+    // Each case is a few dozen samples, so many cases stay cheap.
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    #[test]
+    fn lane_chunked_maxima_match_the_serial_folds(samples in samples_strategy(3 * LANES)) {
+        assert_maxima_match_serial_folds(&samples);
     }
 }

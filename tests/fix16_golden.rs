@@ -1,4 +1,5 @@
-//! Golden output hashes of the Q4.12 fixed-point engines.
+//! Golden output hashes of the Q4.12 fixed-point engines, and of the float
+//! and colour engines.
 //!
 //! Every other Fix16 parity check compares two engines that share
 //! `apfixed::Fix` (streaming vs two-pass, served vs local) or checks a PSNR
@@ -8,10 +9,16 @@
 //! engines on every synthetic scene, so any change to the fixed-point
 //! arithmetic fails here.
 //!
+//! The float and colour rows close the same gap for the `f32` point chains
+//! and the colour walk: both planners share `run_color_plan`, so the colour
+//! parity tests cannot see a drift inside it. The RGB rows hash every
+//! pixel's r, g and b bits.
+//!
 //! The hashes cover the whole pipeline, so the `f32` point stages and the
 //! platform's `powf`/`exp` feed into them too. When a deliberate pixel
 //! change lands, the failure message prints the full replacement table.
 
+use tonemap_zynq_repro::hdr_image::rgb::Rgb;
 use tonemap_zynq_repro::prelude::*;
 
 const WIDTH: usize = 97;
@@ -70,13 +77,140 @@ const GOLDEN: [(&str, &str, u64); 20] = [
     ),
 ];
 
-/// FNV-1a over the dimensions and every pixel's IEEE-754 bits.
-fn hash_image(image: &LuminanceImage) -> u64 {
-    let (width, height) = image.dimensions();
+/// The float engines, on luminance requests.
+const FLOAT_SPECS: [&str; 2] = ["sw-f32-stream", "sw-f32-stream?pipeline=basedetail"];
+
+/// `(spec, scene, hash)` of the float engines' luminance outputs, recorded
+/// with the per-pixel point-chain interpreter that preceded the row
+/// kernels.
+const FLOAT_GOLDEN: [(&str, &str, u64); 10] = [
+    ("sw-f32-stream", "window-in-dark-room", 0xe004f006d8dced76),
+    ("sw-f32-stream", "sun-and-shadow", 0x787baf83a30efdab),
+    ("sw-f32-stream", "gradient-ramp", 0x4365c2e2b88bdceb),
+    ("sw-f32-stream", "memorial-composite", 0xd211e29c0c763efd),
+    ("sw-f32-stream", "star-field", 0xd259fd702c38e0ec),
+    (
+        "sw-f32-stream?pipeline=basedetail",
+        "window-in-dark-room",
+        0xc2e6fb305c3420bb,
+    ),
+    (
+        "sw-f32-stream?pipeline=basedetail",
+        "sun-and-shadow",
+        0xf1ce0725534be28e,
+    ),
+    (
+        "sw-f32-stream?pipeline=basedetail",
+        "gradient-ramp",
+        0x075a82befd30a610,
+    ),
+    (
+        "sw-f32-stream?pipeline=basedetail",
+        "memorial-composite",
+        0x8c65ca5fd0112f0b,
+    ),
+    (
+        "sw-f32-stream?pipeline=basedetail",
+        "star-field",
+        0x92247c6849cc14d6,
+    ),
+];
+
+/// The colour rows, on RGB requests: a colour-managed preset on each
+/// planner and on the Fix16 stream, plus the scalar plan auto-composed into
+/// the extract → plan → reapply ratio wrapper.
+const RGB_SPECS: [&str; 4] = [
+    "sw-f32-stream?pipeline=hsv-reinhard",
+    "sw-f32?pipeline=pq-out",
+    "hw-fix16-stream?pipeline=aces",
+    "sw-f32-stream",
+];
+
+/// `(spec, scene, hash over r, g, b bits)` of the colour rows, recorded
+/// with the per-pixel colour fold that preceded the row kernels.
+const RGB_GOLDEN: [(&str, &str, u64); 20] = [
+    (
+        "sw-f32-stream?pipeline=hsv-reinhard",
+        "window-in-dark-room",
+        0xb0186aacbf8705d3,
+    ),
+    (
+        "sw-f32-stream?pipeline=hsv-reinhard",
+        "sun-and-shadow",
+        0xa3e6d9ddc6544a38,
+    ),
+    (
+        "sw-f32-stream?pipeline=hsv-reinhard",
+        "gradient-ramp",
+        0x870a89d10c17a1bf,
+    ),
+    (
+        "sw-f32-stream?pipeline=hsv-reinhard",
+        "memorial-composite",
+        0x3d7ad1455dcab833,
+    ),
+    (
+        "sw-f32-stream?pipeline=hsv-reinhard",
+        "star-field",
+        0x0de63a5e301ccf57,
+    ),
+    (
+        "sw-f32?pipeline=pq-out",
+        "window-in-dark-room",
+        0x9956cde3608b8372,
+    ),
+    (
+        "sw-f32?pipeline=pq-out",
+        "sun-and-shadow",
+        0xd6eb7d1262ba91bf,
+    ),
+    (
+        "sw-f32?pipeline=pq-out",
+        "gradient-ramp",
+        0x81c191520e325342,
+    ),
+    (
+        "sw-f32?pipeline=pq-out",
+        "memorial-composite",
+        0x242e902ac494eee5,
+    ),
+    ("sw-f32?pipeline=pq-out", "star-field", 0xc21c4f88532e44a0),
+    (
+        "hw-fix16-stream?pipeline=aces",
+        "window-in-dark-room",
+        0x83dcbddea4b3003f,
+    ),
+    (
+        "hw-fix16-stream?pipeline=aces",
+        "sun-and-shadow",
+        0x3f2c27b32ca285d6,
+    ),
+    (
+        "hw-fix16-stream?pipeline=aces",
+        "gradient-ramp",
+        0x768368475a8250ea,
+    ),
+    (
+        "hw-fix16-stream?pipeline=aces",
+        "memorial-composite",
+        0xaee7ed89441faeb1,
+    ),
+    (
+        "hw-fix16-stream?pipeline=aces",
+        "star-field",
+        0x322aa7f61ef5c166,
+    ),
+    ("sw-f32-stream", "window-in-dark-room", 0xbf00b775fbf5a7de),
+    ("sw-f32-stream", "sun-and-shadow", 0x6697e78b27c42156),
+    ("sw-f32-stream", "gradient-ramp", 0x15d53caa6ce2719d),
+    ("sw-f32-stream", "memorial-composite", 0x0233dd42039b7721),
+    ("sw-f32-stream", "star-field", 0xdcaf07e589dbc035),
+];
+
+/// FNV-1a over the dimensions and a stream of 32-bit words.
+fn fnv1a(width: usize, height: usize, bits: impl Iterator<Item = u32>) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    let words = [width as u32, height as u32]
-        .into_iter()
-        .chain(image.pixels().iter().map(|v| v.to_bits()));
+    let words = [width as u32, height as u32].into_iter().chain(bits);
     for word in words {
         for byte in word.to_le_bytes() {
             hash ^= u64::from(byte);
@@ -86,40 +220,94 @@ fn hash_image(image: &LuminanceImage) -> u64 {
     hash
 }
 
-fn measured() -> Vec<(&'static str, String, u64)> {
+/// FNV-1a over the dimensions and every pixel's IEEE-754 bits.
+fn hash_image(image: &LuminanceImage) -> u64 {
+    let (width, height) = image.dimensions();
+    fnv1a(width, height, image.pixels().iter().map(|v| v.to_bits()))
+}
+
+/// FNV-1a over the dimensions and every pixel's r, g, b bits, in order.
+fn hash_rgb(image: &RgbImage) -> u64 {
+    let (width, height) = image.dimensions();
+    let bits = image
+        .pixels()
+        .iter()
+        .flat_map(|p| [p.r.to_bits(), p.g.to_bits(), p.b.to_bits()]);
+    fnv1a(width, height, bits)
+}
+
+fn measured(specs: &[&'static str], rgb: bool) -> Vec<(&'static str, String, u64)> {
     let registry = BackendRegistry::standard();
     let mut table = Vec::new();
-    for spec in SPECS {
+    for &spec in specs {
         for scene in SceneKind::ALL {
-            let hdr = scene.generate(WIDTH, HEIGHT, SEED);
-            let response = registry
-                .execute(&TonemapRequest::luminance(&hdr).on_backend(spec))
-                .unwrap_or_else(|e| panic!("{spec} on {scene}: {e}"));
-            let image = response.luminance().expect("display-referred payload");
-            table.push((spec, scene.to_string(), hash_image(image)));
+            let hash = if rgb {
+                let hdr = scene.generate_rgb(WIDTH, HEIGHT, SEED);
+                let response = registry
+                    .execute(&TonemapRequest::rgb(&hdr).on_backend(spec))
+                    .unwrap_or_else(|e| panic!("{spec} on {scene}: {e}"));
+                hash_rgb(response.rgb().expect("display-referred rgb payload"))
+            } else {
+                let hdr = scene.generate(WIDTH, HEIGHT, SEED);
+                let response = registry
+                    .execute(&TonemapRequest::luminance(&hdr).on_backend(spec))
+                    .unwrap_or_else(|e| panic!("{spec} on {scene}: {e}"));
+                hash_image(response.luminance().expect("display-referred payload"))
+            };
+            table.push((spec, scene.to_string(), hash));
         }
     }
     table
 }
 
-#[test]
-fn fix16_engines_reproduce_the_golden_output_bits() {
-    let actual = measured();
-    let expected: Vec<(&str, String, u64)> = GOLDEN
+/// Compares a measured table against its golden rows; on a mismatch the
+/// panic message carries the full replacement table.
+fn assert_golden(
+    what: &str,
+    name: &str,
+    actual: &[(&str, String, u64)],
+    golden: &[(&str, &str, u64)],
+) {
+    let expected: Vec<(&str, String, u64)> = golden
         .iter()
         .map(|&(spec, scene, hash)| (spec, scene.to_string(), hash))
         .collect();
     if actual != expected {
         let mut table = String::new();
-        for (spec, scene, hash) in &actual {
+        for (spec, scene, hash) in actual {
             table.push_str(&format!("    (\"{spec}\", \"{scene}\", {hash:#018x}),\n"));
         }
         panic!(
-            "Fix16 output bits changed. If the change is deliberate, replace GOLDEN with:\n\
-             const GOLDEN: [(&str, &str, u64); {}] = [\n{table}];",
+            "{what} output bits changed. If the change is deliberate, replace {name} with:\n\
+             const {name}: [(&str, &str, u64); {}] = [\n{table}];",
             actual.len()
         );
     }
+}
+
+#[test]
+fn fix16_engines_reproduce_the_golden_output_bits() {
+    assert_golden("Fix16", "GOLDEN", &measured(&SPECS, false), &GOLDEN);
+}
+
+#[test]
+fn float_engines_reproduce_the_golden_output_bits() {
+    assert_golden(
+        "Float",
+        "FLOAT_GOLDEN",
+        &measured(&FLOAT_SPECS, false),
+        &FLOAT_GOLDEN,
+    );
+}
+
+#[test]
+fn colour_engines_reproduce_the_golden_output_bits() {
+    assert_golden(
+        "Colour",
+        "RGB_GOLDEN",
+        &measured(&RGB_SPECS, true),
+        &RGB_GOLDEN,
+    );
 }
 
 #[test]
@@ -130,4 +318,22 @@ fn the_hash_sees_every_bit_and_the_shape() {
     assert_ne!(hash_image(&a), hash_image(&b));
     let c = LuminanceImage::filled(2, 3, 0.5f32);
     assert_ne!(hash_image(&a), hash_image(&c));
+}
+
+#[test]
+fn the_rgb_hash_sees_every_channel() {
+    let grey = RgbImage::filled(3, 2, Rgb::splat(0.5f32));
+    let base = hash_rgb(&grey);
+    let nudged = f32::from_bits(0.5f32.to_bits() + 1);
+    for channel in 0..3 {
+        let mut image = grey.clone();
+        let mut pixel = Rgb::splat(0.5f32);
+        match channel {
+            0 => pixel.r = nudged,
+            1 => pixel.g = nudged,
+            _ => pixel.b = nudged,
+        }
+        image.set(1, 1, pixel);
+        assert_ne!(hash_rgb(&image), base, "channel {channel} not hashed");
+    }
 }
