@@ -8,7 +8,10 @@
 //! comfortably above the ~30 dB threshold of visually transparent
 //! tone mapping.
 
+use tonemap_scheduler::SampleFormat::{Fix16, F32};
+use tonemap_scheduler::ScheduleClass;
 use tonemap_zynq_repro::prelude::*;
+use DesignImplementation::*;
 
 fn scene() -> LuminanceImage {
     SceneKind::WindowInDarkRoom.generate(64, 64, 42)
@@ -130,6 +133,92 @@ fn batch_execution_matches_single_runs() {
             single.luminance().unwrap(),
             from_batch.luminance().unwrap(),
             "batch output diverged"
+        );
+    }
+}
+
+/// What a client reads off one spec: the engine's `info()` (description,
+/// Table II design, schedule request), its schedule class, and the
+/// host-independent telemetry of one run. The `schedule=` point choice is
+/// left out: it depends on the host's core count.
+#[derive(Debug, PartialEq)]
+struct ClientView {
+    spec: &'static str,
+    description: &'static str,
+    design: Option<DesignImplementation>,
+    schedule: Option<&'static str>,
+    class: Option<ScheduleClass>,
+    backend: &'static str,
+    /// The modeled design and the bits of its `total_seconds`.
+    modeled: Option<(DesignImplementation, u64)>,
+    scheduled: bool,
+    ops: u64,
+}
+
+/// The eight engines, an override on each planner, and a `schedule=` spec
+/// on each sample format, as recorded with the per-variant backend structs
+/// that preceded the single engine type.
+const CLIENT_VIEWS: [ClientView; 12] = [
+    ClientView { spec: "hw-fix16", description: "the paper's final design: pipelined 16-bit fixed-point blur accelerator (Table II `FlP to FxP conversion`)", design: Some(FixedPointConversion), schedule: None, class: Some(ScheduleClass { format: Fix16, design: FixedPointConversion }), backend: "hw-fix16", modeled: Some((FixedPointConversion, 4585545160333646636)), scheduled: false, ops: 597121 },
+    ClientView { spec: "hw-fix16-stream", description: "streaming fixed-point engine: fused single pass with the 16-bit blur datapath behind the row ring buffer, bit-identical to hw-fix16", design: None, schedule: None, class: Some(ScheduleClass { format: Fix16, design: FixedPointConversion }), backend: "hw-fix16-stream", modeled: None, scheduled: false, ops: 597121 },
+    ClientView { spec: "hw-marked", description: "blur naively marked for hardware: random DDR accesses from the PL (Table II `Marked HW function`)", design: Some(MarkedHwFunction), schedule: None, class: Some(ScheduleClass { format: F32, design: MarkedHwFunction }), backend: "hw-marked", modeled: Some((MarkedHwFunction, 4600187178884133458)), scheduled: false, ops: 597121 },
+    ClientView { spec: "hw-pragmas", description: "pipelined 32-bit floating-point blur accelerator (Table II `HLS pragmas`)", design: Some(HlsPragmas), schedule: None, class: Some(ScheduleClass { format: F32, design: HlsPragmas }), backend: "hw-pragmas", modeled: Some((HlsPragmas, 4585667024136683580)), scheduled: false, ops: 597121 },
+    ClientView { spec: "hw-sequential", description: "streaming blur accelerator with BRAM line buffers (Table II `Sequential memory accesses`)", design: Some(SequentialMemoryAccesses), schedule: None, class: Some(ScheduleClass { format: F32, design: SequentialMemoryAccesses }), backend: "hw-sequential", modeled: Some((SequentialMemoryAccesses, 4589337828271682666)), scheduled: false, ops: 597121 },
+    ClientView { spec: "sw-f32", description: "software reference: all four stages in 32-bit floating point (Table II `SW source code`)", design: Some(SwSourceCode), schedule: None, class: Some(ScheduleClass { format: F32, design: SwSourceCode }), backend: "sw-f32", modeled: Some((SwSourceCode, 4587225632760742542)), scheduled: false, ops: 597121 },
+    ClientView { spec: "sw-f32-stream", description: "streaming software reference: fused single pass over a row ring buffer (the Fig. 4 line buffer in software), bit-identical to sw-f32", design: None, schedule: None, class: Some(ScheduleClass { format: F32, design: SwSourceCode }), backend: "sw-f32-stream", modeled: None, scheduled: false, ops: 597121 },
+    ClientView { spec: "sw-fix16", description: "all-fixed-point ablation: every stage in 16-bit fixed point (no Table II row)", design: None, schedule: None, class: None, backend: "sw-fix16", modeled: None, scheduled: false, ops: 597121 },
+    ClientView { spec: "sw-f32?sigma=3.5", description: "software reference: all four stages in 32-bit floating point (Table II `SW source code`)", design: Some(SwSourceCode), schedule: None, class: Some(ScheduleClass { format: F32, design: SwSourceCode }), backend: "sw-f32", modeled: Some((SwSourceCode, 4587225632760742542)), scheduled: false, ops: 597121 },
+    ClientView { spec: "hw-fix16-stream?sigma=5&radius=12", description: "streaming fixed-point engine: fused single pass with the 16-bit blur datapath behind the row ring buffer, bit-identical to hw-fix16", design: None, schedule: None, class: Some(ScheduleClass { format: Fix16, design: FixedPointConversion }), backend: "hw-fix16-stream", modeled: None, scheduled: false, ops: 412801 },
+    ClientView { spec: "sw-f32?pipeline=basedetail&schedule=auto", description: "software reference: all four stages in 32-bit floating point (Table II `SW source code`)", design: Some(SwSourceCode), schedule: Some("schedule=auto"), class: Some(ScheduleClass { format: F32, design: SwSourceCode }), backend: "sw-f32", modeled: Some((SwSourceCode, 4590984372930510602)), scheduled: true, ops: 779521 },
+    ClientView { spec: "hw-fix16?schedule=stream&threads=2", description: "the paper's final design: pipelined 16-bit fixed-point blur accelerator (Table II `FlP to FxP conversion`)", design: Some(FixedPointConversion), schedule: Some("schedule=stream, threads=2"), class: Some(ScheduleClass { format: Fix16, design: FixedPointConversion }), backend: "hw-fix16", modeled: Some((FixedPointConversion, 4585545160333646636)), scheduled: true, ops: 597121 },
+];
+
+fn client_view(registry: &BackendRegistry, spec: &'static str) -> ClientView {
+    let hdr = SceneKind::SunAndShadow.generate(48, 40, 3);
+    let resolved = registry
+        .resolve_spec(spec)
+        .unwrap_or_else(|e| panic!("{spec}: {e}"));
+    let info = resolved.backend().info();
+    let response = resolved
+        .execute(&TonemapRequest::luminance(&hdr).with_telemetry())
+        .unwrap_or_else(|e| panic!("{spec}: {e}"));
+    let telemetry = response.telemetry().expect("telemetry requested");
+    ClientView {
+        spec,
+        description: info.description,
+        design: info.design,
+        // Test-lifetime strings, so the view compares against `const` rows.
+        schedule: info.schedule.map(|s| &*Box::leak(s.into_boxed_str())),
+        class: resolved.backend().schedule_class(),
+        backend: telemetry.backend,
+        modeled: telemetry
+            .modeled
+            .as_ref()
+            .map(|m| (m.design, m.total_seconds.to_bits())),
+        scheduled: telemetry.schedule.is_some(),
+        ops: telemetry.ops.total(),
+    }
+}
+
+#[test]
+fn every_engine_shows_clients_the_recorded_info_class_and_telemetry() {
+    let registry = BackendRegistry::standard();
+    let specs = registry.names().into_iter().chain([
+        "sw-f32?sigma=3.5",
+        "hw-fix16-stream?sigma=5&radius=12",
+        "sw-f32?pipeline=basedetail&schedule=auto",
+        "hw-fix16?schedule=stream&threads=2",
+    ]);
+    let actual: Vec<ClientView> = specs.map(|spec| client_view(&registry, spec)).collect();
+    if actual[..] != CLIENT_VIEWS[..] {
+        let table: String = actual
+            .iter()
+            .map(|view| format!("    {view:?},\n"))
+            .collect();
+        panic!(
+            "client-visible engine data changed. If the change is deliberate, replace \
+             CLIENT_VIEWS with:\nconst CLIENT_VIEWS: [ClientView; {}] = [\n{table}];",
+            actual.len()
         );
     }
 }

@@ -14,6 +14,13 @@
 //! parity tests cannot see a drift inside it. The RGB rows hash every
 //! pixel's r, g and b bits.
 //!
+//! The engine rows pin every named engine the other tables leave out, a
+//! parameter override on each planner, and a `schedule=` spec on each
+//! sample format, so a change to how a spec resolves to an executor and its
+//! numerics fails here even when it moves both sides of a parity check.
+//! The video rows pin the frames of the two stream specs a video session
+//! serves, through the same resolution.
+//!
 //! The hashes cover the whole pipeline, so the `f32` point stages and the
 //! platform's `powf`/`exp` feed into them too. When a deliberate pixel
 //! change lands, the failure message prints the full replacement table.
@@ -207,6 +214,205 @@ const RGB_GOLDEN: [(&str, &str, u64); 20] = [
     ("sw-f32-stream", "star-field", 0xdcaf07e589dbc035),
 ];
 
+/// The remaining named engines, an override on each planner, and a
+/// `schedule=` spec on each sample format, on luminance requests.
+const ENGINE_SPECS: [&str; 8] = [
+    "sw-f32",
+    "hw-marked",
+    "hw-sequential",
+    "hw-pragmas",
+    "sw-f32?sigma=3.5",
+    "hw-fix16-stream?sigma=5&radius=12",
+    "sw-f32?pipeline=basedetail&schedule=auto",
+    "hw-fix16?schedule=stream&threads=2",
+];
+
+/// `(spec, scene, hash)` of the engine rows, recorded with the per-variant
+/// backend structs that preceded the single engine type.
+const ENGINE_GOLDEN: [(&str, &str, u64); 40] = [
+    ("sw-f32", "window-in-dark-room", 0xe004f006d8dced76),
+    ("sw-f32", "sun-and-shadow", 0x787baf83a30efdab),
+    ("sw-f32", "gradient-ramp", 0x4365c2e2b88bdceb),
+    ("sw-f32", "memorial-composite", 0xd211e29c0c763efd),
+    ("sw-f32", "star-field", 0xd259fd702c38e0ec),
+    ("hw-marked", "window-in-dark-room", 0xe004f006d8dced76),
+    ("hw-marked", "sun-and-shadow", 0x787baf83a30efdab),
+    ("hw-marked", "gradient-ramp", 0x4365c2e2b88bdceb),
+    ("hw-marked", "memorial-composite", 0xd211e29c0c763efd),
+    ("hw-marked", "star-field", 0xd259fd702c38e0ec),
+    ("hw-sequential", "window-in-dark-room", 0xe004f006d8dced76),
+    ("hw-sequential", "sun-and-shadow", 0x787baf83a30efdab),
+    ("hw-sequential", "gradient-ramp", 0x4365c2e2b88bdceb),
+    ("hw-sequential", "memorial-composite", 0xd211e29c0c763efd),
+    ("hw-sequential", "star-field", 0xd259fd702c38e0ec),
+    ("hw-pragmas", "window-in-dark-room", 0xe004f006d8dced76),
+    ("hw-pragmas", "sun-and-shadow", 0x787baf83a30efdab),
+    ("hw-pragmas", "gradient-ramp", 0x4365c2e2b88bdceb),
+    ("hw-pragmas", "memorial-composite", 0xd211e29c0c763efd),
+    ("hw-pragmas", "star-field", 0xd259fd702c38e0ec),
+    (
+        "sw-f32?sigma=3.5",
+        "window-in-dark-room",
+        0xaa0224bb6c88525f,
+    ),
+    ("sw-f32?sigma=3.5", "sun-and-shadow", 0xaf109188807f1276),
+    ("sw-f32?sigma=3.5", "gradient-ramp", 0xd59dfe9012245fc8),
+    ("sw-f32?sigma=3.5", "memorial-composite", 0x043601ccd4707285),
+    ("sw-f32?sigma=3.5", "star-field", 0x93e6acf14bd784b8),
+    (
+        "hw-fix16-stream?sigma=5&radius=12",
+        "window-in-dark-room",
+        0xe68adb9d03699bfd,
+    ),
+    (
+        "hw-fix16-stream?sigma=5&radius=12",
+        "sun-and-shadow",
+        0xb41121ddb1448afb,
+    ),
+    (
+        "hw-fix16-stream?sigma=5&radius=12",
+        "gradient-ramp",
+        0x0197f4eba786ff8b,
+    ),
+    (
+        "hw-fix16-stream?sigma=5&radius=12",
+        "memorial-composite",
+        0x59f4f44fdfd94409,
+    ),
+    (
+        "hw-fix16-stream?sigma=5&radius=12",
+        "star-field",
+        0x52b7bd25117474e9,
+    ),
+    (
+        "sw-f32?pipeline=basedetail&schedule=auto",
+        "window-in-dark-room",
+        0xc2e6fb305c3420bb,
+    ),
+    (
+        "sw-f32?pipeline=basedetail&schedule=auto",
+        "sun-and-shadow",
+        0xf1ce0725534be28e,
+    ),
+    (
+        "sw-f32?pipeline=basedetail&schedule=auto",
+        "gradient-ramp",
+        0x075a82befd30a610,
+    ),
+    (
+        "sw-f32?pipeline=basedetail&schedule=auto",
+        "memorial-composite",
+        0x8c65ca5fd0112f0b,
+    ),
+    (
+        "sw-f32?pipeline=basedetail&schedule=auto",
+        "star-field",
+        0x92247c6849cc14d6,
+    ),
+    (
+        "hw-fix16?schedule=stream&threads=2",
+        "window-in-dark-room",
+        0x9ebf40e02f4cbf76,
+    ),
+    (
+        "hw-fix16?schedule=stream&threads=2",
+        "sun-and-shadow",
+        0x69c3bf0c8ee31f9f,
+    ),
+    (
+        "hw-fix16?schedule=stream&threads=2",
+        "gradient-ramp",
+        0x6e4009b81558f4f4,
+    ),
+    (
+        "hw-fix16?schedule=stream&threads=2",
+        "memorial-composite",
+        0x4400764cec29c2ca,
+    ),
+    (
+        "hw-fix16?schedule=stream&threads=2",
+        "star-field",
+        0xe6aa36fda4063f22,
+    ),
+];
+
+/// The two stream specs a video session serves: leaky adaptation on the
+/// float stream engine, and on the Fix16 auto-scheduled Reinhard chain.
+const VIDEO_SPECS: [&str; 2] = [
+    "sw-f32-stream?temporal=leaky&tau=4",
+    "hw-fix16?pipeline=reinhard&schedule=auto&temporal=leaky&tau=8",
+];
+
+/// Frames in the video sequence; the scene cuts at [`VIDEO_CUT`].
+const VIDEO_FRAMES: usize = 6;
+const VIDEO_CUT: usize = 3;
+
+/// `(spec, frame, hash)` of each session's output frames over a seeded
+/// ramp-with-cut sequence, recorded with the engine-name table that
+/// preceded the shared engine rows.
+const VIDEO_GOLDEN: [(&str, &str, u64); 12] = [
+    (
+        "sw-f32-stream?temporal=leaky&tau=4",
+        "frame 0",
+        0x4ed42ece381f5756,
+    ),
+    (
+        "sw-f32-stream?temporal=leaky&tau=4",
+        "frame 1",
+        0xf30cb22bba48db8a,
+    ),
+    (
+        "sw-f32-stream?temporal=leaky&tau=4",
+        "frame 2",
+        0xf712f6e5a30ece39,
+    ),
+    (
+        "sw-f32-stream?temporal=leaky&tau=4",
+        "frame 3",
+        0x4f844652e806a282,
+    ),
+    (
+        "sw-f32-stream?temporal=leaky&tau=4",
+        "frame 4",
+        0x4f844652e806a282,
+    ),
+    (
+        "sw-f32-stream?temporal=leaky&tau=4",
+        "frame 5",
+        0x4f844652e806a282,
+    ),
+    (
+        "hw-fix16?pipeline=reinhard&schedule=auto&temporal=leaky&tau=8",
+        "frame 0",
+        0x428110dacf67f111,
+    ),
+    (
+        "hw-fix16?pipeline=reinhard&schedule=auto&temporal=leaky&tau=8",
+        "frame 1",
+        0x66653aa32022f31b,
+    ),
+    (
+        "hw-fix16?pipeline=reinhard&schedule=auto&temporal=leaky&tau=8",
+        "frame 2",
+        0x1b4c21f096ac0735,
+    ),
+    (
+        "hw-fix16?pipeline=reinhard&schedule=auto&temporal=leaky&tau=8",
+        "frame 3",
+        0xe2abc41b0ece9b40,
+    ),
+    (
+        "hw-fix16?pipeline=reinhard&schedule=auto&temporal=leaky&tau=8",
+        "frame 4",
+        0xe2abc41b0ece9b40,
+    ),
+    (
+        "hw-fix16?pipeline=reinhard&schedule=auto&temporal=leaky&tau=8",
+        "frame 5",
+        0xe2abc41b0ece9b40,
+    ),
+];
+
 /// FNV-1a over the dimensions and a stream of 32-bit words.
 fn fnv1a(width: usize, height: usize, bits: impl Iterator<Item = u32>) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
@@ -260,6 +466,31 @@ fn measured(specs: &[&'static str], rgb: bool) -> Vec<(&'static str, String, u64
     table
 }
 
+/// Each video spec's output frames, one [`VideoSession`] per spec over
+/// the same ramp-with-cut sequence.
+fn measured_video(specs: &[&'static str]) -> Vec<(&'static str, String, u64)> {
+    let frames = FrameSequence::new(
+        SequenceKind::RampWithCut {
+            decades: 1.0,
+            cut_at: VIDEO_CUT,
+        },
+        SceneKind::WindowInDarkRoom,
+        WIDTH,
+        HEIGHT,
+        VIDEO_FRAMES,
+        SEED,
+    );
+    let mut table = Vec::new();
+    for &spec in specs {
+        let mut session = VideoSession::from_spec(spec).unwrap_or_else(|e| panic!("{spec}: {e}"));
+        for (index, frame) in frames.frames().enumerate() {
+            let (output, _) = session.process(&frame);
+            table.push((spec, format!("frame {index}"), hash_image(&output)));
+        }
+    }
+    table
+}
+
 /// Compares a measured table against its golden rows; on a mismatch the
 /// panic message carries the full replacement table.
 fn assert_golden(
@@ -307,6 +538,26 @@ fn colour_engines_reproduce_the_golden_output_bits() {
         "RGB_GOLDEN",
         &measured(&RGB_SPECS, true),
         &RGB_GOLDEN,
+    );
+}
+
+#[test]
+fn every_engine_reproduces_the_golden_output_bits() {
+    assert_golden(
+        "Engine",
+        "ENGINE_GOLDEN",
+        &measured(&ENGINE_SPECS, false),
+        &ENGINE_GOLDEN,
+    );
+}
+
+#[test]
+fn video_sessions_reproduce_the_golden_frames() {
+    assert_golden(
+        "Video",
+        "VIDEO_GOLDEN",
+        &measured_video(&VIDEO_SPECS),
+        &VIDEO_GOLDEN,
     );
 }
 
