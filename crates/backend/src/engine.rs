@@ -1,194 +1,386 @@
-//! The [`TonemapBackend`] trait: the single, fallible execution contract.
+//! The one engine type: every execution path of the reproduction as data.
+//!
+//! The paper's Table II is one tone-mapping datapath measured at several
+//! design points, and the engine layer spells it the same way: an
+//! [`Engine`] is one [`EngineRow`] — its [`Numerics`], an optional Table II
+//! design and an [`Executor`] — compiled with the parameters and plan it
+//! serves. This is the single-description idea of AnyHLS (Özkan et al.,
+//! 2020) at engine granularity: one datapath, specialised by data instead
+//! of by a type per variant.
+//!
+//! An engine resolves its executor once per image size — as-is for the
+//! two-pass and streaming rows, through the scheduler for `schedule=`
+//! rows — and evaluates its Table II design once per image size. Both
+//! memos sit behind mutexes held only around the map lookup/insert, never
+//! across the computation, so a `tonemap-service` worker pool sharing one
+//! engine behind an `Arc` pays for each image size once across all workers.
 
+use crate::backend::TonemapBackend;
 use crate::error::TonemapError;
-use crate::output::{BackendOutput, RgbBackendOutput};
-use crate::request::{OutputKind, RequestInput, TonemapPayload, TonemapRequest, TonemapResponse};
-use codesign::flow::{DesignImplementation, DesignReport};
-use hdr_image::rgb::{luminance_plane, reapply_color, to_ldr_rgb};
-use hdr_image::{LuminanceImage, RgbImage};
-use std::fmt;
-use std::sync::Arc;
-use tonemap_core::{PipelineOpKind, PipelinePlan, ToneMapParams};
-use tonemap_scheduler::ScheduleClass;
+use crate::output::{
+    BackendOutput, BackendTelemetry, ModeledCost, RgbBackendOutput, ScheduleTelemetry,
+};
+use crate::streaming::CompiledPlan;
+use codesign::flow::{CoDesignFlow, DesignImplementation, DesignReport};
+use hdr_image::{ImageBuffer, LuminanceImage, RgbImage};
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex};
+use std::time::Instant;
+use tonemap_core::{ChannelLayout, PipelinePlan, PlanError, ToneMapParams};
+use tonemap_scheduler::{SampleFormat, ScheduleClass, ScheduleMode};
 
-/// Introspection data for one engine — what a serving layer lists to its
-/// clients and what an operator reads to pick a spec string.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BackendInfo {
+/// The arithmetic an engine computes in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Numerics {
+    /// Every stage in 32-bit floating point. The software reference and the
+    /// three floating-point accelerators share it: their pixels are
+    /// identical, and only their Table II design differs.
+    F32,
+    /// The paper's final datapath: the point stages in `f32` on the
+    /// processing system, the blur in 16-bit fixed point behind the
+    /// accelerator boundary (quantise in, blur, dequantise out — the
+    /// DDR → BRAM → DDR round trip of Fig. 4).
+    Fix16Blur,
+    /// Every stage in 16-bit fixed point: the all-fixed ablation. It is not
+    /// a Table II design, but it bounds the precision an all-`ap_fixed`
+    /// datapath would lose. Neither the streaming executor nor the
+    /// scheduler reproduces it, so it runs two-pass only.
+    Fix16All,
+}
+
+/// How an engine executes its plan.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Executor {
+    /// The materialized two-pass planner.
+    TwoPass,
+    /// The fused line-buffer pass (the Fig. 4 BRAM line buffer in
+    /// software), bit-identical to two-pass.
+    Stream {
+        /// Row slices processed concurrently.
+        threads: usize,
+    },
+    /// Chosen per image size by the scheduler, as a `schedule=` spec asks.
+    Scheduled {
+        /// The `schedule=` request.
+        mode: ScheduleMode,
+        /// The worker count a `schedule=stream&threads=N` spec pins.
+        threads: Option<usize>,
+    },
+}
+
+/// One row of the engine table: everything that tells one engine from
+/// another. [`crate::BackendRegistry::STANDARD_ENGINES`] holds the eight
+/// standard rows.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EngineRow {
     /// Stable registry name (the spec string's name part).
     pub name: &'static str,
     /// One-line human description of the execution path.
     pub description: &'static str,
-    /// The Table II design the engine corresponds to, if any.
+    /// The arithmetic the engine computes in.
+    pub numerics: Numerics,
+    /// The Table II design the engine reproduces, if any. It prices the
+    /// modeled cost in the engine's telemetry.
     pub design: Option<DesignImplementation>,
-    /// The tone-mapping parameters the engine was configured with.
-    pub params: ToneMapParams,
-    /// The pipeline operators this engine can compile and execute — what a
-    /// client consults before submitting a `pipeline=` spec or a request
-    /// plan.
-    pub supported_ops: Vec<PipelineOpKind>,
-    /// How this engine's execution strategy is chosen: `None` for the named
-    /// engines' hand-picked paths, a description of the `schedule=` request
-    /// for scheduler-resolved engines.
-    pub schedule: Option<String>,
+    /// How the engine executes its plan.
+    pub executor: Executor,
 }
 
-impl BackendInfo {
-    /// `true` when the engine's blur runs in the (simulated) programmable
-    /// logic.
-    pub fn is_accelerated(&self) -> bool {
-        self.design.is_some_and(|d| d.is_accelerated())
+impl EngineRow {
+    /// The class the scheduler prices this engine at: the sample format of
+    /// its blur datapath — a schedule may change *how* the pixels are
+    /// computed, never the arithmetic they are computed in — and its
+    /// Table II design, or for a row without one (the streaming rows) the
+    /// design of its two-pass counterpart. `None` for the all-fixed
+    /// ablation, which has no schedule space.
+    pub fn schedule_class(&self) -> Option<ScheduleClass> {
+        let (format, counterpart) = match self.numerics {
+            Numerics::F32 => (SampleFormat::F32, DesignImplementation::SwSourceCode),
+            Numerics::Fix16Blur => (
+                SampleFormat::Fix16,
+                DesignImplementation::FixedPointConversion,
+            ),
+            Numerics::Fix16All => return None,
+        };
+        Some(ScheduleClass {
+            format,
+            design: self.design.unwrap_or(counterpart),
+        })
     }
 
-    /// `true` when the engine can attach a platform-model cost prediction
-    /// to its telemetry.
-    pub fn has_platform_model(&self) -> bool {
-        self.design.is_some()
-    }
-
-    /// `true` when the engine can execute plans containing the given
-    /// operator.
-    pub fn supports_op(&self, op: PipelineOpKind) -> bool {
-        self.supported_ops.contains(&op)
-    }
-
-    /// `true` when this engine was resolved through a `schedule=` request.
-    pub fn is_scheduled(&self) -> bool {
-        self.schedule.is_some()
-    }
-}
-
-impl fmt::Display for BackendInfo {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:<14} {}", self.name, self.description)?;
-        if let Some(design) = self.design {
-            write!(f, " [Table II: {design}]")?;
-        }
-        if let Some(schedule) = &self.schedule {
-            write!(f, " [{schedule}]")?;
-        }
-        Ok(())
-    }
-}
-
-/// One way of executing the paper's tone-mapping pipeline.
-///
-/// Implementations cover the software float reference, the all-fixed-point
-/// software ablation, and each simulated accelerator design of Table II.
-/// Everything downstream — benches, examples, figure binaries, and the
-/// `tonemap-service` job server — selects an engine by name from the
-/// [`crate::BackendRegistry`] and calls [`TonemapBackend::execute`] with a
-/// [`TonemapRequest`]; nothing outside the engine layer calls the
-/// `ToneMapper` execution methods directly.
-///
-/// Backends are `Send + Sync` so a serving layer can share one registry
-/// across worker threads — `tonemap-service`'s worker pool does exactly
-/// that, holding each engine behind an `Arc` so concurrent jobs share its
-/// per-resolution platform-model cache.
-pub trait TonemapBackend: Send + Sync {
-    /// Stable, unique registry name (e.g. `"sw-f32"`, `"hw-fix16"`).
-    fn name(&self) -> &'static str;
-
-    /// One-line human description of the execution path.
-    fn description(&self) -> &'static str;
-
-    /// The Table II design this backend corresponds to, if any.
-    fn design(&self) -> Option<DesignImplementation> {
-        None
-    }
-
-    /// The tone-mapping parameters this backend was configured with.
-    fn params(&self) -> ToneMapParams;
-
-    /// The pipeline operators this backend can compile and execute. Every
-    /// in-tree engine compiles arbitrary plans through the core planners,
-    /// so the default is the full catalogue; a restricted engine (say, a
-    /// real FPGA bitstream serving exactly one chain) would narrow this.
-    fn supported_ops(&self) -> Vec<PipelineOpKind> {
-        PipelineOpKind::ALL.to_vec()
-    }
-
-    /// The engine's schedule class — the quality floor its callers signed
-    /// up for plus the design point the cost model prices — when its
-    /// execution strategy can be scheduled at all.
-    ///
-    /// `None` (the default) means `schedule=` specs naming this engine are
-    /// rejected with a typed [`TonemapError::InvalidSpec`] at registry
-    /// resolution: the engine has no streaming-equivalent execution to
-    /// choose between (the all-fixed `sw-fix16` ablation runs *every*
-    /// stage in `Fix16`, which neither executor family reproduces).
-    fn schedule_class(&self) -> Option<ScheduleClass> {
-        None
-    }
-
-    /// A human description of how this engine's execution strategy is
-    /// chosen — `None` for the named engines' hand-picked paths, set by
-    /// scheduler-resolved engines.
-    fn schedule_description(&self) -> Option<String> {
-        None
-    }
-
-    /// A new engine of the same kind configured with `params` — and, when
-    /// `plan` is given, with that compiled [`PipelinePlan`] baked in —
-    /// with its own (empty) per-resolution platform-model cache.
-    ///
-    /// This is how the registry turns a spec
-    /// (`"hw-fix16?sigma=3"`, `"sw-f32?pipeline=reinhard"`) into a
-    /// long-lived engine: the reconfigured instance compiles the plan once
-    /// and amortises platform-model evaluations across every request it
-    /// serves, where a per-request override cannot.
+    /// The class a `schedule=` spec naming this row is priced at.
     ///
     /// # Errors
     ///
-    /// Returns [`TonemapError::InvalidParams`] if `params` fail validation.
+    /// [`TonemapError::InvalidSpec`], quoting `spec`, when the row has no
+    /// schedule space.
+    pub fn schedule_class_for(&self, spec: &str) -> Result<ScheduleClass, TonemapError> {
+        self.schedule_class()
+            .ok_or_else(|| TonemapError::no_schedule_space(self.name, spec))
+    }
+}
+
+/// An engine: one [`EngineRow`] compiled with the parameters and plan it
+/// serves. The float reference, the all-fixed ablation, the simulated
+/// accelerators of Table II, the streaming shapes and the `schedule=`
+/// engines differ only in their row.
+#[derive(Debug)]
+pub struct Engine {
+    pub(crate) row: EngineRow,
+    pub(crate) params: ToneMapParams,
+    /// The compiled `pipeline=` plan; `None` serves the Fig. 1 chain of
+    /// `params`.
+    plan: Option<PipelinePlan>,
+    /// The spec string the engine was resolved from, quoted in errors.
+    pub(crate) spec: String,
+    /// The executor each image size runs on.
+    resolved: PerSize<Arc<Resolved>>,
+    /// The platform model's evaluation of the row's Table II design.
+    reports: PerSize<DesignReport>,
+}
+
+/// A memo keyed by image size.
+type PerSize<V> = Mutex<HashMap<(usize, usize), V>>;
+
+/// What one image size runs on: the compiled executor and, for `schedule=`
+/// rows, the priced point that chose it with the platform-model evaluation
+/// it was priced on.
+#[derive(Debug)]
+struct Resolved {
+    compiled: CompiledPlan,
+    schedule: Option<(ScheduleTelemetry, DesignReport)>,
+}
+
+impl Engine {
+    /// Builds the engine for `row`, serving the Fig. 1 chain of `params`.
+    ///
+    /// # Errors
+    ///
+    /// [`TonemapError::InvalidParams`] if `params` fail validation, and
+    /// [`TonemapError::InvalidSpec`] for a `schedule=` row the engine cannot
+    /// serve (one without a schedule space).
+    pub fn new(row: EngineRow, params: ToneMapParams) -> Result<Self, TonemapError> {
+        Engine::for_spec(row, params, None, row.name)
+    }
+
+    /// An engine ready to serve `spec`: [`Engine::for_job`], plus the
+    /// checks a `schedule=` row passes when it is resolved.
+    fn for_spec(
+        row: EngineRow,
+        params: ToneMapParams,
+        plan: Option<PipelinePlan>,
+        spec: &str,
+    ) -> Result<Self, TonemapError> {
+        let engine = Engine::for_job(row, params, plan, spec)?;
+        engine.check_schedule()?;
+        Ok(engine)
+    }
+
+    /// An engine with validated parameters and empty memos.
+    fn for_job(
+        row: EngineRow,
+        params: ToneMapParams,
+        plan: Option<PipelinePlan>,
+        spec: &str,
+    ) -> Result<Self, TonemapError> {
+        params.validate()?;
+        Ok(Engine {
+            row,
+            params,
+            plan,
+            spec: spec.to_string(),
+            resolved: Mutex::default(),
+            reports: Mutex::default(),
+        })
+    }
+
+    /// The plan the engine executes.
+    pub(crate) fn full_plan(&self) -> PipelinePlan {
+        self.plan
+            .clone()
+            .unwrap_or_else(|| PipelinePlan::from_params(&self.params))
+    }
+
+    /// The one override rule, shared by request-level overrides and
+    /// [`TonemapBackend::reconfigured`]: a plan given for the job wins;
+    /// otherwise a custom compiled plan is kept — a `pipeline=reinhard`
+    /// engine given new parameters still serves Reinhard — and only a
+    /// Fig. 1 chain is re-derived from the new parameters.
+    fn effective_plan(&self, plan: Option<&PipelinePlan>) -> Option<PipelinePlan> {
+        match plan {
+            Some(plan) => Some(plan.clone()),
+            None => self.plan.clone().filter(|plan| !plan.is_paper_shaped()),
+        }
+    }
+
+    /// The executor for one image size: compiled as-is for the two-pass
+    /// and streaming rows, chosen by the scheduler for `schedule=` rows.
+    fn resolve(&self, width: usize, height: usize) -> Result<Resolved, TonemapError> {
+        let plan = self.full_plan();
+        let (stream_threads, schedule) = match self.row.executor {
+            Executor::TwoPass => (None, None),
+            Executor::Stream { threads } => (Some(threads), None),
+            Executor::Scheduled { mode, threads } => {
+                let (priced, considered, base) =
+                    self.schedule(&plan, mode, threads, width, height)?;
+                let stream_threads = priced
+                    .point
+                    .executor
+                    .is_streaming()
+                    .then_some(priced.point.threads);
+                let telemetry = ScheduleTelemetry::from_priced(&priced, considered);
+                (stream_threads, Some((telemetry, base)))
+            }
+        };
+        Ok(Resolved {
+            compiled: CompiledPlan::new(self.row.numerics, plan, self.params, stream_threads)?,
+            schedule,
+        })
+    }
+
+    /// The platform model's evaluation of `design` for this engine's
+    /// parameters and plan at one image size: the classic Table II
+    /// evaluation for the Fig. 1 chain, the per-stage plan costing for a
+    /// compiled plan.
+    fn report(&self, design: DesignImplementation, width: usize, height: usize) -> DesignReport {
+        let Ok(report) = memoized(&self.reports, (width, height), || {
+            let flow = CoDesignFlow::paper_setup_with_params(self.params, width, height);
+            Ok::<_, std::convert::Infallible>(match &self.plan {
+                None => flow.evaluate(design),
+                Some(plan) => flow.evaluate_plan(plan, design),
+            })
+        });
+        report
+    }
+
+    /// Runs one job and fills its telemetry: the one execution path behind
+    /// both primitives.
+    ///
+    /// A job that overrides the parameters or the plan runs on a fresh
+    /// engine built for it, so its executor, schedule and platform-model
+    /// evaluation are the job's own and are dropped with it.
+    fn run<T>(
+        &self,
+        input: &ImageBuffer<T>,
+        params: Option<&ToneMapParams>,
+        plan: Option<&PipelinePlan>,
+        with_model: bool,
+    ) -> Result<(ImageBuffer<T>, BackendTelemetry), TonemapError>
+    where
+        ImageBuffer<T>: Frame,
+    {
+        if params.is_some() || plan.is_some() {
+            let params = params.copied().unwrap_or(self.params);
+            return Engine::for_job(self.row, params, self.effective_plan(plan), &self.spec)?
+                .run(input, None, None, with_model);
+        }
+        if let Some(plan) = &self.plan {
+            <ImageBuffer<T> as Frame>::check(plan)?;
+        }
+        let (width, height) = input.dimensions();
+        let resolved = memoized(&self.resolved, (width, height), || {
+            self.resolve(width, height).map(Arc::new)
+        })?;
+        let start = Instant::now();
+        let output = input.map_on(&resolved.compiled)?;
+        let wall = start.elapsed();
+        let modeled = match &resolved.schedule {
+            Some((_, base)) => with_model.then(|| ModeledCost::from(base)),
+            None => self
+                .row
+                .design
+                .filter(|_| with_model)
+                .map(|design| ModeledCost::from(&self.report(design, width, height))),
+        };
+        let telemetry = BackendTelemetry {
+            backend: self.row.name,
+            wall,
+            ops: resolved
+                .compiled
+                .plan()
+                .profile(width, height, self.params.channels)
+                .total(),
+            modeled,
+            schedule: resolved
+                .schedule
+                .as_ref()
+                .map(|(schedule, _)| schedule.clone()),
+        };
+        Ok((output, telemetry))
+    }
+}
+
+impl TonemapBackend for Engine {
+    fn name(&self) -> &'static str {
+        self.row.name
+    }
+
+    fn description(&self) -> &'static str {
+        self.row.description
+    }
+
+    fn design(&self) -> Option<DesignImplementation> {
+        self.row.design
+    }
+
+    fn params(&self) -> ToneMapParams {
+        self.params
+    }
+
+    fn schedule_class(&self) -> Option<ScheduleClass> {
+        self.row.schedule_class()
+    }
+
+    fn schedule_description(&self) -> Option<String> {
+        match self.row.executor {
+            Executor::Scheduled {
+                mode,
+                threads: Some(threads),
+            } => Some(format!("schedule={mode}, threads={threads}")),
+            Executor::Scheduled {
+                mode,
+                threads: None,
+            } => Some(format!("schedule={mode}")),
+            Executor::TwoPass | Executor::Stream { .. } => None,
+        }
+    }
+
+    fn scheduled(
+        &self,
+        mode: ScheduleMode,
+        threads: Option<usize>,
+        spec: &str,
+    ) -> Result<Arc<dyn TonemapBackend>, TonemapError> {
+        let row = EngineRow {
+            executor: Executor::Scheduled { mode, threads },
+            ..self.row
+        };
+        let engine = Engine::for_spec(row, self.params, self.plan.clone(), spec)?;
+        Ok(Arc::new(engine))
+    }
+
     fn reconfigured(
         &self,
         params: ToneMapParams,
         plan: Option<PipelinePlan>,
-    ) -> Result<Arc<dyn TonemapBackend>, TonemapError>;
+    ) -> Result<Arc<dyn TonemapBackend>, TonemapError> {
+        let plan = self.effective_plan(plan.as_ref());
+        Ok(Arc::new(Engine::for_spec(
+            self.row, params, plan, &self.spec,
+        )?))
+    }
 
-    /// The execution primitive every request funnels into: tone-maps one
-    /// luminance plane, optionally with per-request parameters (validated
-    /// here, surfacing [`TonemapError::InvalidParams`]), optionally with a
-    /// per-request pipeline plan (compiled here; it wins over the engine's
-    /// configured chain), and optionally with the platform model's cost
-    /// prediction attached to the telemetry.
-    ///
-    /// Prefer [`TonemapBackend::execute`]; this method is the hook backend
-    /// implementations provide, not the API callers consume.
-    ///
-    /// A colour-managed plan (one whose input register is not `Scalar`)
-    /// cannot serve a luminance request: implementations reject it with a
-    /// typed [`PlanError::ScalarInputRequired`](tonemap_core::PlanError)
-    /// instead of executing — route such plans through
-    /// [`TonemapBackend::run_rgb`].
     fn run_luminance(
         &self,
         input: &LuminanceImage,
         params: Option<&ToneMapParams>,
         plan: Option<&PipelinePlan>,
         with_model: bool,
-    ) -> Result<BackendOutput, TonemapError>;
+    ) -> Result<BackendOutput, TonemapError> {
+        let (image, telemetry) = self.run(input, params, plan, with_model)?;
+        Ok(BackendOutput { image, telemetry })
+    }
 
-    /// The colour execution primitive: tone-maps one RGB image through the
-    /// plan's register file.
-    ///
-    /// The default implementation is the classic ratio wrapper every RGB
-    /// request used before plans carried channel layouts — extract the
-    /// luminance plane, run [`TonemapBackend::run_luminance`] on it,
-    /// re-apply the chrominance ratios — which is exactly what
-    /// [`tonemap_core::run_color_plan`] does for a `Scalar`-input plan. The
-    /// in-tree engines override this to walk the plan's colour stages
-    /// directly (through the core `map_rgb` family), so `Rgb`-input plans
-    /// (`pipeline=hsv-reinhard`, `pipeline=pq-out`, …) execute end-to-end;
-    /// an engine keeping this default serves scalar plans only and surfaces
-    /// [`PlanError::ScalarInputRequired`](tonemap_core::PlanError) for the
-    /// rest.
-    ///
-    /// # Errors
-    ///
-    /// As [`TonemapBackend::run_luminance`], plus [`TonemapError::Image`]
-    /// from the colour recombine.
     fn run_rgb(
         &self,
         input: &RgbImage,
@@ -196,164 +388,68 @@ pub trait TonemapBackend: Send + Sync {
         plan: Option<&PipelinePlan>,
         with_model: bool,
     ) -> Result<RgbBackendOutput, TonemapError> {
-        let luminance = luminance_plane(input);
-        let run = self.run_luminance(&luminance, params, plan, with_model)?;
-        let image = reapply_color(input, &run.image)?;
-        Ok(RgbBackendOutput {
-            image,
-            telemetry: run.telemetry,
-        })
+        let (image, telemetry) = self.run(input, params, plan, with_model)?;
+        Ok(RgbBackendOutput { image, telemetry })
     }
 
-    /// Executes one [`TonemapRequest`]: validates the input image and any
-    /// parameter override, runs the pipeline, applies colour re-application
-    /// for RGB requests, and shapes the payload per the requested
-    /// [`OutputKind`].
-    ///
-    /// The request's backend spec (if any) is ignored here — the engine is
-    /// already chosen; [`crate::BackendRegistry::execute`] is the entry
-    /// point that interprets it.
-    ///
-    /// # Errors
-    ///
-    /// [`TonemapError::InvalidParams`] for a bad parameter override,
-    /// [`TonemapError::Image`] for a zero-dimension or mis-sized raw input,
-    /// an input with no finite pixel at all (normalization sanitizes
-    /// scattered non-finite samples to 0, but an all-non-finite frame has
-    /// nothing left to map), or a colour re-application mismatch.
-    fn execute(&self, request: &TonemapRequest<'_>) -> Result<TonemapResponse, TonemapError> {
-        let params = request.params_override();
-        let plan = request.pipeline_plan();
-        let with_telemetry = request.wants_telemetry();
-        match *request.input() {
-            RequestInput::Luminance(image) => {
-                ensure_some_finite_pixels(image)?;
-                let run = self.run_luminance(image, params, plan, with_telemetry)?;
-                Ok(luminance_response(
-                    run,
-                    request.output_kind(),
-                    with_telemetry,
-                ))
-            }
-            RequestInput::RawLuminance {
-                width,
-                height,
-                pixels,
-            } => {
-                let image = LuminanceImage::from_vec(width, height, pixels.to_vec())?;
-                ensure_some_finite_pixels(&image)?;
-                let run = self.run_luminance(&image, params, plan, with_telemetry)?;
-                Ok(luminance_response(
-                    run,
-                    request.output_kind(),
-                    with_telemetry,
-                ))
-            }
-            RequestInput::Rgb(image) => {
-                // Reject only a frame with no finite channel anywhere; a
-                // systematically dead channel (e.g. all-NaN red) still
-                // leaves recoverable data in the others.
-                if !image
-                    .pixels()
-                    .iter()
-                    .any(|p| p.r.is_finite() || p.g.is_finite() || p.b.is_finite())
-                {
-                    return Err(TonemapError::Image(hdr_image::ImageError::NoFinitePixels));
-                }
-                // Sanitize non-finite channels before any colour register is
-                // derived: normalization zeroes non-finite *luminance*
-                // samples, but the ratio recombine and the colour point ops
-                // read the original channels, where one NaN channel would
-                // otherwise poison the whole output pixel.
-                let sanitized = sanitized_rgb(image);
-                let source = sanitized.as_ref().unwrap_or(image);
-                let run = self.run_rgb(source, params, plan, with_telemetry)?;
-                Ok(rgb_response(run, request.output_kind(), with_telemetry))
-            }
-        }
+    fn design_report(&self, width: usize, height: usize) -> Option<DesignReport> {
+        self.row
+            .design
+            .map(|design| self.report(design, width, height))
     }
-
-    /// Executes many requests through this engine, in order, failing fast
-    /// on the first error. Same-sized scenes amortise the platform-model
-    /// evaluation through the engine's per-resolution cache.
-    fn execute_batch(
-        &self,
-        requests: &[TonemapRequest<'_>],
-    ) -> Result<Vec<TonemapResponse>, TonemapError> {
-        requests
-            .iter()
-            .map(|request| self.execute(request))
-            .collect()
-    }
-
-    /// Introspection data for this engine.
-    fn info(&self) -> BackendInfo {
-        BackendInfo {
-            name: self.name(),
-            description: self.description(),
-            design: self.design(),
-            params: self.params(),
-            supported_ops: self.supported_ops(),
-            schedule: self.schedule_description(),
-        }
-    }
-
-    /// The platform model's full evaluation of this backend's design at the
-    /// given image dimensions — the row this backend contributes to
-    /// Table II. `None` for backends without a Table II design.
-    fn design_report(&self, width: usize, height: usize) -> Option<DesignReport>;
 }
 
-/// Rejects inputs with no finite pixel at all. Scattered NaN/∞ samples are
-/// sanitized to 0 by normalization; a frame that is *entirely* non-finite
-/// would sanitize to all-black, which is a broken capture the caller should
-/// hear about rather than receive.
-fn ensure_some_finite_pixels(image: &LuminanceImage) -> Result<(), TonemapError> {
-    if image.pixels().iter().any(|v| v.is_finite()) {
+/// The pixels of a request — a luminance plane or an RGB image — and the
+/// one thing the two execution primitives do differently with them.
+trait Frame: Sized {
+    /// Rejects a plan this input cannot feed, before anything executes.
+    fn check(_plan: &PipelinePlan) -> Result<(), TonemapError> {
         Ok(())
-    } else {
-        Err(TonemapError::Image(hdr_image::ImageError::NoFinitePixels))
+    }
+
+    /// Tone-maps the input on a compiled executor.
+    fn map_on(&self, compiled: &CompiledPlan) -> Result<Self, TonemapError>;
+}
+
+impl Frame for LuminanceImage {
+    /// A colour-input plan has no scalar register to feed: a typed error
+    /// here, instead of an executor asserting on it.
+    fn check(plan: &PipelinePlan) -> Result<(), TonemapError> {
+        match plan.input_layout() {
+            ChannelLayout::Scalar => Ok(()),
+            found => Err(PlanError::ScalarInputRequired { found }.into()),
+        }
+    }
+
+    fn map_on(&self, compiled: &CompiledPlan) -> Result<Self, TonemapError> {
+        Ok(compiled.map_luminance(self))
     }
 }
 
-/// A copy of `image` with every non-finite channel zeroed, or `None` when
-/// the image is already fully finite (the common case pays one scan, no
-/// copy).
-fn sanitized_rgb(image: &RgbImage) -> Option<RgbImage> {
-    let finite = |c: f32| if c.is_finite() { c } else { 0.0 };
-    image
-        .pixels()
-        .iter()
-        .any(|p| !(p.r.is_finite() && p.g.is_finite() && p.b.is_finite()))
-        .then(|| {
-            image.map(|p| hdr_image::Rgb {
-                r: finite(p.r),
-                g: finite(p.g),
-                b: finite(p.b),
-            })
-        })
+impl Frame for RgbImage {
+    fn map_on(&self, compiled: &CompiledPlan) -> Result<Self, TonemapError> {
+        Ok(compiled.map_rgb(self)?)
+    }
 }
 
-fn luminance_response(
-    run: BackendOutput,
-    output: OutputKind,
-    with_telemetry: bool,
-) -> TonemapResponse {
-    let payload = match output {
-        OutputKind::DisplayReferred => TonemapPayload::Luminance(run.image),
-        OutputKind::Ldr8 => TonemapPayload::LuminanceLdr(run.image.to_ldr()),
-    };
-    TonemapResponse::new(payload, with_telemetry.then_some(run.telemetry))
-}
-
-fn rgb_response(
-    run: RgbBackendOutput,
-    output: OutputKind,
-    with_telemetry: bool,
-) -> TonemapResponse {
-    let payload = match output {
-        OutputKind::DisplayReferred => TonemapPayload::Rgb(run.image),
-        OutputKind::Ldr8 => TonemapPayload::RgbLdr(to_ldr_rgb(&run.image)),
-    };
-    TonemapResponse::new(payload, with_telemetry.then_some(run.telemetry))
+/// Looks `key` up in a per-size memo, computing a miss outside the lock:
+/// holding the mutex across the computation would serialize concurrent
+/// callers (and poison the memo if it panicked). Two threads may race to
+/// compute the same key; the computation is deterministic, so whichever
+/// insert wins is equivalent.
+fn memoized<V: Clone, E>(
+    memo: &PerSize<V>,
+    key: (usize, usize),
+    compute: impl FnOnce() -> Result<V, E>,
+) -> Result<V, E> {
+    if let Some(hit) = memo.lock().expect("per-size memo poisoned").get(&key) {
+        return Ok(hit.clone());
+    }
+    let computed = compute()?;
+    Ok(memo
+        .lock()
+        .expect("per-size memo poisoned")
+        .entry(key)
+        .or_insert(computed)
+        .clone())
 }

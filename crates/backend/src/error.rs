@@ -37,9 +37,6 @@ pub enum TonemapError {
     Image(ImageError),
     /// No registered backend covers the requested Table II design.
     MissingDesign(DesignImplementation),
-    /// The design cannot be wrapped by an accelerated backend (it has no
-    /// hardware function).
-    NotAccelerated(DesignImplementation),
     /// The job's deadline had already passed when an executor picked it up,
     /// so the pipeline was never run. Produced by latency-governed serving
     /// layers (`tonemap-service` cancels expired jobs at dequeue); the
@@ -63,14 +60,24 @@ impl fmt::Display for TonemapError {
             TonemapError::MissingDesign(design) => {
                 write!(f, "no registered backend covers design `{design}`")
             }
-            TonemapError::NotAccelerated(design) => write!(
-                f,
-                "design `{design}` has no hardware function and cannot back an accelerated engine"
-            ),
             TonemapError::DeadlineExceeded { missed_by } => write!(
                 f,
                 "deadline exceeded: job had expired {:.3} ms before execution started",
                 missed_by.as_secs_f64() * 1e3
+            ),
+        }
+    }
+}
+
+impl TonemapError {
+    /// The rejection of a `schedule=` spec naming an engine that has no
+    /// schedule space.
+    pub(crate) fn no_schedule_space(engine: &str, spec: &str) -> Self {
+        TonemapError::InvalidSpec {
+            spec: spec.to_string(),
+            reason: format!(
+                "engine `{engine}` has no schedule space — its execution strategy is not \
+                 schedulable; `schedule=` applies to engines that advertise a schedule class"
             ),
         }
     }
@@ -131,9 +138,6 @@ mod tests {
 
         let e = TonemapError::MissingDesign(DesignImplementation::HlsPragmas);
         assert!(e.to_string().contains("HLS pragmas"));
-
-        let e = TonemapError::NotAccelerated(DesignImplementation::SwSourceCode);
-        assert!(e.to_string().contains("SW source code"));
 
         let e = TonemapError::from(ImageError::InvalidDimensions {
             width: 0,

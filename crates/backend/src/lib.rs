@@ -21,13 +21,29 @@
 //!   BackendRegistry::execute ───┘   (spec string → engine + param override
 //!                                    + compiled PipelinePlan)
 //!
-//!    ┌────────────┬──────────────────────────────┬─────────────────────┐
-//!    │            │                              │                     │
-//!  sw-f32      sw-fix16                hw-marked / hw-sequential /  sw-f32-stream /
-//!  (float      (all-stages             hw-pragmas / hw-fix16       hw-fix16-stream
-//!  reference)  fixed ablation)         (simulated PL accelerators, (fused streaming
-//!                                       Table II designs)           line-buffer pass)
+//!   Engine = one row of BackendRegistry::STANDARD_ENGINES:
+//!
+//!    name            numerics    Table II design              executor
+//!    sw-f32          F32         SW source code               TwoPass
+//!    sw-fix16        Fix16All    —  (all-fixed ablation)      TwoPass
+//!    hw-marked       F32         Marked HW function           TwoPass
+//!    hw-sequential   F32         Sequential memory accesses   TwoPass
+//!    hw-pragmas      F32         HLS pragmas                  TwoPass
+//!    hw-fix16        Fix16Blur   FlP to FxP conversion        TwoPass
+//!    sw-f32-stream   F32         —                            Stream { threads: 1 }
+//!    hw-fix16-stream Fix16Blur   —                            Stream { threads: 1 }
+//!
+//!   "name?schedule=…" → the same row with Scheduled { mode, threads }
 //! ```
+//!
+//! The modules: [`TonemapBackend`] is the execution contract (`backend`);
+//! [`Engine`] its one implementation, a row of data (`engine`); the row's
+//! executor compiles a plan into a [`CompiledPlan`], two-pass or
+//! streaming (`streaming`), and a `Scheduled` executor picks between them
+//! per image size through the scheduler (`scheduled`). `registry` holds the
+//! row table and resolves spec strings ([`BackendSpec`], `spec`);
+//! `request` and `output` are the job contract's data; `error` is its one
+//! error type.
 //!
 //! Every input is validated into a typed [`TonemapError`] — unknown specs,
 //! invalid parameters, zero-dimension images — never a panic. A
@@ -82,47 +98,23 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod accelerated;
+mod backend;
 mod engine;
 mod error;
 mod output;
 mod registry;
 mod request;
 mod scheduled;
-mod software;
 mod spec;
 mod streaming;
 
-pub use accelerated::AcceleratedBackend;
-pub use engine::{BackendInfo, TonemapBackend};
+pub use backend::{BackendInfo, TonemapBackend};
+pub use engine::{Engine, EngineRow, Executor, Numerics};
 pub use error::TonemapError;
 pub use output::{
     BackendOutput, BackendTelemetry, ModeledCost, RgbBackendOutput, ScheduleTelemetry,
 };
 pub use registry::{BackendRegistry, ResolvedBackend, UnknownBackendError};
 pub use request::{OutputKind, TonemapPayload, TonemapRequest, TonemapResponse};
-pub use scheduled::ScheduledBackend;
-pub use software::{SoftwareF32Backend, SoftwareFixedBackend};
 pub use spec::{BackendSpec, TemporalMode};
-pub use streaming::{default_stream_threads, StreamingBackend};
-
-use codesign::flow::CoDesignFlow;
-use tonemap_core::ToneMapParams;
-
-/// Builds a [`CoDesignFlow`] with the paper's platform setup (ZC702,
-/// calibrated Cortex-A9 cost model, Artix-7 technology library) but
-/// arbitrary tone-mapping parameters and image dimensions.
-///
-/// This is what lets every backend answer "what would this run cost on the
-/// modelled Zynq platform?" for the exact image it just processed. The
-/// parameters are validated before they reach this point (engine
-/// construction and request execution both go through
-/// `ToneMapParams::validate`).
-pub(crate) fn paper_platform_flow(
-    params: ToneMapParams,
-    width: usize,
-    height: usize,
-) -> CoDesignFlow {
-    CoDesignFlow::try_paper_setup_with_params(params, width, height)
-        .expect("engine-layer parameters are validated before reaching the platform model")
-}
+pub use streaming::CompiledPlan;

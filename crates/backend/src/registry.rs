@@ -1,20 +1,15 @@
 //! Name-based backend lookup, spec resolution and whole-registry operations.
 
-use crate::accelerated::AcceleratedBackend;
-use crate::engine::{BackendInfo, TonemapBackend};
+use crate::backend::{BackendInfo, TonemapBackend};
+use crate::engine::{Engine, EngineRow, Executor, Numerics};
 use crate::error::TonemapError;
 use crate::request::{TonemapRequest, TonemapResponse};
-use crate::scheduled::ScheduledBackend;
-use crate::software::{SoftwareF32Backend, SoftwareFixedBackend};
 use crate::spec::BackendSpec;
-use crate::streaming::StreamingBackend;
-use apfixed::Fix16;
 use codesign::flow::{DesignImplementation, FlowReport};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::sync::{Arc, Mutex};
 use tonemap_core::{PipelinePlan, ToneMapParams};
-use tonemap_scheduler::{SampleFormat, ScheduleMode};
 
 /// Error returned when a backend name does not resolve.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -110,7 +105,8 @@ impl fmt::Debug for ResolvedBackend {
 /// lifetime. Iteration order is name order (deterministic).
 ///
 /// Specs with parameter overrides resolve to reconfigured engines; those
-/// are memoized (shared across clones of the registry), so repeated
+/// are memoized (shared across clones of the registry until one of them
+/// registers a backend), so repeated
 /// [`BackendRegistry::execute`] calls with the same override spec reuse
 /// one engine and its per-resolution platform-model cache instead of
 /// rebuilding both per request.
@@ -130,8 +126,76 @@ impl BackendRegistry {
         BackendRegistry::default()
     }
 
-    /// The standard registry: every execution path of the reproduction,
-    /// configured with the paper's tone-mapping parameters.
+    /// The standard engine table, one row per engine: every execution path
+    /// of the reproduction. [`BackendRegistry::standard`] registers each
+    /// row; `tonemap-video` sessions take their numerics, executor and
+    /// schedule class from the same rows.
+    pub const STANDARD_ENGINES: [EngineRow; 8] = [
+        EngineRow {
+            name: "sw-f32",
+            description: "software reference: all four stages in 32-bit floating point (Table II `SW source code`)",
+            numerics: Numerics::F32,
+            design: Some(DesignImplementation::SwSourceCode),
+            executor: Executor::TwoPass,
+        },
+        EngineRow {
+            name: "sw-fix16",
+            description: "all-fixed-point ablation: every stage in 16-bit fixed point (no Table II row)",
+            numerics: Numerics::Fix16All,
+            design: None,
+            executor: Executor::TwoPass,
+        },
+        EngineRow {
+            name: "hw-marked",
+            description: "blur naively marked for hardware: random DDR accesses from the PL (Table II `Marked HW function`)",
+            numerics: Numerics::F32,
+            design: Some(DesignImplementation::MarkedHwFunction),
+            executor: Executor::TwoPass,
+        },
+        EngineRow {
+            name: "hw-sequential",
+            description: "streaming blur accelerator with BRAM line buffers (Table II `Sequential memory accesses`)",
+            numerics: Numerics::F32,
+            design: Some(DesignImplementation::SequentialMemoryAccesses),
+            executor: Executor::TwoPass,
+        },
+        EngineRow {
+            name: "hw-pragmas",
+            description: "pipelined 32-bit floating-point blur accelerator (Table II `HLS pragmas`)",
+            numerics: Numerics::F32,
+            design: Some(DesignImplementation::HlsPragmas),
+            executor: Executor::TwoPass,
+        },
+        EngineRow {
+            name: "hw-fix16",
+            description: "the paper's final design: pipelined 16-bit fixed-point blur accelerator (Table II `FlP to FxP conversion`)",
+            numerics: Numerics::Fix16Blur,
+            design: Some(DesignImplementation::FixedPointConversion),
+            executor: Executor::TwoPass,
+        },
+        // The stream rows are single-threaded on purpose: a service worker
+        // pool already runs one job per thread, so per-job row slicing on
+        // top would oversubscribe the host. Callers with a dedicated
+        // machine register an `Engine` built from a row with more threads.
+        EngineRow {
+            name: "sw-f32-stream",
+            description: "streaming software reference: fused single pass over a row ring buffer (the Fig. 4 line buffer in software), bit-identical to sw-f32",
+            numerics: Numerics::F32,
+            design: None,
+            executor: Executor::Stream { threads: 1 },
+        },
+        EngineRow {
+            name: "hw-fix16-stream",
+            description: "streaming fixed-point engine: fused single pass with the 16-bit blur datapath behind the row ring buffer, bit-identical to hw-fix16",
+            numerics: Numerics::Fix16Blur,
+            design: None,
+            executor: Executor::Stream { threads: 1 },
+        },
+    ];
+
+    /// The standard registry: every row of
+    /// [`BackendRegistry::STANDARD_ENGINES`], configured with the paper's
+    /// tone-mapping parameters.
     ///
     /// | Name | Path | Table II design |
     /// |---|---|---|
@@ -155,62 +219,21 @@ impl BackendRegistry {
     /// Returns [`TonemapError::InvalidParams`] if `params` fail validation.
     pub fn standard_with_params(params: ToneMapParams) -> Result<Self, TonemapError> {
         let mut registry = BackendRegistry::new();
-        registry.register(Arc::new(SoftwareF32Backend::new(params)?));
-        registry.register(Arc::new(SoftwareFixedBackend::new(params)?));
-        registry.register(Arc::new(AcceleratedBackend::<f32>::new(
-            "hw-marked",
-            "blur naively marked for hardware: random DDR accesses from the PL (Table II `Marked HW function`)",
-            DesignImplementation::MarkedHwFunction,
-            params,
-        )?));
-        registry.register(Arc::new(AcceleratedBackend::<f32>::new(
-            "hw-sequential",
-            "streaming blur accelerator with BRAM line buffers (Table II `Sequential memory accesses`)",
-            DesignImplementation::SequentialMemoryAccesses,
-            params,
-        )?));
-        registry.register(Arc::new(AcceleratedBackend::<f32>::new(
-            "hw-pragmas",
-            "pipelined 32-bit floating-point blur accelerator (Table II `HLS pragmas`)",
-            DesignImplementation::HlsPragmas,
-            params,
-        )?));
-        registry.register(Arc::new(AcceleratedBackend::<Fix16>::new(
-            "hw-fix16",
-            "the paper's final design: pipelined 16-bit fixed-point blur accelerator (Table II `FlP to FxP conversion`)",
-            DesignImplementation::FixedPointConversion,
-            params,
-        )?));
-        // Single-threaded on purpose: a service worker pool already runs
-        // one job per thread, so per-job row slicing on top would
-        // oversubscribe the host. Callers with a dedicated machine
-        // register their own StreamingBackend with more threads (see
-        // `default_stream_threads`).
-        registry.register(Arc::new(StreamingBackend::<f32>::new(
-            "sw-f32-stream",
-            "streaming software reference: fused single pass over a row ring buffer (the Fig. 4 line buffer in software), bit-identical to sw-f32",
-            params,
-            1,
-        )?));
-        registry.register(Arc::new(StreamingBackend::<Fix16>::new(
-            "hw-fix16-stream",
-            "streaming fixed-point engine: fused single pass with the 16-bit blur datapath behind the row ring buffer, bit-identical to hw-fix16",
-            params,
-            1,
-        )?));
+        for row in BackendRegistry::STANDARD_ENGINES {
+            registry.register(Arc::new(Engine::new(row, params)?));
+        }
         Ok(registry)
     }
 
     /// Adds (or replaces) a backend under its own name.
     ///
-    /// Invalidates the memoized override-spec resolutions, since a cached
-    /// engine may have been reconfigured from a name this call rebinds.
+    /// Gives this registry a fresh memo of override-spec resolutions, since
+    /// a memoized engine may have been reconfigured from a name this call
+    /// rebinds. Clones of the registry keep the memo they shared, which
+    /// still matches their own engines.
     pub fn register(&mut self, backend: Arc<dyn TonemapBackend>) {
         self.backends.insert(backend.name(), backend);
-        self.resolved_overrides
-            .lock()
-            .expect("override-spec cache poisoned")
-            .clear();
+        self.resolved_overrides = Arc::default();
     }
 
     /// Looks a backend up by name.
@@ -292,7 +315,7 @@ impl BackendRegistry {
         };
         let engine = match parsed.schedule() {
             None => engine,
-            Some(mode) => scheduled_engine(engine, plan.clone(), mode, parsed.threads(), spec)?,
+            Some(mode) => engine.scheduled(mode, parsed.threads(), spec)?,
         };
         let resolved = ResolvedBackend {
             backend: engine,
@@ -426,35 +449,6 @@ impl BackendRegistry {
     }
 }
 
-/// Wraps a resolved engine into a [`ScheduledBackend`] of the engine's
-/// sample format, rejecting engines that advertise no schedule class.
-fn scheduled_engine(
-    inner: Arc<dyn TonemapBackend>,
-    plan: Option<PipelinePlan>,
-    mode: ScheduleMode,
-    threads: Option<usize>,
-    spec: &str,
-) -> Result<Arc<dyn TonemapBackend>, TonemapError> {
-    let Some(class) = inner.schedule_class() else {
-        return Err(TonemapError::InvalidSpec {
-            spec: spec.to_string(),
-            reason: format!(
-                "engine `{}` has no schedule space — its execution strategy is not \
-                 schedulable; `schedule=` applies to engines that advertise a schedule class",
-                inner.name()
-            ),
-        });
-    };
-    Ok(match class.format {
-        SampleFormat::F32 => Arc::new(ScheduledBackend::<f32>::wrap(
-            inner, plan, mode, threads, spec,
-        )?),
-        SampleFormat::Fix16 => Arc::new(ScheduledBackend::<Fix16>::wrap(
-            inner, plan, mode, threads, spec,
-        )?),
-    })
-}
-
 impl fmt::Debug for BackendRegistry {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("BackendRegistry")
@@ -467,6 +461,12 @@ impl fmt::Debug for BackendRegistry {
 mod tests {
     use super::*;
     use hdr_image::synth::SceneKind;
+
+    /// A fresh paper-default `sw-f32` engine.
+    fn sw_f32() -> Arc<dyn TonemapBackend> {
+        let row = BackendRegistry::STANDARD_ENGINES[0];
+        Arc::new(Engine::new(row, ToneMapParams::paper_default()).unwrap())
+    }
 
     #[test]
     fn standard_registry_resolves_every_documented_name() {
@@ -666,11 +666,40 @@ mod tests {
         );
 
         let mut registry = registry;
-        registry.register(Arc::new(SoftwareF32Backend::default()));
+        registry.register(sw_f32());
         let third = registry.resolve_spec("hw-fix16?sigma=3.0").unwrap();
         assert!(
             !Arc::ptr_eq(&first.backend_shared(), &third.backend_shared()),
             "registering a backend must invalidate memoized resolutions"
+        );
+    }
+
+    #[test]
+    fn a_registration_in_one_clone_never_serves_the_other_clones() {
+        let original = BackendRegistry::standard();
+        let mut clone = original.clone();
+        // The all-fixed ablation's numerics, registered under `sw-f32`.
+        let imposter = EngineRow {
+            name: "sw-f32",
+            ..BackendRegistry::STANDARD_ENGINES[1]
+        };
+        clone.register(Arc::new(
+            Engine::new(imposter, ToneMapParams::paper_default()).unwrap(),
+        ));
+        let hdr = SceneKind::WindowInDarkRoom.generate(32, 24, 4);
+        let request = TonemapRequest::luminance(&hdr).on_backend("sw-f32?sigma=3");
+        let from_clone = clone.execute(&request).unwrap();
+        let from_original = original.execute(&request).unwrap();
+        let fresh = BackendRegistry::standard().execute(&request).unwrap();
+        assert_eq!(
+            from_original.luminance().unwrap(),
+            fresh.luminance().unwrap(),
+            "the original must serve its own `sw-f32`"
+        );
+        assert_ne!(
+            from_original.luminance().unwrap(),
+            from_clone.luminance().unwrap(),
+            "the clone serves the engine it registered"
         );
     }
 
@@ -919,7 +948,7 @@ mod tests {
     #[test]
     fn flow_report_on_an_incomplete_registry_is_a_typed_error() {
         let mut registry = BackendRegistry::new();
-        registry.register(Arc::new(SoftwareF32Backend::default()));
+        registry.register(sw_f32());
         assert!(matches!(
             registry.flow_report(32, 32),
             Err(TonemapError::MissingDesign(_))

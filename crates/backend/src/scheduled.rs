@@ -1,118 +1,37 @@
-//! The scheduler-resolved engine: `schedule=` specs served per resolution.
+//! How a `schedule=` engine resolves its executor: per image size, by the
+//! scheduler.
 //!
-//! A [`ScheduledBackend`] wraps a named engine and delegates the *choice*
-//! of execution strategy to the [`tonemap_scheduler::Scheduler`]: at the
-//! first request of each image size it enumerates the plan's legal
-//! [`SchedulePoint`]s, prices them on the platform model, compiles the
-//! chosen executor (two-pass mapper or streaming cascade at the chosen
-//! worker count), and memoizes the result so every later same-sized request
-//! reuses it. The sample format is pinned by the wrapped engine's
-//! [`ScheduleClass`](tonemap_scheduler::ScheduleClass) — the scheduler
-//! changes *how* pixels are computed, never their values, so
-//! `schedule=auto` output is bit-identical to `schedule=two-pass`.
+//! At the first request of each image size the
+//! [`tonemap_scheduler::Scheduler`] enumerates the plan's legal
+//! [`SchedulePoint`]s and prices them on the platform model; the spec's
+//! mode picks one, and the engine compiles its executor for it and
+//! memoizes the result, so every later same-sized request reuses it. The
+//! numerics stay the engine row's — the scheduler changes *how* pixels are
+//! computed, never their values — so `schedule=auto` output is
+//! bit-identical to `schedule=two-pass`.
 
-use crate::accelerated::ensure_scalar_input;
-use crate::engine::TonemapBackend;
+use crate::engine::{Engine, Executor};
 use crate::error::TonemapError;
-use crate::output::{
-    BackendOutput, BackendTelemetry, ModeledCost, RgbBackendOutput, ScheduleTelemetry,
-};
-use codesign::flow::{DesignImplementation, DesignReport};
-use hdr_image::{LuminanceImage, RgbImage};
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
-use std::time::Instant;
-use tonemap_core::{PipelinePlan, Sample, StreamingToneMapper, ToneMapParams, ToneMapper};
-use tonemap_scheduler::{
-    HostModel, PricedPoint, ScheduleExecutor, ScheduleMode, SchedulePoint, Scheduler,
-};
+use codesign::flow::DesignReport;
+use tonemap_core::{PipelinePlan, StreamingToneMapper};
+use tonemap_scheduler::{PricedPoint, ScheduleExecutor, ScheduleMode, SchedulePoint, Scheduler};
 
-/// The executor a resolution's chosen point compiled into.
-enum ResolvedExecutor<S: Sample> {
-    /// The materialized two-pass planner at the engine's sample format.
-    TwoPass(ToneMapper),
-    /// The streaming cascade, already sliced to the chosen worker count.
-    Streaming(StreamingToneMapper<S>),
-}
-
-impl<S: Sample> ResolvedExecutor<S> {
-    fn run(&self, input: &LuminanceImage) -> LuminanceImage {
-        match self {
-            ResolvedExecutor::TwoPass(mapper) => mapper.map_luminance_hw_blur::<S>(input),
-            ResolvedExecutor::Streaming(mapper) => mapper.map_luminance(input),
-        }
-    }
-
-    fn run_rgb(&self, input: &RgbImage) -> Result<RgbImage, hdr_image::ImageError> {
-        match self {
-            ResolvedExecutor::TwoPass(mapper) => mapper.map_rgb_hw_blur::<S>(input),
-            ResolvedExecutor::Streaming(mapper) => mapper.map_rgb(input),
-        }
-    }
-}
-
-/// One resolution's resolved schedule: the chosen point, its prediction,
-/// the compute evaluation it was priced on, and the compiled executor.
-struct ResolutionSchedule<S: Sample> {
-    telemetry: ScheduleTelemetry,
-    base: DesignReport,
-    executor: ResolvedExecutor<S>,
-}
-
-/// The per-resolution memo: one resolved schedule per (width, height).
-type ResolutionMemo<S> = Mutex<HashMap<(usize, usize), Arc<ResolutionSchedule<S>>>>;
-
-/// An engine whose execution strategy is data: the registry builds one for
-/// every spec carrying a `schedule=` key, wrapping the named engine the
-/// spec addressed.
-///
-/// `S` is the blur datapath's sample type, fixed by the wrapped engine
-/// (`f32` for `sw-f32`/`hw-*`, [`apfixed::Fix16`] for `hw-fix16`), so the
-/// schedule space never trades precision for speed.
-pub struct ScheduledBackend<S: Sample> {
-    inner: Arc<dyn TonemapBackend>,
-    spec: String,
-    params: ToneMapParams,
-    plan: PipelinePlan,
-    mode: ScheduleMode,
-    forced_threads: Option<usize>,
-    host: HostModel,
-    description: String,
-    resolutions: ResolutionMemo<S>,
-}
-
-impl<S: Sample> ScheduledBackend<S> {
-    /// Wraps a named engine into a scheduler-resolved one.
-    ///
-    /// `plan` is the spec's compiled `pipeline=` selection; `None` means the
-    /// engine's Fig. 1 chain. `spec` is the full spec string, used verbatim
-    /// in error messages so the caller sees what they typed.
-    ///
-    /// # Errors
-    ///
-    /// [`TonemapError::InvalidSpec`] when `schedule=stream` is requested
-    /// for a plan the streaming planner rejects (the decision's reasons are
-    /// quoted); [`TonemapError::InvalidParams`] when the wrapped engine's
-    /// parameters fail validation (cannot happen for engines built through
-    /// the registry, which validates first).
-    pub fn wrap(
-        inner: Arc<dyn TonemapBackend>,
-        plan: Option<PipelinePlan>,
-        mode: ScheduleMode,
-        forced_threads: Option<usize>,
-        spec: &str,
-    ) -> Result<Self, TonemapError> {
-        let params = inner.params();
-        let plan = plan.unwrap_or_else(|| PipelinePlan::from_params(&params));
-        // `schedule=stream` on an unstreamable plan is a spec error, caught
-        // here at resolution instead of on the first request: the streaming
-        // decision depends only on the plan shape, never the image size.
+impl Engine {
+    /// The checks a `schedule=` engine passes when it is built rather than
+    /// on its first request: the row must have a schedule space, and a
+    /// `schedule=stream` plan must stream. The streaming decision depends
+    /// only on the plan's shape — not on the image size, nor on the sample
+    /// type, so the `f32` probe speaks for both formats.
+    pub(crate) fn check_schedule(&self) -> Result<(), TonemapError> {
+        let Executor::Scheduled { mode, .. } = self.row.executor else {
+            return Ok(());
+        };
+        self.row.schedule_class_for(&self.spec)?;
         if mode == ScheduleMode::Stream {
-            let probe = StreamingToneMapper::<S>::compile(plan.clone(), params)
-                .map_err(TonemapError::from)?;
+            let probe = StreamingToneMapper::<f32>::compile(self.full_plan(), self.params)?;
             if !probe.decision().is_streamed() {
                 return Err(TonemapError::InvalidSpec {
-                    spec: spec.to_string(),
+                    spec: self.spec.clone(),
                     reason: format!(
                         "`schedule=stream` but the plan cannot stream ({})",
                         probe.decision()
@@ -120,349 +39,68 @@ impl<S: Sample> ScheduledBackend<S> {
                 });
             }
         }
-        let description = match forced_threads {
-            Some(threads) => format!("schedule={mode}, threads={threads}"),
-            None => format!("schedule={mode}"),
-        };
-        Ok(ScheduledBackend {
-            inner,
-            spec: spec.to_string(),
-            params,
-            plan,
-            mode,
-            forced_threads,
-            host: HostModel::detected(),
-            description,
-            resolutions: Mutex::new(HashMap::new()),
-        })
+        Ok(())
     }
 
-    /// Overrides the detected host model (deterministic tests, what-if
-    /// scheduling). Clears nothing: call before the first request.
-    pub fn with_host(mut self, host: HostModel) -> Self {
-        self.host = host;
-        self
-    }
-
-    /// The wrapped engine's schedule class. Always present: the registry
-    /// only wraps engines that advertise one.
-    fn class(&self) -> tonemap_scheduler::ScheduleClass {
-        self.inner
-            .schedule_class()
-            .expect("the registry only schedules engines that advertise a class")
-    }
-
-    /// Runs the scheduler for one (params, plan, resolution) and compiles
-    /// the chosen executor.
-    fn resolve_resolution(
+    /// Schedules `plan` at one image size: the point the `schedule=` mode
+    /// picks, how many points it was chosen from, and the platform-model
+    /// evaluation they were priced on.
+    pub(crate) fn schedule(
         &self,
-        params: &ToneMapParams,
         plan: &PipelinePlan,
+        mode: ScheduleMode,
+        threads: Option<usize>,
         width: usize,
         height: usize,
-    ) -> Result<ResolutionSchedule<S>, TonemapError> {
-        let class = self.class();
-        let scheduler = Scheduler::new(*params, class)
-            .map_err(TonemapError::from)?
-            .with_host(self.host);
+    ) -> Result<(PricedPoint, usize, DesignReport), TonemapError> {
+        let class = self.row.schedule_class_for(&self.spec)?;
+        let scheduler = Scheduler::new(self.params, class)?;
         let report = scheduler.schedule(plan, width, height);
-        let (priced, considered): (PricedPoint, usize) = match self.mode {
-            ScheduleMode::Auto => (report.winner().clone(), report.ranked.len()),
-            ScheduleMode::TwoPass => (report.two_pass().clone(), report.ranked.len()),
-            ScheduleMode::Stream => match self.forced_threads {
-                None => {
-                    // Always present for a streamable plan: the one-worker
-                    // streaming point is never pruned. A request-level plan
-                    // override may still have taken streaming away.
-                    let best = report.best_streaming().cloned().ok_or_else(|| {
-                        TonemapError::InvalidSpec {
-                            spec: self.spec.clone(),
-                            reason: format!(
-                                "`schedule=stream` but the effective plan cannot stream ({})",
-                                report.decision
-                            ),
-                        }
-                    })?;
-                    (best, report.ranked.len())
-                }
-                Some(threads) => {
-                    let pinned = report
-                        .ranked
-                        .iter()
-                        .find(|p| p.point.executor.is_streaming() && p.point.threads == threads)
-                        .cloned();
-                    match pinned {
-                        Some(priced) => (priced, report.ranked.len()),
-                        None => {
-                            if !report.decision.is_streamed() {
-                                return Err(TonemapError::InvalidSpec {
-                                    spec: self.spec.clone(),
-                                    reason: format!(
-                                        "`schedule=stream` but the effective plan cannot stream ({})",
-                                        report.decision
-                                    ),
-                                });
-                            }
-                            // Pinned worker counts outside the pruned space
-                            // (an odd count, or beyond the host cap) still
-                            // get an honest price.
-                            let point = SchedulePoint {
-                                executor: ScheduleExecutor::Streaming {
-                                    fused: report.decision.is_fused(),
-                                    barriers: report.decision.barriers().len(),
-                                },
-                                threads,
-                                format: class.format,
-                                slice_rows: height.div_ceil(threads.max(1)),
-                            };
-                            (scheduler.price_point(plan, width, height, &point), 1)
-                        }
-                    }
-                }
-            },
-        };
-        let executor = match priced.point.executor {
-            ScheduleExecutor::TwoPass => {
-                ResolvedExecutor::TwoPass(ToneMapper::compile(plan.clone(), *params)?)
-            }
-            ScheduleExecutor::Streaming { .. } => ResolvedExecutor::Streaming(
-                StreamingToneMapper::<S>::compile(plan.clone(), *params)
-                    .map_err(TonemapError::from)?
-                    .with_threads(priced.point.threads),
+        let cannot_stream = || TonemapError::InvalidSpec {
+            spec: self.spec.clone(),
+            reason: format!(
+                "`schedule=stream` but the effective plan cannot stream ({})",
+                report.decision
             ),
         };
-        Ok(ResolutionSchedule {
-            telemetry: ScheduleTelemetry::from_priced(&priced, considered),
-            base: report.base,
-            executor,
-        })
-    }
-
-    /// The memoized schedule for one image size (compute-outside-lock, like
-    /// the platform-model cache: concurrent first requests may race to
-    /// schedule the same key; the scheduler is deterministic, so whichever
-    /// insert wins is equivalent).
-    fn resolution_schedule(
-        &self,
-        width: usize,
-        height: usize,
-    ) -> Result<Arc<ResolutionSchedule<S>>, TonemapError> {
-        let key = (width, height);
-        if let Some(schedule) = self
-            .resolutions
-            .lock()
-            .expect("schedule cache poisoned")
-            .get(&key)
-        {
-            return Ok(Arc::clone(schedule));
-        }
-        let computed =
-            Arc::new(self.resolve_resolution(&self.params, &self.plan, width, height)?);
-        Ok(Arc::clone(
-            self.resolutions
-                .lock()
-                .expect("schedule cache poisoned")
-                .entry(key)
-                .or_insert(computed),
-        ))
-    }
-
-    /// Times one execution of a resolved schedule and assembles the output.
-    fn run_resolved(
-        &self,
-        schedule: &ResolutionSchedule<S>,
-        params: &ToneMapParams,
-        plan: &PipelinePlan,
-        input: &LuminanceImage,
-        with_model: bool,
-    ) -> BackendOutput {
-        let start = Instant::now();
-        let image = schedule.executor.run(input);
-        let wall = start.elapsed();
-        let (width, height) = input.dimensions();
-        BackendOutput {
-            image,
-            telemetry: self
-                .resolved_telemetry(schedule, params, plan, width, height, wall, with_model),
-        }
-    }
-
-    /// The colour twin of [`ScheduledBackend::run_resolved`].
-    fn run_resolved_rgb(
-        &self,
-        schedule: &ResolutionSchedule<S>,
-        params: &ToneMapParams,
-        plan: &PipelinePlan,
-        input: &RgbImage,
-        with_model: bool,
-    ) -> Result<RgbBackendOutput, TonemapError> {
-        let start = Instant::now();
-        let image = schedule.executor.run_rgb(input)?;
-        let wall = start.elapsed();
-        let (width, height) = input.dimensions();
-        Ok(RgbBackendOutput {
-            image,
-            telemetry: self
-                .resolved_telemetry(schedule, params, plan, width, height, wall, with_model),
-        })
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn resolved_telemetry(
-        &self,
-        schedule: &ResolutionSchedule<S>,
-        params: &ToneMapParams,
-        plan: &PipelinePlan,
-        width: usize,
-        height: usize,
-        wall: std::time::Duration,
-        with_model: bool,
-    ) -> BackendTelemetry {
-        BackendTelemetry {
-            backend: self.inner.name(),
-            wall,
-            ops: plan.profile(width, height, params.channels).total(),
-            modeled: with_model.then(|| ModeledCost::from(&schedule.base)),
-            schedule: Some(schedule.telemetry.clone()),
-        }
-    }
-
-    /// Resolves the effective (params, plan) for a request-level override,
-    /// mirroring `run_request`'s rules.
-    fn effective_override(
-        &self,
-        params: Option<&ToneMapParams>,
-        plan: Option<&PipelinePlan>,
-    ) -> Result<(ToneMapParams, PipelinePlan), TonemapError> {
-        let effective = match params {
-            Some(params) => {
-                params.validate().map_err(TonemapError::from)?;
-                *params
+        let enumerated = report.ranked.len();
+        let (priced, considered) = match (mode, threads) {
+            (ScheduleMode::Auto, _) => (report.winner().clone(), enumerated),
+            (ScheduleMode::TwoPass, _) => (report.two_pass().clone(), enumerated),
+            // Always present for a streamable plan: the one-worker streaming
+            // point is never pruned. A request-level plan override may still
+            // have taken streaming away.
+            (ScheduleMode::Stream, None) => (
+                report.best_streaming().cloned().ok_or_else(cannot_stream)?,
+                enumerated,
+            ),
+            (ScheduleMode::Stream, Some(threads)) => {
+                let pinned = report
+                    .ranked
+                    .iter()
+                    .find(|p| p.point.executor.is_streaming() && p.point.threads == threads);
+                match pinned {
+                    Some(priced) => (priced.clone(), enumerated),
+                    None if !report.decision.is_streamed() => return Err(cannot_stream()),
+                    // Pinned worker counts outside the pruned space (an odd
+                    // count, or beyond the host cap) still get an honest
+                    // price.
+                    None => {
+                        let point = SchedulePoint {
+                            executor: ScheduleExecutor::Streaming {
+                                fused: report.decision.is_fused(),
+                                barriers: report.decision.barriers().len(),
+                            },
+                            threads,
+                            format: class.format,
+                            slice_rows: height.div_ceil(threads.max(1)),
+                        };
+                        (scheduler.price_point(plan, width, height, &point), 1)
+                    }
+                }
             }
-            None => self.params,
         };
-        let effective_plan = match plan {
-            Some(plan) => plan.clone(),
-            None if !self.plan.is_paper_shaped() => self.plan.clone(),
-            None => PipelinePlan::from_params(&effective),
-        };
-        Ok((effective, effective_plan))
-    }
-}
-
-impl<S: Sample> TonemapBackend for ScheduledBackend<S> {
-    fn name(&self) -> &'static str {
-        self.inner.name()
-    }
-
-    fn description(&self) -> &'static str {
-        self.inner.description()
-    }
-
-    fn design(&self) -> Option<DesignImplementation> {
-        self.inner.design()
-    }
-
-    fn params(&self) -> ToneMapParams {
-        self.params
-    }
-
-    fn schedule_class(&self) -> Option<tonemap_scheduler::ScheduleClass> {
-        self.inner.schedule_class()
-    }
-
-    fn schedule_description(&self) -> Option<String> {
-        Some(self.description.clone())
-    }
-
-    fn reconfigured(
-        &self,
-        params: ToneMapParams,
-        plan: Option<PipelinePlan>,
-    ) -> Result<Arc<dyn TonemapBackend>, TonemapError> {
-        // As everywhere in the engine layer: a params-only reconfiguration
-        // keeps a custom compiled plan instead of silently reverting to the
-        // Fig. 1 chain.
-        let effective_plan = match plan {
-            Some(plan) => Some(plan),
-            None if !self.plan.is_paper_shaped() => Some(self.plan.clone()),
-            None => None,
-        };
-        let inner = self.inner.reconfigured(params, effective_plan.clone())?;
-        Ok(Arc::new(
-            ScheduledBackend::<S>::wrap(
-                inner,
-                effective_plan,
-                self.mode,
-                self.forced_threads,
-                &self.spec,
-            )?
-            .with_host(self.host),
-        ))
-    }
-
-    fn run_luminance(
-        &self,
-        input: &LuminanceImage,
-        params: Option<&ToneMapParams>,
-        plan: Option<&PipelinePlan>,
-        with_model: bool,
-    ) -> Result<BackendOutput, TonemapError> {
-        let (width, height) = input.dimensions();
-        match (params, plan) {
-            (None, None) => {
-                ensure_scalar_input(&self.plan)?;
-                let schedule = self.resolution_schedule(width, height)?;
-                Ok(self.run_resolved(&schedule, &self.params, &self.plan, input, with_model))
-            }
-            (params, plan) => {
-                // Request-level overrides re-run the scheduler for the
-                // overridden job, uncached — mirroring how the named
-                // engines compile fresh mappers for overrides.
-                let (effective, effective_plan) = self.effective_override(params, plan)?;
-                ensure_scalar_input(&effective_plan)?;
-                let schedule =
-                    self.resolve_resolution(&effective, &effective_plan, width, height)?;
-                Ok(self.run_resolved(&schedule, &effective, &effective_plan, input, with_model))
-            }
-        }
-    }
-
-    fn run_rgb(
-        &self,
-        input: &RgbImage,
-        params: Option<&ToneMapParams>,
-        plan: Option<&PipelinePlan>,
-        with_model: bool,
-    ) -> Result<RgbBackendOutput, TonemapError> {
-        let (width, height) = input.dimensions();
-        match (params, plan) {
-            (None, None) => {
-                let schedule = self.resolution_schedule(width, height)?;
-                self.run_resolved_rgb(&schedule, &self.params, &self.plan, input, with_model)
-            }
-            (params, plan) => {
-                let (effective, effective_plan) = self.effective_override(params, plan)?;
-                let schedule =
-                    self.resolve_resolution(&effective, &effective_plan, width, height)?;
-                self.run_resolved_rgb(&schedule, &effective, &effective_plan, input, with_model)
-            }
-        }
-    }
-
-    fn design_report(&self, width: usize, height: usize) -> Option<DesignReport> {
-        self.inner.design_report(width, height)
-    }
-}
-
-impl<S: Sample> std::fmt::Debug for ScheduledBackend<S> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ScheduledBackend")
-            .field("inner", &self.inner.name())
-            .field("mode", &self.mode)
-            .field("threads", &self.forced_threads)
-            .field("spec", &self.spec)
-            .finish()
+        Ok((priced, considered, report.base))
     }
 }
 
@@ -472,7 +110,9 @@ mod tests {
     use crate::registry::BackendRegistry;
     use crate::request::TonemapRequest;
     use hdr_image::synth::SceneKind;
+    use std::sync::Arc;
     use tonemap_core::plan::PipelineOp;
+    use tonemap_core::ToneMapParams;
 
     #[test]
     fn schedule_auto_is_bit_identical_to_forced_two_pass() {
@@ -619,15 +259,10 @@ mod tests {
         ])
         .expect("plan validates");
         let registry = BackendRegistry::standard();
-        let inner = registry.get_shared("sw-f32").unwrap();
-        let err = ScheduledBackend::<f32>::wrap(
-            inner,
-            Some(plan),
-            ScheduleMode::Stream,
-            None,
-            "sw-f32?schedule=stream",
-        )
-        .expect_err("stream mode on a fallback plan must be rejected");
+        let resolved = registry.resolve_spec("sw-f32?schedule=stream").unwrap();
+        let Err(err) = resolved.backend().reconfigured(params, Some(plan)) else {
+            panic!("stream mode on a fallback plan must be rejected");
+        };
         match err {
             TonemapError::InvalidSpec { reason, .. } => {
                 assert!(reason.contains("cannot stream"), "{reason}");

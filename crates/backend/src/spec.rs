@@ -39,7 +39,7 @@ use crate::error::TonemapError;
 use std::fmt;
 use std::str::FromStr;
 use tonemap_core::{PipelinePlan, PlanTuning, ToneMapParams};
-use tonemap_scheduler::ScheduleMode;
+use tonemap_scheduler::{HostModel, ScheduleMode};
 
 /// The single source of truth for spec override keys: each entry pairs the
 /// key with its parse-and-store action *and* its render-back getter, so
@@ -362,8 +362,9 @@ impl BackendSpec {
     /// Returns [`TonemapError::InvalidSpec`] when the string is empty, has
     /// an empty or whitespace-embedding name, an unknown override key, a
     /// duplicate key, an unknown `pipeline=` preset, a tuning key without a
-    /// `pipeline=` selection, an unknown `schedule=` value, `threads=0`, a
-    /// `threads=` without `schedule=stream`, an unknown `temporal=` value,
+    /// `pipeline=` selection, an unknown `schedule=` value, `threads=0` or
+    /// above [`HostModel::MAX_WORKERS`], a `threads=` without
+    /// `schedule=stream`, an unknown `temporal=` value,
     /// a negative or non-finite `tau=`, a non-positive `cutthresh=`, a
     /// `tau=`/`cutthresh=` without `temporal=leaky`, or an unparsable value.
     /// Whether a `schedule=` is *servable by the named engine* is checked
@@ -437,6 +438,15 @@ impl BackendSpec {
                              least one worker"
                                 .to_string(),
                         ));
+                    }
+                    // Every job spawns up to this many scoped threads, so one
+                    // client string must not be able to ask for thousands.
+                    if count > HostModel::MAX_WORKERS {
+                        return Err(invalid(format!(
+                            "`threads={count}` exceeds the streaming executor's cap of {} \
+                             workers",
+                            HostModel::MAX_WORKERS
+                        )));
                     }
                     threads = Some(count);
                 } else if key == "temporal" {
@@ -1064,6 +1074,8 @@ mod tests {
         let pinned = BackendSpec::parse("sw-f32?schedule=stream&threads=4").unwrap();
         assert_eq!(pinned.schedule(), Some(ScheduleMode::Stream));
         assert_eq!(pinned.threads(), Some(4));
+        let widest = BackendSpec::parse("sw-f32?schedule=stream&threads=8").unwrap();
+        assert_eq!(widest.threads(), Some(HostModel::MAX_WORKERS));
         let two_pass = BackendSpec::parse("hw-fix16?schedule=two-pass").unwrap();
         assert_eq!(two_pass.schedule(), Some(ScheduleMode::TwoPass));
 
@@ -1072,6 +1084,8 @@ mod tests {
             ("sw-f32?schedule=Auto", "unknown schedule"),
             ("sw-f32?schedule=", "unknown schedule"),
             ("sw-f32?schedule=stream&threads=0", "`threads=0`"),
+            ("sw-f32?schedule=stream&threads=9", "cap of 8 workers"),
+            ("sw-f32?schedule=stream&threads=100000", "cap of 8 workers"),
             ("sw-f32?threads=nope&schedule=stream", "cannot parse"),
             ("sw-f32?threads=4", "requires `schedule=stream`"),
             (

@@ -1,260 +1,109 @@
-//! The streaming execution engines: the fused line-buffer pass as backends.
+//! The executors an engine's plan compiles onto: the fused line-buffer
+//! pass and the two-pass planner it reproduces.
 //!
-//! `sw-f32-stream` and `hw-fix16-stream` run the same pipeline as `sw-f32`
-//! and `hw-fix16` but through [`tonemap_core::StreamingToneMapper`]: one
-//! raster-order pass over a rolling row ring buffer (the software analogue
-//! of the paper's Fig. 4 BRAM line buffer), no full-size intermediate
-//! images, the blur kernel quantised once at engine construction, and
-//! row-sliced multi-threading. Outputs are bit-identical to the two-pass
-//! engines — only the schedule (and the wall clock) changes, which is why
-//! these are execution *shapes*, not new Table II designs: `design()` is
-//! `None` and telemetry carries no modeled cost.
+//! The streaming pass runs the whole plan as one raster-order pass over a
+//! rolling row ring buffer (the software analogue of the paper's Fig. 4
+//! BRAM line buffer): no full-size intermediate images, the blur kernel
+//! quantised once at compilation, and row-sliced multi-threading. Its
+//! outputs are bit-identical to the two-pass planner's, so streaming is an
+//! execution *shape*, not a Table II design: the `sw-f32-stream` and
+//! `hw-fix16-stream` rows carry no design and their telemetry no modeled
+//! cost.
 
-use crate::accelerated::ensure_scalar_input;
-use crate::engine::TonemapBackend;
+use crate::engine::Numerics;
 use crate::error::TonemapError;
-use crate::output::{BackendOutput, BackendTelemetry, RgbBackendOutput};
-use codesign::flow::{DesignImplementation, DesignReport};
-use hdr_image::{LuminanceImage, RgbImage};
-use std::sync::Arc;
-use std::time::Instant;
-use tonemap_core::{PipelinePlan, Sample, StreamingToneMapper, ToneMapParams};
-use tonemap_scheduler::{SampleFormat, ScheduleClass};
+use apfixed::Fix16;
+use hdr_image::{ImageError, LuminanceImage, RgbImage};
+use tonemap_core::{PipelinePlan, StreamingToneMapper, ToneMapParams, ToneMapper};
 
-/// A reasonable row-slice thread count for a streaming engine that has a
-/// whole host to itself (a CLI run, a dedicated bench): the available
-/// parallelism, capped at 8.
-///
-/// The standard registry deliberately does *not* use this — its streaming
-/// engines are single-threaded, because a `tonemap-service` worker pool
-/// already supplies one thread per concurrent job and per-job row slicing
-/// on top of that would oversubscribe the machine (`workers × threads`
-/// compute threads). Callers who want intra-job parallelism register
-/// their own [`StreamingBackend`] with an explicit thread count, or use
-/// [`StreamingToneMapper`] directly.
-pub fn default_stream_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-        .min(8)
-}
-
-/// A backend executing the pipeline through the streaming line-buffer pass.
-///
-/// `S = f32` is the streaming software reference (`sw-f32-stream`);
-/// `S = apfixed::Fix16` streams the paper's final fixed-point blur datapath
-/// (`hw-fix16-stream`). Both produce pixels bit-identical to their two-pass
-/// counterparts.
+/// A plan compiled for one [`Numerics`] on the two-pass or the streaming
+/// executor: the one place the engine layer picks a sample type.
 #[derive(Debug)]
-pub struct StreamingBackend<S: Sample> {
-    name: &'static str,
-    description: &'static str,
-    mapper: StreamingToneMapper<S>,
+pub enum CompiledPlan {
+    /// The two-pass planner, computing in the given numerics.
+    TwoPass(Numerics, ToneMapper),
+    /// The streaming pass with the `f32` blur datapath.
+    StreamF32(StreamingToneMapper<f32>),
+    /// The streaming pass with the 16-bit fixed-point blur datapath.
+    StreamFix16(StreamingToneMapper<Fix16>),
 }
 
-impl<S: Sample> StreamingBackend<S> {
-    /// Creates a streaming backend. The blur kernel is quantised into `S`
-    /// here, once, instead of on every request.
+impl CompiledPlan {
+    /// Compiles `plan` for `numerics` on the two-pass planner
+    /// (`stream_threads: None`) or on the streaming pass, row-sliced over
+    /// that many workers. The all-fixed ablation has no streaming form and
+    /// always compiles two-pass.
     ///
     /// # Errors
     ///
-    /// Returns [`TonemapError::InvalidParams`] if `params` fail validation.
+    /// [`TonemapError::InvalidParams`] if `params` fail validation.
     pub fn new(
-        name: &'static str,
-        description: &'static str,
+        numerics: Numerics,
+        plan: PipelinePlan,
         params: ToneMapParams,
-        threads: usize,
+        stream_threads: Option<usize>,
     ) -> Result<Self, TonemapError> {
-        StreamingBackend::with_plan(name, description, params, None, threads)
+        Ok(match (numerics, stream_threads) {
+            (Numerics::F32, Some(threads)) => CompiledPlan::StreamF32(
+                StreamingToneMapper::compile(plan, params)?.with_threads(threads),
+            ),
+            (Numerics::Fix16Blur, Some(threads)) => CompiledPlan::StreamFix16(
+                StreamingToneMapper::compile(plan, params)?.with_threads(threads),
+            ),
+            _ => CompiledPlan::TwoPass(numerics, ToneMapper::compile(plan, params)?),
+        })
     }
 
-    /// Creates a streaming backend that compiles an arbitrary
-    /// [`PipelinePlan`] — fused into one raster-order pass where legal,
-    /// with the streaming planner's two-pass fallback (and its reported
-    /// reasons, see [`StreamingToneMapper::decision`]) otherwise.
+    /// The plan this executor compiled.
+    pub fn plan(&self) -> &PipelinePlan {
+        match self {
+            CompiledPlan::TwoPass(_, mapper) => mapper.plan(),
+            CompiledPlan::StreamF32(mapper) => mapper.plan(),
+            CompiledPlan::StreamFix16(mapper) => mapper.plan(),
+        }
+    }
+
+    /// Tone-maps one luminance plane.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the plan takes a colour register as input, as the core
+    /// executors do; check the plan's input layout first.
+    pub fn map_luminance(&self, input: &LuminanceImage) -> LuminanceImage {
+        match self {
+            // In `f32` the accelerator boundary converts nothing, so this is
+            // also the all-float reference path, bit for bit.
+            CompiledPlan::TwoPass(Numerics::F32, mapper) => {
+                mapper.map_luminance_hw_blur::<f32>(input)
+            }
+            CompiledPlan::TwoPass(Numerics::Fix16Blur, mapper) => {
+                mapper.map_luminance_hw_blur::<Fix16>(input)
+            }
+            CompiledPlan::TwoPass(Numerics::Fix16All, mapper) => {
+                mapper.map_luminance::<Fix16>(input)
+            }
+            CompiledPlan::StreamF32(mapper) => mapper.map_luminance(input),
+            CompiledPlan::StreamFix16(mapper) => mapper.map_luminance(input),
+        }
+    }
+
+    /// Tone-maps one RGB image through the plan's colour stages.
     ///
     /// # Errors
     ///
-    /// Returns [`TonemapError::InvalidParams`] if `params` fail validation.
-    pub fn with_plan(
-        name: &'static str,
-        description: &'static str,
-        params: ToneMapParams,
-        plan: Option<PipelinePlan>,
-        threads: usize,
-    ) -> Result<Self, TonemapError> {
-        let mapper = match plan {
-            Some(plan) => StreamingToneMapper::compile(plan, params)?,
-            None => StreamingToneMapper::try_new(params)?,
-        };
-        Ok(StreamingBackend {
-            name,
-            description,
-            mapper: mapper.with_threads(threads),
-        })
-    }
-
-    /// Compiles a fresh mapper for a request-level override, with the same
-    /// resolution rule as `run_request`: a params override re-derives the
-    /// Fig. 1 chain but never discards a custom compiled plan.
-    fn overridden_mapper(
-        &self,
-        params: Option<&ToneMapParams>,
-        plan: Option<&PipelinePlan>,
-    ) -> Result<StreamingToneMapper<S>, TonemapError> {
-        let effective = params.copied().unwrap_or_else(|| *self.mapper.params());
-        let effective_plan = match plan {
-            Some(plan) => Some(plan.clone()),
-            None if !self.mapper.plan().is_paper_shaped() => Some(self.mapper.plan().clone()),
-            None => None,
-        };
-        Ok(match effective_plan {
-            Some(plan) => StreamingToneMapper::<S>::compile(plan, effective),
-            None => StreamingToneMapper::<S>::try_new(effective),
-        }
-        .map_err(TonemapError::from)?
-        .with_threads(self.mapper.threads()))
-    }
-}
-
-impl<S: Sample> TonemapBackend for StreamingBackend<S> {
-    fn name(&self) -> &'static str {
-        self.name
-    }
-
-    fn description(&self) -> &'static str {
-        self.description
-    }
-
-    fn params(&self) -> ToneMapParams {
-        *self.mapper.params()
-    }
-
-    fn reconfigured(
-        &self,
-        params: ToneMapParams,
-        plan: Option<PipelinePlan>,
-    ) -> Result<Arc<dyn TonemapBackend>, TonemapError> {
-        Ok(Arc::new(StreamingBackend::<S>::with_plan(
-            self.name,
-            self.description,
-            params,
-            plan,
-            self.mapper.threads(),
-        )?))
-    }
-
-    fn run_luminance(
-        &self,
-        input: &LuminanceImage,
-        params: Option<&ToneMapParams>,
-        plan: Option<&PipelinePlan>,
-        _with_model: bool,
-    ) -> Result<BackendOutput, TonemapError> {
-        match (params, plan) {
-            (None, None) => {
-                ensure_scalar_input(self.mapper.plan())?;
-                Ok(run_streaming(self.name, &self.mapper, input))
+    /// Propagates dimension-mismatch errors from the colour
+    /// re-application.
+    pub fn map_rgb(&self, input: &RgbImage) -> Result<RgbImage, ImageError> {
+        match self {
+            CompiledPlan::TwoPass(Numerics::F32, mapper) => mapper.map_rgb_hw_blur::<f32>(input),
+            CompiledPlan::TwoPass(Numerics::Fix16Blur, mapper) => {
+                mapper.map_rgb_hw_blur::<Fix16>(input)
             }
-            (params, plan) => {
-                let fresh = self.overridden_mapper(params, plan)?;
-                ensure_scalar_input(fresh.plan())?;
-                Ok(run_streaming(self.name, &fresh, input))
-            }
+            CompiledPlan::TwoPass(Numerics::Fix16All, mapper) => mapper.map_rgb::<Fix16>(input),
+            CompiledPlan::StreamF32(mapper) => mapper.map_rgb(input),
+            CompiledPlan::StreamFix16(mapper) => mapper.map_rgb(input),
         }
     }
-
-    fn run_rgb(
-        &self,
-        input: &RgbImage,
-        params: Option<&ToneMapParams>,
-        plan: Option<&PipelinePlan>,
-        _with_model: bool,
-    ) -> Result<RgbBackendOutput, TonemapError> {
-        match (params, plan) {
-            (None, None) => run_streaming_rgb(self.name, &self.mapper, input),
-            (params, plan) => {
-                let fresh = self.overridden_mapper(params, plan)?;
-                run_streaming_rgb(self.name, &fresh, input)
-            }
-        }
-    }
-
-    fn design_report(&self, _width: usize, _height: usize) -> Option<DesignReport> {
-        None
-    }
-
-    fn schedule_class(&self) -> Option<ScheduleClass> {
-        // A streaming engine is already one point of the schedule space;
-        // its class is its two-pass counterpart's (the cost model prices
-        // relative to that design's Table II row).
-        Some(ScheduleClass {
-            format: if S::is_fixed_point() {
-                SampleFormat::Fix16
-            } else {
-                SampleFormat::F32
-            },
-            design: if S::is_fixed_point() {
-                DesignImplementation::FixedPointConversion
-            } else {
-                DesignImplementation::SwSourceCode
-            },
-        })
-    }
-}
-
-/// Times one streaming execution and assembles the [`BackendOutput`]. The
-/// analytic operation counts are those of the pipeline's math, which the
-/// streaming schedule does not change.
-fn run_streaming<S: Sample>(
-    name: &'static str,
-    mapper: &StreamingToneMapper<S>,
-    input: &LuminanceImage,
-) -> BackendOutput {
-    let start = Instant::now();
-    let image = mapper.map_luminance(input);
-    let wall = start.elapsed();
-    let (width, height) = input.dimensions();
-    BackendOutput {
-        image,
-        telemetry: BackendTelemetry {
-            backend: name,
-            wall,
-            ops: mapper
-                .plan()
-                .profile(width, height, mapper.params().channels)
-                .total(),
-            modeled: None,
-            schedule: None,
-        },
-    }
-}
-
-/// The colour twin of [`run_streaming`]: times one walk of the plan's
-/// colour stages, each embedded scalar sub-plan running through the fused
-/// streaming pass (or its fallback) at the engine's worker count.
-fn run_streaming_rgb<S: Sample>(
-    name: &'static str,
-    mapper: &StreamingToneMapper<S>,
-    input: &RgbImage,
-) -> Result<RgbBackendOutput, TonemapError> {
-    let start = Instant::now();
-    let image = mapper.map_rgb(input)?;
-    let wall = start.elapsed();
-    let (width, height) = input.dimensions();
-    Ok(RgbBackendOutput {
-        image,
-        telemetry: BackendTelemetry {
-            backend: name,
-            wall,
-            ops: mapper
-                .plan()
-                .profile(width, height, mapper.params().channels)
-                .total(),
-            modeled: None,
-            schedule: None,
-        },
-    })
 }
 
 #[cfg(test)]

@@ -9,8 +9,7 @@
 
 use hdr_image::LuminanceImage;
 use proptest::prelude::*;
-use std::sync::Arc;
-use tonemap_backend::{BackendRegistry, ScheduledBackend, TonemapBackend, TonemapRequest};
+use tonemap_backend::{BackendRegistry, TonemapRequest};
 use tonemap_core::{
     BlurParams, PipelineOp, PipelinePlan, StreamingToneMapper, ToneMapParams, ToneMapper,
 };
@@ -187,16 +186,13 @@ proptest! {
         let (plan, _) = cascade_plan(n_stencils, &radii, &sigmas, barrier_mask, bins);
         let hdr = synthetic_image(width, height, seed);
         let registry = BackendRegistry::standard();
-        let inner = registry.get_shared("sw-f32").expect("standard engine");
         let run = |mode: ScheduleMode| {
-            let engine = ScheduledBackend::<f32>::wrap(
-                Arc::clone(&inner),
-                Some(plan.clone()),
-                mode,
-                None,
-                "sw-f32?schedule=test",
-            )
-            .expect("cascade plans schedule");
+            let engine = registry
+                .resolve_spec(&format!("sw-f32?schedule={mode}"))
+                .expect("standard engine schedules")
+                .backend()
+                .reconfigured(ToneMapParams::paper_default(), Some(plan.clone()))
+                .expect("cascade plans schedule");
             engine
                 .execute(&TonemapRequest::luminance(&hdr))
                 .expect("scheduled run executes")

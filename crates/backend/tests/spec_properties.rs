@@ -95,13 +95,14 @@ fn plan_pairs() -> impl Strategy<Value = Vec<(&'static str, String)>> {
 
 /// The schedule-selection pairs: `threads=` only ever appears together
 /// with the `schedule=stream` request that licenses it (the grammar
-/// rejects a pinned worker count on any other mode).
+/// rejects a pinned worker count on any other mode), and within the
+/// streaming executor's cap of `HostModel::MAX_WORKERS` (8) workers.
 fn schedule_pairs() -> impl Strategy<Value = Vec<(&'static str, String)>> {
     prop_oneof![
         Just(Vec::new()),
         Just(vec![("schedule", "auto".to_string())]),
         Just(vec![("schedule", "two-pass".to_string())]),
-        maybe("threads", 1usize..16).prop_map(|threads| {
+        maybe("threads", 1usize..9).prop_map(|threads| {
             let mut pairs = vec![("schedule", "stream".to_string())];
             pairs.extend(threads);
             pairs
@@ -239,6 +240,7 @@ proptest! {
             Just("schedule=auto&threads=4".to_string()),
             Just("schedule=two-pass&threads=2".to_string()),
             Just("schedule=stream&threads=0".to_string()),
+            Just("schedule=stream&threads=9".to_string()),
             // Colour tuning keys orphaned, misdirected, or malformed.
             Just("exposure=4".to_string()),
             Just("peak=600".to_string()),

@@ -149,7 +149,7 @@ fn main() {
         sink += streaming_fix16.map_luminance(&hdr).pixels()[0];
     });
 
-    let threads = tonemap_backend::default_stream_threads();
+    let threads = tonemap_scheduler::HostModel::detected().cores();
     let threaded = StreamingToneMapper::<f32>::new(params).with_threads(threads);
     let threaded_seconds = time_best(iterations, || {
         sink += threaded.map_luminance(&hdr).pixels()[0];

@@ -13,9 +13,7 @@
 #![allow(dead_code)]
 
 use std::sync::{Arc, Condvar, Mutex};
-use tonemap_backend::{
-    BackendOutput, BackendRegistry, SoftwareF32Backend, TonemapBackend, TonemapError,
-};
+use tonemap_backend::{BackendOutput, BackendRegistry, TonemapBackend, TonemapError};
 use tonemap_core::{PipelinePlan, ToneMapParams};
 
 /// A counting rendezvous: threads [`Gate::arrive_and_wait`], the test
@@ -108,7 +106,9 @@ impl GatedBackend {
     /// a *specific* worker register two gated engines with separate gates.
     pub fn with_name(gate: Arc<Gate>, name: &'static str) -> GatedBackend {
         GatedBackend {
-            inner: Arc::new(SoftwareF32Backend::default()),
+            inner: BackendRegistry::standard()
+                .get_shared("sw-f32")
+                .expect("the standard registry serves sw-f32"),
             gate,
             name,
         }

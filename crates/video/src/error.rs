@@ -3,7 +3,7 @@
 use std::error::Error;
 use std::fmt;
 
-use tonemap_backend::TonemapError;
+use tonemap_backend::{BackendRegistry, TonemapError};
 use tonemap_core::plan::PlanError;
 use tonemap_core::ParamError;
 
@@ -20,8 +20,7 @@ pub enum VideoError {
     Plan(PlanError),
     /// The tone-mapping parameters fail validation.
     InvalidParams(ParamError),
-    /// The spec names an engine the video layer has no executor mapping
-    /// for.
+    /// The spec names an engine outside the standard engine table.
     UnknownEngine(String),
     /// The spec string itself does not parse (or its overrides/plan fail
     /// validation).
@@ -41,12 +40,17 @@ impl fmt::Display for VideoError {
                 "a fused run of the plan cannot execute segment-wise: {err}"
             ),
             VideoError::InvalidParams(err) => write!(f, "invalid tone-mapping parameters: {err}"),
-            VideoError::UnknownEngine(name) => write!(
-                f,
-                "no video executor mapping for engine `{name}`; known engines: \
-                 sw-f32, sw-fix16, sw-f32-stream, hw-marked, hw-sequential, \
-                 hw-pragmas, hw-fix16, hw-fix16-stream"
-            ),
+            VideoError::UnknownEngine(name) => {
+                let known: Vec<&str> = BackendRegistry::STANDARD_ENGINES
+                    .iter()
+                    .map(|row| row.name)
+                    .collect();
+                write!(
+                    f,
+                    "no video executor mapping for engine `{name}`; known engines: {}",
+                    known.join(", ")
+                )
+            }
             VideoError::Spec(err) => write!(f, "invalid video spec: {err}"),
         }
     }

@@ -1,146 +1,107 @@
-//! Mapping engines and `schedule=` requests onto video frame executors.
+//! Mapping engine rows and `schedule=` requests onto video frame executors.
 
 use std::fmt;
 
-use tonemap_backend::BackendSpec;
-use tonemap_scheduler::{SampleFormat, ScheduleExecutor, ScheduleMode, SchedulePoint};
+use hdr_image::LuminanceImage;
+use tonemap_backend::{BackendRegistry, BackendSpec, CompiledPlan, Executor, Numerics};
+use tonemap_core::{PipelinePlan, ToneMapParams};
+use tonemap_scheduler::{ScheduleClass, ScheduleExecutor, ScheduleMode, SchedulePoint};
 
 use crate::error::VideoError;
 
-/// The sample format a video executor computes in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SampleMode {
-    /// IEEE single-precision floating point.
-    F32,
-    /// The paper's `ap_fixed<16,4>` format.
-    Fix16,
-}
-
-impl SampleMode {
-    /// The scheduler-layer format this mode corresponds to.
-    pub const fn format(&self) -> SampleFormat {
-        match self {
-            SampleMode::F32 => SampleFormat::F32,
-            SampleMode::Fix16 => SampleFormat::Fix16,
-        }
-    }
-
-    /// Stable lower-case label (`"f32"` / `"fix16"`).
-    pub const fn as_str(&self) -> &'static str {
-        match self {
-            SampleMode::F32 => "f32",
-            SampleMode::Fix16 => "fix16",
-        }
-    }
-}
-
-impl fmt::Display for SampleMode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-/// Which single-frame execution primitive a [`VideoSession`](crate::VideoSession)
-/// drives for each fused plan segment.
+/// Which executor a [`VideoSession`](crate::VideoSession) drives for each
+/// fused plan segment.
 ///
 /// Video sessions split plans at materialization barriers and run the
 /// segments themselves (the adaptation state lives *between* the
-/// reductions), so the executor names a core-layer primitive, not a
-/// registry engine:
-///
-/// | Variant | Core primitive |
-/// |---|---|
-/// | `Direct` | `ToneMapper::map_luminance` (reference full-window blur) |
-/// | `HwBlur` | `ToneMapper::map_luminance_hw_blur` (two-pass separable blur) |
-/// | `Stream` | `StreamingToneMapper::map_luminance` (line-buffer cascade) |
-/// | `Auto` | cost-model pick per resolution, amortized across the stream |
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// reductions), so the executor names an engine-layer [`CompiledPlan`]
+/// shape, not a registry engine. Its numerics, executor and schedule class
+/// come from the spec's row of [`BackendRegistry::STANDARD_ENGINES`], the
+/// rows the registry's engines are built from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum VideoExecutor {
-    /// The engine's own direct executor.
-    Direct(SampleMode),
-    /// The two-pass separable-blur executor (the scheduler's "two-pass"
-    /// reference point).
-    HwBlur(SampleMode),
+    /// The two-pass planner.
+    TwoPass(Numerics),
     /// The streaming line-buffer cascade with a pinned worker count.
-    Stream(SampleMode, usize),
-    /// Defer to the auto-scheduler once per resolution; the winning point
-    /// is cached so a steady stream prices its schedule exactly once.
-    Auto(SampleMode),
+    Stream(Numerics, usize),
+    /// Defer to the auto-scheduler once per resolution, priced at the
+    /// engine row's schedule class; the winning point is cached so a steady
+    /// stream prices its schedule exactly once.
+    Auto(Numerics, ScheduleClass),
 }
 
 impl VideoExecutor {
-    /// The executor a bare engine name (no `schedule=`) maps to.
+    /// The executor a spec maps to: its engine row's executor, reshaped by
+    /// its `schedule=` request (`auto` defers to the cost model, `stream`
+    /// pins the cascade with `threads=`, one worker by default, `two-pass`
+    /// forces the two-pass planner).
     ///
     /// # Errors
     ///
-    /// [`VideoError::UnknownEngine`] for names outside the standard
-    /// registry's eight engines.
-    pub fn for_engine(name: &str) -> Result<Self, VideoError> {
-        Ok(match name {
-            "sw-f32" => VideoExecutor::Direct(SampleMode::F32),
-            "sw-fix16" => VideoExecutor::Direct(SampleMode::Fix16),
-            "sw-f32-stream" => VideoExecutor::Stream(SampleMode::F32, 1),
-            "hw-marked" | "hw-sequential" | "hw-pragmas" => VideoExecutor::HwBlur(SampleMode::F32),
-            "hw-fix16" => VideoExecutor::HwBlur(SampleMode::Fix16),
-            "hw-fix16-stream" => VideoExecutor::Stream(SampleMode::Fix16, 1),
-            other => return Err(VideoError::UnknownEngine(other.to_string())),
-        })
-    }
-
-    /// The executor a full spec maps to: the engine's base executor,
-    /// reshaped by its `schedule=` request (`auto` defers to the
-    /// cost model, `stream` pins the cascade with `threads=`, `two-pass`
-    /// forces the two-pass reference executor).
-    ///
-    /// # Errors
-    ///
-    /// [`VideoError::UnknownEngine`] for an unmapped engine name.
+    /// [`VideoError::UnknownEngine`] for a name outside the standard engine
+    /// table, and [`VideoError::Spec`] for a `schedule=` naming an engine
+    /// with no schedule space.
     pub fn from_spec(spec: &BackendSpec) -> Result<Self, VideoError> {
-        let base = Self::for_engine(spec.name())?;
-        Ok(match spec.schedule() {
-            None => base,
-            Some(ScheduleMode::Auto) => VideoExecutor::Auto(base.sample_mode()),
-            Some(ScheduleMode::Stream) => {
-                VideoExecutor::Stream(base.sample_mode(), spec.threads().unwrap_or(1))
+        let row = BackendRegistry::STANDARD_ENGINES
+            .into_iter()
+            .find(|row| row.name == spec.name())
+            .ok_or_else(|| VideoError::UnknownEngine(spec.name().to_string()))?;
+        let numerics = row.numerics;
+        Ok(match (spec.schedule(), row.executor) {
+            (None, Executor::Stream { threads }) => VideoExecutor::Stream(numerics, threads),
+            (None, _) => VideoExecutor::TwoPass(numerics),
+            (Some(mode), _) => {
+                let class = row.schedule_class_for(&spec.to_string())?;
+                match mode {
+                    ScheduleMode::Auto => VideoExecutor::Auto(numerics, class),
+                    ScheduleMode::Stream => {
+                        VideoExecutor::Stream(numerics, spec.threads().unwrap_or(1))
+                    }
+                    ScheduleMode::TwoPass => VideoExecutor::TwoPass(numerics),
+                }
             }
-            Some(ScheduleMode::TwoPass) => VideoExecutor::HwBlur(base.sample_mode()),
         })
-    }
-
-    /// The sample format this executor computes in.
-    pub const fn sample_mode(&self) -> SampleMode {
-        match self {
-            VideoExecutor::Direct(mode)
-            | VideoExecutor::HwBlur(mode)
-            | VideoExecutor::Auto(mode) => *mode,
-            VideoExecutor::Stream(mode, _) => *mode,
-        }
     }
 
     /// `true` when the executor defers to the per-resolution
     /// auto-scheduler.
     pub const fn is_auto(&self) -> bool {
-        matches!(self, VideoExecutor::Auto(_))
+        matches!(self, VideoExecutor::Auto(..))
     }
 
     /// Maps an auto-scheduler winner onto the concrete executor that runs
-    /// it (the scheduler's two-pass reference *is* the separable hw-blur
-    /// executor).
-    pub(crate) fn from_schedule_point(point: &SchedulePoint, mode: SampleMode) -> Self {
+    /// it.
+    pub(crate) fn from_schedule_point(point: &SchedulePoint, numerics: Numerics) -> Self {
         match point.executor {
-            ScheduleExecutor::TwoPass => VideoExecutor::HwBlur(mode),
-            ScheduleExecutor::Streaming { .. } => VideoExecutor::Stream(mode, point.threads),
+            ScheduleExecutor::TwoPass => VideoExecutor::TwoPass(numerics),
+            ScheduleExecutor::Streaming { .. } => VideoExecutor::Stream(numerics, point.threads),
         }
+    }
+
+    /// Runs `plan` once on this concrete executor.
+    pub(crate) fn map_luminance(
+        self,
+        plan: &PipelinePlan,
+        params: &ToneMapParams,
+        register: &LuminanceImage,
+    ) -> LuminanceImage {
+        let (numerics, stream_threads) = match self {
+            VideoExecutor::TwoPass(numerics) => (numerics, None),
+            VideoExecutor::Stream(numerics, threads) => (numerics, Some(threads)),
+            VideoExecutor::Auto(..) => unreachable!("auto resolves to a concrete executor"),
+        };
+        CompiledPlan::new(numerics, plan.clone(), *params, stream_threads)
+            .expect("params validated at session construction")
+            .map_luminance(register)
     }
 }
 
 impl fmt::Display for VideoExecutor {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            VideoExecutor::Direct(mode) => write!(f, "direct({mode})"),
-            VideoExecutor::HwBlur(mode) => write!(f, "two-pass({mode})"),
-            VideoExecutor::Stream(mode, threads) => write!(f, "stream({mode}×{threads})"),
-            VideoExecutor::Auto(mode) => write!(f, "auto({mode})"),
+            VideoExecutor::TwoPass(numerics) => write!(f, "two-pass({numerics:?})"),
+            VideoExecutor::Stream(numerics, threads) => write!(f, "stream({numerics:?}×{threads})"),
+            VideoExecutor::Auto(numerics, _) => write!(f, "auto({numerics:?})"),
         }
     }
 }
@@ -149,43 +110,65 @@ impl fmt::Display for VideoExecutor {
 mod tests {
     use super::*;
 
+    fn executor(spec: &str) -> Result<VideoExecutor, VideoError> {
+        VideoExecutor::from_spec(&BackendSpec::parse(spec).unwrap())
+    }
+
     #[test]
     fn every_standard_engine_maps() {
         for (name, expected) in [
-            ("sw-f32", VideoExecutor::Direct(SampleMode::F32)),
-            ("sw-fix16", VideoExecutor::Direct(SampleMode::Fix16)),
-            ("sw-f32-stream", VideoExecutor::Stream(SampleMode::F32, 1)),
-            ("hw-marked", VideoExecutor::HwBlur(SampleMode::F32)),
-            ("hw-sequential", VideoExecutor::HwBlur(SampleMode::F32)),
-            ("hw-pragmas", VideoExecutor::HwBlur(SampleMode::F32)),
-            ("hw-fix16", VideoExecutor::HwBlur(SampleMode::Fix16)),
+            ("sw-f32", VideoExecutor::TwoPass(Numerics::F32)),
+            ("sw-fix16", VideoExecutor::TwoPass(Numerics::Fix16All)),
+            ("sw-f32-stream", VideoExecutor::Stream(Numerics::F32, 1)),
+            ("hw-marked", VideoExecutor::TwoPass(Numerics::F32)),
+            ("hw-sequential", VideoExecutor::TwoPass(Numerics::F32)),
+            ("hw-pragmas", VideoExecutor::TwoPass(Numerics::F32)),
+            ("hw-fix16", VideoExecutor::TwoPass(Numerics::Fix16Blur)),
             (
                 "hw-fix16-stream",
-                VideoExecutor::Stream(SampleMode::Fix16, 1),
+                VideoExecutor::Stream(Numerics::Fix16Blur, 1),
             ),
         ] {
-            assert_eq!(VideoExecutor::for_engine(name).unwrap(), expected, "{name}");
+            assert_eq!(executor(name).unwrap(), expected, "{name}");
         }
         assert!(matches!(
-            VideoExecutor::for_engine("gpu-cuda"),
+            executor("gpu-cuda"),
             Err(VideoError::UnknownEngine(name)) if name == "gpu-cuda"
         ));
     }
 
     #[test]
     fn schedule_requests_reshape_the_executor() {
-        let spec = |s: &str| BackendSpec::parse(s).unwrap();
+        let class = |name: &str| {
+            let row = BackendRegistry::STANDARD_ENGINES
+                .into_iter()
+                .find(|row| row.name == name)
+                .unwrap();
+            row.schedule_class().unwrap()
+        };
         assert_eq!(
-            VideoExecutor::from_spec(&spec("sw-f32?schedule=auto")).unwrap(),
-            VideoExecutor::Auto(SampleMode::F32)
+            executor("sw-f32?schedule=auto").unwrap(),
+            VideoExecutor::Auto(Numerics::F32, class("sw-f32"))
         );
         assert_eq!(
-            VideoExecutor::from_spec(&spec("hw-fix16?schedule=stream&threads=4")).unwrap(),
-            VideoExecutor::Stream(SampleMode::Fix16, 4)
+            executor("hw-fix16?schedule=stream&threads=4").unwrap(),
+            VideoExecutor::Stream(Numerics::Fix16Blur, 4)
         );
         assert_eq!(
-            VideoExecutor::from_spec(&spec("sw-f32-stream?schedule=two-pass")).unwrap(),
-            VideoExecutor::HwBlur(SampleMode::F32)
+            executor("sw-f32-stream?schedule=two-pass").unwrap(),
+            VideoExecutor::TwoPass(Numerics::F32)
         );
+        // `schedule=auto` prices an accelerator at its own Table II design,
+        // as single-frame resolution does.
+        assert_eq!(
+            executor("hw-marked?schedule=auto").unwrap(),
+            VideoExecutor::Auto(Numerics::F32, class("hw-marked"))
+        );
+        assert_ne!(class("hw-marked"), class("sw-f32"));
+        // The all-fixed ablation has no schedule space here either.
+        assert!(matches!(
+            executor("sw-fix16?schedule=auto"),
+            Err(VideoError::Spec(_))
+        ));
     }
 }

@@ -56,6 +56,6 @@ mod session;
 
 pub use config::{TemporalConfig, DEFAULT_CUT_THRESHOLD, DEFAULT_TAU};
 pub use error::VideoError;
-pub use executor::{SampleMode, VideoExecutor};
+pub use executor::VideoExecutor;
 pub use metrics::{FrameMetrics, Signature, StreamSummary};
 pub use session::VideoSession;

@@ -3,20 +3,18 @@
 
 use std::collections::HashMap;
 
-use apfixed::Fix16;
-use codesign::flow::DesignImplementation;
 use hdr_image::LuminanceImage;
 use tonemap_backend::{BackendSpec, TemporalMode};
 use tonemap_core::normalize::{max_pixel, normalize_sample};
 use tonemap_core::plan::{
     histogram_counts, histogram_remap_cdf, ChannelLayout, PipelineOp, PipelinePlan,
 };
-use tonemap_core::{StreamingToneMapper, ToneMapParams, ToneMapper};
-use tonemap_scheduler::{ScheduleClass, Scheduler};
+use tonemap_core::ToneMapParams;
+use tonemap_scheduler::Scheduler;
 
 use crate::config::TemporalConfig;
 use crate::error::VideoError;
-use crate::executor::{SampleMode, VideoExecutor};
+use crate::executor::VideoExecutor;
 use crate::metrics::{mean_ln, temporal_psnr, FrameMetrics, Signature, StreamSummary};
 
 /// First-order leaky update: `s += α·(o − s)`. At `α ≥ 1` the state is
@@ -196,16 +194,7 @@ impl VideoSession {
             .collect();
         let track_key = segments.iter().any(|segment| segment.has_reinhard);
         let scheduler = match executor {
-            VideoExecutor::Auto(mode) => Some(Scheduler::new(
-                *params,
-                ScheduleClass {
-                    format: mode.format(),
-                    design: match mode {
-                        SampleMode::F32 => DesignImplementation::SwSourceCode,
-                        SampleMode::Fix16 => DesignImplementation::FixedPointConversion,
-                    },
-                },
-            )?),
+            VideoExecutor::Auto(_, class) => Some(Scheduler::new(*params, class)?),
             _ => None,
         };
         Ok(VideoSession {
@@ -356,45 +345,15 @@ impl VideoSession {
 
     /// Runs one fused segment through the session's executor.
     fn run_segment(&mut self, plan: &PipelinePlan, register: &LuminanceImage) -> LuminanceImage {
-        let executor = self.resolve_executor(register.width(), register.height());
-        let compiled = |plan: &PipelinePlan, params: &ToneMapParams| {
-            ToneMapper::compile(plan.clone(), *params)
-                .expect("params validated at session construction")
-        };
-        match executor {
-            VideoExecutor::Direct(SampleMode::F32) => {
-                compiled(plan, &self.params).map_luminance_f32(register)
-            }
-            VideoExecutor::Direct(SampleMode::Fix16) => {
-                compiled(plan, &self.params).map_luminance::<Fix16>(register)
-            }
-            VideoExecutor::HwBlur(SampleMode::F32) => {
-                compiled(plan, &self.params).map_luminance_hw_blur::<f32>(register)
-            }
-            VideoExecutor::HwBlur(SampleMode::Fix16) => {
-                compiled(plan, &self.params).map_luminance_hw_blur::<Fix16>(register)
-            }
-            VideoExecutor::Stream(SampleMode::F32, threads) => {
-                StreamingToneMapper::<f32>::compile(plan.clone(), self.params)
-                    .expect("params validated at session construction")
-                    .with_threads(threads)
-                    .map_luminance(register)
-            }
-            VideoExecutor::Stream(SampleMode::Fix16, threads) => {
-                StreamingToneMapper::<Fix16>::compile(plan.clone(), self.params)
-                    .expect("params validated at session construction")
-                    .with_threads(threads)
-                    .map_luminance(register)
-            }
-            VideoExecutor::Auto(_) => unreachable!("auto resolves to a concrete executor"),
-        }
+        self.resolve_executor(register.width(), register.height())
+            .map_luminance(plan, &self.params, register)
     }
 
     /// The concrete executor for a resolution: the session's own unless
     /// it is `Auto`, which prices the schedule once per resolution and
     /// caches the winner for the rest of the stream.
     fn resolve_executor(&mut self, width: usize, height: usize) -> VideoExecutor {
-        let VideoExecutor::Auto(mode) = self.executor else {
+        let VideoExecutor::Auto(numerics, _) = self.executor else {
             return self.executor;
         };
         if let Some(&resolved) = self.resolved.get(&(width, height)) {
@@ -405,7 +364,7 @@ impl VideoSession {
             .as_ref()
             .expect("auto sessions construct a scheduler");
         let report = scheduler.schedule(&self.plan, width, height);
-        let resolved = VideoExecutor::from_schedule_point(&report.winner().point, mode);
+        let resolved = VideoExecutor::from_schedule_point(&report.winner().point, numerics);
         self.resolved.insert((width, height), resolved);
         resolved
     }
@@ -512,6 +471,7 @@ mod tests {
     use super::*;
     use hdr_image::sequence::{FrameSequence, SequenceKind};
     use hdr_image::synth::SceneKind;
+    use tonemap_backend::Numerics;
 
     /// A plan exercising all three adapted reduction statistics: the
     /// normalize maximum, a Reinhard key, and a histogram CDF, with a
@@ -529,7 +489,7 @@ mod tests {
         .expect("plan is valid")
     }
 
-    /// Single-frame reference execution of a full plan on the primitive a
+    /// Single-frame reference execution of a full plan on the executor a
     /// [`VideoExecutor`] names.
     fn single_frame(
         plan: &PipelinePlan,
@@ -537,37 +497,15 @@ mod tests {
         executor: VideoExecutor,
         frame: &LuminanceImage,
     ) -> LuminanceImage {
-        let mapper = || ToneMapper::compile(plan.clone(), *params).expect("valid params");
-        match executor {
-            VideoExecutor::Direct(SampleMode::F32) => mapper().map_luminance_f32(frame),
-            VideoExecutor::Direct(SampleMode::Fix16) => mapper().map_luminance::<Fix16>(frame),
-            VideoExecutor::HwBlur(SampleMode::F32) => mapper().map_luminance_hw_blur::<f32>(frame),
-            VideoExecutor::HwBlur(SampleMode::Fix16) => {
-                mapper().map_luminance_hw_blur::<Fix16>(frame)
-            }
-            VideoExecutor::Stream(SampleMode::F32, threads) => {
-                StreamingToneMapper::<f32>::compile(plan.clone(), *params)
-                    .expect("valid params")
-                    .with_threads(threads)
-                    .map_luminance(frame)
-            }
-            VideoExecutor::Stream(SampleMode::Fix16, threads) => {
-                StreamingToneMapper::<Fix16>::compile(plan.clone(), *params)
-                    .expect("valid params")
-                    .with_threads(threads)
-                    .map_luminance(frame)
-            }
-            VideoExecutor::Auto(_) => unreachable!("reference execution needs a concrete executor"),
-        }
+        executor.map_luminance(plan, params, frame)
     }
 
-    const EXECUTORS: [VideoExecutor; 6] = [
-        VideoExecutor::Direct(SampleMode::F32),
-        VideoExecutor::Direct(SampleMode::Fix16),
-        VideoExecutor::HwBlur(SampleMode::F32),
-        VideoExecutor::HwBlur(SampleMode::Fix16),
-        VideoExecutor::Stream(SampleMode::F32, 1),
-        VideoExecutor::Stream(SampleMode::Fix16, 2),
+    const EXECUTORS: [VideoExecutor; 5] = [
+        VideoExecutor::TwoPass(Numerics::F32),
+        VideoExecutor::TwoPass(Numerics::Fix16All),
+        VideoExecutor::TwoPass(Numerics::Fix16Blur),
+        VideoExecutor::Stream(Numerics::F32, 1),
+        VideoExecutor::Stream(Numerics::Fix16Blur, 2),
     ];
 
     #[test]
@@ -606,14 +544,14 @@ mod tests {
         let reference = single_frame(
             &plan,
             &params,
-            VideoExecutor::Direct(SampleMode::F32),
+            VideoExecutor::TwoPass(Numerics::F32),
             &frame,
         );
         let mut session = VideoSession::new(
             &plan,
             &params,
             TemporalConfig::leaky(8.0),
-            VideoExecutor::Direct(SampleMode::F32),
+            VideoExecutor::TwoPass(Numerics::F32),
         )
         .expect("session builds");
         for _ in 0..2 {
@@ -638,14 +576,14 @@ mod tests {
             &plan,
             &params,
             TemporalConfig::leaky(0.0),
-            VideoExecutor::Direct(SampleMode::F32),
+            VideoExecutor::TwoPass(Numerics::F32),
         )
         .expect("session builds");
         let mut independent = VideoSession::new(
             &plan,
             &params,
             TemporalConfig::independent(),
-            VideoExecutor::Direct(SampleMode::F32),
+            VideoExecutor::TwoPass(Numerics::F32),
         )
         .expect("session builds");
         for frame in frames.frames() {
@@ -671,14 +609,14 @@ mod tests {
             &plan,
             &params,
             TemporalConfig::leaky(4.0),
-            VideoExecutor::Direct(SampleMode::F32),
+            VideoExecutor::TwoPass(Numerics::F32),
         )
         .expect("session builds");
         let mut independent = VideoSession::new(
             &plan,
             &params,
             TemporalConfig::independent(),
-            VideoExecutor::Direct(SampleMode::F32),
+            VideoExecutor::TwoPass(Numerics::F32),
         )
         .expect("session builds");
         for frame in frames.frames() {
@@ -710,7 +648,7 @@ mod tests {
             5,
         );
         let config = TemporalConfig::leaky(4.0);
-        let executor = VideoExecutor::Direct(SampleMode::F32);
+        let executor = VideoExecutor::TwoPass(Numerics::F32);
         let mut session =
             VideoSession::new(&plan, &params, config, executor).expect("session builds");
         for index in 0..frames.len() {
@@ -734,13 +672,10 @@ mod tests {
     fn auto_executor_prices_the_schedule_once_per_resolution() {
         let params = ToneMapParams::paper_default();
         let plan = PipelinePlan::from_params(&params);
-        let mut session = VideoSession::new(
-            &plan,
-            &params,
-            TemporalConfig::leaky(2.0),
-            VideoExecutor::Auto(SampleMode::F32),
-        )
-        .expect("session builds");
+        let auto = VideoExecutor::from_spec(&BackendSpec::parse("sw-f32?schedule=auto").unwrap())
+            .expect("sw-f32 schedules");
+        let mut session = VideoSession::new(&plan, &params, TemporalConfig::leaky(2.0), auto)
+            .expect("session builds");
         assert!(session.executor().is_auto());
         let frame = SceneKind::GradientRamp.generate(32, 24, 3);
         session.process(&frame);
@@ -762,7 +697,10 @@ mod tests {
         .expect("spec resolves");
         assert_eq!(session.config().tau, 2.0);
         assert_eq!(session.config().cut_threshold, 0.5);
-        assert_eq!(session.executor(), VideoExecutor::HwBlur(SampleMode::Fix16));
+        assert_eq!(
+            session.executor(),
+            VideoExecutor::TwoPass(Numerics::Fix16Blur)
+        );
         assert!(session
             .plan()
             .ops()
@@ -788,7 +726,7 @@ mod tests {
         let params = ToneMapParams::paper_default();
         let plan = PipelinePlan::from_params(&params);
         let config = TemporalConfig::leaky(4.0);
-        let executor = VideoExecutor::Direct(SampleMode::F32);
+        let executor = VideoExecutor::TwoPass(Numerics::F32);
         let frames = FrameSequence::new(
             SequenceKind::ExposureRamp { decades: 1.0 },
             SceneKind::StarField,

@@ -8,9 +8,10 @@
 use hdr_image::sequence::{FrameSequence, SequenceKind};
 use hdr_image::synth::SceneKind;
 use proptest::prelude::*;
+use tonemap_backend::Numerics;
 use tonemap_core::plan::{PipelinePlan, PlanTuning};
 use tonemap_core::ToneMapParams;
-use tonemap_video::{SampleMode, TemporalConfig, VideoExecutor, VideoSession};
+use tonemap_video::{TemporalConfig, VideoExecutor, VideoSession};
 
 /// Scalar-plan presets (colour presets are rejected by video sessions).
 fn preset_strategy() -> impl Strategy<Value = &'static str> {
@@ -50,12 +51,11 @@ fn kind_strategy() -> impl Strategy<Value = SequenceKind> {
 
 fn executor_strategy() -> impl Strategy<Value = VideoExecutor> {
     prop_oneof![
-        Just(VideoExecutor::Direct(SampleMode::F32)),
-        Just(VideoExecutor::Direct(SampleMode::Fix16)),
-        Just(VideoExecutor::HwBlur(SampleMode::F32)),
-        Just(VideoExecutor::HwBlur(SampleMode::Fix16)),
-        Just(VideoExecutor::Stream(SampleMode::F32, 1)),
-        Just(VideoExecutor::Stream(SampleMode::Fix16, 2)),
+        Just(VideoExecutor::TwoPass(Numerics::F32)),
+        Just(VideoExecutor::TwoPass(Numerics::Fix16All)),
+        Just(VideoExecutor::TwoPass(Numerics::Fix16Blur)),
+        Just(VideoExecutor::Stream(Numerics::F32, 1)),
+        Just(VideoExecutor::Stream(Numerics::Fix16Blur, 2)),
     ]
 }
 

@@ -48,10 +48,9 @@ pub mod prelude {
     pub use hls_model::schedule::Scheduler;
     pub use hls_model::tech::TechLibrary;
     pub use tonemap_backend::{
-        AcceleratedBackend, BackendInfo, BackendOutput, BackendRegistry, BackendSpec,
-        BackendTelemetry, ModeledCost, OutputKind, ResolvedBackend, SoftwareF32Backend,
-        SoftwareFixedBackend, StreamingBackend, TonemapBackend, TonemapError, TonemapPayload,
-        TonemapRequest, TonemapResponse, UnknownBackendError,
+        BackendInfo, BackendOutput, BackendRegistry, BackendSpec, BackendTelemetry, Engine,
+        ModeledCost, Numerics, OutputKind, ResolvedBackend, TonemapBackend, TonemapError,
+        TonemapPayload, TonemapRequest, TonemapResponse, UnknownBackendError,
     };
     pub use tonemap_core::{
         BlurParams, FusionBlocker, ParamError, PipelineOp, PipelineOpKind, PipelinePlan, PlanError,
