@@ -128,9 +128,9 @@ impl EngineRow {
 pub struct Engine {
     pub(crate) row: EngineRow,
     pub(crate) params: ToneMapParams,
-    /// The compiled `pipeline=` plan; `None` serves the Fig. 1 chain of
-    /// `params`.
-    plan: Option<PipelinePlan>,
+    /// The plan the engine executes: the compiled `pipeline=` plan, or the
+    /// Fig. 1 chain of `params` when the spec selects none.
+    pub(crate) plan: PipelinePlan,
     /// The spec string the engine was resolved from, quoted in errors.
     pub(crate) spec: String,
     /// The executor each image size runs on.
@@ -160,7 +160,7 @@ impl Engine {
     /// [`TonemapError::InvalidSpec`] for a `schedule=` row the engine cannot
     /// serve (one without a schedule space).
     pub fn new(row: EngineRow, params: ToneMapParams) -> Result<Self, TonemapError> {
-        Engine::for_spec(row, params, None, row.name)
+        Engine::for_spec(row, params, PipelinePlan::from_params(&params), row.name)
     }
 
     /// An engine ready to serve `spec`: [`Engine::for_job`], plus the
@@ -168,7 +168,7 @@ impl Engine {
     fn for_spec(
         row: EngineRow,
         params: ToneMapParams,
-        plan: Option<PipelinePlan>,
+        plan: PipelinePlan,
         spec: &str,
     ) -> Result<Self, TonemapError> {
         let engine = Engine::for_job(row, params, plan, spec)?;
@@ -180,7 +180,7 @@ impl Engine {
     fn for_job(
         row: EngineRow,
         params: ToneMapParams,
-        plan: Option<PipelinePlan>,
+        plan: PipelinePlan,
         spec: &str,
     ) -> Result<Self, TonemapError> {
         params.validate()?;
@@ -194,35 +194,28 @@ impl Engine {
         })
     }
 
-    /// The plan the engine executes.
-    pub(crate) fn full_plan(&self) -> PipelinePlan {
-        self.plan
-            .clone()
-            .unwrap_or_else(|| PipelinePlan::from_params(&self.params))
-    }
-
     /// The one override rule, shared by request-level overrides and
     /// [`TonemapBackend::reconfigured`]: a plan given for the job wins;
     /// otherwise a custom compiled plan is kept — a `pipeline=reinhard`
     /// engine given new parameters still serves Reinhard — and only a
-    /// Fig. 1 chain is re-derived from the new parameters.
-    fn effective_plan(&self, plan: Option<&PipelinePlan>) -> Option<PipelinePlan> {
+    /// Fig. 1 chain is re-derived from the new `params`.
+    fn effective_plan(&self, params: &ToneMapParams, plan: Option<&PipelinePlan>) -> PipelinePlan {
         match plan {
-            Some(plan) => Some(plan.clone()),
-            None => self.plan.clone().filter(|plan| !plan.is_paper_shaped()),
+            Some(plan) => plan.clone(),
+            None if self.plan.is_paper_shaped() => PipelinePlan::from_params(params),
+            None => self.plan.clone(),
         }
     }
 
     /// The executor for one image size: compiled as-is for the two-pass
     /// and streaming rows, chosen by the scheduler for `schedule=` rows.
     fn resolve(&self, width: usize, height: usize) -> Result<Resolved, TonemapError> {
-        let plan = self.full_plan();
+        let plan = self.plan.clone();
         let (stream_threads, schedule) = match self.row.executor {
             Executor::TwoPass => (None, None),
             Executor::Stream { threads } => (Some(threads), None),
             Executor::Scheduled { mode, threads } => {
-                let (priced, considered, base) =
-                    self.schedule(&plan, mode, threads, width, height)?;
+                let (priced, considered, base) = self.schedule(mode, threads, width, height)?;
                 let stream_threads = priced
                     .point
                     .executor
@@ -239,16 +232,11 @@ impl Engine {
     }
 
     /// The platform model's evaluation of `design` for this engine's
-    /// parameters and plan at one image size: the classic Table II
-    /// evaluation for the Fig. 1 chain, the per-stage plan costing for a
-    /// compiled plan.
+    /// parameters and plan at one image size.
     fn report(&self, design: DesignImplementation, width: usize, height: usize) -> DesignReport {
         let Ok(report) = memoized(&self.reports, (width, height), || {
             let flow = CoDesignFlow::paper_setup_with_params(self.params, width, height);
-            Ok::<_, std::convert::Infallible>(match &self.plan {
-                None => flow.evaluate(design),
-                Some(plan) => flow.evaluate_plan(plan, design),
-            })
+            Ok::<_, std::convert::Infallible>(flow.evaluate_plan(&self.plan, design))
         });
         report
     }
@@ -271,12 +259,11 @@ impl Engine {
     {
         if params.is_some() || plan.is_some() {
             let params = params.copied().unwrap_or(self.params);
-            return Engine::for_job(self.row, params, self.effective_plan(plan), &self.spec)?
+            let plan = self.effective_plan(&params, plan);
+            return Engine::for_job(self.row, params, plan, &self.spec)?
                 .run(input, None, None, with_model);
         }
-        if let Some(plan) = &self.plan {
-            <ImageBuffer<T> as Frame>::check(plan)?;
-        }
+        <ImageBuffer<T> as Frame>::check(&self.plan)?;
         let (width, height) = input.dimensions();
         let resolved = memoized(&self.resolved, (width, height), || {
             self.resolve(width, height).map(Arc::new)
@@ -364,7 +351,7 @@ impl TonemapBackend for Engine {
         params: ToneMapParams,
         plan: Option<PipelinePlan>,
     ) -> Result<Arc<dyn TonemapBackend>, TonemapError> {
-        let plan = self.effective_plan(plan.as_ref());
+        let plan = self.effective_plan(&params, plan.as_ref());
         Ok(Arc::new(Engine::for_spec(
             self.row, params, plan, &self.spec,
         )?))

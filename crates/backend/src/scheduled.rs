@@ -13,7 +13,7 @@
 use crate::engine::{Engine, Executor};
 use crate::error::TonemapError;
 use codesign::flow::DesignReport;
-use tonemap_core::{PipelinePlan, StreamingToneMapper};
+use tonemap_core::StreamingToneMapper;
 use tonemap_scheduler::{PricedPoint, ScheduleExecutor, ScheduleMode, SchedulePoint, Scheduler};
 
 impl Engine {
@@ -28,7 +28,7 @@ impl Engine {
         };
         self.row.schedule_class_for(&self.spec)?;
         if mode == ScheduleMode::Stream {
-            let probe = StreamingToneMapper::<f32>::compile(self.full_plan(), self.params)?;
+            let probe = StreamingToneMapper::<f32>::compile(self.plan.clone(), self.params)?;
             if !probe.decision().is_streamed() {
                 return Err(TonemapError::InvalidSpec {
                     spec: self.spec.clone(),
@@ -42,12 +42,11 @@ impl Engine {
         Ok(())
     }
 
-    /// Schedules `plan` at one image size: the point the `schedule=` mode
-    /// picks, how many points it was chosen from, and the platform-model
-    /// evaluation they were priced on.
+    /// Schedules the engine's plan at one image size: the point the
+    /// `schedule=` mode picks, how many points it was chosen from, and the
+    /// platform-model evaluation they were priced on.
     pub(crate) fn schedule(
         &self,
-        plan: &PipelinePlan,
         mode: ScheduleMode,
         threads: Option<usize>,
         width: usize,
@@ -55,7 +54,7 @@ impl Engine {
     ) -> Result<(PricedPoint, usize, DesignReport), TonemapError> {
         let class = self.row.schedule_class_for(&self.spec)?;
         let scheduler = Scheduler::new(self.params, class)?;
-        let report = scheduler.schedule(plan, width, height);
+        let report = scheduler.schedule(&self.plan, width, height);
         let cannot_stream = || TonemapError::InvalidSpec {
             spec: self.spec.clone(),
             reason: format!(
@@ -95,7 +94,7 @@ impl Engine {
                             format: class.format,
                             slice_rows: height.div_ceil(threads.max(1)),
                         };
-                        (scheduler.price_point(plan, width, height, &point), 1)
+                        (scheduler.price_point(&self.plan, width, height, &point), 1)
                     }
                 }
             }
@@ -111,7 +110,7 @@ mod tests {
     use crate::request::TonemapRequest;
     use hdr_image::synth::SceneKind;
     use std::sync::Arc;
-    use tonemap_core::plan::PipelineOp;
+    use tonemap_core::plan::{PipelineOp, PipelinePlan};
     use tonemap_core::ToneMapParams;
 
     #[test]

@@ -1,11 +1,13 @@
 //! Property tests for the spec-string grammar: `parse → Display → parse`
 //! is the identity over generated specs — including the `pipeline=` plan
 //! dimension — and malformed inputs always fail with a typed
-//! `InvalidSpec`, never a panic or a silently-wrong accept.
+//! `InvalidSpec`, never a panic or a silently-wrong accept. Well-formed
+//! specs whose `radius=`/`channels=` exceed the parameter bounds fail with
+//! a typed `InvalidParams` when their overrides are merged.
 
 use proptest::prelude::*;
 use tonemap_backend::{BackendSpec, TonemapError};
-use tonemap_core::{PipelinePlan, ToneMapParams};
+use tonemap_core::{BlurParams, ParamError, PipelinePlan, ToneMapParams};
 
 /// A valid engine name: no whitespace, no `?`/`&`/`=`.
 fn name_strategy() -> impl Strategy<Value = String> {
@@ -279,6 +281,48 @@ proptest! {
                 prop_assert!(!reason.is_empty());
             }
             other => prop_assert!(false, "`{}` must fail, got {:?}", raw, other),
+        }
+    }
+}
+
+proptest! {
+    #[test]
+    fn out_of_bound_radius_and_channels_fail_typed(
+        name in name_strategy(),
+        (junk, expected) in prop_oneof![
+            Just((
+                "radius=18446744073709551615".to_string(),
+                ParamError::BlurRadiusTooLarge(usize::MAX),
+            )),
+            Just((
+                "radius=9223372036854775807".to_string(),
+                ParamError::BlurRadiusTooLarge(9_223_372_036_854_775_807),
+            )),
+            Just((
+                "radius=4611686018427387904".to_string(),
+                ParamError::BlurRadiusTooLarge(4_611_686_018_427_387_904),
+            )),
+            Just(("radius=200000".to_string(), ParamError::BlurRadiusTooLarge(200_000))),
+            Just((
+                format!("radius={}", BlurParams::MAX_RADIUS + 1),
+                ParamError::BlurRadiusTooLarge(BlurParams::MAX_RADIUS + 1),
+            )),
+            Just((
+                "channels=1000000000000".to_string(),
+                ParamError::TooManyChannels(1_000_000_000_000),
+            )),
+            Just((
+                "channels=18446744073709551615".to_string(),
+                ParamError::TooManyChannels(usize::MAX),
+            )),
+            Just(("channels=5".to_string(), ParamError::TooManyChannels(5))),
+        ],
+    ) {
+        let raw = format!("{name}?{junk}");
+        let spec = BackendSpec::parse(&raw).expect("in-range integers parse");
+        match spec.merged_params(ToneMapParams::paper_default()) {
+            Err(TonemapError::InvalidParams(err)) => prop_assert_eq!(err, expected),
+            other => prop_assert!(false, "`{}` must fail validation, got {:?}", raw, other),
         }
     }
 }

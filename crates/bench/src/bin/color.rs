@@ -27,8 +27,9 @@
 //! cargo run -p bench --release --bin color    # CI=true trims resolution
 //! ```
 
-use bench::{json, paper_registry, write_bench_json};
+use bench::{paper_registry, write_bench_json};
 use codesign::quality::compare_outputs;
+use codesign::reports::json;
 use hdr_image::rgb::{luminance_plane, reapply_color};
 use hdr_image::synth::SceneKind;
 use hdr_image::RgbImage;

@@ -25,11 +25,11 @@
 //! ```
 
 use apfixed::Fix16;
-use bench::{json, write_bench_json};
+use bench::{time_best, write_bench_json};
 use codesign::flow::{CoDesignFlow, DesignImplementation};
+use codesign::reports::json;
 use hdr_image::synth::SceneKind;
 use hdr_image::LuminanceImage;
-use std::time::Instant;
 use tonemap_core::plan::{PipelinePlan, PlanTuning};
 use tonemap_core::{Sample, StreamingToneMapper, ToneMapParams, ToneMapper};
 
@@ -53,17 +53,6 @@ fn scenes() -> Vec<(String, LuminanceImage)> {
         SceneKind::SunAndShadow.generate(5, 7, 5),
     ));
     scenes
-}
-
-/// Best-of-N wall time of one closure, in seconds.
-fn time_best<F: FnMut()>(iterations: usize, mut f: F) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..iterations {
-        let start = Instant::now();
-        f();
-        best = best.min(start.elapsed().as_secs_f64());
-    }
-    best
 }
 
 fn identity_checks<S: Sample>(

@@ -30,7 +30,8 @@
 //! cargo run -p bench --release --bin latency    # CI=true caps the load
 //! ```
 
-use bench::{json, write_bench_json};
+use bench::write_bench_json;
+use codesign::reports::json;
 use hdr_image::synth::SceneKind;
 use hdr_image::LuminanceImage;
 use std::sync::Arc;

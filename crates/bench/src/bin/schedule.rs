@@ -27,12 +27,12 @@
 //! cargo run -p bench --release --bin schedule    # CI=true trims iterations
 //! ```
 
-use bench::{json, write_bench_json};
+use bench::{time_best, write_bench_json};
 use codesign::flow::DesignImplementation;
+use codesign::reports::json;
 use hdr_image::synth::SceneKind;
 use hdr_image::LuminanceImage;
 use std::sync::Arc;
-use std::time::Instant;
 use tonemap_core::plan::{PipelinePlan, PlanTuning};
 use tonemap_core::{StreamingToneMapper, ToneMapParams, ToneMapper};
 use tonemap_scheduler::{
@@ -45,17 +45,6 @@ const RESOLUTIONS: [(usize, usize); 3] = [(160, 120), (320, 240), (640, 480)];
 const TOLERANCE: f64 = 1.10;
 /// Absolute slack absorbing scheduler-invisible timer noise on tiny frames.
 const NOISE_FLOOR_SECONDS: f64 = 250e-6;
-
-/// Best-of-N wall time of one closure, in seconds.
-fn time_best<F: FnMut()>(iterations: usize, mut f: F) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..iterations {
-        let start = Instant::now();
-        f();
-        best = best.min(start.elapsed().as_secs_f64());
-    }
-    best
-}
 
 /// Compiles the executor a point names and measures it on one scene.
 /// Compilation happens outside the timed region: the memoizing engine

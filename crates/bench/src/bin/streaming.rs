@@ -30,10 +30,10 @@
 //! ```
 
 use apfixed::Fix16;
-use bench::{json, write_bench_json};
+use bench::{time_best, write_bench_json};
+use codesign::reports::json;
 use hdr_image::synth::SceneKind;
 use hdr_image::{LuminanceImage, RgbImage};
-use std::time::Instant;
 use tonemap_backend::{BackendRegistry, TonemapRequest};
 use tonemap_core::{PipelinePlan, PlanTuning, StreamingToneMapper, ToneMapParams, ToneMapper};
 
@@ -108,17 +108,6 @@ fn parity_checks() {
         println!("  {name:<20} f32 and fix16 streams bit-identical");
     }
     println!();
-}
-
-/// Best-of-N wall time of one closure, in seconds.
-fn time_best<F: FnMut()>(iterations: usize, mut f: F) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..iterations {
-        let start = Instant::now();
-        f();
-        best = best.min(start.elapsed().as_secs_f64());
-    }
-    best
 }
 
 fn main() {

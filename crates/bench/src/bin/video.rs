@@ -26,7 +26,8 @@
 //! cargo run -p bench --release --bin video    # CI=true shrinks the load
 //! ```
 
-use bench::{json, write_bench_json};
+use bench::write_bench_json;
+use codesign::reports::json;
 use hdr_image::sequence::{FrameSequence, SequenceKind};
 use hdr_image::synth::SceneKind;
 use std::time::Instant;

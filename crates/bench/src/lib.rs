@@ -66,59 +66,16 @@ pub fn bench_input(size: usize) -> LuminanceImage {
     SceneKind::WindowInDarkRoom.generate(size, size, 2018)
 }
 
-/// Hand-rolled JSON emission for the gate binaries, in the same offline
-/// idiom as [`codesign::reports`]: no `serde_json`, just strings — but with
-/// non-finite numbers rejected loudly so a NaN measurement can never reach
-/// a `BENCH_*.json` artefact.
-pub mod json {
-    /// Renders an `f64` as a JSON number.
-    ///
-    /// # Panics
-    ///
-    /// Panics on non-finite values: a gate that measured a NaN/∞ must fail,
-    /// not persist it.
-    pub fn num(value: f64) -> String {
-        assert!(
-            value.is_finite(),
-            "BENCH json numbers must be finite, got {value}"
-        );
-        format!("{value}")
+/// Best-of-N wall time of one closure, in seconds — the one timer the gate
+/// binaries share.
+pub fn time_best<F: FnMut()>(iterations: usize, mut f: F) -> f64 {
+    let mut best = f64::INFINITY;
+    for _ in 0..iterations {
+        let start = std::time::Instant::now();
+        f();
+        best = best.min(start.elapsed().as_secs_f64());
     }
-
-    /// Renders a string as a JSON string literal (escaping quotes,
-    /// backslashes and control characters).
-    pub fn string(value: &str) -> String {
-        let mut out = String::with_capacity(value.len() + 2);
-        out.push('"');
-        for c in value.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                '\t' => out.push_str("\\t"),
-                '\r' => out.push_str("\\r"),
-                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                c => out.push(c),
-            }
-        }
-        out.push('"');
-        out
-    }
-
-    /// Renders already-serialised values as a JSON array.
-    pub fn arr(items: impl IntoIterator<Item = String>) -> String {
-        let items: Vec<String> = items.into_iter().collect();
-        format!("[{}]", items.join(", "))
-    }
-
-    /// Renders `(key, already-serialised value)` pairs as a JSON object.
-    pub fn obj<'a>(fields: impl IntoIterator<Item = (&'a str, String)>) -> String {
-        let fields: Vec<String> = fields
-            .into_iter()
-            .map(|(k, v)| format!("{}: {v}", string(k)))
-            .collect();
-        format!("{{{}}}", fields.join(", "))
-    }
+    best
 }
 
 /// Writes a gate's machine-readable results to `BENCH_<gate>.json` in the

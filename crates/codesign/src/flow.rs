@@ -9,7 +9,7 @@ use hls_model::tech::TechLibrary;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use tonemap_core::ops::StageKind;
-use tonemap_core::{ParamError, ToneMapParams};
+use tonemap_core::{ParamError, PipelinePlan, ToneMapParams};
 use zynq_sim::pl::PlModel;
 use zynq_sim::power::EnergyReport;
 use zynq_sim::system::{ExecutionPlan, Phase, SystemReport, SystemSimulator};
@@ -352,58 +352,12 @@ impl CoDesignFlow {
             .map(|s| PerformanceReport::new(s, &self.tech))
     }
 
-    /// Evaluates one design implementation end to end: execution time split,
-    /// energy and resources.
+    /// Evaluates one design implementation end to end on the paper's Fig. 1
+    /// chain of the configured parameters: execution time split, energy and
+    /// resources — [`CoDesignFlow::evaluate_plan`] on
+    /// [`PipelinePlan::from_params`].
     pub fn evaluate(&self, design: DesignImplementation) -> DesignReport {
-        let profile = self.profile();
-        let ps_rest = profile.seconds_excluding(StageKind::GaussianBlur);
-        let sw_blur = profile
-            .stage(StageKind::GaussianBlur)
-            .map(|s| s.seconds)
-            .unwrap_or(0.0);
-
-        let schedule = self.schedule_for(design);
-        let pl_model = PlModel::new(self.simulator.config.pl_clock_hz);
-
-        let (blur_seconds, pl_utilization, phases) = match &schedule {
-            None => (
-                sw_blur,
-                0.0,
-                vec![
-                    Phase::ps("normalization + masking + adjustment (PS)", ps_rest),
-                    Phase::ps("Gaussian blur (PS)", sw_blur),
-                ],
-            ),
-            Some(schedule) => {
-                let run = pl_model.run(schedule, &self.tech);
-                (
-                    run.seconds,
-                    run.utilization,
-                    vec![
-                        Phase::ps("normalization + masking + adjustment (PS)", ps_rest),
-                        Phase::pl("Gaussian blur (PL accelerator)", run.seconds),
-                    ],
-                )
-            }
-        };
-
-        let plan = ExecutionPlan {
-            phases,
-            pl_utilization,
-        };
-        let system = self.simulator.run(&plan);
-
-        DesignReport {
-            design,
-            accelerated_seconds: blur_seconds,
-            total_seconds: system.total_seconds,
-            ps_seconds: system.ps_seconds,
-            pl_seconds: system.pl_seconds,
-            energy: system.energy,
-            pl_utilization,
-            schedule,
-            system,
-        }
+        self.evaluate_plan(&PipelinePlan::from_params(&self.params), design)
     }
 
     /// Evaluates one design implementation for an *arbitrary*
@@ -425,13 +379,11 @@ impl CoDesignFlow {
     /// the **first** stencil stage's kernel schedule (the field models one
     /// accelerator) — read the per-stage phases for the others.
     ///
-    /// For the paper-shaped plan this reproduces every number of
-    /// [`CoDesignFlow::evaluate`] exactly (only the phase labels differ).
-    pub fn evaluate_plan(
-        &self,
-        plan: &tonemap_core::PipelinePlan,
-        design: DesignImplementation,
-    ) -> DesignReport {
+    /// On the paper's Fig. 1 plan this is the Table II evaluation,
+    /// [`CoDesignFlow::evaluate`]: its one stencil stage is the one
+    /// accelerator, so every number is that accelerator's (utilization
+    /// capped at the full device).
+    pub fn evaluate_plan(&self, plan: &PipelinePlan, design: DesignImplementation) -> DesignReport {
         let profile = self.profiler.profile_plan(plan, self.width, self.height);
         let sw_blur: f64 = profile
             .stages
@@ -508,7 +460,7 @@ impl CoDesignFlow {
     /// file, not a hard-coded channel count.
     pub fn cascade_cost(
         &self,
-        plan: &tonemap_core::PipelinePlan,
+        plan: &PipelinePlan,
         design: DesignImplementation,
     ) -> CascadeCostReport {
         let sample_bits: u64 = if design == DesignImplementation::FixedPointConversion {
@@ -809,24 +761,6 @@ mod tests {
         assert!(extended.masking_seconds > 0.0 && extended.blur_seconds > 0.0);
         let text = extended.to_string();
         assert!(text.contains("blur + masking"));
-    }
-
-    #[test]
-    fn evaluate_plan_reproduces_table_two_numbers_for_the_paper_plan() {
-        use tonemap_core::PipelinePlan;
-        let flow = CoDesignFlow::paper_setup(512, 512);
-        let plan = PipelinePlan::paper_default();
-        for design in DesignImplementation::ALL {
-            let classic = flow.evaluate(design);
-            let via_plan = flow.evaluate_plan(&plan, design);
-            assert_eq!(classic.accelerated_seconds, via_plan.accelerated_seconds);
-            assert_eq!(classic.total_seconds, via_plan.total_seconds);
-            assert_eq!(classic.ps_seconds, via_plan.ps_seconds);
-            assert_eq!(classic.pl_seconds, via_plan.pl_seconds);
-            assert_eq!(classic.pl_utilization, via_plan.pl_utilization);
-            assert_eq!(classic.energy, via_plan.energy);
-            assert_eq!(classic.schedule, via_plan.schedule);
-        }
     }
 
     #[test]

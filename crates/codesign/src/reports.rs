@@ -9,6 +9,9 @@
 //!   bottomline/overhead split of Fig. 8.
 //! * [`QualityReport`] (re-exported) — the
 //!   PSNR/SSIM comparison of Fig. 5.
+//!
+//! [`json`] is the one JSON writer: the breakdowns' `to_json` and the bench
+//! gates' `BENCH_*.json` records are built on it.
 
 use crate::flow::{DesignImplementation, FlowReport};
 use serde::{Deserialize, Serialize};
@@ -24,6 +27,61 @@ pub fn optimization_steps() -> Vec<(usize, &'static str)> {
         (2, "Pipelining and array partitioning through HLS pragmas"),
         (3, "Floating-point to fixed-point conversion"),
     ]
+}
+
+/// Hand-rolled JSON emission for the reports and the bench gates: no
+/// `serde_json`, so the workspace builds offline — just strings, with
+/// non-finite numbers rejected loudly so a NaN can never reach a report or
+/// a `BENCH_*.json` artefact.
+pub mod json {
+    /// Renders an `f64` as a JSON number.
+    ///
+    /// # Panics
+    ///
+    /// Panics on non-finite values: a gate that measured a NaN/∞ must fail,
+    /// not persist it.
+    pub fn num(value: f64) -> String {
+        assert!(
+            value.is_finite(),
+            "JSON numbers must be finite, got {value}"
+        );
+        format!("{value}")
+    }
+
+    /// Renders a string as a JSON string literal (escaping quotes,
+    /// backslashes and control characters).
+    pub fn string(value: &str) -> String {
+        let mut out = String::with_capacity(value.len() + 2);
+        out.push('"');
+        for c in value.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\t' => out.push_str("\\t"),
+                '\r' => out.push_str("\\r"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    /// Renders already-serialised values as a JSON array.
+    pub fn arr(items: impl IntoIterator<Item = String>) -> String {
+        let items: Vec<String> = items.into_iter().collect();
+        format!("[{}]", items.join(", "))
+    }
+
+    /// Renders `(key, already-serialised value)` pairs as a JSON object.
+    pub fn obj<'a>(fields: impl IntoIterator<Item = (&'a str, String)>) -> String {
+        let fields: Vec<String> = fields
+            .into_iter()
+            .map(|(k, v)| format!("{}: {v}", string(k)))
+            .collect();
+        format!("{{{}}}", fields.join(", "))
+    }
 }
 
 /// One row of Table II / one bar group of Fig. 6.
@@ -81,35 +139,21 @@ impl ExecutionBreakdown {
     }
 
     /// Serialises the breakdown to JSON (used by the bench harness to dump
-    /// machine-readable results alongside the text tables).
-    ///
-    /// Emitted by hand rather than through `serde_json` so the workspace
-    /// builds offline; the shape mirrors what a serde derive would produce,
-    /// with designs rendered as their variant names.
+    /// machine-readable results alongside the text tables), through
+    /// [`json`]: the shape mirrors what a serde derive would produce, with
+    /// designs rendered as their variant names.
     pub fn to_json(&self) -> String {
-        let rows: Vec<String> = self
-            .rows
-            .iter()
-            .map(|r| {
-                format!(
-                    "    {{\n      \"design\": \"{:?}\",\n      \"blur_seconds\": {},\n      \"total_seconds\": {},\n      \"ps_seconds\": {},\n      \"pl_seconds\": {}\n    }}",
-                    r.design,
-                    json_f64(r.blur_seconds),
-                    json_f64(r.total_seconds),
-                    json_f64(r.ps_seconds),
-                    json_f64(r.pl_seconds)
-                )
-            })
-            .collect();
-        format!("{{\n  \"rows\": [\n{}\n  ]\n}}", rows.join(",\n"))
+        let rows = self.rows.iter().map(|r| {
+            json::obj([
+                ("design", json::string(&format!("{:?}", r.design))),
+                ("blur_seconds", json::num(r.blur_seconds)),
+                ("total_seconds", json::num(r.total_seconds)),
+                ("ps_seconds", json::num(r.ps_seconds)),
+                ("pl_seconds", json::num(r.pl_seconds)),
+            ])
+        });
+        json::obj([("rows", json::arr(rows))])
     }
-}
-
-/// Renders an `f64` as a JSON number (finite values only, which is all the
-/// flow ever produces).
-fn json_f64(value: f64) -> String {
-    debug_assert!(value.is_finite(), "report values are always finite");
-    format!("{value}")
 }
 
 impl fmt::Display for ExecutionBreakdown {
@@ -235,34 +279,24 @@ impl EnergyBreakdown {
             .collect()
     }
 
-    /// Serialises the breakdown to JSON (hand-emitted; see
+    /// Serialises the breakdown to JSON (through [`json`]; see
     /// [`ExecutionBreakdown::to_json`]).
     pub fn to_json(&self) -> String {
-        let rows: Vec<String> = self
-            .rows
-            .iter()
-            .map(|r| {
-                let rails: Vec<String> = r
-                    .rails
-                    .iter()
-                    .map(|rail| {
-                        format!(
-                            "        {{\n          \"rail\": \"{:?}\",\n          \"bottomline_j\": {},\n          \"overhead_j\": {}\n        }}",
-                            rail.rail,
-                            json_f64(rail.bottomline_j),
-                            json_f64(rail.overhead_j)
-                        )
-                    })
-                    .collect();
-                format!(
-                    "    {{\n      \"design\": \"{:?}\",\n      \"rails\": [\n{}\n      ],\n      \"total_j\": {}\n    }}",
-                    r.design,
-                    rails.join(",\n"),
-                    json_f64(r.total_j)
-                )
-            })
-            .collect();
-        format!("{{\n  \"rows\": [\n{}\n  ]\n}}", rows.join(",\n"))
+        let rows = self.rows.iter().map(|r| {
+            let rails = r.rails.iter().map(|rail| {
+                json::obj([
+                    ("rail", json::string(&format!("{:?}", rail.rail))),
+                    ("bottomline_j", json::num(rail.bottomline_j)),
+                    ("overhead_j", json::num(rail.overhead_j)),
+                ])
+            });
+            json::obj([
+                ("design", json::string(&format!("{:?}", r.design))),
+                ("rails", json::arr(rails)),
+                ("total_j", json::num(r.total_j)),
+            ])
+        });
+        json::obj([("rows", json::arr(rows))])
     }
 }
 

@@ -81,7 +81,7 @@ mod sample;
 pub mod stream;
 
 pub use params::{AdjustParams, BlurParams, MaskingParams, ParamError, ToneMapParams};
-pub use pipeline::{PipelineStages, ToneMapper};
+pub use pipeline::ToneMapper;
 pub use plan::{
     run_color_plan, ChannelLayout, ColorStage, PipelineOp, PipelineOpKind, PipelinePlan, PlanError,
     PlanSegment, PlanSegmentation, PlanTuning,

@@ -14,6 +14,8 @@ pub enum ParamError {
     NonPositiveSigma(f32),
     /// The blur radius is zero (the kernel would be a single tap).
     ZeroBlurRadius,
+    /// The blur radius exceeds [`BlurParams::MAX_RADIUS`].
+    BlurRadiusTooLarge(usize),
     /// The masking strength is negative or not finite.
     InvalidMaskingStrength(f32),
     /// The contrast factor is zero, negative or not finite.
@@ -22,6 +24,8 @@ pub enum ParamError {
     NonFiniteBrightness(f32),
     /// The channel count is zero.
     ZeroChannels,
+    /// The channel count exceeds [`ToneMapParams::MAX_CHANNELS`].
+    TooManyChannels(usize),
 }
 
 impl fmt::Display for ParamError {
@@ -31,6 +35,11 @@ impl fmt::Display for ParamError {
                 write!(f, "blur sigma must be positive and finite, got {sigma}")
             }
             ParamError::ZeroBlurRadius => write!(f, "blur radius must be at least 1"),
+            ParamError::BlurRadiusTooLarge(radius) => write!(
+                f,
+                "blur radius must be at most {}, got {radius}",
+                BlurParams::MAX_RADIUS
+            ),
             ParamError::InvalidMaskingStrength(strength) => write!(
                 f,
                 "masking strength must be non-negative and finite, got {strength}"
@@ -43,6 +52,11 @@ impl fmt::Display for ParamError {
                 write!(f, "brightness offset must be finite, got {brightness}")
             }
             ParamError::ZeroChannels => write!(f, "channel count must be at least 1"),
+            ParamError::TooManyChannels(channels) => write!(
+                f,
+                "channel count must be at most {}, got {channels}",
+                ToneMapParams::MAX_CHANNELS
+            ),
         }
     }
 }
@@ -66,6 +80,12 @@ pub struct BlurParams {
 }
 
 impl BlurParams {
+    /// The largest accepted radius: a 511-tap kernel, 12× the paper's 41
+    /// taps. Every executor's work and every streaming row ring grow with
+    /// the radius, so an unbounded client value could stall a worker for
+    /// seconds per job, or overflow the tap count `2·radius + 1` and panic.
+    pub const MAX_RADIUS: usize = 255;
+
     /// The configuration used by every experiment in this repository: a
     /// 41-tap kernel (σ = 7), the scale of low-pass mask a 1024×1024 local
     /// operator needs, and a line-buffer footprint (41 image rows) that fits
@@ -82,14 +102,18 @@ impl BlurParams {
         2 * self.radius + 1
     }
 
-    /// Validates the parameters (positive σ, non-zero radius), returning a
-    /// typed error describing the first violation.
+    /// Validates the parameters (positive σ, radius in
+    /// `1..=`[`BlurParams::MAX_RADIUS`]), returning a typed error describing
+    /// the first violation.
     pub fn validate(&self) -> Result<(), ParamError> {
         if !(self.sigma > 0.0 && self.sigma.is_finite()) {
             return Err(ParamError::NonPositiveSigma(self.sigma));
         }
         if self.radius == 0 {
             return Err(ParamError::ZeroBlurRadius);
+        }
+        if self.radius > BlurParams::MAX_RADIUS {
+            return Err(ParamError::BlurRadiusTooLarge(self.radius));
         }
         Ok(())
     }
@@ -187,6 +211,12 @@ pub struct ToneMapParams {
 }
 
 impl ToneMapParams {
+    /// The largest accepted channel count: room for RGBA, where the in-tree
+    /// values are 1 (a luminance plane) and 3 (the paper's RGB reference).
+    /// The profiler emits one function entry per channel, so an unbounded
+    /// client value could exhaust memory.
+    pub const MAX_CHANNELS: usize = 4;
+
     /// The configuration used by every experiment in this repository.
     pub fn paper_default() -> Self {
         ToneMapParams {
@@ -212,6 +242,9 @@ impl ToneMapParams {
         }
         if self.channels == 0 {
             return Err(ParamError::ZeroChannels);
+        }
+        if self.channels > ToneMapParams::MAX_CHANNELS {
+            return Err(ParamError::TooManyChannels(self.channels));
         }
         Ok(())
     }
@@ -269,6 +302,32 @@ mod tests {
     }
 
     #[test]
+    fn radius_and_channel_bounds_are_inclusive() {
+        let mut p = ToneMapParams::paper_default();
+        p.blur.radius = BlurParams::MAX_RADIUS;
+        p.channels = ToneMapParams::MAX_CHANNELS;
+        assert_eq!(p.validate(), Ok(()));
+        p.blur.radius = BlurParams::MAX_RADIUS + 1;
+        assert_eq!(
+            p.validate(),
+            Err(ParamError::BlurRadiusTooLarge(BlurParams::MAX_RADIUS + 1))
+        );
+        p.blur.radius = usize::MAX;
+        assert_eq!(
+            p.validate(),
+            Err(ParamError::BlurRadiusTooLarge(usize::MAX))
+        );
+        p.blur.radius = BlurParams::MAX_RADIUS;
+        p.channels = ToneMapParams::MAX_CHANNELS + 1;
+        assert_eq!(
+            p.validate(),
+            Err(ParamError::TooManyChannels(ToneMapParams::MAX_CHANNELS + 1))
+        );
+        // The spec-property generator draws radii up to 29.
+        const { assert!(BlurParams::MAX_RADIUS >= 29) };
+    }
+
+    #[test]
     fn param_errors_display_the_offending_value() {
         assert!(ParamError::NonPositiveSigma(-2.0)
             .to_string()
@@ -278,6 +337,10 @@ mod tests {
             .to_string()
             .contains("contrast"));
         assert!(ParamError::ZeroChannels.to_string().contains("channel"));
+        assert!(ParamError::BlurRadiusTooLarge(256)
+            .to_string()
+            .contains("256"));
+        assert!(ParamError::TooManyChannels(5).to_string().contains('5'));
     }
 
     #[test]

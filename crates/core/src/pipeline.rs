@@ -1,43 +1,11 @@
 //! The assembled tone-mapping pipeline.
 
-use crate::adjust::apply_adjustment;
 use crate::blur::blur_separable;
-use crate::masking::{apply_masking, invert};
-use crate::normalize::{normalize, normalize_to};
 use crate::ops::PipelineProfile;
 use crate::params::{ParamError, ToneMapParams};
-use crate::plan::{
-    execute_plan, execute_plan_hw_blur, run_color_plan, ChannelLayout, PipelinePlan,
-};
+use crate::plan::{accelerated_blur, execute_plan, run_color_plan, ChannelLayout, PipelinePlan};
 use crate::sample::Sample;
-use hdr_image::{ImageBuffer, LuminanceImage, RgbImage};
-
-/// The intermediate results of one pipeline execution.
-///
-/// Exposing the intermediates (rather than only the final image) lets the
-/// co-design flow substitute the accelerator's output for the software blur,
-/// lets the quality experiments compare stage-by-stage, and avoids
-/// recomputing shared work (C-INTERMEDIATE).
-#[derive(Debug, Clone)]
-pub struct PipelineStages<S> {
-    /// The normalized input image in the working sample type.
-    pub normalized: ImageBuffer<S>,
-    /// The Gaussian-blurred mask (of the inverted or direct normalized image,
-    /// depending on [`crate::MaskingParams::invert_mask`]).
-    pub mask: ImageBuffer<S>,
-    /// The image after non-linear masking.
-    pub masked: ImageBuffer<S>,
-    /// The final image after brightness/contrast adjustment.
-    pub adjusted: ImageBuffer<S>,
-}
-
-impl<S: Sample> PipelineStages<S> {
-    /// Converts the final adjusted image back to `f32` for display or metric
-    /// computation.
-    pub fn output_f32(&self) -> LuminanceImage {
-        self.adjusted.map(|&v| v.to_f32())
-    }
-}
+use hdr_image::{LuminanceImage, RgbImage};
 
 /// The two-pass (materialized) pipeline planner: compiles a
 /// [`PipelinePlan`] into stage-by-stage execution with one full-size
@@ -58,6 +26,9 @@ impl<S: Sample> PipelineStages<S> {
 ///   exactly the hardware/software split of the paper, where the accelerator
 ///   receives the mask input over a 16-bit bus, blurs it in `ap_fixed`
 ///   arithmetic and streams it back.
+///
+/// Both are one walk over the plan's ops; they differ only in the sample
+/// type of the image register and in the stencil step.
 ///
 /// # Example
 ///
@@ -98,17 +69,12 @@ impl ToneMapper {
     /// Creates a tone mapper compiling the paper's Fig. 1 chain, returning a
     /// typed [`ParamError`] if the parameters are invalid.
     pub fn try_new(params: ToneMapParams) -> Result<Self, ParamError> {
-        params.validate()?;
-        Ok(ToneMapper {
-            params,
-            plan: PipelinePlan::from_params(&params),
-        })
+        ToneMapper::compile(PipelinePlan::from_params(&params), params)
     }
 
     /// Compiles an arbitrary validated [`PipelinePlan`] for two-pass
-    /// execution. `params` seeds everything that lives outside the plan
-    /// (the profiled channel count, the [`ToneMapper::run_stages`] Fig. 1
-    /// inspector); the plan's own stage parameters drive execution.
+    /// execution. `params` seeds what lives outside the plan (the profiled
+    /// channel count); the plan's own stage parameters drive execution.
     ///
     /// # Errors
     ///
@@ -129,65 +95,9 @@ impl ToneMapper {
         &self.plan
     }
 
-    /// Runs the *Fig. 1 chain of the base parameters* in the working sample
-    /// type `S`, returning every intermediate stage — the inspector the
-    /// co-design flow and the quality experiments use for stage
-    /// substitution. For mappers built through [`ToneMapper::new`] /
-    /// [`ToneMapper::try_new`] this is exactly the compiled plan; mappers
-    /// compiled from a custom plan execute that plan through the
-    /// `map_luminance*` methods instead.
-    pub fn run_stages<S: Sample>(&self, hdr: &LuminanceImage) -> PipelineStages<S> {
-        let normalized: ImageBuffer<S> = normalize_to::<S>(hdr);
-        let mask_input = if self.params.masking.invert_mask {
-            invert(&normalized)
-        } else {
-            normalized.clone()
-        };
-        let mask = blur_separable(&mask_input, &self.params.blur);
-        let masked = apply_masking(&normalized, &mask, &self.params.masking);
-        let adjusted = apply_adjustment(&masked, &self.params.adjust);
-        PipelineStages {
-            normalized,
-            mask,
-            masked,
-            adjusted,
-        }
-    }
-
-    /// Runs the pipeline with the paper's hardware/software split: the
-    /// point-wise stages execute in `f32` (processing system) while the
-    /// Gaussian blur executes in the sample type `S` (programmable logic),
-    /// with quantisation at the accelerator boundary in both directions.
-    pub fn run_stages_hw_blur<S: Sample>(&self, hdr: &LuminanceImage) -> PipelineStages<f32> {
-        let normalized = normalize(hdr);
-        let mask_input = if self.params.masking.invert_mask {
-            normalized.map(|&v| 1.0 - v)
-        } else {
-            normalized.clone()
-        };
-        // Accelerator boundary: quantise to S on the way in, blur in S,
-        // dequantise on the way back — the DDR → BRAM → DDR round trip of
-        // Fig. 4 with a W-bit data bus.
-        let accel_in: ImageBuffer<S> = mask_input.map(|&v| S::from_f32(v));
-        let accel_out = blur_separable(&accel_in, &self.params.blur);
-        let mask: LuminanceImage = accel_out.map(|&v| v.to_f32());
-        let masked = apply_masking(&normalized, &mask, &self.params.masking);
-        let adjusted = apply_adjustment(&masked, &self.params.adjust);
-        PipelineStages {
-            normalized,
-            mask,
-            masked,
-            adjusted,
-        }
-    }
-
     /// Tone-maps an HDR luminance image through the compiled plan, computing
     /// every stage in the sample type `S` and returning the display-referred
     /// result as `f32` in `[0, 1]`.
-    ///
-    /// For the Fig. 1 plan this is bit-identical to
-    /// `run_stages::<S>(hdr).output_f32()` — same stage functions, same
-    /// order.
     ///
     /// # Panics
     ///
@@ -196,7 +106,7 @@ impl ToneMapper {
     /// point — run them through [`ToneMapper::map_rgb`].
     pub fn map_luminance<S: Sample>(&self, hdr: &LuminanceImage) -> LuminanceImage {
         self.assert_scalar_input("map_luminance");
-        execute_plan::<S>(&self.plan, hdr).map(|&v| v.to_f32())
+        execute_plan(&self.plan, hdr, blur_separable::<S>).map(|&v| v.to_f32())
     }
 
     /// Tone-maps an HDR luminance image entirely in 32-bit floating point —
@@ -218,7 +128,7 @@ impl ToneMapper {
     /// point — run them through [`ToneMapper::map_rgb_hw_blur`].
     pub fn map_luminance_hw_blur<S: Sample>(&self, hdr: &LuminanceImage) -> LuminanceImage {
         self.assert_scalar_input("map_luminance_hw_blur");
-        execute_plan_hw_blur::<S>(&self.plan, hdr)
+        execute_plan(&self.plan, hdr, accelerated_blur::<S>)
     }
 
     fn assert_scalar_input(&self, method: &str) {
@@ -250,7 +160,7 @@ impl ToneMapper {
     /// API.
     pub fn map_rgb<S: Sample>(&self, hdr: &RgbImage) -> Result<RgbImage, hdr_image::ImageError> {
         run_color_plan(&self.plan, hdr, |_, sub_plan, lum| {
-            Ok(execute_plan::<S>(sub_plan, lum).map(|&v| v.to_f32()))
+            Ok(execute_plan(sub_plan, lum, blur_separable::<S>).map(|&v| v.to_f32()))
         })
     }
 
@@ -271,7 +181,7 @@ impl ToneMapper {
         hdr: &RgbImage,
     ) -> Result<RgbImage, hdr_image::ImageError> {
         run_color_plan(&self.plan, hdr, |_, sub_plan, lum| {
-            Ok(execute_plan_hw_blur::<S>(sub_plan, lum))
+            Ok(execute_plan(sub_plan, lum, accelerated_blur::<S>))
         })
     }
 
@@ -365,18 +275,6 @@ mod tests {
     }
 
     #[test]
-    fn stages_expose_consistent_intermediates() {
-        let hdr = SceneKind::MemorialComposite.generate(32, 32, 6);
-        let stages = mapper().run_stages::<f32>(&hdr);
-        assert_eq!(stages.normalized.dimensions(), (32, 32));
-        assert_eq!(stages.mask.dimensions(), (32, 32));
-        assert_eq!(stages.masked.dimensions(), (32, 32));
-        assert_eq!(stages.adjusted.dimensions(), (32, 32));
-        let out = stages.output_f32();
-        assert_eq!(out, mapper().map_luminance_f32(&hdr));
-    }
-
-    #[test]
     fn hw_blur_with_f32_matches_pure_software_path() {
         let hdr = SceneKind::SunAndShadow.generate(48, 48, 5);
         let m = mapper();
@@ -447,26 +345,6 @@ mod tests {
         assert_eq!(
             *ToneMapper::default().params(),
             ToneMapParams::paper_default()
-        );
-    }
-
-    #[test]
-    fn plan_execution_is_bit_identical_to_the_fig1_stage_chain() {
-        // The redesign contract: the compiled paper plan reproduces the
-        // hard-coded chain exactly, in every sample mode.
-        let hdr = SceneKind::WindowInDarkRoom.generate(48, 37, 3);
-        let m = mapper();
-        assert_eq!(
-            m.map_luminance_f32(&hdr),
-            m.run_stages::<f32>(&hdr).output_f32()
-        );
-        assert_eq!(
-            m.map_luminance::<Fix16>(&hdr),
-            m.run_stages::<Fix16>(&hdr).output_f32()
-        );
-        assert_eq!(
-            m.map_luminance_hw_blur::<Fix16>(&hdr),
-            m.run_stages_hw_blur::<Fix16>(&hdr).output_f32()
         );
     }
 

@@ -1780,7 +1780,7 @@ pub fn histogram_equalize<S: Sample>(image: &ImageBuffer<S>, bins: usize) -> Ima
 // ---------------------------------------------------------------------------
 
 /// Applies one non-stencil op to the image register in the working sample
-/// type — the stage dispatch shared by both two-pass modes (and, for the
+/// type — the stage dispatch of the two-pass walk (and, for the
 /// point ops, numerically identical to the streaming epilog).
 fn apply_register_op<S: Sample>(
     img: ImageBuffer<S>,
@@ -1831,20 +1831,24 @@ fn apply_register_op<S: Sample>(
     }
 }
 
-/// Two-pass execution with *every* stage in the working sample type `S` —
-/// the schedule of [`crate::ToneMapper::map_luminance`] (software reference
-/// when `S = f32`, the all-fixed ablation otherwise). For the paper plan
-/// this calls exactly the stage functions the pre-redesign chain called, in
-/// the same order, so outputs are bit-identical.
-pub(crate) fn execute_plan<S: Sample>(plan: &PipelinePlan, hdr: &LuminanceImage) -> ImageBuffer<S> {
+/// Two-pass execution: each op materializes a full-size register in `R`,
+/// each stencil runs through `stencil`. `R = S` with `blur_separable` runs
+/// every stage in `S`; `R = f32` with [`accelerated_blur`] is the paper's
+/// hardware/software split. For the paper plan either calls exactly the
+/// stage functions the pre-redesign chains called, in the same order.
+pub(crate) fn execute_plan<R: Sample>(
+    plan: &PipelinePlan,
+    hdr: &LuminanceImage,
+    stencil: impl Fn(&ImageBuffer<R>, &BlurParams) -> ImageBuffer<R>,
+) -> ImageBuffer<R> {
     let mut ops = plan.ops().iter();
-    let mut img: ImageBuffer<S> = if plan.starts_with_normalize() {
+    let mut img: ImageBuffer<R> = if plan.starts_with_normalize() {
         ops.next();
-        crate::normalize::normalize_to::<S>(hdr)
+        crate::normalize::normalize_to::<R>(hdr)
     } else {
-        hdr.map(|&v| S::from_f32(normalize_sample(v, None)))
+        hdr.map(|&v| R::from_f32(normalize_sample(v, None)))
     };
-    let mut mask: Option<ImageBuffer<S>> = None;
+    let mut mask: Option<ImageBuffer<R>> = None;
     for op in ops {
         match *op {
             PipelineOp::BlurMask { blur, invert_input } => {
@@ -1853,7 +1857,7 @@ pub(crate) fn execute_plan<S: Sample>(plan: &PipelinePlan, hdr: &LuminanceImage)
                 } else {
                     img.clone()
                 };
-                mask = Some(crate::blur::blur_separable(&mask_input, &blur));
+                mask = Some(stencil(&mask_input, &blur));
             }
             _ => img = apply_register_op(img, op, &mut mask),
         }
@@ -1861,44 +1865,21 @@ pub(crate) fn execute_plan<S: Sample>(plan: &PipelinePlan, hdr: &LuminanceImage)
     img
 }
 
-/// Two-pass execution with the paper's hardware/software split: every
-/// point/reduction stage in `f32` (the processing system), the stencil in
-/// `S` with quantisation at the accelerator boundary (the DDR → BRAM → DDR
-/// round trip of Fig. 4) — the schedule of
-/// [`crate::ToneMapper::map_luminance_hw_blur`].
-pub(crate) fn execute_plan_hw_blur<S: Sample>(
-    plan: &PipelinePlan,
-    hdr: &LuminanceImage,
+/// The stencil step of the hardware/software split: quantise the `f32`
+/// register into `S`, blur in `S`, dequantise — the DDR → BRAM → DDR round
+/// trip of Fig. 4 with a W-bit data bus.
+pub(crate) fn accelerated_blur<S: Sample>(
+    input: &LuminanceImage,
+    blur: &BlurParams,
 ) -> LuminanceImage {
-    let mut ops = plan.ops().iter();
-    let mut img: LuminanceImage = if plan.starts_with_normalize() {
-        ops.next();
-        crate::normalize::normalize(hdr)
-    } else {
-        hdr.map(|&v| normalize_sample(v, None))
-    };
-    let mut mask: Option<LuminanceImage> = None;
-    for op in ops {
-        match *op {
-            PipelineOp::BlurMask { blur, invert_input } => {
-                let mask_input = if invert_input {
-                    img.map(|&v| 1.0 - v)
-                } else {
-                    img.clone()
-                };
-                let accel_in: ImageBuffer<S> = mask_input.map(|&v| S::from_f32(v));
-                let accel_out = crate::blur::blur_separable(&accel_in, &blur);
-                mask = Some(accel_out.map(|&v| v.to_f32()));
-            }
-            _ => img = apply_register_op(img, op, &mut mask),
-        }
-    }
-    img
+    let accel_in: ImageBuffer<S> = input.map(|&v| S::from_f32(v));
+    crate::blur::blur_separable(&accel_in, blur).map(|&v| v.to_f32())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::blur::blur_separable;
     use apfixed::Fix16;
     use hdr_image::synth::SceneKind;
 
@@ -2228,8 +2209,8 @@ mod tests {
     fn hw_split_executor_with_f32_matches_the_all_sample_executor() {
         let hdr = SceneKind::WindowInDarkRoom.generate(40, 33, 5);
         let plan = PipelinePlan::paper_default();
-        let all = execute_plan::<f32>(&plan, &hdr).map(|&v| v.to_f32());
-        let split = execute_plan_hw_blur::<f32>(&plan, &hdr);
+        let all = execute_plan(&plan, &hdr, blur_separable::<f32>).map(|&v| v.to_f32());
+        let split = execute_plan(&plan, &hdr, accelerated_blur::<f32>);
         assert_eq!(all, split);
     }
 
@@ -2244,9 +2225,9 @@ mod tests {
             )
             .unwrap()
             .unwrap();
-            let f = execute_plan_hw_blur::<f32>(&plan, &hdr);
+            let f = execute_plan(&plan, &hdr, accelerated_blur::<f32>);
             assert!(f.pixels().iter().all(|v| (0.0..=1.0).contains(v)), "{name}");
-            let fx = execute_plan::<Fix16>(&plan, &hdr);
+            let fx = execute_plan(&plan, &hdr, blur_separable::<Fix16>);
             for (a, b) in f.pixels().iter().zip(fx.pixels()) {
                 assert!(
                     (a - b.to_f32()).abs() < 0.05,
@@ -2493,13 +2474,13 @@ mod tests {
         let plan = PipelinePlan::paper_default();
         // The old hard-coded backend path: extract, tone-map, reapply.
         let lum = luminance_plane(&hdr);
-        let mapped = execute_plan_hw_blur::<Fix16>(&plan, &lum);
+        let mapped = execute_plan(&plan, &lum, accelerated_blur::<Fix16>);
         let old = reapply_color(&hdr, &mapped).unwrap();
         // The same wrapper expressed as plan composition.
         let new = run_color_plan::<hdr_image::ImageError, _>(&plan, &hdr, |start, sub, l| {
             assert_eq!(start, 1);
             assert_eq!(sub.ops(), plan.ops());
-            Ok(execute_plan_hw_blur::<Fix16>(sub, l))
+            Ok(execute_plan(sub, l, accelerated_blur::<Fix16>))
         })
         .unwrap();
         assert_eq!(old, new);
@@ -2517,7 +2498,7 @@ mod tests {
                 .unwrap()
                 .unwrap();
             let out = run_color_plan::<hdr_image::ImageError, _>(&plan, &black, |_, sub, l| {
-                Ok(execute_plan_hw_blur::<f32>(sub, l))
+                Ok(execute_plan(sub, l, accelerated_blur::<f32>))
             })
             .unwrap();
             for p in out.pixels() {
@@ -2538,7 +2519,7 @@ mod tests {
         let scene = RgbImage::from_vec(16, 16, pixels).unwrap();
         let plan = PipelinePlan::paper_default();
         let out = run_color_plan::<hdr_image::ImageError, _>(&plan, &scene, |_, sub, l| {
-            Ok(execute_plan_hw_blur::<f32>(sub, l))
+            Ok(execute_plan(sub, l, accelerated_blur::<f32>))
         })
         .unwrap();
         for p in out.pixels() {
@@ -2567,7 +2548,7 @@ mod tests {
         let run = |ops: Vec<PipelineOp>| {
             let plan = PipelinePlan::with_input(ChannelLayout::Rgb, ops).unwrap();
             run_color_plan::<hdr_image::ImageError, _>(&plan, &hdr, |_, sub, l| {
-                Ok(execute_plan_hw_blur::<f32>(sub, l))
+                Ok(execute_plan(sub, l, accelerated_blur::<f32>))
             })
             .unwrap()
         };

@@ -75,12 +75,11 @@ use crate::blur::{gaussian_kernel, quantize_kernel};
 use crate::normalize::{normalization_scale, normalize_sample};
 use crate::params::{ParamError, ToneMapParams};
 use crate::plan::{
-    execute_plan_hw_blur, histogram_equalize, run_color_plan, ChannelLayout, ColorStage,
+    accelerated_blur, execute_plan, histogram_equalize, run_color_plan, ChannelLayout, ColorStage,
     PipelineOp, PipelineOpKind, PipelinePlan,
 };
 use crate::point::{apply_chain, CompiledPointOp, Ingest};
 use crate::sample::Sample;
-use hdr_image::rgb::{luminance_plane, reapply_color};
 use hdr_image::{LuminanceImage, RgbImage};
 use std::fmt;
 
@@ -281,8 +280,8 @@ struct StreamProgram<S: Sample> {
 /// executed straight from the plan's colour walk.
 #[derive(Debug, Clone, PartialEq)]
 struct ColorProgram<S: Sample> {
-    /// `(start, sub-plan, compiled sub-program)` per embedded scalar run.
-    subs: Vec<(usize, PipelinePlan, Program<S>)>,
+    /// `(start, compiled sub-program)` per embedded scalar run.
+    subs: Vec<(usize, Program<S>)>,
 }
 
 #[derive(Debug, Clone, PartialEq)]
@@ -299,8 +298,7 @@ fn compile_program<S: Sample>(plan: &PipelinePlan) -> Program<S> {
             .into_iter()
             .filter_map(|stage| match stage {
                 ColorStage::Scalar { plan, start } => {
-                    let program = compile_scalar_program::<S>(&plan);
-                    Some((start, plan, program))
+                    Some((start, compile_scalar_program::<S>(&plan)))
                 }
                 _ => None,
             })
@@ -412,11 +410,7 @@ impl<S: Sample> StreamingToneMapper<S> {
     /// returning a typed [`ParamError`] if the parameters are invalid. The
     /// blur kernel is quantised into `S` here, once.
     pub fn try_new(params: ToneMapParams) -> Result<Self, ParamError> {
-        params.validate()?;
-        Ok(StreamingToneMapper::compiled(
-            PipelinePlan::from_params(&params),
-            params,
-        ))
+        StreamingToneMapper::compile(PipelinePlan::from_params(&params), params)
     }
 
     /// Compiles an arbitrary validated [`PipelinePlan`] for streaming
@@ -432,17 +426,12 @@ impl<S: Sample> StreamingToneMapper<S> {
     /// itself was validated when it was built).
     pub fn compile(plan: PipelinePlan, params: ToneMapParams) -> Result<Self, ParamError> {
         params.validate()?;
-        Ok(StreamingToneMapper::compiled(plan, params))
-    }
-
-    fn compiled(plan: PipelinePlan, params: ToneMapParams) -> Self {
-        let program = compile_program::<S>(&plan);
-        StreamingToneMapper {
+        Ok(StreamingToneMapper {
             params,
+            program: compile_program::<S>(&plan),
             plan,
-            program,
             threads: 1,
-        }
+        })
     }
 
     /// Sets how many row slices to process concurrently (clamped to at
@@ -485,7 +474,7 @@ impl<S: Sample> StreamingToneMapper<S> {
             Program::Color(color) => {
                 let mut reasons: Vec<FusionBlocker> = Vec::new();
                 let mut barriers: Vec<StreamBarrier> = Vec::new();
-                for (start, _, program) in &color.subs {
+                for (start, program) in &color.subs {
                     match program {
                         Program::Fallback(sub) => reasons.extend(sub.iter().map(|r| {
                             let FusionBlocker::MaskAcrossBarrier { producer, barrier } = *r;
@@ -526,37 +515,33 @@ impl<S: Sample> StreamingToneMapper<S> {
     /// [`crate::ToneMapper::map_luminance_hw_blur`] produces for the same
     /// plan (and, for `S = f32`, the same pixels as the all-float
     /// reference).
+    ///
     /// # Panics
     ///
     /// Panics if the compiled plan takes a colour register as input
     /// ([`ChannelLayout::Rgb`]): a colour-managed plan has no scalar entry
     /// point — stream it through [`StreamingToneMapper::map_rgb`].
     pub fn map_luminance(&self, hdr: &LuminanceImage) -> LuminanceImage {
-        match &self.program {
-            Program::Fallback(_) => execute_plan_hw_blur::<S>(&self.plan, hdr),
-            Program::Stream(program) => run_stream_program(program, hdr, self.threads),
-            Program::Color(_) => panic!(
+        if let Program::Color(_) = &self.program {
+            panic!(
                 "map_luminance requires a scalar-input plan; this plan takes a `{}` register — \
                  stream it through map_rgb",
                 self.plan.input_layout()
-            ),
+            );
         }
+        self.run_scalar(&self.program, &self.plan, hdr)
     }
 
     /// Tone-maps an HDR RGB image through the compiled plan.
     ///
-    /// For a **scalar-input plan** this is the classic wrapper path — the
-    /// luminance plane streams through [`StreamingToneMapper::map_luminance`]
-    /// and the colour is re-applied by clamped ratio — and produces exactly
-    /// the pixels [`crate::ToneMapper::map_rgb`] produces for the same plan.
-    ///
-    /// For a **colour-managed plan** ([`ChannelLayout::Rgb`] input) the
-    /// colour point stages (conversions, transfer curves, HSV tone curves,
-    /// chroma split/merge) run through the shared register walk of
-    /// [`run_color_plan`] while every embedded scalar sub-plan streams
-    /// through its compiled line-buffer cascade, row-sliced across the
-    /// configured threads. Either way the result is bit-identical to the
-    /// two-pass planner's.
+    /// The colour point stages (conversions, transfer curves, HSV tone
+    /// curves, chroma split/merge) run through the shared register walk of
+    /// [`run_color_plan`] while every scalar plan streams through its
+    /// compiled line-buffer cascade, row-sliced across the configured
+    /// threads. A **scalar-input plan** is that walk's auto-composed ratio
+    /// wrapper — extract the luminance plane, stream it, re-apply the colour
+    /// by clamped ratio — exactly as [`crate::ToneMapper::map_rgb`] runs it.
+    /// Either way the result is bit-identical to the two-pass planner's.
     ///
     /// # Errors
     ///
@@ -564,25 +549,32 @@ impl<S: Sample> StreamingToneMapper<S> {
     /// (dimension mismatches cannot occur for plans built by this type, so
     /// in practice this is infallible).
     pub fn map_rgb(&self, hdr: &RgbImage) -> Result<RgbImage, hdr_image::ImageError> {
-        match &self.program {
-            Program::Color(color) => run_color_plan(&self.plan, hdr, |start, sub_plan, lum| {
-                Ok(match color.subs.iter().find(|(s, _, _)| *s == start) {
-                    Some((_, plan, program)) => match program {
-                        Program::Stream(sub) => run_stream_program(sub, lum, self.threads),
-                        Program::Fallback(_) => execute_plan_hw_blur::<S>(plan, lum),
-                        Program::Color(_) => unreachable!("colour programs never nest"),
-                    },
-                    // Compilation visits every scalar stage, so an unknown
-                    // offset can only come from a plan edited after compile;
-                    // run it through the two-pass executor to stay correct.
-                    None => execute_plan_hw_blur::<S>(sub_plan, lum),
-                })
-            }),
-            _ => {
-                let luma = luminance_plane(hdr);
-                let mapped = self.map_luminance(&luma);
-                reapply_color(hdr, &mapped)
-            }
+        run_color_plan(&self.plan, hdr, |start, sub_plan, lum| {
+            let program = match &self.program {
+                Program::Color(color) => color
+                    .subs
+                    .iter()
+                    .find_map(|(s, program)| (*s == start).then_some(program))
+                    .expect("compilation visits every scalar stage of the plan"),
+                scalar => scalar,
+            };
+            Ok(self.run_scalar(program, sub_plan, lum))
+        })
+    }
+
+    /// Runs one scalar plan on its compiled program; a fallback program
+    /// runs through the two-pass executor with the same hardware/software
+    /// split.
+    fn run_scalar(
+        &self,
+        program: &Program<S>,
+        plan: &PipelinePlan,
+        lum: &LuminanceImage,
+    ) -> LuminanceImage {
+        match program {
+            Program::Stream(program) => run_stream_program(program, lum, self.threads),
+            Program::Fallback(_) => execute_plan(plan, lum, accelerated_blur::<S>),
+            Program::Color(_) => unreachable!("colour programs never nest"),
         }
     }
 }
@@ -619,7 +611,7 @@ fn first_kernel<S: Sample>(program: &Program<S>) -> &[S] {
         Program::Color(color) => color
             .subs
             .iter()
-            .map(|(_, _, sub)| first_kernel(sub))
+            .map(|(_, sub)| first_kernel(sub))
             .find(|kernel| !kernel.is_empty())
             .unwrap_or(&[]),
     }

@@ -242,7 +242,6 @@ impl Scheduler {
             .sum();
         PointPricer {
             base,
-            host: self.host,
             height,
             pixels: (width * height).max(1) as f64,
             stage_boundaries: plan.ops().len().saturating_sub(1),
@@ -256,7 +255,6 @@ impl Scheduler {
 /// resolution) pair.
 struct PointPricer {
     base: DesignReport,
-    host: HostModel,
     height: usize,
     pixels: f64,
     stage_boundaries: usize,
@@ -286,7 +284,7 @@ impl PointPricer {
                         (rows + halo) as f64 * row_seconds
                     })
                     .collect();
-                self.host.makespan_seconds(&jobs, threads)
+                HostModel::makespan_seconds(&jobs, threads)
                     + barriers as f64 * self.plane_traffic_seconds
             }
         };

@@ -15,8 +15,9 @@ use crate::point::{SampleFormat, ScheduleExecutor, SchedulePoint};
 /// The host the row slices actually run on: how many workers are worth
 /// scheduling, and how a set of slice costs maps to a makespan.
 ///
-/// Mirrors the LPT (longest-processing-time-first) greedy model of
-/// `tonemap_service::ServiceStats::modeled_makespan_seconds`, so the
+/// Its LPT (longest-processing-time-first) greedy model,
+/// [`HostModel::makespan_seconds`], is also the one
+/// `tonemap_service::ServiceStats::modeled_makespan_seconds` runs, so the
 /// scheduler and the service telemetry agree on what "n workers" means.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HostModel {
@@ -74,8 +75,9 @@ impl HostModel {
     }
 
     /// LPT greedy makespan of the given job costs on `workers` workers —
-    /// sort descending, always assign to the least-loaded worker.
-    pub fn makespan_seconds(&self, jobs: &[f64], workers: usize) -> f64 {
+    /// sort descending, always assign to the least-loaded worker. Returns
+    /// `0.0` for no jobs.
+    pub fn makespan_seconds(jobs: &[f64], workers: usize) -> f64 {
         let workers = workers.max(1);
         let mut jobs = jobs.to_vec();
         jobs.sort_by(|a, b| b.partial_cmp(a).unwrap_or(std::cmp::Ordering::Equal));
@@ -351,11 +353,10 @@ mod tests {
 
     #[test]
     fn lpt_makespan_matches_hand_schedule() {
-        let host = HostModel::with_cores(8);
         // LPT on 2 workers: 5 | 4+3 -> makespan 7.
-        let makespan = host.makespan_seconds(&[3.0, 5.0, 4.0], 2);
+        let makespan = HostModel::makespan_seconds(&[3.0, 5.0, 4.0], 2);
         assert!((makespan - 7.0).abs() < 1e-12);
-        assert_eq!(host.makespan_seconds(&[], 4), 0.0);
+        assert_eq!(HostModel::makespan_seconds(&[], 4), 0.0);
     }
 
     #[test]

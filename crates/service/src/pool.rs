@@ -483,11 +483,19 @@ fn worker_loop(shared: &PoolShared, local_shard: usize) {
 
         match found {
             Some((task, priority, stolen, dequeue_seq)) => {
-                {
+                let drained = {
                     let mut space = shared.space.lock().expect("pool space poisoned");
                     space.remove(priority);
-                }
+                    space.shutdown && space.total() == 0
+                };
                 shared.space_available.notify_one();
+                // A worker that found the shards empty while this task was
+                // still counted sleeps until the wake sequence moves, and
+                // shutdown's own bump may predate its snapshot: the last
+                // slot freed after shutdown must wake it to exit.
+                if drained {
+                    shared.bump_wake(true);
+                }
                 if stolen {
                     shared.steals.fetch_add(1, Ordering::Relaxed);
                 }

@@ -496,6 +496,7 @@ mod tests {
     use std::sync::Arc;
     use std::time::Duration;
     use tonemap_backend::TonemapRequest;
+    use tonemap_core::ParamError;
 
     #[test]
     fn a_submitted_job_matches_direct_execution() {
@@ -535,6 +536,29 @@ mod tests {
         let stats = service.stats();
         assert_eq!(stats.failed, 1);
         assert_eq!(stats.completed, 0);
+    }
+
+    #[test]
+    fn an_unbounded_radius_fails_typed_instead_of_losing_the_worker() {
+        // Unbounded, this radius builds an empty kernel and panics the
+        // worker, which surfaces as `Lost`.
+        let service = TonemapService::standard(ServiceConfig::with_workers(1));
+        let scene = SceneKind::GradientRamp.generate(16, 12, 1);
+        let outcome = service
+            .submit(
+                JobRequest::luminance(scene)
+                    .on_backend("sw-f32?radius=18446744073709551615")
+                    .with_telemetry(),
+            )
+            .unwrap()
+            .wait();
+        match outcome {
+            Err(ServiceError::Tonemap(TonemapError::InvalidParams(
+                ParamError::BlurRadiusTooLarge(radius),
+            ))) => assert_eq!(radius, usize::MAX),
+            other => panic!("expected a typed radius error, got {other:?}"),
+        }
+        assert_eq!(service.stats().failed, 1);
     }
 
     #[test]

@@ -17,6 +17,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
+use tonemap_scheduler::HostModel;
 
 /// How many recent per-job service times are retained for the host model.
 /// Bounded so a long-lived service does not grow without limit (aggregate
@@ -188,7 +189,7 @@ impl ServiceStats {
     /// `n`-core host?" from measurements taken on whatever machine ran the
     /// jobs. Returns `0.0` when no job has completed.
     pub fn modeled_makespan_seconds(&self, workers: usize) -> f64 {
-        lpt_makespan_seconds(&self.job_seconds, workers)
+        HostModel::makespan_seconds(&self.job_seconds, workers)
     }
 
     /// The latency histogram of one priority class.
@@ -211,7 +212,7 @@ impl ServiceStats {
     /// priority class's recorded jobs — what the class's job set alone
     /// would take on `workers` model workers.
     pub fn modeled_class_makespan_seconds(&self, priority: Priority, workers: usize) -> f64 {
-        lpt_makespan_seconds(self.class_seconds(priority), workers)
+        HostModel::makespan_seconds(self.class_seconds(priority), workers)
     }
 
     /// Modeled throughput (jobs per second) of one class's recorded job
@@ -219,7 +220,7 @@ impl ServiceStats {
     /// completed job.
     pub fn modeled_class_throughput(&self, priority: Priority, workers: usize) -> f64 {
         let samples = self.class_seconds(priority);
-        let makespan = lpt_makespan_seconds(samples, workers);
+        let makespan = HostModel::makespan_seconds(samples, workers);
         if makespan > 0.0 {
             samples.len() as f64 / makespan
         } else {
@@ -250,24 +251,6 @@ impl ServiceStats {
             1.0
         }
     }
-}
-
-/// Greedy longest-processing-time schedule of `samples` onto `workers`
-/// model workers — the host-side analogue of the platform model's Table II
-/// predictions, shared by the overall and per-class views.
-fn lpt_makespan_seconds(samples: &[f64], workers: usize) -> f64 {
-    let workers = workers.max(1);
-    let mut jobs = samples.to_vec();
-    jobs.sort_by(|a, b| b.partial_cmp(a).unwrap_or(std::cmp::Ordering::Equal));
-    let mut loads = vec![0.0f64; workers];
-    for job in jobs {
-        let least = loads
-            .iter_mut()
-            .min_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal))
-            .expect("workers >= 1");
-        *least += job;
-    }
-    loads.iter().fold(0.0f64, |acc, &l| acc.max(l))
 }
 
 /// Live counters shared between the service handle and its workers.
