@@ -1,6 +1,6 @@
 //! Video gate: temporal adaptation must be stable, correct and fast.
 //!
-//! Four properties, each a hard assertion:
+//! Five properties, each a hard assertion:
 //!
 //! 1. **Anti-flicker** — on an exposure ramp with shimmer, a leaky
 //!    session's mean frame-to-frame flicker must be strictly below a
@@ -19,6 +19,12 @@
 //!    frame-pool staging, turn gate) must deliver at least 0.9x the
 //!    throughput of the same frames as independent single-frame jobs on
 //!    an identically-sized service: ordering must not cost serving speed.
+//! 5. **Session overhead** — a leaky session on the fused stream engine
+//!    must take at most 1.45x the time of single-frame registry execution
+//!    of the same frames: the session's own per-frame work (scene-cut
+//!    signature, statistics, output metrics, plan rebuild) must stay small
+//!    next to the engine. The Reinhard pair's ratio, which adds the
+//!    log-average, is reported without a bound.
 //!
 //! Results persist to `BENCH_video.json`.
 //!
@@ -26,10 +32,11 @@
 //! cargo run -p bench --release --bin video    # CI=true shrinks the load
 //! ```
 
-use bench::write_bench_json;
+use bench::{time_best, write_bench_json};
 use codesign::reports::json;
 use hdr_image::sequence::{FrameSequence, SequenceKind};
 use hdr_image::synth::SceneKind;
+use std::hint::black_box;
 use std::time::Instant;
 use tonemap_backend::{BackendRegistry, TonemapRequest};
 use tonemap_service::{FrameSequenceRequest, JobRequest, ServiceConfig, TonemapService};
@@ -39,6 +46,9 @@ use tonemap_video::VideoSession;
 const CONVERGENCE_BUDGET_FRAMES: usize = 3;
 /// Stream throughput must reach this fraction of single-frame throughput.
 const REQUIRED_THROUGHPUT_RATIO: f64 = 0.9;
+/// A leaky session may take at most this multiple of single-frame
+/// execution of the same frames on the same engine.
+const MAX_SESSION_OVER_EXECUTE: f64 = 1.45;
 
 struct Load {
     width: usize,
@@ -272,6 +282,42 @@ fn main() {
         frames.len()
     );
 
+    // 5 — session overhead: the same frames through a leaky session and
+    // as single-frame registry executions of the engine spec, each side
+    // its best of three timed passes after an untimed warm-up.
+    let session_over_execute = |session_spec: &str, engine_spec: &str| {
+        let mut session = VideoSession::from_spec(session_spec).unwrap();
+        let execute = |frame| {
+            registry
+                .execute(&TonemapRequest::luminance(frame).on_backend(engine_spec))
+                .unwrap()
+        };
+        black_box(session.process(&frames[0]));
+        black_box(execute(&frames[0]));
+        let session_seconds = time_best(REPS, || {
+            for frame in &frames {
+                black_box(session.process(frame));
+            }
+        });
+        let execute_seconds = time_best(REPS, || {
+            for frame in &frames {
+                black_box(execute(frame));
+            }
+        });
+        session_seconds / execute_seconds
+    };
+    let session_ratio = session_over_execute("sw-f32-stream?temporal=leaky&tau=4", "sw-f32-stream");
+    let reinhard_session_ratio = session_over_execute(
+        "sw-f32-stream?pipeline=reinhard&temporal=leaky&tau=4",
+        "sw-f32-stream?pipeline=reinhard",
+    );
+    println!(
+        "session overhead ({} frames): leaky session {session_ratio:.3}x single-frame \
+         execution (bound {MAX_SESSION_OVER_EXECUTE}), Reinhard pair {reinhard_session_ratio:.3}x \
+         (unbounded)",
+        frames.len()
+    );
+
     write_bench_json(
         "video",
         &json::obj([
@@ -303,12 +349,26 @@ fn main() {
                 "required_throughput_ratio",
                 json::num(REQUIRED_THROUGHPUT_RATIO),
             ),
+            ("session_over_execute", json::num(session_ratio)),
+            (
+                "max_session_over_execute",
+                json::num(MAX_SESSION_OVER_EXECUTE),
+            ),
+            (
+                "reinhard_session_over_execute",
+                json::num(reinhard_session_ratio),
+            ),
         ]),
     );
 
     assert!(
         ratio >= REQUIRED_THROUGHPUT_RATIO,
         "stream throughput ratio {ratio:.3} fell below {REQUIRED_THROUGHPUT_RATIO}"
+    );
+    assert!(
+        session_ratio <= MAX_SESSION_OVER_EXECUTE,
+        "a leaky session took {session_ratio:.3}x single-frame execution, above \
+         {MAX_SESSION_OVER_EXECUTE}"
     );
     println!("\nvideo gate: PASS");
 }

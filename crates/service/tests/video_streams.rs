@@ -4,6 +4,7 @@
 
 use hdr_image::sequence::{FrameSequence, SequenceKind};
 use hdr_image::synth::SceneKind;
+use hdr_image::LuminanceImage;
 use tonemap_service::{
     FrameSequenceRequest, JobRequest, ServiceConfig, ServiceError, TonemapService,
 };
@@ -157,6 +158,48 @@ fn stream_errors_are_typed_and_temporal_jobs_are_refused() {
         }
         other => panic!("expected the registry's temporal rejection, got {other:?}"),
     }
+}
+
+/// A frame whose samples are all negative leaves a Reinhard stream
+/// serving: the session floors the log-average at 0 instead of taking the
+/// logarithm of a negative sample, so neither that frame nor any later one
+/// comes back `Lost`, and every frame still equals a local session's.
+#[test]
+fn a_non_positive_frame_does_not_stop_a_served_reinhard_stream() {
+    let spec = "sw-f32?pipeline=reinhard&temporal=leaky&tau=4";
+    let service = TonemapService::standard(ServiceConfig::with_workers(2));
+    let room = FrameSequence::new(
+        SequenceKind::ExposureRamp { decades: 1.0 },
+        SceneKind::WindowInDarkRoom,
+        32,
+        24,
+        4,
+        3,
+    );
+    let negative = LuminanceImage::filled(32, 24, -0.5);
+    let frames = [
+        room.frame(0),
+        room.frame(1),
+        negative,
+        room.frame(2),
+        room.frame(3),
+    ];
+    let mut stream = service
+        .open_stream(FrameSequenceRequest::on_backend(spec))
+        .unwrap();
+    let mut local = VideoSession::from_spec(spec).unwrap();
+    for (index, frame) in frames.iter().enumerate() {
+        let outcome = stream
+            .submit_frame(frame)
+            .unwrap()
+            .wait()
+            .unwrap_or_else(|e| panic!("frame {index} was not served: {e}"));
+        let (expected, expected_metrics) = local.process(frame);
+        assert_eq!(outcome.output.pixels(), expected.pixels(), "frame {index}");
+        assert_eq!(outcome.metrics, expected_metrics, "frame {index}");
+        assert!(outcome.output.pixels().iter().all(|v| v.is_finite()));
+    }
+    assert_eq!(service.stats().frames_completed, frames.len() as u64);
 }
 
 /// Streams honour the scheduler surface: a `schedule=auto` stream prices

@@ -1,13 +1,125 @@
 //! Inline stability metrics and the scene-cut frame signature.
+//!
+//! The per-frame statistics — the signature's mean log₂ luminance and
+//! histogram, and the Reinhard log-average — take a logarithm of every
+//! sample. They run as lane-parallel passes over one branch-free [`log2`]
+//! kernel, so they vectorize like the engines' pixel loops instead of
+//! calling libm per sample.
 
 use hdr_image::LuminanceImage;
 
 /// Number of log-luminance bins in a [`Signature`] histogram.
 const SIGNATURE_BINS: usize = 16;
 
-/// Span of the signature histogram in log₂ luminance: `[-20, 20]` covers
-/// ~12 decades, far beyond any synthetic or photographic input.
-const SIGNATURE_LOG2_SPAN: f64 = 40.0;
+/// The signature histogram's bin edges. The histogram spans `[-20, 20]`
+/// in log₂ luminance (~12 decades, far beyond any synthetic or
+/// photographic input) in 16 bins, so a sample `v` falls in bin
+/// `floor((log₂ v + 20) / 40 · 16)`, clamped to the range. Edge `k − 1`
+/// (k = 1..=15) is the smallest `f32` whose bin is at least `k`:
+/// `2^(2.5k − 20)` rounded up to `f32`. A sample's bin is the number of
+/// edges at or below it, so counting by comparison bins every sample
+/// exactly as the formula does; the tests derive each edge again from the
+/// formula in libm.
+const BIN_EDGES: [f32; SIGNATURE_BINS - 1] = [
+    5.394797e-6,
+    3.0517578e-5,
+    0.0001726335,
+    0.0009765625,
+    0.005524272,
+    0.03125,
+    0.1767767,
+    1.0,
+    5.6568546,
+    32.0,
+    181.01935,
+    1024.0,
+    5792.619,
+    32768.0,
+    185363.81,
+];
+
+/// Samples per step of a statistics pass: one 256-bit register of `f32`
+/// input, two of `f64` log₂ sums.
+const LANES: usize = 8;
+
+/// Samples per block of a statistics pass. A block's per-lane bin counts
+/// fit `u32` with room to spare, and the log-average reads each block of
+/// the register back while it is still in L1.
+const BLOCK: usize = 4096;
+
+/// The bits of √½: [`log2`] reduces its argument into `[√½, √2)`.
+const SQRT_HALF_BITS: u64 = 0x3fe6_a09e_667f_3bcd;
+
+/// The bits of 1.0.
+const ONE_BITS: u64 = 0x3ff0_0000_0000_0000;
+
+/// The mantissa field of an `f64`.
+const MANTISSA_MASK: u64 = (1 << 52) - 1;
+
+/// 2⁵²: an integer below it, placed in its mantissa field, converts to
+/// `f64` with one subtraction.
+const TWO_52: f64 = 4_503_599_627_370_496.0;
+
+/// fdlibm's minimax coefficients (`e_log.c`, `Lg1`–`Lg7`) of
+/// `ln(1 + f) = 2s + s·(Lg1·s² + Lg2·s⁴ + … + Lg7·s¹⁴)` with
+/// `s = f / (2 + f)`, for `1 + f` in `[√½, √2)`.
+const LG: [f64; 7] = [
+    0.6666666666666735,
+    0.3999999999940942,
+    0.2857142874366239,
+    0.22222198432149784,
+    0.1818357216161805,
+    0.15313837699209373,
+    0.14798198605116586,
+];
+
+/// `log₂ x` for a positive normal `x`, within 2 ulp of libm, with no
+/// branch or table lookup, so lane loops over it vectorize.
+///
+/// It splits `x = 2^k · m` with `m` in `[√½, √2)`, evaluates `ln m` as
+/// fdlibm's `log` does, and returns `k + ln m · log₂ e`. Zero, negative,
+/// subnormal and non-finite arguments are outside its domain; callers
+/// floor their samples first.
+#[inline(always)]
+fn log2(x: f64) -> f64 {
+    // Adding `1.0 − √½` to the bits carries into the exponent field
+    // exactly when the mantissa is at least √2's.
+    let t = x.to_bits() + (ONE_BITS - SQRT_HALF_BITS);
+    let k = f64::from_bits((t >> 52) | TWO_52.to_bits()) - (TWO_52 + 1023.0);
+    let m = f64::from_bits((t & MANTISSA_MASK) + SQRT_HALF_BITS);
+    let f = m - 1.0;
+    let s = f / (2.0 + f);
+    let z = s * s;
+    let w = z * z;
+    let even = w * w.mul_add(w.mul_add(LG[5], LG[3]), LG[1]);
+    let odd = z * w.mul_add(w.mul_add(w.mul_add(LG[6], LG[4]), LG[2]), LG[0]);
+    let half_f2 = 0.5 * f * f;
+    let ln_m = f - (half_f2 - s * (half_f2 + (odd + even)));
+    ln_m.mul_add(std::f64::consts::LOG2_E, k)
+}
+
+/// The signature's view of a raw sample: non-finite and non-positive
+/// samples count as the 10⁻⁶ luminance floor.
+#[inline(always)]
+fn signature_sample(v: f32) -> f32 {
+    if v.is_finite() {
+        v.max(1e-6)
+    } else {
+        1e-6
+    }
+}
+
+/// Up to [`LANES`] samples mapped through `view` into a full lane array,
+/// zero-padded. Reading a step from a local array rather than from the
+/// slice is what lets the lane loops over it vectorize.
+#[inline(always)]
+fn load_lanes(samples: &[f32], view: impl Fn(f32) -> f32) -> [f32; LANES] {
+    let mut lanes = [0.0f32; LANES];
+    for (lane, &v) in lanes.iter_mut().zip(samples) {
+        *lane = view(v);
+    }
+    lanes
+}
 
 /// Per-frame stability metrics, computed inline by
 /// [`VideoSession::process`](crate::VideoSession::process).
@@ -62,24 +174,31 @@ impl Signature {
     /// Fingerprints a raw (scene-referred) frame. Non-finite and
     /// non-positive pixels count as the 10⁻⁶ luminance floor.
     pub fn of(frame: &LuminanceImage) -> Self {
-        let mut sum = 0.0f64;
-        let mut counts = [0u64; SIGNATURE_BINS];
-        for &v in frame.pixels() {
-            let v = if v.is_finite() { v.max(1e-6) } else { 1e-6 };
-            let log2 = f64::from(v).log2();
-            sum += log2;
-            let bin = ((log2 + SIGNATURE_LOG2_SPAN / 2.0) / SIGNATURE_LOG2_SPAN
-                * SIGNATURE_BINS as f64)
-                .floor();
-            counts[(bin.max(0.0) as usize).min(SIGNATURE_BINS - 1)] += 1;
+        let mut log2_sums = [0.0f64; LANES];
+        let mut at_least = [0u64; SIGNATURE_BINS - 1];
+        for block in frame.pixels().chunks(BLOCK) {
+            let mut block_at_least = [[0u32; LANES]; SIGNATURE_BINS - 1];
+            let steps = block.chunks_exact(LANES);
+            let tail = steps.remainder();
+            for step in steps {
+                signature_step(step, &mut log2_sums, &mut block_at_least);
+            }
+            signature_step(tail, &mut log2_sums, &mut block_at_least);
+            for (total, lanes) in at_least.iter_mut().zip(&block_at_least) {
+                *total += lanes.iter().map(|&count| u64::from(count)).sum::<u64>();
+            }
         }
         let total = frame.pixel_count().max(1) as f64;
+        // Bin b holds the samples at or above `BIN_EDGES[b − 1]` but below
+        // `BIN_EDGES[b]`.
         let mut histogram = [0.0f64; SIGNATURE_BINS];
-        for (slot, count) in histogram.iter_mut().zip(counts) {
-            *slot = count as f64 / total;
+        let mut above = frame.pixel_count() as u64;
+        for (slot, next) in histogram.iter_mut().zip(at_least.into_iter().chain([0])) {
+            *slot = (above - next) as f64 / total;
+            above = next;
         }
         Signature {
-            mean_log2: sum / total,
+            mean_log2: log2_sums.iter().sum::<f64>() / total,
             histogram,
         }
     }
@@ -102,51 +221,208 @@ impl Signature {
     }
 }
 
-/// Per-pixel temporal PSNR between two output frames (dB, peak 1.0);
-/// `None` when the dimensions differ, infinite when bit-identical.
-pub(crate) fn temporal_psnr(previous: &LuminanceImage, current: &LuminanceImage) -> Option<f64> {
-    if previous.dimensions() != current.dimensions() {
-        return None;
+/// Adds up to [`LANES`] raw samples to the signature's lane accumulators:
+/// a log₂ sum per lane and, per bin edge, a per-lane count of the samples
+/// at or above it.
+#[inline(always)]
+fn signature_step(
+    samples: &[f32],
+    log2_sums: &mut [f64; LANES],
+    at_least: &mut [[u32; LANES]; SIGNATURE_BINS - 1],
+) {
+    let lanes = load_lanes(samples, signature_sample);
+    let lanes = &lanes[..samples.len()];
+    for (sum, &v) in log2_sums.iter_mut().zip(lanes) {
+        *sum += log2(f64::from(v));
     }
-    let sum: f64 = previous
-        .pixels()
-        .iter()
-        .zip(current.pixels())
-        .map(|(&a, &b)| {
-            let d = f64::from(a) - f64::from(b);
-            d * d
-        })
-        .sum();
-    let mse = sum / previous.pixel_count().max(1) as f64;
-    Some(if mse == 0.0 {
-        f64::INFINITY
-    } else {
-        10.0 * (1.0 / mse).log10()
-    })
+    for (counts, &edge) in at_least.iter_mut().zip(&BIN_EDGES) {
+        for (count, &v) in counts.iter_mut().zip(lanes) {
+            *count += u32::from(v >= edge);
+        }
+    }
 }
 
-/// Mean of `ln(10⁻⁴ + v)` over a (pre-normalized) frame — the log-average
-/// observation behind Reinhard key adaptation.
-pub(crate) fn mean_ln(frame: &LuminanceImage) -> f64 {
-    let sum: f64 = frame
-        .pixels()
-        .iter()
-        .map(|&v| (1e-4 + f64::from(v)).ln())
-        .sum();
-    sum / frame.pixel_count().max(1) as f64
+/// Maps `frame` through `sample` — the pass that builds a session's
+/// register — and returns the register with the mean of
+/// `ln(10⁻⁴ + max(v, 0))` over it: the log-average observation behind
+/// Reinhard key adaptation. Each block is summed while it is still in
+/// cache. The floor at 0 keeps the mean finite when the register holds
+/// negative samples, which it does when a frame's maximum is not positive
+/// and the frame is therefore not scaled.
+pub(crate) fn map_with_log_average(
+    frame: &LuminanceImage,
+    sample: impl Fn(f32) -> f32,
+) -> (LuminanceImage, f64) {
+    let mut register = Vec::with_capacity(frame.pixel_count());
+    let mut log2_sums = [0.0f64; LANES];
+    for block in frame.pixels().chunks(BLOCK) {
+        let start = register.len();
+        register.extend(block.iter().map(|&v| sample(v)));
+        let steps = register[start..].chunks_exact(LANES);
+        let tail = steps.remainder();
+        for step in steps {
+            log_average_step(step, &mut log2_sums);
+        }
+        log_average_step(tail, &mut log2_sums);
+    }
+    let mean_log2 = log2_sums.iter().sum::<f64>() / frame.pixel_count().max(1) as f64;
+    let register = LuminanceImage::from_vec(frame.width(), frame.height(), register)
+        .expect("the register has the frame's dimensions");
+    (register, mean_log2 * std::f64::consts::LN_2)
+}
+
+/// Adds up to [`LANES`] register samples to the log-average's per-lane
+/// log₂ sums.
+#[inline(always)]
+fn log_average_step(samples: &[f32], log2_sums: &mut [f64; LANES]) {
+    let lanes = load_lanes(samples, |v| v.max(0.0));
+    for (sum, &v) in log2_sums.iter_mut().zip(&lanes[..samples.len()]) {
+        *sum += log2(1e-4 + f64::from(v));
+    }
+}
+
+/// The output pass of a frame: its mean brightness and, when `previous`
+/// holds an output of the same dimensions, the per-pixel temporal PSNR
+/// against it (dB, peak 1.0; infinite when bit-identical, `None`
+/// otherwise). The frame then replaces `previous`, copied into its buffer
+/// when the dimensions match.
+///
+/// Both sums run sequentially from `Iterator::sum`'s −0.0, so they equal
+/// [`LuminanceImage::mean`] and a separate PSNR pass bit for bit.
+pub(crate) fn output_metrics(
+    current: &LuminanceImage,
+    previous: &mut Option<LuminanceImage>,
+) -> (f64, Option<f64>) {
+    match previous {
+        Some(kept) if kept.dimensions() == current.dimensions() => {
+            let (mut sum, mut squares) = (-0.0f64, -0.0f64);
+            for (kept, &v) in kept.pixels_mut().iter_mut().zip(current.pixels()) {
+                sum += f64::from(v);
+                let d = f64::from(*kept) - f64::from(v);
+                squares += d * d;
+                *kept = v;
+            }
+            let pixels = current.pixel_count() as f64;
+            let mse = squares / pixels.max(1.0);
+            let psnr = if mse == 0.0 {
+                f64::INFINITY
+            } else {
+                10.0 * (1.0 / mse).log10()
+            };
+            (sum / pixels, Some(psnr))
+        }
+        _ => {
+            *previous = Some(current.clone());
+            (current.mean(), None)
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hdr_image::sequence::{FrameSequence, SequenceKind};
     use hdr_image::synth::SceneKind;
+
+    /// The libm signature the lane pass replaced: the reference it must
+    /// match — bins bit for bit, the mean within [`LOG2_MEAN_BOUND`].
+    fn reference_signature(frame: &LuminanceImage) -> Signature {
+        let mut sum = 0.0f64;
+        let mut counts = [0u64; SIGNATURE_BINS];
+        for &v in frame.pixels() {
+            let v = if v.is_finite() { v.max(1e-6) } else { 1e-6 };
+            sum += f64::from(v).log2();
+            counts[reference_bin(v)] += 1;
+        }
+        let total = frame.pixel_count().max(1) as f64;
+        let mut histogram = [0.0f64; SIGNATURE_BINS];
+        for (slot, count) in histogram.iter_mut().zip(counts) {
+            *slot = count as f64 / total;
+        }
+        Signature {
+            mean_log2: sum / total,
+            histogram,
+        }
+    }
+
+    /// The reference bin of a raw sample, over `[-20, 20]` in log₂.
+    fn reference_bin(v: f32) -> usize {
+        const SPAN: f64 = 40.0;
+        let v = if v.is_finite() { v.max(1e-6) } else { 1e-6 };
+        let bin = ((f64::from(v).log2() + SPAN / 2.0) / SPAN * SIGNATURE_BINS as f64).floor();
+        (bin.max(0.0) as usize).min(SIGNATURE_BINS - 1)
+    }
+
+    /// The libm log-average the lane pass replaced, with its floor at 0.
+    fn reference_mean_ln(register: &LuminanceImage) -> f64 {
+        let sum: f64 = register
+            .pixels()
+            .iter()
+            .map(|&v| (1e-4 + f64::from(v.max(0.0))).ln())
+            .sum();
+        sum / register.pixel_count().max(1) as f64
+    }
+
+    /// The separate PSNR pass the output pass replaced.
+    fn reference_psnr(previous: &LuminanceImage, current: &LuminanceImage) -> Option<f64> {
+        if previous.dimensions() != current.dimensions() {
+            return None;
+        }
+        let sum: f64 = previous
+            .pixels()
+            .iter()
+            .zip(current.pixels())
+            .map(|(&a, &b)| {
+                let d = f64::from(a) - f64::from(b);
+                d * d
+            })
+            .sum();
+        let mse = sum / previous.pixel_count().max(1) as f64;
+        Some(if mse == 0.0 {
+            f64::INFINITY
+        } else {
+            10.0 * (1.0 / mse).log10()
+        })
+    }
+
+    /// Largest distance of the lane passes' mean log₂ and log-average from
+    /// the libm reference, on frames up to 4096×2160.
+    const LOG2_MEAN_BOUND: f64 = 1e-11;
+
+    /// A sample's bin as the lane pass counts it: the edges at or below it.
+    fn edge_bin(v: f32) -> usize {
+        let v = signature_sample(v);
+        BIN_EDGES.iter().filter(|&&edge| v >= edge).count()
+    }
+
+    fn row(pixels: Vec<f32>) -> LuminanceImage {
+        LuminanceImage::from_vec(pixels.len(), 1, pixels).expect("a non-empty row")
+    }
+
+    /// Differences between `a` and `b` in units in the last place.
+    fn ulps(a: f64, b: f64) -> u64 {
+        assert_eq!(a.is_sign_negative(), b.is_sign_negative(), "{a} vs {b}");
+        a.to_bits().abs_diff(b.to_bits())
+    }
+
+    /// xorshift64: a seeded stream of uniform values in `[0, 1)`.
+    fn uniforms(mut state: u64) -> impl Iterator<Item = f64> {
+        std::iter::repeat_with(move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        })
+    }
 
     #[test]
     fn identical_frames_have_zero_distance_and_infinite_psnr() {
         let frame = SceneKind::WindowInDarkRoom.generate(32, 24, 3);
         let signature = Signature::of(&frame);
         assert_eq!(signature.distance(&signature), 0.0);
-        assert!(temporal_psnr(&frame, &frame).unwrap().is_infinite());
+        let mut previous = Some(frame.clone());
+        let (_, psnr) = output_metrics(&frame, &mut previous);
+        assert!(psnr.unwrap().is_infinite());
     }
 
     #[test]
@@ -163,9 +439,202 @@ mod tests {
     fn psnr_is_finite_for_differing_frames_and_none_across_resolutions() {
         let a = LuminanceImage::filled(8, 8, 0.25);
         let b = LuminanceImage::filled(8, 8, 0.5);
-        let db = temporal_psnr(&a, &b).unwrap();
+        let mut previous = Some(a);
+        let db = output_metrics(&b, &mut previous).1.unwrap();
         assert!(db.is_finite() && db > 0.0);
+        assert_eq!(
+            previous.as_ref(),
+            Some(&b),
+            "the output pass keeps the frame"
+        );
         let other = LuminanceImage::filled(4, 4, 0.5);
-        assert_eq!(temporal_psnr(&a, &other), None);
+        assert_eq!(output_metrics(&other, &mut previous).1, None);
+        assert_eq!(previous, Some(other));
+    }
+
+    #[test]
+    fn the_output_pass_equals_mean_and_a_separate_psnr_pass_bit_for_bit() {
+        let frames = FrameSequence::new(
+            SequenceKind::ExposureRamp { decades: 1.0 },
+            SceneKind::MemorialComposite,
+            37,
+            23,
+            4,
+            5,
+        );
+        let mut previous = None;
+        let mut last: Option<LuminanceImage> = None;
+        for frame in frames.frames() {
+            let output = frame.map(|&v| (v / (1.0 + v)).sqrt());
+            let (mean, psnr) = output_metrics(&output, &mut previous);
+            assert_eq!(mean.to_bits(), output.mean().to_bits());
+            let expected = last.as_ref().and_then(|last| reference_psnr(last, &output));
+            assert_eq!(psnr.map(f64::to_bits), expected.map(f64::to_bits));
+            last = Some(output);
+        }
+        // Signed zeros too: an all-(−0) frame keeps `mean`'s −0.
+        let negative_zero = LuminanceImage::filled(3, 3, -0.0f32);
+        let mut previous = Some(negative_zero.clone());
+        let (mean, _) = output_metrics(&negative_zero, &mut previous);
+        assert_eq!(mean.to_bits(), negative_zero.mean().to_bits());
+    }
+
+    #[test]
+    fn bin_edges_are_the_reference_bin_boundaries() {
+        for (index, &edge) in BIN_EDGES.iter().enumerate() {
+            let bin = index + 1;
+            // The smallest positive `f32` whose reference bin reaches
+            // `bin`, by bisection over the ordered bit patterns.
+            let (mut below, mut at) = (0u32, f32::MAX.to_bits());
+            while at - below > 1 {
+                let mid = below + (at - below) / 2;
+                if reference_bin(f32::from_bits(mid)) >= bin {
+                    at = mid;
+                } else {
+                    below = mid;
+                }
+            }
+            assert_eq!(edge.to_bits(), at, "edge of bin {bin}");
+        }
+    }
+
+    #[test]
+    fn bins_match_the_reference_near_every_edge_and_on_special_values() {
+        const REACH: u32 = 1 << 16;
+        for &edge in &BIN_EDGES {
+            let bits = edge.to_bits();
+            let near: Vec<f32> = (bits - REACH..=bits + REACH).map(f32::from_bits).collect();
+            for &v in &near {
+                assert_eq!(edge_bin(v), reference_bin(v), "{v:e} near edge {edge:e}");
+            }
+            let frame = row(near);
+            assert_eq!(
+                Signature::of(&frame).histogram,
+                reference_signature(&frame).histogram
+            );
+        }
+        let floor = 1e-6f32.to_bits();
+        let special = [
+            f32::NAN,
+            -f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            0.0,
+            -0.0,
+            -0.5,
+            -f32::MAX,
+            f32::from_bits(1),
+            f32::from_bits(floor - 1),
+            1e-6,
+            f32::from_bits(floor + 1),
+            f32::MAX,
+        ];
+        for v in special {
+            let pixel = row(vec![v]);
+            let (lanes, reference) = (Signature::of(&pixel), reference_signature(&pixel));
+            assert_eq!(lanes.histogram, reference.histogram, "{v:e}");
+            assert_eq!(edge_bin(v), reference_bin(v), "{v:e}");
+            assert!(ulps(lanes.mean_log2, reference.mean_log2) <= 2, "{v:e}");
+        }
+    }
+
+    #[test]
+    fn the_log2_kernel_is_within_two_ulp_of_libm() {
+        // Every 251st `f32` from the signature's floor to `f32::MAX`: the
+        // signature's whole domain.
+        let mut bits = 1e-6f32.to_bits();
+        while bits <= f32::MAX.to_bits() {
+            let x = f64::from(f32::from_bits(bits));
+            assert!(ulps(log2(x), x.log2()) <= 2, "log2({x:e})");
+            bits += 251;
+        }
+        // The log-average's domain, 1e-4 + [0, 2), as `ln`.
+        for v in uniforms(17).take(200_000) {
+            let x = 1e-4 + 2.0 * v;
+            let ln = log2(x) * std::f64::consts::LN_2;
+            assert!(ulps(ln, x.ln()) <= 3, "ln({x:e})");
+        }
+        // Positive normal `f64`s of every exponent.
+        let (min, max) = (f64::MIN_POSITIVE.to_bits(), f64::MAX.to_bits());
+        for v in uniforms(29).take(200_000) {
+            let x = f64::from_bits(min + (v * (max - min) as f64) as u64);
+            assert!(ulps(log2(x), x.log2()) <= 2, "log2({x:e})");
+        }
+    }
+
+    /// Asserts that the lane passes bin `frame` exactly as the reference
+    /// does and keep its mean log₂ and log-average within the bound.
+    fn assert_lane_means_within_bound(frame: &LuminanceImage) {
+        let (lanes, reference) = (Signature::of(frame), reference_signature(frame));
+        assert_eq!(lanes.histogram, reference.histogram);
+        let error = (lanes.mean_log2 - reference.mean_log2).abs();
+        assert!(error <= LOG2_MEAN_BOUND, "mean log2 off by {error:e}");
+        let (register, mean_ln) = map_with_log_average(frame, |v| v);
+        assert_eq!(register, *frame, "the identity map keeps the frame");
+        let error = (mean_ln - reference_mean_ln(frame)).abs();
+        assert!(error <= LOG2_MEAN_BOUND, "log-average off by {error:e}");
+    }
+
+    #[test]
+    fn lane_means_stay_within_the_bound_on_every_lane_tail() {
+        let mut values = uniforms(2018);
+        for len in 1..=33 {
+            // Twelve decades, 1e-6..1e6, a tenth of them negative.
+            let frame = row((0..len)
+                .map(|_| {
+                    let v = 10f64.powf(12.0 * values.next().unwrap() - 6.0) as f32;
+                    if values.next().unwrap() < 0.1 {
+                        -v
+                    } else {
+                        v
+                    }
+                })
+                .collect());
+            assert_lane_means_within_bound(&frame);
+        }
+    }
+
+    #[test]
+    fn lane_means_stay_within_the_bound_on_every_scene() {
+        for scene in SceneKind::ALL {
+            assert_lane_means_within_bound(&scene.generate(1024, 768, 9));
+        }
+    }
+
+    #[test]
+    fn cut_decisions_match_the_reference_on_every_sequence_and_scene() {
+        let kinds = [
+            SequenceKind::Static,
+            SequenceKind::Pan {
+                pixels_per_frame: 3,
+            },
+            SequenceKind::ExposureRamp { decades: 1.0 },
+            SequenceKind::RampWithCut {
+                decades: 1.0,
+                cut_at: 3,
+            },
+        ];
+        for kind in kinds {
+            for scene in SceneKind::ALL {
+                let frames = FrameSequence::new(kind, scene, 48, 36, 6, 31);
+                let signatures: Vec<(Signature, Signature)> = frames
+                    .frames()
+                    .map(|frame| (Signature::of(&frame), reference_signature(&frame)))
+                    .collect();
+                for pair in signatures.windows(2) {
+                    let (lanes, reference) = (
+                        pair[1].0.distance(&pair[0].0),
+                        pair[1].1.distance(&pair[0].1),
+                    );
+                    for threshold in [0.05, 0.5, 1.0, 4.0] {
+                        assert_eq!(
+                            lanes > threshold,
+                            reference > threshold,
+                            "{kind:?} {scene:?}: {lanes} vs {reference} at {threshold}"
+                        );
+                    }
+                }
+            }
+        }
     }
 }

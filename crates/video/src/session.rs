@@ -15,7 +15,9 @@ use tonemap_scheduler::Scheduler;
 use crate::config::TemporalConfig;
 use crate::error::VideoError;
 use crate::executor::VideoExecutor;
-use crate::metrics::{mean_ln, temporal_psnr, FrameMetrics, Signature, StreamSummary};
+use crate::metrics::{
+    map_with_log_average, output_metrics, FrameMetrics, Signature, StreamSummary,
+};
 
 /// First-order leaky update: `s += α·(o − s)`. At `α ≥ 1` the state is
 /// *assigned* — the IEEE sum `s + 1·(o − s)` is not `o`, and `tau=0`
@@ -117,8 +119,8 @@ pub struct VideoSession {
     /// Whether the plan opens with `Normalize` (the session owns that
     /// reduction: it leaks the frame maximum).
     normalize: bool,
-    /// Whether any segment carries a Reinhard stage (gates the per-frame
-    /// log-average pass).
+    /// Whether any segment carries a Reinhard stage (gates the log-average
+    /// the register pass accumulates).
     track_key: bool,
     segments: Vec<SegmentOps>,
     /// Bin count of each materialization barrier, in plan order.
@@ -126,6 +128,7 @@ pub struct VideoSession {
     state: Option<AdaptState>,
     frames: usize,
     cuts: Vec<usize>,
+    /// The last output frame; the output pass copies each frame into it.
     prev_output: Option<LuminanceImage>,
     prev_mean: Option<f64>,
     flicker_sum: f64,
@@ -286,16 +289,16 @@ impl VideoSession {
         // the adapted max equals the frame max; for the rest it matches
         // the executors' own non-normalize entry (identity for finite
         // samples), so segment-wise execution stays bit-identical.
-        let mut register = frame.map(|&v| normalize_sample(v, scale));
-        let key_ratio = if self.track_key {
-            let obs_ln = mean_ln(&register);
+        let (mut register, key_ratio) = if self.track_key {
+            // The same pass observes the register's log-average.
+            let (register, obs_ln) = map_with_log_average(frame, |v| normalize_sample(v, scale));
             let adapted = leak_into(&mut state.log_avg_ln, obs_ln, alpha);
             // Render relative to the adapted level: a brightness step
             // looks bright until the integrator catches up. Exactly 1.0
             // at steady state, so the plan is not rewritten there.
-            (obs_ln - adapted).exp()
+            (register, (obs_ln - adapted).exp())
         } else {
-            1.0
+            (frame.map(|&v| normalize_sample(v, scale)), 1.0)
         };
         let barrier_count = self.barrier_bins.len();
         for seg_index in 0..self.segments.len() {
@@ -310,12 +313,8 @@ impl VideoSession {
             }
         }
         self.state = Some(state);
-        let mean = register.mean();
+        let (mean, temporal_psnr_db) = output_metrics(&register, &mut self.prev_output);
         let flicker_delta = self.prev_mean.map(|prev| (mean - prev).abs());
-        let temporal_psnr_db = self
-            .prev_output
-            .as_ref()
-            .and_then(|prev| temporal_psnr(prev, &register));
         if let Some(delta) = flicker_delta {
             self.flicker_sum += delta;
             self.flicker_count += 1;
@@ -329,7 +328,6 @@ impl VideoSession {
             }
         }
         self.prev_mean = Some(mean);
-        self.prev_output = Some(register.clone());
         self.frames += 1;
         (
             register,
@@ -471,7 +469,7 @@ mod tests {
     use super::*;
     use hdr_image::sequence::{FrameSequence, SequenceKind};
     use hdr_image::synth::SceneKind;
-    use tonemap_backend::Numerics;
+    use tonemap_backend::{BackendRegistry, Numerics, TonemapRequest};
 
     /// A plan exercising all three adapted reduction statistics: the
     /// normalize maximum, a Reinhard key, and a histogram CDF, with a
@@ -719,6 +717,43 @@ mod tests {
             VideoSession::from_spec("sw-f32?pipeline=hsv-reinhard"),
             Err(VideoError::ColourPlan(_))
         ));
+    }
+
+    #[test]
+    fn a_non_positive_frame_keeps_reinhard_streams_alive() {
+        // After two ordinary frames, a frame whose maximum is not positive
+        // is left unscaled, so its register holds negative samples. The
+        // log-average floors them at 0 instead of taking `ln` of a
+        // negative number.
+        let room = SceneKind::WindowInDarkRoom.generate(32, 24, 3);
+        let negative = LuminanceImage::filled(32, 24, -0.5);
+        let sequence = [&room, &room, &negative, &room];
+        let independent = "sw-f32?pipeline=reinhard";
+        for spec in [
+            "sw-f32?pipeline=reinhard&temporal=leaky&tau=4",
+            "hw-fix16?pipeline=reinhard&schedule=auto&temporal=leaky&tau=8",
+            independent,
+        ] {
+            let mut session = VideoSession::from_spec(spec).expect("spec resolves");
+            for (index, frame) in sequence.into_iter().enumerate() {
+                let (output, metrics) = session.process(frame);
+                assert!(
+                    output.pixels().iter().all(|v| v.is_finite()),
+                    "{spec}: frame {index} has a non-finite pixel"
+                );
+                assert!(metrics.mean_brightness.is_finite(), "{spec}: frame {index}");
+            }
+        }
+        let mut session = VideoSession::from_spec(independent).expect("spec resolves");
+        session.process(&room);
+        session.process(&room);
+        let (output, _) = session.process(&negative);
+        let single_frame = BackendRegistry::standard()
+            .execute(&TonemapRequest::luminance(&negative).on_backend(independent))
+            .expect("the registry maps the frame")
+            .into_frame()
+            .expect("display-referred responses carry the frame");
+        assert_eq!(output.pixels(), single_frame.as_slice());
     }
 
     #[test]
