@@ -53,6 +53,12 @@ const HLG_C: f32 = 0.559_910_7;
 /// curve's normalizer, so an input of `W` maps exactly to display white.
 pub const HABLE_WHITE: f32 = 11.2;
 
+/// Where the filmic curves saturate their exposed input. Hable clamps to 1
+/// from [`HABLE_WHITE`] on and ACES from about 7.3, so past this point both
+/// already return exactly 1; without the cap their squares overflow from
+/// about 10¹⁹ on, and ∞/∞ is NaN.
+const FILMIC_INPUT_MAX: f32 = 1.0e6;
+
 #[inline]
 fn sanitized(value: f32) -> f32 {
     if value.is_finite() {
@@ -68,6 +74,9 @@ fn sanitized(value: f32) -> f32 {
 /// Hue is in `[0, 1)`; grey and black pixels get the pinned degenerate
 /// representation `h = 0, s = 0` (see the module docs), so the round trip
 /// through [`hsv_to_rgb`] is exact there.
+///
+/// Every case is a select over values computed for all pixels, so a row
+/// of conversions vectorizes.
 #[inline]
 pub fn rgb_to_hsv(pixel: Rgb<f32>) -> Rgb<f32> {
     let r = sanitized(pixel.r);
@@ -76,54 +85,82 @@ pub fn rgb_to_hsv(pixel: Rgb<f32>) -> Rgb<f32> {
     let max = r.max(g).max(b);
     let min = r.min(g).min(b);
     let delta = max - min;
-    if delta <= 0.0 || max <= 0.0 {
-        // Grey (or black): hue is undefined, collapse to the pinned
-        // representative so the round trip is exact and NaN-free.
-        return Rgb::new(0.0, 0.0, max);
-    }
+    // One candidate per maximal channel. The red one carries no offset:
+    // `0.0 + (−0.0)` would turn a −0 hue into +0.
+    let hue_r = (g - b) / delta;
+    let hue_g = 2.0 + (b - r) / delta;
+    let hue_b = 4.0 + (r - g) / delta;
     let hue_sextant = if max == r {
-        (g - b) / delta
+        hue_r
     } else if max == g {
-        2.0 + (b - r) / delta
+        hue_g
     } else {
-        4.0 + (r - g) / delta
+        hue_b
     };
-    let mut hue = hue_sextant / 6.0;
-    if hue < 0.0 {
-        hue += 1.0;
-    }
+    let hue = hue_sextant / 6.0;
+    let hue = if hue < 0.0 { hue + 1.0 } else { hue };
     // Guard the h == 1.0 wrap (hue_sextant == −0ε rounding) so hue stays in
     // [0, 1).
-    if hue >= 1.0 {
-        hue = 0.0;
-    }
-    Rgb::new(hue, delta / max, max)
+    let hue = if hue >= 1.0 { 0.0 } else { hue };
+    // Grey (or black): hue is undefined, collapse to the pinned
+    // representative so the round trip is exact and NaN-free.
+    let grey = delta <= 0.0 || max <= 0.0;
+    Rgb::new(
+        if grey { 0.0 } else { hue },
+        if grey { 0.0 } else { delta / max },
+        max,
+    )
 }
 
 /// Converts one HSV pixel (packed `(h, s, v)` in the `(r, g, b)` fields, as
 /// produced by [`rgb_to_hsv`]) back to linear RGB.
+///
+/// Like [`rgb_to_hsv`], every case is a select, so a row of conversions
+/// vectorizes.
 #[inline]
 pub fn hsv_to_rgb(pixel: Rgb<f32>) -> Rgb<f32> {
     let h = sanitized(pixel.r);
     let s = sanitized(pixel.g).min(1.0);
     let v = sanitized(pixel.b);
-    if s <= 0.0 {
-        // Zero saturation: achromatic, exactly `v` in every channel.
-        return Rgb::splat(v);
-    }
     let sextant = (h - h.floor()) * 6.0;
-    let index = (sextant as usize).min(5);
-    let fraction = sextant - index as f32;
+    let index = sextant.floor().min(5.0);
+    let fraction = sextant - index;
     let p = v * (1.0 - s);
     let q = v * (1.0 - s * fraction);
     let t = v * (1.0 - s * (1.0 - fraction));
-    match index {
-        0 => Rgb::new(v, t, p),
-        1 => Rgb::new(q, v, p),
-        2 => Rgb::new(p, v, t),
-        3 => Rgb::new(p, q, v),
-        4 => Rgb::new(t, p, v),
-        _ => Rgb::new(v, p, q),
+    // Sextants 0–5 are (v,t,p), (q,v,p), (p,v,t), (p,q,v), (t,p,v), (v,p,q).
+    let red = if index == 0.0 || index == 5.0 {
+        v
+    } else if index == 1.0 {
+        q
+    } else if index == 4.0 {
+        t
+    } else {
+        p
+    };
+    let green = if index == 1.0 || index == 2.0 {
+        v
+    } else if index == 3.0 {
+        q
+    } else if index == 0.0 {
+        t
+    } else {
+        p
+    };
+    let blue = if index == 3.0 || index == 4.0 {
+        v
+    } else if index == 5.0 {
+        q
+    } else if index == 2.0 {
+        t
+    } else {
+        p
+    };
+    // Zero saturation: achromatic, exactly `v` in every channel.
+    if s <= 0.0 {
+        Rgb::splat(v)
+    } else {
+        Rgb::new(red, green, blue)
     }
 }
 
@@ -195,14 +232,15 @@ pub fn hable_sample(value: f32, exposure: f32) -> f32 {
     // anchoring both ends keeps black at exactly 0 and white at exactly 1.
     let black = hable_partial(0.0);
     let white = hable_partial(HABLE_WHITE) - black;
-    ((hable_partial(sanitized(value) * exposure) - black) / white).clamp(0.0, 1.0)
+    let x = (sanitized(value) * exposure).min(FILMIC_INPUT_MAX);
+    ((hable_partial(x) - black) / white).clamp(0.0, 1.0)
 }
 
 /// The ACES filmic approximation (Narkowicz 2015) on a normalized sample,
 /// with an exposure multiplier applied before the rational fit.
 #[inline]
 pub fn aces_sample(value: f32, exposure: f32) -> f32 {
-    let x = sanitized(value) * exposure;
+    let x = (sanitized(value) * exposure).min(FILMIC_INPUT_MAX);
     ((x * (2.51 * x + 0.03)) / (x * (2.43 * x + 0.59) + 0.14)).clamp(0.0, 1.0)
 }
 
@@ -226,6 +264,188 @@ mod tests {
 
     fn assert_close(a: f32, b: f32, eps: f32, what: &str) {
         assert!((a - b).abs() <= eps, "{what}: {a} vs {b}");
+    }
+
+    /// The branchy `rgb_to_hsv` body the select-based one replaced, kept as
+    /// its bit-identity reference.
+    fn reference_rgb_to_hsv(pixel: Rgb<f32>) -> Rgb<f32> {
+        let r = sanitized(pixel.r);
+        let g = sanitized(pixel.g);
+        let b = sanitized(pixel.b);
+        let max = r.max(g).max(b);
+        let min = r.min(g).min(b);
+        let delta = max - min;
+        if delta <= 0.0 || max <= 0.0 {
+            return Rgb::new(0.0, 0.0, max);
+        }
+        let hue_sextant = if max == r {
+            (g - b) / delta
+        } else if max == g {
+            2.0 + (b - r) / delta
+        } else {
+            4.0 + (r - g) / delta
+        };
+        let mut hue = hue_sextant / 6.0;
+        if hue < 0.0 {
+            hue += 1.0;
+        }
+        if hue >= 1.0 {
+            hue = 0.0;
+        }
+        Rgb::new(hue, delta / max, max)
+    }
+
+    /// The branchy `hsv_to_rgb` body (a `match` on the sextant) the
+    /// select-based one replaced, kept as its bit-identity reference.
+    fn reference_hsv_to_rgb(pixel: Rgb<f32>) -> Rgb<f32> {
+        let h = sanitized(pixel.r);
+        let s = sanitized(pixel.g).min(1.0);
+        let v = sanitized(pixel.b);
+        if s <= 0.0 {
+            return Rgb::splat(v);
+        }
+        let sextant = (h - h.floor()) * 6.0;
+        let index = (sextant as usize).min(5);
+        let fraction = sextant - index as f32;
+        let p = v * (1.0 - s);
+        let q = v * (1.0 - s * fraction);
+        let t = v * (1.0 - s * (1.0 - fraction));
+        match index {
+            0 => Rgb::new(v, t, p),
+            1 => Rgb::new(q, v, p),
+            2 => Rgb::new(p, v, t),
+            3 => Rgb::new(p, q, v),
+            4 => Rgb::new(t, p, v),
+            _ => Rgb::new(v, p, q),
+        }
+    }
+
+    fn bits(p: Rgb<f32>) -> [u32; 3] {
+        [p.r.to_bits(), p.g.to_bits(), p.b.to_bits()]
+    }
+
+    /// Every triple of special values (NaN, ±∞, ±0, subnormals, the unit
+    /// interval's ends, huge values), then random bit patterns, random
+    /// unit-interval pixels and pixels with tied channels.
+    fn hsv_probe_pixels() -> Vec<Rgb<f32>> {
+        let specials = [
+            0.0,
+            -0.0,
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::from_bits(1),
+            f32::MIN_POSITIVE / 3.0,
+            f32::MIN_POSITIVE,
+            0.5,
+            1.0 - f32::EPSILON / 2.0,
+            1.0,
+            -1.0,
+            f32::MAX,
+        ];
+        let mut pixels = Vec::new();
+        for &r in &specials {
+            for &g in &specials {
+                for &b in &specials {
+                    pixels.push(Rgb::new(r, g, b));
+                }
+            }
+        }
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for _ in 0..200_000 {
+            let word = next();
+            let (lo, hi) = (word as u32, (word >> 32) as u32);
+            pixels.push(Rgb::new(
+                f32::from_bits(lo),
+                f32::from_bits(hi),
+                f32::from_bits(next() as u32),
+            ));
+            let unit = |w: u64| (w >> 40) as f32 / (1u64 << 24) as f32;
+            let (a, b, c) = (unit(next()), unit(next()), unit(next()));
+            pixels.push(Rgb::new(a, b, c));
+            pixels.push(Rgb::new(a, a, c));
+            pixels.push(Rgb::new(a, b, a));
+            pixels.push(Rgb::new(a, b, b));
+        }
+        pixels
+    }
+
+    #[test]
+    fn hsv_conversions_are_bit_identical_to_the_branchy_reference() {
+        for p in hsv_probe_pixels() {
+            assert_eq!(
+                bits(rgb_to_hsv(p)),
+                bits(reference_rgb_to_hsv(p)),
+                "rgb_to_hsv({p:?})"
+            );
+            assert_eq!(
+                bits(hsv_to_rgb(p)),
+                bits(reference_hsv_to_rgb(p)),
+                "hsv_to_rgb({p:?})"
+            );
+            let hsv = reference_rgb_to_hsv(p);
+            assert_eq!(
+                bits(hsv_to_rgb(hsv)),
+                bits(reference_hsv_to_rgb(hsv)),
+                "hsv_to_rgb({hsv:?})"
+            );
+        }
+    }
+
+    /// The filmic bodies before their input cap, kept as the reference for
+    /// every input at which they stayed finite.
+    fn uncapped_hable(value: f32, exposure: f32) -> f32 {
+        let black = hable_partial(0.0);
+        let white = hable_partial(HABLE_WHITE) - black;
+        ((hable_partial(sanitized(value) * exposure) - black) / white).clamp(0.0, 1.0)
+    }
+
+    fn uncapped_aces(value: f32, exposure: f32) -> f32 {
+        let x = sanitized(value) * exposure;
+        ((x * (2.51 * x + 0.03)) / (x * (2.43 * x + 0.59) + 0.14)).clamp(0.0, 1.0)
+    }
+
+    #[test]
+    fn filmic_curves_stay_finite_at_any_exposure_and_keep_every_finite_output() {
+        type Pair = (fn(f32, f32) -> f32, fn(f32, f32) -> f32);
+        let curves: [(&str, Pair); 2] = [
+            ("hable", (hable_sample, uncapped_hable)),
+            ("aces", (aces_sample, uncapped_aces)),
+        ];
+        // Exposures in half octaves from 2⁻²⁰ up to f32::MAX, over every
+        // 262139th value of [0, 2].
+        let exposures =
+            (-40..=255)
+                .map(|k| (k as f32 / 2.0).exp2())
+                .chain([5e19, 1e25, 3.4e38, f32::MAX]);
+        let values: Vec<f32> = (0..2.0f32.to_bits())
+            .step_by(262_139)
+            .map(f32::from_bits)
+            .collect();
+        let mut overflowed = 0;
+        for exposure in exposures {
+            for &value in &values {
+                for (name, (curve, uncapped)) in &curves {
+                    let (got, old) = (curve(value, exposure), uncapped(value, exposure));
+                    assert!(
+                        (0.0..=1.0).contains(&got),
+                        "{name}({value}, {exposure}) = {got}"
+                    );
+                    if old.is_finite() {
+                        assert_eq!(got.to_bits(), old.to_bits(), "{name}({value}, {exposure})");
+                    } else {
+                        overflowed += 1;
+                    }
+                }
+            }
+        }
+        assert!(overflowed > 0, "the sweep must reach the old overflow");
     }
 
     #[test]

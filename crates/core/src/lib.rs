@@ -77,6 +77,7 @@ mod params;
 pub mod pipeline;
 pub mod plan;
 mod point;
+mod pow;
 mod sample;
 pub mod stream;
 

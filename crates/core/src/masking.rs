@@ -31,13 +31,14 @@ pub fn invert<S: Sample>(image: &ImageBuffer<S>) -> ImageBuffer<S> {
 /// The exponent is `2 ^ (strength · (1 − 2·mask))` when the mask was built
 /// from the inverted image (a dark neighbourhood ⇒ mask ≈ 1 ⇒ exponent < 1 ⇒
 /// the pixel is brightened) and `2 ^ (strength · (2·mask − 1))` otherwise.
+#[inline]
 pub fn exponent_for_mask(mask: f32, params: &MaskingParams) -> f32 {
     let centred = if params.invert_mask {
         1.0 - 2.0 * mask
     } else {
         2.0 * mask - 1.0
     };
-    (params.strength * centred).exp2()
+    Sample::exp2(params.strength * centred)
 }
 
 /// Applies the non-linear masking to one sample given its mask sample — the
@@ -68,9 +69,24 @@ pub fn apply_masking<S: Sample>(
         mask.dimensions(),
         "image and mask dimensions must match"
     );
-    normalized
-        .zip_map(mask, |&v, &m| masked_sample(v, m, params))
-        .expect("dimensions checked above")
+    let mut out = normalized.clone();
+    mask_in_place(out.pixels_mut(), mask.pixels(), params);
+    out
+}
+
+/// Applies the non-linear masking in place to a run of samples given the
+/// matching mask samples. A loop over two slices is what lets the `f32`
+/// power kernel vectorize; an iterator `collect` into a new buffer keeps
+/// it scalar.
+pub(crate) fn mask_in_place<S: Sample>(values: &mut [S], mask: &[S], params: &MaskingParams) {
+    assert_eq!(
+        values.len(),
+        mask.len(),
+        "image and mask dimensions must match"
+    );
+    for (v, &m) in values.iter_mut().zip(mask) {
+        *v = masked_sample(*v, m, params);
+    }
 }
 
 /// Analytic operation counts of the masking stage for `channels` colour

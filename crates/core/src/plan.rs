@@ -1783,7 +1783,7 @@ pub fn histogram_equalize<S: Sample>(image: &ImageBuffer<S>, bins: usize) -> Ima
 /// type — the stage dispatch of the two-pass walk (and, for the
 /// point ops, numerically identical to the streaming epilog).
 fn apply_register_op<S: Sample>(
-    img: ImageBuffer<S>,
+    mut img: ImageBuffer<S>,
     op: &PipelineOp,
     mask: &mut Option<ImageBuffer<S>>,
 ) -> ImageBuffer<S> {
@@ -1794,10 +1794,18 @@ fn apply_register_op<S: Sample>(
         PipelineOp::Invert => crate::masking::invert(&img),
         PipelineOp::Mask(masking) => {
             let mask = mask.take().expect("plan validation pairs mask with blur");
-            crate::masking::apply_masking(&img, &mask, &masking)
+            crate::masking::mask_in_place(img.pixels_mut(), mask.pixels(), &masking);
+            img
         }
         PipelineOp::Adjust(adjust) => crate::adjust::apply_adjustment(&img, &adjust),
-        PipelineOp::Gamma { gamma } => img.map(|&v| v.powf(gamma).clamp01()),
+        PipelineOp::Gamma { gamma } => {
+            // In place over the slice, like the mask, so the power kernel
+            // vectorizes.
+            for v in img.pixels_mut() {
+                *v = v.powf(gamma).clamp01();
+            }
+            img
+        }
         PipelineOp::LogCurve { scale } => {
             img.map(|&v| S::from_f32(log_curve_sample(v.to_f32(), scale)).clamp01())
         }
@@ -2212,6 +2220,36 @@ mod tests {
         let all = execute_plan(&plan, &hdr, blur_separable::<f32>).map(|&v| v.to_f32());
         let split = execute_plan(&plan, &hdr, accelerated_blur::<f32>);
         assert_eq!(all, split);
+    }
+
+    #[test]
+    fn the_f32_stream_stays_within_its_bound_of_the_f64_reference() {
+        // `f64` keeps libm's `powf` and blurs in `f64`: the two-pass walk in
+        // it is the reference the `f32` point kernel and blur are held to.
+        let params = ToneMapParams::paper_default();
+        let bounds = [("paper", -20.0f32), ("basedetail", -20.0), ("gamma", -23.0)];
+        for (name, log2_bound) in bounds {
+            let plan = PipelinePlan::preset(name, &params, &PlanTuning::default())
+                .unwrap()
+                .unwrap();
+            let stream = crate::StreamingToneMapper::<f32>::compile(plan.clone(), params).unwrap();
+            for scene in SceneKind::ALL {
+                let hdr = scene.generate(96, 64, 7);
+                let reference = execute_plan(&plan, &hdr, blur_separable::<f64>);
+                let distance = stream
+                    .map_luminance(&hdr)
+                    .pixels()
+                    .iter()
+                    .zip(reference.pixels())
+                    .map(|(&a, &b)| (f64::from(a) - b).abs())
+                    .fold(0.0, f64::max);
+                assert!(
+                    distance <= f64::from(log2_bound.exp2()),
+                    "{name} on {scene}: 2^{:.2} from the f64 reference",
+                    distance.log2()
+                );
+            }
+        }
     }
 
     #[test]

@@ -96,11 +96,15 @@ impl Sample for f32 {
     fn mul_add(self, a: Self, b: Self) -> Self {
         f32::mul_add(self, a, b)
     }
+    // `#[inline]` lets the row loops of other crates inline the kernel,
+    // which is what vectorizes them.
+    #[inline]
     fn powf(self, exponent: f32) -> Self {
-        f32::powf(self.max(0.0), exponent)
+        crate::pow::pow(self, exponent)
     }
+    #[inline]
     fn exp2(self) -> Self {
-        f32::exp2(self)
+        crate::pow::exp2(self)
     }
     fn bit_width() -> u32 {
         32

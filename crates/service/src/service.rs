@@ -562,6 +562,23 @@ mod tests {
     }
 
     #[test]
+    fn a_huge_filmic_exposure_serves_finite_pixels() {
+        // Unsaturated, the filmic curve squared `x·3.4e38` into ∞/∞ = NaN.
+        let service = TonemapService::standard(ServiceConfig::with_workers(1));
+        let scene = SceneKind::WindowInDarkRoom.generate(64, 48, 1);
+        let response = service
+            .submit(
+                JobRequest::luminance(scene)
+                    .on_backend("sw-f32-stream?pipeline=filmic&exposure=3.4e38"),
+            )
+            .unwrap()
+            .wait()
+            .unwrap();
+        let pixels = response.luminance().unwrap().pixels();
+        assert!(pixels.iter().all(|v| (0.0..=1.0).contains(v)));
+    }
+
+    #[test]
     fn batches_preserve_submission_order() {
         let service = TonemapService::standard(ServiceConfig::with_workers(4));
         let scenes: Vec<Arc<_>> = (1u64..=6)

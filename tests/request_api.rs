@@ -302,6 +302,43 @@ fn nan_channels_in_rgb_inputs_do_not_poison_the_colour_path() {
 }
 
 #[test]
+fn extreme_curve_parameters_give_finite_in_range_pixels() {
+    // `strength=3e38` drives the masking exponent to 0 or +∞ (and `1^∞`
+    // must stay 1); an unsaturated filmic curve squared `x·3.4e38` into
+    // ∞/∞ = NaN.
+    let registry = BackendRegistry::standard();
+    let hdr = SceneKind::WindowInDarkRoom.generate(64, 48, 21);
+    let hdr_rgb = SceneKind::WindowInDarkRoom.generate_rgb(64, 48, 21);
+    let specs = [
+        "sw-f32-stream?strength=0",
+        "sw-f32-stream?strength=3e38",
+        "sw-f32?strength=3e38",
+        "hw-fix16-stream?strength=3e38",
+        "sw-f32-stream?pipeline=filmic&exposure=3.4e38",
+        "sw-f32?pipeline=aces&exposure=3.4e38",
+        "hw-fix16-stream?pipeline=aces&exposure=3.4e38",
+    ];
+    let in_range = |v: f32| v.is_finite() && (0.0..=1.0).contains(&v);
+    for spec in specs {
+        let luminance = registry
+            .execute(&TonemapRequest::luminance(&hdr).on_backend(spec))
+            .unwrap_or_else(|e| panic!("{spec}: {e}"));
+        let pixels = luminance.luminance().unwrap().pixels();
+        assert!(pixels.iter().all(|&v| in_range(v)), "{spec} luminance");
+        let rgb = registry
+            .execute(&TonemapRequest::rgb(&hdr_rgb).on_backend(spec))
+            .unwrap_or_else(|e| panic!("{spec} rgb: {e}"));
+        let channels = rgb
+            .rgb()
+            .unwrap()
+            .pixels()
+            .iter()
+            .flat_map(|p| [p.r, p.g, p.b]);
+        assert!(channels.into_iter().all(in_range), "{spec} rgb");
+    }
+}
+
+#[test]
 fn all_non_finite_inputs_are_rejected_with_a_typed_error() {
     let registry = BackendRegistry::standard();
     let all_nan = LuminanceImage::filled(8, 8, f32::NAN);
