@@ -34,6 +34,10 @@ pub trait Sample: Copy + PartialOrd + std::fmt::Debug + Send + Sync + 'static {
         self.mul(a).add(b)
     }
     /// Raises the value (assumed non-negative) to a real power.
+    ///
+    /// `f32` computes this and [`Sample::exp2`] with the crate's own
+    /// branch-free kernel rather than libm, so row loops over it
+    /// vectorize; `f64` keeps libm as the reference.
     fn powf(self, exponent: f32) -> Self;
     /// Base-2 exponential `2^self`.
     fn exp2(self) -> Self {
