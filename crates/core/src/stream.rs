@@ -18,7 +18,10 @@
 //!   buffer per stencil, cascaded back-to-back so stage *k*'s ring is fed
 //!   on demand by stage *k − 1*'s rows (staggered row latency = sum of the
 //!   upstream radii), the way HWTool and the Halide-to-hardware flows
-//!   compose line-buffered stages;
+//!   compose line-buffered stages. Both passes of a stencil are
+//!   output-stationary, like the pipelined datapath of Fig. 4: a block of
+//!   output samples accumulates in registers over all taps and is stored
+//!   once;
 //! * **reductions over an intermediate** (histogram equalization) are
 //!   *materialization barriers*: the histogram/CDF must see the whole
 //!   intermediate before the first output pixel, so the plan splits at the
@@ -721,8 +724,8 @@ struct RegionState<S: Sample> {
     vrows: Vec<Vec<f32>>,
     /// Edge-padded scratch row for the horizontal blur.
     padded: Vec<S>,
-    /// Vertical accumulator scratch row.
-    vacc: Vec<S>,
+    /// The ring slot each vertical tap reads for the current output row.
+    tap_slots: Vec<usize>,
     /// Scratch row receiving the upstream region's mask stream (empty for
     /// the first region, which has no upstream mask).
     up_mask: Vec<f32>,
@@ -746,7 +749,7 @@ impl<S: Sample> RegionState<S> {
             hrows: vec![vec![S::zero(); width]; len],
             vrows: vec![vec![0.0f32; width]; len],
             padded: vec![S::zero(); width + 2 * radius],
-            vacc: vec![S::zero(); width],
+            tap_slots: vec![0; taps],
             up_mask,
             next_row: None,
         }
@@ -857,23 +860,13 @@ fn emit_row<S: Sample>(
     }
     state.next_row = Some(next);
 
-    // Vertical pass over the ring, tap-major so the inner loop walks each
-    // buffered row sequentially. Per output sample the taps are applied in
-    // the same ascending order as the two-pass reference, so the
-    // accumulation is bit-identical.
-    for a in state.vacc.iter_mut() {
-        *a = S::zero();
+    // Vertical pass over the ring: tap `k` reads the ring row of source
+    // row `y + k − radius`, edge rows replicated.
+    for (k, slot) in state.tap_slots.iter_mut().enumerate() {
+        *slot = (y + k).saturating_sub(radius).min(height - 1) % len;
     }
-    for (k, &weight) in kernel.iter().enumerate() {
-        let source_row = (y + k).saturating_sub(radius).min(height - 1);
-        let row = &state.hrows[source_row % len];
-        for (acc, &sample) in state.vacc.iter_mut().zip(row.iter()) {
-            *acc = weight.mul_add(sample, *acc);
-        }
-    }
-    for (m, acc) in mask_out.iter_mut().zip(state.vacc.iter()) {
-        *m = acc.to_f32();
-    }
+    let (hrows, tap_slots) = (&state.hrows, &state.tap_slots);
+    fir(mask_out, kernel, |k| &hrows[tap_slots[k]], S::to_f32);
     v_out.copy_from_slice(&state.vrows[y % len]);
 }
 
@@ -883,8 +876,8 @@ fn emit_row<S: Sample>(
 /// The row is quantised at the accelerator boundary (with the Moroney
 /// inversion applied first, in `f32`, when the region asks for it), then
 /// edge-padded by `radius` replicated samples so the horizontal window
-/// never needs a clamp; the blur itself runs tap-major with unit-stride
-/// loads. Per output sample the taps are applied in ascending order,
+/// never needs a clamp; tap `k` then reads the padded row shifted by `k`.
+/// [`fir`] applies the taps to each output sample in ascending order,
 /// matching [`crate::blur::blur_horizontal`] bit-for-bit.
 fn fill_blurred_row<S: Sample>(
     dst: &mut [S],
@@ -903,14 +896,64 @@ fn fill_blurred_row<S: Sample>(
     let last = padded[radius + width - 1];
     padded[..radius].fill(first);
     padded[radius + width..].fill(last);
+    let padded: &[S] = padded;
+    fir(dst, kernel, |k| &padded[k..], |acc| acc);
+}
 
-    for d in dst.iter_mut() {
-        *d = S::zero();
+/// Output samples per block of [`fir`]: eight 256-bit registers of `f32`
+/// accumulators, or of `Fix16`'s `i32` raws.
+const BLOCK: usize = 64;
+
+/// The output-stationary FIR of both stencil passes:
+/// `dst[i] = store(Σ_k kernel[k] · tap_row(k)[i])`, where `tap_row(k)` is
+/// the input row tap `k` reads, aligned with the output.
+///
+/// A block of outputs accumulates in a local array over all taps and is
+/// stored once, so the accumulators stay in registers instead of making an
+/// L1 round trip per tap — the software form of the pipelined line-buffer
+/// datapath of Fig. 4. Every output starts at zero and takes the taps in
+/// ascending order, the order of [`crate::blur::blur_horizontal`] and
+/// [`crate::blur::blur_vertical`], so the result is bit-identical to them
+/// at every width, the tail after the last full block included.
+fn fir<'a, S: Sample, T>(
+    dst: &mut [T],
+    kernel: &[S],
+    tap_row: impl Fn(usize) -> &'a [S],
+    store: impl Fn(S) -> T,
+) {
+    let mut blocks = dst.chunks_exact_mut(BLOCK);
+    let mut start = 0;
+    for outputs in &mut blocks {
+        let mut acc = [S::zero(); BLOCK];
+        accumulate(&mut acc, kernel, &tap_row, start);
+        for (out, a) in outputs.iter_mut().zip(acc) {
+            *out = store(a);
+        }
+        start += BLOCK;
     }
+    let outputs = blocks.into_remainder();
+    let mut acc = [S::zero(); BLOCK];
+    let acc = &mut acc[..outputs.len()];
+    accumulate(acc, kernel, &tap_row, start);
+    for (out, &a) in outputs.iter_mut().zip(acc.iter()) {
+        *out = store(a);
+    }
+}
+
+/// Adds every tap's contribution to the outputs `start .. start +
+/// acc.len()`, tap by tap in ascending order: the one accumulation order of
+/// full blocks and of the tail.
+#[inline(always)]
+fn accumulate<'a, S: Sample>(
+    acc: &mut [S],
+    kernel: &[S],
+    tap_row: &impl Fn(usize) -> &'a [S],
+    start: usize,
+) {
     for (k, &weight) in kernel.iter().enumerate() {
-        let window = &padded[k..k + width];
-        for (d, &sample) in dst.iter_mut().zip(window) {
-            *d = weight.mul_add(sample, *d);
+        let window = &tap_row(k)[start..start + acc.len()];
+        for (a, &sample) in acc.iter_mut().zip(window) {
+            *a = weight.mul_add(sample, *a);
         }
     }
 }
@@ -1008,6 +1051,33 @@ mod tests {
             let classic_fx = ToneMapper::new(p).map_luminance_hw_blur::<Fix16>(&hdr);
             let streaming_fx = StreamingToneMapper::<Fix16>::new(p).map_luminance(&hdr);
             assert_eq!(streaming_fx, classic_fx, "Fix16 diverged at {w}x{h}");
+        }
+    }
+
+    #[test]
+    fn widths_straddling_the_stencil_block_match_the_reference() {
+        // One block minus one, exactly one, one plus one, and two blocks
+        // plus a tail as long as the kernel — with radii below the width
+        // and above it.
+        for radius in [1, 5, BLOCK + 3] {
+            let mut p = params();
+            p.blur.radius = radius;
+            for width in [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 2 * radius + 1] {
+                let hdr = SceneKind::MemorialComposite.generate(width, 5, 19);
+                let classic = ToneMapper::new(p).map_luminance_f32(&hdr);
+                let classic_fx = ToneMapper::new(p).map_luminance_hw_blur::<Fix16>(&hdr);
+                for threads in [1, 2, 8] {
+                    let streaming = StreamingToneMapper::<f32>::new(p).with_threads(threads);
+                    let streaming_fx = StreamingToneMapper::<Fix16>::new(p).with_threads(threads);
+                    let at = format!("width {width}, radius {radius}, {threads} threads");
+                    assert_eq!(streaming.map_luminance(&hdr), classic, "f32 at {at}");
+                    assert_eq!(
+                        streaming_fx.map_luminance(&hdr),
+                        classic_fx,
+                        "Fix16 at {at}"
+                    );
+                }
+            }
         }
     }
 

@@ -36,21 +36,40 @@ fn params_with(radius: usize, sigma: f32) -> ToneMapParams {
     p
 }
 
+/// The number of output samples the streaming engine's stencil kernel
+/// accumulates per block.
+const BLOCK: usize = 64;
+
 /// Degenerate shapes: single-row, single-column, and tiny images smaller
-/// than the blur radius in one or both dimensions.
+/// than the blur radius in one or both dimensions — plus short rows whose
+/// widths straddle the stencil block: one below, on and one past it, and
+/// two blocks followed by a tail of `2r + 1` samples for each drawn radius.
 fn degenerate_dims() -> impl Strategy<Value = (usize, usize)> {
     prop_oneof![
         (Just(1usize), 1usize..48).prop_map(|(w, h)| (w, h)),
         (1usize..48, Just(1usize)).prop_map(|(w, h)| (w, h)),
         (1usize..7, 1usize..7).prop_map(|(w, h)| (w, h)),
+        (
+            prop_oneof![
+                BLOCK - 1..BLOCK + 2,
+                (1usize..9).prop_map(|r| 2 * BLOCK + 2 * r + 1),
+            ],
+            1usize..7
+        ),
     ]
+}
+
+/// Blur radii: the small ones, and radii past a whole block — above the
+/// width of every degenerate shape up to one block past the block width.
+fn radii() -> impl Strategy<Value = usize> {
+    prop_oneof![1usize..9, BLOCK..BLOCK + 8]
 }
 
 proptest! {
     #[test]
     fn f32_streaming_matches_two_pass_on_degenerate_geometries(
         (width, height) in degenerate_dims(),
-        radius in 1usize..9,
+        radius in radii(),
         sigma in 0.4f32..6.0,
         seed in 0u64..1_000_000,
     ) {
@@ -69,7 +88,7 @@ proptest! {
     #[test]
     fn fix16_streaming_matches_two_pass_on_degenerate_geometries(
         (width, height) in degenerate_dims(),
-        radius in 1usize..9,
+        radius in radii(),
         sigma in 0.4f32..6.0,
         seed in 0u64..1_000_000,
     ) {
@@ -83,7 +102,7 @@ proptest! {
     #[test]
     fn streaming_blur_windows_stay_display_referred_on_degenerate_geometries(
         (width, height) in degenerate_dims(),
-        radius in 1usize..9,
+        radius in radii(),
         seed in 0u64..1_000_000,
     ) {
         // Even when the whole image is border, the output must stay in the
