@@ -85,17 +85,21 @@ pub fn rgb_to_hsv(pixel: Rgb<f32>) -> Rgb<f32> {
     let max = r.max(g).max(b);
     let min = r.min(g).min(b);
     let delta = max - min;
-    // One candidate per maximal channel. The red one carries no offset:
+    // The maximal channel selects the numerator and the sextant offset, so
+    // one division serves all three cases. The red case adds no offset:
     // `0.0 + (−0.0)` would turn a −0 hue into +0.
-    let hue_r = (g - b) / delta;
-    let hue_g = 2.0 + (b - r) / delta;
-    let hue_b = 4.0 + (r - g) / delta;
-    let hue_sextant = if max == r {
-        hue_r
+    let (numerator, offset) = if max == r {
+        (g - b, 0.0)
     } else if max == g {
-        hue_g
+        (b - r, 2.0)
     } else {
-        hue_b
+        (r - g, 4.0)
+    };
+    let quotient = numerator / delta;
+    let hue_sextant = if max == r {
+        quotient
+    } else {
+        offset + quotient
     };
     let hue = hue_sextant / 6.0;
     let hue = if hue < 0.0 { hue + 1.0 } else { hue };

@@ -1556,48 +1556,89 @@ pub fn rgb_normalization_scale(image: &RgbImage) -> Option<f32> {
     (max > 0.0).then(|| 1.0 / max)
 }
 
-/// Applies one colour point op in place to a colour row: conversions
-/// change the layout, transfer curves run per channel, and tone curves on
-/// an `Hsv` register transform only the value channel — through the same
-/// row kernels the scalar executors use, so a curve applied to V agrees
-/// bit-exactly with the same curve applied to a luminance plane.
-fn apply_color_op_row(op: &PipelineOp, layout: ChannelLayout, row: &mut [Rgb<f32>]) {
+/// Applies one colour point op in place to a colour row held as three
+/// channel rows: conversions read and write all three, transfer curves run
+/// once per channel row, and tone curves on an `Hsv` register transform
+/// only the value row — through the same row kernels the scalar executors
+/// use, so a curve applied to V agrees bit-exactly with the same curve
+/// applied to a luminance plane.
+fn apply_color_op_planes(op: &PipelineOp, layout: ChannelLayout, [x, y, z]: [&mut [f32]; 3]) {
     match op {
-        PipelineOp::RgbToHsv => row.iter_mut().for_each(|p| *p = color::rgb_to_hsv(*p)),
-        PipelineOp::HsvToRgb => row.iter_mut().for_each(|p| *p = color::hsv_to_rgb(*p)),
+        PipelineOp::RgbToHsv => convert_planes([x, y, z], color::rgb_to_hsv),
+        PipelineOp::HsvToRgb => convert_planes([x, y, z], color::hsv_to_rgb),
         PipelineOp::PqOetf { .. }
         | PipelineOp::PqEotf { .. }
         | PipelineOp::HlgOetf
-        | PipelineOp::HlgEotf => CompiledPointOp::from_op(op).apply_row(
-            row.iter_mut().flat_map(|p| [&mut p.r, &mut p.g, &mut p.b]),
-            None,
-        ),
+        | PipelineOp::HlgEotf => {
+            let op = CompiledPointOp::from_op(op);
+            for plane in [x, y, z] {
+                op.apply_row(plane, None);
+            }
+        }
         _ => {
             debug_assert_eq!(layout, ChannelLayout::Hsv);
-            CompiledPointOp::from_op(op).apply_row(row.iter_mut().map(|p| &mut p.b), None);
+            CompiledPointOp::from_op(op).apply_row(z, None);
         }
     }
 }
 
-/// One row pass over a run of colour point ops: each row is ingested (the
-/// leading colour normalize, when the run follows it) and then every op
-/// runs op-major over the row.
+/// Applies a per-pixel colour conversion in place across three channel
+/// rows.
+#[inline]
+fn convert_planes([x, y, z]: [&mut [f32]; 3], convert: impl Fn(Rgb<f32>) -> Rgb<f32>) {
+    for ((x, y), z) in x.iter_mut().zip(y.iter_mut()).zip(z.iter_mut()) {
+        let p = convert(Rgb::new(*x, *y, *z));
+        (*x, *y, *z) = (p.r, p.g, p.b);
+    }
+}
+
+/// Splits one colour row into its three channel rows, ingesting every
+/// sample on the way (the leading colour normalize, when one is pending).
+fn split_row(src: &[Rgb<f32>], [x, y, z]: [&mut [f32]; 3], ingest: Ingest) {
+    fn split(src: &[Rgb<f32>], [x, y, z]: [&mut [f32]; 3], f: impl Fn(f32) -> f32) {
+        for (((p, x), y), z) in src.iter().zip(x).zip(y).zip(z) {
+            (*x, *y, *z) = (f(p.r), f(p.g), f(p.b));
+        }
+    }
+    match ingest {
+        Ingest::Source(Some(scale)) => split(src, [x, y, z], |c| normalize_sample(c, Some(scale))),
+        Ingest::Source(None) => split(src, [x, y, z], |c| normalize_sample(c, None)),
+        Ingest::Passthrough => split(src, [x, y, z], |c| c),
+    }
+}
+
+/// One row pass over a run of colour point ops, plane-major: each row is
+/// split once into three contiguous channel rows (ingesting it on the
+/// way), every op runs over whole channel rows, and the row is interleaved
+/// once — through a trailing `HsvToRgb`, when the run ends in one.
 fn apply_color_points(
     ingest: Ingest,
     ops: &[(PipelineOp, ChannelLayout)],
     image: &RgbImage,
 ) -> RgbImage {
     let (width, height) = image.dimensions();
+    let (ops, to_rgb) = match ops.split_last() {
+        Some(((PipelineOp::HsvToRgb, _), rest)) => (rest, true),
+        _ => (ops, false),
+    };
+    let mut planes = [
+        vec![0.0f32; width],
+        vec![0.0f32; width],
+        vec![0.0f32; width],
+    ];
     let mut out: Vec<Rgb<f32>> = Vec::with_capacity(width * height);
     for src in image.pixels().chunks_exact(width) {
-        let start = out.len();
-        out.extend_from_slice(src);
-        let row = &mut out[start..];
-        ingest.apply_row(row, |p: Rgb<f32>, scale| {
-            p.map(|c| normalize_sample(c, scale))
-        });
+        let [x, y, z] = &mut planes;
+        split_row(src, [x, y, z], ingest);
         for (op, layout) in ops {
-            apply_color_op_row(op, *layout, row);
+            apply_color_op_planes(op, *layout, [x, y, z]);
+        }
+        let pixels = x.iter().zip(y.iter()).zip(z.iter());
+        let pixels = pixels.map(|((&x, &y), &z)| Rgb::new(x, y, z));
+        if to_rgb {
+            out.extend(pixels.map(color::hsv_to_rgb));
+        } else {
+            out.extend(pixels);
         }
     }
     RgbImage::from_vec(width, height, out).expect("output dimensions equal input dimensions")
@@ -1689,12 +1730,25 @@ where
 /// Applies a still-pending ingest (the leading colour normalize) to the
 /// colour register as a pass of its own — needed only where no colour
 /// point run follows the normalize to fold it into: an extract reading the
-/// raw input, or a normalize-only plan.
+/// raw input, or a normalize-only plan. With no op to run per channel, the
+/// pass stays one flat, row-by-row sweep over the interleaved samples.
 fn settle_ingest<'a>(image: Cow<'a, RgbImage>, ingest: &mut Ingest) -> Cow<'a, RgbImage> {
-    match std::mem::replace(ingest, Ingest::Passthrough) {
-        Ingest::Passthrough => image,
-        pending => Cow::Owned(apply_color_points(pending, &[], &image)),
+    let pending = std::mem::replace(ingest, Ingest::Passthrough);
+    if let Ingest::Passthrough = pending {
+        return image;
     }
+    let (width, height) = image.dimensions();
+    let mut out: Vec<Rgb<f32>> = Vec::with_capacity(width * height);
+    for src in image.pixels().chunks_exact(width) {
+        let start = out.len();
+        out.extend_from_slice(src);
+        pending.apply_row(&mut out[start..], |p: Rgb<f32>, scale| {
+            p.map(|c| normalize_sample(c, scale))
+        });
+    }
+    Cow::Owned(
+        RgbImage::from_vec(width, height, out).expect("output dimensions equal input dimensions"),
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -1706,16 +1760,39 @@ fn settle_ingest<'a>(image: Cow<'a, RgbImage>, ingest: &mut Ingest) -> Cow<'a, R
 // ---------------------------------------------------------------------------
 
 /// One global-Reinhard sample: `L·(1 + L/white²)/(1 + L)` with `L = key·x`.
+///
+/// Where the formula degenerates it returns its limit: 0 for `L = 0` once
+/// `white²` underflows to 0 (0/0), and 1 once `L` overflows to ∞ (∞/∞).
+/// Every other sample keeps the formula's bits.
 #[inline]
 pub fn reinhard_sample(value: f32, key: f32, white: f32) -> f32 {
     let l = key * value.max(0.0);
-    (l * (1.0 + l / (white * white)) / (1.0 + l)).clamp(0.0, 1.0)
+    let mapped = (l * (1.0 + l / (white * white)) / (1.0 + l)).clamp(0.0, 1.0);
+    if mapped.is_nan() {
+        if l > 0.0 {
+            1.0
+        } else {
+            0.0
+        }
+    } else {
+        mapped
+    }
 }
 
 /// One log-curve sample: `ln(1 + scale·x) / ln(1 + scale)`.
+///
+/// Below `scale` = 2⁻²⁴, `1 + scale` rounds to 1 and small samples give
+/// 0/0; there the curve returns its limit as `scale → 0`, the identity
+/// (clamped). Every other sample keeps the formula's bits.
 #[inline]
 pub fn log_curve_sample(value: f32, scale: f32) -> f32 {
-    ((1.0 + scale * value.max(0.0)).ln() / (1.0 + scale).ln()).clamp(0.0, 1.0)
+    let x = value.max(0.0);
+    let mapped = ((1.0 + scale * x).ln() / (1.0 + scale).ln()).clamp(0.0, 1.0);
+    if mapped.is_nan() {
+        x.min(1.0)
+    } else {
+        mapped
+    }
 }
 
 /// The histogram level of a sample in `[0, 1]` for a `bins`-level histogram.
@@ -2174,6 +2251,68 @@ mod tests {
     }
 
     #[test]
+    fn curves_stay_finite_for_every_accepted_parameter_and_keep_every_finite_output() {
+        // The formulas without their limits, as the bit reference.
+        let raw_reinhard = |value: f32, key: f32, white: f32| {
+            let l = key * value.max(0.0);
+            (l * (1.0 + l / (white * white)) / (1.0 + l)).clamp(0.0, 1.0)
+        };
+        let raw_log = |value: f32, scale: f32| {
+            ((1.0 + scale * value.max(0.0)).ln() / (1.0 + scale).ln()).clamp(0.0, 1.0)
+        };
+        // Parameters in octaves from the smallest subnormal up to f32::MAX,
+        // over zero, subnormal, ordinary and non-finite samples.
+        let parameters: Vec<f32> = (-149..=127)
+            .map(|k| 2.0f32.powi(k))
+            .chain([1e-45, 1e-30, 1e-8, 3.4e38, f32::MAX])
+            .collect();
+        let values: Vec<f32> = (0..2.0f32.to_bits())
+            .step_by(1_048_573)
+            .map(f32::from_bits)
+            .chain([0.0, -0.0, 1e-45, 1.0, 2.0, -1.0, f32::INFINITY, f32::NAN])
+            .collect();
+        let in_range = |v: f32| (0.0..=1.0).contains(&v);
+        let mut degenerate = [0usize; 2];
+        for &a in &parameters {
+            for &value in &values {
+                let (got, old) = (log_curve_sample(value, a), raw_log(value, a));
+                assert!(in_range(got), "log({value}, {a}) = {got}");
+                if old.is_nan() {
+                    degenerate[0] += 1;
+                } else {
+                    assert_eq!(got.to_bits(), old.to_bits(), "log({value}, {a})");
+                }
+                for white in [a, 1e-30, 1.0, f32::MAX] {
+                    let (got, old) = (
+                        reinhard_sample(value, a, white),
+                        raw_reinhard(value, a, white),
+                    );
+                    assert!(in_range(got), "reinhard({value}, {a}, {white}) = {got}");
+                    if old.is_nan() {
+                        degenerate[1] += 1;
+                    } else {
+                        assert_eq!(
+                            got.to_bits(),
+                            old.to_bits(),
+                            "reinhard({value}, {a}, {white})"
+                        );
+                    }
+                }
+            }
+        }
+        assert!(
+            degenerate.iter().all(|&n| n > 0),
+            "the sweep must reach both 0/0 cases"
+        );
+        // The limits themselves: identity below 2⁻²⁴, black stays black.
+        assert_eq!(log_curve_sample(0.5, 1e-8), 0.5);
+        assert_eq!(log_curve_sample(3.0, 1e-45), 1.0);
+        assert_eq!(reinhard_sample(0.0, 1e-45, 1e-45), 0.0);
+        assert_eq!(reinhard_sample(0.0, 8.0, 1e-30), 0.0);
+        assert_eq!(reinhard_sample(0.9, 1e-45, 1e-45), 1.0);
+    }
+
+    #[test]
     fn histogram_equalize_flattens_and_keeps_constants() {
         // A dark-skewed ramp equalizes towards uniform.
         let img = LuminanceImage::from_fn(64, 64, |x, y| {
@@ -2504,6 +2643,175 @@ mod tests {
             ),
             Err(PlanError::InvalidExposure(_))
         ));
+    }
+
+    /// The AoS, op-major colour row pass the plane-major one replaced, kept
+    /// as its bit reference: every op runs over the interleaved row, and a
+    /// tone curve on V reads it with stride 3.
+    fn reference_color_points(
+        ingest: Ingest,
+        ops: &[(PipelineOp, ChannelLayout)],
+        image: &RgbImage,
+    ) -> RgbImage {
+        let (width, height) = image.dimensions();
+        let mut out: Vec<Rgb<f32>> = Vec::with_capacity(width * height);
+        for src in image.pixels().chunks_exact(width) {
+            let start = out.len();
+            out.extend_from_slice(src);
+            let row = &mut out[start..];
+            ingest.apply_row(row, |p: Rgb<f32>, scale| {
+                p.map(|c| normalize_sample(c, scale))
+            });
+            for (op, layout) in ops {
+                let curve = |v: &mut f32| {
+                    CompiledPointOp::from_op(op).apply_row(std::slice::from_mut(v), None)
+                };
+                match op {
+                    PipelineOp::RgbToHsv => row.iter_mut().for_each(|p| *p = color::rgb_to_hsv(*p)),
+                    PipelineOp::HsvToRgb => row.iter_mut().for_each(|p| *p = color::hsv_to_rgb(*p)),
+                    PipelineOp::PqOetf { .. }
+                    | PipelineOp::PqEotf { .. }
+                    | PipelineOp::HlgOetf
+                    | PipelineOp::HlgEotf => row
+                        .iter_mut()
+                        .flat_map(|p| [&mut p.r, &mut p.g, &mut p.b])
+                        .for_each(curve),
+                    _ => {
+                        assert_eq!(*layout, ChannelLayout::Hsv);
+                        row.iter_mut().for_each(|p| curve(&mut p.b));
+                    }
+                }
+            }
+        }
+        RgbImage::from_vec(width, height, out).unwrap()
+    }
+
+    fn channel_bits(image: &RgbImage) -> Vec<u32> {
+        let pixels = image.pixels().iter();
+        pixels
+            .flat_map(|p| [p.r, p.g, p.b].map(f32::to_bits))
+            .collect()
+    }
+
+    #[test]
+    fn plane_major_colour_rows_match_the_aos_reference_bit_for_bit() {
+        let params = ToneMapParams::paper_default();
+        let tuning = PlanTuning::default();
+        let mut plans: Vec<PipelinePlan> = [
+            "hsv-reinhard",
+            "filmic",
+            "aces",
+            "drago",
+            "pq-out",
+            "hlg-out",
+        ]
+        .iter()
+        .map(|name| {
+            PipelinePlan::preset(name, &params, &tuning)
+                .unwrap()
+                .unwrap()
+        })
+        .collect();
+        // The ratio wrapper, and every colour point op on one register: the
+        // transfer curves per channel, every tone curve on V, one run ending
+        // in `HsvToRgb` (fused into the interleave) and one that does not.
+        plans.push(PipelinePlan::from_params(&params));
+        let curves = [
+            PipelineOp::Invert,
+            PipelineOp::Adjust(params.adjust),
+            PipelineOp::Gamma { gamma: 0.7 },
+            PipelineOp::LogCurve { scale: 50.0 },
+            PipelineOp::Reinhard {
+                key: 4.0,
+                white: 2.0,
+            },
+            PipelineOp::Hable { exposure: 3.0 },
+            PipelineOp::Aces { exposure: 2.0 },
+            PipelineOp::Drago { bias: 0.85 },
+        ];
+        let transfers = [
+            PipelineOp::PqOetf { peak_nits: 1000.0 },
+            PipelineOp::PqEotf { peak_nits: 1000.0 },
+            PipelineOp::HlgOetf,
+            PipelineOp::HlgEotf,
+        ];
+        for normalize in [true, false] {
+            let mut ops = Vec::new();
+            if normalize {
+                ops.push(PipelineOp::Normalize);
+            }
+            ops.extend(transfers);
+            ops.push(PipelineOp::RgbToHsv);
+            ops.extend(curves);
+            ops.push(PipelineOp::HsvToRgb);
+            if !normalize {
+                ops.push(PipelineOp::PqOetf { peak_nits: 400.0 });
+            }
+            plans.push(PipelinePlan::with_input(ChannelLayout::Rgb, ops).unwrap());
+        }
+
+        // NaN, ±∞, negative, signed-zero and subnormal channels among
+        // ordinary ones, at widths below, on and past the stencil block.
+        let specials = [
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            -0.5,
+            -0.0,
+            1e-45,
+            1e-40,
+            f32::MIN_POSITIVE,
+        ];
+        for width in [1, 63, 64, 65, 2 * 64 + 2 * 20 + 1] {
+            let scene = SceneKind::SunAndShadow.generate_rgb(width, 3, 11);
+            let hdr = RgbImage::from_fn(width, 3, |x, y| {
+                let mut p = scene.pixels()[x + y * width];
+                let i = x + y * width;
+                if i % 4 == 1 {
+                    let special = specials[(i / 4) % specials.len()];
+                    match (i / 4) % 4 {
+                        0 => p.r = special,
+                        1 => p.g = special,
+                        2 => p.b = special,
+                        _ => p = Rgb::splat(special),
+                    }
+                }
+                p
+            });
+            let ingests = [
+                Ingest::Source(rgb_normalization_scale(&hdr)),
+                Ingest::Source(None),
+                Ingest::Passthrough,
+            ];
+            for plan in &plans {
+                let plan = if plan.input_layout() == ChannelLayout::Rgb {
+                    plan.clone()
+                } else {
+                    plan.compose_for_rgb()
+                };
+                for ingest in ingests {
+                    let expected = reference_color_points(ingest, &[], &hdr);
+                    let mut pending = ingest;
+                    let settled = settle_ingest(Cow::Borrowed(&hdr), &mut pending);
+                    assert_eq!(
+                        channel_bits(&settled),
+                        channel_bits(&expected),
+                        "settled ingest {ingest:?} diverged at width {width}"
+                    );
+                    for stage in plan.color_stages() {
+                        if let ColorStage::Points(ops) = stage {
+                            let expected = reference_color_points(ingest, &ops, &hdr);
+                            let got = apply_color_points(ingest, &ops, &hdr);
+                            assert_eq!(
+                                channel_bits(&got),
+                                channel_bits(&expected),
+                                "{plan} with {ingest:?} diverged at width {width}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -71,30 +71,25 @@ impl CompiledPointOp {
         }
     }
 
-    /// Applies this op in place to every sample of a row — a slice, or one
-    /// channel of a colour row — reading the matching blurred-mask sample
-    /// for [`CompiledPointOp::Mask`].
+    /// Applies this op in place to every sample of a row — a luminance row
+    /// or one channel row of a colour register — reading the matching
+    /// blurred-mask sample for [`CompiledPointOp::Mask`].
     ///
     /// # Panics
     ///
     /// Panics if a mask op gets no mask row; plan validation pairs every
     /// mask with a blur, so the executors always pass one.
     #[inline]
-    pub(crate) fn apply_row<'a>(
-        &self,
-        samples: impl IntoIterator<Item = &'a mut f32>,
-        mask: Option<&[f32]>,
-    ) {
+    pub(crate) fn apply_row(&self, samples: &mut [f32], mask: Option<&[f32]>) {
         // One tight loop per op: `f` is the op's per-sample helper.
-        fn each<'a>(samples: impl Iterator<Item = &'a mut f32>, f: impl Fn(f32) -> f32) {
-            samples.for_each(|v| *v = f(*v));
+        fn each(samples: &mut [f32], f: impl Fn(f32) -> f32) {
+            samples.iter_mut().for_each(|v| *v = f(*v));
         }
-        let samples = samples.into_iter();
         match *self {
             CompiledPointOp::Invert => each(samples, |v| 1.0 - v),
             CompiledPointOp::Mask(masking) => {
                 let mask = mask.expect("plan validation pairs mask with blur");
-                for (v, &m) in samples.zip(mask) {
+                for (v, &m) in samples.iter_mut().zip(mask) {
                     *v = masked_sample(*v, m, &masking);
                 }
             }
@@ -121,7 +116,7 @@ impl CompiledPointOp {
 #[inline]
 pub(crate) fn apply_chain(chain: &[CompiledPointOp], row: &mut [f32], mask: Option<&[f32]>) {
     for op in chain {
-        op.apply_row(row.iter_mut(), mask);
+        op.apply_row(row, mask);
     }
 }
 

@@ -757,6 +757,34 @@ mod tests {
     }
 
     #[test]
+    fn a_vanishing_reinhard_key_keeps_leaky_frames_finite() {
+        // With `white` defaulting to the key, `white²` underflows to 0, and
+        // the adapted key (the spec's key times the adaptation ratio) can
+        // underflow to 0 itself: every sample meets the curve's 0/0.
+        let frames = FrameSequence::new(
+            SequenceKind::ExposureRamp { decades: 2.0 },
+            SceneKind::WindowInDarkRoom,
+            32,
+            24,
+            4,
+            5,
+        );
+        for spec in [
+            "sw-f32?pipeline=reinhard&reinhard_key=1e-45&temporal=leaky&tau=2",
+            "hw-fix16?pipeline=reinhard&reinhard_key=1e-45&temporal=leaky&tau=2",
+        ] {
+            let mut session = VideoSession::from_spec(spec).expect("spec resolves");
+            for (index, frame) in frames.frames().enumerate() {
+                let (output, _) = session.process(&frame);
+                assert!(
+                    output.pixels().iter().all(|v| v.is_finite()),
+                    "{spec}: frame {index} has a non-finite pixel"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn reset_restores_the_just_constructed_state() {
         let params = ToneMapParams::paper_default();
         let plan = PipelinePlan::from_params(&params);

@@ -305,10 +305,16 @@ fn nan_channels_in_rgb_inputs_do_not_poison_the_colour_path() {
 fn extreme_curve_parameters_give_finite_in_range_pixels() {
     // `strength=3e38` drives the masking exponent to 0 or +∞ (and `1^∞`
     // must stay 1); an unsaturated filmic curve squared `x·3.4e38` into
-    // ∞/∞ = NaN.
+    // ∞/∞ = NaN. Below 2⁻²⁴ `1 + log_scale` rounds to 1, and a tiny
+    // Reinhard white squares to 0, so both curves met 0/0.
     let registry = BackendRegistry::standard();
     let hdr = SceneKind::WindowInDarkRoom.generate(64, 48, 21);
     let hdr_rgb = SceneKind::WindowInDarkRoom.generate_rgb(64, 48, 21);
+    // The same frame with one exactly-black pixel, where `L = 0`.
+    let mut dark = hdr.clone();
+    dark.set(9, 5, 0.0);
+    let mut dark_rgb = hdr_rgb.clone();
+    dark_rgb.set(9, 5, hdr_image::Rgb::splat(0.0));
     let specs = [
         "sw-f32-stream?strength=0",
         "sw-f32-stream?strength=3e38",
@@ -317,24 +323,49 @@ fn extreme_curve_parameters_give_finite_in_range_pixels() {
         "sw-f32-stream?pipeline=filmic&exposure=3.4e38",
         "sw-f32?pipeline=aces&exposure=3.4e38",
         "hw-fix16-stream?pipeline=aces&exposure=3.4e38",
+        "sw-f32-stream?pipeline=log&log_scale=1e-8",
+        "sw-fix16?pipeline=log&log_scale=1e-8",
+        "sw-f32?pipeline=reinhard&reinhard_key=1e-45",
+        "hw-fix16?pipeline=reinhard&reinhard_key=1e-45",
+        "hw-fix16-stream?pipeline=reinhard&reinhard_key=1e-45",
+        "sw-fix16?pipeline=reinhard&reinhard_key=1e-45",
+        "sw-f32-stream?pipeline=reinhard&reinhard_white=1e-30",
     ];
     let in_range = |v: f32| v.is_finite() && (0.0..=1.0).contains(&v);
-    for spec in specs {
-        let luminance = registry
-            .execute(&TonemapRequest::luminance(&hdr).on_backend(spec))
-            .unwrap_or_else(|e| panic!("{spec}: {e}"));
-        let pixels = luminance.luminance().unwrap().pixels();
-        assert!(pixels.iter().all(|&v| in_range(v)), "{spec} luminance");
-        let rgb = registry
-            .execute(&TonemapRequest::rgb(&hdr_rgb).on_backend(spec))
-            .unwrap_or_else(|e| panic!("{spec} rgb: {e}"));
-        let channels = rgb
-            .rgb()
-            .unwrap()
-            .pixels()
-            .iter()
-            .flat_map(|p| [p.r, p.g, p.b]);
-        assert!(channels.into_iter().all(in_range), "{spec} rgb");
+    for (frame, (hdr, hdr_rgb)) in [(&hdr, &hdr_rgb), (&dark, &dark_rgb)]
+        .into_iter()
+        .enumerate()
+    {
+        for spec in specs {
+            let luminance = registry
+                .execute(&TonemapRequest::luminance(hdr).on_backend(spec))
+                .unwrap_or_else(|e| panic!("{spec}: {e}"));
+            let pixels = luminance.luminance().unwrap().pixels();
+            assert!(
+                pixels.iter().all(|&v| in_range(v)),
+                "{spec} luminance, frame {frame}"
+            );
+            if spec.contains("log_scale") || spec.contains("reinhard_key") {
+                // The curves' limits, not a saturated frame.
+                assert!(
+                    pixels.iter().any(|&v| v < 1.0),
+                    "{spec} saturated, frame {frame}"
+                );
+            }
+            let rgb = registry
+                .execute(&TonemapRequest::rgb(hdr_rgb).on_backend(spec))
+                .unwrap_or_else(|e| panic!("{spec} rgb: {e}"));
+            let channels = rgb
+                .rgb()
+                .unwrap()
+                .pixels()
+                .iter()
+                .flat_map(|p| [p.r, p.g, p.b]);
+            assert!(
+                channels.into_iter().all(in_range),
+                "{spec} rgb, frame {frame}"
+            );
+        }
     }
 }
 
