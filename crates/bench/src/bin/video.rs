@@ -284,7 +284,7 @@ fn main() {
 
     // 5 — session overhead: the same frames through a leaky session and
     // as single-frame registry executions of the engine spec, each side
-    // its best of three timed passes after an untimed warm-up.
+    // its best of three timed passes after `time_best`'s untimed warm-up.
     let session_over_execute = |session_spec: &str, engine_spec: &str| {
         let mut session = VideoSession::from_spec(session_spec).unwrap();
         let execute = |frame| {
@@ -292,8 +292,6 @@ fn main() {
                 .execute(&TonemapRequest::luminance(frame).on_backend(engine_spec))
                 .unwrap()
         };
-        black_box(session.process(&frames[0]));
-        black_box(execute(&frames[0]));
         let session_seconds = time_best(REPS, || {
             for frame in &frames {
                 black_box(session.process(frame));

@@ -68,7 +68,11 @@ pub fn bench_input(size: usize) -> LuminanceImage {
 
 /// Best-of-N wall time of one closure, in seconds — the one timer the gate
 /// binaries share.
+///
+/// The closure first runs once untimed, so the timed calls measure the
+/// kernel rather than the allocator warming up for its first outputs.
 pub fn time_best<F: FnMut()>(iterations: usize, mut f: F) -> f64 {
+    f();
     let mut best = f64::INFINITY;
     for _ in 0..iterations {
         let start = std::time::Instant::now();
