@@ -69,9 +69,8 @@ fn arithmetic(c: &mut Criterion) {
 /// One tap-major pass of a 41-tap kernel over an edge-padded row: for each
 /// tap, one multiply-accumulate across the whole row. The compiler can
 /// vectorize its inner loop across pixels — unlike the loop-carried `mac_*`
-/// chains above — but every multiply-add loads and stores its accumulator.
-/// `StreamingToneMapper`'s line buffer ran this shape before its passes
-/// became output-stationary; it stays here as that kernel's baseline.
+/// chains above — but every multiply-add loads and stores its accumulator,
+/// which the output-stationary passes of `StreamingToneMapper` avoid.
 fn tap_major_row<S: Sample>(dst: &mut [S], padded: &[S], kernel: &[S]) {
     let width = dst.len();
     dst.fill(S::zero());

@@ -1731,24 +1731,12 @@ where
 /// colour register as a pass of its own — needed only where no colour
 /// point run follows the normalize to fold it into: an extract reading the
 /// raw input, or a normalize-only plan. With no op to run per channel, the
-/// pass stays one flat, row-by-row sweep over the interleaved samples.
+/// pass stays one flat sweep over the interleaved samples.
 fn settle_ingest<'a>(image: Cow<'a, RgbImage>, ingest: &mut Ingest) -> Cow<'a, RgbImage> {
-    let pending = std::mem::replace(ingest, Ingest::Passthrough);
-    if let Ingest::Passthrough = pending {
-        return image;
+    match std::mem::replace(ingest, Ingest::Passthrough) {
+        Ingest::Passthrough => image,
+        Ingest::Source(scale) => Cow::Owned(image.map(|p| p.map(|c| normalize_sample(c, scale)))),
     }
-    let (width, height) = image.dimensions();
-    let mut out: Vec<Rgb<f32>> = Vec::with_capacity(width * height);
-    for src in image.pixels().chunks_exact(width) {
-        let start = out.len();
-        out.extend_from_slice(src);
-        pending.apply_row(&mut out[start..], |p: Rgb<f32>, scale| {
-            p.map(|c| normalize_sample(c, scale))
-        });
-    }
-    Cow::Owned(
-        RgbImage::from_vec(width, height, out).expect("output dimensions equal input dimensions"),
-    )
 }
 
 // ---------------------------------------------------------------------------
