@@ -202,6 +202,40 @@ fn a_non_positive_frame_does_not_stop_a_served_reinhard_stream() {
     assert_eq!(service.stats().frames_completed, frames.len() as u64);
 }
 
+/// A Reinhard key near `f32::MAX` on a darkening ramp: the adapted key
+/// (the spec's key times the adaptation ratio) would overflow to ∞. It
+/// saturates instead, so every frame is served, finite and equal to a
+/// local session's; no worker panics and no later frame comes back `Lost`.
+#[test]
+fn a_large_reinhard_key_does_not_stop_a_served_leaky_stream() {
+    let spec = "sw-f32?pipeline=reinhard&reinhard_key=3e38&temporal=leaky&tau=2";
+    let service = TonemapService::standard(ServiceConfig::with_workers(2));
+    let frames = FrameSequence::new(
+        SequenceKind::ExposureRamp { decades: -1.0 },
+        SceneKind::WindowInDarkRoom,
+        32,
+        24,
+        8,
+        0,
+    );
+    let mut stream = service
+        .open_stream(FrameSequenceRequest::on_backend(spec))
+        .unwrap();
+    let mut local = VideoSession::from_spec(spec).unwrap();
+    for (index, frame) in frames.frames().enumerate() {
+        let outcome = stream
+            .submit_frame(&frame)
+            .unwrap()
+            .wait()
+            .unwrap_or_else(|e| panic!("frame {index} was not served: {e}"));
+        let (expected, expected_metrics) = local.process(&frame);
+        assert_eq!(outcome.output.pixels(), expected.pixels(), "frame {index}");
+        assert_eq!(outcome.metrics, expected_metrics, "frame {index}");
+        assert!(outcome.output.pixels().iter().all(|v| v.is_finite()));
+    }
+    assert_eq!(service.stats().frames_completed, frames.len() as u64);
+}
+
 /// Streams honour the scheduler surface: a `schedule=auto` stream prices
 /// the plan once per resolution and still matches the local session.
 #[test]

@@ -61,6 +61,10 @@ impl SegmentOps {
     /// adaptation ratio. A ratio of exactly `1.0` (independent mode,
     /// `tau=0`, steady state) leaves the ops untouched so the compiled
     /// plan is bitwise the single-frame one.
+    ///
+    /// The rescaled key saturates into the accepted range: a product that
+    /// overflows to ∞ becomes `f32::MAX`, one that rounds to 0 becomes the
+    /// smallest positive subnormal. Every other key keeps its bits.
     fn plan(&self, key_ratio: f64) -> PipelinePlan {
         let ops = if self.has_reinhard && key_ratio != 1.0 {
             let scale = key_ratio.clamp(1e-4, 1e4) as f32;
@@ -68,7 +72,7 @@ impl SegmentOps {
                 .iter()
                 .map(|op| match *op {
                     PipelineOp::Reinhard { key, white } => PipelineOp::Reinhard {
-                        key: key * scale,
+                        key: (key * scale).clamp(f32::from_bits(1), f32::MAX),
                         white,
                     },
                     other => other,
@@ -760,8 +764,11 @@ mod tests {
     fn a_vanishing_reinhard_key_keeps_leaky_frames_finite() {
         // With `white` defaulting to the key, `white²` underflows to 0, and
         // the adapted key (the spec's key times the adaptation ratio) can
-        // underflow to 0 itself: every sample meets the curve's 0/0.
-        let frames = FrameSequence::new(
+        // underflow to 0 itself: every sample meets the curve's 0/0. At the
+        // other end a key near `f32::MAX` overflows to ∞ once a darkening
+        // ramp raises the ratio above 1. Either way the adapted key must
+        // stay an accepted one, so the rewritten plan validates.
+        let brightening = FrameSequence::new(
             SequenceKind::ExposureRamp { decades: 2.0 },
             SceneKind::WindowInDarkRoom,
             32,
@@ -769,13 +776,47 @@ mod tests {
             4,
             5,
         );
-        for spec in [
-            "sw-f32?pipeline=reinhard&reinhard_key=1e-45&temporal=leaky&tau=2",
-            "hw-fix16?pipeline=reinhard&reinhard_key=1e-45&temporal=leaky&tau=2",
-        ] {
+        let darkening = FrameSequence::new(
+            SequenceKind::ExposureRamp { decades: -1.0 },
+            SceneKind::WindowInDarkRoom,
+            32,
+            24,
+            8,
+            0,
+        );
+        // A frame held for six frames, then with every sample below its
+        // maximum dimmed: the maximum, and so the normalize scale, stays
+        // put while the log-average falls, and a cut threshold of 1000
+        // keeps the detector from resetting the integrator.
+        let room = SceneKind::WindowInDarkRoom.generate(32, 24, 3);
+        let peak = room.pixels().iter().copied().fold(0.0f32, f32::max);
+        let dimmed = |factor: f32| room.map(|&v| if v < peak { v * factor } else { v });
+        let mut runs: Vec<(&str, Vec<LuminanceImage>)> = vec![
+            (
+                "sw-f32?pipeline=reinhard&reinhard_key=1e-45&temporal=leaky&tau=2",
+                brightening.frames().collect(),
+            ),
+            (
+                "hw-fix16?pipeline=reinhard&reinhard_key=1e-45&temporal=leaky&tau=2",
+                brightening.frames().collect(),
+            ),
+            (
+                "sw-f32?pipeline=reinhard&reinhard_key=3e38&temporal=leaky&tau=2",
+                darkening.frames().collect(),
+            ),
+        ];
+        for factor in [0.1, 0.01, 0.001] {
+            let mut frames = vec![room.clone(); 6];
+            frames.extend(std::iter::repeat_n(dimmed(factor), 3));
+            runs.push((
+                "sw-f32?pipeline=reinhard&reinhard_key=1e-45&temporal=leaky&tau=8&cutthresh=1000",
+                frames,
+            ));
+        }
+        for (spec, frames) in runs {
             let mut session = VideoSession::from_spec(spec).expect("spec resolves");
-            for (index, frame) in frames.frames().enumerate() {
-                let (output, _) = session.process(&frame);
+            for (index, frame) in frames.iter().enumerate() {
+                let (output, _) = session.process(frame);
                 assert!(
                     output.pixels().iter().all(|v| v.is_finite()),
                     "{spec}: frame {index} has a non-finite pixel"
