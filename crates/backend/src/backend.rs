@@ -8,7 +8,7 @@ use hdr_image::rgb::{luminance_plane, reapply_color, to_ldr_rgb};
 use hdr_image::{LuminanceImage, RgbImage};
 use std::fmt;
 use std::sync::Arc;
-use tonemap_core::{PipelineOpKind, PipelinePlan, ToneMapParams};
+use tonemap_core::{PipelinePlan, ToneMapParams};
 use tonemap_scheduler::{ScheduleClass, ScheduleMode};
 
 /// Introspection data for one engine — what a serving layer lists to its
@@ -23,10 +23,6 @@ pub struct BackendInfo {
     pub design: Option<DesignImplementation>,
     /// The tone-mapping parameters the engine was configured with.
     pub params: ToneMapParams,
-    /// The pipeline operators this engine can compile and execute — what a
-    /// client consults before submitting a `pipeline=` spec or a request
-    /// plan.
-    pub supported_ops: Vec<PipelineOpKind>,
     /// How this engine's execution strategy is chosen: `None` for the named
     /// engines' hand-picked paths, a description of the `schedule=` request
     /// for scheduler-resolved engines.
@@ -44,12 +40,6 @@ impl BackendInfo {
     /// to its telemetry.
     pub fn has_platform_model(&self) -> bool {
         self.design.is_some()
-    }
-
-    /// `true` when the engine can execute plans containing the given
-    /// operator.
-    pub fn supports_op(&self, op: PipelineOpKind) -> bool {
-        self.supported_ops.contains(&op)
     }
 
     /// `true` when this engine was resolved through a `schedule=` request.
@@ -100,14 +90,6 @@ pub trait TonemapBackend: Send + Sync {
 
     /// The tone-mapping parameters this backend was configured with.
     fn params(&self) -> ToneMapParams;
-
-    /// The pipeline operators this backend can compile and execute. Every
-    /// in-tree engine compiles arbitrary plans through the core planners,
-    /// so the default is the full catalogue; a restricted engine (say, a
-    /// real FPGA bitstream serving exactly one chain) would narrow this.
-    fn supported_ops(&self) -> Vec<PipelineOpKind> {
-        PipelineOpKind::ALL.to_vec()
-    }
 
     /// The engine's schedule class — the quality floor its callers signed
     /// up for plus the design point the cost model prices — when its
@@ -316,7 +298,6 @@ pub trait TonemapBackend: Send + Sync {
             description: self.description(),
             design: self.design(),
             params: self.params(),
-            supported_ops: self.supported_ops(),
             schedule: self.schedule_description(),
         }
     }

@@ -885,22 +885,6 @@ mod tests {
     }
 
     #[test]
-    fn infos_expose_the_supported_operator_catalogue() {
-        use tonemap_core::PipelineOpKind;
-        let registry = BackendRegistry::standard();
-        for info in registry.infos() {
-            assert_eq!(
-                info.supported_ops,
-                PipelineOpKind::ALL.to_vec(),
-                "{}",
-                info.name
-            );
-            assert!(info.supports_op(PipelineOpKind::HistogramEq));
-            assert!(info.supports_op(PipelineOpKind::Reinhard));
-        }
-    }
-
-    #[test]
     fn backend_for_design_reports_missing_designs() {
         let registry = BackendRegistry::standard();
         let backend = registry

@@ -862,7 +862,7 @@ mod tests {
 
     #[test]
     fn pipeline_presets_parse_and_resolve_plans() {
-        use tonemap_core::plan::PipelineOp;
+        use tonemap_core::plan::{Curve, PipelineOp};
         let spec = BackendSpec::parse("sw-f32?pipeline=reinhard&reinhard_key=4").unwrap();
         assert_eq!(spec.pipeline_preset(), Some("reinhard"));
         assert!(spec.has_plan());
@@ -873,10 +873,10 @@ mod tests {
             .expect("pipeline selected");
         assert_eq!(
             plan.ops()[1],
-            PipelineOp::Reinhard {
+            PipelineOp::Curve(Curve::Reinhard {
                 key: 4.0,
                 white: 4.0
-            }
+            })
         );
 
         // Classic overrides seed the preset's stages.
@@ -907,27 +907,25 @@ mod tests {
 
     #[test]
     fn colour_preset_tuning_keys_parse_and_resolve() {
-        use tonemap_core::plan::PipelineOp;
+        use tonemap_core::plan::{Curve, PipelineOp};
         // Each new tuning key lands in the matching stage of its preset.
         let filmic = BackendSpec::parse("hw-fix16?pipeline=filmic&exposure=4").unwrap();
         let plan = filmic
             .resolved_plan(&ToneMapParams::paper_default())
             .unwrap()
             .expect("pipeline selected");
-        assert!(plan
-            .ops()
-            .iter()
-            .any(|op| matches!(op, PipelineOp::Hable { exposure } if *exposure == 4.0)));
+        assert!(plan.ops().iter().any(
+            |op| matches!(op, PipelineOp::Curve(Curve::Hable { exposure }) if *exposure == 4.0)
+        ));
 
         let aces = BackendSpec::parse("sw-f32?pipeline=aces&exposure=2.5").unwrap();
         let plan = aces
             .resolved_plan(&ToneMapParams::paper_default())
             .unwrap()
             .unwrap();
-        assert!(plan
-            .ops()
-            .iter()
-            .any(|op| matches!(op, PipelineOp::Aces { exposure } if *exposure == 2.5)));
+        assert!(plan.ops().iter().any(
+            |op| matches!(op, PipelineOp::Curve(Curve::Aces { exposure }) if *exposure == 2.5)
+        ));
 
         let pq = BackendSpec::parse("sw-f32?pipeline=pq-out&peak=600").unwrap();
         let plan = pq
@@ -936,7 +934,7 @@ mod tests {
             .unwrap();
         assert!(matches!(
             plan.ops().last(),
-            Some(PipelineOp::PqOetf { peak_nits }) if *peak_nits == 600.0
+            Some(PipelineOp::Curve(Curve::PqOetf { peak_nits })) if *peak_nits == 600.0
         ));
 
         let drago = BackendSpec::parse("sw-f32?pipeline=drago&bias=0.5").unwrap();
@@ -947,7 +945,7 @@ mod tests {
         assert!(plan
             .ops()
             .iter()
-            .any(|op| matches!(op, PipelineOp::Drago { bias } if *bias == 0.5)));
+            .any(|op| matches!(op, PipelineOp::Curve(Curve::Drago { bias }) if *bias == 0.5)));
 
         // `hsv-reinhard` reuses the classic Reinhard keys but compiles an
         // `Rgb`-input plan.
@@ -960,7 +958,7 @@ mod tests {
         assert!(plan
             .ops()
             .iter()
-            .any(|op| matches!(op, PipelineOp::Reinhard { key, .. } if *key == 4.0)));
+            .any(|op| matches!(op, PipelineOp::Curve(Curve::Reinhard { key, .. }) if *key == 4.0)));
     }
 
     #[test]

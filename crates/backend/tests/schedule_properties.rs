@@ -11,7 +11,7 @@ use hdr_image::LuminanceImage;
 use proptest::prelude::*;
 use tonemap_backend::{BackendRegistry, TonemapRequest};
 use tonemap_core::{
-    BlurParams, PipelineOp, PipelinePlan, StreamingToneMapper, ToneMapParams, ToneMapper,
+    BlurParams, Curve, PipelineOp, PipelinePlan, StreamingToneMapper, ToneMapParams, ToneMapper,
 };
 use tonemap_scheduler::{
     HostModel, SampleFormat, ScheduleClass, ScheduleExecutor, ScheduleMode, Scheduler,
@@ -57,7 +57,7 @@ fn cascade_plan(
             barrier_count += 1;
         }
     }
-    ops.push(PipelineOp::Adjust(params.adjust));
+    ops.push(PipelineOp::Curve(Curve::Adjust(params.adjust)));
     (
         PipelinePlan::new(ops).expect("generated plans are valid"),
         barrier_count,

@@ -518,7 +518,7 @@ impl CoDesignFlow {
         CascadeCostReport {
             design,
             segments,
-            barriers: segmentation.barriers.iter().map(|&(i, _)| i).collect(),
+            barriers: segmentation.barriers,
             total_ring_bram_18k,
             total_pl_seconds,
         }

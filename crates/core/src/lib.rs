@@ -24,13 +24,13 @@
 //!
 //! Since the plan redesign the chain itself is *data*: a validated
 //! [`PipelinePlan`] operator graph ([`plan`]) whose catalogue spans point
-//! ops (normalize, invert, mask, adjust, gamma/log curves, global
-//! Reinhard and the filmic Hable/ACES/Drago curves), the stencil op
-//! (separable Gaussian blur), a reduction-backed op (histogram
-//! equalization) and the colour-register ops of the typed register file
-//! ([`ChannelLayout`]): RGB ↔ HSV conversion, the PQ/HLG transfer curves
-//! ([`color`]) and the explicit chroma split/merge pair that re-expresses
-//! the old hard-coded RGB ratio path as plan composition
+//! ops (normalize, mask, and the per-sample [`Curve`]s: invert, adjust,
+//! gamma/log curves, global Reinhard, the filmic Hable/ACES/Drago curves
+//! and the PQ/HLG transfer curves of [`color`]), the stencil op (separable
+//! Gaussian blur), a reduction-backed op (histogram equalization) and the
+//! colour-register ops of the typed register file ([`ChannelLayout`]):
+//! RGB ↔ HSV conversion and the explicit chroma split/merge pair that
+//! re-expresses the old hard-coded RGB ratio path as plan composition
 //! ([`PipelinePlan::compose_for_rgb`]).
 //! [`PipelinePlan::paper_default`] reproduces Fig. 1 exactly, and two
 //! *planners* compile any plan: the stage-by-stage [`ToneMapper`] (one
@@ -84,7 +84,7 @@ pub mod stream;
 pub use params::{AdjustParams, BlurParams, MaskingParams, ParamError, ToneMapParams};
 pub use pipeline::ToneMapper;
 pub use plan::{
-    run_color_plan, ChannelLayout, ColorStage, PipelineOp, PipelineOpKind, PipelinePlan, PlanError,
+    run_color_plan, ChannelLayout, ColorStage, Curve, PipelineOp, PipelinePlan, PlanError,
     PlanSegment, PlanSegmentation, PlanTuning,
 };
 pub use sample::Sample;

@@ -350,14 +350,14 @@ mod tests {
 
     #[test]
     fn compile_executes_custom_plans() {
-        use crate::plan::{PipelineOp, PipelinePlan};
+        use crate::plan::{Curve, PipelineOp, PipelinePlan};
         let hdr = SceneKind::SunAndShadow.generate(32, 32, 7);
         let plan = PipelinePlan::new(vec![
             PipelineOp::Normalize,
-            PipelineOp::Reinhard {
+            PipelineOp::Curve(Curve::Reinhard {
                 key: 8.0,
                 white: 8.0,
-            },
+            }),
         ])
         .unwrap();
         let custom = ToneMapper::compile(plan.clone(), ToneMapParams::paper_default()).unwrap();

@@ -25,7 +25,7 @@
 //!
 //! | class | ops | streaming-fusible? |
 //! |---|---|---|
-//! | point | normalize*, invert, mask, adjust, gamma, log curve, global Reinhard | yes |
+//! | point | normalize*, mask, and every [`Curve`] (invert, adjust, gamma, log, Reinhard, Hable, ACES, Drago, PQ, HLG) | yes |
 //! | stencil | separable Gaussian blur (mask producer) | yes — one line-buffer region each, cascaded back-to-back |
 //! | reduction | histogram-equalization TMO | no — a materialization *barrier* splitting the plan into fused segments |
 //!
@@ -33,14 +33,23 @@
 //! the streaming pass already resolves in its scale pre-scan; it is
 //! therefore only legal as the first stage ([`PlanError::NormalizeNotFirst`]).
 //!
+//! Every per-sample curve is one [`Curve`] value, defined once: its
+//! parameter validation, its `Display` name, the colour layout it runs on,
+//! its [`StageKind`], its per-sample op counts and its arithmetic
+//! ([`Curve::apply`]). The two-pass walk, the fused row chains and the
+//! colour walk all call that one definition, the way the paper's HLS flow
+//! writes each Fig. 1 function once and places it on either side of the
+//! PS/PL split.
+//!
 //! [`PipelinePlan::paper_default`] reproduces Fig. 1 exactly — compiled by
 //! either planner it is bit-identical to the pre-redesign engines.
 
+use crate::adjust::adjusted_sample;
 use crate::color;
 use crate::normalize::{finite_max, normalize_sample};
 use crate::ops::{OpCounts, PipelineProfile, StageKind, StageProfile};
 use crate::params::{AdjustParams, BlurParams, MaskingParams, ParamError, ToneMapParams};
-use crate::point::{CompiledPointOp, Ingest};
+use crate::point::Ingest;
 use crate::sample::Sample;
 use hdr_image::rgb::{luminance_plane, reapply_color, Rgb};
 use hdr_image::{ImageBuffer, LuminanceImage, RgbImage};
@@ -98,15 +107,14 @@ impl fmt::Display for ChannelLayout {
 /// mapped) and the *mask* (the low-pass neighbourhood estimate). Point ops
 /// and reductions transform the image; [`PipelineOp::BlurMask`] is the one
 /// stencil op and writes the mask register (leaving the image untouched);
-/// [`PipelineOp::Mask`] consumes it.
+/// [`PipelineOp::Mask`] consumes it. Every per-sample curve is a
+/// [`PipelineOp::Curve`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PipelineOp {
     /// Divide every pixel by the image maximum, mapping into `[0, 1]`
     /// (max-reduction over the raw input + point scale). Only legal as the
     /// first stage.
     Normalize,
-    /// Point inversion `x ← 1 − x`.
-    Invert,
     /// Separable Gaussian blur of the (optionally inverted) image into the
     /// *mask* register — the stencil op the paper accelerates. The image
     /// register is left untouched, matching the Fig. 1 branch where the
@@ -121,29 +129,6 @@ pub enum PipelineOp {
     /// Non-linear masking: mask-driven gamma correction of the image,
     /// consuming the mask register.
     Mask(MaskingParams),
-    /// Brightness/contrast adjustment around mid-grey.
-    Adjust(AdjustParams),
-    /// Pure gamma curve `x ← x^γ`.
-    Gamma {
-        /// The exponent (positive and finite; `< 1` brightens).
-        gamma: f32,
-    },
-    /// Logarithmic compression `x ← ln(1 + k·x) / ln(1 + k)` — a global
-    /// Drago-style curve.
-    LogCurve {
-        /// The compression strength `k` (positive and finite).
-        scale: f32,
-    },
-    /// The global Reinhard operator
-    /// `x ← L·(1 + L/white²) / (1 + L)` with `L = key·x`: `key` exposes the
-    /// (mostly dark) normalized radiance, `white` is the luminance that maps
-    /// to pure white. `white = key` maps the input maximum exactly to 1.
-    Reinhard {
-        /// Exposure applied before the curve (positive and finite).
-        key: f32,
-        /// Burn-out luminance (positive and finite).
-        white: f32,
-    },
     /// Histogram-equalization tone mapping: build a `bins`-level histogram
     /// of the image, integrate it into a CDF and remap every pixel through
     /// it — the reduction-backed operator (the classic CPU tone mapper of
@@ -159,24 +144,6 @@ pub enum PipelineOp {
     /// Converts an `Hsv` register back to `Rgb`
     /// ([`crate::color::hsv_to_rgb`]).
     HsvToRgb,
-    /// The SMPTE ST-2084 (PQ) OETF applied per channel — encodes the
-    /// display-referred output for an HDR10-style sink.
-    PqOetf {
-        /// The mastering peak (cd/m²) mapped to code value 1.0 (positive,
-        /// at most 10 000).
-        peak_nits: f32,
-    },
-    /// The SMPTE ST-2084 (PQ) EOTF applied per channel — decodes a
-    /// PQ-encoded input back to display-referred linear light.
-    PqEotf {
-        /// The mastering peak (cd/m²) mapped to code value 1.0 (positive,
-        /// at most 10 000).
-        peak_nits: f32,
-    },
-    /// The BT.2100 HLG OETF applied per channel.
-    HlgOetf,
-    /// The BT.2100 HLG inverse OETF applied per channel.
-    HlgEotf,
     /// Splits an `Rgb` register into its BT.709 luminance plane (the new
     /// `Scalar` register the following ops run on) while saving the colour
     /// pixels for a later [`PipelineOp::ReapplyRatio`] — the explicit form
@@ -187,110 +154,36 @@ pub enum PipelineOp {
     /// clamping the ratio on zero-luminance pixels — the explicit form of
     /// the old RGB path's `reapply_color` step.
     ReapplyRatio,
-    /// The Hable (Uncharted 2) filmic curve
-    /// ([`crate::color::hable_sample`]).
-    Hable {
-        /// Linear exposure applied before the shoulder polynomial
-        /// (positive and finite; `= 11.2` maps the normalized maximum
-        /// exactly to white).
-        exposure: f32,
-    },
-    /// The ACES filmic approximation ([`crate::color::aces_sample`]).
-    Aces {
-        /// Linear exposure applied before the rational fit (positive and
-        /// finite).
-        exposure: f32,
-    },
-    /// The Drago (2003) adaptive logarithmic curve
-    /// ([`crate::color::drago_sample`]).
-    Drago {
-        /// Base-interpolation bias in `(0, 1]`; smaller compresses
-        /// highlights harder.
-        bias: f32,
-    },
+    /// A per-sample curve from the [`Curve`] catalogue.
+    Curve(Curve),
 }
 
 impl PipelineOp {
-    /// The kind tag of this op (its catalogue entry).
-    pub const fn kind(&self) -> PipelineOpKind {
-        match self {
-            PipelineOp::Normalize => PipelineOpKind::Normalize,
-            PipelineOp::Invert => PipelineOpKind::Invert,
-            PipelineOp::BlurMask { .. } => PipelineOpKind::BlurMask,
-            PipelineOp::Mask(_) => PipelineOpKind::Mask,
-            PipelineOp::Adjust(_) => PipelineOpKind::Adjust,
-            PipelineOp::Gamma { .. } => PipelineOpKind::Gamma,
-            PipelineOp::LogCurve { .. } => PipelineOpKind::LogCurve,
-            PipelineOp::Reinhard { .. } => PipelineOpKind::Reinhard,
-            PipelineOp::HistogramEq { .. } => PipelineOpKind::HistogramEq,
-            PipelineOp::RgbToHsv => PipelineOpKind::RgbToHsv,
-            PipelineOp::HsvToRgb => PipelineOpKind::HsvToRgb,
-            PipelineOp::PqOetf { .. } => PipelineOpKind::PqOetf,
-            PipelineOp::PqEotf { .. } => PipelineOpKind::PqEotf,
-            PipelineOp::HlgOetf => PipelineOpKind::HlgOetf,
-            PipelineOp::HlgEotf => PipelineOpKind::HlgEotf,
-            PipelineOp::ExtractLuminance => PipelineOpKind::ExtractLuminance,
-            PipelineOp::ReapplyRatio => PipelineOpKind::ReapplyRatio,
-            PipelineOp::Hable { .. } => PipelineOpKind::Hable,
-            PipelineOp::Aces { .. } => PipelineOpKind::Aces,
-            PipelineOp::Drago { .. } => PipelineOpKind::Drago,
-        }
-    }
-
     /// The register layout this op writes when reading a register of the
     /// `input` layout, or `None` when the op's signature does not accept
     /// that layout (a [`PlanError::LayoutMismatch`] at validation time).
     ///
-    /// Tone curves accept `Scalar` (the luminance register) and `Hsv`
-    /// (where they transform the value channel only); the transfer curves
-    /// additionally accept `Rgb` (applied per channel); the stencil, mask
-    /// and reduction ops are `Scalar`-only; the conversions and the
-    /// chroma split/merge pair move between layouts.
+    /// Normalize accepts `Scalar` and `Rgb`; the stencil, mask and
+    /// reduction ops are `Scalar`-only; a curve runs on `Scalar` and on its
+    /// [`Curve::colour_layout`]; the conversions and the chroma split/merge
+    /// pair move between layouts.
     pub const fn output_layout(&self, input: ChannelLayout) -> Option<ChannelLayout> {
-        match self {
-            PipelineOp::Normalize
-            | PipelineOp::PqOetf { .. }
-            | PipelineOp::PqEotf { .. }
-            | PipelineOp::HlgOetf
-            | PipelineOp::HlgEotf => match input {
-                ChannelLayout::Scalar => Some(ChannelLayout::Scalar),
-                ChannelLayout::Rgb => Some(ChannelLayout::Rgb),
-                ChannelLayout::Hsv => None,
-            },
-            PipelineOp::BlurMask { .. } | PipelineOp::Mask(_) | PipelineOp::HistogramEq { .. } => {
-                match input {
-                    ChannelLayout::Scalar => Some(ChannelLayout::Scalar),
-                    _ => None,
-                }
-            }
-            PipelineOp::Invert
-            | PipelineOp::Adjust(_)
-            | PipelineOp::Gamma { .. }
-            | PipelineOp::LogCurve { .. }
-            | PipelineOp::Reinhard { .. }
-            | PipelineOp::Hable { .. }
-            | PipelineOp::Aces { .. }
-            | PipelineOp::Drago { .. } => match input {
-                ChannelLayout::Scalar => Some(ChannelLayout::Scalar),
-                ChannelLayout::Hsv => Some(ChannelLayout::Hsv),
-                ChannelLayout::Rgb => None,
-            },
-            PipelineOp::RgbToHsv => match input {
-                ChannelLayout::Rgb => Some(ChannelLayout::Hsv),
+        use ChannelLayout::{Hsv, Rgb, Scalar};
+        match (self, input) {
+            (PipelineOp::Normalize, Scalar | Rgb) => Some(input),
+            (
+                PipelineOp::BlurMask { .. } | PipelineOp::Mask(_) | PipelineOp::HistogramEq { .. },
+                Scalar,
+            ) => Some(Scalar),
+            (PipelineOp::Curve(curve), _) => match (input, curve.colour_layout()) {
+                (Scalar, _) | (Rgb, Rgb) | (Hsv, Hsv) => Some(input),
                 _ => None,
             },
-            PipelineOp::HsvToRgb => match input {
-                ChannelLayout::Hsv => Some(ChannelLayout::Rgb),
-                _ => None,
-            },
-            PipelineOp::ExtractLuminance => match input {
-                ChannelLayout::Rgb => Some(ChannelLayout::Scalar),
-                _ => None,
-            },
-            PipelineOp::ReapplyRatio => match input {
-                ChannelLayout::Scalar => Some(ChannelLayout::Rgb),
-                _ => None,
-            },
+            (PipelineOp::RgbToHsv, Rgb) => Some(Hsv),
+            (PipelineOp::HsvToRgb, Hsv) => Some(Rgb),
+            (PipelineOp::ExtractLuminance, Rgb) => Some(Scalar),
+            (PipelineOp::ReapplyRatio, Scalar) => Some(Rgb),
+            _ => None,
         }
     }
 
@@ -298,111 +191,32 @@ impl PipelineOp {
     pub const fn stage_kind(&self) -> StageKind {
         match self {
             PipelineOp::Normalize => StageKind::Normalize,
-            PipelineOp::Invert => StageKind::Invert,
             PipelineOp::BlurMask { .. } => StageKind::GaussianBlur,
             PipelineOp::Mask(_) => StageKind::NonlinearMasking,
-            PipelineOp::Adjust(_) => StageKind::Adjustment,
-            PipelineOp::Gamma { .. } => StageKind::GammaCurve,
-            PipelineOp::LogCurve { .. } => StageKind::LogCurve,
-            PipelineOp::Reinhard { .. } => StageKind::Reinhard,
             PipelineOp::HistogramEq { .. } => StageKind::HistogramEqualization,
             PipelineOp::RgbToHsv | PipelineOp::HsvToRgb => StageKind::ColorConversion,
-            PipelineOp::PqOetf { .. }
-            | PipelineOp::PqEotf { .. }
-            | PipelineOp::HlgOetf
-            | PipelineOp::HlgEotf => StageKind::TransferFunction,
             PipelineOp::ExtractLuminance | PipelineOp::ReapplyRatio => StageKind::ChromaSplit,
-            PipelineOp::Hable { .. } | PipelineOp::Aces { .. } | PipelineOp::Drago { .. } => {
-                StageKind::FilmicCurve
-            }
+            PipelineOp::Curve(curve) => curve.stage_kind(),
         }
     }
 
     /// Validates this op's own parameters (not its position in a plan).
     pub fn validate(&self) -> Result<(), PlanError> {
-        let positive_finite = |v: f32| v > 0.0 && v.is_finite();
         match *self {
-            PipelineOp::Normalize | PipelineOp::Invert => Ok(()),
             PipelineOp::BlurMask { blur, .. } => blur.validate().map_err(PlanError::InvalidStage),
-            PipelineOp::Mask(masking) => {
-                if masking.strength >= 0.0 && masking.strength.is_finite() {
-                    Ok(())
-                } else {
-                    Err(PlanError::InvalidStage(ParamError::InvalidMaskingStrength(
-                        masking.strength,
-                    )))
-                }
-            }
-            PipelineOp::Adjust(adjust) => {
-                if !positive_finite(adjust.contrast) {
-                    Err(PlanError::InvalidStage(ParamError::NonPositiveContrast(
-                        adjust.contrast,
-                    )))
-                } else if !adjust.brightness.is_finite() {
-                    Err(PlanError::InvalidStage(ParamError::NonFiniteBrightness(
-                        adjust.brightness,
-                    )))
-                } else {
-                    Ok(())
-                }
-            }
-            PipelineOp::Gamma { gamma } => {
-                if positive_finite(gamma) {
-                    Ok(())
-                } else {
-                    Err(PlanError::InvalidGamma(gamma))
-                }
-            }
-            PipelineOp::LogCurve { scale } => {
-                if positive_finite(scale) {
-                    Ok(())
-                } else {
-                    Err(PlanError::InvalidLogScale(scale))
-                }
-            }
-            PipelineOp::Reinhard { key, white } => {
-                if !positive_finite(key) {
-                    Err(PlanError::InvalidReinhardKey(key))
-                } else if !positive_finite(white) {
-                    Err(PlanError::InvalidReinhardWhite(white))
-                } else {
-                    Ok(())
-                }
-            }
+            PipelineOp::Mask(MaskingParams { strength, .. }) => check(
+                strength >= 0.0 && strength.is_finite(),
+                PlanError::InvalidStage(ParamError::InvalidMaskingStrength(strength)),
+            ),
             PipelineOp::HistogramEq { bins } => {
-                if (2..=65_536).contains(&bins) {
-                    Ok(())
-                } else {
-                    Err(PlanError::InvalidBins(bins))
-                }
+                check((2..=65_536).contains(&bins), PlanError::InvalidBins(bins))
             }
-            PipelineOp::RgbToHsv
+            PipelineOp::Curve(curve) => curve.validate(),
+            PipelineOp::Normalize
+            | PipelineOp::RgbToHsv
             | PipelineOp::HsvToRgb
-            | PipelineOp::HlgOetf
-            | PipelineOp::HlgEotf
             | PipelineOp::ExtractLuminance
             | PipelineOp::ReapplyRatio => Ok(()),
-            PipelineOp::PqOetf { peak_nits } | PipelineOp::PqEotf { peak_nits } => {
-                if positive_finite(peak_nits) && peak_nits <= color::PQ_FULL_SCALE_NITS {
-                    Ok(())
-                } else {
-                    Err(PlanError::InvalidPeakNits(peak_nits))
-                }
-            }
-            PipelineOp::Hable { exposure } | PipelineOp::Aces { exposure } => {
-                if positive_finite(exposure) {
-                    Ok(())
-                } else {
-                    Err(PlanError::InvalidExposure(exposure))
-                }
-            }
-            PipelineOp::Drago { bias } => {
-                if positive_finite(bias) && bias <= 1.0 {
-                    Ok(())
-                } else {
-                    Err(PlanError::InvalidDragoBias(bias))
-                }
-            }
         }
     }
 
@@ -424,69 +238,19 @@ impl PipelineOp {
         channels: usize,
         layout: ChannelLayout,
     ) -> OpCounts {
-        // Point-op sample count under the layout rule above.
-        let samples = (width
-            * height
-            * match layout {
-                ChannelLayout::Scalar => channels,
-                ChannelLayout::Rgb => 3,
-                ChannelLayout::Hsv => 1,
-            }) as u64;
+        // Point-op samples per pixel under the layout rule above.
+        let per_pixel = match layout {
+            ChannelLayout::Scalar => channels,
+            ChannelLayout::Rgb => 3,
+            ChannelLayout::Hsv => 1,
+        };
         let pixels = (width * height) as u64;
         match *self {
-            PipelineOp::Normalize => crate::normalize::op_counts(
-                width,
-                height,
-                if layout == ChannelLayout::Rgb {
-                    3
-                } else {
-                    channels
-                },
-            ),
-            PipelineOp::Invert => OpCounts {
-                adds: samples,
-                loads: samples,
-                stores: samples,
-                ..OpCounts::zero()
-            },
+            PipelineOp::Normalize => crate::normalize::op_counts(width, height, per_pixel),
             PipelineOp::BlurMask { blur, .. } => {
                 crate::blur::op_counts_separable(&blur, width, height)
             }
-            PipelineOp::Mask(_) => crate::masking::op_counts(width, height, channels),
-            PipelineOp::Adjust(_) => crate::adjust::op_counts(
-                width,
-                height,
-                if layout == ChannelLayout::Hsv {
-                    1
-                } else {
-                    channels
-                },
-            ),
-            PipelineOp::Gamma { .. } => OpCounts {
-                pows: samples,
-                compares: 2 * samples,
-                loads: samples,
-                stores: samples,
-                ..OpCounts::zero()
-            },
-            PipelineOp::LogCurve { .. } => OpCounts {
-                adds: samples,
-                muls: 2 * samples, // scale multiply + reciprocal-log multiply
-                pows: samples,     // the ln
-                compares: 2 * samples,
-                loads: samples,
-                stores: samples,
-                ..OpCounts::zero()
-            },
-            PipelineOp::Reinhard { .. } => OpCounts {
-                adds: 2 * samples,
-                muls: 3 * samples,
-                divs: samples,
-                compares: 2 * samples,
-                loads: samples,
-                stores: samples,
-                ..OpCounts::zero()
-            },
+            PipelineOp::Mask(_) => crate::masking::op_counts(width, height, per_pixel),
             PipelineOp::HistogramEq { bins } => OpCounts {
                 // Histogram pass + CDF integration + remap pass, on the
                 // single-channel plane.
@@ -509,27 +273,6 @@ impl PipelineOp {
                 stores: 3 * pixels,
                 ..OpCounts::zero()
             },
-            PipelineOp::PqOetf { .. } | PipelineOp::PqEotf { .. } => OpCounts {
-                // Two powf calls around the rational core, per sample.
-                adds: 2 * samples,
-                muls: 3 * samples,
-                divs: samples,
-                pows: 2 * samples,
-                compares: 2 * samples,
-                loads: samples,
-                stores: samples,
-            },
-            PipelineOp::HlgOetf | PipelineOp::HlgEotf => OpCounts {
-                // One transcendental (sqrt/ln/exp) per sample plus the knee
-                // select.
-                adds: 2 * samples,
-                muls: 2 * samples,
-                pows: samples,
-                compares: 2 * samples,
-                loads: samples,
-                stores: samples,
-                ..OpCounts::zero()
-            },
             PipelineOp::ExtractLuminance => OpCounts {
                 // BT.709 luminance dot product per pixel; the chroma save
                 // is the extra three-sample store.
@@ -550,35 +293,7 @@ impl PipelineOp {
                 stores: 3 * pixels,
                 ..OpCounts::zero()
             },
-            PipelineOp::Hable { .. } => OpCounts {
-                // Two evaluations of the rational shoulder polynomial.
-                adds: 6 * samples,
-                muls: 8 * samples,
-                divs: 2 * samples,
-                compares: 2 * samples,
-                loads: samples,
-                stores: samples,
-                ..OpCounts::zero()
-            },
-            PipelineOp::Aces { .. } => OpCounts {
-                adds: 3 * samples,
-                muls: 4 * samples,
-                divs: samples,
-                compares: 2 * samples,
-                loads: samples,
-                stores: samples,
-                ..OpCounts::zero()
-            },
-            PipelineOp::Drago { .. } => OpCounts {
-                // The bias power plus the two logarithms.
-                adds: 2 * samples,
-                muls: 2 * samples,
-                divs: 2 * samples,
-                pows: 3 * samples,
-                compares: 2 * samples,
-                loads: samples,
-                stores: samples,
-            },
+            PipelineOp::Curve(curve) => curve.sample_counts().scaled(pixels * per_pixel as u64),
         }
     }
 }
@@ -587,7 +302,6 @@ impl fmt::Display for PipelineOp {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match *self {
             PipelineOp::Normalize => f.write_str("normalize"),
-            PipelineOp::Invert => f.write_str("invert"),
             PipelineOp::BlurMask { blur, invert_input } => write!(
                 f,
                 "blur-mask(σ={}, r={}{})",
@@ -596,128 +310,262 @@ impl fmt::Display for PipelineOp {
                 if invert_input { ", inverted" } else { "" }
             ),
             PipelineOp::Mask(m) => write!(f, "mask(strength={})", m.strength),
-            PipelineOp::Adjust(a) => {
-                write!(f, "adjust(b={}, c={})", a.brightness, a.contrast)
-            }
-            PipelineOp::Gamma { gamma } => write!(f, "gamma({gamma})"),
-            PipelineOp::LogCurve { scale } => write!(f, "log-curve(k={scale})"),
-            PipelineOp::Reinhard { key, white } => {
-                write!(f, "reinhard(key={key}, white={white})")
-            }
             PipelineOp::HistogramEq { bins } => write!(f, "histogram-eq({bins})"),
             PipelineOp::RgbToHsv => f.write_str("rgb-to-hsv"),
             PipelineOp::HsvToRgb => f.write_str("hsv-to-rgb"),
-            PipelineOp::PqOetf { peak_nits } => write!(f, "pq-oetf(peak={peak_nits})"),
-            PipelineOp::PqEotf { peak_nits } => write!(f, "pq-eotf(peak={peak_nits})"),
-            PipelineOp::HlgOetf => f.write_str("hlg-oetf"),
-            PipelineOp::HlgEotf => f.write_str("hlg-eotf"),
             PipelineOp::ExtractLuminance => f.write_str("extract-luminance"),
             PipelineOp::ReapplyRatio => f.write_str("reapply-ratio"),
-            PipelineOp::Hable { exposure } => write!(f, "hable(exposure={exposure})"),
-            PipelineOp::Aces { exposure } => write!(f, "aces(exposure={exposure})"),
-            PipelineOp::Drago { bias } => write!(f, "drago(bias={bias})"),
+            PipelineOp::Curve(curve) => curve.fmt(f),
         }
     }
 }
 
-/// The catalogue tag of a [`PipelineOp`] — what a backend advertises as its
-/// supported operators ([`crate::ToneMapper`]-based engines support all of
-/// them).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum PipelineOpKind {
-    /// [`PipelineOp::Normalize`].
-    Normalize,
-    /// [`PipelineOp::Invert`].
+/// `Ok` when `valid`, otherwise `error`.
+fn check(valid: bool, error: PlanError) -> Result<(), PlanError> {
+    if valid {
+        Ok(())
+    } else {
+        Err(error)
+    }
+}
+
+/// A per-sample curve: the catalogue of point ops that map each sample on
+/// its own, with no mask and no neighbourhood.
+///
+/// Each curve is defined here once — its parameter validation, its
+/// `Display` name, the colour layout it runs on
+/// ([`Curve::colour_layout`]), its [`StageKind`], its per-sample op counts
+/// and its arithmetic ([`Curve::apply`]) — and every executor calls that
+/// definition: the two-pass walk on its materialized register, the fused
+/// row chains on each row, and the colour walk on each channel row.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Curve {
+    /// Point inversion `x ← 1 − x`.
     Invert,
-    /// [`PipelineOp::BlurMask`].
-    BlurMask,
-    /// [`PipelineOp::Mask`].
-    Mask,
-    /// [`PipelineOp::Adjust`].
-    Adjust,
-    /// [`PipelineOp::Gamma`].
-    Gamma,
-    /// [`PipelineOp::LogCurve`].
-    LogCurve,
-    /// [`PipelineOp::Reinhard`].
-    Reinhard,
-    /// [`PipelineOp::HistogramEq`].
-    HistogramEq,
-    /// [`PipelineOp::RgbToHsv`].
-    RgbToHsv,
-    /// [`PipelineOp::HsvToRgb`].
-    HsvToRgb,
-    /// [`PipelineOp::PqOetf`].
-    PqOetf,
-    /// [`PipelineOp::PqEotf`].
-    PqEotf,
-    /// [`PipelineOp::HlgOetf`].
+    /// Brightness/contrast adjustment around mid-grey.
+    Adjust(AdjustParams),
+    /// Pure gamma curve `x ← x^γ`.
+    Gamma {
+        /// The exponent (positive and finite; `< 1` brightens).
+        gamma: f32,
+    },
+    /// Logarithmic compression `x ← ln(1 + k·x) / ln(1 + k)` — a global
+    /// Drago-style curve ([`log_curve_sample`]).
+    LogCurve {
+        /// The compression strength `k` (positive and finite).
+        scale: f32,
+    },
+    /// The global Reinhard operator
+    /// `x ← L·(1 + L/white²) / (1 + L)` with `L = key·x`: `key` exposes the
+    /// (mostly dark) normalized radiance, `white` is the luminance that maps
+    /// to pure white. `white = key` maps the input maximum exactly to 1
+    /// ([`reinhard_sample`]).
+    Reinhard {
+        /// Exposure applied before the curve (positive and finite).
+        key: f32,
+        /// Burn-out luminance (positive and finite).
+        white: f32,
+    },
+    /// The Hable (Uncharted 2) filmic curve
+    /// ([`crate::color::hable_sample`]).
+    Hable {
+        /// Linear exposure applied before the shoulder polynomial
+        /// (positive and finite; `= 11.2` maps the normalized maximum
+        /// exactly to white).
+        exposure: f32,
+    },
+    /// The ACES filmic approximation ([`crate::color::aces_sample`]).
+    Aces {
+        /// Linear exposure applied before the rational fit (positive and
+        /// finite).
+        exposure: f32,
+    },
+    /// The Drago (2003) adaptive logarithmic curve
+    /// ([`crate::color::drago_sample`]).
+    Drago {
+        /// Base-interpolation bias in `(0, 1]`; smaller compresses
+        /// highlights harder.
+        bias: f32,
+    },
+    /// The SMPTE ST-2084 (PQ) OETF — encodes the display-referred output
+    /// for an HDR10-style sink.
+    PqOetf {
+        /// The mastering peak (cd/m²) mapped to code value 1.0 (positive,
+        /// at most 10 000).
+        peak_nits: f32,
+    },
+    /// The SMPTE ST-2084 (PQ) EOTF — decodes a PQ-encoded input back to
+    /// display-referred linear light.
+    PqEotf {
+        /// The mastering peak (cd/m²) mapped to code value 1.0 (positive,
+        /// at most 10 000).
+        peak_nits: f32,
+    },
+    /// The BT.2100 HLG OETF.
     HlgOetf,
-    /// [`PipelineOp::HlgEotf`].
+    /// The BT.2100 HLG inverse OETF.
     HlgEotf,
-    /// [`PipelineOp::ExtractLuminance`].
-    ExtractLuminance,
-    /// [`PipelineOp::ReapplyRatio`].
-    ReapplyRatio,
-    /// [`PipelineOp::Hable`].
-    Hable,
-    /// [`PipelineOp::Aces`].
-    Aces,
-    /// [`PipelineOp::Drago`].
-    Drago,
 }
 
-impl PipelineOpKind {
-    /// Every operator kind, in catalogue order.
-    pub const ALL: [PipelineOpKind; 20] = [
-        PipelineOpKind::Normalize,
-        PipelineOpKind::Invert,
-        PipelineOpKind::BlurMask,
-        PipelineOpKind::Mask,
-        PipelineOpKind::Adjust,
-        PipelineOpKind::Gamma,
-        PipelineOpKind::LogCurve,
-        PipelineOpKind::Reinhard,
-        PipelineOpKind::HistogramEq,
-        PipelineOpKind::RgbToHsv,
-        PipelineOpKind::HsvToRgb,
-        PipelineOpKind::PqOetf,
-        PipelineOpKind::PqEotf,
-        PipelineOpKind::HlgOetf,
-        PipelineOpKind::HlgEotf,
-        PipelineOpKind::ExtractLuminance,
-        PipelineOpKind::ReapplyRatio,
-        PipelineOpKind::Hable,
-        PipelineOpKind::Aces,
-        PipelineOpKind::Drago,
-    ];
-}
+impl Curve {
+    /// The colour layout this curve runs on besides `Scalar`: the transfer
+    /// curves (PQ, HLG) run per channel of an `Rgb` register, the tone
+    /// curves on the value channel of an `Hsv` register.
+    pub const fn colour_layout(&self) -> ChannelLayout {
+        match self {
+            Curve::PqOetf { .. } | Curve::PqEotf { .. } | Curve::HlgOetf | Curve::HlgEotf => {
+                ChannelLayout::Rgb
+            }
+            _ => ChannelLayout::Hsv,
+        }
+    }
 
-impl fmt::Display for PipelineOpKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let name = match self {
-            PipelineOpKind::Normalize => "normalize",
-            PipelineOpKind::Invert => "invert",
-            PipelineOpKind::BlurMask => "blur-mask",
-            PipelineOpKind::Mask => "mask",
-            PipelineOpKind::Adjust => "adjust",
-            PipelineOpKind::Gamma => "gamma",
-            PipelineOpKind::LogCurve => "log-curve",
-            PipelineOpKind::Reinhard => "reinhard",
-            PipelineOpKind::HistogramEq => "histogram-eq",
-            PipelineOpKind::RgbToHsv => "rgb-to-hsv",
-            PipelineOpKind::HsvToRgb => "hsv-to-rgb",
-            PipelineOpKind::PqOetf => "pq-oetf",
-            PipelineOpKind::PqEotf => "pq-eotf",
-            PipelineOpKind::HlgOetf => "hlg-oetf",
-            PipelineOpKind::HlgEotf => "hlg-eotf",
-            PipelineOpKind::ExtractLuminance => "extract-luminance",
-            PipelineOpKind::ReapplyRatio => "reapply-ratio",
-            PipelineOpKind::Hable => "hable",
-            PipelineOpKind::Aces => "aces",
-            PipelineOpKind::Drago => "drago",
+    /// The [`StageKind`] this curve reports its operation counts under.
+    pub const fn stage_kind(&self) -> StageKind {
+        match self {
+            Curve::Invert => StageKind::Invert,
+            Curve::Adjust(_) => StageKind::Adjustment,
+            Curve::Gamma { .. } => StageKind::GammaCurve,
+            Curve::LogCurve { .. } => StageKind::LogCurve,
+            Curve::Reinhard { .. } => StageKind::Reinhard,
+            Curve::Hable { .. } | Curve::Aces { .. } | Curve::Drago { .. } => {
+                StageKind::FilmicCurve
+            }
+            Curve::PqOetf { .. } | Curve::PqEotf { .. } | Curve::HlgOetf | Curve::HlgEotf => {
+                StageKind::TransferFunction
+            }
+        }
+    }
+
+    /// Validates this curve's parameters.
+    pub fn validate(&self) -> Result<(), PlanError> {
+        let positive_finite = |v: f32| v > 0.0 && v.is_finite();
+        match *self {
+            Curve::Invert | Curve::HlgOetf | Curve::HlgEotf => Ok(()),
+            Curve::Adjust(AdjustParams {
+                brightness,
+                contrast,
+            }) => check(
+                positive_finite(contrast),
+                PlanError::InvalidStage(ParamError::NonPositiveContrast(contrast)),
+            )
+            .and(check(
+                brightness.is_finite(),
+                PlanError::InvalidStage(ParamError::NonFiniteBrightness(brightness)),
+            )),
+            Curve::Gamma { gamma } => check(positive_finite(gamma), PlanError::InvalidGamma(gamma)),
+            Curve::LogCurve { scale } => {
+                check(positive_finite(scale), PlanError::InvalidLogScale(scale))
+            }
+            Curve::Reinhard { key, white } => {
+                check(positive_finite(key), PlanError::InvalidReinhardKey(key)).and(check(
+                    positive_finite(white),
+                    PlanError::InvalidReinhardWhite(white),
+                ))
+            }
+            Curve::Hable { exposure } | Curve::Aces { exposure } => check(
+                positive_finite(exposure),
+                PlanError::InvalidExposure(exposure),
+            ),
+            Curve::Drago { bias } => check(
+                positive_finite(bias) && bias <= 1.0,
+                PlanError::InvalidDragoBias(bias),
+            ),
+            Curve::PqOetf { peak_nits } | Curve::PqEotf { peak_nits } => check(
+                positive_finite(peak_nits) && peak_nits <= color::PQ_FULL_SCALE_NITS,
+                PlanError::InvalidPeakNits(peak_nits),
+            ),
+        }
+    }
+
+    /// Analytic operation counts per transformed sample; a register's
+    /// count is this times its samples ([`PipelineOp::op_counts`]).
+    fn sample_counts(&self) -> OpCounts {
+        // Every curve loads and stores each sample once; the rest is
+        // `[adds, muls, divs, pows, compares]` per sample.
+        let [adds, muls, divs, pows, compares] = match self {
+            Curve::Invert => [1, 0, 0, 0, 0],
+            Curve::Adjust(_) => return crate::adjust::op_counts(1, 1, 1),
+            Curve::Gamma { .. } => [0, 0, 0, 1, 2],
+            // The scale multiply, the reciprocal-log multiply and the ln.
+            Curve::LogCurve { .. } => [1, 2, 0, 1, 2],
+            Curve::Reinhard { .. } => [2, 3, 1, 0, 2],
+            // Two evaluations of the rational shoulder polynomial.
+            Curve::Hable { .. } => [6, 8, 2, 0, 2],
+            Curve::Aces { .. } => [3, 4, 1, 0, 2],
+            // The bias power plus the two logarithms.
+            Curve::Drago { .. } => [2, 2, 2, 3, 2],
+            // Two powf calls around the rational core.
+            Curve::PqOetf { .. } | Curve::PqEotf { .. } => [2, 3, 1, 2, 2],
+            // One transcendental (sqrt/ln/exp) plus the knee select.
+            Curve::HlgOetf | Curve::HlgEotf => [2, 2, 0, 1, 2],
         };
-        f.write_str(name)
+        OpCounts {
+            adds,
+            muls,
+            divs,
+            pows,
+            compares,
+            loads: 1,
+            stores: 1,
+        }
+    }
+
+    /// Applies the curve in place to every sample of a row — a luminance
+    /// row, a whole register, or one channel row of a colour register.
+    ///
+    /// The curve is matched once per row, then its per-sample helper runs
+    /// in a tight loop, so the `f32` rows vectorize. Invert, adjust and
+    /// gamma compute in `S` (Q4.12 arithmetic and [`apfixed::Fix::powf_approx`]
+    /// for `Fix16`); the other curves compute in `f32` and quantize back
+    /// into the display range.
+    #[inline]
+    pub fn apply<S: Sample>(&self, row: &mut [S]) {
+        fn each<S: Sample>(row: &mut [S], f: impl Fn(f32) -> f32) {
+            for v in row {
+                *v = S::from_f32(f(v.to_f32())).clamp01();
+            }
+        }
+        match *self {
+            Curve::Invert => row.iter_mut().for_each(|v| *v = S::one().sub(*v)),
+            Curve::Adjust(adjust) => {
+                let half = S::from_f32(0.5);
+                let contrast = S::from_f32(adjust.contrast);
+                let offset = S::from_f32(0.5 + adjust.brightness);
+                for v in row {
+                    *v = adjusted_sample(*v, half, contrast, offset);
+                }
+            }
+            Curve::Gamma { gamma } => row.iter_mut().for_each(|v| *v = v.powf(gamma).clamp01()),
+            Curve::LogCurve { scale } => each(row, |v| log_curve_sample(v, scale)),
+            Curve::Reinhard { key, white } => each(row, |v| reinhard_sample(v, key, white)),
+            Curve::Hable { exposure } => each(row, |v| color::hable_sample(v, exposure)),
+            Curve::Aces { exposure } => each(row, |v| color::aces_sample(v, exposure)),
+            Curve::Drago { bias } => each(row, |v| color::drago_sample(v, bias)),
+            Curve::PqOetf { peak_nits } => each(row, |v| color::pq_oetf(v, peak_nits)),
+            Curve::PqEotf { peak_nits } => each(row, |v| color::pq_eotf(v, peak_nits)),
+            Curve::HlgOetf => each(row, color::hlg_oetf),
+            Curve::HlgEotf => each(row, color::hlg_eotf),
+        }
+    }
+}
+
+impl fmt::Display for Curve {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            Curve::Invert => f.write_str("invert"),
+            Curve::Adjust(a) => write!(f, "adjust(b={}, c={})", a.brightness, a.contrast),
+            Curve::Gamma { gamma } => write!(f, "gamma({gamma})"),
+            Curve::LogCurve { scale } => write!(f, "log-curve(k={scale})"),
+            Curve::Reinhard { key, white } => write!(f, "reinhard(key={key}, white={white})"),
+            Curve::Hable { exposure } => write!(f, "hable(exposure={exposure})"),
+            Curve::Aces { exposure } => write!(f, "aces(exposure={exposure})"),
+            Curve::Drago { bias } => write!(f, "drago(bias={bias})"),
+            Curve::PqOetf { peak_nits } => write!(f, "pq-oetf(peak={peak_nits})"),
+            Curve::PqEotf { peak_nits } => write!(f, "pq-eotf(peak={peak_nits})"),
+            Curve::HlgOetf => f.write_str("hlg-oetf"),
+            Curve::HlgEotf => f.write_str("hlg-eotf"),
+        }
     }
 }
 
@@ -764,7 +612,7 @@ pub enum PlanError {
         /// Index of the offending stage.
         index: usize,
         /// The op whose signature was violated.
-        op: PipelineOpKind,
+        op: PipelineOp,
         /// The register layout that reached it.
         found: ChannelLayout,
     },
@@ -881,22 +729,22 @@ impl std::error::Error for PlanError {
 /// defaults.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PlanTuning {
-    /// Reinhard exposure key ([`PipelineOp::Reinhard::key`]).
+    /// Reinhard exposure key ([`Curve::Reinhard::key`]).
     pub reinhard_key: Option<f32>,
-    /// Reinhard white point ([`PipelineOp::Reinhard::white`]).
+    /// Reinhard white point ([`Curve::Reinhard::white`]).
     pub reinhard_white: Option<f32>,
     /// Histogram level count ([`PipelineOp::HistogramEq::bins`]).
     pub bins: Option<usize>,
-    /// Gamma exponent ([`PipelineOp::Gamma::gamma`]).
+    /// Gamma exponent ([`Curve::Gamma::gamma`]).
     pub gamma: Option<f32>,
-    /// Log-curve compression strength ([`PipelineOp::LogCurve::scale`]).
+    /// Log-curve compression strength ([`Curve::LogCurve::scale`]).
     pub log_scale: Option<f32>,
-    /// Filmic exposure ([`PipelineOp::Hable::exposure`] /
-    /// [`PipelineOp::Aces::exposure`]).
+    /// Filmic exposure ([`Curve::Hable::exposure`] /
+    /// [`Curve::Aces::exposure`]).
     pub exposure: Option<f32>,
-    /// PQ mastering peak in cd/m² ([`PipelineOp::PqOetf::peak_nits`]).
+    /// PQ mastering peak in cd/m² ([`Curve::PqOetf::peak_nits`]).
     pub peak_nits: Option<f32>,
-    /// Drago bias ([`PipelineOp::Drago::bias`]).
+    /// Drago bias ([`Curve::Drago::bias`]).
     pub drago_bias: Option<f32>,
 }
 
@@ -942,8 +790,9 @@ impl PlanSegment {
 pub struct PlanSegmentation {
     /// The fused runs, in plan order; always `barriers.len() + 1` of them.
     pub segments: Vec<PlanSegment>,
-    /// The barrier stages (`(index, kind)`) separating the runs.
-    pub barriers: Vec<(usize, PipelineOpKind)>,
+    /// The indices of the barrier stages (histogram equalizations)
+    /// separating the runs.
+    pub barriers: Vec<usize>,
 }
 
 impl PlanSegmentation {
@@ -965,7 +814,7 @@ impl PlanSegmentation {
 /// # Example
 ///
 /// ```
-/// use tonemap_core::plan::{PipelineOp, PipelinePlan};
+/// use tonemap_core::plan::{Curve, PipelineOp, PipelinePlan};
 /// use tonemap_core::ToneMapParams;
 ///
 /// // Fig. 1, as data.
@@ -975,7 +824,7 @@ impl PlanSegmentation {
 /// // A genuinely different operator: global Reinhard.
 /// let reinhard = PipelinePlan::new(vec![
 ///     PipelineOp::Normalize,
-///     PipelineOp::Reinhard { key: 8.0, white: 8.0 },
+///     PipelineOp::Curve(Curve::Reinhard { key: 8.0, white: 8.0 }),
 /// ])?;
 /// assert!(reinhard.stencil_stages().next().is_none());
 ///
@@ -1085,7 +934,7 @@ impl PipelinePlan {
             }
             layout = op.output_layout(layout).ok_or(PlanError::LayoutMismatch {
                 index,
-                op: op.kind(),
+                op: *op,
                 found: layout,
             })?;
         }
@@ -1125,7 +974,7 @@ impl PipelinePlan {
                     invert_input: params.masking.invert_mask,
                 },
                 PipelineOp::Mask(params.masking),
-                PipelineOp::Adjust(params.adjust),
+                PipelineOp::Curve(Curve::Adjust(params.adjust)),
             ],
         }
     }
@@ -1169,10 +1018,10 @@ impl PipelinePlan {
                     vec![
                         PipelineOp::Normalize,
                         PipelineOp::RgbToHsv,
-                        PipelineOp::Reinhard {
+                        PipelineOp::Curve(Curve::Reinhard {
                             key,
                             white: tuning.reinhard_white.unwrap_or(key),
-                        },
+                        }),
                         PipelineOp::HsvToRgb,
                     ],
                 )
@@ -1206,16 +1055,16 @@ impl PipelinePlan {
                         invert_input: false,
                     },
                     PipelineOp::Mask(detail_masking),
-                    PipelineOp::Adjust(params.adjust),
+                    PipelineOp::Curve(Curve::Adjust(params.adjust)),
                 ]
             }
             "reinhard" => vec![
                 PipelineOp::Normalize,
-                PipelineOp::Reinhard {
+                PipelineOp::Curve(Curve::Reinhard {
                     key,
                     // `white = key` maps the normalized maximum exactly to 1.
                     white: tuning.reinhard_white.unwrap_or(key),
-                },
+                }),
             ],
             "histeq" => vec![
                 PipelineOp::Normalize,
@@ -1225,35 +1074,35 @@ impl PipelinePlan {
             ],
             "gamma" => vec![
                 PipelineOp::Normalize,
-                PipelineOp::Gamma {
+                PipelineOp::Curve(Curve::Gamma {
                     gamma: tuning.gamma.unwrap_or(1.0 / 2.2),
-                },
+                }),
             ],
             "log" => vec![
                 PipelineOp::Normalize,
-                PipelineOp::LogCurve {
+                PipelineOp::Curve(Curve::LogCurve {
                     scale: tuning.log_scale.unwrap_or(100.0),
-                },
+                }),
             ],
             "filmic" => vec![
                 PipelineOp::Normalize,
-                PipelineOp::Hable {
+                PipelineOp::Curve(Curve::Hable {
                     // 11.2 is the Hable linear white: the normalized maximum
                     // maps exactly to 1.
                     exposure: tuning.exposure.unwrap_or(color::HABLE_WHITE),
-                },
+                }),
             ],
             "aces" => vec![
                 PipelineOp::Normalize,
-                PipelineOp::Aces {
+                PipelineOp::Curve(Curve::Aces {
                     exposure: tuning.exposure.unwrap_or(8.0),
-                },
+                }),
             ],
             "drago" => vec![
                 PipelineOp::Normalize,
-                PipelineOp::Drago {
+                PipelineOp::Curve(Curve::Drago {
                     bias: tuning.drago_bias.unwrap_or(0.85),
-                },
+                }),
             ],
             "pq-out" => vec![
                 PipelineOp::Normalize,
@@ -1262,10 +1111,10 @@ impl PipelinePlan {
                     invert_input: params.masking.invert_mask,
                 },
                 PipelineOp::Mask(params.masking),
-                PipelineOp::Adjust(params.adjust),
-                PipelineOp::PqOetf {
+                PipelineOp::Curve(Curve::Adjust(params.adjust)),
+                PipelineOp::Curve(Curve::PqOetf {
                     peak_nits: tuning.peak_nits.unwrap_or(1000.0),
-                },
+                }),
             ],
             "hlg-out" => vec![
                 PipelineOp::Normalize,
@@ -1274,8 +1123,8 @@ impl PipelinePlan {
                     invert_input: params.masking.invert_mask,
                 },
                 PipelineOp::Mask(params.masking),
-                PipelineOp::Adjust(params.adjust),
-                PipelineOp::HlgOetf,
+                PipelineOp::Curve(Curve::Adjust(params.adjust)),
+                PipelineOp::Curve(Curve::HlgOetf),
             ],
             _ => return Ok(None),
         };
@@ -1360,13 +1209,12 @@ impl PipelinePlan {
     /// executor resolves the colour max-reduction itself before the walk.
     pub fn color_stages(&self) -> Vec<ColorStage> {
         debug_assert_eq!(self.input_layout, ChannelLayout::Rgb);
-        let layouts = self.op_input_layouts();
         let mut stages = Vec::new();
-        let mut points: Vec<(PipelineOp, ChannelLayout)> = Vec::new();
+        let mut points: Vec<PipelineOp> = Vec::new();
         let mut scalar_run: Vec<PipelineOp> = Vec::new();
         let mut scalar_start = 0usize;
         let mut in_scalar = false;
-        for (index, (op, layout)) in self.ops.iter().zip(&layouts).enumerate() {
+        for (index, op) in self.ops.iter().enumerate() {
             if index == 0 && matches!(op, PipelineOp::Normalize) {
                 continue;
             }
@@ -1397,7 +1245,7 @@ impl PipelinePlan {
                     in_scalar = true;
                     scalar_start = index + 1;
                 }
-                _ => points.push((*op, *layout)),
+                _ => points.push(*op),
             }
         }
         if !points.is_empty() {
@@ -1416,7 +1264,7 @@ impl PipelinePlan {
                     PipelineOp::Normalize,
                     PipelineOp::BlurMask { .. },
                     PipelineOp::Mask(_),
-                    PipelineOp::Adjust(_),
+                    PipelineOp::Curve(Curve::Adjust(_)),
                 ]
             )
     }
@@ -1431,16 +1279,6 @@ impl PipelinePlan {
     pub fn stencil_stages(&self) -> impl Iterator<Item = (usize, BlurParams, bool)> + '_ {
         self.ops.iter().enumerate().filter_map(|(i, op)| match op {
             PipelineOp::BlurMask { blur, invert_input } => Some((i, *blur, *invert_input)),
-            _ => None,
-        })
-    }
-
-    /// The reduction-backed stages that read an *intermediate* image (today:
-    /// histogram equalization), with their indices. These are the
-    /// materialization barriers of [`PipelinePlan::segmentation`].
-    pub fn intermediate_reductions(&self) -> impl Iterator<Item = (usize, PipelineOpKind)> + '_ {
-        self.ops.iter().enumerate().filter_map(|(i, op)| match op {
-            PipelineOp::HistogramEq { .. } => Some((i, PipelineOpKind::HistogramEq)),
             _ => None,
         })
     }
@@ -1465,7 +1303,7 @@ impl PipelinePlan {
                         end: index,
                         stencils: std::mem::take(&mut stencils),
                     });
-                    barriers.push((index, PipelineOpKind::HistogramEq));
+                    barriers.push(index);
                     start = index + 1;
                 }
                 PipelineOp::BlurMask { blur, invert_input } => {
@@ -1525,9 +1363,10 @@ impl fmt::Display for PipelinePlan {
 /// existing luminance machinery executes unchanged.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ColorStage {
-    /// A fused run of per-pixel colour point ops, each with the register
-    /// layout it reads.
-    Points(Vec<(PipelineOp, ChannelLayout)>),
+    /// A fused run of per-pixel colour point ops: the RGB ↔ HSV conversions
+    /// and curves. Each curve reads its [`Curve::colour_layout`]
+    /// ([`PipelinePlan::op_input_layouts`] reports it too).
+    Points(Vec<PipelineOp>),
     /// [`PipelineOp::ExtractLuminance`]: split the colour register into the
     /// luminance plane and the saved chroma.
     Extract,
@@ -1557,28 +1396,20 @@ pub fn rgb_normalization_scale(image: &RgbImage) -> Option<f32> {
 }
 
 /// Applies one colour point op in place to a colour row held as three
-/// channel rows: conversions read and write all three, transfer curves run
-/// once per channel row, and tone curves on an `Hsv` register transform
-/// only the value row — through the same row kernels the scalar executors
-/// use, so a curve applied to V agrees bit-exactly with the same curve
-/// applied to a luminance plane.
-fn apply_color_op_planes(op: &PipelineOp, layout: ChannelLayout, [x, y, z]: [&mut [f32]; 3]) {
+/// channel rows: conversions read and write all three, a transfer curve
+/// runs on each channel row of its `Rgb` register, and a tone curve on the
+/// value row of its `Hsv` register — through [`Curve::apply`], the one
+/// definition the scalar executors call too, so a curve applied to V agrees
+/// bit-exactly with the same curve applied to a luminance plane.
+fn apply_color_op_planes(op: &PipelineOp, [x, y, z]: [&mut [f32]; 3]) {
     match op {
         PipelineOp::RgbToHsv => convert_planes([x, y, z], color::rgb_to_hsv),
         PipelineOp::HsvToRgb => convert_planes([x, y, z], color::hsv_to_rgb),
-        PipelineOp::PqOetf { .. }
-        | PipelineOp::PqEotf { .. }
-        | PipelineOp::HlgOetf
-        | PipelineOp::HlgEotf => {
-            let op = CompiledPointOp::from_op(op);
-            for plane in [x, y, z] {
-                op.apply_row(plane, None);
-            }
-        }
-        _ => {
-            debug_assert_eq!(layout, ChannelLayout::Hsv);
-            CompiledPointOp::from_op(op).apply_row(z, None);
-        }
+        PipelineOp::Curve(curve) => match curve.colour_layout() {
+            ChannelLayout::Rgb => [x, y, z].into_iter().for_each(|plane| curve.apply(plane)),
+            _ => curve.apply(z),
+        },
+        _ => unreachable!("colour point runs hold only conversions and curves"),
     }
 }
 
@@ -1611,14 +1442,10 @@ fn split_row(src: &[Rgb<f32>], [x, y, z]: [&mut [f32]; 3], ingest: Ingest) {
 /// split once into three contiguous channel rows (ingesting it on the
 /// way), every op runs over whole channel rows, and the row is interleaved
 /// once — through a trailing `HsvToRgb`, when the run ends in one.
-fn apply_color_points(
-    ingest: Ingest,
-    ops: &[(PipelineOp, ChannelLayout)],
-    image: &RgbImage,
-) -> RgbImage {
+fn apply_color_points(ingest: Ingest, ops: &[PipelineOp], image: &RgbImage) -> RgbImage {
     let (width, height) = image.dimensions();
     let (ops, to_rgb) = match ops.split_last() {
-        Some(((PipelineOp::HsvToRgb, _), rest)) => (rest, true),
+        Some((PipelineOp::HsvToRgb, rest)) => (rest, true),
         _ => (ops, false),
     };
     let mut planes = [
@@ -1630,8 +1457,8 @@ fn apply_color_points(
     for src in image.pixels().chunks_exact(width) {
         let [x, y, z] = &mut planes;
         split_row(src, [x, y, z], ingest);
-        for (op, layout) in ops {
-            apply_color_op_planes(op, *layout, [x, y, z]);
+        for op in ops {
+            apply_color_op_planes(op, [x, y, z]);
         }
         let pixels = x.iter().zip(y.iter()).zip(z.iter());
         let pixels = pixels.map(|((&x, &y), &z)| Rgb::new(x, y, z));
@@ -1740,11 +1567,12 @@ fn settle_ingest<'a>(image: Cow<'a, RgbImage>, ingest: &mut Ingest) -> Cow<'a, R
 }
 
 // ---------------------------------------------------------------------------
-// Shared per-sample math of the new point operators.
+// Per-sample math of the Reinhard and log curves and of the histogram
+// operator.
 //
-// These are `f32` helpers used by every schedule (two-pass all-sample,
-// two-pass hardware-split, and the streaming epilog), so the planners stay
-// bit-identical to each other on the point stages.
+// The curve helpers are the `f32` cores [`Curve::apply`] runs for every
+// schedule (two-pass all-sample, two-pass hardware-split, the fused rows
+// and the colour walk), so the planners stay bit-identical on them.
 // ---------------------------------------------------------------------------
 
 /// One global-Reinhard sample: `L·(1 + L/white²)/(1 + L)` with `L = key·x`.
@@ -1844,71 +1672,12 @@ pub fn histogram_equalize<S: Sample>(image: &ImageBuffer<S>, bins: usize) -> Ima
 // The two-pass (materialized) compilation of a plan.
 // ---------------------------------------------------------------------------
 
-/// Applies one non-stencil op to the image register in the working sample
-/// type — the stage dispatch of the two-pass walk (and, for the
-/// point ops, numerically identical to the streaming epilog).
-fn apply_register_op<S: Sample>(
-    mut img: ImageBuffer<S>,
-    op: &PipelineOp,
-    mask: &mut Option<ImageBuffer<S>>,
-) -> ImageBuffer<S> {
-    match *op {
-        PipelineOp::Normalize | PipelineOp::BlurMask { .. } => {
-            unreachable!("normalize and blur-mask are handled by the executors")
-        }
-        PipelineOp::Invert => crate::masking::invert(&img),
-        PipelineOp::Mask(masking) => {
-            let mask = mask.take().expect("plan validation pairs mask with blur");
-            crate::masking::mask_in_place(img.pixels_mut(), mask.pixels(), &masking);
-            img
-        }
-        PipelineOp::Adjust(adjust) => crate::adjust::apply_adjustment(&img, &adjust),
-        PipelineOp::Gamma { gamma } => {
-            // In place over the slice, like the mask, so the power kernel
-            // vectorizes.
-            for v in img.pixels_mut() {
-                *v = v.powf(gamma).clamp01();
-            }
-            img
-        }
-        PipelineOp::LogCurve { scale } => {
-            img.map(|&v| S::from_f32(log_curve_sample(v.to_f32(), scale)).clamp01())
-        }
-        PipelineOp::Reinhard { key, white } => {
-            img.map(|&v| S::from_f32(reinhard_sample(v.to_f32(), key, white)).clamp01())
-        }
-        PipelineOp::HistogramEq { bins } => histogram_equalize(&img, bins),
-        PipelineOp::PqOetf { peak_nits } => {
-            img.map(|&v| S::from_f32(color::pq_oetf(v.to_f32(), peak_nits)).clamp01())
-        }
-        PipelineOp::PqEotf { peak_nits } => {
-            img.map(|&v| S::from_f32(color::pq_eotf(v.to_f32(), peak_nits)).clamp01())
-        }
-        PipelineOp::HlgOetf => img.map(|&v| S::from_f32(color::hlg_oetf(v.to_f32())).clamp01()),
-        PipelineOp::HlgEotf => img.map(|&v| S::from_f32(color::hlg_eotf(v.to_f32())).clamp01()),
-        PipelineOp::Hable { exposure } => {
-            img.map(|&v| S::from_f32(color::hable_sample(v.to_f32(), exposure)).clamp01())
-        }
-        PipelineOp::Aces { exposure } => {
-            img.map(|&v| S::from_f32(color::aces_sample(v.to_f32(), exposure)).clamp01())
-        }
-        PipelineOp::Drago { bias } => {
-            img.map(|&v| S::from_f32(color::drago_sample(v.to_f32(), bias)).clamp01())
-        }
-        PipelineOp::RgbToHsv
-        | PipelineOp::HsvToRgb
-        | PipelineOp::ExtractLuminance
-        | PipelineOp::ReapplyRatio => {
-            unreachable!("colour ops never reach the scalar register executor")
-        }
-    }
-}
-
-/// Two-pass execution: each op materializes a full-size register in `R`,
-/// each stencil runs through `stencil`. `R = S` with `blur_separable` runs
-/// every stage in `S`; `R = f32` with [`accelerated_blur`] is the paper's
-/// hardware/software split. For the paper plan either calls exactly the
-/// stage functions the pre-redesign chains called, in the same order.
+/// Two-pass execution: the register is a full-size image in `R` between
+/// stages, each stencil runs through `stencil`, and masks and curves update
+/// the register in place. `R = S` with `blur_separable` runs every stage in
+/// `S`; `R = f32` with [`accelerated_blur`] is the paper's hardware/software
+/// split. For the paper plan either computes exactly the arithmetic of the
+/// pre-redesign chains, in the same order.
 pub(crate) fn execute_plan<R: Sample>(
     plan: &PipelinePlan,
     hdr: &LuminanceImage,
@@ -1932,7 +1701,20 @@ pub(crate) fn execute_plan<R: Sample>(
                 };
                 mask = Some(stencil(&mask_input, &blur));
             }
-            _ => img = apply_register_op(img, op, &mut mask),
+            PipelineOp::Mask(masking) => {
+                let mask = mask.take().expect("plan validation pairs mask with blur");
+                crate::masking::mask_in_place(img.pixels_mut(), mask.pixels(), &masking);
+            }
+            PipelineOp::HistogramEq { bins } => img = histogram_equalize(&img, bins),
+            // In place over the register, so the row kernels vectorize.
+            PipelineOp::Curve(curve) => curve.apply(img.pixels_mut()),
+            PipelineOp::Normalize
+            | PipelineOp::RgbToHsv
+            | PipelineOp::HsvToRgb
+            | PipelineOp::ExtractLuminance
+            | PipelineOp::ReapplyRatio => {
+                unreachable!("normalize leads the plan and colour ops stay in the colour walk")
+            }
         }
     }
     img
@@ -1963,7 +1745,7 @@ mod tests {
         assert!(plan.starts_with_normalize());
         assert_eq!(plan.ops().len(), 4);
         assert_eq!(plan.stencil_stages().count(), 1);
-        assert_eq!(plan.intermediate_reductions().count(), 0);
+        assert!(plan.segmentation().barriers.is_empty());
         let (index, blur, inverted) = plan.stencil_stages().next().unwrap();
         assert_eq!(index, 1);
         assert_eq!(blur, BlurParams::paper_default());
@@ -1976,7 +1758,10 @@ mod tests {
         let blur = BlurParams::paper_default();
         assert_eq!(PipelinePlan::new(vec![]), Err(PlanError::EmptyPlan));
         assert_eq!(
-            PipelinePlan::new(vec![PipelineOp::Invert, PipelineOp::Normalize]),
+            PipelinePlan::new(vec![
+                PipelineOp::Curve(Curve::Invert),
+                PipelineOp::Normalize
+            ]),
             Err(PlanError::NormalizeNotFirst { index: 1 })
         );
         assert_eq!(
@@ -2005,7 +1790,7 @@ mod tests {
             Err(PlanError::UnconsumedMask { index: 0 })
         );
         assert_eq!(
-            PipelinePlan::new(vec![PipelineOp::Gamma { gamma: 0.0 }]),
+            PipelinePlan::new(vec![PipelineOp::Curve(Curve::Gamma { gamma: 0.0 })]),
             Err(PlanError::InvalidGamma(0.0))
         );
         assert_eq!(
@@ -2013,10 +1798,10 @@ mod tests {
             Err(PlanError::InvalidBins(1))
         );
         assert!(matches!(
-            PipelinePlan::new(vec![PipelineOp::Reinhard {
+            PipelinePlan::new(vec![PipelineOp::Curve(Curve::Reinhard {
                 key: f32::NAN,
                 white: 1.0
-            }]),
+            })]),
             Err(PlanError::InvalidReinhardKey(_))
         ));
         let mut bad_blur = blur;
@@ -2084,10 +1869,10 @@ mod tests {
         .unwrap();
         assert_eq!(
             tuned.ops()[1],
-            PipelineOp::Reinhard {
+            PipelineOp::Curve(Curve::Reinhard {
                 key: 4.0,
                 white: 4.0
-            }
+            })
         );
         assert!(matches!(
             PipelinePlan::preset(
@@ -2138,7 +1923,7 @@ mod tests {
         .unwrap();
         let seg = plan.segmentation();
         assert!(!seg.is_single_pass());
-        assert_eq!(seg.barriers, vec![(3, PipelineOpKind::HistogramEq)]);
+        assert_eq!(seg.barriers, vec![3]);
         assert_eq!(seg.segments.len(), 2);
         assert_eq!((seg.segments[0].start, seg.segments[0].end), (0, 3));
         assert_eq!((seg.segments[1].start, seg.segments[1].end), (4, 6));
@@ -2166,7 +1951,7 @@ mod tests {
             .unwrap();
         assert_eq!(plan.ops().len(), 6);
         assert_eq!(plan.stencil_stages().count(), 2);
-        assert_eq!(plan.intermediate_reductions().count(), 0);
+        assert!(plan.segmentation().barriers.is_empty());
         let stencils: Vec<_> = plan.stencil_stages().collect();
         // Base layer: the paper's wide inverted blur.
         assert_eq!(stencils[0], (1, params.blur, params.masking.invert_mask));
@@ -2197,10 +1982,10 @@ mod tests {
     fn new_operators_profile_nonzero_work() {
         let plan = PipelinePlan::new(vec![
             PipelineOp::Normalize,
-            PipelineOp::Reinhard {
+            PipelineOp::Curve(Curve::Reinhard {
                 key: 8.0,
                 white: 8.0,
-            },
+            }),
             PipelineOp::HistogramEq { bins: 64 },
         ])
         .unwrap();
@@ -2409,9 +2194,6 @@ mod tests {
         assert!(text.contains("normalize"));
         assert!(text.contains("blur-mask"));
         assert!(text.contains("→"));
-        for kind in PipelineOpKind::ALL {
-            assert!(!kind.to_string().is_empty());
-        }
     }
 
     #[test]
@@ -2427,7 +2209,10 @@ mod tests {
         assert!(wrapped.source().is_some());
         let mismatch = PlanError::LayoutMismatch {
             index: 2,
-            op: PipelineOpKind::BlurMask,
+            op: PipelineOp::BlurMask {
+                blur: BlurParams::paper_default(),
+                invert_input: true,
+            },
             found: ChannelLayout::Rgb,
         };
         assert!(mismatch.to_string().contains("stage 2"));
@@ -2461,7 +2246,7 @@ mod tests {
             PipelinePlan::new(vec![PipelineOp::RgbToHsv]),
             Err(PlanError::LayoutMismatch {
                 index: 0,
-                op: PipelineOpKind::RgbToHsv,
+                op: PipelineOp::RgbToHsv,
                 found: ChannelLayout::Scalar,
             })
         );
@@ -2479,13 +2264,16 @@ mod tests {
             ),
             Err(PlanError::LayoutMismatch {
                 index: 0,
-                op: PipelineOpKind::BlurMask,
+                op: PipelineOp::BlurMask {
+                    blur: BlurParams::paper_default(),
+                    invert_input: true,
+                },
                 found: ChannelLayout::Rgb,
             })
         );
         // HSV registers exist only between a conversion pair inside a plan.
         assert_eq!(
-            PipelinePlan::with_input(ChannelLayout::Hsv, vec![PipelineOp::Invert]),
+            PipelinePlan::with_input(ChannelLayout::Hsv, vec![PipelineOp::Curve(Curve::Invert)]),
             Err(PlanError::HsvInput)
         );
         // A colour plan must end back in the colour register.
@@ -2511,21 +2299,24 @@ mod tests {
         assert!(matches!(
             PipelinePlan::new(vec![
                 PipelineOp::Normalize,
-                PipelineOp::Hable { exposure: 0.0 }
+                PipelineOp::Curve(Curve::Hable { exposure: 0.0 })
             ]),
             Err(PlanError::InvalidExposure(_))
         ));
         assert!(matches!(
             PipelinePlan::new(vec![
                 PipelineOp::Normalize,
-                PipelineOp::PqOetf {
+                PipelineOp::Curve(Curve::PqOetf {
                     peak_nits: 20_000.0
-                }
+                })
             ]),
             Err(PlanError::InvalidPeakNits(_))
         ));
         assert!(matches!(
-            PipelinePlan::new(vec![PipelineOp::Normalize, PipelineOp::Drago { bias: 0.0 }]),
+            PipelinePlan::new(vec![
+                PipelineOp::Normalize,
+                PipelineOp::Curve(Curve::Drago { bias: 0.0 })
+            ]),
             Err(PlanError::InvalidDragoBias(_))
         ));
         // The split pair with a self-contained scalar run validates.
@@ -2533,7 +2324,7 @@ mod tests {
             ChannelLayout::Rgb,
             vec![
                 PipelineOp::ExtractLuminance,
-                PipelineOp::Invert,
+                PipelineOp::Curve(Curve::Invert),
                 PipelineOp::ReapplyRatio,
             ],
         )
@@ -2584,10 +2375,12 @@ mod tests {
         assert_eq!(stages.len(), 1);
         match &stages[0] {
             ColorStage::Points(ops) => {
-                let layouts: Vec<ChannelLayout> = ops.iter().map(|&(_, l)| l).collect();
+                // Every op behind the leading normalize, the conversion
+                // reading `Rgb` and the curve and inverse conversion `Hsv`.
+                assert_eq!(ops.as_slice(), &plan.ops()[1..]);
                 assert_eq!(
-                    layouts,
-                    vec![ChannelLayout::Rgb, ChannelLayout::Hsv, ChannelLayout::Hsv]
+                    plan.op_input_layouts()[1..],
+                    [ChannelLayout::Rgb, ChannelLayout::Hsv, ChannelLayout::Hsv]
                 );
             }
             other => panic!("expected one fused point run, got {other:?}"),
@@ -2606,20 +2399,29 @@ mod tests {
         let filmic = PipelinePlan::preset("filmic", &params, &t)
             .unwrap()
             .unwrap();
-        assert_eq!(filmic.ops()[1], PipelineOp::Hable { exposure: 4.0 });
+        assert_eq!(
+            filmic.ops()[1],
+            PipelineOp::Curve(Curve::Hable { exposure: 4.0 })
+        );
         let drago = PipelinePlan::preset("drago", &params, &t).unwrap().unwrap();
-        assert_eq!(drago.ops()[1], PipelineOp::Drago { bias: 0.5 });
+        assert_eq!(
+            drago.ops()[1],
+            PipelineOp::Curve(Curve::Drago { bias: 0.5 })
+        );
         let pq = PipelinePlan::preset("pq-out", &params, &t)
             .unwrap()
             .unwrap();
         assert_eq!(
             *pq.ops().last().unwrap(),
-            PipelineOp::PqOetf { peak_nits: 600.0 }
+            PipelineOp::Curve(Curve::PqOetf { peak_nits: 600.0 })
         );
         let hlg = PipelinePlan::preset("hlg-out", &params, &t)
             .unwrap()
             .unwrap();
-        assert_eq!(*hlg.ops().last().unwrap(), PipelineOp::HlgOetf);
+        assert_eq!(
+            *hlg.ops().last().unwrap(),
+            PipelineOp::Curve(Curve::HlgOetf)
+        );
         assert!(matches!(
             PipelinePlan::preset(
                 "filmic",
@@ -2636,11 +2438,7 @@ mod tests {
     /// The AoS, op-major colour row pass the plane-major one replaced, kept
     /// as its bit reference: every op runs over the interleaved row, and a
     /// tone curve on V reads it with stride 3.
-    fn reference_color_points(
-        ingest: Ingest,
-        ops: &[(PipelineOp, ChannelLayout)],
-        image: &RgbImage,
-    ) -> RgbImage {
+    fn reference_color_points(ingest: Ingest, ops: &[PipelineOp], image: &RgbImage) -> RgbImage {
         let (width, height) = image.dimensions();
         let mut out: Vec<Rgb<f32>> = Vec::with_capacity(width * height);
         for src in image.pixels().chunks_exact(width) {
@@ -2650,24 +2448,23 @@ mod tests {
             ingest.apply_row(row, |p: Rgb<f32>, scale| {
                 p.map(|c| normalize_sample(c, scale))
             });
-            for (op, layout) in ops {
-                let curve = |v: &mut f32| {
-                    CompiledPointOp::from_op(op).apply_row(std::slice::from_mut(v), None)
-                };
+            for op in ops {
                 match op {
                     PipelineOp::RgbToHsv => row.iter_mut().for_each(|p| *p = color::rgb_to_hsv(*p)),
                     PipelineOp::HsvToRgb => row.iter_mut().for_each(|p| *p = color::hsv_to_rgb(*p)),
-                    PipelineOp::PqOetf { .. }
-                    | PipelineOp::PqEotf { .. }
-                    | PipelineOp::HlgOetf
-                    | PipelineOp::HlgEotf => row
+                    PipelineOp::Curve(
+                        curve @ (Curve::PqOetf { .. }
+                        | Curve::PqEotf { .. }
+                        | Curve::HlgOetf
+                        | Curve::HlgEotf),
+                    ) => row
                         .iter_mut()
                         .flat_map(|p| [&mut p.r, &mut p.g, &mut p.b])
-                        .for_each(curve),
-                    _ => {
-                        assert_eq!(*layout, ChannelLayout::Hsv);
-                        row.iter_mut().for_each(|p| curve(&mut p.b));
-                    }
+                        .for_each(|v| curve.apply(std::slice::from_mut(v))),
+                    PipelineOp::Curve(curve) => row
+                        .iter_mut()
+                        .for_each(|p| curve.apply(std::slice::from_mut(&mut p.b))),
+                    other => panic!("{other} is not a colour point op"),
                 }
             }
         }
@@ -2705,23 +2502,23 @@ mod tests {
         // in `HsvToRgb` (fused into the interleave) and one that does not.
         plans.push(PipelinePlan::from_params(&params));
         let curves = [
-            PipelineOp::Invert,
-            PipelineOp::Adjust(params.adjust),
-            PipelineOp::Gamma { gamma: 0.7 },
-            PipelineOp::LogCurve { scale: 50.0 },
-            PipelineOp::Reinhard {
+            PipelineOp::Curve(Curve::Invert),
+            PipelineOp::Curve(Curve::Adjust(params.adjust)),
+            PipelineOp::Curve(Curve::Gamma { gamma: 0.7 }),
+            PipelineOp::Curve(Curve::LogCurve { scale: 50.0 }),
+            PipelineOp::Curve(Curve::Reinhard {
                 key: 4.0,
                 white: 2.0,
-            },
-            PipelineOp::Hable { exposure: 3.0 },
-            PipelineOp::Aces { exposure: 2.0 },
-            PipelineOp::Drago { bias: 0.85 },
+            }),
+            PipelineOp::Curve(Curve::Hable { exposure: 3.0 }),
+            PipelineOp::Curve(Curve::Aces { exposure: 2.0 }),
+            PipelineOp::Curve(Curve::Drago { bias: 0.85 }),
         ];
         let transfers = [
-            PipelineOp::PqOetf { peak_nits: 1000.0 },
-            PipelineOp::PqEotf { peak_nits: 1000.0 },
-            PipelineOp::HlgOetf,
-            PipelineOp::HlgEotf,
+            PipelineOp::Curve(Curve::PqOetf { peak_nits: 1000.0 }),
+            PipelineOp::Curve(Curve::PqEotf { peak_nits: 1000.0 }),
+            PipelineOp::Curve(Curve::HlgOetf),
+            PipelineOp::Curve(Curve::HlgEotf),
         ];
         for normalize in [true, false] {
             let mut ops = Vec::new();
@@ -2733,7 +2530,7 @@ mod tests {
             ops.extend(curves);
             ops.push(PipelineOp::HsvToRgb);
             if !normalize {
-                ops.push(PipelineOp::PqOetf { peak_nits: 400.0 });
+                ops.push(PipelineOp::Curve(Curve::PqOetf { peak_nits: 400.0 }));
             }
             plans.push(PipelinePlan::with_input(ChannelLayout::Rgb, ops).unwrap());
         }
@@ -2893,7 +2690,7 @@ mod tests {
         let hsv = run(vec![
             PipelineOp::Normalize,
             PipelineOp::RgbToHsv,
-            PipelineOp::Reinhard { key, white },
+            PipelineOp::Curve(Curve::Reinhard { key, white }),
             PipelineOp::HsvToRgb,
         ]);
         let expected = normalized.map(|&p| {
@@ -2902,14 +2699,17 @@ mod tests {
         });
         assert_eq!(hsv, expected);
 
-        let hlg = run(vec![PipelineOp::Normalize, PipelineOp::HlgOetf]);
+        let hlg = run(vec![
+            PipelineOp::Normalize,
+            PipelineOp::Curve(Curve::HlgOetf),
+        ]);
         assert_eq!(hlg, normalized.map(|p| p.map(color::hlg_oetf)));
 
         let gamma = 0.7;
         let wrapped = run(vec![
             PipelineOp::Normalize,
             PipelineOp::ExtractLuminance,
-            PipelineOp::Gamma { gamma },
+            PipelineOp::Curve(Curve::Gamma { gamma }),
             PipelineOp::ReapplyRatio,
         ]);
         let lum = luminance_plane(&normalized).map(|&v| Sample::powf(v, gamma).clamp01());

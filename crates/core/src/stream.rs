@@ -9,10 +9,10 @@
 //! the plan and decides, stage class by stage class, how much of it can run
 //! in fused raster order:
 //!
-//! * **point ops** (normalize, invert, mask, adjust, gamma, log curve,
-//!   Reinhard) fuse freely into the chains of whichever fused region
-//!   consumes them, applied as row kernels: each op matched once per row,
-//!   then run op-major over the row;
+//! * **point ops** (normalize, mask and every [`crate::plan::Curve`]) fuse
+//!   freely into the chains of whichever fused region consumes them,
+//!   applied as row kernels: each op matched once per row, then run
+//!   op-major over the row;
 //! * **each stencil op** (a separable Gaussian blur) becomes its own
 //!   rolling ring of `2·radius + 1` horizontally-blurred rows — one line
 //!   buffer per stencil, cascaded back-to-back so stage *k*'s ring is fed
@@ -39,12 +39,11 @@
 //! planner: every sample goes through the same operations in the same
 //! order ([`crate::normalize::normalize_sample`],
 //! [`crate::blur::quantize_kernel`]'s taps applied in ascending tap order,
-//! [`crate::masking::masked_sample`], [`crate::adjust::adjusted_sample`],
-//! and the shared point-curve helpers in [`crate::plan`]), only the
-//! schedule changes. That makes the streaming engines drop-in replacements
-//! whose outputs equal the classic engines' exactly — the property the
-//! paper relies on when it swaps the software blur for the line-buffered
-//! accelerator.
+//! [`crate::masking::masked_sample`], and each curve's one definition,
+//! [`crate::plan::Curve::apply`]), only the schedule changes. That makes
+//! the streaming engines drop-in replacements whose outputs equal the
+//! classic engines' exactly — the property the paper relies on when it
+//! swaps the software blur for the line-buffered accelerator.
 //!
 //! Like [`crate::ToneMapper::map_luminance_hw_blur`], the pipeline uses the
 //! paper's hardware/software split: the point-wise stages compute in `f32`
@@ -79,9 +78,9 @@ use crate::normalize::{normalization_scale, normalize_sample};
 use crate::params::{ParamError, ToneMapParams};
 use crate::plan::{
     accelerated_blur, execute_plan, histogram_equalize, run_color_plan, ChannelLayout, ColorStage,
-    PipelineOp, PipelineOpKind, PipelinePlan,
+    PipelineOp, PipelinePlan,
 };
-use crate::point::{apply_chain, CompiledPointOp, Ingest};
+use crate::point::{apply_chain, Ingest};
 use crate::sample::Sample;
 use hdr_image::{LuminanceImage, RgbImage};
 use std::fmt;
@@ -129,19 +128,18 @@ impl fmt::Display for FusionBlocker {
 }
 
 /// One materialization barrier of a segmented streaming plan: a reduction
-/// stage that must see the whole intermediate image before the first output
-/// pixel of the next fused segment can stream.
+/// stage (a histogram equalization) that must see the whole intermediate
+/// image before the first output pixel of the next fused segment can
+/// stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StreamBarrier {
     /// Index of the barrier stage in the plan.
     pub index: usize,
-    /// The reduction op that forms the barrier.
-    pub op: PipelineOpKind,
 }
 
 impl fmt::Display for StreamBarrier {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "stage {} ({})", self.index, self.op)
+        write!(f, "stage {} (histogram-eq)", self.index)
     }
 }
 
@@ -234,8 +232,9 @@ impl fmt::Display for StreamingDecision {
 /// at the accelerator boundary.
 #[derive(Debug, Clone, PartialEq)]
 struct Region<S: Sample> {
-    /// Point ops applied to the upstream value stream before this stencil.
-    chain: Vec<CompiledPointOp>,
+    /// Point ops (masks and curves) applied to the upstream value stream
+    /// before this stencil.
+    chain: Vec<PipelineOp>,
     kernel: Vec<S>,
     invert_input: bool,
 }
@@ -245,7 +244,7 @@ struct Region<S: Sample> {
 #[derive(Debug, Clone, PartialEq)]
 struct FusedSegment<S: Sample> {
     regions: Vec<Region<S>>,
-    epilog: Vec<CompiledPointOp>,
+    epilog: Vec<PipelineOp>,
 }
 
 impl<S: Sample> FusedSegment<S> {
@@ -260,11 +259,7 @@ impl<S: Sample> FusedSegment<S> {
 #[derive(Debug, Clone, PartialEq)]
 enum SegmentProgram<S: Sample> {
     Fused(FusedSegment<S>),
-    Barrier {
-        index: usize,
-        op: PipelineOpKind,
-        bins: usize,
-    },
+    Barrier { index: usize, bins: usize },
 }
 
 /// A plan compiled for streaming execution.
@@ -344,7 +339,7 @@ fn compile_scalar_program<S: Sample>(plan: &PipelinePlan) -> Program<S> {
     let normalize = plan.starts_with_normalize();
     let mut segments = Vec::new();
     let mut regions: Vec<Region<S>> = Vec::new();
-    let mut chain: Vec<CompiledPointOp> = Vec::new();
+    let mut chain: Vec<PipelineOp> = Vec::new();
     for (index, op) in plan.ops().iter().enumerate() {
         if index == 0 && normalize {
             continue;
@@ -360,13 +355,9 @@ fn compile_scalar_program<S: Sample>(plan: &PipelinePlan) -> Program<S> {
                     regions: std::mem::take(&mut regions),
                     epilog: std::mem::take(&mut chain),
                 }));
-                segments.push(SegmentProgram::Barrier {
-                    index,
-                    op: PipelineOpKind::HistogramEq,
-                    bins: *bins,
-                });
+                segments.push(SegmentProgram::Barrier { index, bins: *bins });
             }
-            _ => chain.push(CompiledPointOp::from_op(op)),
+            _ => chain.push(*op),
         }
     }
     segments.push(SegmentProgram::Fused(FusedSegment {
@@ -589,9 +580,8 @@ fn stream_barriers<S: Sample>(program: &StreamProgram<S>, offset: usize) -> Vec<
         .segments
         .iter()
         .filter_map(|segment| match segment {
-            SegmentProgram::Barrier { index, op, .. } => Some(StreamBarrier {
+            SegmentProgram::Barrier { index, .. } => Some(StreamBarrier {
                 index: index + offset,
-                op: *op,
             }),
             SegmentProgram::Fused(_) => None,
         })
@@ -963,7 +953,7 @@ mod tests {
     use super::*;
     use crate::params::{AdjustParams, BlurParams, MaskingParams};
     use crate::pipeline::ToneMapper;
-    use crate::plan::PlanTuning;
+    use crate::plan::{Curve, PlanTuning};
     use apfixed::Fix16;
     use hdr_image::synth::SceneKind;
 
@@ -1003,7 +993,7 @@ mod tests {
                 strength: 1.2,
                 invert_mask: false,
             }),
-            PipelineOp::Adjust(AdjustParams::paper_default()),
+            PipelineOp::Curve(Curve::Adjust(AdjustParams::paper_default())),
         ])
         .unwrap()
     }
@@ -1227,14 +1217,11 @@ mod tests {
         assert!(!decision.is_fused());
         assert!(decision.is_streamed());
         assert!(decision.reasons().is_empty());
+        assert_eq!(decision.barriers(), [StreamBarrier { index: 1 }]);
         assert_eq!(
-            decision.barriers(),
-            [StreamBarrier {
-                index: 1,
-                op: PipelineOpKind::HistogramEq,
-            }]
+            decision.to_string(),
+            "segmented into 2 fused passes at 1 materialization barrier: stage 1 (histogram-eq)"
         );
-        assert!(decision.to_string().contains("barrier"));
         // Segmented streaming executes the plan identically to the
         // two-pass planner.
         let two_pass = ToneMapper::compile(plan, ToneMapParams::paper_default()).unwrap();
@@ -1266,7 +1253,7 @@ mod tests {
                 invert_input: false,
             },
             PipelineOp::Mask(masking),
-            PipelineOp::Adjust(AdjustParams::paper_default()),
+            PipelineOp::Curve(Curve::Adjust(AdjustParams::paper_default())),
         ])
         .unwrap();
         let streaming =
@@ -1274,13 +1261,7 @@ mod tests {
                 .unwrap();
         let decision = streaming.decision();
         assert!(decision.is_streamed());
-        assert_eq!(
-            decision.barriers(),
-            [StreamBarrier {
-                index: 3,
-                op: PipelineOpKind::HistogramEq,
-            }]
-        );
+        assert_eq!(decision.barriers(), [StreamBarrier { index: 3 }]);
         let two_pass = ToneMapper::compile(plan, ToneMapParams::paper_default()).unwrap();
         for (w, h) in [(26, 21), (1, 12), (12, 1), (3, 3)] {
             let hdr = SceneKind::GradientRamp.generate(w, h, 5);
@@ -1343,7 +1324,7 @@ mod tests {
         // point chain (fused into the producer side of its line buffer).
         let plan = PipelinePlan::new(vec![
             PipelineOp::Normalize,
-            PipelineOp::Gamma { gamma: 0.8 },
+            PipelineOp::Curve(Curve::Gamma { gamma: 0.8 }),
             PipelineOp::BlurMask {
                 blur: BlurParams {
                     sigma: 2.0,
@@ -1352,7 +1333,7 @@ mod tests {
                 invert_input: true,
             },
             PipelineOp::Mask(MaskingParams::paper_default()),
-            PipelineOp::Adjust(AdjustParams::paper_default()),
+            PipelineOp::Curve(Curve::Adjust(AdjustParams::paper_default())),
         ])
         .unwrap();
         let hdr = SceneKind::MemorialComposite.generate(26, 33, 11);

@@ -11,7 +11,7 @@ use apfixed::Fix16;
 use hdr_image::{LuminanceImage, Rgb, RgbImage};
 use proptest::prelude::*;
 use tonemap_core::{
-    BlurParams, ChannelLayout, PipelineOp, PipelinePlan, StreamingToneMapper, ToneMapParams,
+    BlurParams, ChannelLayout, Curve, PipelineOp, PipelinePlan, StreamingToneMapper, ToneMapParams,
     ToneMapper,
 };
 
@@ -160,7 +160,7 @@ proptest! {
                 barrier_count += 1;
             }
         }
-        ops.push(PipelineOp::Adjust(params.adjust));
+        ops.push(PipelineOp::Curve(Curve::Adjust(params.adjust)));
         let plan = PipelinePlan::new(ops).expect("generated plans are valid");
 
         let segmentation = plan.segmentation();
@@ -225,11 +225,12 @@ fn synthetic_rgb(width: usize, height: usize, seed: u64) -> RgbImage {
 /// in the `Rgb` layout.
 fn curve_op() -> impl Strategy<Value = PipelineOp> {
     prop_oneof![
-        (0.5f32..16.0, 0.5f32..16.0).prop_map(|(key, white)| PipelineOp::Reinhard { key, white }),
-        (0.5f32..32.0).prop_map(|exposure| PipelineOp::Hable { exposure }),
-        (0.5f32..32.0).prop_map(|exposure| PipelineOp::Aces { exposure }),
-        (0.05f32..1.0).prop_map(|bias| PipelineOp::Drago { bias }),
-        (0.2f32..3.0).prop_map(|gamma| PipelineOp::Gamma { gamma }),
+        (0.5f32..16.0, 0.5f32..16.0)
+            .prop_map(|(key, white)| PipelineOp::Curve(Curve::Reinhard { key, white })),
+        (0.5f32..32.0).prop_map(|exposure| PipelineOp::Curve(Curve::Hable { exposure })),
+        (0.5f32..32.0).prop_map(|exposure| PipelineOp::Curve(Curve::Aces { exposure })),
+        (0.05f32..1.0).prop_map(|bias| PipelineOp::Curve(Curve::Drago { bias })),
+        (0.2f32..3.0).prop_map(|gamma| PipelineOp::Curve(Curve::Gamma { gamma })),
     ]
 }
 
@@ -266,10 +267,13 @@ fn colour_segment() -> impl Strategy<Value = Vec<PipelineOp>> {
             }),
         // Per-channel transfer round trip on the Rgb register.
         (100.0f32..10_000.0).prop_map(|peak_nits| vec![
-            PipelineOp::PqOetf { peak_nits },
-            PipelineOp::PqEotf { peak_nits },
+            PipelineOp::Curve(Curve::PqOetf { peak_nits }),
+            PipelineOp::Curve(Curve::PqEotf { peak_nits }),
         ]),
-        Just(vec![PipelineOp::HlgOetf, PipelineOp::HlgEotf]),
+        Just(vec![
+            PipelineOp::Curve(Curve::HlgOetf),
+            PipelineOp::Curve(Curve::HlgEotf)
+        ]),
     ]
 }
 

@@ -7,7 +7,7 @@ use hdr_image::LuminanceImage;
 use tonemap_backend::{BackendSpec, TemporalMode};
 use tonemap_core::normalize::{max_pixel, normalize_sample};
 use tonemap_core::plan::{
-    histogram_counts, histogram_remap_cdf, ChannelLayout, PipelineOp, PipelinePlan,
+    histogram_counts, histogram_remap_cdf, ChannelLayout, Curve, PipelineOp, PipelinePlan,
 };
 use tonemap_core::ToneMapParams;
 use tonemap_scheduler::Scheduler;
@@ -71,10 +71,12 @@ impl SegmentOps {
             self.ops
                 .iter()
                 .map(|op| match *op {
-                    PipelineOp::Reinhard { key, white } => PipelineOp::Reinhard {
-                        key: (key * scale).clamp(f32::from_bits(1), f32::MAX),
-                        white,
-                    },
+                    PipelineOp::Curve(Curve::Reinhard { key, white }) => {
+                        PipelineOp::Curve(Curve::Reinhard {
+                            key: (key * scale).clamp(f32::from_bits(1), f32::MAX),
+                            white,
+                        })
+                    }
                     other => other,
                 })
                 .collect()
@@ -185,7 +187,7 @@ impl VideoSession {
             }
             let has_reinhard = run
                 .iter()
-                .any(|op| matches!(op, PipelineOp::Reinhard { .. }));
+                .any(|op| matches!(op, PipelineOp::Curve(Curve::Reinhard { .. })));
             segments.push(SegmentOps {
                 ops: run,
                 has_reinhard,
@@ -194,7 +196,7 @@ impl VideoSession {
         let barrier_bins = segmentation
             .barriers
             .iter()
-            .map(|&(index, _)| match ops[index] {
+            .map(|&index| match ops[index] {
                 PipelineOp::HistogramEq { bins } => bins,
                 other => unreachable!("{other:?} is not a materialization barrier"),
             })
@@ -481,12 +483,12 @@ mod tests {
     fn all_reductions_plan() -> PipelinePlan {
         PipelinePlan::new(vec![
             PipelineOp::Normalize,
-            PipelineOp::Reinhard {
+            PipelineOp::Curve(Curve::Reinhard {
                 key: 4.0,
                 white: 4.0,
-            },
+            }),
             PipelineOp::HistogramEq { bins: 64 },
-            PipelineOp::Gamma { gamma: 1.0 / 2.2 },
+            PipelineOp::Curve(Curve::Gamma { gamma: 1.0 / 2.2 }),
         ])
         .expect("plan is valid")
     }
@@ -707,7 +709,7 @@ mod tests {
             .plan()
             .ops()
             .iter()
-            .any(|op| matches!(op, PipelineOp::Reinhard { .. })));
+            .any(|op| matches!(op, PipelineOp::Curve(Curve::Reinhard { .. }))));
 
         assert!(matches!(
             VideoSession::from_spec("gpu-cuda?temporal=leaky"),

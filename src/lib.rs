@@ -53,7 +53,7 @@ pub mod prelude {
         TonemapPayload, TonemapRequest, TonemapResponse, UnknownBackendError,
     };
     pub use tonemap_core::{
-        BlurParams, FusionBlocker, ParamError, PipelineOp, PipelineOpKind, PipelinePlan, PlanError,
+        BlurParams, Curve, FusionBlocker, ParamError, PipelineOp, PipelinePlan, PlanError,
         PlanSegment, PlanSegmentation, PlanTuning, StreamBarrier, StreamingDecision,
         StreamingToneMapper, ToneMapParams, ToneMapper,
     };

@@ -10,7 +10,7 @@
 //! only the spelling of the ops may change here.
 
 use tonemap_core::ops::{OpCounts, StageKind};
-use tonemap_core::plan::{ChannelLayout, PipelineOp, PipelinePlan, PlanTuning};
+use tonemap_core::plan::{ChannelLayout, Curve, PipelineOp, PipelinePlan, PlanTuning};
 use tonemap_core::{AdjustParams, BlurParams, MaskingParams, ToneMapParams};
 use ChannelLayout::{Hsv, Rgb, Scalar};
 
@@ -45,7 +45,7 @@ fn catalogue() -> [Pin; 20] {
             ],
         },
         Pin {
-            op: PipelineOp::Invert,
+            op: PipelineOp::Curve(Curve::Invert),
             text: "invert",
             stage: StageKind::Invert,
             layouts: [
@@ -78,7 +78,7 @@ fn catalogue() -> [Pin; 20] {
             ],
         },
         Pin {
-            op: PipelineOp::Adjust(paper.adjust),
+            op: PipelineOp::Curve(Curve::Adjust(paper.adjust)),
             text: "adjust(b=0.02, c=1.1)",
             stage: StageKind::Adjustment,
             layouts: [
@@ -88,7 +88,7 @@ fn catalogue() -> [Pin; 20] {
             ],
         },
         Pin {
-            op: PipelineOp::Gamma { gamma: 0.7 },
+            op: PipelineOp::Curve(Curve::Gamma { gamma: 0.7 }),
             text: "gamma(0.7)",
             stage: StageKind::GammaCurve,
             layouts: [
@@ -98,7 +98,7 @@ fn catalogue() -> [Pin; 20] {
             ],
         },
         Pin {
-            op: PipelineOp::LogCurve { scale: 50.0 },
+            op: PipelineOp::Curve(Curve::LogCurve { scale: 50.0 }),
             text: "log-curve(k=50)",
             stage: StageKind::LogCurve,
             layouts: [
@@ -108,10 +108,10 @@ fn catalogue() -> [Pin; 20] {
             ],
         },
         Pin {
-            op: PipelineOp::Reinhard {
+            op: PipelineOp::Curve(Curve::Reinhard {
                 key: 4.0,
                 white: 2.0,
-            },
+            }),
             text: "reinhard(key=4, white=2)",
             stage: StageKind::Reinhard,
             layouts: [
@@ -151,7 +151,7 @@ fn catalogue() -> [Pin; 20] {
             ],
         },
         Pin {
-            op: PipelineOp::PqOetf { peak_nits: 1000.0 },
+            op: PipelineOp::Curve(Curve::PqOetf { peak_nits: 1000.0 }),
             text: "pq-oetf(peak=1000)",
             stage: StageKind::TransferFunction,
             layouts: [
@@ -161,7 +161,7 @@ fn catalogue() -> [Pin; 20] {
             ],
         },
         Pin {
-            op: PipelineOp::PqEotf { peak_nits: 600.0 },
+            op: PipelineOp::Curve(Curve::PqEotf { peak_nits: 600.0 }),
             text: "pq-eotf(peak=600)",
             stage: StageKind::TransferFunction,
             layouts: [
@@ -171,7 +171,7 @@ fn catalogue() -> [Pin; 20] {
             ],
         },
         Pin {
-            op: PipelineOp::HlgOetf,
+            op: PipelineOp::Curve(Curve::HlgOetf),
             text: "hlg-oetf",
             stage: StageKind::TransferFunction,
             layouts: [
@@ -181,7 +181,7 @@ fn catalogue() -> [Pin; 20] {
             ],
         },
         Pin {
-            op: PipelineOp::HlgEotf,
+            op: PipelineOp::Curve(Curve::HlgEotf),
             text: "hlg-eotf",
             stage: StageKind::TransferFunction,
             layouts: [
@@ -211,7 +211,7 @@ fn catalogue() -> [Pin; 20] {
             ],
         },
         Pin {
-            op: PipelineOp::Hable { exposure: 3.0 },
+            op: PipelineOp::Curve(Curve::Hable { exposure: 3.0 }),
             text: "hable(exposure=3)",
             stage: StageKind::FilmicCurve,
             layouts: [
@@ -221,7 +221,7 @@ fn catalogue() -> [Pin; 20] {
             ],
         },
         Pin {
-            op: PipelineOp::Aces { exposure: 2.0 },
+            op: PipelineOp::Curve(Curve::Aces { exposure: 2.0 }),
             text: "aces(exposure=2)",
             stage: StageKind::FilmicCurve,
             layouts: [
@@ -231,7 +231,7 @@ fn catalogue() -> [Pin; 20] {
             ],
         },
         Pin {
-            op: PipelineOp::Drago { bias: 0.85 },
+            op: PipelineOp::Curve(Curve::Drago { bias: 0.85 }),
             text: "drago(bias=0.85)",
             stage: StageKind::FilmicCurve,
             layouts: [
@@ -334,10 +334,10 @@ fn float_parameters() -> [FloatPin; 13] {
         (
             "adjust contrast",
             |contrast| {
-                PipelineOp::Adjust(AdjustParams {
+                PipelineOp::Curve(Curve::Adjust(AdjustParams {
                     contrast,
                     ..AdjustParams::paper_default()
-                })
+                }))
             },
             &[],
             &[
@@ -354,10 +354,10 @@ fn float_parameters() -> [FloatPin; 13] {
         (
             "adjust brightness",
             |brightness| {
-                PipelineOp::Adjust(AdjustParams {
+                PipelineOp::Curve(Curve::Adjust(AdjustParams {
                     brightness,
                     ..AdjustParams::paper_default()
-                })
+                }))
             },
             &[],
             &[
@@ -373,7 +373,7 @@ fn float_parameters() -> [FloatPin; 13] {
         ),
         (
             "gamma",
-            |gamma| PipelineOp::Gamma { gamma },
+            |gamma| PipelineOp::Curve(Curve::Gamma { gamma }),
             &[],
             &[
                 "Err(InvalidGamma(0.0))",
@@ -388,7 +388,7 @@ fn float_parameters() -> [FloatPin; 13] {
         ),
         (
             "log-curve scale",
-            |scale| PipelineOp::LogCurve { scale },
+            |scale| PipelineOp::Curve(Curve::LogCurve { scale }),
             &[],
             &[
                 "Err(InvalidLogScale(0.0))",
@@ -403,7 +403,7 @@ fn float_parameters() -> [FloatPin; 13] {
         ),
         (
             "reinhard key",
-            |key| PipelineOp::Reinhard { key, white: 1.0 },
+            |key| PipelineOp::Curve(Curve::Reinhard { key, white: 1.0 }),
             &[],
             &[
                 "Err(InvalidReinhardKey(0.0))",
@@ -418,7 +418,7 @@ fn float_parameters() -> [FloatPin; 13] {
         ),
         (
             "reinhard white",
-            |white| PipelineOp::Reinhard { key: 1.0, white },
+            |white| PipelineOp::Curve(Curve::Reinhard { key: 1.0, white }),
             &[],
             &[
                 "Err(InvalidReinhardWhite(0.0))",
@@ -433,7 +433,7 @@ fn float_parameters() -> [FloatPin; 13] {
         ),
         (
             "pq-oetf peak",
-            |peak_nits| PipelineOp::PqOetf { peak_nits },
+            |peak_nits| PipelineOp::Curve(Curve::PqOetf { peak_nits }),
             &[10_000.0, 10_000.001],
             &[
                 "Err(InvalidPeakNits(0.0))",
@@ -450,7 +450,7 @@ fn float_parameters() -> [FloatPin; 13] {
         ),
         (
             "pq-eotf peak",
-            |peak_nits| PipelineOp::PqEotf { peak_nits },
+            |peak_nits| PipelineOp::Curve(Curve::PqEotf { peak_nits }),
             &[10_000.0, 10_000.001],
             &[
                 "Err(InvalidPeakNits(0.0))",
@@ -467,7 +467,7 @@ fn float_parameters() -> [FloatPin; 13] {
         ),
         (
             "hable exposure",
-            |exposure| PipelineOp::Hable { exposure },
+            |exposure| PipelineOp::Curve(Curve::Hable { exposure }),
             &[],
             &[
                 "Err(InvalidExposure(0.0))",
@@ -482,7 +482,7 @@ fn float_parameters() -> [FloatPin; 13] {
         ),
         (
             "aces exposure",
-            |exposure| PipelineOp::Aces { exposure },
+            |exposure| PipelineOp::Curve(Curve::Aces { exposure }),
             &[],
             &[
                 "Err(InvalidExposure(0.0))",
@@ -497,7 +497,7 @@ fn float_parameters() -> [FloatPin; 13] {
         ),
         (
             "drago bias",
-            |bias| PipelineOp::Drago { bias },
+            |bias| PipelineOp::Curve(Curve::Drago { bias }),
             &[1.0, 1.000_000_1],
             &[
                 "Err(InvalidDragoBias(0.0))",
