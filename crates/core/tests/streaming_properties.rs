@@ -11,8 +11,8 @@ use apfixed::Fix16;
 use hdr_image::{LuminanceImage, Rgb, RgbImage};
 use proptest::prelude::*;
 use tonemap_core::{
-    BlurParams, ChannelLayout, Curve, PipelineOp, PipelinePlan, StreamingToneMapper, ToneMapParams,
-    ToneMapper,
+    AdjustParams, BlurParams, ChannelLayout, Curve, PipelineOp, PipelinePlan, StreamingToneMapper,
+    ToneMapParams, ToneMapper,
 };
 
 /// A deterministic pseudo-random HDR image: several decades of dynamic
@@ -121,6 +121,41 @@ fn cascade_dims() -> impl Strategy<Value = (usize, usize)> {
     prop_oneof![degenerate_dims(), (8usize..40, 8usize..40)]
 }
 
+/// A tone curve: one that runs on the value channel of an `Hsv` register.
+fn tone_curve() -> impl Strategy<Value = Curve> {
+    prop_oneof![
+        Just(Curve::Invert),
+        (-0.2f32..0.2, 0.5f32..2.0).prop_map(|(brightness, contrast)| {
+            Curve::Adjust(AdjustParams {
+                brightness,
+                contrast,
+            })
+        }),
+        (0.2f32..3.0).prop_map(|gamma| Curve::Gamma { gamma }),
+        (0.5f32..200.0).prop_map(|scale| Curve::LogCurve { scale }),
+        (0.5f32..16.0, 0.5f32..16.0).prop_map(|(key, white)| Curve::Reinhard { key, white }),
+        (0.5f32..32.0).prop_map(|exposure| Curve::Hable { exposure }),
+        (0.5f32..32.0).prop_map(|exposure| Curve::Aces { exposure }),
+        (0.05f32..1.0).prop_map(|bias| Curve::Drago { bias }),
+    ]
+}
+
+/// A transfer curve: one that runs on each channel of an `Rgb` register.
+fn transfer_curve() -> impl Strategy<Value = Curve> {
+    prop_oneof![
+        (100.0f32..10_000.0).prop_map(|peak_nits| Curve::PqOetf { peak_nits }),
+        (100.0f32..10_000.0).prop_map(|peak_nits| Curve::PqEotf { peak_nits }),
+        Just(Curve::HlgOetf),
+        Just(Curve::HlgEotf),
+    ]
+}
+
+/// Any curve, as a `Scalar` register runs all of them. Two draws in three
+/// are tone curves, so each of the twelve curves is drawn equally often.
+fn any_curve() -> impl Strategy<Value = Curve> {
+    prop_oneof![tone_curve(), tone_curve(), transfer_curve()]
+}
+
 proptest! {
     // Each case runs the plan through both planners, two sample types and
     // three thread counts — fewer, heavier cases than the defaults above.
@@ -128,10 +163,11 @@ proptest! {
 
     /// Random multi-stencil, multi-barrier plans: 1–3 `BlurMask`+`Mask`
     /// stencil stages, each optionally followed by a `HistogramEq`
-    /// materialization barrier. Every generated plan must stream (fully
-    /// fused when there are no barriers, segmented otherwise) and stay
-    /// bit-identical to the two-pass planner in `f32` and `Fix16` at 1, 2
-    /// and 8 row threads.
+    /// materialization barrier, with 0–2 drawn curves before each stencil
+    /// (in its region's chain) and after the last one (in the epilog).
+    /// Every generated plan must stream (fully fused when there are no
+    /// barriers, segmented otherwise) and stay bit-identical to the
+    /// two-pass planner in `f32` and `Fix16` at 1, 2 and 8 row threads.
     #[test]
     fn random_multi_stencil_cascades_match_two_pass(
         (width, height) in cascade_dims(),
@@ -140,6 +176,7 @@ proptest! {
         sigmas in prop::collection::vec(0.4f32..4.0, 3..4),
         barrier_mask in 0u8..8,
         bins in 8usize..64,
+        curves in prop::collection::vec(prop::collection::vec(any_curve(), 0..3), 4..5),
         seed in 0u64..1_000_000,
     ) {
         let hdr = synthetic_image(width, height, seed);
@@ -147,6 +184,7 @@ proptest! {
         let mut ops = vec![PipelineOp::Normalize];
         let mut barrier_count = 0usize;
         for i in 0..n_stencils {
+            ops.extend(curves[i].iter().copied().map(PipelineOp::Curve));
             ops.push(PipelineOp::BlurMask {
                 blur: BlurParams { sigma: sigmas[i], radius: radii[i] },
                 invert_input: i % 2 == 0,
@@ -160,6 +198,7 @@ proptest! {
                 barrier_count += 1;
             }
         }
+        ops.extend(curves[n_stencils].iter().copied().map(PipelineOp::Curve));
         ops.push(PipelineOp::Curve(Curve::Adjust(params.adjust)));
         let plan = PipelinePlan::new(ops).expect("generated plans are valid");
 
@@ -223,25 +262,18 @@ fn synthetic_rgb(width: usize, height: usize, seed: u64) -> RgbImage {
 
 /// One segment of a colour-managed plan: a run of ops that starts and ends
 /// in the `Rgb` layout.
-fn curve_op() -> impl Strategy<Value = PipelineOp> {
-    prop_oneof![
-        (0.5f32..16.0, 0.5f32..16.0)
-            .prop_map(|(key, white)| PipelineOp::Curve(Curve::Reinhard { key, white })),
-        (0.5f32..32.0).prop_map(|exposure| PipelineOp::Curve(Curve::Hable { exposure })),
-        (0.5f32..32.0).prop_map(|exposure| PipelineOp::Curve(Curve::Aces { exposure })),
-        (0.05f32..1.0).prop_map(|bias| PipelineOp::Curve(Curve::Drago { bias })),
-        (0.2f32..3.0).prop_map(|gamma| PipelineOp::Curve(Curve::Gamma { gamma })),
-    ]
-}
-
 fn colour_segment() -> impl Strategy<Value = Vec<PipelineOp>> {
     prop_oneof![
         // RgbToHsv → tone curve on the value channel → HsvToRgb.
-        curve_op().prop_map(|c| vec![PipelineOp::RgbToHsv, c, PipelineOp::HsvToRgb]),
+        tone_curve().prop_map(|c| vec![
+            PipelineOp::RgbToHsv,
+            PipelineOp::Curve(c),
+            PipelineOp::HsvToRgb,
+        ]),
         // ExtractLuminance → scalar sub-plan → ReapplyRatio (the explicit
         // form of the old hard-coded RGB path, with an optional stencil).
         (
-            curve_op(),
+            any_curve(),
             prop_oneof![Just(None), (0.4f32..4.0, 1usize..5).prop_map(Some)],
             8usize..48
         )
@@ -261,7 +293,7 @@ fn colour_segment() -> impl Strategy<Value = Vec<PipelineOp>> {
                     // colour walk also crosses segmented sub-programs.
                     ops.push(PipelineOp::HistogramEq { bins });
                 }
-                ops.push(c);
+                ops.push(PipelineOp::Curve(c));
                 ops.push(PipelineOp::ReapplyRatio);
                 ops
             }),
