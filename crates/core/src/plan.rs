@@ -421,7 +421,7 @@ impl Curve {
     }
 
     /// The [`StageKind`] this curve reports its operation counts under.
-    pub const fn stage_kind(&self) -> StageKind {
+    const fn stage_kind(&self) -> StageKind {
         match self {
             Curve::Invert => StageKind::Invert,
             Curve::Adjust(_) => StageKind::Adjustment,
@@ -438,7 +438,7 @@ impl Curve {
     }
 
     /// Validates this curve's parameters.
-    pub fn validate(&self) -> Result<(), PlanError> {
+    fn validate(&self) -> Result<(), PlanError> {
         let positive_finite = |v: f32| v > 0.0 && v.is_finite();
         match *self {
             Curve::Invert | Curve::HlgOetf | Curve::HlgEotf => Ok(()),
