@@ -516,9 +516,9 @@ impl Curve {
     ///
     /// The curve is matched once per row, then its per-sample helper runs
     /// in a tight loop, so the `f32` rows vectorize. Invert, adjust and
-    /// gamma compute in `S` (Q4.12 arithmetic and [`apfixed::Fix::powf_approx`]
-    /// for `Fix16`); the other curves compute in `f32` and quantize back
-    /// into the display range.
+    /// gamma compute in `S` (for `Fix16`: Q4.12 arithmetic and
+    /// [`apfixed::Fix::powf_approx`]); the other curves compute in `f32`
+    /// and quantize back into the display range.
     #[inline]
     pub fn apply<S: Sample>(&self, row: &mut [S]) {
         fn each<S: Sample>(row: &mut [S], f: impl Fn(f32) -> f32) {
