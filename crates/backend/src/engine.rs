@@ -8,26 +8,27 @@
 //! 2020) at engine granularity: one datapath, specialised by data instead
 //! of by a type per variant.
 //!
-//! An engine resolves its executor once per image size — as-is for the
-//! two-pass and streaming rows, through the scheduler for `schedule=`
-//! rows — and evaluates its Table II design once per image size. Both
-//! memos sit behind mutexes held only around the map lookup/insert, never
-//! across the computation, so a `tonemap-service` worker pool sharing one
-//! engine behind an `Arc` pays for each image size once across all workers.
+//! An engine resolves each image size once, on one path, to a
+//! [`SchedulePoint`] and the [`CompiledPlan`] that runs it, and evaluates
+//! its Table II design once per image size. A client picks the size, so
+//! both memos are bounded. They sit behind mutexes held only around the
+//! lookup/insert, never across the computation, so a `tonemap-service`
+//! worker pool sharing one engine behind an `Arc` pays for each image size
+//! once across all workers.
 
 use crate::backend::TonemapBackend;
 use crate::error::TonemapError;
+use crate::memo::BoundedMemo;
 use crate::output::{
     BackendOutput, BackendTelemetry, ModeledCost, RgbBackendOutput, ScheduleTelemetry,
 };
 use crate::streaming::CompiledPlan;
 use codesign::flow::{CoDesignFlow, DesignImplementation, DesignReport};
 use hdr_image::{ImageBuffer, LuminanceImage, RgbImage};
-use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 use tonemap_core::{ChannelLayout, PipelinePlan, PlanError, ToneMapParams};
-use tonemap_scheduler::{SampleFormat, ScheduleClass, ScheduleMode};
+use tonemap_scheduler::{SampleFormat, ScheduleClass, ScheduleMode, SchedulePoint};
 
 /// The arithmetic an engine computes in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,6 +47,17 @@ pub enum Numerics {
     /// datapath would lose. Neither the streaming executor nor the
     /// scheduler reproduces it, so it runs two-pass only.
     Fix16All,
+}
+
+impl Numerics {
+    /// The sample format of the blur datapath: the format a schedule point
+    /// records and the scheduler prices.
+    pub const fn format(&self) -> SampleFormat {
+        match self {
+            Numerics::F32 => SampleFormat::F32,
+            Numerics::Fix16Blur | Numerics::Fix16All => SampleFormat::Fix16,
+        }
+    }
 }
 
 /// How an engine executes its plan.
@@ -94,16 +106,13 @@ impl EngineRow {
     /// design of its two-pass counterpart. `None` for the all-fixed
     /// ablation, which has no schedule space.
     pub fn schedule_class(&self) -> Option<ScheduleClass> {
-        let (format, counterpart) = match self.numerics {
-            Numerics::F32 => (SampleFormat::F32, DesignImplementation::SwSourceCode),
-            Numerics::Fix16Blur => (
-                SampleFormat::Fix16,
-                DesignImplementation::FixedPointConversion,
-            ),
+        let counterpart = match self.numerics {
+            Numerics::F32 => DesignImplementation::SwSourceCode,
+            Numerics::Fix16Blur => DesignImplementation::FixedPointConversion,
             Numerics::Fix16All => return None,
         };
         Some(ScheduleClass {
-            format,
+            format: self.numerics.format(),
             design: self.design.unwrap_or(counterpart),
         })
     }
@@ -133,20 +142,25 @@ pub struct Engine {
     pub(crate) plan: PipelinePlan,
     /// The spec string the engine was resolved from, quoted in errors.
     pub(crate) spec: String,
-    /// The executor each image size runs on.
+    /// The point and executor each image size runs on.
     resolved: PerSize<Arc<Resolved>>,
     /// The platform model's evaluation of the row's Table II design.
     reports: PerSize<DesignReport>,
 }
 
-/// A memo keyed by image size.
-type PerSize<V> = Mutex<HashMap<(usize, usize), V>>;
+/// Image sizes one engine keeps a resolution and a platform-model
+/// evaluation for.
+const MAX_SIZES: usize = 64;
 
-/// What one image size runs on: the compiled executor and, for `schedule=`
-/// rows, the priced point that chose it with the platform-model evaluation
-/// it was priced on.
+/// A memo keyed by image size.
+type PerSize<V> = Mutex<BoundedMemo<(usize, usize), V, MAX_SIZES>>;
+
+/// What one image size runs on: its schedule point, the executor compiled
+/// for it and, for `schedule=` rows, the scheduler's prediction with the
+/// platform-model evaluation it was priced on.
 #[derive(Debug)]
 struct Resolved {
+    point: SchedulePoint,
     compiled: CompiledPlan,
     schedule: Option<(ScheduleTelemetry, DesignReport)>,
 }
@@ -156,16 +170,21 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// [`TonemapError::InvalidParams`] if `params` fail validation, and
-    /// [`TonemapError::InvalidSpec`] for a `schedule=` row the engine cannot
-    /// serve (one without a schedule space).
+    /// As [`Engine::with_plan`].
     pub fn new(row: EngineRow, params: ToneMapParams) -> Result<Self, TonemapError> {
-        Engine::for_spec(row, params, PipelinePlan::from_params(&params), row.name)
+        Engine::with_plan(row, params, PipelinePlan::from_params(&params), row.name)
     }
 
-    /// An engine ready to serve `spec`: [`Engine::for_job`], plus the
-    /// checks a `schedule=` row passes when it is resolved.
-    fn for_spec(
+    /// Builds the engine for `row`, serving `plan` with `params`. `spec` is
+    /// the spec string the engine serves, quoted in its errors.
+    ///
+    /// # Errors
+    ///
+    /// [`TonemapError::InvalidParams`] if `params` fail validation, and
+    /// [`TonemapError::InvalidSpec`] for a `schedule=` row the engine cannot
+    /// serve: one without a schedule space, or `schedule=stream` on a plan
+    /// that cannot stream.
+    pub fn with_plan(
         row: EngineRow,
         params: ToneMapParams,
         plan: PipelinePlan,
@@ -174,6 +193,26 @@ impl Engine {
         let engine = Engine::for_job(row, params, plan, spec)?;
         engine.check_schedule()?;
         Ok(engine)
+    }
+
+    /// The row the engine was built from.
+    pub fn row(&self) -> &EngineRow {
+        &self.row
+    }
+
+    /// The plan the engine executes.
+    pub fn plan(&self) -> &PipelinePlan {
+        &self.plan
+    }
+
+    /// The schedule point an image size runs at, read from the memo that
+    /// execution reads.
+    ///
+    /// # Errors
+    ///
+    /// None for an engine that [`Engine::with_plan`] accepted.
+    pub fn point(&self, width: usize, height: usize) -> Result<SchedulePoint, TonemapError> {
+        Ok(self.resolved(width, height)?.point)
     }
 
     /// An engine with validated parameters and empty memos.
@@ -207,26 +246,37 @@ impl Engine {
         }
     }
 
-    /// The executor for one image size: compiled as-is for the two-pass
-    /// and streaming rows, chosen by the scheduler for `schedule=` rows.
+    /// One image size's resolution, memoized.
+    fn resolved(&self, width: usize, height: usize) -> Result<Arc<Resolved>, TonemapError> {
+        memoized(&self.resolved, (width, height), || {
+            self.resolve(width, height).map(Arc::new)
+        })
+    }
+
+    /// Resolves one image size: the point the row names — the two-pass
+    /// point, the plan's streaming point (two-pass for the all-fixed
+    /// ablation, which has no streaming form), or the scheduler's pick —
+    /// and the plan compiled for it.
     fn resolve(&self, width: usize, height: usize) -> Result<Resolved, TonemapError> {
-        let plan = self.plan.clone();
-        let (stream_threads, schedule) = match self.row.executor {
-            Executor::TwoPass => (None, None),
-            Executor::Stream { threads } => (Some(threads), None),
+        let format = self.row.numerics.format();
+        let (point, schedule) = match self.row.executor {
+            Executor::Stream { threads } if self.row.numerics != Numerics::Fix16All => (
+                SchedulePoint::streaming(&self.decision()?, threads, format, height),
+                None,
+            ),
+            Executor::TwoPass | Executor::Stream { .. } => {
+                (SchedulePoint::two_pass(format, height), None)
+            }
             Executor::Scheduled { mode, threads } => {
                 let (priced, considered, base) = self.schedule(mode, threads, width, height)?;
-                let stream_threads = priced
-                    .point
-                    .executor
-                    .is_streaming()
-                    .then_some(priced.point.threads);
                 let telemetry = ScheduleTelemetry::from_priced(&priced, considered);
-                (stream_threads, Some((telemetry, base)))
+                (priced.point, Some((telemetry, base)))
             }
         };
+        let plan = self.plan.clone();
         Ok(Resolved {
-            compiled: CompiledPlan::new(self.row.numerics, plan, self.params, stream_threads)?,
+            compiled: CompiledPlan::new(plan, self.params, self.row.numerics, &point)?,
+            point,
             schedule,
         })
     }
@@ -265,9 +315,7 @@ impl Engine {
         }
         <ImageBuffer<T> as Frame>::check(&self.plan)?;
         let (width, height) = input.dimensions();
-        let resolved = memoized(&self.resolved, (width, height), || {
-            self.resolve(width, height).map(Arc::new)
-        })?;
+        let resolved = self.resolved(width, height)?;
         let start = Instant::now();
         let output = input.map_on(&resolved.compiled)?;
         let wall = start.elapsed();
@@ -282,12 +330,12 @@ impl Engine {
         let telemetry = BackendTelemetry {
             backend: self.row.name,
             wall,
-            ops: resolved
-                .compiled
-                .plan()
+            ops: self
+                .plan
                 .profile(width, height, self.params.channels)
                 .total(),
             modeled,
+            point: resolved.point,
             schedule: resolved
                 .schedule
                 .as_ref()
@@ -342,7 +390,7 @@ impl TonemapBackend for Engine {
             executor: Executor::Scheduled { mode, threads },
             ..self.row
         };
-        let engine = Engine::for_spec(row, self.params, self.plan.clone(), spec)?;
+        let engine = Engine::with_plan(row, self.params, self.plan.clone(), spec)?;
         Ok(Arc::new(engine))
     }
 
@@ -352,7 +400,7 @@ impl TonemapBackend for Engine {
         plan: Option<PipelinePlan>,
     ) -> Result<Arc<dyn TonemapBackend>, TonemapError> {
         let plan = self.effective_plan(&params, plan.as_ref());
-        Ok(Arc::new(Engine::for_spec(
+        Ok(Arc::new(Engine::with_plan(
             self.row, params, plan, &self.spec,
         )?))
     }
@@ -430,13 +478,73 @@ fn memoized<V: Clone, E>(
     compute: impl FnOnce() -> Result<V, E>,
 ) -> Result<V, E> {
     if let Some(hit) = memo.lock().expect("per-size memo poisoned").get(&key) {
-        return Ok(hit.clone());
+        return Ok(hit);
     }
     let computed = compute()?;
     Ok(memo
         .lock()
         .expect("per-size memo poisoned")
-        .entry(key)
-        .or_insert(computed)
-        .clone())
+        .insert(key, computed))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::registry::BackendRegistry;
+    use hdr_image::synth::SceneKind;
+    use tonemap_core::plan::PlanTuning;
+
+    fn row(name: &str) -> EngineRow {
+        BackendRegistry::STANDARD_ENGINES
+            .into_iter()
+            .find(|row| row.name == name)
+            .expect("a standard engine name")
+    }
+
+    fn serve(engine: &Engine, width: usize, height: usize) -> LuminanceImage {
+        let frame = SceneKind::SunAndShadow.generate(width, height, 4);
+        engine
+            .run_luminance(&frame, None, None, true)
+            .expect("the engine serves every size")
+            .image
+    }
+
+    #[test]
+    fn per_size_memos_stay_within_their_cap() {
+        // A client picks the dimensions: 100 distinct sizes, each run with
+        // the platform model's telemetry, so both memos see every size.
+        let engine = Engine::new(row("sw-f32"), ToneMapParams::paper_default()).unwrap();
+        for index in 0..100 {
+            serve(&engine, 8 + index % 10, 8 + index / 10);
+        }
+        assert_eq!(engine.resolved.lock().unwrap().len(), MAX_SIZES);
+        assert_eq!(engine.reports.lock().unwrap().len(), MAX_SIZES);
+    }
+
+    #[test]
+    fn a_size_served_again_after_eviction_matches_a_fresh_engine() {
+        let params = ToneMapParams::paper_default();
+        let plan = PipelinePlan::preset("basedetail", &params, &PlanTuning::default())
+            .unwrap()
+            .unwrap();
+        let row = EngineRow {
+            executor: Executor::Scheduled {
+                mode: ScheduleMode::Auto,
+                threads: None,
+            },
+            ..row("hw-fix16")
+        };
+        let spec = "hw-fix16?pipeline=basedetail&schedule=auto";
+        let engine = Engine::with_plan(row, params, plan.clone(), spec).unwrap();
+        let first = serve(&engine, 40, 30);
+        // Every later size is used more recently, so 40×30 is evicted.
+        for index in 0..MAX_SIZES {
+            serve(&engine, 8 + index % 8, 8 + index / 8);
+        }
+        assert!(!engine.resolved.lock().unwrap().contains_key(&(40, 30)));
+        let again = serve(&engine, 40, 30);
+        let fresh = serve(&Engine::with_plan(row, params, plan, spec).unwrap(), 40, 30);
+        assert_eq!(again, fresh);
+        assert_eq!(again, first);
+    }
 }

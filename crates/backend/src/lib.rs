@@ -37,13 +37,13 @@
 //! ```
 //!
 //! The modules: [`TonemapBackend`] is the execution contract (`backend`);
-//! [`Engine`] its one implementation, a row of data (`engine`); the row's
-//! executor compiles a plan into a [`CompiledPlan`], two-pass or
-//! streaming (`streaming`), and a `Scheduled` executor picks between them
-//! per image size through the scheduler (`scheduled`). `registry` holds the
-//! row table and resolves spec strings ([`BackendSpec`], `spec`);
-//! `request` and `output` are the job contract's data; `error` is its one
-//! error type.
+//! [`Engine`] its one implementation, a row of data (`engine`), which picks
+//! each size's point: two-pass, the plan's streaming point, or the
+//! scheduler's pick (`scheduled`). [`CompiledPlan::new`] is the one compile
+//! entry (`streaming`), and [`BackendTelemetry`] names every run's point.
+//! `memo` bounds the caches a client's input keys. `registry` holds the row
+//! table and resolves spec strings ([`BackendSpec`], `spec`); `request` and
+//! `output` are the job contract's data; `error` is its one error type.
 //!
 //! Every input is validated into a typed [`TonemapError`] — unknown specs,
 //! invalid parameters, zero-dimension images — never a panic. A
@@ -101,6 +101,7 @@
 mod backend;
 mod engine;
 mod error;
+mod memo;
 mod output;
 mod registry;
 mod request;

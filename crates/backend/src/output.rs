@@ -49,16 +49,14 @@ impl From<&DesignReport> for ModeledCost {
     }
 }
 
-/// How the auto-scheduler resolved one run: the chosen execution strategy
-/// and the prediction it was chosen on, so the model's error is observable
-/// against [`BackendTelemetry::wall`].
+/// How the auto-scheduler chose one run's [`BackendTelemetry::point`]: the
+/// prediction it was chosen on, so the model's error is observable against
+/// [`BackendTelemetry::wall`].
 ///
 /// Only runs through a `schedule=`-resolved engine carry this; the named
-/// engines' hand-picked execution paths do not consult the scheduler.
+/// engines' rows fix their point without consulting the scheduler.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScheduleTelemetry {
-    /// The execution strategy the run used.
-    pub point: SchedulePoint,
     /// Predicted cost of the chosen point, in modeled platform seconds
     /// (a Zynq, not this host — compare *rankings* with the wall clock,
     /// not absolute values).
@@ -77,7 +75,6 @@ impl ScheduleTelemetry {
     /// it was chosen from.
     pub fn from_priced(priced: &PricedPoint, considered: usize) -> Self {
         ScheduleTelemetry {
-            point: priced.point,
             predicted_seconds: priced.predicted_seconds,
             predicted_ns_per_pixel: priced.predicted_ns_per_pixel,
             verdict: priced.verdict.clone(),
@@ -99,8 +96,10 @@ pub struct BackendTelemetry {
     /// The platform model's cost prediction, when the backend maps to a
     /// Table II design.
     pub modeled: Option<ModeledCost>,
-    /// The auto-scheduler's resolution, when the run went through a
-    /// `schedule=`-resolved engine.
+    /// The schedule point the run executed at, whichever row served it.
+    pub point: SchedulePoint,
+    /// The auto-scheduler's prediction for the point, when the run went
+    /// through a `schedule=`-resolved engine.
     pub schedule: Option<ScheduleTelemetry>,
 }
 

@@ -3,10 +3,11 @@
 use crate::backend::{BackendInfo, TonemapBackend};
 use crate::engine::{Engine, EngineRow, Executor, Numerics};
 use crate::error::TonemapError;
+use crate::memo::BoundedMemo;
 use crate::request::{TonemapRequest, TonemapResponse};
 use crate::spec::BackendSpec;
 use codesign::flow::{DesignImplementation, FlowReport};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::{Arc, Mutex};
 use tonemap_core::{PipelinePlan, ToneMapParams};
@@ -109,12 +110,17 @@ impl fmt::Debug for ResolvedBackend {
 /// registers a backend), so repeated
 /// [`BackendRegistry::execute`] calls with the same override spec reuse
 /// one engine and its per-resolution platform-model cache instead of
-/// rebuilding both per request.
+/// rebuilding both per request. A client can name endless distinct specs
+/// (every `sigma=` value is one), so the memo holds at most 256; a new
+/// spec on a full memo evicts the least recently resolved one.
 #[derive(Clone, Default)]
 pub struct BackendRegistry {
     backends: BTreeMap<&'static str, Arc<dyn TonemapBackend>>,
-    resolved_overrides: Arc<Mutex<HashMap<String, ResolvedBackend>>>,
+    resolved_overrides: Arc<Mutex<BoundedMemo<String, ResolvedBackend, MAX_OVERRIDE_SPECS>>>,
 }
+
+/// Reconfigured engines one registry keeps, one per spec string.
+const MAX_OVERRIDE_SPECS: usize = 256;
 
 impl BackendRegistry {
     /// The engine a request without [`TonemapRequest::on_backend`] runs on:
@@ -306,7 +312,7 @@ impl BackendRegistry {
             .expect("override-spec cache poisoned")
             .get(spec)
         {
-            return Ok(resolved.clone());
+            return Ok(resolved);
         }
         let engine = if params_override.is_some() || plan.is_some() {
             backend.reconfigured(effective, plan.clone())?
@@ -322,12 +328,11 @@ impl BackendRegistry {
             params_override,
             plan,
         };
-        self.resolved_overrides
+        Ok(self
+            .resolved_overrides
             .lock()
             .expect("override-spec cache poisoned")
-            .entry(spec.to_string())
-            .or_insert(resolved.clone());
-        Ok(resolved)
+            .insert(spec.to_string(), resolved))
     }
 
     /// The backend covering one Table II design.
@@ -672,6 +677,23 @@ mod tests {
             !Arc::ptr_eq(&first.backend_shared(), &third.backend_shared()),
             "registering a backend must invalidate memoized resolutions"
         );
+    }
+
+    #[test]
+    fn the_override_memo_stays_within_its_cap() {
+        // Every distinct `sigma=` value is a distinct spec string.
+        let registry = BackendRegistry::standard();
+        let specs: Vec<String> = (0..300)
+            .map(|index| format!("sw-f32?sigma={}", 1.0 + index as f32 / 100.0))
+            .collect();
+        for spec in &specs {
+            registry.resolve_spec(spec).expect("every sigma is valid");
+        }
+        let memo = registry.resolved_overrides.lock().unwrap();
+        assert_eq!(memo.len(), MAX_OVERRIDE_SPECS);
+        // The least recently resolved specs went first.
+        assert!(memo.contains_key(&specs[299]));
+        assert!(!memo.contains_key(&specs[0]));
     }
 
     #[test]

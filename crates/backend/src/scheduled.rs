@@ -1,5 +1,5 @@
-//! How a `schedule=` engine resolves its executor: per image size, by the
-//! scheduler.
+//! How an engine's plan streams, and how a `schedule=` engine picks its
+//! point: per image size, by the scheduler.
 //!
 //! At the first request of each image size the
 //! [`tonemap_scheduler::Scheduler`] enumerates the plan's legal
@@ -13,29 +13,31 @@
 use crate::engine::{Engine, Executor};
 use crate::error::TonemapError;
 use codesign::flow::DesignReport;
-use tonemap_core::StreamingToneMapper;
-use tonemap_scheduler::{PricedPoint, ScheduleExecutor, ScheduleMode, SchedulePoint, Scheduler};
+use tonemap_core::{StreamingDecision, StreamingToneMapper};
+use tonemap_scheduler::{PricedPoint, ScheduleMode, SchedulePoint, Scheduler};
 
 impl Engine {
-    /// The checks a `schedule=` engine passes when it is built rather than
-    /// on its first request: the row must have a schedule space, and a
-    /// `schedule=stream` plan must stream. The streaming decision depends
+    /// The streaming planner's verdict on the engine's plan. It depends
     /// only on the plan's shape — not on the image size, nor on the sample
     /// type, so the `f32` probe speaks for both formats.
+    pub(crate) fn decision(&self) -> Result<StreamingDecision, TonemapError> {
+        Ok(StreamingToneMapper::<f32>::compile(self.plan.clone(), self.params)?.decision())
+    }
+
+    /// The checks a `schedule=` engine passes when it is built rather than
+    /// on its first request: the row must have a schedule space, and a
+    /// `schedule=stream` plan must stream.
     pub(crate) fn check_schedule(&self) -> Result<(), TonemapError> {
         let Executor::Scheduled { mode, .. } = self.row.executor else {
             return Ok(());
         };
         self.row.schedule_class_for(&self.spec)?;
         if mode == ScheduleMode::Stream {
-            let probe = StreamingToneMapper::<f32>::compile(self.plan.clone(), self.params)?;
-            if !probe.decision().is_streamed() {
+            let decision = self.decision()?;
+            if !decision.is_streamed() {
                 return Err(TonemapError::InvalidSpec {
                     spec: self.spec.clone(),
-                    reason: format!(
-                        "`schedule=stream` but the plan cannot stream ({})",
-                        probe.decision()
-                    ),
+                    reason: format!("`schedule=stream` but the plan cannot stream ({decision})"),
                 });
             }
         }
@@ -85,15 +87,12 @@ impl Engine {
                     // count, or beyond the host cap) still get an honest
                     // price.
                     None => {
-                        let point = SchedulePoint {
-                            executor: ScheduleExecutor::Streaming {
-                                fused: report.decision.is_fused(),
-                                barriers: report.decision.barriers().len(),
-                            },
+                        let point = SchedulePoint::streaming(
+                            &report.decision,
                             threads,
-                            format: class.format,
-                            slice_rows: height.div_ceil(threads.max(1)),
-                        };
+                            class.format,
+                            height,
+                        );
                         (scheduler.price_point(&self.plan, width, height, &point), 1)
                     }
                 }
@@ -311,8 +310,9 @@ mod tests {
                     .with_telemetry(),
             )
             .expect("forced odd thread count executes");
-        let schedule = response.telemetry().unwrap().schedule.clone().unwrap();
-        assert_eq!(schedule.point.threads, 7);
+        let telemetry = response.telemetry().unwrap();
+        assert_eq!(telemetry.point.threads, 7);
+        let schedule = telemetry.schedule.clone().unwrap();
         assert_eq!(schedule.considered, 1);
         assert_eq!(schedule.verdict, "forced by the caller");
         let reference = registry

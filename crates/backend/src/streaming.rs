@@ -1,5 +1,6 @@
 //! The executors an engine's plan compiles onto: the fused line-buffer
-//! pass and the two-pass planner it reproduces.
+//! pass and the two-pass planner it reproduces. [`CompiledPlan::new`] is
+//! the one place a [`SchedulePoint`] becomes an executor.
 //!
 //! The streaming pass runs the whole plan as one raster-order pass over a
 //! rolling row ring buffer (the software analogue of the paper's Fig. 4
@@ -15,9 +16,10 @@ use crate::error::TonemapError;
 use apfixed::Fix16;
 use hdr_image::{ImageError, LuminanceImage, RgbImage};
 use tonemap_core::{PipelinePlan, StreamingToneMapper, ToneMapParams, ToneMapper};
+use tonemap_scheduler::SchedulePoint;
 
-/// A plan compiled for one [`Numerics`] on the two-pass or the streaming
-/// executor: the one place the engine layer picks a sample type.
+/// A plan compiled for one [`Numerics`] at one [`SchedulePoint`]: the one
+/// place the engine layer picks a sample type and an executor.
 #[derive(Debug)]
 pub enum CompiledPlan {
     /// The two-pass planner, computing in the given numerics.
@@ -29,38 +31,30 @@ pub enum CompiledPlan {
 }
 
 impl CompiledPlan {
-    /// Compiles `plan` for `numerics` on the two-pass planner
-    /// (`stream_threads: None`) or on the streaming pass, row-sliced over
-    /// that many workers. The all-fixed ablation has no streaming form and
-    /// always compiles two-pass.
+    /// Compiles `plan` for `numerics` at `point`: on the streaming pass,
+    /// row-sliced over `point.threads` workers, when the point streams, and
+    /// on the two-pass planner otherwise. The all-fixed ablation has no
+    /// streaming form and always compiles two-pass.
     ///
     /// # Errors
     ///
     /// [`TonemapError::InvalidParams`] if `params` fail validation.
     pub fn new(
-        numerics: Numerics,
         plan: PipelinePlan,
         params: ToneMapParams,
-        stream_threads: Option<usize>,
+        numerics: Numerics,
+        point: &SchedulePoint,
     ) -> Result<Self, TonemapError> {
-        Ok(match (numerics, stream_threads) {
-            (Numerics::F32, Some(threads)) => CompiledPlan::StreamF32(
+        let threads = point.threads;
+        Ok(match (numerics, point.executor.is_streaming()) {
+            (Numerics::F32, true) => CompiledPlan::StreamF32(
                 StreamingToneMapper::compile(plan, params)?.with_threads(threads),
             ),
-            (Numerics::Fix16Blur, Some(threads)) => CompiledPlan::StreamFix16(
+            (Numerics::Fix16Blur, true) => CompiledPlan::StreamFix16(
                 StreamingToneMapper::compile(plan, params)?.with_threads(threads),
             ),
             _ => CompiledPlan::TwoPass(numerics, ToneMapper::compile(plan, params)?),
         })
-    }
-
-    /// The plan this executor compiled.
-    pub fn plan(&self) -> &PipelinePlan {
-        match self {
-            CompiledPlan::TwoPass(_, mapper) => mapper.plan(),
-            CompiledPlan::StreamF32(mapper) => mapper.plan(),
-            CompiledPlan::StreamFix16(mapper) => mapper.plan(),
-        }
     }
 
     /// Tone-maps one luminance plane.

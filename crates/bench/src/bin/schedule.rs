@@ -6,8 +6,9 @@
 //! model. This gate closes the loop against the wall clock:
 //!
 //! * **Coverage** — every synthetic scene kind at three resolutions; every
-//!   enumerated point is compiled by hand and measured directly, so the
-//!   ranking is checked against ground truth, not against itself.
+//!   enumerated point is compiled through the engines' one compile entry,
+//!   `CompiledPlan::new`, and measured directly, so the ranking is checked
+//!   against ground truth, not against itself.
 //! * **Optimality** — the point `schedule=auto` picks must never be more
 //!   than 10% slower than the *best measured* point for that scene (plus a
 //!   small absolute floor so micro-second timer noise at thumbnail sizes
@@ -33,11 +34,10 @@ use codesign::reports::json;
 use hdr_image::synth::SceneKind;
 use hdr_image::LuminanceImage;
 use std::sync::Arc;
+use tonemap_backend::{CompiledPlan, Numerics};
 use tonemap_core::plan::{PipelinePlan, PlanTuning};
-use tonemap_core::{StreamingToneMapper, ToneMapParams, ToneMapper};
-use tonemap_scheduler::{
-    HostModel, SampleFormat, ScheduleClass, ScheduleExecutor, SchedulePoint, Scheduler,
-};
+use tonemap_core::ToneMapParams;
+use tonemap_scheduler::{HostModel, SampleFormat, ScheduleClass, SchedulePoint, Scheduler};
 use tonemap_service::{JobRequest, ServiceConfig, TonemapService};
 
 const RESOLUTIONS: [(usize, usize); 3] = [(160, 120), (320, 240), (640, 480)];
@@ -56,23 +56,12 @@ fn measure_point(
     hdr: &LuminanceImage,
     iterations: usize,
 ) -> f64 {
+    let compiled =
+        CompiledPlan::new(plan.clone(), params, Numerics::F32, point).expect("plan compiles");
     let mut sink = 0.0f32;
-    let seconds = match point.executor {
-        ScheduleExecutor::TwoPass => {
-            let mapper = ToneMapper::compile(plan.clone(), params).expect("plan compiles");
-            time_best(iterations, || {
-                sink += mapper.map_luminance_hw_blur::<f32>(hdr).pixels()[0];
-            })
-        }
-        ScheduleExecutor::Streaming { .. } => {
-            let stream = StreamingToneMapper::<f32>::compile(plan.clone(), params)
-                .expect("plan streams")
-                .with_threads(point.threads);
-            time_best(iterations, || {
-                sink += stream.map_luminance(hdr).pixels()[0];
-            })
-        }
-    };
+    let seconds = time_best(iterations, || {
+        sink += compiled.map_luminance(hdr).pixels()[0];
+    });
     assert!(sink.is_finite(), "outputs must be finite");
     seconds
 }
@@ -218,10 +207,11 @@ fn main() {
         })
         .collect();
     let responses = service.execute_batch(jobs).expect("scheduled jobs serve");
-    let schedule = responses[0]
-        .telemetry()
-        .and_then(|telemetry| telemetry.schedule.clone())
-        .expect("scheduled runs carry schedule telemetry");
+    let telemetry = responses[0].telemetry().expect("telemetry requested");
+    assert!(
+        telemetry.schedule.is_some(),
+        "scheduled runs carry schedule telemetry"
+    );
     service.shutdown();
     let stats = service.stats();
     let engine = stats
@@ -234,7 +224,7 @@ fn main() {
         .predicted_vs_measured()
         .expect("telemetry jobs carry predictions");
     println!("service run on `{spec}`: {} jobs", stats.completed);
-    println!("  resolved point: {}", schedule.point);
+    println!("  resolved point: {}", telemetry.point);
     println!(
         "  predicted {:.6} s vs measured {:.6} s per job ({})",
         predicted,
@@ -262,7 +252,7 @@ fn main() {
                     ("spec", json::string(spec)),
                     ("jobs", json::num(stats.completed as f64)),
                     ("scheduled_jobs", json::num(engine.scheduled_jobs as f64)),
-                    ("resolved_point", json::string(&schedule.point.to_string())),
+                    ("resolved_point", json::string(&telemetry.point.to_string())),
                     ("predicted_seconds_per_job", json::num(predicted)),
                     ("measured_seconds_per_job", json::num(measured_mean)),
                 ]),

@@ -10,6 +10,7 @@
 use std::fmt;
 
 use codesign::flow::DesignImplementation;
+use tonemap_core::StreamingDecision;
 
 /// The numeric format a schedule executes in — the plan's *quality floor*.
 ///
@@ -120,6 +121,31 @@ impl SchedulePoint {
             threads: 1,
             format,
             slice_rows: height,
+        }
+    }
+
+    /// The streaming point of a plan the streaming planner judged
+    /// `decision`, row-sliced over `threads` workers of
+    /// `height.div_ceil(threads)` rows each. A plan that falls back gets
+    /// the two-pass point instead: the stream mapper runs such a plan
+    /// two-pass anyway.
+    pub fn streaming(
+        decision: &StreamingDecision,
+        threads: usize,
+        format: SampleFormat,
+        height: usize,
+    ) -> Self {
+        if !decision.is_streamed() {
+            return SchedulePoint::two_pass(format, height);
+        }
+        SchedulePoint {
+            executor: ScheduleExecutor::Streaming {
+                fused: decision.is_fused(),
+                barriers: decision.barriers().len(),
+            },
+            threads,
+            format,
+            slice_rows: height.div_ceil(threads.max(1)),
         }
     }
 }

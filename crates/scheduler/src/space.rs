@@ -10,7 +10,7 @@
 
 use tonemap_core::{PipelinePlan, StreamingDecision, StreamingToneMapper, ToneMapParams};
 
-use crate::point::{SampleFormat, ScheduleExecutor, SchedulePoint};
+use crate::point::{SampleFormat, SchedulePoint};
 
 /// The host the row slices actually run on: how many workers are worth
 /// scheduling, and how a set of slice costs maps to a makespan.
@@ -159,10 +159,6 @@ impl ScheduleSpace {
 
         let mut points = vec![SchedulePoint::two_pass(format, height)];
         if decision.is_streamed() {
-            let executor = ScheduleExecutor::Streaming {
-                fused: decision.is_fused(),
-                barriers: decision.barriers().len(),
-            };
             let halo_rows: usize = plan
                 .segmentation()
                 .segments
@@ -173,18 +169,14 @@ impl ScheduleSpace {
                 if threads > host.cores() {
                     continue;
                 }
-                let slice_rows = height.div_ceil(threads.max(1)).max(1);
+                let point = SchedulePoint::streaming(&decision, threads, format, height);
                 if threads > 1
-                    && (slice_rows * width < Self::MIN_SLICE_PIXELS || slice_rows <= halo_rows)
+                    && (point.slice_rows * width < Self::MIN_SLICE_PIXELS
+                        || point.slice_rows <= halo_rows)
                 {
                     continue;
                 }
-                points.push(SchedulePoint {
-                    executor,
-                    threads,
-                    format,
-                    slice_rows,
-                });
+                points.push(point);
             }
         }
         ScheduleSpace { points, decision }
@@ -215,6 +207,7 @@ impl ScheduleSpace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::point::ScheduleExecutor;
     use tonemap_core::plan::{PipelineOp, PlanTuning};
 
     fn params() -> ToneMapParams {

@@ -465,17 +465,17 @@ fn execute_job(
     // Jobs that opted into telemetry carry the full resolution (point +
     // prediction); for the rest the engine still names its schedule request,
     // so the stats can report that the engine is scheduler-resolved.
-    let schedule = match response.telemetry().and_then(|t| t.schedule.as_ref()) {
-        Some(schedule) => Some(ScheduleSample {
+    let schedule = match response.telemetry().filter(|t| t.schedule.is_some()) {
+        Some(telemetry) => Some(ScheduleSample {
             description: format!(
                 "{} ({})",
-                schedule.point,
+                telemetry.point,
                 resolved
                     .backend()
                     .schedule_description()
                     .unwrap_or_else(|| "scheduled".to_string())
             ),
-            predicted_seconds: Some(schedule.predicted_seconds),
+            predicted_seconds: telemetry.schedule.as_ref().map(|s| s.predicted_seconds),
         }),
         None => resolved
             .backend()

@@ -47,7 +47,7 @@ impl fmt::Display for VideoError {
                     .collect();
                 write!(
                     f,
-                    "no video executor mapping for engine `{name}`; known engines: {}",
+                    "no standard engine `{name}`; known engines: {}",
                     known.join(", ")
                 )
             }

@@ -50,12 +50,10 @@
 
 mod config;
 mod error;
-mod executor;
 mod metrics;
 mod session;
 
 pub use config::{TemporalConfig, DEFAULT_CUT_THRESHOLD, DEFAULT_TAU};
 pub use error::VideoError;
-pub use executor::VideoExecutor;
 pub use metrics::{FrameMetrics, Signature, StreamSummary};
 pub use session::VideoSession;

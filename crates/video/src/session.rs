@@ -1,20 +1,19 @@
 //! The temporal session: leaky adaptation over a plan's reduction
 //! statistics, scene-cut reset, and inline stability metrics.
 
-use std::collections::HashMap;
-
 use hdr_image::LuminanceImage;
-use tonemap_backend::{BackendSpec, TemporalMode};
+use tonemap_backend::{
+    BackendRegistry, BackendSpec, CompiledPlan, Engine, EngineRow, Executor, TemporalMode,
+    TonemapBackend,
+};
 use tonemap_core::normalize::{max_pixel, normalize_sample};
 use tonemap_core::plan::{
     histogram_counts, histogram_remap_cdf, ChannelLayout, Curve, PipelineOp, PipelinePlan,
 };
 use tonemap_core::ToneMapParams;
-use tonemap_scheduler::Scheduler;
 
 use crate::config::TemporalConfig;
 use crate::error::VideoError;
-use crate::executor::VideoExecutor;
 use crate::metrics::{
     map_with_log_average, output_metrics, FrameMetrics, Signature, StreamSummary,
 };
@@ -111,17 +110,15 @@ struct AdaptState {
 /// Frames must be processed **in order** — the adaptation state is the
 /// whole point. The service layer enforces this by pinning each stream to
 /// one queue shard.
+///
+/// The session runs on an [`Engine`] built for its plan: the engine names
+/// the schedule point each resolution runs at, resolved and memoized
+/// exactly as for a still of the same spec, and every segment compiles at
+/// that point through [`CompiledPlan::new`].
 #[derive(Debug)]
 pub struct VideoSession {
-    plan: PipelinePlan,
-    params: ToneMapParams,
+    engine: Engine,
     config: TemporalConfig,
-    executor: VideoExecutor,
-    /// Present exactly when `executor` is `Auto`.
-    scheduler: Option<Scheduler>,
-    /// Auto-scheduler winners, cached per resolution so a steady stream
-    /// prices its schedule once.
-    resolved: HashMap<(usize, usize), VideoExecutor>,
     /// Whether the plan opens with `Normalize` (the session owns that
     /// reduction: it leaks the frame maximum).
     normalize: bool,
@@ -145,21 +142,36 @@ pub struct VideoSession {
 
 impl VideoSession {
     /// Builds a session over `plan` with the given parameters, temporal
-    /// configuration and executor.
+    /// configuration and engine row: the row's numerics compute every
+    /// frame, and its executor names the point each resolution runs at.
     ///
     /// # Errors
     ///
-    /// [`VideoError::ColourPlan`] for plans with colour registers,
-    /// [`VideoError::InvalidParams`] when `params` fail validation, and
-    /// [`VideoError::Plan`] when a fused run cannot execute standalone
+    /// [`VideoError::InvalidParams`] when `params` fail validation,
+    /// [`VideoError::Spec`] for a `schedule=` row the engine cannot serve
+    /// (no schedule space, or `schedule=stream` on a plan that cannot
+    /// stream), [`VideoError::ColourPlan`] for plans with colour registers,
+    /// and [`VideoError::Plan`] when a fused run cannot execute standalone
     /// (e.g. a `Mask` split from its `BlurMask` by a barrier).
     pub fn new(
         plan: &PipelinePlan,
         params: &ToneMapParams,
         config: TemporalConfig,
-        executor: VideoExecutor,
+        row: EngineRow,
+    ) -> Result<Self, VideoError> {
+        VideoSession::build(plan, params, config, row, row.name)
+    }
+
+    /// [`VideoSession::new`], with engine errors quoting `spec`.
+    fn build(
+        plan: &PipelinePlan,
+        params: &ToneMapParams,
+        config: TemporalConfig,
+        row: EngineRow,
+        spec: &str,
     ) -> Result<Self, VideoError> {
         params.validate()?;
+        let engine = Engine::with_plan(row, *params, plan.clone(), spec)?;
         if let Some(layout) = plan
             .op_input_layouts()
             .iter()
@@ -202,17 +214,9 @@ impl VideoSession {
             })
             .collect();
         let track_key = segments.iter().any(|segment| segment.has_reinhard);
-        let scheduler = match executor {
-            VideoExecutor::Auto(_, class) => Some(Scheduler::new(*params, class)?),
-            _ => None,
-        };
         Ok(VideoSession {
-            plan: plan.clone(),
-            params: *params,
+            engine,
             config,
-            executor,
-            scheduler,
-            resolved: HashMap::new(),
             normalize,
             track_key,
             segments,
@@ -233,23 +237,34 @@ impl VideoSession {
     /// `pipeline=`, `schedule=`, and the video keys
     /// `temporal=`/`tau=`/`cutthresh=`. The temporal keys configure the
     /// session itself; everything else resolves exactly as the
-    /// single-frame layers would.
+    /// single-frame layers would: the name's row of
+    /// [`BackendRegistry::STANDARD_ENGINES`], with a `schedule=` request
+    /// applied as [`Executor::Scheduled`].
     ///
     /// # Errors
     ///
     /// [`VideoError::Spec`] for a malformed spec,
-    /// [`VideoError::UnknownEngine`] for an unmapped engine name, plus
-    /// everything [`VideoSession::new`] returns.
+    /// [`VideoError::UnknownEngine`] for a name outside the standard engine
+    /// table, plus everything [`VideoSession::new`] returns.
     pub fn from_spec(spec: &str) -> Result<Self, VideoError> {
         let parsed = BackendSpec::parse(spec)?;
-        let config = TemporalConfig::from_spec(&parsed);
-        let executor = VideoExecutor::from_spec(&parsed)?;
+        let mut row = BackendRegistry::STANDARD_ENGINES
+            .into_iter()
+            .find(|row| row.name == parsed.name())
+            .ok_or_else(|| VideoError::UnknownEngine(parsed.name().to_string()))?;
+        if let Some(mode) = parsed.schedule() {
+            row.executor = Executor::Scheduled {
+                mode,
+                threads: parsed.threads(),
+            };
+        }
         let base = ToneMapParams::paper_default();
         let effective = parsed.merged_params(base)?.unwrap_or(base);
         let plan = parsed
             .resolved_plan(&effective)?
             .unwrap_or_else(|| PipelinePlan::from_params(&effective));
-        VideoSession::new(&plan, &effective, config, executor)
+        let config = TemporalConfig::from_spec(&parsed);
+        VideoSession::build(&plan, &effective, config, row, spec)
     }
 
     /// Tone-maps the next frame of the stream, advancing the adaptation
@@ -306,11 +321,18 @@ impl VideoSession {
         } else {
             (frame.map(|&v| normalize_sample(v, scale)), 1.0)
         };
+        let point = self
+            .engine
+            .point(frame.width(), frame.height())
+            .expect("the engine checked its schedule when the session was built");
+        let (params, numerics) = (self.engine.params(), self.engine.row().numerics);
         let barrier_count = self.barrier_bins.len();
         for seg_index in 0..self.segments.len() {
             if !self.segments[seg_index].ops.is_empty() {
                 let plan = self.segments[seg_index].plan(key_ratio);
-                register = self.run_segment(&plan, &register);
+                register = CompiledPlan::new(plan, params, numerics, &point)
+                    .expect("params validated at session construction")
+                    .map_luminance(&register);
             }
             if seg_index < barrier_count {
                 let counts = histogram_counts(&register, self.barrier_bins[seg_index]);
@@ -347,32 +369,6 @@ impl VideoSession {
         )
     }
 
-    /// Runs one fused segment through the session's executor.
-    fn run_segment(&mut self, plan: &PipelinePlan, register: &LuminanceImage) -> LuminanceImage {
-        self.resolve_executor(register.width(), register.height())
-            .map_luminance(plan, &self.params, register)
-    }
-
-    /// The concrete executor for a resolution: the session's own unless
-    /// it is `Auto`, which prices the schedule once per resolution and
-    /// caches the winner for the rest of the stream.
-    fn resolve_executor(&mut self, width: usize, height: usize) -> VideoExecutor {
-        let VideoExecutor::Auto(numerics, _) = self.executor else {
-            return self.executor;
-        };
-        if let Some(&resolved) = self.resolved.get(&(width, height)) {
-            return resolved;
-        }
-        let scheduler = self
-            .scheduler
-            .as_ref()
-            .expect("auto sessions construct a scheduler");
-        let report = scheduler.schedule(&self.plan, width, height);
-        let resolved = VideoExecutor::from_schedule_point(&report.winner().point, numerics);
-        self.resolved.insert((width, height), resolved);
-        resolved
-    }
-
     /// Aggregate stability metrics for the stream so far.
     pub fn summary(&self) -> StreamSummary {
         StreamSummary {
@@ -389,8 +385,8 @@ impl VideoSession {
     }
 
     /// Drops all adaptation state and stream metrics, returning the
-    /// session to its just-constructed state (cached auto schedules are
-    /// kept — they depend only on resolution).
+    /// session to its just-constructed state (the engine's per-resolution
+    /// points are kept — they depend only on resolution).
     pub fn reset(&mut self) {
         self.state = None;
         self.frames = 0;
@@ -408,20 +404,20 @@ impl VideoSession {
         &self.config
     }
 
-    /// The executor the session was built with (`Auto` stays `Auto`; see
-    /// [`VideoSession::resolved_schedules`] for the concrete picks).
-    pub fn executor(&self) -> VideoExecutor {
-        self.executor
+    /// The engine the session runs on: its [`Engine::row`], and through
+    /// [`Engine::point`] the schedule point a resolution runs at.
+    pub fn engine(&self) -> &Engine {
+        &self.engine
     }
 
     /// The plan the session executes.
     pub fn plan(&self) -> &PipelinePlan {
-        &self.plan
+        self.engine.plan()
     }
 
     /// The tone-mapping parameters the session executes with.
-    pub fn params(&self) -> &ToneMapParams {
-        &self.params
+    pub fn params(&self) -> ToneMapParams {
+        self.engine.params()
     }
 
     /// Frames processed since construction (or the last reset).
@@ -432,14 +428,6 @@ impl VideoSession {
     /// Frame indices where the scene-cut detector fired.
     pub fn cuts(&self) -> &[usize] {
         &self.cuts
-    }
-
-    /// The auto-scheduler's concrete picks so far, keyed by resolution
-    /// (empty unless the executor is `Auto`).
-    pub fn resolved_schedules(&self) -> impl Iterator<Item = ((usize, usize), VideoExecutor)> + '_ {
-        self.resolved
-            .iter()
-            .map(|(&dims, &executor)| (dims, executor))
     }
 }
 
@@ -475,7 +463,8 @@ mod tests {
     use super::*;
     use hdr_image::sequence::{FrameSequence, SequenceKind};
     use hdr_image::synth::SceneKind;
-    use tonemap_backend::{BackendRegistry, Numerics, TonemapRequest};
+    use tonemap_backend::TonemapRequest;
+    use tonemap_scheduler::{ScheduleExecutor, ScheduleMode, Scheduler};
 
     /// A plan exercising all three adapted reduction statistics: the
     /// normalize maximum, a Reinhard key, and a histogram CDF, with a
@@ -493,46 +482,64 @@ mod tests {
         .expect("plan is valid")
     }
 
-    /// Single-frame reference execution of a full plan on the executor a
-    /// [`VideoExecutor`] names.
+    /// The standard engine row named `name`.
+    fn row(name: &str) -> EngineRow {
+        BackendRegistry::STANDARD_ENGINES
+            .into_iter()
+            .find(|row| row.name == name)
+            .expect("a standard engine name")
+    }
+
+    /// Every numerics on the two-pass planner, and the stream in both
+    /// formats, the Fix16 one sliced over two workers.
+    fn rows() -> [EngineRow; 5] {
+        [
+            row("sw-f32"),
+            row("sw-fix16"),
+            row("hw-fix16"),
+            row("sw-f32-stream"),
+            EngineRow {
+                executor: Executor::Stream { threads: 2 },
+                ..row("hw-fix16-stream")
+            },
+        ]
+    }
+
+    /// Single-frame reference execution of a full plan on an engine built
+    /// from `row`.
     fn single_frame(
         plan: &PipelinePlan,
         params: &ToneMapParams,
-        executor: VideoExecutor,
+        row: EngineRow,
         frame: &LuminanceImage,
     ) -> LuminanceImage {
-        executor.map_luminance(plan, params, frame)
+        Engine::with_plan(row, *params, plan.clone(), row.name)
+            .expect("engine builds")
+            .run_luminance(frame, None, None, false)
+            .expect("scalar plans run")
+            .image
     }
-
-    const EXECUTORS: [VideoExecutor; 5] = [
-        VideoExecutor::TwoPass(Numerics::F32),
-        VideoExecutor::TwoPass(Numerics::Fix16All),
-        VideoExecutor::TwoPass(Numerics::Fix16Blur),
-        VideoExecutor::Stream(Numerics::F32, 1),
-        VideoExecutor::Stream(Numerics::Fix16Blur, 2),
-    ];
 
     #[test]
     fn static_scenes_are_bit_identical_to_single_frame_on_every_executor() {
         let params = ToneMapParams::paper_default();
         let plan = all_reductions_plan();
         let frame = SceneKind::WindowInDarkRoom.generate(40, 32, 9);
-        for executor in EXECUTORS {
-            let reference = single_frame(&plan, &params, executor, &frame);
-            let mut session =
-                VideoSession::new(&plan, &params, TemporalConfig::leaky(4.0), executor)
-                    .expect("session builds");
+        for row in rows() {
+            let reference = single_frame(&plan, &params, row, &frame);
+            let mut session = VideoSession::new(&plan, &params, TemporalConfig::leaky(4.0), row)
+                .expect("session builds");
             for round in 0..3 {
                 let (output, metrics) = session.process(&frame);
                 assert_eq!(
                     output.pixels(),
                     reference.pixels(),
-                    "{executor} diverged from single-frame execution at frame {round}"
+                    "{row:?} diverged from single-frame execution at frame {round}"
                 );
                 assert!(!metrics.scene_cut);
                 if round > 0 {
-                    assert_eq!(metrics.flicker_delta, Some(0.0), "{executor}");
-                    assert_eq!(metrics.temporal_psnr_db, Some(f64::INFINITY), "{executor}");
+                    assert_eq!(metrics.flicker_delta, Some(0.0), "{row:?}");
+                    assert_eq!(metrics.temporal_psnr_db, Some(f64::INFINITY), "{row:?}");
                 }
             }
         }
@@ -545,19 +552,10 @@ mod tests {
         let params = ToneMapParams::paper_default();
         let plan = PipelinePlan::from_params(&params);
         let frame = SceneKind::MemorialComposite.generate(32, 32, 5);
-        let reference = single_frame(
-            &plan,
-            &params,
-            VideoExecutor::TwoPass(Numerics::F32),
-            &frame,
-        );
-        let mut session = VideoSession::new(
-            &plan,
-            &params,
-            TemporalConfig::leaky(8.0),
-            VideoExecutor::TwoPass(Numerics::F32),
-        )
-        .expect("session builds");
+        let reference = single_frame(&plan, &params, row("sw-f32"), &frame);
+        let mut session =
+            VideoSession::new(&plan, &params, TemporalConfig::leaky(8.0), row("sw-f32"))
+                .expect("session builds");
         for _ in 0..2 {
             let (output, _) = session.process(&frame);
             assert_eq!(output.pixels(), reference.pixels());
@@ -576,20 +574,12 @@ mod tests {
             5,
             13,
         );
-        let mut frozen = VideoSession::new(
-            &plan,
-            &params,
-            TemporalConfig::leaky(0.0),
-            VideoExecutor::TwoPass(Numerics::F32),
-        )
-        .expect("session builds");
-        let mut independent = VideoSession::new(
-            &plan,
-            &params,
-            TemporalConfig::independent(),
-            VideoExecutor::TwoPass(Numerics::F32),
-        )
-        .expect("session builds");
+        let mut frozen =
+            VideoSession::new(&plan, &params, TemporalConfig::leaky(0.0), row("sw-f32"))
+                .expect("session builds");
+        let mut independent =
+            VideoSession::new(&plan, &params, TemporalConfig::independent(), row("sw-f32"))
+                .expect("session builds");
         for frame in frames.frames() {
             let (a, _) = frozen.process(&frame);
             let (b, _) = independent.process(&frame);
@@ -609,20 +599,12 @@ mod tests {
             12,
             11,
         );
-        let mut adapted = VideoSession::new(
-            &plan,
-            &params,
-            TemporalConfig::leaky(4.0),
-            VideoExecutor::TwoPass(Numerics::F32),
-        )
-        .expect("session builds");
-        let mut independent = VideoSession::new(
-            &plan,
-            &params,
-            TemporalConfig::independent(),
-            VideoExecutor::TwoPass(Numerics::F32),
-        )
-        .expect("session builds");
+        let mut adapted =
+            VideoSession::new(&plan, &params, TemporalConfig::leaky(4.0), row("sw-f32"))
+                .expect("session builds");
+        let mut independent =
+            VideoSession::new(&plan, &params, TemporalConfig::independent(), row("sw-f32"))
+                .expect("session builds");
         for frame in frames.frames() {
             adapted.process(&frame);
             independent.process(&frame);
@@ -652,7 +634,7 @@ mod tests {
             5,
         );
         let config = TemporalConfig::leaky(4.0);
-        let executor = VideoExecutor::TwoPass(Numerics::F32);
+        let executor = row("sw-f32");
         let mut session =
             VideoSession::new(&plan, &params, config, executor).expect("session builds");
         for index in 0..frames.len() {
@@ -676,21 +658,75 @@ mod tests {
     fn auto_executor_prices_the_schedule_once_per_resolution() {
         let params = ToneMapParams::paper_default();
         let plan = PipelinePlan::from_params(&params);
-        let auto = VideoExecutor::from_spec(&BackendSpec::parse("sw-f32?schedule=auto").unwrap())
-            .expect("sw-f32 schedules");
+        let auto = EngineRow {
+            executor: Executor::Scheduled {
+                mode: ScheduleMode::Auto,
+                threads: None,
+            },
+            ..row("sw-f32")
+        };
         let mut session = VideoSession::new(&plan, &params, TemporalConfig::leaky(2.0), auto)
             .expect("session builds");
-        assert!(session.executor().is_auto());
+        assert_eq!(session.engine().row(), &auto);
         let frame = SceneKind::GradientRamp.generate(32, 24, 3);
         session.process(&frame);
         session.process(&frame);
-        let picks: Vec<_> = session.resolved_schedules().collect();
-        assert_eq!(picks.len(), 1, "one schedule per resolution");
-        assert_eq!(picks[0].0, (32, 24));
-        assert!(!picks[0].1.is_auto());
+        // The frames ran at the scheduler's pick for their resolution.
+        let scheduler = Scheduler::new(params, auto.schedule_class().unwrap()).unwrap();
+        let point = session.engine().point(32, 24).unwrap();
+        assert_eq!(point, scheduler.schedule(&plan, 32, 24).winner().point);
+        assert_eq!(point.slice_rows, 24);
         // A second resolution prices its own point.
         session.process(&SceneKind::GradientRamp.generate(16, 12, 3));
-        assert_eq!(session.resolved_schedules().count(), 2);
+        let point = session.engine().point(16, 12).unwrap();
+        assert_eq!(point, scheduler.schedule(&plan, 16, 12).winner().point);
+        assert_eq!(point.slice_rows, 12);
+    }
+
+    #[test]
+    fn a_spec_runs_one_point_as_a_still_and_as_a_video_stream() {
+        // A video spec is the still spec plus temporal keys: both resolve
+        // through one engine row, so every resolution runs at one point.
+        // 512×256 is the smallest frame at which the model enumerates two
+        // workers, on a host with two or more cores.
+        let scheduled = [
+            "sw-f32?schedule=auto",
+            "sw-f32?schedule=two-pass",
+            "sw-f32?schedule=stream",
+            "hw-fix16?pipeline=reinhard&schedule=stream",
+            "hw-fix16?pipeline=reinhard&schedule=auto",
+            "hw-fix16?schedule=stream&threads=3",
+            "hw-marked?schedule=auto",
+            "sw-f32?pipeline=basedetail&schedule=stream",
+        ];
+        let small = BackendRegistry::STANDARD_ENGINES
+            .map(|row| row.name)
+            .into_iter()
+            .chain(scheduled)
+            .map(|spec| (spec, 32, 24));
+        let large = ["sw-f32-stream", "hw-fix16-stream"]
+            .into_iter()
+            .chain(scheduled)
+            .map(|spec| (spec, 512, 256));
+        let registry = BackendRegistry::standard();
+        for (spec, width, height) in small.chain(large) {
+            let separator = if spec.contains('?') { '&' } else { '?' };
+            let session = VideoSession::from_spec(&format!("{spec}{separator}temporal=leaky"))
+                .unwrap_or_else(|e| panic!("{spec}: {e}"));
+            let frame = LuminanceImage::filled(width, height, 0.5);
+            let still = registry
+                .execute(
+                    &TonemapRequest::luminance(&frame)
+                        .on_backend(spec)
+                        .with_telemetry(),
+                )
+                .unwrap_or_else(|e| panic!("{spec}: {e}"));
+            assert_eq!(
+                session.engine().point(width, height).unwrap(),
+                still.telemetry().unwrap().point,
+                "{spec} at {width}x{height}"
+            );
+        }
     }
 
     #[test]
@@ -701,10 +737,7 @@ mod tests {
         .expect("spec resolves");
         assert_eq!(session.config().tau, 2.0);
         assert_eq!(session.config().cut_threshold, 0.5);
-        assert_eq!(
-            session.executor(),
-            VideoExecutor::TwoPass(Numerics::Fix16Blur)
-        );
+        assert_eq!(session.engine().row(), &row("hw-fix16"));
         assert!(session
             .plan()
             .ops()
@@ -723,6 +756,41 @@ mod tests {
             VideoSession::from_spec("sw-f32?pipeline=hsv-reinhard"),
             Err(VideoError::ColourPlan(_))
         ));
+
+        // `schedule=` reshapes the named row's executor and keeps its
+        // numerics, as it does for a still.
+        for (spec, base, mode, threads) in [
+            ("sw-f32?schedule=auto", "sw-f32", ScheduleMode::Auto, None),
+            (
+                "hw-fix16?schedule=stream&threads=4",
+                "hw-fix16",
+                ScheduleMode::Stream,
+                Some(4),
+            ),
+            (
+                "sw-f32-stream?schedule=two-pass",
+                "sw-f32-stream",
+                ScheduleMode::TwoPass,
+                None,
+            ),
+        ] {
+            let session = VideoSession::from_spec(&format!("{spec}&temporal=leaky")).unwrap();
+            let expected = EngineRow {
+                executor: Executor::Scheduled { mode, threads },
+                ..row(base)
+            };
+            assert_eq!(session.engine().row(), &expected, "{spec}");
+        }
+        let forced = VideoSession::from_spec("sw-f32-stream?schedule=two-pass").unwrap();
+        let point = forced.engine().point(32, 24).unwrap();
+        assert_eq!(point.executor, ScheduleExecutor::TwoPass);
+        // The all-fixed ablation has no schedule space here either.
+        match VideoSession::from_spec("sw-fix16?schedule=auto&temporal=leaky") {
+            Err(VideoError::Spec(err)) => {
+                assert!(err.to_string().contains("no schedule space"), "{err}");
+            }
+            other => panic!("expected a spec error, got {other:?}"),
+        }
     }
 
     #[test]
@@ -832,7 +900,7 @@ mod tests {
         let params = ToneMapParams::paper_default();
         let plan = PipelinePlan::from_params(&params);
         let config = TemporalConfig::leaky(4.0);
-        let executor = VideoExecutor::TwoPass(Numerics::F32);
+        let executor = row("sw-f32");
         let frames = FrameSequence::new(
             SequenceKind::ExposureRamp { decades: 1.0 },
             SceneKind::StarField,

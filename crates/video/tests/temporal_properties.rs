@@ -1,17 +1,17 @@
 //! The anchor property of temporal adaptation: with `tau = 0` (gain
 //! `α = 1`) the leaky integrator degenerates to assignment, so a leaky
 //! session must be **bit-identical** to a per-frame-independent one —
-//! over any plan preset, scene, sequence kind, resolution and executor.
+//! over any plan preset, scene, sequence kind, resolution and engine row.
 //! This is what makes `temporal=leaky` safe to enable by default: the
 //! zero point of the `tau` dial is exactly single-frame semantics.
 
 use hdr_image::sequence::{FrameSequence, SequenceKind};
 use hdr_image::synth::SceneKind;
 use proptest::prelude::*;
-use tonemap_backend::Numerics;
+use tonemap_backend::{BackendRegistry, EngineRow, Executor};
 use tonemap_core::plan::{PipelinePlan, PlanTuning};
 use tonemap_core::ToneMapParams;
-use tonemap_video::{TemporalConfig, VideoExecutor, VideoSession};
+use tonemap_video::{TemporalConfig, VideoSession};
 
 /// Scalar-plan presets (colour presets are rejected by video sessions).
 fn preset_strategy() -> impl Strategy<Value = &'static str> {
@@ -49,13 +49,25 @@ fn kind_strategy() -> impl Strategy<Value = SequenceKind> {
     ]
 }
 
-fn executor_strategy() -> impl Strategy<Value = VideoExecutor> {
+fn row(name: &str) -> EngineRow {
+    BackendRegistry::STANDARD_ENGINES
+        .into_iter()
+        .find(|row| row.name == name)
+        .expect("a standard engine name")
+}
+
+/// Every numerics on the two-pass planner, and the stream in both formats,
+/// the Fix16 one sliced over two workers.
+fn row_strategy() -> impl Strategy<Value = EngineRow> {
     prop_oneof![
-        Just(VideoExecutor::TwoPass(Numerics::F32)),
-        Just(VideoExecutor::TwoPass(Numerics::Fix16All)),
-        Just(VideoExecutor::TwoPass(Numerics::Fix16Blur)),
-        Just(VideoExecutor::Stream(Numerics::F32, 1)),
-        Just(VideoExecutor::Stream(Numerics::Fix16Blur, 2)),
+        Just(row("sw-f32")),
+        Just(row("sw-fix16")),
+        Just(row("hw-fix16")),
+        Just(row("sw-f32-stream")),
+        Just(EngineRow {
+            executor: Executor::Stream { threads: 2 },
+            ..row("hw-fix16-stream")
+        }),
     ]
 }
 
@@ -67,7 +79,7 @@ proptest! {
         preset in preset_strategy(),
         scene in scene_strategy(),
         kind in kind_strategy(),
-        executor in executor_strategy(),
+        row in row_strategy(),
         width in 12usize..40,
         height in 10usize..32,
         seed in 0u64..64,
@@ -84,11 +96,11 @@ proptest! {
             // are no-ops at α = 1, so even a firing detector must not
             // change the output — exercise it on half the cases.
             TemporalConfig::leaky(0.0).with_cut_threshold(if seed % 2 == 0 { 0.05 } else { 1e9 }),
-            executor,
+            row,
         )
         .expect("scalar presets build video sessions");
         let mut independent =
-            VideoSession::new(&plan, &params, TemporalConfig::independent(), executor)
+            VideoSession::new(&plan, &params, TemporalConfig::independent(), row)
                 .expect("scalar presets build video sessions");
         for frame in frames.frames() {
             let (a, _) = frozen.process(&frame);
