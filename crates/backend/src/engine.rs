@@ -27,7 +27,9 @@ use codesign::flow::{CoDesignFlow, DesignImplementation, DesignReport};
 use hdr_image::{ImageBuffer, LuminanceImage, RgbImage};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
-use tonemap_core::{ChannelLayout, PipelinePlan, PlanError, ToneMapParams};
+use tonemap_core::{
+    ChannelLayout, FrameReductions, PipelinePlan, PlanError, Reductions, ToneMapParams,
+};
 use tonemap_scheduler::{SampleFormat, ScheduleClass, ScheduleMode, SchedulePoint};
 
 /// The arithmetic an engine computes in.
@@ -213,6 +215,22 @@ impl Engine {
     /// None for an engine that [`Engine::with_plan`] accepted.
     pub fn point(&self, width: usize, height: usize) -> Result<SchedulePoint, TonemapError> {
         Ok(self.resolved(width, height)?.point)
+    }
+
+    /// Tone-maps one luminance frame on the executor a still of its size
+    /// runs on, with the plan's reductions bound by `reductions`.
+    ///
+    /// # Errors
+    ///
+    /// [`PlanError::ScalarInputRequired`] for a colour-input plan.
+    pub fn map_luminance_with(
+        &self,
+        frame: &LuminanceImage,
+        reductions: &mut dyn Reductions,
+    ) -> Result<LuminanceImage, TonemapError> {
+        <LuminanceImage as Frame>::check(&self.plan)?;
+        let resolved = self.resolved(frame.width(), frame.height())?;
+        Ok(resolved.compiled.map_luminance(frame, reductions))
     }
 
     /// An engine with validated parameters and empty memos.
@@ -457,7 +475,7 @@ impl Frame for LuminanceImage {
     }
 
     fn map_on(&self, compiled: &CompiledPlan) -> Result<Self, TonemapError> {
-        Ok(compiled.map_luminance(self))
+        Ok(compiled.map_luminance(self, &mut FrameReductions))
     }
 }
 

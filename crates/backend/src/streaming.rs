@@ -15,7 +15,7 @@ use crate::engine::Numerics;
 use crate::error::TonemapError;
 use apfixed::Fix16;
 use hdr_image::{ImageError, LuminanceImage, RgbImage};
-use tonemap_core::{PipelinePlan, StreamingToneMapper, ToneMapParams, ToneMapper};
+use tonemap_core::{PipelinePlan, Reductions, StreamingToneMapper, ToneMapParams, ToneMapper};
 use tonemap_scheduler::SchedulePoint;
 
 /// A plan compiled for one [`Numerics`] at one [`SchedulePoint`]: the one
@@ -57,27 +57,32 @@ impl CompiledPlan {
         })
     }
 
-    /// Tone-maps one luminance plane.
+    /// Tone-maps one luminance plane, with the plan's reductions bound by
+    /// `reductions`: a still passes [`tonemap_core::FrameReductions`].
     ///
     /// # Panics
     ///
     /// Panics if the plan takes a colour register as input, as the core
     /// executors do; check the plan's input layout first.
-    pub fn map_luminance(&self, input: &LuminanceImage) -> LuminanceImage {
+    pub fn map_luminance(
+        &self,
+        input: &LuminanceImage,
+        reductions: &mut dyn Reductions,
+    ) -> LuminanceImage {
         match self {
             // In `f32` the accelerator boundary converts nothing, so this is
             // also the all-float reference path, bit for bit.
             CompiledPlan::TwoPass(Numerics::F32, mapper) => {
-                mapper.map_luminance_hw_blur::<f32>(input)
+                mapper.map_luminance_hw_blur_with::<f32>(input, reductions)
             }
             CompiledPlan::TwoPass(Numerics::Fix16Blur, mapper) => {
-                mapper.map_luminance_hw_blur::<Fix16>(input)
+                mapper.map_luminance_hw_blur_with::<Fix16>(input, reductions)
             }
             CompiledPlan::TwoPass(Numerics::Fix16All, mapper) => {
-                mapper.map_luminance::<Fix16>(input)
+                mapper.map_luminance_with::<Fix16>(input, reductions)
             }
-            CompiledPlan::StreamF32(mapper) => mapper.map_luminance(input),
-            CompiledPlan::StreamFix16(mapper) => mapper.map_luminance(input),
+            CompiledPlan::StreamF32(mapper) => mapper.map_luminance_with(input, reductions),
+            CompiledPlan::StreamFix16(mapper) => mapper.map_luminance_with(input, reductions),
         }
     }
 

@@ -36,7 +36,7 @@ use hdr_image::LuminanceImage;
 use std::sync::Arc;
 use tonemap_backend::{CompiledPlan, Numerics};
 use tonemap_core::plan::{PipelinePlan, PlanTuning};
-use tonemap_core::ToneMapParams;
+use tonemap_core::{FrameReductions, ToneMapParams};
 use tonemap_scheduler::{HostModel, SampleFormat, ScheduleClass, SchedulePoint, Scheduler};
 use tonemap_service::{JobRequest, ServiceConfig, TonemapService};
 
@@ -60,7 +60,7 @@ fn measure_point(
         CompiledPlan::new(plan.clone(), params, Numerics::F32, point).expect("plan compiles");
     let mut sink = 0.0f32;
     let seconds = time_best(iterations, || {
-        sink += compiled.map_luminance(hdr).pixels()[0];
+        sink += compiled.map_luminance(hdr, &mut FrameReductions).pixels()[0];
     });
     assert!(sink.is_finite(), "outputs must be finite");
     seconds

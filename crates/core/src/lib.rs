@@ -78,6 +78,7 @@ pub mod pipeline;
 pub mod plan;
 mod point;
 mod pow;
+mod reductions;
 mod sample;
 pub mod stream;
 
@@ -87,6 +88,7 @@ pub use plan::{
     run_color_plan, ChannelLayout, ColorStage, Curve, PipelineOp, PipelinePlan, PlanError,
     PlanSegment, PlanSegmentation, PlanTuning,
 };
+pub use reductions::{FrameReductions, Reductions};
 pub use sample::Sample;
 pub use stream::{FusionBlocker, StreamBarrier, StreamingDecision, StreamingToneMapper};
 

@@ -97,10 +97,17 @@ pub fn normalize(image: &LuminanceImage) -> LuminanceImage {
 
 /// Normalizes and converts into the pipeline's working sample type in one
 /// pass (the form used by the fixed-point accelerator path, which quantises
-/// at the accelerator boundary). The scale is matched once, outside the
-/// per-sample loop.
+/// at the accelerator boundary).
 pub fn normalize_to<S: Sample>(image: &LuminanceImage) -> ImageBuffer<S> {
-    match normalization_scale(image) {
+    normalize_with(image, normalization_scale(image))
+}
+
+/// [`normalize_to`] with the scale given, matched once outside the loop.
+pub(crate) fn normalize_with<S: Sample>(
+    image: &LuminanceImage,
+    scale: Option<f32>,
+) -> ImageBuffer<S> {
+    match scale {
         Some(scale) => image.map(|&v| S::from_f32(normalize_sample(v, Some(scale)))),
         None => image.map(|&v| S::from_f32(normalize_sample(v, None))),
     }

@@ -4,6 +4,7 @@ use crate::blur::blur_separable;
 use crate::ops::PipelineProfile;
 use crate::params::{ParamError, ToneMapParams};
 use crate::plan::{accelerated_blur, execute_plan, run_color_plan, ChannelLayout, PipelinePlan};
+use crate::reductions::{FrameReductions, Reductions};
 use crate::sample::Sample;
 use hdr_image::{LuminanceImage, RgbImage};
 
@@ -105,8 +106,18 @@ impl ToneMapper {
     /// ([`ChannelLayout::Rgb`]); colour-managed plans have no scalar entry
     /// point — run them through [`ToneMapper::map_rgb`].
     pub fn map_luminance<S: Sample>(&self, hdr: &LuminanceImage) -> LuminanceImage {
+        self.map_luminance_with::<S>(hdr, &mut FrameReductions)
+    }
+
+    /// [`ToneMapper::map_luminance`], with the plan's reductions bound by
+    /// `reductions` instead of the frame's own statistics.
+    pub fn map_luminance_with<S: Sample>(
+        &self,
+        hdr: &LuminanceImage,
+        reductions: &mut dyn Reductions,
+    ) -> LuminanceImage {
         self.assert_scalar_input("map_luminance");
-        execute_plan(&self.plan, hdr, blur_separable::<S>).map(|&v| v.to_f32())
+        execute_plan(&self.plan, hdr, blur_separable::<S>, reductions).map(|&v| v.to_f32())
     }
 
     /// Tone-maps an HDR luminance image entirely in 32-bit floating point —
@@ -127,8 +138,18 @@ impl ToneMapper {
     /// ([`ChannelLayout::Rgb`]); colour-managed plans have no scalar entry
     /// point — run them through [`ToneMapper::map_rgb_hw_blur`].
     pub fn map_luminance_hw_blur<S: Sample>(&self, hdr: &LuminanceImage) -> LuminanceImage {
+        self.map_luminance_hw_blur_with::<S>(hdr, &mut FrameReductions)
+    }
+
+    /// [`ToneMapper::map_luminance_hw_blur`], with the plan's reductions
+    /// bound by `reductions` instead of the frame's own statistics.
+    pub fn map_luminance_hw_blur_with<S: Sample>(
+        &self,
+        hdr: &LuminanceImage,
+        reductions: &mut dyn Reductions,
+    ) -> LuminanceImage {
         self.assert_scalar_input("map_luminance_hw_blur");
-        execute_plan(&self.plan, hdr, accelerated_blur::<S>)
+        execute_plan(&self.plan, hdr, accelerated_blur::<S>, reductions)
     }
 
     fn assert_scalar_input(&self, method: &str) {
@@ -160,7 +181,8 @@ impl ToneMapper {
     /// API.
     pub fn map_rgb<S: Sample>(&self, hdr: &RgbImage) -> Result<RgbImage, hdr_image::ImageError> {
         run_color_plan(&self.plan, hdr, |_, sub_plan, lum| {
-            Ok(execute_plan(sub_plan, lum, blur_separable::<S>).map(|&v| v.to_f32()))
+            let mapped = execute_plan(sub_plan, lum, blur_separable::<S>, &mut FrameReductions);
+            Ok(mapped.map(|&v| v.to_f32()))
         })
     }
 
@@ -181,7 +203,12 @@ impl ToneMapper {
         hdr: &RgbImage,
     ) -> Result<RgbImage, hdr_image::ImageError> {
         run_color_plan(&self.plan, hdr, |_, sub_plan, lum| {
-            Ok(execute_plan(sub_plan, lum, accelerated_blur::<S>))
+            Ok(execute_plan(
+                sub_plan,
+                lum,
+                accelerated_blur::<S>,
+                &mut FrameReductions,
+            ))
         })
     }
 

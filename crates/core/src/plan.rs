@@ -50,6 +50,7 @@ use crate::normalize::{finite_max, normalize_sample};
 use crate::ops::{OpCounts, PipelineProfile, StageKind, StageProfile};
 use crate::params::{AdjustParams, BlurParams, MaskingParams, ParamError, ToneMapParams};
 use crate::point::Ingest;
+use crate::reductions::{FrameReductions, Reductions};
 use crate::sample::Sample;
 use hdr_image::rgb::{luminance_plane, reapply_color, Rgb};
 use hdr_image::{ImageBuffer, LuminanceImage, RgbImage};
@@ -294,6 +295,21 @@ impl PipelineOp {
                 ..OpCounts::zero()
             },
             PipelineOp::Curve(curve) => curve.sample_counts().scaled(pixels * per_pixel as u64),
+        }
+    }
+
+    /// This op with its Reinhard key, if any, times `scale`, saturated into
+    /// the accepted range: ∞ becomes `f32::MAX` and 0 the smallest positive
+    /// subnormal. At a scale of 1 every key keeps its bits.
+    pub(crate) fn with_key_scale(self, scale: f32) -> PipelineOp {
+        match self {
+            PipelineOp::Curve(Curve::Reinhard { key, white }) => {
+                PipelineOp::Curve(Curve::Reinhard {
+                    key: (key * scale).clamp(f32::from_bits(1), f32::MAX),
+                    white,
+                })
+            }
+            other => other,
         }
     }
 }
@@ -1618,31 +1634,33 @@ pub fn histogram_level(value: f32, bins: usize) -> usize {
     ((value.clamp(0.0, 1.0) * (bins - 1) as f32) as usize).min(bins - 1)
 }
 
-/// The `bins`-level histogram of an image in the working sample type —
-/// the reduction half of [`histogram_equalize`], exposed so callers that
-/// integrate histograms *across* images (the video session's leaky CDF
-/// adaptation) bin pixels exactly the way the single-image operator does.
-pub fn histogram_counts<S: Sample>(image: &ImageBuffer<S>, bins: usize) -> Vec<u64> {
+/// Histogram-equalizes an image in the working sample type: `bins`-level
+/// histogram, CDF, remap — the barrier of a still. A constant image
+/// (nothing to equalize) is returned unchanged rather than collapsed to
+/// black.
+pub fn histogram_equalize<S: Sample>(image: &ImageBuffer<S>, bins: usize) -> ImageBuffer<S> {
+    histogram_barrier(image, bins, 0, &mut FrameReductions)
+}
+
+/// The histogram barrier both executors run at plan stage `stage`: bins
+/// the register, asks `reductions` for the CDF to remap through (`f64`, so
+/// a blended histogram remaps too), and remaps every sample. A degenerate
+/// CDF (every sample in one bin) leaves the register unchanged.
+pub(crate) fn histogram_barrier<S: Sample>(
+    image: &ImageBuffer<S>,
+    bins: usize,
+    stage: usize,
+    reductions: &mut dyn Reductions,
+) -> ImageBuffer<S> {
     let mut counts = vec![0u64; bins];
     for v in image.pixels() {
         counts[histogram_level(v.to_f32(), bins)] += 1;
     }
-    counts
-}
-
-/// Remaps an image through a cumulative histogram — the point half of
-/// [`histogram_equalize`], taking the CDF as `f64` so temporally blended
-/// (fractional) histograms remap through the same code path. Integer counts
-/// below 2⁵³ are exact in `f64`, so feeding this the image's own CDF is
-/// bit-identical to [`histogram_equalize`]. A degenerate CDF (every pixel in
-/// one bin) returns the input unchanged rather than collapsed to black.
-pub fn histogram_remap_cdf<S: Sample>(image: &ImageBuffer<S>, cdf: &[f64]) -> ImageBuffer<S> {
-    let bins = cdf.len();
+    let cdf = reductions.histogram_cdf(stage, &counts);
+    assert_eq!(cdf.len(), bins, "a barrier's CDF has one entry per bin");
     let total = cdf.last().copied().unwrap_or(0.0);
     let cdf_min = cdf.iter().copied().find(|&c| c > 0.0).unwrap_or(0.0);
     if total <= cdf_min {
-        // Every pixel sits in one bin: the equalized image is degenerate,
-        // keep the input.
         return image.clone();
     }
     let denom = total - cdf_min;
@@ -1654,20 +1672,6 @@ pub fn histogram_remap_cdf<S: Sample>(image: &ImageBuffer<S>, cdf: &[f64]) -> Im
     })
 }
 
-/// Histogram-equalizes an image in the working sample type: `bins`-level
-/// histogram, CDF, remap. A constant image (nothing to equalize) is
-/// returned unchanged rather than collapsed to black.
-pub fn histogram_equalize<S: Sample>(image: &ImageBuffer<S>, bins: usize) -> ImageBuffer<S> {
-    let counts = histogram_counts(image, bins);
-    let mut cdf = vec![0.0f64; bins];
-    let mut sum = 0u64;
-    for (slot, count) in cdf.iter_mut().zip(&counts) {
-        sum += count;
-        *slot = sum as f64;
-    }
-    histogram_remap_cdf(image, &cdf)
-}
-
 // ---------------------------------------------------------------------------
 // The two-pass (materialized) compilation of a plan.
 // ---------------------------------------------------------------------------
@@ -1677,22 +1681,21 @@ pub fn histogram_equalize<S: Sample>(image: &ImageBuffer<S>, bins: usize) -> Ima
 /// the register in place. `R = S` with `blur_separable` runs every stage in
 /// `S`; `R = f32` with [`accelerated_blur`] is the paper's hardware/software
 /// split. For the paper plan either computes exactly the arithmetic of the
-/// pre-redesign chains, in the same order.
+/// pre-redesign chains, in the same order. `reductions` binds the
+/// normalize scale, the Reinhard key factor and each barrier's CDF.
 pub(crate) fn execute_plan<R: Sample>(
     plan: &PipelinePlan,
     hdr: &LuminanceImage,
     stencil: impl Fn(&ImageBuffer<R>, &BlurParams) -> ImageBuffer<R>,
+    reductions: &mut dyn Reductions,
 ) -> ImageBuffer<R> {
-    let mut ops = plan.ops().iter();
-    let mut img: ImageBuffer<R> = if plan.starts_with_normalize() {
-        ops.next();
-        crate::normalize::normalize_to::<R>(hdr)
-    } else {
-        hdr.map(|&v| R::from_f32(normalize_sample(v, None)))
-    };
+    let normalize = plan.starts_with_normalize();
+    let scale = normalize.then(|| reductions.normalize_scale(hdr)).flatten();
+    let mut img: ImageBuffer<R> = crate::normalize::normalize_with(hdr, scale);
+    let key_scale = reductions.key_scale();
     let mut mask: Option<ImageBuffer<R>> = None;
-    for op in ops {
-        match *op {
+    for (stage, op) in plan.ops().iter().enumerate().skip(usize::from(normalize)) {
+        match op.with_key_scale(key_scale) {
             PipelineOp::BlurMask { blur, invert_input } => {
                 let mask_input = if invert_input {
                     crate::masking::invert(&img)
@@ -1705,7 +1708,9 @@ pub(crate) fn execute_plan<R: Sample>(
                 let mask = mask.take().expect("plan validation pairs mask with blur");
                 crate::masking::mask_in_place(img.pixels_mut(), mask.pixels(), &masking);
             }
-            PipelineOp::HistogramEq { bins } => img = histogram_equalize(&img, bins),
+            PipelineOp::HistogramEq { bins } => {
+                img = histogram_barrier(&img, bins, stage, reductions);
+            }
             // In place over the register, so the row kernels vectorize.
             PipelineOp::Curve(curve) => curve.apply(img.pixels_mut()),
             PipelineOp::Normalize
@@ -2129,8 +2134,9 @@ mod tests {
     fn hw_split_executor_with_f32_matches_the_all_sample_executor() {
         let hdr = SceneKind::WindowInDarkRoom.generate(40, 33, 5);
         let plan = PipelinePlan::paper_default();
-        let all = execute_plan(&plan, &hdr, blur_separable::<f32>).map(|&v| v.to_f32());
-        let split = execute_plan(&plan, &hdr, accelerated_blur::<f32>);
+        let all = execute_plan(&plan, &hdr, blur_separable::<f32>, &mut FrameReductions)
+            .map(|&v| v.to_f32());
+        let split = execute_plan(&plan, &hdr, accelerated_blur::<f32>, &mut FrameReductions);
         assert_eq!(all, split);
     }
 
@@ -2147,7 +2153,8 @@ mod tests {
             let stream = crate::StreamingToneMapper::<f32>::compile(plan.clone(), params).unwrap();
             for scene in SceneKind::ALL {
                 let hdr = scene.generate(96, 64, 7);
-                let reference = execute_plan(&plan, &hdr, blur_separable::<f64>);
+                let reference =
+                    execute_plan(&plan, &hdr, blur_separable::<f64>, &mut FrameReductions);
                 let distance = stream
                     .map_luminance(&hdr)
                     .pixels()
@@ -2175,9 +2182,9 @@ mod tests {
             )
             .unwrap()
             .unwrap();
-            let f = execute_plan(&plan, &hdr, accelerated_blur::<f32>);
+            let f = execute_plan(&plan, &hdr, accelerated_blur::<f32>, &mut FrameReductions);
             assert!(f.pixels().iter().all(|v| (0.0..=1.0).contains(v)), "{name}");
-            let fx = execute_plan(&plan, &hdr, blur_separable::<Fix16>);
+            let fx = execute_plan(&plan, &hdr, blur_separable::<Fix16>, &mut FrameReductions);
             for (a, b) in f.pixels().iter().zip(fx.pixels()) {
                 assert!(
                     (a - b.to_f32()).abs() < 0.05,
@@ -2605,13 +2612,18 @@ mod tests {
         let plan = PipelinePlan::paper_default();
         // The old hard-coded backend path: extract, tone-map, reapply.
         let lum = luminance_plane(&hdr);
-        let mapped = execute_plan(&plan, &lum, accelerated_blur::<Fix16>);
+        let mapped = execute_plan(&plan, &lum, accelerated_blur::<Fix16>, &mut FrameReductions);
         let old = reapply_color(&hdr, &mapped).unwrap();
         // The same wrapper expressed as plan composition.
         let new = run_color_plan::<hdr_image::ImageError, _>(&plan, &hdr, |start, sub, l| {
             assert_eq!(start, 1);
             assert_eq!(sub.ops(), plan.ops());
-            Ok(execute_plan(sub, l, accelerated_blur::<Fix16>))
+            Ok(execute_plan(
+                sub,
+                l,
+                accelerated_blur::<Fix16>,
+                &mut FrameReductions,
+            ))
         })
         .unwrap();
         assert_eq!(old, new);
@@ -2629,7 +2641,12 @@ mod tests {
                 .unwrap()
                 .unwrap();
             let out = run_color_plan::<hdr_image::ImageError, _>(&plan, &black, |_, sub, l| {
-                Ok(execute_plan(sub, l, accelerated_blur::<f32>))
+                Ok(execute_plan(
+                    sub,
+                    l,
+                    accelerated_blur::<f32>,
+                    &mut FrameReductions,
+                ))
             })
             .unwrap();
             for p in out.pixels() {
@@ -2650,7 +2667,12 @@ mod tests {
         let scene = RgbImage::from_vec(16, 16, pixels).unwrap();
         let plan = PipelinePlan::paper_default();
         let out = run_color_plan::<hdr_image::ImageError, _>(&plan, &scene, |_, sub, l| {
-            Ok(execute_plan(sub, l, accelerated_blur::<f32>))
+            Ok(execute_plan(
+                sub,
+                l,
+                accelerated_blur::<f32>,
+                &mut FrameReductions,
+            ))
         })
         .unwrap();
         for p in out.pixels() {
@@ -2679,7 +2701,12 @@ mod tests {
         let run = |ops: Vec<PipelineOp>| {
             let plan = PipelinePlan::with_input(ChannelLayout::Rgb, ops).unwrap();
             run_color_plan::<hdr_image::ImageError, _>(&plan, &hdr, |_, sub, l| {
-                Ok(execute_plan(sub, l, accelerated_blur::<f32>))
+                Ok(execute_plan(
+                    sub,
+                    l,
+                    accelerated_blur::<f32>,
+                    &mut FrameReductions,
+                ))
             })
             .unwrap()
         };

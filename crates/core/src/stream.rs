@@ -74,13 +74,14 @@
 //! ```
 
 use crate::blur::{gaussian_kernel, quantize_kernel};
-use crate::normalize::{normalization_scale, normalize_sample};
+use crate::normalize::normalize_sample;
 use crate::params::{ParamError, ToneMapParams};
 use crate::plan::{
-    accelerated_blur, execute_plan, histogram_equalize, run_color_plan, ChannelLayout, ColorStage,
+    accelerated_blur, execute_plan, histogram_barrier, run_color_plan, ChannelLayout, ColorStage,
     PipelineOp, PipelinePlan,
 };
 use crate::point::{apply_chain, Ingest};
+use crate::reductions::{FrameReductions, Reductions};
 use crate::sample::Sample;
 use hdr_image::{LuminanceImage, RgbImage};
 use std::fmt;
@@ -250,6 +251,17 @@ struct FusedSegment<S: Sample> {
 impl<S: Sample> FusedSegment<S> {
     fn is_identity(&self) -> bool {
         self.regions.is_empty() && self.epilog.is_empty()
+    }
+
+    /// A copy of the segment whose chains carry every Reinhard key scaled
+    /// by `scale` ([`PipelineOp::with_key_scale`]).
+    fn with_key_scale(&self, scale: f32) -> Self {
+        let mut scaled = self.clone();
+        let chains = scaled.regions.iter_mut().map(|region| &mut region.chain);
+        for op in chains.chain([&mut scaled.epilog]).flatten() {
+            *op = op.with_key_scale(scale);
+        }
+        scaled
     }
 }
 
@@ -516,6 +528,16 @@ impl<S: Sample> StreamingToneMapper<S> {
     /// ([`ChannelLayout::Rgb`]): a colour-managed plan has no scalar entry
     /// point — stream it through [`StreamingToneMapper::map_rgb`].
     pub fn map_luminance(&self, hdr: &LuminanceImage) -> LuminanceImage {
+        self.map_luminance_with(hdr, &mut FrameReductions)
+    }
+
+    /// [`StreamingToneMapper::map_luminance`], with the plan's reductions
+    /// bound by `reductions` instead of the frame's own statistics.
+    pub fn map_luminance_with(
+        &self,
+        hdr: &LuminanceImage,
+        reductions: &mut dyn Reductions,
+    ) -> LuminanceImage {
         if let Program::Color(_) = &self.program {
             panic!(
                 "map_luminance requires a scalar-input plan; this plan takes a `{}` register — \
@@ -523,7 +545,7 @@ impl<S: Sample> StreamingToneMapper<S> {
                 self.plan.input_layout()
             );
         }
-        self.run_scalar(&self.program, &self.plan, hdr)
+        self.run_scalar(&self.program, &self.plan, hdr, reductions)
     }
 
     /// Tone-maps an HDR RGB image through the compiled plan.
@@ -552,7 +574,7 @@ impl<S: Sample> StreamingToneMapper<S> {
                     .expect("compilation visits every scalar stage of the plan"),
                 scalar => scalar,
             };
-            Ok(self.run_scalar(program, sub_plan, lum))
+            Ok(self.run_scalar(program, sub_plan, lum, &mut FrameReductions))
         })
     }
 
@@ -564,10 +586,11 @@ impl<S: Sample> StreamingToneMapper<S> {
         program: &Program<S>,
         plan: &PipelinePlan,
         lum: &LuminanceImage,
+        reductions: &mut dyn Reductions,
     ) -> LuminanceImage {
         match program {
-            Program::Stream(program) => run_stream_program(program, lum, self.threads),
-            Program::Fallback(_) => execute_plan(plan, lum, accelerated_blur::<S>),
+            Program::Stream(program) => run_stream_program(program, lum, self.threads, reductions),
+            Program::Fallback(_) => execute_plan(plan, lum, accelerated_blur::<S>, reductions),
             Program::Color(_) => unreachable!("colour programs never nest"),
         }
     }
@@ -612,18 +635,18 @@ fn first_kernel<S: Sample>(program: &Program<S>) -> &[S] {
 
 /// Runs one compiled scalar stream over a luminance image: fused segments
 /// execute as line-buffer cascades (or pure point passes), barriers
-/// materialize and reduce exactly as the two-pass executor would.
+/// materialize and reduce exactly as the two-pass executor would, and
+/// `reductions` binds the normalize scale, the Reinhard key factor and
+/// each barrier's CDF.
 fn run_stream_program<S: Sample>(
     program: &StreamProgram<S>,
     hdr: &LuminanceImage,
     threads: usize,
+    reductions: &mut dyn Reductions,
 ) -> LuminanceImage {
-    let scale = if program.normalize {
-        normalization_scale(hdr)
-    } else {
-        None
-    };
-    let mut ingest = Ingest::Source(scale);
+    let scale = program.normalize.then(|| reductions.normalize_scale(hdr));
+    let key_scale = reductions.key_scale();
+    let mut ingest = Ingest::Source(scale.flatten());
     let mut current: Option<LuminanceImage> = None;
     for segment in &program.segments {
         match segment {
@@ -635,18 +658,19 @@ fn run_stream_program<S: Sample>(
                 if seg.is_identity() && matches!(ingest, Ingest::Passthrough) {
                     continue;
                 }
+                let scaled = (key_scale != 1.0).then(|| seg.with_key_scale(key_scale));
+                let seg = scaled.as_ref().unwrap_or(seg);
                 let input = current.as_ref().unwrap_or(hdr);
                 current = Some(run_fused_segment(seg, input, ingest, threads));
                 ingest = Ingest::Passthrough;
             }
-            SegmentProgram::Barrier { bins, .. } => {
+            SegmentProgram::Barrier { index, bins } => {
                 let input = current
                     .as_ref()
                     .expect("a fused segment precedes every barrier");
-                // The exact reduction the two-pass executor applies to
-                // its f32 register, so segmented streaming stays
-                // bit-identical.
-                current = Some(histogram_equalize::<f32>(input, *bins));
+                // The barrier the two-pass executor runs on its f32
+                // register, so segmented streaming stays bit-identical.
+                current = Some(histogram_barrier::<f32>(input, *bins, *index, reductions));
             }
         }
     }

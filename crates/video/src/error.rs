@@ -4,7 +4,6 @@ use std::error::Error;
 use std::fmt;
 
 use tonemap_backend::{BackendRegistry, TonemapError};
-use tonemap_core::plan::PlanError;
 use tonemap_core::ParamError;
 
 /// Why a [`VideoSession`](crate::VideoSession) could not be built.
@@ -14,10 +13,6 @@ pub enum VideoError {
     /// adapt *luminance* reduction statistics (normalize max, Reinhard
     /// log-average, histogram CDF), so only scalar plans are temporal.
     ColourPlan(String),
-    /// A fused run of the plan does not validate as a standalone plan —
-    /// e.g. a `Mask` whose `BlurMask` sits on the far side of a
-    /// materialization barrier, which segment-wise execution cannot serve.
-    Plan(PlanError),
     /// The tone-mapping parameters fail validation.
     InvalidParams(ParamError),
     /// The spec names an engine outside the standard engine table.
@@ -34,10 +29,6 @@ impl fmt::Display for VideoError {
                 f,
                 "video sessions adapt luminance statistics and only run scalar \
                  plans; this plan carries a `{layout}` register"
-            ),
-            VideoError::Plan(err) => write!(
-                f,
-                "a fused run of the plan cannot execute segment-wise: {err}"
             ),
             VideoError::InvalidParams(err) => write!(f, "invalid tone-mapping parameters: {err}"),
             VideoError::UnknownEngine(name) => {
@@ -59,17 +50,10 @@ impl fmt::Display for VideoError {
 impl Error for VideoError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
-            VideoError::Plan(err) => Some(err),
             VideoError::InvalidParams(err) => Some(err),
             VideoError::Spec(err) => Some(err),
             VideoError::ColourPlan(_) | VideoError::UnknownEngine(_) => None,
         }
-    }
-}
-
-impl From<PlanError> for VideoError {
-    fn from(err: PlanError) -> Self {
-        VideoError::Plan(err)
     }
 }
 

@@ -20,6 +20,13 @@
 //! * **Inline stability metrics** — frame-to-frame mean-brightness delta
 //!   (flicker) and per-pixel temporal PSNR, per frame and aggregated.
 //!
+//! The session walks no plan of its own. Every frame runs on the executor
+//! its [`Engine`](tonemap_backend::Engine) compiled and memoized for the
+//! frame's size — the one a still of the same spec runs on — and the
+//! session binds the plan's reductions to its integrator through a
+//! [`Reductions`](tonemap_core::Reductions) hook
+//! ([`Engine::map_luminance_with`](tonemap_backend::Engine::map_luminance_with)).
+//!
 //! # Example
 //!
 //! ```

@@ -43,8 +43,8 @@ const BIN_EDGES: [f32; SIGNATURE_BINS - 1] = [
 const LANES: usize = 8;
 
 /// Samples per block of a statistics pass. A block's per-lane bin counts
-/// fit `u32` with room to spare, and the log-average reads each block of
-/// the register back while it is still in L1.
+/// fit `u32` with room to spare, and the log-average maps each block into
+/// a stack buffer that stays in L1.
 const BLOCK: usize = 4096;
 
 /// The bits of √½: [`log2`] reduces its argument into `[√½, √2)`.
@@ -242,23 +242,22 @@ fn signature_step(
     }
 }
 
-/// Maps `frame` through `sample` — the pass that builds a session's
-/// register — and returns the register with the mean of
-/// `ln(10⁻⁴ + max(v, 0))` over it: the log-average observation behind
-/// Reinhard key adaptation. Each block is summed while it is still in
-/// cache. The floor at 0 keeps the mean finite when the register holds
+/// The mean of `ln(10⁻⁴ + max(v, 0))` over `frame` mapped through `sample`
+/// — the register an executor ingests — without building that register:
+/// the log-average observation behind Reinhard key adaptation. Each block
+/// is mapped into a stack buffer and summed there, so both loops
+/// vectorize. The floor at 0 keeps the mean finite when the register holds
 /// negative samples, which it does when a frame's maximum is not positive
 /// and the frame is therefore not scaled.
-pub(crate) fn map_with_log_average(
-    frame: &LuminanceImage,
-    sample: impl Fn(f32) -> f32,
-) -> (LuminanceImage, f64) {
-    let mut register = Vec::with_capacity(frame.pixel_count());
+pub(crate) fn log_average(frame: &LuminanceImage, sample: impl Fn(f32) -> f32) -> f64 {
     let mut log2_sums = [0.0f64; LANES];
+    let mut buffer = [0.0f32; BLOCK];
     for block in frame.pixels().chunks(BLOCK) {
-        let start = register.len();
-        register.extend(block.iter().map(|&v| sample(v)));
-        let steps = register[start..].chunks_exact(LANES);
+        let register = &mut buffer[..block.len()];
+        for (slot, &v) in register.iter_mut().zip(block) {
+            *slot = sample(v);
+        }
+        let steps = register.chunks_exact(LANES);
         let tail = steps.remainder();
         for step in steps {
             log_average_step(step, &mut log2_sums);
@@ -266,9 +265,7 @@ pub(crate) fn map_with_log_average(
         log_average_step(tail, &mut log2_sums);
     }
     let mean_log2 = log2_sums.iter().sum::<f64>() / frame.pixel_count().max(1) as f64;
-    let register = LuminanceImage::from_vec(frame.width(), frame.height(), register)
-        .expect("the register has the frame's dimensions");
-    (register, mean_log2 * std::f64::consts::LN_2)
+    mean_log2 * std::f64::consts::LN_2
 }
 
 /// Adds up to [`LANES`] register samples to the log-average's per-lane
@@ -569,8 +566,7 @@ mod tests {
         assert_eq!(lanes.histogram, reference.histogram);
         let error = (lanes.mean_log2 - reference.mean_log2).abs();
         assert!(error <= LOG2_MEAN_BOUND, "mean log2 off by {error:e}");
-        let (register, mean_ln) = map_with_log_average(frame, |v| v);
-        assert_eq!(register, *frame, "the identity map keeps the frame");
+        let mean_ln = log_average(frame, |v| v);
         let error = (mean_ln - reference_mean_ln(frame)).abs();
         assert!(error <= LOG2_MEAN_BOUND, "log-average off by {error:e}");
     }

@@ -3,20 +3,15 @@
 
 use hdr_image::LuminanceImage;
 use tonemap_backend::{
-    BackendRegistry, BackendSpec, CompiledPlan, Engine, EngineRow, Executor, TemporalMode,
-    TonemapBackend,
+    BackendRegistry, BackendSpec, Engine, EngineRow, Executor, TemporalMode, TonemapBackend,
 };
 use tonemap_core::normalize::{max_pixel, normalize_sample};
-use tonemap_core::plan::{
-    histogram_counts, histogram_remap_cdf, ChannelLayout, Curve, PipelineOp, PipelinePlan,
-};
-use tonemap_core::ToneMapParams;
+use tonemap_core::plan::{ChannelLayout, Curve, PipelineOp, PipelinePlan};
+use tonemap_core::{Reductions, ToneMapParams};
 
 use crate::config::TemporalConfig;
 use crate::error::VideoError;
-use crate::metrics::{
-    map_with_log_average, output_metrics, FrameMetrics, Signature, StreamSummary,
-};
+use crate::metrics::{log_average, output_metrics, FrameMetrics, Signature, StreamSummary};
 
 /// First-order leaky update: `s += α·(o − s)`. At `α ≥ 1` the state is
 /// *assigned* — the IEEE sum `s + 1·(o − s)` is not `o`, and `tau=0`
@@ -44,48 +39,6 @@ fn leak_into(slot: &mut Option<f64>, obs: f64, alpha: f64) -> f64 {
     }
 }
 
-/// One fused run of the plan between materialization barriers.
-#[derive(Debug, Clone)]
-struct SegmentOps {
-    /// The run's operators; empty for a plan that begins or ends with a
-    /// barrier (an identity run).
-    ops: Vec<PipelineOp>,
-    /// Whether the run carries a Reinhard stage whose key the session
-    /// rescales to the adapted log-average.
-    has_reinhard: bool,
-}
-
-impl SegmentOps {
-    /// The run as an executable plan, with Reinhard keys rescaled by the
-    /// adaptation ratio. A ratio of exactly `1.0` (independent mode,
-    /// `tau=0`, steady state) leaves the ops untouched so the compiled
-    /// plan is bitwise the single-frame one.
-    ///
-    /// The rescaled key saturates into the accepted range: a product that
-    /// overflows to ∞ becomes `f32::MAX`, one that rounds to 0 becomes the
-    /// smallest positive subnormal. Every other key keeps its bits.
-    fn plan(&self, key_ratio: f64) -> PipelinePlan {
-        let ops = if self.has_reinhard && key_ratio != 1.0 {
-            let scale = key_ratio.clamp(1e-4, 1e4) as f32;
-            self.ops
-                .iter()
-                .map(|op| match *op {
-                    PipelineOp::Curve(Curve::Reinhard { key, white }) => {
-                        PipelineOp::Curve(Curve::Reinhard {
-                            key: (key * scale).clamp(f32::from_bits(1), f32::MAX),
-                            white,
-                        })
-                    }
-                    other => other,
-                })
-                .collect()
-        } else {
-            self.ops.clone()
-        };
-        PipelinePlan::new(ops).expect("segment runs are validated at session construction")
-    }
-}
-
 /// The leaky integrator's state between frames.
 #[derive(Debug, Clone)]
 struct AdaptState {
@@ -96,9 +49,9 @@ struct AdaptState {
     /// Adapted Reinhard log-average (`mean ln(1e-4 + v)` domain); `None`
     /// until the first frame of a plan that carries a Reinhard stage.
     log_avg_ln: Option<f64>,
-    /// Adapted per-bin histogram counts, one slot per barrier; `None`
-    /// until that barrier first executes.
-    hist: Vec<Option<Vec<f64>>>,
+    /// Adapted per-bin histogram counts, indexed by each barrier's plan
+    /// stage; empty until that barrier first executes.
+    hist: Vec<Vec<f64>>,
 }
 
 /// A temporal tone-mapping session: runs one [`PipelinePlan`] over a
@@ -111,10 +64,10 @@ struct AdaptState {
 /// whole point. The service layer enforces this by pinning each stream to
 /// one queue shard.
 ///
-/// The session runs on an [`Engine`] built for its plan: the engine names
-/// the schedule point each resolution runs at, resolved and memoized
-/// exactly as for a still of the same spec, and every segment compiles at
-/// that point through [`CompiledPlan::new`].
+/// The session runs on an [`Engine`] built for its plan: every frame runs
+/// on the executor the engine compiled and memoized for its size — the one
+/// a still of the same spec runs on — with the plan's reductions bound to
+/// the integrator through [`Engine::map_luminance_with`].
 #[derive(Debug)]
 pub struct VideoSession {
     engine: Engine,
@@ -122,12 +75,9 @@ pub struct VideoSession {
     /// Whether the plan opens with `Normalize` (the session owns that
     /// reduction: it leaks the frame maximum).
     normalize: bool,
-    /// Whether any segment carries a Reinhard stage (gates the log-average
-    /// the register pass accumulates).
+    /// Whether the plan carries a Reinhard stage (gates the log-average
+    /// of the ingested frame).
     track_key: bool,
-    segments: Vec<SegmentOps>,
-    /// Bin count of each materialization barrier, in plan order.
-    barrier_bins: Vec<usize>,
     state: Option<AdaptState>,
     frames: usize,
     cuts: Vec<usize>,
@@ -150,9 +100,8 @@ impl VideoSession {
     /// [`VideoError::InvalidParams`] when `params` fail validation,
     /// [`VideoError::Spec`] for a `schedule=` row the engine cannot serve
     /// (no schedule space, or `schedule=stream` on a plan that cannot
-    /// stream), [`VideoError::ColourPlan`] for plans with colour registers,
-    /// and [`VideoError::Plan`] when a fused run cannot execute standalone
-    /// (e.g. a `Mask` split from its `BlurMask` by a barrier).
+    /// stream), and [`VideoError::ColourPlan`] for plans with colour
+    /// registers.
     pub fn new(
         plan: &PipelinePlan,
         params: &ToneMapParams,
@@ -180,47 +129,15 @@ impl VideoSession {
         {
             return Err(VideoError::ColourPlan(layout.to_string()));
         }
-        let segmentation = plan.segmentation();
-        let normalize = plan.starts_with_normalize();
-        let ops = plan.ops();
-        let mut segments = Vec::new();
-        for (index, segment) in segmentation.segments.iter().enumerate() {
-            let mut start = segment.start;
-            if index == 0 && normalize {
-                // The session owns normalization: it pre-scales each frame
-                // by the *adapted* maximum before the run executes.
-                start += 1;
-            }
-            let run = ops[start..segment.end].to_vec();
-            if !run.is_empty() {
-                // A run must stand alone as a plan; a `Mask` whose
-                // `BlurMask` sits across a barrier cannot.
-                PipelinePlan::new(run.clone())?;
-            }
-            let has_reinhard = run
-                .iter()
-                .any(|op| matches!(op, PipelineOp::Curve(Curve::Reinhard { .. })));
-            segments.push(SegmentOps {
-                ops: run,
-                has_reinhard,
-            });
-        }
-        let barrier_bins = segmentation
-            .barriers
+        let track_key = plan
+            .ops()
             .iter()
-            .map(|&index| match ops[index] {
-                PipelineOp::HistogramEq { bins } => bins,
-                other => unreachable!("{other:?} is not a materialization barrier"),
-            })
-            .collect();
-        let track_key = segments.iter().any(|segment| segment.has_reinhard);
+            .any(|op| matches!(op, PipelineOp::Curve(Curve::Reinhard { .. })));
         Ok(VideoSession {
             engine,
             config,
-            normalize,
+            normalize: plan.starts_with_normalize(),
             track_key,
-            segments,
-            barrier_bins,
             state: None,
             frames: 0,
             cuts: Vec::new(),
@@ -297,51 +214,40 @@ impl VideoSession {
                 signature,
                 max: obs_max,
                 log_avg_ln: None,
-                hist: vec![None; self.barrier_bins.len()],
+                hist: Vec::new(),
             },
         };
+        // Exactly the frame's own scale when the adapted max equals the
+        // frame max.
         let scale = if self.normalize {
             let max = state.max as f32;
             (max > 0.0).then(|| 1.0 / max)
         } else {
             None
         };
-        // For normalize plans this composes to exactly `normalize_to` when
-        // the adapted max equals the frame max; for the rest it matches
-        // the executors' own non-normalize entry (identity for finite
-        // samples), so segment-wise execution stays bit-identical.
-        let (mut register, key_ratio) = if self.track_key {
-            // The same pass observes the register's log-average.
-            let (register, obs_ln) = map_with_log_average(frame, |v| normalize_sample(v, scale));
+        let key_scale = if self.track_key {
+            // The log-average of the register the executor ingests.
+            let obs_ln = log_average(frame, |v| normalize_sample(v, scale));
             let adapted = leak_into(&mut state.log_avg_ln, obs_ln, alpha);
             // Render relative to the adapted level: a brightness step
-            // looks bright until the integrator catches up. Exactly 1.0
-            // at steady state, so the plan is not rewritten there.
-            (register, (obs_ln - adapted).exp())
+            // looks bright until the integrator catches up. Exactly 1 at
+            // steady state, where every key keeps its bits.
+            (obs_ln - adapted).exp().clamp(1e-4, 1e4) as f32
         } else {
-            (frame.map(|&v| normalize_sample(v, scale)), 1.0)
+            1.0
         };
-        let point = self
+        let mut bound = Adapted {
+            scale,
+            key_scale,
+            hist: &mut state.hist,
+            alpha,
+        };
+        let output = self
             .engine
-            .point(frame.width(), frame.height())
-            .expect("the engine checked its schedule when the session was built");
-        let (params, numerics) = (self.engine.params(), self.engine.row().numerics);
-        let barrier_count = self.barrier_bins.len();
-        for seg_index in 0..self.segments.len() {
-            if !self.segments[seg_index].ops.is_empty() {
-                let plan = self.segments[seg_index].plan(key_ratio);
-                register = CompiledPlan::new(plan, params, numerics, &point)
-                    .expect("params validated at session construction")
-                    .map_luminance(&register);
-            }
-            if seg_index < barrier_count {
-                let counts = histogram_counts(&register, self.barrier_bins[seg_index]);
-                let cdf = barrier_cdf(&mut state.hist[seg_index], &counts, alpha);
-                register = histogram_remap_cdf(&register, &cdf);
-            }
-        }
+            .map_luminance_with(frame, &mut bound)
+            .expect("the engine checked the plan and its schedule when the session was built");
         self.state = Some(state);
-        let (mean, temporal_psnr_db) = output_metrics(&register, &mut self.prev_output);
+        let (mean, temporal_psnr_db) = output_metrics(&output, &mut self.prev_output);
         let flicker_delta = self.prev_mean.map(|prev| (mean - prev).abs());
         if let Some(delta) = flicker_delta {
             self.flicker_sum += delta;
@@ -358,7 +264,7 @@ impl VideoSession {
         self.prev_mean = Some(mean);
         self.frames += 1;
         (
-            register,
+            output,
             FrameMetrics {
                 index,
                 scene_cut,
@@ -385,8 +291,8 @@ impl VideoSession {
     }
 
     /// Drops all adaptation state and stream metrics, returning the
-    /// session to its just-constructed state (the engine's per-resolution
-    /// points are kept — they depend only on resolution).
+    /// session to its just-constructed state (the engine's per-size
+    /// executors are kept — they depend only on resolution).
     pub fn reset(&mut self) {
         self.state = None;
         self.frames = 0;
@@ -431,31 +337,50 @@ impl VideoSession {
     }
 }
 
-/// Leaks this frame's barrier histogram into the adapted per-bin counts
-/// (seeding on first execution) and returns the cumulative CDF the remap
-/// consumes. Integer counts survive the f64 round trip exactly (they are
-/// far below 2⁵³), so a steady state is bit-identical to the single-frame
-/// `histogram_equalize`.
-fn barrier_cdf(slot: &mut Option<Vec<f64>>, counts: &[u64], alpha: f64) -> Vec<f64> {
-    let adapted = match slot {
-        Some(adapted) => {
-            for (state, &count) in adapted.iter_mut().zip(counts) {
-                leak(state, count as f64, alpha);
-            }
-            adapted
-        }
-        None => {
-            *slot = Some(counts.iter().map(|&count| count as f64).collect());
-            slot.as_mut().expect("just seeded")
-        }
-    };
-    let mut cdf = Vec::with_capacity(adapted.len());
-    let mut sum = 0.0f64;
-    for &count in adapted.iter() {
-        sum += count;
-        cdf.push(sum);
+/// The reductions a session binds for one frame: the adapted scale and
+/// key factor, computed before the frame runs, and each barrier's CDF
+/// from its leaked counts, as the executor reaches it.
+struct Adapted<'a> {
+    scale: Option<f32>,
+    key_scale: f32,
+    hist: &'a mut Vec<Vec<f64>>,
+    alpha: f64,
+}
+
+impl Reductions for Adapted<'_> {
+    fn normalize_scale(&mut self, _frame: &LuminanceImage) -> Option<f32> {
+        self.scale
     }
-    cdf
+
+    fn key_scale(&self) -> f32 {
+        self.key_scale
+    }
+
+    /// Leaks this frame's barrier histogram into the adapted per-bin
+    /// counts (seeding on first execution) and returns their running sums.
+    /// Integer counts survive the f64 round trip exactly (they are far
+    /// below 2⁵³), so a steady state is bit-identical to a still.
+    fn histogram_cdf(&mut self, stage: usize, counts: &[u64]) -> Vec<f64> {
+        if self.hist.len() <= stage {
+            self.hist.resize_with(stage + 1, Vec::new);
+        }
+        let adapted = &mut self.hist[stage];
+        if adapted.is_empty() {
+            adapted.extend(counts.iter().map(|&count| count as f64));
+        } else {
+            for (state, &count) in adapted.iter_mut().zip(counts) {
+                leak(state, count as f64, self.alpha);
+            }
+        }
+        let mut sum = 0.0f64;
+        adapted
+            .iter()
+            .map(|&count| {
+                sum += count;
+                sum
+            })
+            .collect()
+    }
 }
 
 #[cfg(test)]
@@ -468,7 +393,7 @@ mod tests {
 
     /// A plan exercising all three adapted reduction statistics: the
     /// normalize maximum, a Reinhard key, and a histogram CDF, with a
-    /// post-barrier run so segment-wise execution is non-trivial.
+    /// curve after the barrier so the barrier sits mid-plan.
     fn all_reductions_plan() -> PipelinePlan {
         PipelinePlan::new(vec![
             PipelineOp::Normalize,
@@ -726,6 +651,140 @@ mod tests {
                 still.telemetry().unwrap().point,
                 "{spec} at {width}x{height}"
             );
+        }
+    }
+
+    /// A mask blurred before a histogram barrier and consumed after it: the
+    /// stream cannot fuse the plan, so every row runs it two-pass.
+    fn mask_across_barrier_plan() -> PipelinePlan {
+        let params = ToneMapParams::paper_default();
+        PipelinePlan::new(vec![
+            PipelineOp::Normalize,
+            PipelineOp::BlurMask {
+                blur: params.blur,
+                invert_input: true,
+            },
+            PipelineOp::HistogramEq { bins: 64 },
+            PipelineOp::Mask(params.masking),
+        ])
+        .expect("plan validation lets a mask cross a barrier")
+    }
+
+    /// Where a session over `scenes` differs from `still`, or why it did
+    /// not build.
+    fn differences(
+        case: &str,
+        session: Result<VideoSession, VideoError>,
+        scenes: &[(SceneKind, LuminanceImage)],
+        mut still: impl FnMut(&LuminanceImage) -> LuminanceImage,
+    ) -> Vec<String> {
+        let mut session = match session {
+            Ok(session) => session,
+            Err(err) => return vec![format!("{case}: {err}")],
+        };
+        let mut differing = Vec::new();
+        for (scene, frame) in scenes {
+            if session.process(frame).0 != still(frame) {
+                differing.push(format!("{case} on {scene:?}"));
+            }
+        }
+        differing
+    }
+
+    #[test]
+    fn sessions_equal_stills_on_every_row_and_scalar_preset() {
+        // An integrator that assigns (`temporal=independent`, or `tau=0`)
+        // binds every reduction to the frame, so each frame is the still of
+        // its spec, on every standard row. A leaky session binds them the
+        // same way on the stream as on the two-pass walk.
+        let params = ToneMapParams::paper_default();
+        let scalar = |name: &&str| {
+            let plan = PipelinePlan::preset(name, &params, &Default::default());
+            let plan = plan.unwrap().expect("a preset name");
+            plan.input_layout() == ChannelLayout::Scalar
+                && plan.output_layout() == ChannelLayout::Scalar
+        };
+        let presets: Vec<&str> = PipelinePlan::PRESETS.into_iter().filter(scalar).collect();
+        let scenes = SceneKind::ALL.map(|scene| (scene, scene.generate(37, 23, 4)));
+        let registry = BackendRegistry::standard();
+        let assigning = [
+            ("temporal=independent", TemporalConfig::independent()),
+            ("temporal=leaky&tau=0", TemporalConfig::leaky(0.0)),
+        ];
+        let plan = mask_across_barrier_plan();
+        let mut mismatches = Vec::new();
+        for row in BackendRegistry::STANDARD_ENGINES {
+            for (temporal, config) in assigning {
+                for name in &presets {
+                    let spec = format!("{}?pipeline={name}", row.name);
+                    let session = VideoSession::from_spec(&format!("{spec}&{temporal}"));
+                    let still = |frame: &LuminanceImage| {
+                        let request = TonemapRequest::luminance(frame).on_backend(spec.as_str());
+                        let response = registry.execute(&request).expect("the still runs");
+                        response.luminance().expect("a luminance still").clone()
+                    };
+                    let case = format!("{spec}&{temporal}");
+                    mismatches.extend(differences(&case, session, &scenes, still));
+                }
+                let session = VideoSession::new(&plan, &params, config, row);
+                let case = format!("{} {temporal} over a mask across a barrier", row.name);
+                let still = |frame: &LuminanceImage| single_frame(&plan, &params, row, frame);
+                mismatches.extend(differences(&case, session, &scenes, still));
+            }
+        }
+        for name in &presets {
+            for (two_pass, stream) in [("sw-f32", "sw-f32-stream"), ("hw-fix16", "hw-fix16-stream")]
+            {
+                let leaky = |row| format!("{row}?pipeline={name}&temporal=leaky&tau=2");
+                let mut reference = VideoSession::from_spec(&leaky(two_pass)).unwrap();
+                let session = VideoSession::from_spec(&leaky(stream));
+                let still = |frame: &LuminanceImage| reference.process(frame).0;
+                mismatches.extend(differences(&leaky(stream), session, &scenes, still));
+            }
+        }
+        assert!(
+            mismatches.is_empty(),
+            "{} cases differ: {mismatches:#?}",
+            mismatches.len()
+        );
+    }
+
+    #[test]
+    fn mask_across_barrier_plans_build_sessions() {
+        // Every row serves the plan as a still, so every row builds a
+        // session over it: one that equals the still at `tau=0`, and a
+        // leaky one whose frames stay in the display range.
+        let params = ToneMapParams::paper_default();
+        let plan = mask_across_barrier_plan();
+        let frames = FrameSequence::new(
+            SequenceKind::RampWithCut {
+                decades: 1.0,
+                cut_at: 2,
+            },
+            SceneKind::MemorialComposite,
+            37,
+            23,
+            4,
+            4,
+        );
+        for row in rows() {
+            let mut frozen = VideoSession::new(&plan, &params, TemporalConfig::leaky(0.0), row)
+                .unwrap_or_else(|e| panic!("{row:?}: {e}"));
+            let mut leaky = VideoSession::new(&plan, &params, TemporalConfig::leaky(2.0), row)
+                .unwrap_or_else(|e| panic!("{row:?}: {e}"));
+            for (index, frame) in frames.frames().enumerate() {
+                let (output, _) = frozen.process(&frame);
+                assert_eq!(
+                    output,
+                    single_frame(&plan, &params, row, &frame),
+                    "{row:?} frame {index}"
+                );
+                let (output, _) = leaky.process(&frame);
+                assert!(
+                    output.pixels().iter().all(|v| (0.0..=1.0).contains(v)),
+                    "{row:?} frame {index} left the display range"
+                );
+            }
         }
     }
 

@@ -1,14 +1,15 @@
 //! The anchor property of temporal adaptation: with `tau = 0` (gain
 //! `α = 1`) the leaky integrator degenerates to assignment, so a leaky
-//! session must be **bit-identical** to a per-frame-independent one —
-//! over any plan preset, scene, sequence kind, resolution and engine row.
-//! This is what makes `temporal=leaky` safe to enable by default: the
-//! zero point of the `tau` dial is exactly single-frame semantics.
+//! session must be **bit-identical** to a per-frame-independent one, and
+//! both to the engine's still of each frame — over any plan preset, scene,
+//! sequence kind, resolution and engine row. This is what makes
+//! `temporal=leaky` safe to enable by default: the zero point of the `tau`
+//! dial is exactly single-frame semantics.
 
 use hdr_image::sequence::{FrameSequence, SequenceKind};
 use hdr_image::synth::SceneKind;
 use proptest::prelude::*;
-use tonemap_backend::{BackendRegistry, EngineRow, Executor};
+use tonemap_backend::{BackendRegistry, Engine, EngineRow, Executor, TonemapBackend};
 use tonemap_core::plan::{PipelinePlan, PlanTuning};
 use tonemap_core::ToneMapParams;
 use tonemap_video::{TemporalConfig, VideoSession};
@@ -102,10 +103,17 @@ proptest! {
         let mut independent =
             VideoSession::new(&plan, &params, TemporalConfig::independent(), row)
                 .expect("scalar presets build video sessions");
+        // The second oracle does not walk the session's code at all.
+        let still = Engine::with_plan(row, params, plan.clone(), row.name)
+            .expect("scalar presets build engines");
         for frame in frames.frames() {
             let (a, _) = frozen.process(&frame);
             let (b, _) = independent.process(&frame);
             prop_assert_eq!(a.pixels(), b.pixels());
+            let expected = still
+                .run_luminance(&frame, None, None, false)
+                .expect("scalar plans run");
+            prop_assert_eq!(a.pixels(), expected.image.pixels());
         }
     }
 }
