@@ -697,6 +697,17 @@ mod tests {
     }
 
     #[test]
+    fn an_over_long_spec_never_enters_the_override_memo() {
+        // A valid sigma padded to a mebibyte with leading zeros.
+        let registry = BackendRegistry::standard();
+        let spec = format!("sw-f32?sigma={}1.5", "0".repeat(1 << 20));
+        let error = registry.resolve_spec(&spec).map(drop).unwrap_err();
+        assert!(matches!(error, TonemapError::InvalidSpec { .. }), "{error}");
+        assert!(error.to_string().len() < 2048);
+        assert_eq!(registry.resolved_overrides.lock().unwrap().len(), 0);
+    }
+
+    #[test]
     fn a_registration_in_one_clone_never_serves_the_other_clones() {
         let original = BackendRegistry::standard();
         let mut clone = original.clone();

@@ -41,142 +41,118 @@ use std::str::FromStr;
 use tonemap_core::{PipelinePlan, PlanTuning, ToneMapParams};
 use tonemap_scheduler::{HostModel, ScheduleMode};
 
-/// The single source of truth for spec override keys: each entry pairs the
-/// key with its parse-and-store action *and* its render-back getter, so
-/// the parser's dispatch, the "known keys" error message and the canonical
-/// `Display` form cannot drift apart.
-type KeySetter = fn(&mut ParamOverrides, &str) -> Result<(), ()>;
-type KeyGetter = fn(&ParamOverrides) -> Option<String>;
-const KNOWN_KEYS: &[(&str, KeySetter, KeyGetter)] = &[
-    (
-        "sigma",
-        |o, v| {
-            o.sigma = Some(v.parse().map_err(drop)?);
-            Ok(())
-        },
-        |o| o.sigma.map(|v| v.to_string()),
-    ),
-    (
-        "radius",
-        |o, v| {
-            o.radius = Some(v.parse().map_err(drop)?);
-            Ok(())
-        },
-        |o| o.radius.map(|v| v.to_string()),
-    ),
-    (
-        "strength",
-        |o, v| {
-            o.strength = Some(v.parse().map_err(drop)?);
-            Ok(())
-        },
-        |o| o.strength.map(|v| v.to_string()),
-    ),
-    (
-        "invert_mask",
-        |o, v| {
-            o.invert_mask = Some(v.parse().map_err(drop)?);
-            Ok(())
-        },
-        |o| o.invert_mask.map(|v| v.to_string()),
-    ),
-    (
-        "brightness",
-        |o, v| {
-            o.brightness = Some(v.parse().map_err(drop)?);
-            Ok(())
-        },
-        |o| o.brightness.map(|v| v.to_string()),
-    ),
-    (
-        "contrast",
-        |o, v| {
-            o.contrast = Some(v.parse().map_err(drop)?);
-            Ok(())
-        },
-        |o| o.contrast.map(|v| v.to_string()),
-    ),
-    (
-        "channels",
-        |o, v| {
-            o.channels = Some(v.parse().map_err(drop)?);
-            Ok(())
-        },
-        |o| o.channels.map(|v| v.to_string()),
-    ),
+/// A parsed value of a table-driven key, typed by the field it sets.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Value {
+    F32(f32),
+    Usize(usize),
+    Bool(bool),
+}
+
+impl fmt::Display for Value {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Value::F32(v) => write!(f, "{v}"),
+            Value::Usize(v) => write!(f, "{v}"),
+            Value::Bool(v) => write!(f, "{v}"),
+        }
+    }
+}
+
+/// The field a key sets, borrowed from its structure: a plain field of
+/// [`ToneMapParams`] or an optional one of [`PlanTuning`].
+enum Field<'a> {
+    F32(&'a mut f32),
+    Usize(&'a mut usize),
+    Bool(&'a mut bool),
+    OptionF32(&'a mut Option<f32>),
+    OptionUsize(&'a mut Option<usize>),
+}
+
+impl Field<'_> {
+    /// Parses `text` as a value of this field's type.
+    fn parse(&self, text: &str) -> Option<Value> {
+        match self {
+            Field::F32(_) | Field::OptionF32(_) => text.parse().ok().map(Value::F32),
+            Field::Usize(_) | Field::OptionUsize(_) => text.parse().ok().map(Value::Usize),
+            Field::Bool(_) => text.parse().ok().map(Value::Bool),
+        }
+    }
+
+    /// Stores `value`, which [`Field::parse`] produced for this field.
+    fn assign(self, value: Value) {
+        match (self, value) {
+            (Field::F32(slot), Value::F32(v)) => *slot = v,
+            (Field::Usize(slot), Value::Usize(v)) => *slot = v,
+            (Field::Bool(slot), Value::Bool(v)) => *slot = v,
+            (Field::OptionF32(slot), Value::F32(v)) => *slot = Some(v),
+            (Field::OptionUsize(slot), Value::Usize(v)) => *slot = Some(v),
+            _ => unreachable!("a key's value is parsed by its own field"),
+        }
+    }
+}
+
+/// One table-driven key: its name and the field of `T` it sets.
+type Key<T> = (&'static str, fn(&mut T) -> Field<'_>);
+
+/// The parameter keys, in canonical order: each overrides one
+/// [`ToneMapParams`] field.
+const PARAM_KEYS: [Key<ToneMapParams>; 7] = [
+    ("sigma", |p| Field::F32(&mut p.blur.sigma)),
+    ("radius", |p| Field::Usize(&mut p.blur.radius)),
+    ("strength", |p| Field::F32(&mut p.masking.strength)),
+    ("invert_mask", |p| Field::Bool(&mut p.masking.invert_mask)),
+    ("brightness", |p| Field::F32(&mut p.adjust.brightness)),
+    ("contrast", |p| Field::F32(&mut p.adjust.contrast)),
+    ("channels", |p| Field::Usize(&mut p.channels)),
 ];
 
-/// The plan-selecting part of a spec's query: the preset name plus its
-/// tuning keys, driven by [`KNOWN_TUNING_KEYS`] the same way the parameter
-/// overrides are driven by [`KNOWN_KEYS`].
-type TuningSetter = fn(&mut PlanTuning, &str) -> Result<(), ()>;
-type TuningGetter = fn(&PlanTuning) -> Option<String>;
-const KNOWN_TUNING_KEYS: &[(&str, TuningSetter, TuningGetter)] = &[
-    (
-        "reinhard_key",
-        |t, v| {
-            t.reinhard_key = Some(v.parse().map_err(drop)?);
-            Ok(())
-        },
-        |t| t.reinhard_key.map(|v| v.to_string()),
-    ),
-    (
-        "reinhard_white",
-        |t, v| {
-            t.reinhard_white = Some(v.parse().map_err(drop)?);
-            Ok(())
-        },
-        |t| t.reinhard_white.map(|v| v.to_string()),
-    ),
-    (
-        "bins",
-        |t, v| {
-            t.bins = Some(v.parse().map_err(drop)?);
-            Ok(())
-        },
-        |t| t.bins.map(|v| v.to_string()),
-    ),
-    (
-        "gamma",
-        |t, v| {
-            t.gamma = Some(v.parse().map_err(drop)?);
-            Ok(())
-        },
-        |t| t.gamma.map(|v| v.to_string()),
-    ),
-    (
-        "log_scale",
-        |t, v| {
-            t.log_scale = Some(v.parse().map_err(drop)?);
-            Ok(())
-        },
-        |t| t.log_scale.map(|v| v.to_string()),
-    ),
-    (
-        "exposure",
-        |t, v| {
-            t.exposure = Some(v.parse().map_err(drop)?);
-            Ok(())
-        },
-        |t| t.exposure.map(|v| v.to_string()),
-    ),
-    (
-        "peak",
-        |t, v| {
-            t.peak_nits = Some(v.parse().map_err(drop)?);
-            Ok(())
-        },
-        |t| t.peak_nits.map(|v| v.to_string()),
-    ),
-    (
-        "bias",
-        |t, v| {
-            t.drago_bias = Some(v.parse().map_err(drop)?);
-            Ok(())
-        },
-        |t| t.drago_bias.map(|v| v.to_string()),
-    ),
+/// The plan-tuning keys, in canonical order: each sets one [`PlanTuning`]
+/// field. Which preset reads which key is its row in core
+/// ([`PipelinePlan::preset_keys`]).
+const TUNING_KEYS: [Key<PlanTuning>; 8] = [
+    ("reinhard_key", |t| Field::OptionF32(&mut t.reinhard_key)),
+    ("reinhard_white", |t| {
+        Field::OptionF32(&mut t.reinhard_white)
+    }),
+    ("bins", |t| Field::OptionUsize(&mut t.bins)),
+    ("gamma", |t| Field::OptionF32(&mut t.gamma)),
+    ("log_scale", |t| Field::OptionF32(&mut t.log_scale)),
+    ("exposure", |t| Field::OptionF32(&mut t.exposure)),
+    ("peak", |t| Field::OptionF32(&mut t.peak_nits)),
+    ("bias", |t| Field::OptionF32(&mut t.drago_bias)),
 ];
+
+/// `key`'s row in `table` with `text` parsed as that row's field type
+/// (`None` inside when it does not parse); `None` when `table` has no such
+/// key. The field is borrowed from a default `T` only to learn its type.
+fn parse_key<T: Default>(
+    table: &[Key<T>],
+    key: &str,
+    text: &str,
+) -> Option<Option<(usize, Value)>> {
+    let row = table.iter().position(|(known, _)| *known == key)?;
+    Some(
+        (table[row].1)(&mut T::default())
+            .parse(text)
+            .map(|value| (row, value)),
+    )
+}
+
+/// Stores each `(row, value)` setting into the field its `table` row names.
+fn assign<T>(table: &[Key<T>], settings: &[(usize, Value)], target: &mut T) {
+    for &(row, value) in settings {
+        (table[row].1)(target).assign(value);
+    }
+}
+
+/// `(key, value)` text pairs of `settings`, in their (table) order.
+fn rendered<T>(table: &[Key<T>], settings: &[(usize, Value)]) -> Vec<(&'static str, String)> {
+    settings
+        .iter()
+        .map(|&(row, value)| (table[row].0, value.to_string()))
+        .collect()
+}
 
 /// The `temporal=` adaptation mode of a spec that will serve a frame
 /// sequence: how the per-frame reduction statistics (normalization
@@ -221,107 +197,6 @@ impl fmt::Display for TemporalMode {
     }
 }
 
-/// The tuning keys each named preset actually reads; any other tuning key
-/// in a spec selecting that preset is rejected at parse time rather than
-/// silently ignored.
-fn preset_tuning_keys(preset: &str) -> &'static [&'static str] {
-    match preset {
-        "reinhard" | "hsv-reinhard" => &["reinhard_key", "reinhard_white"],
-        "histeq" => &["bins"],
-        "gamma" => &["gamma"],
-        "log" => &["log_scale"],
-        "filmic" | "aces" => &["exposure"],
-        "drago" => &["bias"],
-        "pq-out" => &["peak"],
-        // `paper`, `basedetail` and `hlg-out` are parameter-driven (sigma/
-        // radius/strength/… come from the shared param keys), so they read
-        // no tuning keys.
-        _ => &[],
-    }
-}
-
-/// Field-wise overrides of [`ToneMapParams`] parsed from a spec string's
-/// query part. Unset fields keep the base value.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-struct ParamOverrides {
-    sigma: Option<f32>,
-    radius: Option<usize>,
-    strength: Option<f32>,
-    invert_mask: Option<bool>,
-    brightness: Option<f32>,
-    contrast: Option<f32>,
-    channels: Option<usize>,
-}
-
-/// The parsed `pipeline=` selection: a validated preset name plus tuning.
-#[derive(Debug, Clone, Default, PartialEq)]
-struct PlanSelection {
-    preset: Option<String>,
-    tuning: PlanTuning,
-}
-
-impl PlanSelection {
-    fn is_empty(&self) -> bool {
-        *self == PlanSelection::default()
-    }
-
-    /// The set plan keys as `(key, value)` pairs in canonical order
-    /// (`pipeline` first, then [`KNOWN_TUNING_KEYS`] order).
-    fn pairs(&self) -> Vec<(&'static str, String)> {
-        let mut pairs = Vec::new();
-        if let Some(preset) = &self.preset {
-            pairs.push(("pipeline", preset.clone()));
-        }
-        pairs.extend(
-            KNOWN_TUNING_KEYS
-                .iter()
-                .filter_map(|(key, _, getter)| getter(&self.tuning).map(|value| (*key, value))),
-        );
-        pairs
-    }
-}
-
-impl ParamOverrides {
-    fn is_empty(&self) -> bool {
-        *self == ParamOverrides::default()
-    }
-
-    /// The set overrides as `(key, value)` pairs, in [`KNOWN_KEYS`] order —
-    /// the canonical field order of the rendered spec string. Driven by the
-    /// same table as the parser, so a key added there renders here too.
-    fn pairs(&self) -> Vec<(&'static str, String)> {
-        KNOWN_KEYS
-            .iter()
-            .filter_map(|(key, _, getter)| getter(self).map(|value| (*key, value)))
-            .collect()
-    }
-
-    fn apply(&self, mut base: ToneMapParams) -> ToneMapParams {
-        if let Some(sigma) = self.sigma {
-            base.blur.sigma = sigma;
-        }
-        if let Some(radius) = self.radius {
-            base.blur.radius = radius;
-        }
-        if let Some(strength) = self.strength {
-            base.masking.strength = strength;
-        }
-        if let Some(invert) = self.invert_mask {
-            base.masking.invert_mask = invert;
-        }
-        if let Some(brightness) = self.brightness {
-            base.adjust.brightness = brightness;
-        }
-        if let Some(contrast) = self.contrast {
-            base.adjust.contrast = contrast;
-        }
-        if let Some(channels) = self.channels {
-            base.channels = channels;
-        }
-        base
-    }
-}
-
 /// A parsed backend spec: an engine name plus optional parameter overrides.
 ///
 /// # Example
@@ -340,8 +215,11 @@ impl ParamOverrides {
 #[derive(Debug, Clone, PartialEq)]
 pub struct BackendSpec {
     name: String,
-    overrides: ParamOverrides,
-    plan: PlanSelection,
+    /// Parameter overrides as `(PARAM_KEYS row, value)`, in table order.
+    params: Vec<(usize, Value)>,
+    preset: Option<String>,
+    /// Plan tuning as `(TUNING_KEYS row, value)`, in table order.
+    tuning: Vec<(usize, Value)>,
     schedule: Option<ScheduleMode>,
     threads: Option<usize>,
     temporal: Option<TemporalMode>,
@@ -350,6 +228,13 @@ pub struct BackendSpec {
 }
 
 impl BackendSpec {
+    /// The longest spec string [`BackendSpec::parse`] reads, in bytes. A
+    /// canonical spec with every key that can combine, each at its longest
+    /// spelling, is 352 bytes. Like [`tonemap_core::BlurParams::MAX_RADIUS`],
+    /// nobody can set it: it keeps one client string from holding megabytes
+    /// in the registry's per-spec memo or in an error text.
+    pub const MAX_SPEC_LEN: usize = 1024;
+
     /// Parses a spec string.
     ///
     /// The engine name is trimmed of surrounding whitespace (so a config
@@ -359,7 +244,8 @@ impl BackendSpec {
     ///
     /// # Errors
     ///
-    /// Returns [`TonemapError::InvalidSpec`] when the string is empty, has
+    /// Returns [`TonemapError::InvalidSpec`] when the string is longer than
+    /// [`BackendSpec::MAX_SPEC_LEN`] bytes, is empty, has
     /// an empty or whitespace-embedding name, an unknown override key, a
     /// duplicate key, an unknown `pipeline=` preset, a tuning key without a
     /// `pipeline=` selection, an unknown `schedule=` value, `threads=0` or
@@ -373,6 +259,18 @@ impl BackendSpec {
     /// parameters are valid is checked separately by
     /// [`BackendSpec::merged_params`] / [`BackendSpec::resolved_plan`].
     pub fn parse(spec: &str) -> Result<Self, TonemapError> {
+        if spec.len() > BackendSpec::MAX_SPEC_LEN {
+            // Quote a prefix cut on a char boundary, not the whole spec.
+            let end = (0..=32).rev().find(|&i| spec.is_char_boundary(i));
+            return Err(TonemapError::InvalidSpec {
+                spec: format!("{}…", &spec[..end.unwrap_or(0)]),
+                reason: format!(
+                    "the spec is {} bytes long; specs are at most {} bytes",
+                    spec.len(),
+                    BackendSpec::MAX_SPEC_LEN
+                ),
+            });
+        }
         let invalid = |reason: String| TonemapError::InvalidSpec {
             spec: spec.to_string(),
             reason,
@@ -390,8 +288,9 @@ impl BackendSpec {
                 "backend name `{name}` contains whitespace"
             )));
         }
-        let mut overrides = ParamOverrides::default();
-        let mut plan = PlanSelection::default();
+        let mut params = Vec::new();
+        let mut preset: Option<String> = None;
+        let mut tuning = Vec::new();
         let mut schedule: Option<ScheduleMode> = None;
         let mut threads: Option<usize> = None;
         let mut temporal: Option<TemporalMode> = None;
@@ -414,7 +313,7 @@ impl BackendSpec {
                     )));
                 }
                 let cannot_parse =
-                    |()| invalid(format!("cannot parse `{value}` as a value for `{key}`"));
+                    || invalid(format!("cannot parse `{value}` as a value for `{key}`"));
                 if key == "pipeline" {
                     if !PipelinePlan::PRESETS.contains(&value) {
                         return Err(invalid(format!(
@@ -422,7 +321,7 @@ impl BackendSpec {
                             PipelinePlan::PRESETS.join(", ")
                         )));
                     }
-                    plan.preset = Some(value.to_string());
+                    preset = Some(value.to_string());
                 } else if key == "schedule" {
                     schedule = Some(ScheduleMode::parse(value).ok_or_else(|| {
                         invalid(format!(
@@ -431,7 +330,7 @@ impl BackendSpec {
                         ))
                     })?);
                 } else if key == "threads" {
-                    let count: usize = value.parse().map_err(|_| cannot_parse(()))?;
+                    let count: usize = value.parse().map_err(|_| cannot_parse())?;
                     if count == 0 {
                         return Err(invalid(
                             "`threads=0` is meaningless; the streaming executor needs at \
@@ -457,7 +356,7 @@ impl BackendSpec {
                         ))
                     })?);
                 } else if key == "tau" {
-                    let seconds: f32 = value.parse().map_err(|_| cannot_parse(()))?;
+                    let seconds: f32 = value.parse().map_err(|_| cannot_parse())?;
                     if !seconds.is_finite() || seconds < 0.0 {
                         return Err(invalid(format!(
                             "`tau={value}` is not a valid time-constant; the leaky \
@@ -466,7 +365,7 @@ impl BackendSpec {
                     }
                     tau = Some(seconds);
                 } else if key == "cutthresh" {
-                    let threshold: f32 = value.parse().map_err(|_| cannot_parse(()))?;
+                    let threshold: f32 = value.parse().map_err(|_| cannot_parse())?;
                     if !threshold.is_finite() || threshold <= 0.0 {
                         return Err(invalid(format!(
                             "`cutthresh={value}` is not a valid scene-cut threshold; \
@@ -474,22 +373,18 @@ impl BackendSpec {
                         )));
                     }
                     cutthresh = Some(threshold);
-                } else if let Some((_, setter, _)) =
-                    KNOWN_KEYS.iter().find(|(known, _, _)| *known == key)
-                {
-                    setter(&mut overrides, value).map_err(cannot_parse)?;
-                } else if let Some((_, setter, _)) =
-                    KNOWN_TUNING_KEYS.iter().find(|(known, _, _)| *known == key)
-                {
-                    setter(&mut plan.tuning, value).map_err(cannot_parse)?;
+                } else if let Some(setting) = parse_key(&PARAM_KEYS, key, value) {
+                    params.push(setting.ok_or_else(cannot_parse)?);
+                } else if let Some(setting) = parse_key(&TUNING_KEYS, key, value) {
+                    tuning.push(setting.ok_or_else(cannot_parse)?);
                 } else {
                     return Err(invalid(format!(
                         "unknown key `{key}`; known keys: {}",
-                        KNOWN_KEYS
+                        PARAM_KEYS
                             .iter()
-                            .map(|(known, _, _)| *known)
+                            .map(|(known, _)| *known)
                             .chain(std::iter::once("pipeline"))
-                            .chain(KNOWN_TUNING_KEYS.iter().map(|(known, _, _)| *known))
+                            .chain(TUNING_KEYS.iter().map(|(known, _)| *known))
                             .chain(["schedule", "threads", "temporal", "tau", "cutthresh"])
                             .collect::<Vec<_>>()
                             .join(", ")
@@ -498,39 +393,27 @@ impl BackendSpec {
                 seen.push(key);
             }
         }
-        match &plan.preset {
-            None => {
-                if let Some((key, _, _)) = KNOWN_TUNING_KEYS
-                    .iter()
-                    .find(|(_, _, getter)| getter(&plan.tuning).is_some())
-                {
-                    return Err(invalid(format!(
-                        "plan-tuning key `{key}` requires a `pipeline=` preset selection"
-                    )));
-                }
-            }
-            Some(preset) => {
-                // A tuning key the preset never reads would be silently
-                // ignored — the same misconfiguration class as duplicate
-                // keys, so it is rejected the same way.
-                let allowed = preset_tuning_keys(preset);
-                if let Some((key, _, _)) = KNOWN_TUNING_KEYS.iter().find(|(key, _, getter)| {
-                    getter(&plan.tuning).is_some() && !allowed.contains(key)
-                }) {
-                    return Err(invalid(if allowed.is_empty() {
-                        format!(
-                            "tuning key `{key}` is not used by pipeline preset `{preset}` \
-                             (it takes no tuning keys)"
-                        )
-                    } else {
-                        format!(
-                            "tuning key `{key}` is not used by pipeline preset `{preset}`; \
-                             its keys: {}",
-                            allowed.join(", ")
-                        )
-                    }));
-                }
-            }
+        params.sort_by_key(|&(row, _)| row);
+        tuning.sort_by_key(|&(row, _)| row);
+        // A tuning key the preset never reads would be silently ignored —
+        // the same misconfiguration class as duplicate keys, so it is
+        // rejected the same way.
+        let allowed = preset.as_deref().and_then(PipelinePlan::preset_keys);
+        let read = |row: usize| allowed.is_some_and(|keys| keys.contains(&TUNING_KEYS[row].0));
+        if let Some(&(row, _)) = tuning.iter().find(|&&(row, _)| !read(row)) {
+            let key = TUNING_KEYS[row].0;
+            return Err(invalid(match (preset, allowed) {
+                (Some(preset), Some([])) => format!(
+                    "tuning key `{key}` is not used by pipeline preset `{preset}` \
+                     (it takes no tuning keys)"
+                ),
+                (Some(preset), Some(keys)) => format!(
+                    "tuning key `{key}` is not used by pipeline preset `{preset}`; \
+                     its keys: {}",
+                    keys.join(", ")
+                ),
+                _ => format!("plan-tuning key `{key}` requires a `pipeline=` preset selection"),
+            }));
         }
         if threads.is_some() {
             match schedule {
@@ -577,8 +460,9 @@ impl BackendSpec {
         }
         Ok(BackendSpec {
             name: name.to_string(),
-            overrides,
-            plan,
+            params,
+            preset,
+            tuning,
             schedule,
             threads,
             temporal,
@@ -594,17 +478,18 @@ impl BackendSpec {
 
     /// `true` when the spec carries at least one parameter override.
     pub fn has_overrides(&self) -> bool {
-        !self.overrides.is_empty()
+        !self.params.is_empty()
     }
 
     /// The `pipeline=` preset name, if the spec selects one.
     pub fn pipeline_preset(&self) -> Option<&str> {
-        self.plan.preset.as_deref()
+        self.preset.as_deref()
     }
 
-    /// `true` when the spec selects a pipeline plan (preset and/or tuning).
+    /// `true` when the spec selects a pipeline plan (tuning keys are only
+    /// accepted with a `pipeline=` preset).
     pub fn has_plan(&self) -> bool {
-        !self.plan.is_empty()
+        self.preset.is_some()
     }
 
     /// The `schedule=` request, if the spec carries one.
@@ -664,10 +549,12 @@ impl BackendSpec {
         &self,
         base: &ToneMapParams,
     ) -> Result<Option<PipelinePlan>, TonemapError> {
-        let Some(preset) = &self.plan.preset else {
+        let Some(preset) = &self.preset else {
             return Ok(None);
         };
-        let plan = PipelinePlan::preset(preset, base, &self.plan.tuning)?
+        let mut tuning = PlanTuning::default();
+        assign(&TUNING_KEYS, &self.tuning, &mut tuning);
+        let plan = PipelinePlan::preset(preset, base, &tuning)?
             .expect("preset names are validated at parse time");
         Ok(Some(plan))
     }
@@ -682,14 +569,14 @@ impl BackendSpec {
     /// fail validation.
     pub fn merged_params(
         &self,
-        base: ToneMapParams,
+        mut base: ToneMapParams,
     ) -> Result<Option<ToneMapParams>, TonemapError> {
         if !self.has_overrides() {
             return Ok(None);
         }
-        let merged = self.overrides.apply(base);
-        merged.validate()?;
-        Ok(Some(merged))
+        assign(&PARAM_KEYS, &self.params, &mut base);
+        base.validate()?;
+        Ok(Some(base))
     }
 }
 
@@ -706,8 +593,11 @@ impl BackendSpec {
 impl fmt::Display for BackendSpec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&self.name)?;
-        let mut pairs = self.overrides.pairs();
-        pairs.extend(self.plan.pairs());
+        let mut pairs = rendered(&PARAM_KEYS, &self.params);
+        if let Some(preset) = &self.preset {
+            pairs.push(("pipeline", preset.clone()));
+        }
+        pairs.extend(rendered(&TUNING_KEYS, &self.tuning));
         if let Some(schedule) = self.schedule {
             pairs.push(("schedule", schedule.to_string()));
         }

@@ -858,20 +858,15 @@ pub struct PipelinePlan {
 impl PipelinePlan {
     /// The named presets [`PipelinePlan::preset`] resolves, in catalogue
     /// order.
-    pub const PRESETS: [&'static str; 12] = [
-        "paper",
-        "basedetail",
-        "reinhard",
-        "histeq",
-        "gamma",
-        "log",
-        "hsv-reinhard",
-        "filmic",
-        "aces",
-        "drago",
-        "pq-out",
-        "hlg-out",
-    ];
+    pub const PRESETS: [&'static str; 12] = {
+        let mut names = [""; 12];
+        let mut row = 0;
+        while row < names.len() {
+            names[row] = PRESET_TABLE[row].0;
+            row += 1;
+        }
+        names
+    };
 
     /// Validates `ops` into a `Scalar`-input plan (the luminance register
     /// machine every pre-colour plan ran on).
@@ -1022,129 +1017,16 @@ impl PipelinePlan {
         params: &ToneMapParams,
         tuning: &PlanTuning,
     ) -> Result<Option<Self>, PlanError> {
-        let key = tuning.reinhard_key.unwrap_or(8.0);
-        let ops = match name {
-            "paper" => return Ok(Some(PipelinePlan::from_params(params))),
-            "hsv-reinhard" => {
-                // Tone-map the value channel in HSV space, the convention of
-                // the related HDR viewers: hue and saturation ride along
-                // untouched, so no ratio recombine is needed.
-                return PipelinePlan::with_input(
-                    ChannelLayout::Rgb,
-                    vec![
-                        PipelineOp::Normalize,
-                        PipelineOp::RgbToHsv,
-                        PipelineOp::Curve(Curve::Reinhard {
-                            key,
-                            white: tuning.reinhard_white.unwrap_or(key),
-                        }),
-                        PipelineOp::HsvToRgb,
-                    ],
-                )
-                .map(Some);
-            }
-            "basedetail" => {
-                // Durand-style base–detail decomposition (the direction the
-                // real-time TMO survey points local operators toward): the
-                // Fig. 1 inverted wide blur compresses the base layer, then a
-                // narrower blur of the compressed image recombines local
-                // detail with a milder, non-inverted masking. Two stencil
-                // stages — the cascade the streaming planner fuses
-                // back-to-back.
-                let detail_blur = BlurParams {
-                    sigma: (params.blur.sigma * 0.25).max(0.5),
-                    radius: (params.blur.radius / 4).max(1),
-                };
-                let detail_masking = MaskingParams {
-                    strength: params.masking.strength * 0.5,
-                    invert_mask: false,
-                };
-                vec![
-                    PipelineOp::Normalize,
-                    PipelineOp::BlurMask {
-                        blur: params.blur,
-                        invert_input: params.masking.invert_mask,
-                    },
-                    PipelineOp::Mask(params.masking),
-                    PipelineOp::BlurMask {
-                        blur: detail_blur,
-                        invert_input: false,
-                    },
-                    PipelineOp::Mask(detail_masking),
-                    PipelineOp::Curve(Curve::Adjust(params.adjust)),
-                ]
-            }
-            "reinhard" => vec![
-                PipelineOp::Normalize,
-                PipelineOp::Curve(Curve::Reinhard {
-                    key,
-                    // `white = key` maps the normalized maximum exactly to 1.
-                    white: tuning.reinhard_white.unwrap_or(key),
-                }),
-            ],
-            "histeq" => vec![
-                PipelineOp::Normalize,
-                PipelineOp::HistogramEq {
-                    bins: tuning.bins.unwrap_or(256),
-                },
-            ],
-            "gamma" => vec![
-                PipelineOp::Normalize,
-                PipelineOp::Curve(Curve::Gamma {
-                    gamma: tuning.gamma.unwrap_or(1.0 / 2.2),
-                }),
-            ],
-            "log" => vec![
-                PipelineOp::Normalize,
-                PipelineOp::Curve(Curve::LogCurve {
-                    scale: tuning.log_scale.unwrap_or(100.0),
-                }),
-            ],
-            "filmic" => vec![
-                PipelineOp::Normalize,
-                PipelineOp::Curve(Curve::Hable {
-                    // 11.2 is the Hable linear white: the normalized maximum
-                    // maps exactly to 1.
-                    exposure: tuning.exposure.unwrap_or(color::HABLE_WHITE),
-                }),
-            ],
-            "aces" => vec![
-                PipelineOp::Normalize,
-                PipelineOp::Curve(Curve::Aces {
-                    exposure: tuning.exposure.unwrap_or(8.0),
-                }),
-            ],
-            "drago" => vec![
-                PipelineOp::Normalize,
-                PipelineOp::Curve(Curve::Drago {
-                    bias: tuning.drago_bias.unwrap_or(0.85),
-                }),
-            ],
-            "pq-out" => vec![
-                PipelineOp::Normalize,
-                PipelineOp::BlurMask {
-                    blur: params.blur,
-                    invert_input: params.masking.invert_mask,
-                },
-                PipelineOp::Mask(params.masking),
-                PipelineOp::Curve(Curve::Adjust(params.adjust)),
-                PipelineOp::Curve(Curve::PqOetf {
-                    peak_nits: tuning.peak_nits.unwrap_or(1000.0),
-                }),
-            ],
-            "hlg-out" => vec![
-                PipelineOp::Normalize,
-                PipelineOp::BlurMask {
-                    blur: params.blur,
-                    invert_input: params.masking.invert_mask,
-                },
-                PipelineOp::Mask(params.masking),
-                PipelineOp::Curve(Curve::Adjust(params.adjust)),
-                PipelineOp::Curve(Curve::HlgOetf),
-            ],
-            _ => return Ok(None),
-        };
-        PipelinePlan::new(ops).map(Some)
+        preset_row(name)
+            .map(|(_, _, build)| build(params, tuning))
+            .transpose()
+    }
+
+    /// The tuning keys preset `name` reads, as the engine layer's spec keys
+    /// spell them (`reinhard_key`, `peak`, …); `None` when the name is
+    /// unknown. A preset reads no other tuning.
+    pub fn preset_keys(name: &str) -> Option<&'static [&'static str]> {
+        preset_row(name).map(|(_, keys, _)| *keys)
     }
 
     /// The ordered stages.
@@ -1355,6 +1237,136 @@ impl PipelinePlan {
                 .collect(),
         }
     }
+}
+
+/// One preset: its name, the tuning keys its builder reads, and the builder,
+/// which makes the plan from the classic stage parameters and the tuning.
+type PresetRow = (
+    &'static str,
+    &'static [&'static str],
+    fn(&ToneMapParams, &PlanTuning) -> Result<PipelinePlan, PlanError>,
+);
+
+/// The preset catalogue, in catalogue order. [`PipelinePlan::PRESETS`],
+/// [`PipelinePlan::preset`] and [`PipelinePlan::preset_keys`] read it.
+const PRESET_TABLE: [PresetRow; 12] = [
+    ("paper", &[], |p, _| Ok(PipelinePlan::from_params(p))),
+    ("basedetail", &[], |p, _| base_detail(p)),
+    ("reinhard", &["reinhard_key", "reinhard_white"], |_, t| {
+        normalized(reinhard(t))
+    }),
+    ("histeq", &["bins"], |_, t| {
+        let bins = t.bins.unwrap_or(256);
+        PipelinePlan::new(vec![
+            PipelineOp::Normalize,
+            PipelineOp::HistogramEq { bins },
+        ])
+    }),
+    ("gamma", &["gamma"], |_, t| {
+        normalized(Curve::Gamma {
+            gamma: t.gamma.unwrap_or(1.0 / 2.2),
+        })
+    }),
+    ("log", &["log_scale"], |_, t| {
+        normalized(Curve::LogCurve {
+            scale: t.log_scale.unwrap_or(100.0),
+        })
+    }),
+    (
+        "hsv-reinhard",
+        &["reinhard_key", "reinhard_white"],
+        |_, t| {
+            // Tone-map the value channel in HSV space, the convention of the
+            // related HDR viewers: hue and saturation ride along untouched, so
+            // no ratio recombine is needed.
+            let ops = vec![
+                PipelineOp::Normalize,
+                PipelineOp::RgbToHsv,
+                PipelineOp::Curve(reinhard(t)),
+                PipelineOp::HsvToRgb,
+            ];
+            PipelinePlan::with_input(ChannelLayout::Rgb, ops)
+        },
+    ),
+    ("filmic", &["exposure"], |_, t| {
+        normalized(Curve::Hable {
+            // 11.2 is the Hable linear white: the normalized maximum maps
+            // exactly to 1.
+            exposure: t.exposure.unwrap_or(color::HABLE_WHITE),
+        })
+    }),
+    ("aces", &["exposure"], |_, t| {
+        normalized(Curve::Aces {
+            exposure: t.exposure.unwrap_or(8.0),
+        })
+    }),
+    ("drago", &["bias"], |_, t| {
+        normalized(Curve::Drago {
+            bias: t.drago_bias.unwrap_or(0.85),
+        })
+    }),
+    ("pq-out", &["peak"], |p, t| {
+        let peak_nits = t.peak_nits.unwrap_or(1000.0);
+        fig1_then(p, Curve::PqOetf { peak_nits })
+    }),
+    ("hlg-out", &[], |p, _| fig1_then(p, Curve::HlgOetf)),
+];
+
+/// The [`PRESET_TABLE`] row named `name`.
+fn preset_row(name: &str) -> Option<&'static PresetRow> {
+    PRESET_TABLE.iter().find(|(row, ..)| *row == name)
+}
+
+/// `normalize → curve`, the shape of every global-curve preset.
+fn normalized(curve: Curve) -> Result<PipelinePlan, PlanError> {
+    PipelinePlan::new(vec![PipelineOp::Normalize, PipelineOp::Curve(curve)])
+}
+
+/// The Fig. 1 chain re-encoded through one more curve.
+fn fig1_then(params: &ToneMapParams, curve: Curve) -> Result<PipelinePlan, PlanError> {
+    let mut ops = PipelinePlan::from_params(params).ops;
+    ops.push(PipelineOp::Curve(curve));
+    PipelinePlan::new(ops)
+}
+
+/// Global Reinhard at the tuned key. The default `white = key` maps the
+/// normalized maximum exactly to 1.
+fn reinhard(tuning: &PlanTuning) -> Curve {
+    let key = tuning.reinhard_key.unwrap_or(8.0);
+    Curve::Reinhard {
+        key,
+        white: tuning.reinhard_white.unwrap_or(key),
+    }
+}
+
+/// Durand-style base–detail decomposition (the direction the real-time TMO
+/// survey points local operators toward): the Fig. 1 inverted wide blur
+/// compresses the base layer, then a narrower blur of the compressed image
+/// recombines local detail with a milder, non-inverted masking. Two stencil
+/// stages — the cascade the streaming planner fuses back-to-back.
+fn base_detail(params: &ToneMapParams) -> Result<PipelinePlan, PlanError> {
+    let detail_blur = BlurParams {
+        sigma: (params.blur.sigma * 0.25).max(0.5),
+        radius: (params.blur.radius / 4).max(1),
+    };
+    let detail_masking = MaskingParams {
+        strength: params.masking.strength * 0.5,
+        invert_mask: false,
+    };
+    PipelinePlan::new(vec![
+        PipelineOp::Normalize,
+        PipelineOp::BlurMask {
+            blur: params.blur,
+            invert_input: params.masking.invert_mask,
+        },
+        PipelineOp::Mask(params.masking),
+        PipelineOp::BlurMask {
+            blur: detail_blur,
+            invert_input: false,
+        },
+        PipelineOp::Mask(detail_masking),
+        PipelineOp::Curve(Curve::Adjust(params.adjust)),
+    ])
 }
 
 impl fmt::Display for PipelinePlan {
