@@ -228,11 +228,10 @@ pub struct BackendSpec {
 }
 
 impl BackendSpec {
-    /// The longest spec string [`BackendSpec::parse`] reads, in bytes. A
-    /// canonical spec with every key that can combine, each at its longest
-    /// spelling, is 352 bytes. Like [`tonemap_core::BlurParams::MAX_RADIUS`],
-    /// nobody can set it: it keeps one client string from holding megabytes
-    /// in the registry's per-spec memo or in an error text.
+    /// The longest spec string [`BackendSpec::parse`] reads, in bytes. Like
+    /// [`tonemap_core::BlurParams::MAX_RADIUS`], nobody can set it: it keeps
+    /// one client string from holding megabytes in the registry's per-spec
+    /// memo or in an error text.
     pub const MAX_SPEC_LEN: usize = 1024;
 
     /// Parses a spec string.
