@@ -233,10 +233,7 @@ fn main() {
             1e3 * histogram.max_seconds(),
         );
     }
-    println!(
-        "  steals {} across {} shards, queue capacity {}",
-        stats.steals, stats.shards, stats.queue_capacity
-    );
+    println!("  queue capacity {}", stats.queue_capacity);
 
     // Phase 4 — deterministic admission-control shed: with the model
     // calibrated to the measured batch mean, a budget of a tenth of that
@@ -286,7 +283,6 @@ fn main() {
             ),
             ("expired", json::num(stats.expired as f64)),
             ("shed", json::num(stats.shed as f64)),
-            ("steals", json::num(stats.steals as f64)),
             (
                 "interactive",
                 histogram_json(stats.latency(Priority::Interactive)),

@@ -16,7 +16,7 @@
 //!    converge to the independent output within K = 3 frames of the cut
 //!    (the reset makes it snap at the cut itself).
 //! 4. **Stream throughput** — a service video stream (per-stream FIFO,
-//!    frame-pool staging, turn gate) must deliver at least 0.9x the
+//!    frame-pool staging, mailbox) must deliver at least 0.9x the
 //!    throughput of the same frames as independent single-frame jobs on
 //!    an identically-sized service: ordering must not cost serving speed.
 //! 5. **Session overhead** — a leaky session on the fused stream engine
@@ -190,7 +190,7 @@ fn main() {
 
     // 4 — stream throughput vs single-frame jobs. Same frames, same
     // engine, identically-sized single-worker services so the comparison
-    // isolates the stream machinery (shard pin, turn gate, staging). Each
+    // isolates the stream machinery (mailbox, staging). Each
     // side warms up untimed and keeps its best of three timed reps, so
     // scheduler noise on a shared CI host cannot flip the verdict.
     let throughput_sequence = FrameSequence::new(
@@ -202,9 +202,7 @@ fn main() {
         4242,
     );
     let frames: Vec<_> = throughput_sequence.frames().collect();
-    let config = ServiceConfig::with_workers(1)
-        .shards(1)
-        .queue_capacity(frames.len().max(1) + 1);
+    let config = ServiceConfig::with_workers(1).queue_capacity(frames.len().max(1) + 1);
     const REPS: usize = 3;
 
     let measure_jobs = || {

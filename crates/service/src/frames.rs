@@ -11,13 +11,17 @@
 //! through `TonemapResponse::into_frame` (the buffer-pool handoff in
 //! `tonemap-backend`).
 //!
+//! The pool retains at most [`FramePool::MAX_FREE_FRAMES`] free frames in
+//! all, across every size it has seen: past the bound it evicts a frame of
+//! the least recently used size, so a stream of distinct resolutions cannot
+//! pin memory.
+//!
 //! Fault containment: a frame that was in use when its job panicked is
 //! considered *poisoned* — it may be half-written or inconsistent — and
 //! is dropped, never recycled. [`PoisonGuard`] implements that rule as
 //! RAII: armed around the execution, disarmed on the normal path, and
 //! counting the poisoned drop when an unwind gets there first.
 
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -34,8 +38,9 @@ pub struct FramePoolStats {
     pub allocated: u64,
     /// Frames returned through [`FramePool::recycle`] and kept.
     pub recycled: u64,
-    /// Frames returned when the free list for their size was already at
-    /// capacity, and therefore freed instead of kept.
+    /// Free frames let go because the pool was at
+    /// [`FramePool::MAX_FREE_FRAMES`]: each is a frame of the least recently
+    /// used size.
     pub discarded_over_cap: u64,
     /// Frames that were in use when their job panicked: dropped, not
     /// recycled, so a half-written buffer can never resurface under a
@@ -43,13 +48,58 @@ pub struct FramePoolStats {
     pub dropped_poisoned: u64,
 }
 
+/// The free frames, grouped by exact length, least recently used length
+/// first. A length with no free frame has no entry.
+#[derive(Debug, Default)]
+struct FreeFrames {
+    sizes: Vec<(usize, Vec<Vec<f32>>)>,
+    frames: usize,
+}
+
+impl FreeFrames {
+    /// Takes length `len`'s frames out of the recency order.
+    fn remove(&mut self, len: usize) -> Vec<Vec<f32>> {
+        match self.sizes.iter().position(|&(size, _)| size == len) {
+            Some(index) => self.sizes.remove(index).1,
+            None => Vec::new(),
+        }
+    }
+
+    /// A frame of length `len`; the length becomes the most recently used.
+    fn take(&mut self, len: usize) -> Option<Vec<f32>> {
+        let mut frames = self.remove(len);
+        let frame = frames.pop()?;
+        if !frames.is_empty() {
+            self.sizes.push((len, frames));
+        }
+        self.frames -= 1;
+        Some(frame)
+    }
+
+    /// Keeps `frame`, whose length becomes the most recently used; past
+    /// [`FramePool::MAX_FREE_FRAMES`] a frame of the least recently used
+    /// length goes. Returns whether one did.
+    fn put(&mut self, frame: Vec<f32>) -> bool {
+        let len = frame.len();
+        let mut frames = self.remove(len);
+        frames.push(frame);
+        self.sizes.push((len, frames));
+        if self.frames < FramePool::MAX_FREE_FRAMES {
+            self.frames += 1;
+            return false;
+        }
+        let oldest = &mut self.sizes[0].1;
+        oldest.pop();
+        if oldest.is_empty() {
+            self.sizes.remove(0);
+        }
+        true
+    }
+}
+
 #[derive(Debug)]
 struct PoolShared {
-    /// Free frames keyed by exact length; each size class is bounded by
-    /// `max_frames_per_size` so an adversarial mix of resolutions cannot
-    /// hold unbounded memory.
-    free: Mutex<BTreeMap<usize, Vec<Vec<f32>>>>,
-    max_frames_per_size: usize,
+    free: Mutex<FreeFrames>,
     acquired: AtomicU64,
     reused: AtomicU64,
     allocated: AtomicU64,
@@ -66,18 +116,16 @@ pub struct FramePool {
 }
 
 impl FramePool {
-    /// How many free frames each exact size class retains by default —
+    /// How many free frames the pool retains in all, across every size —
     /// enough for every worker of the largest supported pool to have one
     /// in flight and one queued.
-    pub const DEFAULT_FRAMES_PER_SIZE: usize = 16;
+    pub const MAX_FREE_FRAMES: usize = 16;
 
-    /// A pool retaining at most `max_frames_per_size` free frames per
-    /// exact frame size (clamped to at least 1).
-    pub fn new(max_frames_per_size: usize) -> Self {
+    /// An empty pool.
+    pub fn new() -> Self {
         FramePool {
             shared: Arc::new(PoolShared {
-                free: Mutex::new(BTreeMap::new()),
-                max_frames_per_size: max_frames_per_size.max(1),
+                free: Mutex::default(),
                 acquired: AtomicU64::new(0),
                 reused: AtomicU64::new(0),
                 allocated: AtomicU64::new(0),
@@ -93,10 +141,12 @@ impl FramePool {
     /// bounds *retention*, not concurrency.
     pub fn acquire(&self, len: usize) -> Vec<f32> {
         self.shared.acquired.fetch_add(1, Ordering::Relaxed);
-        let recycled = {
-            let mut free = self.shared.free.lock().expect("frame pool poisoned");
-            free.get_mut(&len).and_then(Vec::pop)
-        };
+        let recycled = self
+            .shared
+            .free
+            .lock()
+            .expect("frame pool poisoned")
+            .take(len);
         match recycled {
             Some(frame) => {
                 self.shared.reused.fetch_add(1, Ordering::Relaxed);
@@ -110,19 +160,21 @@ impl FramePool {
         }
     }
 
-    /// Returns a frame to the free list for its exact size, freeing it
-    /// instead when that size class is already at capacity. Zero-length
-    /// frames are ignored.
+    /// Returns a frame to the free list for its exact size. At
+    /// [`FramePool::MAX_FREE_FRAMES`] the pool lets go of a frame of the
+    /// least recently used size instead. Zero-length frames are ignored.
     pub fn recycle(&self, frame: Vec<f32>) {
         if frame.is_empty() {
             return;
         }
-        let mut free = self.shared.free.lock().expect("frame pool poisoned");
-        let slot = free.entry(frame.len()).or_default();
-        if slot.len() < self.shared.max_frames_per_size {
-            slot.push(frame);
-            self.shared.recycled.fetch_add(1, Ordering::Relaxed);
-        } else {
+        let evicted = self
+            .shared
+            .free
+            .lock()
+            .expect("frame pool poisoned")
+            .put(frame);
+        self.shared.recycled.fetch_add(1, Ordering::Relaxed);
+        if evicted {
             self.shared
                 .discarded_over_cap
                 .fetch_add(1, Ordering::Relaxed);
@@ -141,13 +193,7 @@ impl FramePool {
 
     /// Total free frames currently retained, across all size classes.
     pub fn free_frames(&self) -> usize {
-        self.shared
-            .free
-            .lock()
-            .expect("frame pool poisoned")
-            .values()
-            .map(Vec::len)
-            .sum()
+        self.shared.free.lock().expect("frame pool poisoned").frames
     }
 
     /// A snapshot of the pool's usage counters.
@@ -165,7 +211,7 @@ impl FramePool {
 
 impl Default for FramePool {
     fn default() -> Self {
-        FramePool::new(Self::DEFAULT_FRAMES_PER_SIZE)
+        FramePool::new()
     }
 }
 
@@ -204,7 +250,7 @@ mod tests {
 
     #[test]
     fn acquire_recycle_acquire_reuses_the_frame() {
-        let pool = FramePool::new(4);
+        let pool = FramePool::new();
         let frame = pool.acquire(64);
         assert_eq!(frame.len(), 64);
         pool.recycle(frame);
@@ -220,23 +266,52 @@ mod tests {
 
     #[test]
     fn size_classes_are_exact_and_bounded() {
-        let pool = FramePool::new(2);
+        let pool = FramePool::new();
         // A 32-sample frame cannot serve a 64-sample request.
         pool.recycle(vec![0.0; 32]);
         let frame = pool.acquire(64);
         assert_eq!(frame.len(), 64);
         assert_eq!(pool.stats().allocated, 1);
-        // The per-size cap drops the overflow frame.
-        pool.recycle(vec![0.0; 32]);
-        pool.recycle(vec![0.0; 32]);
-        assert_eq!(pool.free_frames(), 2);
+        // One bound covers every size: the frame past it evicts a frame of
+        // the least recently used size, 32.
+        for len in 1..FramePool::MAX_FREE_FRAMES {
+            pool.recycle(vec![0.0; 100 + len]);
+        }
+        assert_eq!(pool.free_frames(), FramePool::MAX_FREE_FRAMES);
+        pool.recycle(frame);
+        assert_eq!(pool.free_frames(), FramePool::MAX_FREE_FRAMES);
         assert_eq!(pool.stats().discarded_over_cap, 1);
-        assert_eq!(pool.stats().recycled, 2);
+        let _ = pool.acquire(32);
+        let _ = pool.acquire(64);
+        assert_eq!(pool.stats().allocated, 2, "32 was evicted, 64 kept");
+        assert_eq!(pool.stats().reused, 1);
+    }
+
+    #[test]
+    fn a_size_used_again_stays_ahead_of_eviction() {
+        // Taking a frame of a size makes that size the most recently used,
+        // so the next eviction hits another size.
+        let pool = FramePool::new();
+        for len in 1..=FramePool::MAX_FREE_FRAMES {
+            pool.recycle(vec![0.0; len]);
+            pool.recycle(vec![0.0; len]);
+        }
+        assert_eq!(pool.free_frames(), FramePool::MAX_FREE_FRAMES);
+        // Sizes 9..=16 hold two frames each; 9 is the least recently used.
+        let _ = pool.acquire(9);
+        pool.recycle(vec![0.0; 98]);
+        pool.recycle(vec![0.0; 99]);
+        let _ = pool.acquire(9);
+        assert_eq!(pool.stats().reused, 2, "size 9 survived the eviction");
+        let _ = pool.acquire(10);
+        assert_eq!(pool.stats().allocated, 0);
+        let _ = pool.acquire(10);
+        assert_eq!(pool.stats().allocated, 1, "size 10 lost a frame instead");
     }
 
     #[test]
     fn clones_share_one_pool() {
-        let pool = FramePool::new(4);
+        let pool = FramePool::new();
         let clone = pool.clone();
         clone.recycle(vec![0.0; 16]);
         assert_eq!(pool.free_frames(), 1);
@@ -246,7 +321,7 @@ mod tests {
 
     #[test]
     fn a_panicking_job_poisons_its_frame_instead_of_recycling_it() {
-        let pool = FramePool::new(4);
+        let pool = FramePool::new();
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let frame = pool.acquire(8);
             let _guard = pool.poison_guard(frame.len());
@@ -270,7 +345,7 @@ mod tests {
 
     #[test]
     fn zero_length_frames_are_ignored() {
-        let pool = FramePool::new(4);
+        let pool = FramePool::new();
         pool.recycle(Vec::new());
         assert_eq!(pool.free_frames(), 0);
         assert_eq!(pool.stats().recycled, 0);

@@ -39,7 +39,7 @@ pub enum JobInput {
 }
 
 /// An owned description of one tone-mapping job, the unit the
-/// [`crate::TonemapService`] queues and shards across its workers.
+/// [`crate::TonemapService`] queues and spreads across its workers.
 ///
 /// Mirrors the builder surface of [`TonemapRequest`]; at execution time the
 /// worker borrows it back into a `TonemapRequest` via
@@ -55,7 +55,6 @@ pub struct JobRequest {
     telemetry: bool,
     priority: Priority,
     deadline: Option<Duration>,
-    submitter: Option<u64>,
 }
 
 impl JobRequest {
@@ -69,7 +68,6 @@ impl JobRequest {
             telemetry: false,
             priority: Priority::default(),
             deadline: None,
-            submitter: None,
         }
     }
 
@@ -131,8 +129,8 @@ impl JobRequest {
     }
 
     /// Assigns the job's priority class. Jobs default to
-    /// [`Priority::Batch`]; [`Priority::Interactive`] jobs overtake batch
-    /// jobs queued in the same shard.
+    /// [`Priority::Batch`]; a queued [`Priority::Interactive`] job runs
+    /// before every queued batch job.
     pub fn with_priority(mut self, priority: Priority) -> Self {
         self.priority = priority;
         self
@@ -149,15 +147,6 @@ impl JobRequest {
         self
     }
 
-    /// Tags the job with a submitter stream id. All jobs from one
-    /// submitter route to the same shard, so they execute in FIFO order
-    /// per priority class regardless of worker count or stealing.
-    /// Untagged jobs spread across shards round-robin.
-    pub fn from_submitter(mut self, submitter: u64) -> Self {
-        self.submitter = Some(submitter);
-        self
-    }
-
     /// The job's priority class.
     pub fn priority(&self) -> Priority {
         self.priority
@@ -167,12 +156,6 @@ impl JobRequest {
     /// [`JobRequest::with_deadline`].
     pub fn deadline(&self) -> Option<Duration> {
         self.deadline
-    }
-
-    /// The submitter stream id, if one was set with
-    /// [`JobRequest::from_submitter`].
-    pub fn submitter(&self) -> Option<u64> {
-        self.submitter
     }
 
     /// The backend spec string, if one was set with
@@ -340,16 +323,13 @@ mod tests {
     fn priority_deadline_and_stream_ride_the_builder() {
         let job = JobRequest::raw_luminance(4, 4, vec![0.5f32; 16])
             .with_priority(Priority::Interactive)
-            .with_deadline(Duration::from_millis(20))
-            .from_submitter(7);
+            .with_deadline(Duration::from_millis(20));
         assert_eq!(job.priority(), Priority::Interactive);
         assert_eq!(job.deadline(), Some(Duration::from_millis(20)));
-        assert_eq!(job.submitter(), Some(7));
-        // Defaults: batch class, no deadline, unpinned.
+        // Defaults: batch class, no deadline.
         let plain = JobRequest::raw_luminance(4, 4, vec![0.5f32; 16]);
         assert_eq!(plain.priority(), Priority::Batch);
         assert_eq!(plain.deadline(), None);
-        assert_eq!(plain.submitter(), None);
     }
 
     #[test]

@@ -10,22 +10,22 @@
 //! [`tonemap_backend::BackendRegistry`] into a job server built from std
 //! primitives only (the workspace vendors its dependencies offline):
 //!
-//! * [`pool`] — a hand-rolled sharded work-stealing worker pool:
-//!   per-worker shards each holding two FIFO deques (one per [`Priority`]
-//!   class), front-first steals for latency fairness, a bounded total
-//!   queue as the backpressure point, and deadline enforcement at dequeue.
+//! * [`pool`] — a hand-rolled worker pool over one queue: one lock over
+//!   two FIFO deques (one per [`Priority`] class, interactive always
+//!   first) and the per-stream mailboxes, a bounded total as the
+//!   backpressure point, and deadline enforcement at dequeue.
 //! * [`JobRequest`] — the owned analogue of
 //!   [`tonemap_backend::TonemapRequest`]: pixel data behind an
 //!   [`std::sync::Arc`] so jobs cross the thread boundary without copying,
-//!   plus the serving policies — [`JobRequest::with_priority`],
-//!   [`JobRequest::with_deadline`], [`JobRequest::from_submitter`].
+//!   plus the serving policies — [`JobRequest::with_priority`] and
+//!   [`JobRequest::with_deadline`].
 //! * [`JobHandle`] — completion as a future-by-channel: the worker sends
 //!   exactly one result, [`JobHandle::wait`] receives it.
 //! * [`TonemapService`] — submission (blocking [`TonemapService::submit`]
 //!   and non-blocking [`TonemapService::try_submit`]), deadline admission
 //!   control (the host model sheds work predicted to miss its budget),
 //!   frame pooling ([`FramePool`]: raw jobs stage through recycled
-//!   buffers, [`TonemapService::recycle`] closes the loop), batch sharding
+//!   buffers, [`TonemapService::recycle`] closes the loop), batch execution
 //!   ([`TonemapService::execute_batch`] splits a workload across the pool
 //!   at job granularity while every worker shares each engine's
 //!   per-resolution platform-model cache), and graceful shutdown (queued
@@ -33,12 +33,12 @@
 //! * [`VideoStreamHandle`] — video as a first-class workload: a
 //!   [`FrameSequenceRequest`] opens a `tonemap-video` temporal session on
 //!   the service ([`TonemapService::open_stream`]); its frames ride the
-//!   same sharded pool with per-stream FIFO order (shard affinity plus a
-//!   turn gate) while distinct streams overlap across workers, staging
+//!   same pool through the stream's mailbox, one at a time in submission
+//!   order, while distinct streams overlap across workers, staging
 //!   through the [`FramePool`] and counted separately
 //!   ([`ServiceStats::frames_completed`], [`ServiceStats::streams_active`]).
 //! * [`ServiceStats`] — aggregate telemetry: throughput, queue depth,
-//!   steals, per-class streaming latency histograms
+//!   per-class streaming latency histograms
 //!   ([`LatencyHistogram`]: p50/p95/p99 from fixed log₂ buckets),
 //!   per-engine utilisation, and the analytic multi-core host model
 //!   ([`ServiceStats::modeled_speedup`], per class via
@@ -49,10 +49,10 @@
 //! The job lifecycle (documented end-to-end in `ARCHITECTURE.md`):
 //!
 //! ```text
-//!   JobRequest ──submit──► admission ──► [shard 0 | shard 1 | …] ──pop/steal──► worker
-//!       │  QueueFull / DeadlineUnmeetable ◄─┘   (interactive first,              │
-//!       ▼                                        FIFO per class)                 ▼
-//!   JobHandle ◄──────── one JobOutcomeResult ◄──── expire-at-dequeue / engine.execute(...)
+//!   JobRequest ──submit──► admission ──► [interactive | batch] ──pop──► worker
+//!       │  QueueFull / DeadlineUnmeetable ◄─┘  (one lock; interactive   │
+//!       ▼                                       first, FIFO per class)  ▼
+//!   JobHandle ◄──── one JobOutcomeResult ◄──── expire-at-dequeue / engine.execute(...)
 //! ```
 //!
 //! Execution is deterministic: the pipeline has no data races by

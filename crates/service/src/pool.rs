@@ -1,60 +1,58 @@
-//! A hand-rolled sharded work-stealing worker pool over `std::thread`.
+//! The service's worker pool: one queue over `std::thread` workers.
 //!
 //! The workspace builds fully offline, so there is no rayon/crossbeam to
-//! lean on; the pool is built from `Mutex`/`Condvar` primitives instead.
-//! Unlike the v1 pool (one bounded `sync_channel` every worker contended
-//! on), work now lands in **per-worker shards**: each shard holds two FIFO
-//! deques, one per [`Priority`] class. A worker pops its own shard first —
-//! interactive before batch — and when that shard is dry it *steals*,
-//! scanning the other shards in rotation order starting at its right-hand
-//! neighbour and taking from the **front** of the victim's deques. Stealing
-//! from the front (FIFO steals, not the LIFO steals of fork-join pools)
-//! keeps latency fair: the oldest queued job anywhere is always among the
-//! next to run, and per-submitter FIFO order survives any interleaving of
-//! local pops and steals.
+//! lean on; the pool is one `Mutex` and two `Condvar`s. The mutex guards
+//! everything a scheduling decision reads: two FIFO deques, one per
+//! [`Priority`] class, the per-class queued counts, the dequeue counter,
+//! the shutdown flag and the per-stream mailboxes. Workers wait on one
+//! condvar, blocked submitters on the other.
 //!
-//! Three invariants the tests lean on:
+//! Four invariants the tests lean on:
 //!
-//! 1. **Work conservation** — a worker only sleeps after scanning *every*
-//!    shard and finding nothing; the eventcount sequence check below makes
-//!    the sleep race-free.
-//! 2. **Priority never inverts within a shard** — a batch task is popped
-//!    from a shard only when that shard's interactive deque is empty at
-//!    pop time. (Priority is per-shard, not global: a steal may run a
-//!    remote batch task while local interactive work exists elsewhere —
-//!    that is the price of shard independence, and the property tests
-//!    encode exactly this boundary.)
-//! 3. **Dequeue order is observable** — every pop is stamped with a
-//!    globally monotonic `dequeue_seq` *while the shard lock is held*, so
-//!    tests can assert FIFO and priority order post-hoc at any worker
-//!    count without instrumenting the scheduler.
+//! 1. **Priority is global** — a worker takes the front of the interactive
+//!    deque before the batch deque, so no batch task starts while an
+//!    interactive task is queued. A queued interactive task waits out at
+//!    most the tasks already running.
+//! 2. **FIFO per class** — each deque is served front first.
+//! 3. **A stream is a mailbox** — tasks that share a
+//!    [`TaskOptions::stream`] key run one at a time, in submission order.
+//!    The class deque holds the stream once, not its tasks. The worker that
+//!    takes it runs the mailbox's front task, then puts the stream back at
+//!    the end of its class deque if the mailbox still holds tasks. So a busy
+//!    stream runs one task per turn and cannot starve its class, a task
+//!    that panics cannot strand the tasks behind it, and no worker ever
+//!    waits on another task of the stream.
+//! 4. **Dequeue order is observable** — every dequeue is stamped with a
+//!    `dequeue_seq` under the lock, so ascending stamps are exactly the
+//!    global dequeue order.
 //!
-//! Backpressure is a capacity gate over the *total* queued count:
-//! [`WorkerPool::try_execute`] refuses with [`PoolError::QueueFull`] at
-//! capacity, [`WorkerPool::execute`] blocks the submitter until a slot
-//! frees. Deadlines are enforced at dequeue: a task whose deadline has
-//! passed when a worker picks it up is handed [`TaskFate::Expired`]
-//! instead of [`TaskFate::Execute`], so the submitter still gets a typed
-//! answer and the worker's time is not spent on a result nobody can use.
+//! Backpressure is a capacity gate over the total queued count, mailbox
+//! tasks included: [`WorkerPool::try_execute`] refuses with
+//! [`PoolError::QueueFull`] at capacity, [`WorkerPool::execute`] blocks
+//! the submitter until a slot frees. Deadlines are enforced at dequeue: a
+//! task whose deadline has passed when a worker picks it up is handed
+//! [`TaskFate::Expired`] instead of [`TaskFate::Execute`], so the submitter
+//! still gets a typed answer and the worker's time is not spent on a result
+//! nobody can use.
 //!
 //! Shutdown is graceful by construction: [`WorkerPool::shutdown`] raises
 //! the flag and wakes everyone; a worker exits only once the flag is up
-//! *and* every shard is empty, so already-queued tasks always complete
-//! (or expire) before the join.
+//! *and* both deques are empty, and a worker that ran a stream's task puts
+//! the stream back before it looks again, so already-queued tasks always
+//! complete (or expire) before the join.
 
+use std::collections::hash_map::{Entry as Mailbox, HashMap};
 use std::collections::VecDeque;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Priority class of a job: which deque it queues in within its shard.
+/// Priority class of a job: which of the two deques it queues in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum Priority {
-    /// Latency-sensitive work: always dequeued before batch work queued in
-    /// the same shard.
+    /// Latency-sensitive work: always dequeued before queued batch work.
     Interactive,
     /// Throughput work; the default class.
     #[default]
@@ -84,11 +82,8 @@ impl fmt::Display for Priority {
 pub enum TaskFate {
     /// Run the job.
     Execute {
-        /// `true` when a worker other than the shard's owner popped it.
-        stolen: bool,
-        /// Globally monotonic dequeue stamp, assigned under the shard
-        /// lock: within one shard, ascending `dequeue_seq` is exactly
-        /// dequeue order.
+        /// Global dequeue stamp, assigned under the queue lock: ascending
+        /// `dequeue_seq` is exactly dequeue order.
         dequeue_seq: u64,
     },
     /// The task's deadline had already passed at dequeue; the closure must
@@ -102,7 +97,7 @@ pub enum TaskFate {
 /// A unit of work plus the pool's verdict on it.
 pub type Task = Box<dyn FnOnce(TaskFate) + Send + 'static>;
 
-/// Submission options: class, deadline, and shard routing.
+/// Submission options: class, deadline and stream.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TaskOptions {
     /// Priority class ([`Priority::Batch`] by default).
@@ -110,15 +105,14 @@ pub struct TaskOptions {
     /// Absolute deadline; a task still queued past this instant is handed
     /// [`TaskFate::Expired`] instead of running.
     pub deadline: Option<Instant>,
-    /// Pin the task to a specific shard (wrapped modulo the shard count).
-    /// Tasks from one submitter pinned to one shard keep FIFO order per
-    /// priority class; unpinned tasks are spread round-robin.
-    pub shard: Option<usize>,
+    /// The stream the task belongs to. Tasks that share a stream key run
+    /// one at a time, in submission order; tasks without one are
+    /// independent.
+    pub stream: Option<u64>,
 }
 
 impl TaskOptions {
-    /// Options for a priority class with no deadline and round-robin
-    /// shard routing.
+    /// Options for a priority class with no deadline and no stream.
     pub fn with_priority(priority: Priority) -> Self {
         TaskOptions {
             priority,
@@ -150,91 +144,111 @@ impl std::error::Error for PoolError {}
 
 struct QueuedTask {
     run: Task,
+    priority: Priority,
     deadline: Option<Instant>,
 }
 
-#[derive(Default)]
-struct ShardQueues {
-    interactive: VecDeque<QueuedTask>,
-    batch: VecDeque<QueuedTask>,
+/// What a class deque holds: a task, or a stream whose mailbox holds its
+/// tasks.
+enum Entry {
+    Task(QueuedTask),
+    Stream(u64),
 }
 
-impl ShardQueues {
-    fn pop_front(&mut self) -> Option<(QueuedTask, Priority)> {
-        if let Some(task) = self.interactive.pop_front() {
-            Some((task, Priority::Interactive))
-        } else {
-            self.batch.pop_front().map(|task| (task, Priority::Batch))
-        }
-    }
-}
-
-/// Capacity gate: the single source of truth for "how much is queued",
-/// guarded by one mutex so blocking submitters and the shutdown drain
-/// check cannot race it.
+/// Everything the one lock guards.
 #[derive(Default)]
-struct SpaceState {
-    queued_interactive: usize,
-    queued_batch: usize,
+struct Queue {
+    /// The class deques, indexed by `Priority as usize`: interactive first.
+    deques: [VecDeque<Entry>; 2],
+    /// Queued tasks per class, mailbox tasks included.
+    queued: [usize; 2],
+    dequeues: u64,
+    expired: u64,
     shutdown: bool,
+    /// A stream has a mailbox while it has a task queued or running. Its
+    /// entry sits in a class deque only while none of its tasks runs.
+    mailboxes: HashMap<u64, VecDeque<QueuedTask>>,
 }
 
-impl SpaceState {
+impl Queue {
     fn total(&self) -> usize {
-        self.queued_interactive + self.queued_batch
+        self.queued.iter().sum()
     }
 
-    fn add(&mut self, priority: Priority) {
-        match priority {
-            Priority::Interactive => self.queued_interactive += 1,
-            Priority::Batch => self.queued_batch += 1,
-        }
+    fn push(&mut self, task: QueuedTask, stream: Option<u64>) {
+        let class = task.priority as usize;
+        self.queued[class] += 1;
+        let entry = match stream {
+            None => Entry::Task(task),
+            Some(key) => match self.mailboxes.entry(key) {
+                Mailbox::Occupied(mut mailbox) => {
+                    mailbox.get_mut().push_back(task);
+                    return;
+                }
+                Mailbox::Vacant(slot) => {
+                    slot.insert(VecDeque::from([task]));
+                    Entry::Stream(key)
+                }
+            },
+        };
+        self.deques[class].push_back(entry);
     }
 
-    fn remove(&mut self, priority: Priority) {
-        match priority {
-            Priority::Interactive => self.queued_interactive -= 1,
-            Priority::Batch => self.queued_batch -= 1,
+    /// Takes the next task — interactive before batch, front first — and
+    /// stamps the pool's verdict on it.
+    fn pop(&mut self) -> Option<(Task, TaskFate, Option<u64>)> {
+        let (task, stream) = match self.deques.iter_mut().find_map(VecDeque::pop_front)? {
+            Entry::Task(task) => (task, None),
+            Entry::Stream(key) => {
+                let mailbox = self.mailboxes.get_mut(&key);
+                let task = mailbox.and_then(VecDeque::pop_front);
+                (task.expect("a queued stream holds a task"), Some(key))
+            }
+        };
+        self.queued[task.priority as usize] -= 1;
+        let dequeue_seq = self.dequeues;
+        self.dequeues += 1;
+        let now = Instant::now();
+        let fate = match task.deadline {
+            Some(deadline) if now >= deadline => {
+                self.expired += 1;
+                TaskFate::Expired {
+                    missed_by: now - deadline,
+                }
+            }
+            _ => TaskFate::Execute { dequeue_seq },
+        };
+        Some((task.run, fate, stream))
+    }
+
+    /// A stream's task has returned: the stream takes its next turn at the
+    /// end of its class deque, or gives up its mailbox when it is empty.
+    fn finish(&mut self, key: u64) {
+        match self.mailboxes.get(&key).and_then(VecDeque::front) {
+            Some(next) => self.deques[next.priority as usize].push_back(Entry::Stream(key)),
+            None => {
+                self.mailboxes.remove(&key);
+            }
         }
     }
 }
 
 struct PoolShared {
-    shards: Vec<Mutex<ShardQueues>>,
-    /// Capacity gate + shutdown flag. Never held while a shard lock is
-    /// held (and vice versa): submitters reserve space here first, release,
-    /// then push into a shard; workers pop from a shard, release, then
-    /// return the slot here.
-    space: Mutex<SpaceState>,
-    /// Signalled whenever a queue slot frees up or shutdown begins.
-    space_available: Condvar,
-    /// Eventcount for sleeping workers: the sequence number increments on
-    /// every push (after the shard lock is released) and on shutdown. A
-    /// worker snapshots it *before* scanning the shards and sleeps only if
-    /// it is unchanged after a dry scan — so a push that lands mid-scan can
-    /// never be lost to a sleeping worker.
-    wake_seq: Mutex<u64>,
-    wake: Condvar,
-    queue_capacity: usize,
-    next_shard: AtomicUsize,
-    dequeue_seq: AtomicU64,
-    steals: AtomicU64,
-    expired: AtomicU64,
+    queue: Mutex<Queue>,
+    /// Workers wait here for a task or for shutdown.
+    work: Condvar,
+    /// Blocked submitters wait here for a free slot or for shutdown.
+    space: Condvar,
+    capacity: usize,
 }
 
 impl PoolShared {
-    fn bump_wake(&self, all: bool) {
-        *self.wake_seq.lock().expect("pool wake seq poisoned") += 1;
-        if all {
-            self.wake.notify_all();
-        } else {
-            self.wake.notify_one();
-        }
+    fn lock(&self) -> MutexGuard<'_, Queue> {
+        self.queue.lock().expect("pool queue poisoned")
     }
 }
 
-/// A fixed-size pool of worker threads over sharded priority deques with
-/// front-steal work stealing.
+/// A fixed-size pool of worker threads over one two-class queue.
 pub struct WorkerPool {
     shared: Arc<PoolShared>,
     workers: Mutex<Vec<JoinHandle<()>>>,
@@ -242,41 +256,22 @@ pub struct WorkerPool {
 }
 
 impl WorkerPool {
-    /// Spawns `workers` threads over one shard each, with the total queue
-    /// bounded at `queue_capacity` pending tasks. Both are clamped to at
-    /// least 1.
+    /// Spawns `workers` threads over one queue bounded at `queue_capacity`
+    /// pending tasks. Both are clamped to at least 1.
     pub fn new(workers: usize, queue_capacity: usize) -> Self {
-        let workers = workers.max(1);
-        Self::with_shards(workers, workers, queue_capacity)
-    }
-
-    /// Spawns `workers` threads over exactly `shards` shards. Shards and
-    /// workers are decoupled so tests can script a single worker draining
-    /// many shards (a deterministic scan-order oracle) or many workers
-    /// contending over few shards (forced steals).
-    pub fn with_shards(workers: usize, shards: usize, queue_capacity: usize) -> Self {
         let worker_count = workers.max(1);
-        let shard_count = shards.max(1);
         let shared = Arc::new(PoolShared {
-            shards: (0..shard_count)
-                .map(|_| Mutex::new(ShardQueues::default()))
-                .collect(),
-            space: Mutex::new(SpaceState::default()),
-            space_available: Condvar::new(),
-            wake_seq: Mutex::new(0),
-            wake: Condvar::new(),
-            queue_capacity: queue_capacity.max(1),
-            next_shard: AtomicUsize::new(0),
-            dequeue_seq: AtomicU64::new(0),
-            steals: AtomicU64::new(0),
-            expired: AtomicU64::new(0),
+            queue: Mutex::default(),
+            work: Condvar::new(),
+            space: Condvar::new(),
+            capacity: queue_capacity.max(1),
         });
         let workers = (0..worker_count)
             .map(|index| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("tonemap-worker-{index}"))
-                    .spawn(move || worker_loop(&shared, index % shard_count))
+                    .spawn(move || worker_loop(&shared))
                     .expect("spawning a worker thread cannot fail on this platform")
             })
             .collect();
@@ -292,148 +287,84 @@ impl WorkerPool {
         self.worker_count
     }
 
-    /// Number of shards (== workers unless built via
-    /// [`WorkerPool::with_shards`]).
-    pub fn shard_count(&self) -> usize {
-        self.shared.shards.len()
-    }
-
-    /// Capacity of the bounded queue, summed across all shards.
+    /// Capacity of the bounded queue.
     pub fn queue_capacity(&self) -> usize {
-        self.shared.queue_capacity
+        self.shared.capacity
     }
 
-    /// Tasks currently queued (not yet dequeued), across all shards.
+    /// Tasks currently queued (not yet dequeued), stream tasks included.
     pub fn queued(&self) -> usize {
-        self.shared
-            .space
-            .lock()
-            .expect("pool space poisoned")
-            .total()
-    }
-
-    /// Tasks currently queued in `priority`'s class, across all shards.
-    pub fn queued_in_class(&self, priority: Priority) -> usize {
-        let space = self.shared.space.lock().expect("pool space poisoned");
-        match priority {
-            Priority::Interactive => space.queued_interactive,
-            Priority::Batch => space.queued_batch,
-        }
+        self.shared.lock().total()
     }
 
     /// The backlog a newly submitted task of `priority` would queue
-    /// behind: jobs of its own class plus — for batch — everything
+    /// behind: tasks of its own class plus — for batch — everything
     /// interactive that outranks it. This is the queue-position input to
     /// the service's admission model.
     pub fn backlog_ahead_of(&self, priority: Priority) -> usize {
-        let space = self.shared.space.lock().expect("pool space poisoned");
-        match priority {
-            Priority::Interactive => space.queued_interactive,
-            Priority::Batch => space.total(),
-        }
-    }
-
-    /// Dequeues served from a shard other than the popping worker's own.
-    pub fn steals(&self) -> u64 {
-        self.shared.steals.load(Ordering::Relaxed)
+        self.shared.lock().queued[..=priority as usize].iter().sum()
     }
 
     /// Tasks handed [`TaskFate::Expired`] at dequeue.
     pub fn expired(&self) -> u64 {
-        self.shared.expired.load(Ordering::Relaxed)
+        self.shared.lock().expired
     }
 
     /// Total dequeues so far (the next `dequeue_seq` to be assigned).
     pub fn dequeues(&self) -> u64 {
-        self.shared.dequeue_seq.load(Ordering::Relaxed)
+        self.shared.lock().dequeues
     }
 
     /// `true` once [`WorkerPool::shutdown`] has begun.
     pub fn is_shut_down(&self) -> bool {
-        self.shared
-            .space
-            .lock()
-            .expect("pool space poisoned")
-            .shutdown
+        self.shared.lock().shutdown
     }
 
     /// Enqueues a task without blocking, refusing with
     /// [`PoolError::QueueFull`] when the queue is at capacity.
     pub fn try_execute(&self, task: Task, options: TaskOptions) -> Result<(), PoolError> {
-        {
-            let mut space = self.shared.space.lock().expect("pool space poisoned");
-            if space.shutdown {
-                return Err(PoolError::ShutDown);
-            }
-            if space.total() >= self.shared.queue_capacity {
-                return Err(PoolError::QueueFull);
-            }
-            space.add(options.priority);
-        }
-        self.push(task, options);
-        Ok(())
+        self.enqueue(task, options, false)
     }
 
     /// Enqueues a task, blocking the caller while the queue is at capacity
     /// (backpressure on the submitter).
     pub fn execute(&self, task: Task, options: TaskOptions) -> Result<(), PoolError> {
-        {
-            let mut space = self.shared.space.lock().expect("pool space poisoned");
-            loop {
-                if space.shutdown {
-                    return Err(PoolError::ShutDown);
-                }
-                if space.total() < self.shared.queue_capacity {
-                    break;
-                }
-                space = self
-                    .shared
-                    .space_available
-                    .wait(space)
-                    .expect("pool space poisoned");
-            }
-            space.add(options.priority);
-        }
-        self.push(task, options);
-        Ok(())
+        self.enqueue(task, options, true)
     }
 
-    /// Space has been reserved; place the task in its shard and wake a
-    /// worker. The shard lock is released before the wake sequence bumps,
-    /// so no lock is ever held while another is taken.
-    fn push(&self, task: Task, options: TaskOptions) {
-        let shard_count = self.shared.shards.len();
-        let shard = match options.shard {
-            Some(pinned) => pinned % shard_count,
-            None => self.shared.next_shard.fetch_add(1, Ordering::Relaxed) % shard_count,
-        };
-        let queued = QueuedTask {
+    fn enqueue(&self, task: Task, options: TaskOptions, block: bool) -> Result<(), PoolError> {
+        let mut queue = self.shared.lock();
+        loop {
+            if queue.shutdown {
+                return Err(PoolError::ShutDown);
+            }
+            if queue.total() < self.shared.capacity {
+                break;
+            }
+            if !block {
+                return Err(PoolError::QueueFull);
+            }
+            queue = self.shared.space.wait(queue).expect("pool queue poisoned");
+        }
+        let task = QueuedTask {
             run: task,
+            priority: options.priority,
             deadline: options.deadline,
         };
-        {
-            let mut queues = self.shared.shards[shard]
-                .lock()
-                .expect("pool shard poisoned");
-            match options.priority {
-                Priority::Interactive => queues.interactive.push_back(queued),
-                Priority::Batch => queues.batch.push_back(queued),
-            }
-        }
-        self.shared.bump_wake(false);
+        queue.push(task, options.stream);
+        drop(queue);
+        self.shared.work.notify_one();
+        Ok(())
     }
 
     /// Raises the shutdown flag, wakes everyone, and joins every worker.
     /// Queued tasks complete (or expire) before this returns; further
     /// submissions fail with [`PoolError::ShutDown`]. Idempotent.
     pub fn shutdown(&self) {
-        {
-            let mut space = self.shared.space.lock().expect("pool space poisoned");
-            space.shutdown = true;
-        }
+        self.shared.lock().shutdown = true;
         // Blocked submitters must observe the flag and give up their wait.
-        self.shared.space_available.notify_all();
-        self.shared.bump_wake(true);
+        self.shared.space.notify_all();
+        self.shared.work.notify_all();
         let workers = std::mem::take(&mut *self.workers.lock().expect("pool workers poisoned"));
         for worker in workers {
             let _ = worker.join();
@@ -449,86 +380,38 @@ impl Drop for WorkerPool {
 
 impl fmt::Debug for WorkerPool {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let queue = self.shared.lock();
         f.debug_struct("WorkerPool")
             .field("workers", &self.worker_count)
-            .field("shards", &self.shard_count())
-            .field("queue_capacity", &self.shared.queue_capacity)
-            .field("queued", &self.queued())
-            .field("steals", &self.steals())
-            .field("shut_down", &self.is_shut_down())
+            .field("queue_capacity", &self.shared.capacity)
+            .field("queued", &queue.total())
+            .field("shut_down", &queue.shutdown)
             .finish()
     }
 }
 
-fn worker_loop(shared: &PoolShared, local_shard: usize) {
-    let shard_count = shared.shards.len();
+fn worker_loop(shared: &PoolShared) {
+    let mut queue = shared.lock();
     loop {
-        // Snapshot the eventcount BEFORE scanning: any push that lands
-        // after this point bumps the sequence, so the sleep check below
-        // cannot miss it.
-        let wake_snapshot = *shared.wake_seq.lock().expect("pool wake seq poisoned");
-
-        let mut found = None;
-        for offset in 0..shard_count {
-            let shard = (local_shard + offset) % shard_count;
-            let mut queues = shared.shards[shard].lock().expect("pool shard poisoned");
-            if let Some((task, priority)) = queues.pop_front() {
-                // Stamp dequeue order while the shard lock is held: within
-                // this shard, ascending seq IS dequeue order.
-                let seq = shared.dequeue_seq.fetch_add(1, Ordering::SeqCst);
-                found = Some((task, priority, offset != 0, seq));
-                break;
+        let Some((run, fate, stream)) = queue.pop() else {
+            // A stream whose task runs elsewhere is not in a deque: the
+            // worker running it re-queues it and takes it in turn.
+            if queue.shutdown {
+                return;
             }
-        }
-
-        match found {
-            Some((task, priority, stolen, dequeue_seq)) => {
-                let drained = {
-                    let mut space = shared.space.lock().expect("pool space poisoned");
-                    space.remove(priority);
-                    space.shutdown && space.total() == 0
-                };
-                shared.space_available.notify_one();
-                // A worker that found the shards empty while this task was
-                // still counted sleeps until the wake sequence moves, and
-                // shutdown's own bump may predate its snapshot: the last
-                // slot freed after shutdown must wake it to exit.
-                if drained {
-                    shared.bump_wake(true);
-                }
-                if stolen {
-                    shared.steals.fetch_add(1, Ordering::Relaxed);
-                }
-                let now = Instant::now();
-                let fate = match task.deadline {
-                    Some(deadline) if now >= deadline => {
-                        shared.expired.fetch_add(1, Ordering::Relaxed);
-                        TaskFate::Expired {
-                            missed_by: now.duration_since(deadline),
-                        }
-                    }
-                    _ => TaskFate::Execute {
-                        stolen,
-                        dequeue_seq,
-                    },
-                };
-                // A panicking task must not take the worker down with it;
-                // waiters observe the failure through their responder
-                // channel disconnecting.
-                let _ = catch_unwind(AssertUnwindSafe(move || (task.run)(fate)));
-            }
-            None => {
-                {
-                    let space = shared.space.lock().expect("pool space poisoned");
-                    if space.shutdown && space.total() == 0 {
-                        return;
-                    }
-                }
-                let mut seq = shared.wake_seq.lock().expect("pool wake seq poisoned");
-                while *seq == wake_snapshot {
-                    seq = shared.wake.wait(seq).expect("pool wake seq poisoned");
-                }
-            }
+            queue = shared.work.wait(queue).expect("pool queue poisoned");
+            continue;
+        };
+        drop(queue);
+        shared.space.notify_one();
+        // A panicking task must not take the worker down with it; waiters
+        // observe the failure through their responder channel disconnecting.
+        let _ = catch_unwind(AssertUnwindSafe(move || run(fate)));
+        queue = shared.lock();
+        if let Some(key) = stream {
+            // This worker takes the next entry itself, so a re-queued
+            // stream needs no wake-up.
+            queue.finish(key);
         }
     }
 }
@@ -536,7 +419,7 @@ fn worker_loop(shared: &PoolShared, local_shard: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::mpsc;
 
     fn run_opts() -> TaskOptions {
@@ -549,11 +432,32 @@ mod tests {
         let log = Arc::clone(log);
         Box::new(move |fate| {
             let seq = match fate {
-                TaskFate::Execute { dequeue_seq, .. } => dequeue_seq,
+                TaskFate::Execute { dequeue_seq } => dequeue_seq,
                 TaskFate::Expired { .. } => u64::MAX,
             };
             log.lock().unwrap().push((tag, seq));
         })
+    }
+
+    /// Queues a task that parks its worker until the returned sender
+    /// fires, and waits until a worker has picked it up.
+    fn park_a_worker(pool: &WorkerPool) -> mpsc::Sender<()> {
+        let (started_tx, started_rx) = mpsc::channel();
+        let (gate_tx, gate_rx) = mpsc::channel::<()>();
+        pool.execute(
+            Box::new(move |_| {
+                started_tx.send(()).unwrap();
+                gate_rx.recv().unwrap();
+            }),
+            run_opts(),
+        )
+        .unwrap();
+        started_rx.recv().unwrap();
+        gate_tx
+    }
+
+    fn tags(log: &Arc<Mutex<Vec<(usize, u64)>>>) -> Vec<usize> {
+        log.lock().unwrap().iter().map(|&(tag, _)| tag).collect()
     }
 
     #[test]
@@ -580,23 +484,12 @@ mod tests {
     }
 
     #[test]
-    fn interactive_tasks_overtake_batch_within_a_shard() {
-        // One worker, one shard. Gate the worker on a first task, then
-        // preload batch work followed by interactive work: the interactive
-        // tasks must drain first even though they were queued later.
-        let pool = WorkerPool::with_shards(1, 1, 16);
-        let (started_tx, started_rx) = mpsc::channel();
-        let (gate_tx, gate_rx) = mpsc::channel::<()>();
-        pool.execute(
-            Box::new(move |_| {
-                started_tx.send(()).unwrap();
-                gate_rx.recv().unwrap();
-            }),
-            run_opts(),
-        )
-        .unwrap();
-        started_rx.recv().unwrap();
-
+    fn interactive_tasks_overtake_queued_batch_tasks() {
+        // One worker, gated on a first task, then batch work followed by
+        // interactive work: the interactive tasks drain first even though
+        // they were queued later.
+        let pool = WorkerPool::new(1, 16);
+        let gate = park_a_worker(&pool);
         let log = Arc::new(Mutex::new(Vec::new()));
         for tag in 0..3 {
             pool.execute(
@@ -612,11 +505,10 @@ mod tests {
             )
             .unwrap();
         }
-        gate_tx.send(()).unwrap();
+        gate.send(()).unwrap();
         pool.shutdown();
 
-        let order: Vec<usize> = log.lock().unwrap().iter().map(|&(tag, _)| tag).collect();
-        assert_eq!(order, vec![10, 11, 12, 0, 1, 2]);
+        assert_eq!(tags(&log), vec![10, 11, 12, 0, 1, 2]);
         let seqs: Vec<u64> = log.lock().unwrap().iter().map(|&(_, seq)| seq).collect();
         assert!(
             seqs.windows(2).all(|w| w[0] < w[1]),
@@ -625,81 +517,109 @@ mod tests {
     }
 
     #[test]
-    fn a_blocked_shard_gets_its_work_stolen() {
-        // Two workers, two shards. Gate one task on each shard so both
-        // workers are pinned down (whichever worker took which gate), then
-        // queue a task on shard 0 and release only shard 1's gate. Either
-        // the shard-1 worker steals the new task across shards, or — if
-        // the gates themselves were cross-stolen — the pool has already
-        // recorded steals. In every interleaving the task completes while
-        // one worker stays blocked, and at least one steal is observed.
-        let pool = WorkerPool::with_shards(2, 2, 16);
-        let (started_tx, started_rx) = mpsc::channel();
-        let mut gates = Vec::new();
-        for shard in 0..2 {
-            let started_tx = started_tx.clone();
-            let (gate_tx, gate_rx) = mpsc::channel::<()>();
-            gates.push(gate_tx);
-            pool.execute(
-                Box::new(move |_| {
-                    started_tx.send(shard).unwrap();
-                    gate_rx.recv().unwrap();
-                }),
-                TaskOptions {
-                    shard: Some(shard),
-                    ..TaskOptions::default()
-                },
-            )
-            .unwrap();
+    fn a_freed_worker_takes_the_queued_interactive_task_first() {
+        // Both workers parked; four batch tasks and then one interactive
+        // task queued; one worker freed. Whichever worker it is, its first
+        // dequeue is the interactive task.
+        for trial in 0..20 {
+            let pool = WorkerPool::new(2, 64);
+            let first = park_a_worker(&pool);
+            let second = park_a_worker(&pool);
+            let (done_tx, done_rx) = mpsc::channel();
+            for (tag, priority) in [
+                (0, Priority::Batch),
+                (1, Priority::Batch),
+                (2, Priority::Batch),
+                (3, Priority::Batch),
+                (10, Priority::Interactive),
+            ] {
+                let done_tx = done_tx.clone();
+                pool.execute(
+                    Box::new(move |fate| done_tx.send((tag, fate)).unwrap()),
+                    TaskOptions::with_priority(priority),
+                )
+                .unwrap();
+            }
+            second.send(()).unwrap();
+            // The freed worker drains all five while the other stays parked;
+            // the timeout only bounds a failure.
+            let mut ran: Vec<(u64, usize)> = (0..5)
+                .map(|_| {
+                    let (tag, fate) = done_rx
+                        .recv_timeout(Duration::from_secs(10))
+                        .expect("the freed worker drains the queue");
+                    let TaskFate::Execute { dequeue_seq } = fate else {
+                        panic!("no task carries a deadline");
+                    };
+                    (dequeue_seq, tag)
+                })
+                .collect();
+            ran.sort_unstable();
+            assert_eq!(
+                ran.iter().map(|&(_, tag)| tag).collect::<Vec<_>>(),
+                vec![10, 0, 1, 2, 3],
+                "trial {trial}: dequeue order"
+            );
+            first.send(()).unwrap();
+            pool.shutdown();
         }
-        started_rx.recv().unwrap();
-        started_rx.recv().unwrap(); // both workers are now gated
+    }
 
-        let (done_tx, done_rx) = mpsc::channel();
-        pool.execute(
-            Box::new(move |fate| {
-                done_tx
-                    .send(matches!(fate, TaskFate::Execute { .. }))
-                    .unwrap();
-            }),
-            TaskOptions {
-                shard: Some(0),
-                ..TaskOptions::default()
-            },
-        )
-        .unwrap();
-        gates[1].send(()).unwrap(); // free only the worker holding shard 1's gate
-        assert!(done_rx.recv().unwrap(), "the shard-0 task must still run");
-        assert!(
-            pool.steals() >= 1,
-            "some dequeue must have crossed shards, steals = {}",
-            pool.steals()
-        );
-        gates[0].send(()).unwrap();
+    #[test]
+    fn a_busy_stream_runs_one_task_per_turn() {
+        // A gated single worker; stream 7 queues three tasks around two
+        // plain ones. The stream holds one place in the batch deque and
+        // goes to its back after each of its tasks.
+        let pool = WorkerPool::new(1, 16);
+        let gate = park_a_worker(&pool);
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let stream = TaskOptions {
+            stream: Some(7),
+            ..run_opts()
+        };
+        for (tag, options) in [
+            (0, stream),
+            (10, run_opts()),
+            (1, stream),
+            (11, run_opts()),
+            (2, stream),
+        ] {
+            pool.execute(tagged(tag, &log), options).unwrap();
+        }
+        assert_eq!(pool.queued(), 5, "mailbox tasks count as queued");
+        gate.send(()).unwrap();
         pool.shutdown();
+        assert_eq!(tags(&log), vec![0, 10, 11, 1, 2]);
+    }
+
+    #[test]
+    fn a_panicking_stream_task_does_not_strand_the_tasks_behind_it() {
+        let pool = WorkerPool::new(2, 16);
+        let stream = TaskOptions {
+            stream: Some(3),
+            ..run_opts()
+        };
+        let log = Arc::new(Mutex::new(Vec::new()));
+        pool.execute(tagged(0, &log), stream).unwrap();
+        pool.execute(Box::new(|_| panic!("stream task panic")), stream)
+            .unwrap();
+        pool.execute(tagged(2, &log), stream).unwrap();
+        pool.shutdown();
+        assert_eq!(tags(&log), vec![0, 2]);
+        assert_eq!(pool.dequeues(), 3);
     }
 
     #[test]
     fn bounded_queue_applies_backpressure_deterministically() {
         let pool = WorkerPool::new(1, 1);
-        let (started_tx, started_rx) = mpsc::channel();
-        let (gate_tx, gate_rx) = mpsc::channel::<()>();
-        pool.execute(
-            Box::new(move |_| {
-                started_tx.send(()).unwrap();
-                gate_rx.recv().unwrap();
-            }),
-            run_opts(),
-        )
-        .unwrap();
-        started_rx.recv().unwrap(); // the worker is now busy, queue empty
+        let gate = park_a_worker(&pool); // the worker is busy, queue empty
         pool.try_execute(Box::new(|_| {}), run_opts()).unwrap(); // fills the 1-slot queue
         assert_eq!(
             pool.try_execute(Box::new(|_| {}), run_opts()).unwrap_err(),
             PoolError::QueueFull
         );
         assert_eq!(pool.queued(), 1);
-        gate_tx.send(()).unwrap();
+        gate.send(()).unwrap();
         pool.shutdown(); // drains the queued no-op before joining
         assert_eq!(pool.queued(), 0);
     }
@@ -760,62 +680,8 @@ mod tests {
     fn zero_sized_configuration_is_clamped() {
         let pool = WorkerPool::new(0, 0);
         assert_eq!(pool.worker_count(), 1);
-        assert_eq!(pool.shard_count(), 1);
         assert_eq!(pool.queue_capacity(), 1);
         pool.execute(Box::new(|_| {}), run_opts()).unwrap();
         pool.shutdown();
-    }
-
-    #[test]
-    fn one_worker_many_shards_drains_in_scan_order() {
-        // The deterministic oracle the property tests build on: a gated
-        // single worker over 3 shards drains shard 0 (interactive then
-        // batch), then shard 1, then shard 2.
-        let pool = WorkerPool::with_shards(1, 3, 32);
-        let (started_tx, started_rx) = mpsc::channel();
-        let (gate_tx, gate_rx) = mpsc::channel::<()>();
-        pool.execute(
-            Box::new(move |_| {
-                started_tx.send(()).unwrap();
-                gate_rx.recv().unwrap();
-            }),
-            TaskOptions {
-                shard: Some(0),
-                ..TaskOptions::default()
-            },
-        )
-        .unwrap();
-        started_rx.recv().unwrap();
-
-        let log = Arc::new(Mutex::new(Vec::new()));
-        // Interleave submissions across shards and classes.
-        let submissions: &[(usize, usize, Priority)] = &[
-            (20, 2, Priority::Batch),
-            (10, 1, Priority::Batch),
-            (0, 0, Priority::Batch),
-            (11, 1, Priority::Interactive),
-            (1, 0, Priority::Batch),
-            (21, 2, Priority::Interactive),
-            (2, 0, Priority::Interactive),
-        ];
-        for &(tag, shard, priority) in submissions {
-            pool.execute(
-                tagged(tag, &log),
-                TaskOptions {
-                    priority,
-                    shard: Some(shard),
-                    ..TaskOptions::default()
-                },
-            )
-            .unwrap();
-        }
-        gate_tx.send(()).unwrap();
-        pool.shutdown();
-
-        let order: Vec<usize> = log.lock().unwrap().iter().map(|&(tag, _)| tag).collect();
-        // Shard 0: interactive (2) then batch FIFO (0, 1); shard 1:
-        // interactive (11) then batch (10); shard 2: interactive (21) then
-        // batch (20).
-        assert_eq!(order, vec![2, 0, 1, 11, 10, 21, 20]);
     }
 }

@@ -1,11 +1,11 @@
 //! The [`TonemapService`]: the registry turned into a concurrent job
-//! server with sharded queues, priority classes, and deadline admission.
+//! server with one two-class queue and deadline admission.
 
 use crate::error::ServiceError;
 use crate::frames::{FramePool, FramePoolStats};
 use crate::job::{JobHandle, JobOutcomeResult, JobRequest};
 use crate::pool::{PoolError, Task, TaskFate, TaskOptions, WorkerPool};
-use crate::stats::{ScheduleSample, ServiceStats, SnapshotShape, StatsInner};
+use crate::stats::{ScheduleSample, ServiceStats, StatsInner};
 use hdr_image::LuminanceImage;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
@@ -22,24 +22,15 @@ pub struct ServiceConfig {
     /// Bound of the submission queue — the backpressure point (clamped to
     /// at least 1).
     pub queue_capacity: usize,
-    /// Shards the queue is split across; `0` (the default) means one shard
-    /// per worker. Tests use explicit counts to script drain order and
-    /// forced steals.
-    pub shards: usize,
-    /// How many free frames the service's [`FramePool`] retains per exact
-    /// frame size.
-    pub frame_pool_per_size: usize,
 }
 
 impl ServiceConfig {
-    /// A config with `workers` threads, one shard per worker, and the
-    /// default queue bound of four slots per worker.
+    /// A config with `workers` threads and the default queue bound of four
+    /// slots per worker.
     pub fn with_workers(workers: usize) -> Self {
         ServiceConfig {
             workers,
             queue_capacity: workers.max(1) * 4,
-            shards: 0,
-            frame_pool_per_size: FramePool::DEFAULT_FRAMES_PER_SIZE,
         }
     }
 
@@ -47,26 +38,6 @@ impl ServiceConfig {
     pub fn queue_capacity(mut self, capacity: usize) -> Self {
         self.queue_capacity = capacity;
         self
-    }
-
-    /// Overrides the shard count (by default one shard per worker).
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
-        self
-    }
-
-    /// Overrides the frame pool's per-size retention bound.
-    pub fn frame_pool_per_size(mut self, frames: usize) -> Self {
-        self.frame_pool_per_size = frames;
-        self
-    }
-
-    fn shard_count(&self) -> usize {
-        if self.shards == 0 {
-            self.workers.max(1)
-        } else {
-            self.shards
-        }
     }
 }
 
@@ -81,8 +52,8 @@ impl Default for ServiceConfig {
 
 /// A concurrent tone-mapping job server over a [`BackendRegistry`].
 ///
-/// Jobs ([`JobRequest`]) enter sharded priority queues and are executed by
-/// a fixed pool of work-stealing worker threads; completion is delivered
+/// Jobs ([`JobRequest`]) enter one two-class queue and are executed by a
+/// fixed pool of worker threads; completion is delivered
 /// through per-job [`JobHandle`]s. All workers share one registry, so jobs
 /// naming the same engine share that engine's per-resolution platform-model
 /// cache (and jobs with the same override spec share the registry's
@@ -91,9 +62,9 @@ impl Default for ServiceConfig {
 ///
 /// Three serving policies sit on top of the queue:
 ///
-/// - **Priority**: [`Priority::Interactive`](crate::pool::Priority::Interactive)
-///   jobs overtake [`Priority::Batch`](crate::pool::Priority::Batch) jobs
-///   queued in the same shard.
+/// - **Priority**: a queued [`Priority::Interactive`](crate::pool::Priority::Interactive)
+///   job runs before every queued [`Priority::Batch`](crate::pool::Priority::Batch)
+///   job.
 /// - **Deadline admission**: a job with a [`JobRequest::with_deadline`]
 ///   budget is refused at the door ([`ServiceError::DeadlineUnmeetable`])
 ///   when the host model predicts the current backlog makes the budget
@@ -121,12 +92,8 @@ impl TonemapService {
     pub fn new(registry: BackendRegistry, config: ServiceConfig) -> Self {
         TonemapService {
             registry: Arc::new(registry),
-            pool: WorkerPool::with_shards(
-                config.workers,
-                config.shard_count(),
-                config.queue_capacity,
-            ),
-            frames: FramePool::new(config.frame_pool_per_size),
+            pool: WorkerPool::new(config.workers, config.queue_capacity),
+            frames: FramePool::new(),
             stats: Arc::new(StatsInner::new()),
             host_model: HostModel::with_cores(config.workers.max(1)),
             next_id: AtomicU64::new(0),
@@ -148,11 +115,6 @@ impl TonemapService {
     /// Number of worker threads.
     pub fn worker_count(&self) -> usize {
         self.pool.worker_count()
-    }
-
-    /// Number of queue shards.
-    pub fn shard_count(&self) -> usize {
-        self.pool.shard_count()
     }
 
     /// Capacity of the bounded submission queue.
@@ -209,10 +171,10 @@ impl TonemapService {
         self.submit_inner(job, true)
     }
 
-    /// Executes a batch of jobs sharded across the worker pool, returning
+    /// Executes a batch of jobs spread across the worker pool, returning
     /// responses in submission order.
     ///
-    /// Sharding is at job granularity: each job goes to whichever worker
+    /// The split is at job granularity: each job goes to whichever worker
     /// frees up first, so heterogeneous batches load-balance naturally
     /// while every engine's shared model cache keeps same-sized scenes
     /// amortised. Submission respects the queue bound (this call blocks
@@ -235,12 +197,8 @@ impl TonemapService {
 
     /// A snapshot of the service's aggregate telemetry.
     pub fn stats(&self) -> ServiceStats {
-        self.stats.snapshot(SnapshotShape {
-            workers: self.pool.worker_count(),
-            shards: self.pool.shard_count(),
-            queue_capacity: self.pool.queue_capacity(),
-            steals: self.pool.steals(),
-        })
+        self.stats
+            .snapshot(self.pool.worker_count(), self.pool.queue_capacity())
     }
 
     /// Stops admission and waits for every queued and in-flight job to
@@ -284,7 +242,6 @@ impl TonemapService {
             }
         }
 
-        let shard = job.submitter().map(|submitter| submitter as usize);
         let (responder, receiver) = mpsc::channel::<JobOutcomeResult>();
         let registry = Arc::clone(&self.registry);
         let frames = self.frames.clone();
@@ -340,7 +297,7 @@ impl TonemapService {
         let options = TaskOptions {
             priority,
             deadline,
-            shard,
+            stream: None,
         };
         let enqueued = if non_blocking {
             self.pool.try_execute(task, options)
@@ -401,7 +358,6 @@ impl std::fmt::Debug for TonemapService {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TonemapService")
             .field("workers", &self.pool.worker_count())
-            .field("shards", &self.pool.shard_count())
             .field("queue_capacity", &self.pool.queue_capacity())
             .field("backends", &self.registry.names())
             .field("shut_down", &self.pool.is_shut_down())
@@ -415,8 +371,7 @@ impl std::fmt::Debug for TonemapService {
 /// run (for the per-engine predicted-vs-measured telemetry).
 ///
 /// Attribution is by the *job's* resolved spec, never by the worker that
-/// happened to execute it: a stolen job rolls up under the engine it named,
-/// exactly as a locally-run one does.
+/// happened to execute it.
 ///
 /// Raw-luminance jobs are staged through the frame pool: the wire pixels
 /// are copied into a recycled frame (no fresh allocation in steady state),
@@ -758,6 +713,30 @@ mod tests {
             "steady state must reuse recycled frames, stats: {pool:?}"
         );
         assert_eq!(pool.dropped_poisoned, 0);
+    }
+
+    #[test]
+    fn the_frame_pool_stays_bounded_across_two_hundred_sizes() {
+        let service = TonemapService::standard(ServiceConfig::with_workers(1));
+        let serve = |width: usize| {
+            let job = JobRequest::raw_luminance(width, 4, vec![0.5f32; width * 4]);
+            let response = service.submit(job).unwrap().wait().unwrap();
+            service.recycle(response);
+        };
+        for width in 8..208 {
+            serve(width);
+        }
+        assert!(
+            service.frames.free_frames() <= FramePool::MAX_FREE_FRAMES,
+            "{} free frames retained",
+            service.frames.free_frames()
+        );
+        // Width 8 was evicted long ago: serving it again allocates once,
+        // then reuses.
+        let allocated = service.frame_pool_stats().allocated;
+        serve(8);
+        serve(8);
+        assert_eq!(service.frame_pool_stats().allocated, allocated + 1);
     }
 
     #[test]

@@ -83,9 +83,6 @@ pub(crate) struct ScheduleSample {
 pub struct ServiceStats {
     /// Worker threads serving the queue.
     pub workers: usize,
-    /// Shards the queue is split across (== workers unless configured
-    /// otherwise).
-    pub shards: usize,
     /// Capacity of the bounded submission queue.
     pub queue_capacity: usize,
     /// Jobs admitted into the queue.
@@ -153,7 +150,8 @@ pub struct ServiceStats {
     /// End-to-end latency (admission to completion) histogram of batch
     /// jobs.
     pub latency_batch: LatencyHistogram,
-    /// Dequeues served from a shard other than the popping worker's own.
+    /// Always 0: the service has one queue, so no dequeue crosses queues.
+    /// Kept only because benchmark reports still read it.
     pub steals: u64,
     /// Busy time and job count split per engine, in registry-name order.
     pub per_engine: Vec<EngineUtilisation>,
@@ -484,7 +482,7 @@ impl StatsInner {
         self.failed.fetch_add(1, Ordering::SeqCst);
     }
 
-    pub(crate) fn snapshot(&self, shape: SnapshotShape) -> ServiceStats {
+    pub(crate) fn snapshot(&self, workers: usize, queue_capacity: usize) -> ServiceStats {
         let submitted = self.submitted.load(Ordering::SeqCst);
         let rejected = self.rejected.load(Ordering::SeqCst);
         let shed = self.shed.load(Ordering::SeqCst);
@@ -537,9 +535,8 @@ impl StatsInner {
             })
             .collect();
         ServiceStats {
-            workers: shape.workers,
-            shards: shape.shards,
-            queue_capacity: shape.queue_capacity,
+            workers,
+            queue_capacity,
             submitted,
             rejected,
             shed,
@@ -562,20 +559,10 @@ impl StatsInner {
             batch_seconds,
             latency_interactive,
             latency_batch,
-            steals: shape.steals,
+            steals: 0,
             per_engine,
         }
     }
-}
-
-/// The pool-shape inputs a snapshot cannot derive from the counters:
-/// passed in by the service, which owns the pool.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct SnapshotShape {
-    pub workers: usize,
-    pub shards: usize,
-    pub queue_capacity: usize,
-    pub steals: u64,
 }
 
 #[cfg(test)]
@@ -585,7 +572,6 @@ mod tests {
     fn stats_with_jobs(job_seconds: Vec<f64>) -> ServiceStats {
         ServiceStats {
             workers: 1,
-            shards: 1,
             queue_capacity: 1,
             submitted: job_seconds.len() as u64,
             rejected: 0,
@@ -607,15 +593,6 @@ mod tests {
             steals: 0,
             job_seconds,
             per_engine: Vec::new(),
-        }
-    }
-
-    fn shape(workers: usize, queue_capacity: usize) -> SnapshotShape {
-        SnapshotShape {
-            workers,
-            shards: workers,
-            queue_capacity,
-            steals: 0,
         }
     }
 
@@ -657,7 +634,7 @@ mod tests {
         inner.record_submitted();
         inner.record_started();
         inner.record_lost();
-        let stats = inner.snapshot(shape(1, 1));
+        let stats = inner.snapshot(1, 1);
         assert_eq!(stats.submitted, 1);
         assert_eq!(stats.rejected, 1);
         assert_eq!(stats.lost, 1);
@@ -676,7 +653,7 @@ mod tests {
         let inner = StatsInner::new();
         let idle = std::time::Duration::from_millis(200);
         std::thread::sleep(idle);
-        let before_traffic = inner.snapshot(shape(1, 1));
+        let before_traffic = inner.snapshot(1, 1);
         assert_eq!(
             before_traffic.elapsed_seconds, 0.0,
             "no submission yet: the clock must not be running"
@@ -685,12 +662,12 @@ mod tests {
         inner.record_submitted();
         inner.record_not_admitted();
         inner.record_rejected();
-        assert_eq!(inner.snapshot(shape(1, 1)).elapsed_seconds, 0.0);
+        assert_eq!(inner.snapshot(1, 1).elapsed_seconds, 0.0);
         inner.record_submitted();
         inner.record_admitted();
         inner.record_started();
         inner.record_completed("sw-f32", 0.001, None, Priority::Batch, 0.002);
-        let stats = inner.snapshot(shape(1, 1));
+        let stats = inner.snapshot(1, 1);
         assert!(
             stats.elapsed_seconds < idle.as_secs_f64() / 2.0,
             "elapsed {}s still includes the {}s idle gap",
@@ -710,7 +687,7 @@ mod tests {
         for i in 0..(JOB_SAMPLE_CAP + 10) {
             inner.record_completed("sw-f32", i as f64, None, Priority::Batch, i as f64);
         }
-        let stats = inner.snapshot(shape(1, 1));
+        let stats = inner.snapshot(1, 1);
         assert_eq!(stats.completed as usize, JOB_SAMPLE_CAP + 10);
         assert_eq!(stats.job_seconds.len(), JOB_SAMPLE_CAP);
         // The retained window is the most recent samples.
@@ -739,7 +716,7 @@ mod tests {
             Priority::Interactive,
             0.8,
         );
-        let stats = inner.snapshot(shape(2, 8));
+        let stats = inner.snapshot(2, 8);
         assert_eq!(stats.submitted, 2);
         assert_eq!(stats.completed, 2);
         assert_eq!(stats.queue_depth, 0);
@@ -789,7 +766,7 @@ mod tests {
         inner.record_admitted();
         inner.record_started();
         inner.record_expired();
-        let stats = inner.snapshot(shape(1, 1));
+        let stats = inner.snapshot(1, 1);
         assert_eq!(stats.submitted, 1);
         assert_eq!(stats.shed, 1);
         assert_eq!(stats.expired, 1);
@@ -811,7 +788,7 @@ mod tests {
             inner.record_frame_completed();
         }
         inner.record_stream_closed();
-        let stats = inner.snapshot(shape(2, 8));
+        let stats = inner.snapshot(2, 8);
         assert_eq!(stats.frames_completed, 5);
         assert_eq!(stats.streams_active, 1);
         // Frames are not jobs: the job pipeline never saw them.

@@ -1,19 +1,18 @@
-//! Video streams as a service workload: per-stream FIFO frame pipelines
-//! over the sharded pool.
+//! Video streams as a service workload: one mailbox per stream on the
+//! service's queue.
 //!
 //! A [`FrameSequenceRequest`] opens a [`VideoStreamHandle`]: a
 //! [`tonemap_video::VideoSession`] owned by the service, fed one frame at
-//! a time through the same sharded worker pool that serves single-frame
-//! jobs. Two properties distinguish frames from jobs:
+//! a time through the same worker pool that serves single-frame jobs. Two
+//! properties distinguish frames from jobs:
 //!
 //! * **Per-stream FIFO order.** Temporal adaptation is stateful, so frame
 //!   `k+1` must observe the integrator state frame `k` left behind. Every
-//!   frame of a stream is pinned to the shard `stream_id % shards` (the
-//!   same affinity mechanism as [`crate::JobRequest::from_submitter`]), so
-//!   frames *dequeue* in submission order; a turn gate inside the frame
-//!   task then makes *processing* order unconditional even when a steal
-//!   hands frame `k+1` to a second worker while frame `k` still runs.
-//!   Distinct streams pin to distinct shards and parallelise freely.
+//!   frame of a stream is submitted under the stream's id, so the pool
+//!   queues it in the stream's mailbox ([`crate::pool::TaskOptions::stream`]):
+//!   the stream's frames run one at a time, in submission order, and no
+//!   worker ever waits on another frame. Distinct streams take turns in
+//!   their class and overlap across workers.
 //! * **Separate accounting.** Completed frames count in
 //!   [`crate::ServiceStats::frames_completed`], never in the job
 //!   counters — frames/sec and jobs/sec stay separately meaningful.
@@ -29,7 +28,7 @@ use crate::service::TonemapService;
 use hdr_image::LuminanceImage;
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::{self, Receiver};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use tonemap_video::{FrameMetrics, StreamSummary, VideoSession};
 
 /// A request to open a temporal tone-mapping stream on the service.
@@ -71,34 +70,6 @@ impl FrameSequenceRequest {
     }
 }
 
-/// State shared between a stream's handle and its in-flight frame tasks.
-struct StreamShared {
-    /// The temporal session; locked by exactly one frame task at a time.
-    session: Mutex<VideoSession>,
-    /// Index of the next frame allowed to process. Shard FIFO already
-    /// dequeues frames in submission order, but a steal can hand frame
-    /// `k+1` to a second worker while frame `k` still runs — the turn
-    /// gate makes in-order processing unconditional. No deadlock is
-    /// possible: the outstanding frame with the lowest index never waits,
-    /// because same-shard FIFO guarantees it was dequeued first.
-    turn: Mutex<u64>,
-    turn_advanced: Condvar,
-}
-
-/// Advances the stream's turn exactly once, even when the frame task
-/// panics mid-processing — queued successors must never wait forever on a
-/// turn that will not come.
-struct TurnGuard {
-    shared: Arc<StreamShared>,
-}
-
-impl Drop for TurnGuard {
-    fn drop(&mut self) {
-        *self.shared.turn.lock().expect("stream turn poisoned") += 1;
-        self.shared.turn_advanced.notify_all();
-    }
-}
-
 /// One processed frame of a video stream, as delivered through a
 /// [`FrameHandle`].
 #[derive(Debug)]
@@ -107,13 +78,9 @@ pub struct VideoFrameOutcome {
     pub output: LuminanceImage,
     /// The session's inline stability metrics for this frame.
     pub metrics: FrameMetrics,
-    /// The pool's globally monotonic dequeue stamp for this frame's task.
-    /// Within one stream (one shard), ascending stamps prove FIFO
-    /// dequeue order.
+    /// The pool's global dequeue stamp for this frame's task. Within one
+    /// stream, ascending stamps prove FIFO dequeue order.
     pub dequeue_seq: u64,
-    /// `true` when a worker other than the stream's shard owner popped
-    /// the frame.
-    pub stolen: bool,
 }
 
 /// A handle to one submitted frame: a future-by-channel, like
@@ -152,15 +119,14 @@ impl FrameHandle {
 /// An open temporal tone-mapping stream on a [`TonemapService`].
 ///
 /// Frames submitted through the handle execute on the service's worker
-/// pool in strict submission order (the stream's shard affinity plus a
-/// turn gate), while frames of *other* streams overlap freely on other
-/// workers. Dropping the handle closes the stream; frames already
-/// submitted still complete.
+/// pool in strict submission order (the stream's mailbox), while frames of
+/// *other* streams overlap freely on other workers. Dropping the handle
+/// closes the stream; frames already submitted still complete.
 pub struct VideoStreamHandle<'a> {
     service: &'a TonemapService,
     stream_id: u64,
     priority: Priority,
-    shared: Arc<StreamShared>,
+    session: Arc<Mutex<VideoSession>>,
     submitted: u64,
 }
 
@@ -176,9 +142,8 @@ impl std::fmt::Debug for VideoStreamHandle<'_> {
 
 impl TonemapService {
     /// Opens a video stream: builds the temporal session the request's
-    /// spec describes and pins the stream to a queue shard
-    /// (`stream_id % shards`) so its frames keep FIFO order while
-    /// distinct streams parallelise.
+    /// spec describes and gives the stream an id, whose mailbox keeps its
+    /// frames in FIFO order while distinct streams parallelise.
     ///
     /// # Errors
     ///
@@ -196,19 +161,14 @@ impl TonemapService {
             service: self,
             stream_id,
             priority: request.priority(),
-            shared: Arc::new(StreamShared {
-                session: Mutex::new(session),
-                turn: Mutex::new(0),
-                turn_advanced: Condvar::new(),
-            }),
+            session: Arc::new(Mutex::new(session)),
             submitted: 0,
         })
     }
 }
 
 impl VideoStreamHandle<'_> {
-    /// The service-assigned stream id (also the stream's shard pin,
-    /// modulo the shard count).
+    /// The service-assigned stream id (also the stream's mailbox key).
     pub fn stream_id(&self) -> u64 {
         self.stream_id
     }
@@ -236,54 +196,36 @@ impl VideoStreamHandle<'_> {
             .expect("staged frame matches the source dimensions");
 
         let index = self.submitted;
-        let shared = Arc::clone(&self.shared);
+        let session = Arc::clone(&self.session);
         let frames = self.service.frames.clone();
         let stats = Arc::clone(&self.service.stats);
         let (responder, receiver) = mpsc::channel::<Result<VideoFrameOutcome, ServiceError>>();
         let task: Task = Box::new(move |fate| {
-            let TaskFate::Execute {
-                stolen,
-                dequeue_seq,
-            } = fate
-            else {
+            let TaskFate::Execute { dequeue_seq } = fate else {
                 unreachable!("video frames carry no deadline");
             };
-            // Wait for this frame's turn (see `StreamShared::turn`).
-            {
-                let mut turn = shared.turn.lock().expect("stream turn poisoned");
-                while *turn != index {
-                    turn = shared
-                        .turn_advanced
-                        .wait(turn)
-                        .expect("stream turn poisoned");
-                }
-            }
-            let advance = TurnGuard {
-                shared: Arc::clone(&shared),
-            };
             let poison = frames.poison_guard(staged.pixels().len());
-            let (output, metrics) = {
-                let mut session = shared.session.lock().expect("video session poisoned");
-                session.process(&staged)
-            };
+            let (output, metrics) = session
+                .lock()
+                .expect("video session poisoned")
+                .process(&staged);
             // A panic inside `process` unwinds past this point with the
             // guard armed: the staged frame is dropped as poisoned, the
-            // turn still advances, and the waiter sees `Lost`.
+            // stream's next frame still takes its turn, and the waiter sees
+            // `Lost`.
             poison.disarm();
             frames.recycle(staged.into_vec());
-            drop(advance);
             stats.record_frame_completed();
             let _ = responder.send(Ok(VideoFrameOutcome {
                 output,
                 metrics,
                 dequeue_seq,
-                stolen,
             }));
         });
         let options = TaskOptions {
             priority: self.priority,
             deadline: None,
-            shard: Some(self.stream_id as usize),
+            stream: Some(self.stream_id),
         };
         match self.service.pool.execute(task, options) {
             Ok(()) => {
@@ -308,8 +250,7 @@ impl VideoStreamHandle<'_> {
     /// The stream's aggregate stability metrics so far. Blocks briefly if
     /// a frame is mid-processing.
     pub fn summary(&self) -> StreamSummary {
-        self.shared
-            .session
+        self.session
             .lock()
             .expect("video session poisoned")
             .summary()
@@ -317,8 +258,7 @@ impl VideoStreamHandle<'_> {
 
     /// Frame indices where the scene-cut detector fired so far.
     pub fn cuts(&self) -> Vec<usize> {
-        self.shared
-            .session
+        self.session
             .lock()
             .expect("video session poisoned")
             .cuts()
@@ -335,8 +275,25 @@ impl Drop for VideoStreamHandle<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::job::JobRequest;
     use crate::service::ServiceConfig;
     use hdr_image::synth::SceneKind;
+    use std::time::Duration;
+
+    fn leaky_stream(service: &TonemapService) -> VideoStreamHandle<'_> {
+        service
+            .open_stream(FrameSequenceRequest::on_backend(
+                "sw-f32?temporal=leaky&tau=2",
+            ))
+            .unwrap()
+    }
+
+    /// Spins until the pool has dequeued `n` tasks in all.
+    fn wait_for_dequeues(service: &TonemapService, n: u64) {
+        while service.pool.dequeues() < n {
+            std::thread::yield_now();
+        }
+    }
 
     /// The acceptance-critical interleaving, scripted deterministically:
     /// stream A's first frame is provably *mid-execution* on one worker
@@ -347,34 +304,23 @@ mod tests {
     /// `dequeue_seq` stamps and sequential session frame indices.
     #[test]
     fn streams_overlap_across_workers_while_each_keeps_fifo_order() {
-        let service =
-            TonemapService::standard(ServiceConfig::with_workers(2).shards(2).queue_capacity(64));
+        let service = TonemapService::standard(ServiceConfig::with_workers(2).queue_capacity(64));
         let scene = SceneKind::WindowInDarkRoom.generate(24, 20, 9);
 
-        let mut stream_a = service
-            .open_stream(FrameSequenceRequest::on_backend(
-                "sw-f32?temporal=leaky&tau=2",
-            ))
-            .unwrap();
-        let mut stream_b = service
-            .open_stream(FrameSequenceRequest::on_backend(
-                "sw-f32?temporal=leaky&tau=2",
-            ))
-            .unwrap();
-        assert_eq!(stream_a.stream_id(), 0, "stream ids pin shards 0 and 1");
+        let mut stream_a = leaky_stream(&service);
+        let mut stream_b = leaky_stream(&service);
+        assert_eq!(stream_a.stream_id(), 0);
         assert_eq!(stream_b.stream_id(), 1);
         assert_eq!(service.stats().streams_active, 2);
 
-        // Hold stream A's session: its first frame will dequeue, pass the
-        // turn gate, and block inside `process`'s session lock.
-        let shared_a = Arc::clone(&stream_a.shared);
-        let hold = shared_a.session.lock().unwrap();
+        // Hold stream A's session: its first frame will dequeue and block
+        // inside `process`'s session lock.
+        let session_a = Arc::clone(&stream_a.session);
+        let hold = session_a.lock().unwrap();
         let first_a = stream_a.submit_frame(&scene).unwrap();
         // Wait until that frame is really on a worker (dequeued). It
         // cannot complete while we hold the session.
-        while service.pool.dequeues() < 1 {
-            std::thread::yield_now();
-        }
+        wait_for_dequeues(&service, 1);
 
         // With worker 1 provably stuck mid-frame of stream A, stream B's
         // frames complete — necessarily on the other worker: overlap.
@@ -417,5 +363,81 @@ mod tests {
         // Frames never leak into the job counters.
         assert_eq!(service.stats().submitted, 0);
         assert_eq!(service.stats().completed, 0);
+    }
+
+    /// A held frame parks only its own stream: with frame 0 of stream A
+    /// blocked mid-execution and frames 1–3 queued behind it, the second
+    /// worker still serves a plain job while the session is held.
+    #[test]
+    fn a_held_stream_frame_does_not_hold_up_a_plain_job() {
+        let service = TonemapService::standard(ServiceConfig::with_workers(2).queue_capacity(64));
+        let scene = SceneKind::WindowInDarkRoom.generate(24, 20, 10);
+        let mut stream = leaky_stream(&service);
+
+        let session = Arc::clone(&stream.session);
+        let hold = session.lock().unwrap();
+        let frames: Vec<_> = (0..4)
+            .map(|_| stream.submit_frame(&scene).unwrap())
+            .collect();
+        wait_for_dequeues(&service, 1);
+
+        // The timeout only bounds a failure: the job must finish while the
+        // session is still held.
+        let job = service
+            .submit(JobRequest::luminance(scene.clone()))
+            .unwrap();
+        let response = job
+            .wait_timeout(Duration::from_secs(5))
+            .expect("the plain job runs while stream A's frame is held");
+        assert!(response.is_ok());
+        assert_eq!(service.stats().frames_completed, 0, "the session is held");
+
+        drop(hold);
+        for (index, handle) in frames.into_iter().enumerate() {
+            assert_eq!(handle.wait().unwrap().metrics.index, index);
+        }
+    }
+
+    /// A frame that panics answers `Lost`, and so does every frame behind
+    /// it on the poisoned session; no waiter or worker hangs, and the
+    /// service keeps serving jobs.
+    #[test]
+    fn a_panicking_frame_answers_lost_and_strands_nothing() {
+        let service = TonemapService::standard(ServiceConfig::with_workers(2).queue_capacity(64));
+        let scene = SceneKind::WindowInDarkRoom.generate(24, 20, 11);
+        let mut stream = leaky_stream(&service);
+
+        let session = Arc::clone(&stream.session);
+        let poisoner = std::thread::spawn(move || {
+            let _session = session.lock().unwrap();
+            panic!("poisons the stream's session");
+        });
+        assert!(poisoner.join().is_err());
+
+        let frames: Vec<_> = (0..4)
+            .map(|_| stream.submit_frame(&scene).unwrap())
+            .collect();
+        let (answers_tx, answers_rx) = mpsc::channel();
+        let waiter = std::thread::spawn(move || {
+            let answers: Vec<_> = frames.into_iter().map(FrameHandle::wait).collect();
+            answers_tx.send(answers).unwrap();
+        });
+        // The timeout only bounds a failure.
+        let answers = answers_rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("no frame waiter hangs");
+        waiter.join().expect("the waiter thread does not panic");
+        assert_eq!(answers.len(), 4);
+        for answer in &answers {
+            assert!(matches!(answer, Err(ServiceError::Lost)), "{answer:?}");
+        }
+        assert_eq!(service.frame_pool_stats().dropped_poisoned, 4);
+
+        let job = service.submit(JobRequest::luminance(scene)).unwrap();
+        let response = job
+            .wait_timeout(Duration::from_secs(10))
+            .expect("a job after the panics still runs");
+        assert!(response.is_ok());
+        assert_eq!(service.stats().frames_completed, 0);
     }
 }

@@ -27,25 +27,21 @@ fn faulty_service(workers: usize) -> (TonemapService, Arc<Gate>) {
 }
 
 #[test]
-fn a_panicking_job_does_not_lose_other_shards_jobs() {
+fn a_panicking_job_does_not_lose_other_jobs() {
     let (service, _gate) = faulty_service(2);
     let scene = SceneKind::WindowInDarkRoom.generate(24, 24, 41);
     let direct = BackendRegistry::standard()
         .execute(&TonemapRequest::luminance(&scene))
         .unwrap();
 
-    // The faulty job lands on shard 0; six healthy jobs across both shards.
+    // The faulty job queues first; six healthy jobs queue behind it.
     let doomed = service
-        .submit(
-            JobRequest::luminance(scene.clone())
-                .on_backend("panicking")
-                .from_submitter(0),
-        )
+        .submit(JobRequest::luminance(scene.clone()).on_backend("panicking"))
         .unwrap();
-    let healthy: Vec<_> = (0..6u64)
-        .map(|shard| {
+    let healthy: Vec<_> = (0..6)
+        .map(|_| {
             service
-                .submit(JobRequest::luminance(scene.clone()).from_submitter(shard % 2))
+                .submit(JobRequest::luminance(scene.clone()))
                 .unwrap()
         })
         .collect();

@@ -4,8 +4,8 @@
 //! `thread::sleep` are both slow and flaky. This module scripts exact
 //! schedules instead: a [`Gate`] parks a worker *inside* an executing job
 //! until the test releases it, so tests can hold chosen workers busy,
-//! force steals, trigger shutdown mid-drain, or fill the queue to a known
-//! depth — all without a single sleep. [`GatedBackend`] is the standard
+//! trigger shutdown mid-drain, or fill the queue to a known depth — all
+//! without a single sleep. [`GatedBackend`] is the standard
 //! `sw-f32` engine with a gate bolted onto its entry, and
 //! [`PanickingBackend`] injects a worker-side panic for the
 //! fault-isolation suite.

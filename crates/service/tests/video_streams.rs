@@ -1,5 +1,5 @@
 //! Video streams through the service, end to end: per-stream FIFO order
-//! under forced steals, bit-identical agreement with a locally-driven
+//! with more streams than workers, bit-identical agreement with a locally-driven
 //! session, frame-pool staging reuse, and the typed error surface.
 
 use hdr_image::sequence::{FrameSequence, SequenceKind};
@@ -10,16 +10,15 @@ use tonemap_service::{
 };
 use tonemap_video::VideoSession;
 
-/// Many streams racing over few shards (forced steals): every stream's
-/// frames still process in submission order, and the whole stream is
+/// More streams than workers, racing for them: every stream's frames
+/// still process in submission order, and the whole stream is
 /// bit-identical to driving the same spec's session locally — the
 /// strongest order witness, since leaky adaptation makes any reordering
 /// change the pixels.
 #[test]
 fn concurrent_streams_match_locally_driven_sessions_bitwise() {
     let spec = "sw-f32?pipeline=reinhard&temporal=leaky&tau=3&cutthresh=1.0";
-    let service =
-        TonemapService::standard(ServiceConfig::with_workers(4).shards(2).queue_capacity(64));
+    let service = TonemapService::standard(ServiceConfig::with_workers(4).queue_capacity(64));
     let sequences: Vec<FrameSequence> = [
         (SequenceKind::ExposureRamp { decades: 1.0 }, 11),
         (
@@ -49,7 +48,7 @@ fn concurrent_streams_match_locally_driven_sessions_bitwise() {
                 .unwrap(),
         );
     }
-    // Interleave submissions across streams so same-shard streams race.
+    // Interleave submissions across streams so the streams race.
     let mut handles: Vec<Vec<_>> = streams.iter().map(|_| Vec::new()).collect();
     for index in 0..12 {
         for (stream, sequence) in streams.iter_mut().zip(&sequences) {
@@ -68,7 +67,7 @@ fn concurrent_streams_match_locally_driven_sessions_bitwise() {
             let outcome = handle.wait().unwrap();
             // Processing order == submission order…
             assert_eq!(outcome.metrics.index, index);
-            // …dequeue order too (one shard per stream ⇒ ascending seq)…
+            // …dequeue order too (one mailbox per stream ⇒ ascending seq)…
             assert!(last_seq < Some(outcome.dequeue_seq));
             last_seq = Some(outcome.dequeue_seq);
             // …and the pixels prove it: any reordering would change the

@@ -61,8 +61,8 @@ struct AdaptState {
 /// scene cuts, and measuring flicker/stability inline.
 ///
 /// Frames must be processed **in order** — the adaptation state is the
-/// whole point. The service layer enforces this by pinning each stream to
-/// one queue shard.
+/// whole point. The service layer enforces this by running each stream's
+/// frames through one mailbox on its queue.
 ///
 /// The session runs on an [`Engine`] built for its plan: every frame runs
 /// on the executor the engine compiled and memoized for its size — the one

@@ -37,7 +37,7 @@ fn main() -> Result<(), Box<dyn Error>> {
 
     // 2. Open a temporal stream on the service. The spec carries the
     //    engine, the pipeline AND the temporal policy; frames of one
-    //    stream run in FIFO order on the sharded pool.
+    //    stream run in FIFO order through the stream's mailbox.
     let spec = "sw-f32?pipeline=reinhard&temporal=leaky&tau=4";
     let service = TonemapService::standard(ServiceConfig::with_workers(2));
     let mut stream = service.open_stream(FrameSequenceRequest::on_backend(spec))?;
