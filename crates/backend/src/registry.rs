@@ -302,15 +302,16 @@ impl BackendRegistry {
                 plan: None,
             });
         }
-        // Memoize reconfigured engines per spec string so repeated
-        // single-request execution reuses one compiled plan, one
-        // platform-model cache — and, for `schedule=` specs, one
-        // per-resolution schedule cache.
+        // Memoize reconfigured engines per canonical spec text so every
+        // spelling of a spec reuses one compiled plan, one platform-model
+        // cache — and, for `schedule=` specs, one per-resolution schedule
+        // cache.
+        let key = parsed.to_string();
         if let Some(resolved) = self
             .resolved_overrides
             .lock()
             .expect("override-spec cache poisoned")
-            .get(spec)
+            .get(&key)
         {
             return Ok(resolved);
         }
@@ -332,7 +333,7 @@ impl BackendRegistry {
             .resolved_overrides
             .lock()
             .expect("override-spec cache poisoned")
-            .insert(spec.to_string(), resolved))
+            .insert(key, resolved))
     }
 
     /// The backend covering one Table II design.
@@ -677,6 +678,23 @@ mod tests {
             !Arc::ptr_eq(&first.backend_shared(), &third.backend_shared()),
             "registering a backend must invalidate memoized resolutions"
         );
+    }
+
+    #[test]
+    fn every_spelling_of_a_spec_shares_one_memoized_engine() {
+        let registry = BackendRegistry::standard();
+        let spellings = ["sw-f32?sigma=2", "sw-f32?sigma=2.0", " sw-f32?sigma=2"];
+        let engines: Vec<_> = spellings
+            .iter()
+            .map(|spec| registry.resolve_spec(spec).unwrap().backend_shared())
+            .collect();
+        for (spec, engine) in spellings.iter().zip(&engines) {
+            assert!(
+                Arc::ptr_eq(&engines[0], engine),
+                "`{spec}` built its own engine"
+            );
+        }
+        assert_eq!(registry.resolved_overrides.lock().unwrap().len(), 1);
     }
 
     #[test]

@@ -1018,7 +1018,10 @@ impl PipelinePlan {
         tuning: &PlanTuning,
     ) -> Result<Option<Self>, PlanError> {
         preset_row(name)
-            .map(|(_, _, build)| build(params, tuning))
+            .map(|(_, _, build)| {
+                let (input, ops) = build(params, tuning);
+                PipelinePlan::with_input(input, ops)
+            })
             .transpose()
     }
 
@@ -1240,24 +1243,27 @@ impl PipelinePlan {
 }
 
 /// One preset: its name, the tuning keys its builder reads, and the builder,
-/// which makes the plan from the classic stage parameters and the tuning.
+/// which lists the plan's input layout and stages from the classic stage
+/// parameters and the tuning. [`PipelinePlan::preset`] validates them.
 type PresetRow = (
     &'static str,
     &'static [&'static str],
-    fn(&ToneMapParams, &PlanTuning) -> Result<PipelinePlan, PlanError>,
+    fn(&ToneMapParams, &PlanTuning) -> (ChannelLayout, Vec<PipelineOp>),
 );
 
 /// The preset catalogue, in catalogue order. [`PipelinePlan::PRESETS`],
 /// [`PipelinePlan::preset`] and [`PipelinePlan::preset_keys`] read it.
 const PRESET_TABLE: [PresetRow; 12] = [
-    ("paper", &[], |p, _| Ok(PipelinePlan::from_params(p))),
+    ("paper", &[], |p, _| {
+        scalar(PipelinePlan::from_params(p).ops)
+    }),
     ("basedetail", &[], |p, _| base_detail(p)),
     ("reinhard", &["reinhard_key", "reinhard_white"], |_, t| {
         normalized(reinhard(t))
     }),
     ("histeq", &["bins"], |_, t| {
         let bins = t.bins.unwrap_or(256);
-        PipelinePlan::new(vec![
+        scalar(vec![
             PipelineOp::Normalize,
             PipelineOp::HistogramEq { bins },
         ])
@@ -1285,7 +1291,7 @@ const PRESET_TABLE: [PresetRow; 12] = [
                 PipelineOp::Curve(reinhard(t)),
                 PipelineOp::HsvToRgb,
             ];
-            PipelinePlan::with_input(ChannelLayout::Rgb, ops)
+            (ChannelLayout::Rgb, ops)
         },
     ),
     ("filmic", &["exposure"], |_, t| {
@@ -1317,16 +1323,21 @@ fn preset_row(name: &str) -> Option<&'static PresetRow> {
     PRESET_TABLE.iter().find(|(row, ..)| *row == name)
 }
 
+/// A luminance preset's stages.
+fn scalar(ops: Vec<PipelineOp>) -> (ChannelLayout, Vec<PipelineOp>) {
+    (ChannelLayout::Scalar, ops)
+}
+
 /// `normalize → curve`, the shape of every global-curve preset.
-fn normalized(curve: Curve) -> Result<PipelinePlan, PlanError> {
-    PipelinePlan::new(vec![PipelineOp::Normalize, PipelineOp::Curve(curve)])
+fn normalized(curve: Curve) -> (ChannelLayout, Vec<PipelineOp>) {
+    scalar(vec![PipelineOp::Normalize, PipelineOp::Curve(curve)])
 }
 
 /// The Fig. 1 chain re-encoded through one more curve.
-fn fig1_then(params: &ToneMapParams, curve: Curve) -> Result<PipelinePlan, PlanError> {
+fn fig1_then(params: &ToneMapParams, curve: Curve) -> (ChannelLayout, Vec<PipelineOp>) {
     let mut ops = PipelinePlan::from_params(params).ops;
     ops.push(PipelineOp::Curve(curve));
-    PipelinePlan::new(ops)
+    scalar(ops)
 }
 
 /// Global Reinhard at the tuned key. The default `white = key` maps the
@@ -1344,7 +1355,7 @@ fn reinhard(tuning: &PlanTuning) -> Curve {
 /// compresses the base layer, then a narrower blur of the compressed image
 /// recombines local detail with a milder, non-inverted masking. Two stencil
 /// stages — the cascade the streaming planner fuses back-to-back.
-fn base_detail(params: &ToneMapParams) -> Result<PipelinePlan, PlanError> {
+fn base_detail(params: &ToneMapParams) -> (ChannelLayout, Vec<PipelineOp>) {
     let detail_blur = BlurParams {
         sigma: (params.blur.sigma * 0.25).max(0.5),
         radius: (params.blur.radius / 4).max(1),
@@ -1353,7 +1364,7 @@ fn base_detail(params: &ToneMapParams) -> Result<PipelinePlan, PlanError> {
         strength: params.masking.strength * 0.5,
         invert_mask: false,
     };
-    PipelinePlan::new(vec![
+    scalar(vec![
         PipelineOp::Normalize,
         PipelineOp::BlurMask {
             blur: params.blur,
@@ -1857,6 +1868,25 @@ mod tests {
         ])
         .expect("paired blur/mask sequences validate");
         assert_eq!(plan.stencil_stages().count(), 2);
+    }
+
+    #[test]
+    fn every_preset_validates_its_plan_in_one_place() {
+        let tuning = PlanTuning::default();
+        for name in PipelinePlan::PRESETS {
+            let plan = PipelinePlan::preset(name, &ToneMapParams::paper_default(), &tuning);
+            assert!(matches!(plan, Ok(Some(_))), "`{name}`: {plan:?}");
+        }
+        // The four presets over the Fig. 1 stages reject a zero radius alike.
+        let mut params = ToneMapParams::paper_default();
+        params.blur.radius = 0;
+        for name in ["paper", "basedetail", "pq-out", "hlg-out"] {
+            let plan = PipelinePlan::preset(name, &params, &tuning);
+            assert!(
+                matches!(plan, Err(PlanError::InvalidStage(_))),
+                "`{name}`: {plan:?}"
+            );
+        }
     }
 
     #[test]
