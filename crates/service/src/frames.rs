@@ -77,23 +77,23 @@ impl FreeFrames {
     }
 
     /// Keeps `frame`, whose length becomes the most recently used; past
-    /// [`FramePool::MAX_FREE_FRAMES`] a frame of the least recently used
-    /// length goes. Returns whether one did.
-    fn put(&mut self, frame: Vec<f32>) -> bool {
+    /// [`FramePool::MAX_FREE_FRAMES`] returns a frame of the least recently
+    /// used length for the caller to free.
+    fn put(&mut self, frame: Vec<f32>) -> Option<Vec<f32>> {
         let len = frame.len();
         let mut frames = self.remove(len);
         frames.push(frame);
         self.sizes.push((len, frames));
         if self.frames < FramePool::MAX_FREE_FRAMES {
             self.frames += 1;
-            return false;
+            return None;
         }
         let oldest = &mut self.sizes[0].1;
-        oldest.pop();
+        let evicted = oldest.pop();
         if oldest.is_empty() {
             self.sizes.remove(0);
         }
-        true
+        evicted
     }
 }
 
@@ -167,6 +167,7 @@ impl FramePool {
         if frame.is_empty() {
             return;
         }
+        // The evicted frame is freed after the lock is released.
         let evicted = self
             .shared
             .free
@@ -174,7 +175,7 @@ impl FramePool {
             .expect("frame pool poisoned")
             .put(frame);
         self.shared.recycled.fetch_add(1, Ordering::Relaxed);
-        if evicted {
+        if evicted.is_some() {
             self.shared
                 .discarded_over_cap
                 .fetch_add(1, Ordering::Relaxed);
