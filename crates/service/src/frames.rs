@@ -12,8 +12,8 @@
 //! `tonemap-backend`).
 //!
 //! The pool retains at most [`FramePool::MAX_FREE_FRAMES`] free frames in
-//! all, across every size it has seen: past the bound it evicts a frame of
-//! the least recently used size, so a stream of distinct resolutions cannot
+//! all, across every size it has seen: past the bound it lets go of the
+//! frame returned longest ago, so a stream of distinct resolutions cannot
 //! pin memory.
 //!
 //! Fault containment: a frame that was in use when its job panicked is
@@ -22,6 +22,7 @@
 //! RAII: armed around the execution, disarmed on the normal path, and
 //! counting the poisoned drop when an unwind gets there first.
 
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -36,11 +37,12 @@ pub struct FramePoolStats {
     pub reused: u64,
     /// Acquisitions that had to allocate a fresh frame.
     pub allocated: u64,
-    /// Frames returned through [`FramePool::recycle`] and kept.
+    /// Frames returned through [`FramePool::recycle`] below
+    /// [`FramePool::MAX_FREE_FRAMES`].
     pub recycled: u64,
-    /// Free frames let go because the pool was at
-    /// [`FramePool::MAX_FREE_FRAMES`]: each is a frame of the least recently
-    /// used size.
+    /// Frames returned at [`FramePool::MAX_FREE_FRAMES`]: each return let
+    /// go of the free frame returned longest ago. With `recycled`, every
+    /// frame returned counts once.
     pub discarded_over_cap: u64,
     /// Frames that were in use when their job panicked: dropped, not
     /// recycled, so a half-written buffer can never resurface under a
@@ -48,58 +50,10 @@ pub struct FramePoolStats {
     pub dropped_poisoned: u64,
 }
 
-/// The free frames, grouped by exact length, least recently used length
-/// first. A length with no free frame has no entry.
-#[derive(Debug, Default)]
-struct FreeFrames {
-    sizes: Vec<(usize, Vec<Vec<f32>>)>,
-    frames: usize,
-}
-
-impl FreeFrames {
-    /// Takes length `len`'s frames out of the recency order.
-    fn remove(&mut self, len: usize) -> Vec<Vec<f32>> {
-        match self.sizes.iter().position(|&(size, _)| size == len) {
-            Some(index) => self.sizes.remove(index).1,
-            None => Vec::new(),
-        }
-    }
-
-    /// A frame of length `len`; the length becomes the most recently used.
-    fn take(&mut self, len: usize) -> Option<Vec<f32>> {
-        let mut frames = self.remove(len);
-        let frame = frames.pop()?;
-        if !frames.is_empty() {
-            self.sizes.push((len, frames));
-        }
-        self.frames -= 1;
-        Some(frame)
-    }
-
-    /// Keeps `frame`, whose length becomes the most recently used; past
-    /// [`FramePool::MAX_FREE_FRAMES`] returns a frame of the least recently
-    /// used length for the caller to free.
-    fn put(&mut self, frame: Vec<f32>) -> Option<Vec<f32>> {
-        let len = frame.len();
-        let mut frames = self.remove(len);
-        frames.push(frame);
-        self.sizes.push((len, frames));
-        if self.frames < FramePool::MAX_FREE_FRAMES {
-            self.frames += 1;
-            return None;
-        }
-        let oldest = &mut self.sizes[0].1;
-        let evicted = oldest.pop();
-        if oldest.is_empty() {
-            self.sizes.remove(0);
-        }
-        evicted
-    }
-}
-
 #[derive(Debug)]
 struct PoolShared {
-    free: Mutex<FreeFrames>,
+    /// The free frames, the one returned longest ago first.
+    free: Mutex<VecDeque<Vec<f32>>>,
     acquired: AtomicU64,
     reused: AtomicU64,
     allocated: AtomicU64,
@@ -141,12 +95,11 @@ impl FramePool {
     /// bounds *retention*, not concurrency.
     pub fn acquire(&self, len: usize) -> Vec<f32> {
         self.shared.acquired.fetch_add(1, Ordering::Relaxed);
-        let recycled = self
-            .shared
-            .free
-            .lock()
-            .expect("frame pool poisoned")
-            .take(len);
+        let recycled = {
+            let mut free = self.shared.free.lock().expect("frame pool poisoned");
+            let newest = free.iter().rposition(|frame| frame.len() == len);
+            newest.and_then(|index| free.remove(index))
+        };
         match recycled {
             Some(frame) => {
                 self.shared.reused.fetch_add(1, Ordering::Relaxed);
@@ -160,26 +113,28 @@ impl FramePool {
         }
     }
 
-    /// Returns a frame to the free list for its exact size. At
-    /// [`FramePool::MAX_FREE_FRAMES`] the pool lets go of a frame of the
-    /// least recently used size instead. Zero-length frames are ignored.
+    /// Returns a frame to the free list. At [`FramePool::MAX_FREE_FRAMES`]
+    /// the pool lets go of the frame returned longest ago. Zero-length
+    /// frames are ignored.
     pub fn recycle(&self, frame: Vec<f32>) {
         if frame.is_empty() {
             return;
         }
         // The evicted frame is freed after the lock is released.
-        let evicted = self
-            .shared
-            .free
-            .lock()
-            .expect("frame pool poisoned")
-            .put(frame);
-        self.shared.recycled.fetch_add(1, Ordering::Relaxed);
-        if evicted.is_some() {
-            self.shared
-                .discarded_over_cap
-                .fetch_add(1, Ordering::Relaxed);
-        }
+        let evicted = {
+            let mut free = self.shared.free.lock().expect("frame pool poisoned");
+            free.push_back(frame);
+            if free.len() > FramePool::MAX_FREE_FRAMES {
+                free.pop_front()
+            } else {
+                None
+            }
+        };
+        let counter = match evicted {
+            Some(_) => &self.shared.discarded_over_cap,
+            None => &self.shared.recycled,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Arms a poison guard for a frame of `len` samples that is about to
@@ -194,7 +149,7 @@ impl FramePool {
 
     /// Total free frames currently retained, across all size classes.
     pub fn free_frames(&self) -> usize {
-        self.shared.free.lock().expect("frame pool poisoned").frames
+        self.shared.free.lock().expect("frame pool poisoned").len()
     }
 
     /// A snapshot of the pool's usage counters.
@@ -273,8 +228,8 @@ mod tests {
         let frame = pool.acquire(64);
         assert_eq!(frame.len(), 64);
         assert_eq!(pool.stats().allocated, 1);
-        // One bound covers every size: the frame past it evicts a frame of
-        // the least recently used size, 32.
+        // One bound covers every size: the frame past it evicts the frame
+        // returned longest ago, the 32-sample one.
         for len in 1..FramePool::MAX_FREE_FRAMES {
             pool.recycle(vec![0.0; 100 + len]);
         }
@@ -289,25 +244,38 @@ mod tests {
     }
 
     #[test]
-    fn a_size_used_again_stays_ahead_of_eviction() {
-        // Taking a frame of a size makes that size the most recently used,
-        // so the next eviction hits another size.
+    fn the_frame_returned_longest_ago_is_evicted_first() {
         let pool = FramePool::new();
         for len in 1..=FramePool::MAX_FREE_FRAMES {
             pool.recycle(vec![0.0; len]);
-            pool.recycle(vec![0.0; len]);
         }
-        assert_eq!(pool.free_frames(), FramePool::MAX_FREE_FRAMES);
-        // Sizes 9..=16 hold two frames each; 9 is the least recently used.
-        let _ = pool.acquire(9);
+        // Taking and returning length 1 makes it the newest free frame, so
+        // the next two returns evict lengths 2 and 3.
+        let frame = pool.acquire(1);
+        pool.recycle(frame);
         pool.recycle(vec![0.0; 98]);
         pool.recycle(vec![0.0; 99]);
-        let _ = pool.acquire(9);
-        assert_eq!(pool.stats().reused, 2, "size 9 survived the eviction");
-        let _ = pool.acquire(10);
-        assert_eq!(pool.stats().allocated, 0);
-        let _ = pool.acquire(10);
-        assert_eq!(pool.stats().allocated, 1, "size 10 lost a frame instead");
+        assert_eq!(pool.free_frames(), FramePool::MAX_FREE_FRAMES);
+        for len in [1, 4, 98, 99] {
+            let _ = pool.acquire(len);
+        }
+        assert_eq!(pool.stats().allocated, 0, "1, 4, 98 and 99 were kept");
+        let _ = pool.acquire(2);
+        let _ = pool.acquire(3);
+        assert_eq!(pool.stats().allocated, 2, "2 and 3 were evicted");
+    }
+
+    #[test]
+    fn every_returned_frame_counts_once_past_the_bound() {
+        let pool = FramePool::new();
+        let returned = 3 * FramePool::MAX_FREE_FRAMES as u64;
+        for _ in 0..returned {
+            pool.recycle(vec![0.0; 64]);
+        }
+        let stats = pool.stats();
+        assert_eq!(stats.recycled + stats.discarded_over_cap, returned);
+        assert_eq!(stats.recycled, FramePool::MAX_FREE_FRAMES as u64);
+        assert_eq!(pool.free_frames(), FramePool::MAX_FREE_FRAMES);
     }
 
     #[test]
