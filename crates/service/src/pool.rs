@@ -15,7 +15,8 @@
 //!    most the tasks already running.
 //! 2. **FIFO per class** — each deque is served front first.
 //! 3. **A stream is a mailbox** — tasks that share a
-//!    [`TaskOptions::stream`] key run one at a time, in submission order.
+//!    [`TaskOptions::stream`] key run one at a time, in submission order,
+//!    and queue and count in the class of the task that opened the mailbox.
 //!    The class deque holds the stream once, not its tasks. The worker that
 //!    takes it runs the mailbox's front task, then puts the stream back at
 //!    the end of its class deque if the mailbox still holds tasks. So a busy
@@ -106,8 +107,8 @@ pub struct TaskOptions {
     /// [`TaskFate::Expired`] instead of running.
     pub deadline: Option<Instant>,
     /// The stream the task belongs to. Tasks that share a stream key run
-    /// one at a time, in submission order; tasks without one are
-    /// independent.
+    /// one at a time, in submission order, in the class of the task that
+    /// opened the stream's mailbox; tasks without one are independent.
     pub stream: Option<u64>,
 }
 
@@ -165,9 +166,10 @@ struct Queue {
     dequeues: u64,
     expired: u64,
     shutdown: bool,
-    /// A stream has a mailbox while it has a task queued or running. Its
+    /// A stream has a mailbox while it has a task queued or running: its
+    /// class, that of the task that opened it, and its queued tasks. Its
     /// entry sits in a class deque only while none of its tasks runs.
-    mailboxes: HashMap<u64, VecDeque<QueuedTask>>,
+    mailboxes: HashMap<u64, (Priority, VecDeque<QueuedTask>)>,
 }
 
 impl Queue {
@@ -175,23 +177,27 @@ impl Queue {
         self.queued.iter().sum()
     }
 
-    fn push(&mut self, task: QueuedTask, stream: Option<u64>) {
-        let class = task.priority as usize;
-        self.queued[class] += 1;
+    fn push(&mut self, mut task: QueuedTask, stream: Option<u64>) {
+        let class = task.priority;
         let entry = match stream {
             None => Entry::Task(task),
             Some(key) => match self.mailboxes.entry(key) {
                 Mailbox::Occupied(mut mailbox) => {
-                    mailbox.get_mut().push_back(task);
+                    // The task queues, and counts, in its stream's class.
+                    let (stream_class, tasks) = mailbox.get_mut();
+                    task.priority = *stream_class;
+                    self.queued[task.priority as usize] += 1;
+                    tasks.push_back(task);
                     return;
                 }
                 Mailbox::Vacant(slot) => {
-                    slot.insert(VecDeque::from([task]));
+                    slot.insert((class, VecDeque::from([task])));
                     Entry::Stream(key)
                 }
             },
         };
-        self.deques[class].push_back(entry);
+        self.queued[class as usize] += 1;
+        self.deques[class as usize].push_back(entry);
     }
 
     /// Takes the next task — interactive before batch, front first — and
@@ -201,7 +207,7 @@ impl Queue {
             Entry::Task(task) => (task, None),
             Entry::Stream(key) => {
                 let mailbox = self.mailboxes.get_mut(&key);
-                let task = mailbox.and_then(VecDeque::pop_front);
+                let task = mailbox.and_then(|(_, tasks)| tasks.pop_front());
                 (task.expect("a queued stream holds a task"), Some(key))
             }
         };
@@ -224,9 +230,11 @@ impl Queue {
     /// A stream's task has returned: the stream takes its next turn at the
     /// end of its class deque, or gives up its mailbox when it is empty.
     fn finish(&mut self, key: u64) {
-        match self.mailboxes.get(&key).and_then(VecDeque::front) {
-            Some(next) => self.deques[next.priority as usize].push_back(Entry::Stream(key)),
-            None => {
+        match self.mailboxes.get(&key) {
+            Some((class, tasks)) if !tasks.is_empty() => {
+                self.deques[*class as usize].push_back(Entry::Stream(key));
+            }
+            _ => {
                 self.mailboxes.remove(&key);
             }
         }
@@ -590,6 +598,29 @@ mod tests {
         gate.send(()).unwrap();
         pool.shutdown();
         assert_eq!(tags(&log), vec![0, 10, 11, 1, 2]);
+    }
+
+    #[test]
+    fn a_stream_keeps_the_class_that_opened_its_mailbox() {
+        // Stream 5 opens in the batch class; its later interactive task
+        // queues and counts as batch, behind the plain batch task.
+        let pool = WorkerPool::new(1, 16);
+        let gate = park_a_worker(&pool);
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let stream = |priority| TaskOptions {
+            stream: Some(5),
+            ..TaskOptions::with_priority(priority)
+        };
+        pool.execute(tagged(0, &log), stream(Priority::Batch))
+            .unwrap();
+        pool.execute(tagged(10, &log), run_opts()).unwrap();
+        pool.execute(tagged(1, &log), stream(Priority::Interactive))
+            .unwrap();
+        assert_eq!(pool.backlog_ahead_of(Priority::Interactive), 0);
+        assert_eq!(pool.backlog_ahead_of(Priority::Batch), 3);
+        gate.send(()).unwrap();
+        pool.shutdown();
+        assert_eq!(tags(&log), vec![0, 10, 1]);
     }
 
     #[test]

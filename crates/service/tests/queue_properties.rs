@@ -16,7 +16,9 @@
 //!
 //! A fifth test pins the full drain *order* against a closed-form oracle:
 //! a single gated worker drains every interactive task in FIFO order, then
-//! every batch task. All ordering evidence comes from the `dequeue_seq`
+//! every batch task; a sixth checks that one gated worker drains every
+//! interactive stream's tasks before any batch task. All ordering evidence
+//! comes from the `dequeue_seq`
 //! stamps the pool assigns under its lock, so no assertion depends on
 //! wall-clock timing and there is not a single sleep in this file.
 
@@ -59,14 +61,29 @@ fn plain_strategy() -> impl Strategy<Value = Vec<Submission>> {
     )
 }
 
-/// Plain tasks mixed with the tasks of up to three streams.
+/// Plain tasks mixed with the tasks of up to three streams; each stream's
+/// tasks share one class.
 fn mixed_strategy() -> impl Strategy<Value = Vec<Submission>> {
     let stream = prop_oneof![Just(None), (0u64..3).prop_map(Some)];
-    prop::collection::vec(
-        (priority_strategy(), stream)
-            .prop_map(|(priority, stream)| Submission { priority, stream }),
-        1..32,
+    let classes = (
+        priority_strategy(),
+        priority_strategy(),
+        priority_strategy(),
+    );
+    (
+        classes,
+        prop::collection::vec((priority_strategy(), stream), 1..32),
     )
+        .prop_map(|((first, second, third), draws)| {
+            let classes = [first, second, third];
+            draws
+                .into_iter()
+                .map(|(priority, stream)| Submission {
+                    priority: stream.map_or(priority, |key| classes[key as usize]),
+                    stream,
+                })
+                .collect()
+        })
 }
 
 /// Submits every scenario task (tagged in submission order) and returns
@@ -245,5 +262,19 @@ proptest! {
             }
         }
         prop_assert_eq!(tags(&log), oracle);
+    }
+
+    /// Streams run in their class: one gated worker drains every
+    /// interactive task, stream tasks included, before any batch task.
+    #[test]
+    fn a_single_gated_worker_drains_interactive_streams_before_batch(
+        submissions in mixed_strategy(),
+    ) {
+        let (log, _) = run(1, &submissions, true);
+        let classes: Vec<Priority> = log.iter().map(|o| o.priority).collect();
+        prop_assert!(
+            classes.windows(2).all(|w| w[0] <= w[1]),
+            "dequeue classes {classes:?} are not interactive, then batch"
+        );
     }
 }
