@@ -305,14 +305,19 @@ impl BackendRegistry {
         // Memoize reconfigured engines per canonical spec text so every
         // spelling of a spec reuses one compiled plan, one platform-model
         // cache — and, for `schedule=` specs, one per-resolution schedule
-        // cache.
+        // cache. The memo holds canonical texts only, so a spec written in
+        // canonical form hits before its canonical text is rendered.
+        let memo_get = |key: &str| {
+            self.resolved_overrides
+                .lock()
+                .expect("override-spec cache poisoned")
+                .get(key)
+        };
+        if let Some(resolved) = memo_get(spec) {
+            return Ok(resolved);
+        }
         let key = parsed.to_string();
-        if let Some(resolved) = self
-            .resolved_overrides
-            .lock()
-            .expect("override-spec cache poisoned")
-            .get(&key)
-        {
+        if let Some(resolved) = memo_get(&key) {
             return Ok(resolved);
         }
         let engine = if params_override.is_some() || plan.is_some() {
