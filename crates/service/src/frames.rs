@@ -12,9 +12,10 @@
 //! `tonemap-backend`).
 //!
 //! The pool retains at most [`FramePool::MAX_FREE_FRAMES`] free frames in
-//! all, across every size it has seen: past the bound it lets go of the
-//! frame returned longest ago, so a stream of distinct resolutions cannot
-//! pin memory.
+//! all, across every size it has seen. At the bound a returned frame is
+//! let go when the pool already holds one of its size, and otherwise
+//! replaces the frame returned longest ago, so a stream of distinct
+//! resolutions cannot pin memory.
 //!
 //! Fault containment: a frame that was in use when its job panicked is
 //! considered *poisoned* — it may be half-written or inconsistent — and
@@ -41,8 +42,8 @@ pub struct FramePoolStats {
     /// [`FramePool::MAX_FREE_FRAMES`].
     pub recycled: u64,
     /// Frames returned at [`FramePool::MAX_FREE_FRAMES`]: each return let
-    /// go of the free frame returned longest ago. With `recycled`, every
-    /// frame returned counts once.
+    /// go of one frame, itself or the free frame returned longest ago.
+    /// With `recycled`, every frame returned counts once.
     pub discarded_over_cap: u64,
     /// Frames that were in use when their job panicked: dropped, not
     /// recycled, so a half-written buffer can never resurface under a
@@ -114,23 +115,27 @@ impl FramePool {
     }
 
     /// Returns a frame to the free list. At [`FramePool::MAX_FREE_FRAMES`]
-    /// the pool lets go of the frame returned longest ago. Zero-length
-    /// frames are ignored.
+    /// the pool lets go of the frame itself when it holds one of its size,
+    /// and of the frame returned longest ago otherwise. Zero-length frames
+    /// are ignored.
     pub fn recycle(&self, frame: Vec<f32>) {
         if frame.is_empty() {
             return;
         }
-        // The evicted frame is freed after the lock is released.
-        let evicted = {
+        // The frame let go is freed after the lock is released.
+        let dropped = {
             let mut free = self.shared.free.lock().expect("frame pool poisoned");
-            free.push_back(frame);
-            if free.len() > FramePool::MAX_FREE_FRAMES {
-                free.pop_front()
-            } else {
+            if free.len() < FramePool::MAX_FREE_FRAMES {
+                free.push_back(frame);
                 None
+            } else if free.iter().any(|kept| kept.len() == frame.len()) {
+                Some(frame)
+            } else {
+                free.push_back(frame);
+                free.pop_front()
             }
         };
-        let counter = match evicted {
+        let counter = match dropped {
             Some(_) => &self.shared.discarded_over_cap,
             None => &self.shared.recycled,
         };
@@ -228,8 +233,8 @@ mod tests {
         let frame = pool.acquire(64);
         assert_eq!(frame.len(), 64);
         assert_eq!(pool.stats().allocated, 1);
-        // One bound covers every size: the frame past it evicts the frame
-        // returned longest ago, the 32-sample one.
+        // One bound covers every size: a frame of a new size past it evicts
+        // the frame returned longest ago, the 32-sample one.
         for len in 1..FramePool::MAX_FREE_FRAMES {
             pool.recycle(vec![0.0; 100 + len]);
         }
@@ -263,6 +268,22 @@ mod tests {
         let _ = pool.acquire(2);
         let _ = pool.acquire(3);
         assert_eq!(pool.stats().allocated, 2, "2 and 3 were evicted");
+    }
+
+    #[test]
+    fn a_frame_of_a_kept_size_is_let_go_at_the_bound() {
+        let pool = FramePool::new();
+        for len in 1..=FramePool::MAX_FREE_FRAMES {
+            pool.recycle(vec![0.0; len]);
+        }
+        // Length 1 already has a free frame: the returned one goes, and the
+        // frame returned longest ago, also length 1, stays.
+        pool.recycle(vec![0.0; 1]);
+        assert_eq!(pool.stats().discarded_over_cap, 1);
+        let _ = pool.acquire(1);
+        assert_eq!(pool.stats().reused, 1);
+        let _ = pool.acquire(1);
+        assert_eq!(pool.stats().allocated, 1, "one length-1 frame was kept");
     }
 
     #[test]
