@@ -179,10 +179,11 @@ impl BackendRegistry {
             design: Some(DesignImplementation::FixedPointConversion),
             executor: Executor::TwoPass,
         },
-        // The stream rows are single-threaded on purpose: a service worker
-        // pool already runs one job per thread, so per-job row slicing on
-        // top would oversubscribe the host. Callers with a dedicated
-        // machine register an `Engine` built from a row with more threads.
+        // The stream rows stay single-threaded so their schedule points
+        // and pins stay as they are. Slicing would no longer oversubscribe
+        // a worker pool: a job's extra row slices take only cores no
+        // worker holds (`tonemap_core::cores`). `schedule=` specs and
+        // engines built from a row with more threads do slice.
         EngineRow {
             name: "sw-f32-stream",
             description: "streaming software reference: fused single pass over a row ring buffer (the Fig. 4 line buffer in software), bit-identical to sw-f32",

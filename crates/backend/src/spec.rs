@@ -337,8 +337,9 @@ impl BackendSpec {
                                 .to_string(),
                         ));
                     }
-                    // Every job spawns up to this many scoped threads, so one
-                    // client string must not be able to ask for thousands.
+                    // `threads=` is the most row slices a job may run (each
+                    // slice past the first takes a core nobody holds), and
+                    // one client string must not be able to ask for thousands.
                     if count > HostModel::MAX_WORKERS {
                         return Err(invalid(format!(
                             "`threads={count}` exceeds the streaming executor's cap of {} \

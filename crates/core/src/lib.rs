@@ -70,6 +70,7 @@
 pub mod adjust;
 pub mod blur;
 pub mod color;
+pub mod cores;
 pub mod masking;
 pub mod normalize;
 pub mod ops;

@@ -53,11 +53,14 @@
 //! `S = apfixed::Fix16` the paper's final fixed-point accelerator.
 //!
 //! Rows are an embarrassingly parallel unit: [`StreamingToneMapper`] can
-//! slice the output rows across scoped threads
-//! ([`StreamingToneMapper::with_threads`]), each slice re-deriving the few
-//! cascade rows it shares with its neighbour. Outputs stay bit-identical at
-//! any thread count because every output row's computation is
-//! self-contained.
+//! slice each fused segment's output rows across up to
+//! [`StreamingToneMapper::with_threads`] threads, each slice re-deriving the
+//! few cascade rows it shares with its neighbour. The calling thread runs
+//! one slice, and each further slice runs on a scoped thread only if it can
+//! claim a host core that nobody holds ([`crate::cores`]). So a segment run
+//! inside a busy worker pool stays on its worker's thread, and an idle
+//! process slices as wide as asked. Outputs stay bit-identical at any slice
+//! count because every output row's computation is self-contained.
 //!
 //! # Example
 //!
@@ -74,6 +77,7 @@
 //! ```
 
 use crate::blur::{gaussian_kernel, quantize_kernel};
+use crate::cores;
 use crate::normalize::normalize_sample;
 use crate::params::{ParamError, ToneMapParams};
 use crate::plan::{
@@ -440,8 +444,11 @@ impl<S: Sample> StreamingToneMapper<S> {
         })
     }
 
-    /// Sets how many row slices to process concurrently (clamped to at
-    /// least 1). Outputs are bit-identical at any thread count.
+    /// Sets the most row slices each fused segment runs concurrently
+    /// (clamped to at least 1). The calling thread runs one slice; each
+    /// further slice needs a host core that nobody holds
+    /// ([`crate::cores`]), so a busy process runs fewer. Outputs are
+    /// bit-identical at any slice count.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         self
@@ -504,7 +511,8 @@ impl<S: Sample> StreamingToneMapper<S> {
         }
     }
 
-    /// The configured row-slice thread count.
+    /// The most row slices a fused segment runs concurrently
+    /// ([`StreamingToneMapper::with_threads`]).
     pub const fn threads(&self) -> usize {
         self.threads
     }
@@ -677,22 +685,35 @@ fn run_stream_program<S: Sample>(
     current.expect("compiled plans always run at least one fused segment")
 }
 
-/// Runs one fused segment over its input image — a pure point pass when the
-/// segment has no stencil, otherwise the line-buffer cascade — slicing the
-/// output rows across the configured threads.
+/// Runs one fused segment over its input image, slicing the output rows
+/// across at most `threads` threads: the caller's own, plus one for each
+/// core it can claim that nobody holds ([`crate::cores`]).
 fn run_fused_segment<S: Sample>(
     segment: &FusedSegment<S>,
     input: &LuminanceImage,
     ingest: Ingest,
     threads: usize,
 ) -> LuminanceImage {
+    // The claimed cores go back once every slice has joined.
+    let extra = cores::claim(threads.min(input.height()).saturating_sub(1));
+    run_slices(segment, input, ingest, 1 + extra.cores())
+}
+
+/// Runs one fused segment over its input image — a pure point pass when the
+/// segment has no stencil, otherwise the line-buffer cascade — in `slices`
+/// row slices: the calling thread runs the last, a scoped thread each other.
+fn run_slices<S: Sample>(
+    segment: &FusedSegment<S>,
+    input: &LuminanceImage,
+    ingest: Ingest,
+    slices: usize,
+) -> LuminanceImage {
     let (width, height) = input.dimensions();
     let mut out = vec![0.0f32; width * height];
-    let threads = threads.min(height.max(1));
-    if segment.regions.is_empty() {
-        // Pure point chain: every pixel is independent, nothing to ring.
-        let point_rows = |first_row: usize, chunk: &mut [f32]| {
-            let pixels = &input.pixels()[first_row * width..first_row * width + chunk.len()];
+    let rows = |first_row: usize, chunk: &mut [f32]| {
+        if segment.regions.is_empty() {
+            // Pure point chain: every pixel is independent, nothing to ring.
+            let pixels = &input.pixels()[first_row * width..][..chunk.len()];
             for (row, raw) in chunk
                 .chunks_exact_mut(width)
                 .zip(pixels.chunks_exact(width))
@@ -701,27 +722,21 @@ fn run_fused_segment<S: Sample>(
                 ingest.apply_row(row, normalize_sample);
                 apply_chain(&segment.epilog, row, None);
             }
-        };
-        if threads <= 1 {
-            point_rows(0, &mut out);
         } else {
-            let rows_per_slice = height.div_ceil(threads);
-            std::thread::scope(|scope| {
-                for (slice, chunk) in out.chunks_mut(rows_per_slice * width).enumerate() {
-                    let point_rows = &point_rows;
-                    scope.spawn(move || point_rows(slice * rows_per_slice, chunk));
-                }
-            });
+            run_rows(segment, input, ingest, first_row, chunk);
         }
-    } else if threads <= 1 {
-        run_rows(segment, input, ingest, 0, &mut out);
+    };
+    if slices <= 1 {
+        rows(0, &mut out);
     } else {
-        let rows_per_slice = height.div_ceil(threads);
+        let rows_per_slice = height.div_ceil(slices);
         std::thread::scope(|scope| {
-            for (slice, chunk) in out.chunks_mut(rows_per_slice * width).enumerate() {
-                let first_row = slice * rows_per_slice;
-                scope.spawn(move || run_rows(segment, input, ingest, first_row, chunk));
+            let mut chunks = out.chunks_mut(rows_per_slice * width).enumerate();
+            let (last, last_chunk) = chunks.next_back().expect("an image has at least one row");
+            for (slice, chunk) in chunks {
+                scope.spawn(move || rows(slice * rows_per_slice, chunk));
             }
+            rows(last * rows_per_slice, last_chunk);
         });
     }
     LuminanceImage::from_vec(width, height, out).expect("output dimensions equal input dimensions")
@@ -1050,6 +1065,72 @@ mod tests {
                 .map_luminance(&hdr);
             assert_eq!(sliced, single, "diverged at {threads} threads");
         }
+    }
+
+    #[test]
+    fn every_slice_count_is_bit_identical() {
+        // A run slices only as wide as the host has free cores, so this
+        // drives the slicing itself at every count up to one row a slice,
+        // on a stencil cascade, a two-stencil cascade and a point chain.
+        let hdr = SceneKind::MemorialComposite.generate(37, 29, 9);
+        let p = ToneMapParams::paper_default();
+        let reinhard = PipelinePlan::preset("reinhard", &p, &PlanTuning::default());
+        for plan in [
+            PipelinePlan::from_params(&p),
+            two_stencil_plan(),
+            reinhard.unwrap().unwrap(),
+        ] {
+            let mapper = StreamingToneMapper::<f32>::compile(plan, p).unwrap();
+            let Program::Stream(program) = &mapper.program else {
+                panic!("{} streams", mapper.plan());
+            };
+            let SegmentProgram::Fused(segment) = &program.segments[0] else {
+                panic!("a stream starts with a fused segment");
+            };
+            let ingest = Ingest::Source(FrameReductions.normalize_scale(&hdr));
+            let single = run_slices(segment, &hdr, ingest, 1);
+            for slices in 2..=30 {
+                let sliced = run_slices(segment, &hdr, ingest, slices);
+                assert_eq!(
+                    sliced,
+                    single,
+                    "{} diverged at {slices} slices",
+                    mapper.plan()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn denied_slices_stay_bit_identical() {
+        // Every host core held, as by a busy worker pool: a ×4 run is
+        // granted no extra core and runs each segment on its caller's
+        // thread, with the same pixels.
+        let held: Vec<cores::Held> = (0..cores::host_cores()).map(|_| cores::hold()).collect();
+        assert_eq!(cores::claim(3).cores(), 0, "a held host grants no slice");
+        let p = ToneMapParams::paper_default();
+        let lum = SceneKind::MemorialComposite.generate(37, 29, 9);
+        let rgb = SceneKind::SunAndShadow.generate_rgb(41, 27, 9);
+        for name in ["paper", "basedetail", "histeq", "pq-out"] {
+            let plan = PipelinePlan::preset(name, &p, &PlanTuning::default());
+            let single = StreamingToneMapper::<f32>::compile(plan.unwrap().unwrap(), p).unwrap();
+            let denied = single.clone().with_threads(4);
+            if name == "histeq" {
+                assert!(
+                    !single.decision().barriers().is_empty(),
+                    "histeq is segmented"
+                );
+            }
+            if name == "pq-out" {
+                // A colour run streams its luminance through the cascade.
+                let expected = single.map_rgb(&rgb).unwrap();
+                assert_eq!(denied.map_rgb(&rgb).unwrap(), expected, "{name} diverged");
+            } else {
+                let expected = single.map_luminance(&lum);
+                assert_eq!(denied.map_luminance(&lum), expected, "{name} diverged");
+            }
+        }
+        drop(held);
     }
 
     #[test]

@@ -101,14 +101,17 @@ impl fmt::Display for ScheduleExecutor {
 pub struct SchedulePoint {
     /// The executor that runs the plan.
     pub executor: ScheduleExecutor,
-    /// Row-slice worker count (always 1 for the two-pass executor, whose
-    /// planner is single-threaded).
+    /// The most row slices a run of this point takes (always 1 for the
+    /// two-pass executor, whose planner is single-threaded). It is a cap:
+    /// each slice past the first runs only on a host core that nobody holds
+    /// ([`tonemap_core::cores`]), so inside a busy worker pool a run may
+    /// take fewer.
     pub threads: usize,
     /// The engine's sample format — recorded so telemetry names the full
     /// strategy, never varied by the scheduler (see [`SampleFormat`]).
     pub format: SampleFormat,
-    /// Rows of the largest row slice a worker processes (`height` when
-    /// `threads == 1`).
+    /// Rows of the largest row slice when a run takes all `threads` slices
+    /// (`height` when `threads == 1`).
     pub slice_rows: usize,
 }
 

@@ -29,14 +29,12 @@ impl HostModel {
     /// streaming engines' own cap in `tonemap-backend`.
     pub const MAX_WORKERS: usize = 8;
 
-    /// Detects the running host: `available_parallelism` capped at
+    /// Detects the running host: its cores as read once per process
+    /// ([`tonemap_core::cores::host_cores`]), capped at
     /// [`HostModel::MAX_WORKERS`].
     pub fn detected() -> Self {
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
         HostModel {
-            cores: cores.clamp(1, Self::MAX_WORKERS),
+            cores: tonemap_core::cores::host_cores().min(Self::MAX_WORKERS),
         }
     }
 

@@ -1,5 +1,6 @@
-//! The `Arc`-based frame pool: steady-state serving without large per-job
-//! allocations.
+//! The `Arc`-based frame pool: steady-state staging of raw inputs without
+//! per-job frame allocations. Engines still allocate their own output
+//! frames; a recycled output frame serves a later job's staging.
 //!
 //! Every raw job that arrives off the wire needs a full-frame staging
 //! buffer, and every response frame a consumer finishes with is a
@@ -27,8 +28,8 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Counters describing how the pool has been used — the evidence behind
-/// the zero-allocation claim: in steady state `allocated` stays flat while
+/// Counters describing how the pool has been used — the evidence that
+/// staging does not allocate: in steady state `allocated` stays flat while
 /// `reused` grows with traffic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FramePoolStats {

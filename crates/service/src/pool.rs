@@ -36,6 +36,10 @@
 //! still gets a typed answer and the worker's time is not spent on a result
 //! nobody can use.
 //!
+//! A worker holds one of the host's cores while it runs a task
+//! ([`tonemap_core::cores::hold`]), so the task's row slices run only on
+//! cores that no other worker holds.
+//!
 //! Shutdown is graceful by construction: [`WorkerPool::shutdown`] raises
 //! the flag and wakes everyone; a worker exits only once the flag is up
 //! *and* both deques are empty, and a worker that ran a stream's task puts
@@ -414,7 +418,12 @@ fn worker_loop(shared: &PoolShared) {
         shared.space.notify_one();
         // A panicking task must not take the worker down with it; waiters
         // observe the failure through their responder channel disconnecting.
-        let _ = catch_unwind(AssertUnwindSafe(move || run(fate)));
+        // The worker's core is held inside the unwind boundary, so a
+        // panicking task gives it back too.
+        let _ = catch_unwind(AssertUnwindSafe(move || {
+            let _core = tonemap_core::cores::hold();
+            run(fate)
+        }));
         queue = shared.lock();
         if let Some(key) = stream {
             // This worker takes the next entry itself, so a re-queued

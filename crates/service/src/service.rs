@@ -72,9 +72,10 @@ impl Default for ServiceConfig {
 ///   ([`TonemapError::DeadlineExceeded`]) if it is still queued when the
 ///   budget runs out.
 /// - **Frame pooling**: raw-luminance jobs are staged through a shared
-///   [`FramePool`]; returning finished frames with
-///   [`TonemapService::recycle`] closes the loop so steady-state serving
-///   performs no large per-job allocations at the service layer.
+///   [`FramePool`], and [`TonemapService::recycle`] hands finished frames
+///   back to it, so in steady state staging a job's input allocates no
+///   frame. The engine still allocates each job's output frame (and any
+///   intermediates its executor materializes); only staging is pooled.
 ///
 /// See the crate-level docs for the job lifecycle and an example.
 pub struct TonemapService {
