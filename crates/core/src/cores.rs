@@ -4,9 +4,9 @@
 //! holds one core while it runs a task ([`hold`]). A fused stream segment
 //! runs one row slice on its caller's thread and claims a core for each
 //! further slice, up to its schedule point's thread count, from the cores
-//! nobody holds. So a busy worker pool never runs more tone-mapping threads
-//! than the host has cores, while an idle process still slices as wide as
-//! its point asks.
+//! nobody holds. So row slices never push a busy worker pool past the
+//! host's cores, while an idle process still slices as wide as its point
+//! asks.
 //!
 //! A claim never blocks and never fails: it may be granted no core at all,
 //! and the segment then runs on its caller's thread alone. Every output row
