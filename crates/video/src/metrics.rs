@@ -1,10 +1,15 @@
 //! Inline stability metrics and the scene-cut frame signature.
 //!
 //! The per-frame statistics — the signature's mean log₂ luminance and
-//! histogram, and the Reinhard log-average — take a logarithm of every
-//! sample. They run as lane-parallel passes over one branch-free [`log2`]
-//! kernel, so they vectorize like the engines' pixel loops instead of
-//! calling libm per sample.
+//! histogram, and the Reinhard log-average — sum a logarithm over every
+//! sample. Every term is a positive normal float `x = 2^e·m` with `m` in
+//! `[1, 2)`, so `Σ log₂ x = Σ e + log₂ Π m`: each lane sums its samples'
+//! exponents exactly as integers and multiplies their mantissas, and takes
+//! one branch-free [`log2`] of its product per block of [`BLOCK`] samples
+//! instead of one per sample. The signature's bins are counted from the
+//! same bits, and the frame maximum is folded into the same pass, so a
+//! session reads each raw frame once before its executor runs. The lane
+//! loops vectorize like the engines' pixel loops and call no libm.
 
 use hdr_image::LuminanceImage;
 
@@ -17,9 +22,8 @@ const SIGNATURE_BINS: usize = 16;
 /// `floor((log₂ v + 20) / 40 · 16)`, clamped to the range. Edge `k − 1`
 /// (k = 1..=15) is the smallest `f32` whose bin is at least `k`:
 /// `2^(2.5k − 20)` rounded up to `f32`. A sample's bin is the number of
-/// edges at or below it, so counting by comparison bins every sample
-/// exactly as the formula does; the tests derive each edge again from the
-/// formula in libm.
+/// edges at or below it; the tests derive each edge again from the formula
+/// in libm.
 const BIN_EDGES: [f32; SIGNATURE_BINS - 1] = [
     5.394797e-6,
     3.0517578e-5,
@@ -38,14 +42,56 @@ const BIN_EDGES: [f32; SIGNATURE_BINS - 1] = [
     185363.81,
 ];
 
-/// Samples per step of a statistics pass: one 256-bit register of `f32`
-/// input, two of `f64` log₂ sums.
-const LANES: usize = 8;
+/// The mantissa bits of the smallest `f32` at or above √2.
+const SQRT_2_MANTISSA: u32 = 0x35_04f4;
 
-/// Samples per block of a statistics pass. A block's per-lane bin counts
-/// fit `u32` with room to spare, and the log-average maps each block into
-/// a stack buffer that stays in L1.
+/// A positive normal `f32`'s place on the half-octave grid,
+/// `floor(2·log₂ v) + 254`: twice its biased exponent, plus one when its
+/// mantissa is at least √2's. Adding `2²³ − SQRT_2_MANTISSA` to the bits
+/// carries into the exponent field exactly then.
+#[inline(always)]
+const fn half_octave(bits: u32) -> u32 {
+    (bits >> 23) + ((bits + ((1 << 23) - SQRT_2_MANTISSA)) >> 23)
+}
+
+/// Each bin edge's place on the half-octave grid. Edge `k − 1` sits at
+/// `floor(2·log₂ v) = 5k − 40`, and each edge is a power of two or √2
+/// times one rounded up, so it is the smallest `f32` at its place: a
+/// positive normal sample is at or above an edge exactly when its place
+/// is.
+const EDGE_PLACES: [i16; SIGNATURE_BINS - 1] = {
+    let mut places = [0; SIGNATURE_BINS - 1];
+    let mut k = 0;
+    while k < places.len() {
+        places[k] = half_octave(BIN_EDGES[k].to_bits()) as i16;
+        k += 1;
+    }
+    places
+};
+
+/// Samples per step of a statistics pass: two 256-bit registers of `f32`
+/// input, one of `i16` places, four of `f64` mantissa products.
+const LANES: usize = 16;
+
+/// Samples per block of a statistics pass. A lane multiplies at most
+/// `BLOCK / LANES` = 256 mantissas in `[1, 2)` before the block flushes
+/// its product through [`log2`], so the product stays below 2²⁵⁶ and
+/// never overflows; each multiply rounds once. A block's per-lane bin
+/// counts fit `u16`, and the log-average maps each block into a stack
+/// buffer that stays in L1.
 const BLOCK: usize = 4096;
+
+/// The exponent bias of `f32`.
+const F32_BIAS: u64 = 127;
+
+/// The exponent bias of `f64`.
+const F64_BIAS: u64 = 1023;
+
+/// The mantissa field of an `f32`.
+const F32_MANTISSA_MASK: u32 = (1 << 23) - 1;
+
+/// The bits of `1.0f32`.
+const F32_ONE_BITS: u32 = 0x3f80_0000;
 
 /// The bits of √½: [`log2`] reduces its argument into `[√½, √2)`.
 const SQRT_HALF_BITS: u64 = 0x3fe6_a09e_667f_3bcd;
@@ -109,16 +155,32 @@ fn signature_sample(v: f32) -> f32 {
     }
 }
 
-/// Up to [`LANES`] samples mapped through `view` into a full lane array,
-/// zero-padded. Reading a step from a local array rather than from the
-/// slice is what lets the lane loops over it vectorize.
-#[inline(always)]
-fn load_lanes(samples: &[f32], view: impl Fn(f32) -> f32) -> [f32; LANES] {
-    let mut lanes = [0.0f32; LANES];
-    for (lane, &v) in lanes.iter_mut().zip(samples) {
-        *lane = view(v);
+/// A running `Σ log₂` over positive normal floats: the exact sum of their
+/// biased exponents and, per lane, the sum of the `log₂` of each block's
+/// mantissa product.
+#[derive(Default)]
+struct Log2Sum {
+    exponents: u64,
+    mantissas: [f64; LANES],
+}
+
+impl Log2Sum {
+    /// Adds a block's per-lane exponent sums and mantissa products: one
+    /// [`log2`] per lane.
+    fn flush<E: Copy + Into<u64>>(&mut self, exponents: &[E; LANES], products: &[f64; LANES]) {
+        self.exponents += exponents.iter().map(|&e| e.into()).sum::<u64>();
+        for (sum, &product) in self.mantissas.iter_mut().zip(products) {
+            *sum += log2(product);
+        }
     }
-    lanes
+
+    /// The mean `log₂` of `count` flushed samples whose exponents carry
+    /// `bias`.
+    fn mean(&self, bias: u64, count: usize) -> f64 {
+        let exponents = self.exponents as i64 - (bias * count as u64) as i64;
+        let sum = exponents as f64 + self.mantissas.iter().sum::<f64>();
+        sum / count.max(1) as f64
+    }
 }
 
 /// Per-frame stability metrics, computed inline by
@@ -174,33 +236,7 @@ impl Signature {
     /// Fingerprints a raw (scene-referred) frame. Non-finite and
     /// non-positive pixels count as the 10⁻⁶ luminance floor.
     pub fn of(frame: &LuminanceImage) -> Self {
-        let mut log2_sums = [0.0f64; LANES];
-        let mut at_least = [0u64; SIGNATURE_BINS - 1];
-        for block in frame.pixels().chunks(BLOCK) {
-            let mut block_at_least = [[0u32; LANES]; SIGNATURE_BINS - 1];
-            let steps = block.chunks_exact(LANES);
-            let tail = steps.remainder();
-            for step in steps {
-                signature_step(step, &mut log2_sums, &mut block_at_least);
-            }
-            signature_step(tail, &mut log2_sums, &mut block_at_least);
-            for (total, lanes) in at_least.iter_mut().zip(&block_at_least) {
-                *total += lanes.iter().map(|&count| u64::from(count)).sum::<u64>();
-            }
-        }
-        let total = frame.pixel_count().max(1) as f64;
-        // Bin b holds the samples at or above `BIN_EDGES[b − 1]` but below
-        // `BIN_EDGES[b]`.
-        let mut histogram = [0.0f64; SIGNATURE_BINS];
-        let mut above = frame.pixel_count() as u64;
-        for (slot, next) in histogram.iter_mut().zip(at_least.into_iter().chain([0])) {
-            *slot = (above - next) as f64 / total;
-            above = next;
-        }
-        Signature {
-            mean_log2: log2_sums.iter().sum::<f64>() / total,
-            histogram,
-        }
+        signature_and_max(frame).0
     }
 
     /// Distance to another signature: `|Δ mean_log2|` plus the L1 distance
@@ -221,61 +257,160 @@ impl Signature {
     }
 }
 
-/// Adds up to [`LANES`] raw samples to the signature's lane accumulators:
-/// a log₂ sum per lane and, per bin edge, a per-lane count of the samples
-/// at or above it.
-#[inline(always)]
-fn signature_step(
-    samples: &[f32],
-    log2_sums: &mut [f64; LANES],
-    at_least: &mut [[u32; LANES]; SIGNATURE_BINS - 1],
-) {
-    let lanes = load_lanes(samples, signature_sample);
-    let lanes = &lanes[..samples.len()];
-    for (sum, &v) in log2_sums.iter_mut().zip(lanes) {
-        *sum += log2(f64::from(v));
+/// One pass over a raw frame: its [`Signature`] and its largest finite
+/// sample, or +0 when no sample is finite and positive.
+///
+/// The maximum equals [`max_pixel`](tonemap_core::normalize::max_pixel)
+/// bit for bit: every lane starts at +0 and takes a finite sample only when
+/// it is strictly larger, as `max_pixel`'s lanes do, and the result of that
+/// rule does not depend on the order of the fold.
+pub(crate) fn signature_and_max(frame: &LuminanceImage) -> (Signature, f32) {
+    let mut pass = RawPass {
+        log2: Log2Sum::default(),
+        at_least: [0; SIGNATURE_BINS - 1],
+        max: 0.0,
+        places: [[0; LANES]; BLOCK / LANES],
+    };
+    let (steps, tail) = frame.pixels().as_chunks::<LANES>();
+    for block in steps.chunks(BLOCK / LANES) {
+        pass.add_block(block, LANES);
     }
-    for (counts, &edge) in at_least.iter_mut().zip(&BIN_EDGES) {
-        for (count, &v) in counts.iter_mut().zip(lanes) {
-            *count += u32::from(v >= edge);
+    if !tail.is_empty() {
+        let mut padded = [0.0f32; LANES];
+        padded[..tail.len()].copy_from_slice(tail);
+        pass.add_block(&[padded], tail.len());
+    }
+    let total = frame.pixel_count().max(1) as f64;
+    // Bin b holds the samples at or above `BIN_EDGES[b − 1]` but below
+    // `BIN_EDGES[b]`.
+    let mut histogram = [0.0f64; SIGNATURE_BINS];
+    let mut above = frame.pixel_count() as u64;
+    for (slot, next) in histogram
+        .iter_mut()
+        .zip(pass.at_least.into_iter().chain([0]))
+    {
+        *slot = (above - next) as f64 / total;
+        above = next;
+    }
+    let signature = Signature {
+        mean_log2: pass.log2.mean(F32_BIAS, frame.pixel_count()),
+        histogram,
+    };
+    (signature, pass.max)
+}
+
+/// The raw-frame pass's running totals, and the places of the block in
+/// flight.
+struct RawPass {
+    log2: Log2Sum,
+    /// Per bin edge, the samples at or above it.
+    at_least: [u64; SIGNATURE_BINS - 1],
+    max: f32,
+    places: [[i16; LANES]; BLOCK / LANES],
+}
+
+impl RawPass {
+    /// Adds a block of at most `BLOCK / LANES` steps whose leading `valid`
+    /// lanes hold raw samples. The rest are +0 padding: they keep +0 bits
+    /// — exponent 0, mantissa 1, a place below every edge — and never
+    /// raise the maximum, so they add nothing.
+    ///
+    /// A first loop keeps the log₂ terms and the maximum in registers and
+    /// writes each sample's place to a buffer in L1; a second counts the
+    /// places at or above each edge. One loop over both would spill.
+    #[inline(always)]
+    fn add_block(&mut self, steps: &[[f32; LANES]], valid: usize) {
+        let mut exponents = [0u32; LANES];
+        let mut products = [1.0f64; LANES];
+        let mut max = [0.0f32; LANES];
+        for (step, places) in steps.iter().zip(&mut self.places) {
+            let mut bits = [0u32; LANES];
+            for ((bits, max), &v) in bits.iter_mut().zip(&mut max).zip(step).take(valid) {
+                let finite = if v.is_finite() { v } else { 0.0 };
+                *max = if finite > *max { finite } else { *max };
+                *bits = signature_sample(v).to_bits();
+            }
+            for (exponent, &bits) in exponents.iter_mut().zip(&bits) {
+                *exponent += bits >> 23;
+            }
+            for (product, &bits) in products.iter_mut().zip(&bits) {
+                *product *= f64::from(f32::from_bits((bits & F32_MANTISSA_MASK) | F32_ONE_BITS));
+            }
+            for (place, &bits) in places.iter_mut().zip(&bits) {
+                *place = half_octave(bits) as i16;
+            }
+        }
+        self.log2.flush(&exponents, &products);
+        self.max = max
+            .into_iter()
+            .fold(self.max, |max, v| if v > max { v } else { max });
+        let mut at_least = [[0u16; LANES]; SIGNATURE_BINS - 1];
+        for places in &self.places[..steps.len()] {
+            for (counts, &edge) in at_least.iter_mut().zip(&EDGE_PLACES) {
+                for (count, &place) in counts.iter_mut().zip(places) {
+                    *count += u16::from(place >= edge);
+                }
+            }
+        }
+        for (total, lanes) in self.at_least.iter_mut().zip(&at_least) {
+            *total += lanes.iter().map(|&count| u64::from(count)).sum::<u64>();
         }
     }
 }
 
 /// The mean of `ln(10⁻⁴ + max(v, 0))` over `frame` mapped through `sample`
 /// — the register an executor ingests — without building that register:
-/// the log-average observation behind Reinhard key adaptation. Each block
-/// is mapped into a stack buffer and summed there, so both loops
-/// vectorize. The floor at 0 keeps the mean finite when the register holds
-/// negative samples, which it does when a frame's maximum is not positive
-/// and the frame is therefore not scaled.
+/// the log-average observation behind Reinhard key adaptation. `sample`
+/// returns finite values, as the executor's ingest does. Each block is
+/// mapped into a stack buffer and summed there, so both loops vectorize.
+/// The floor at 0 keeps the mean finite when the register holds negative
+/// samples, which it does when a frame's maximum is not positive and the
+/// frame is therefore not scaled.
 pub(crate) fn log_average(frame: &LuminanceImage, sample: impl Fn(f32) -> f32) -> f64 {
-    let mut log2_sums = [0.0f64; LANES];
-    let mut buffer = [0.0f32; BLOCK];
-    for block in frame.pixels().chunks(BLOCK) {
+    let mut log2 = Log2Sum::default();
+    let mut buffer = [[0.0f32; LANES]; BLOCK / LANES];
+    let (steps, tail) = frame.pixels().as_chunks::<LANES>();
+    for block in steps.chunks(BLOCK / LANES) {
         let register = &mut buffer[..block.len()];
-        for (slot, &v) in register.iter_mut().zip(block) {
+        for (slot, &v) in register
+            .as_flattened_mut()
+            .iter_mut()
+            .zip(block.as_flattened())
+        {
             *slot = sample(v);
         }
-        let steps = register.chunks_exact(LANES);
-        let tail = steps.remainder();
-        for step in steps {
-            log_average_step(step, &mut log2_sums);
-        }
-        log_average_step(tail, &mut log2_sums);
+        add_log_average_block(&mut log2, register, LANES);
     }
-    let mean_log2 = log2_sums.iter().sum::<f64>() / frame.pixel_count().max(1) as f64;
-    mean_log2 * std::f64::consts::LN_2
+    if !tail.is_empty() {
+        let mut padded = [0.0f32; LANES];
+        for (slot, &v) in padded.iter_mut().zip(tail) {
+            *slot = sample(v);
+        }
+        add_log_average_block(&mut log2, &[padded], tail.len());
+    }
+    log2.mean(F64_BIAS, frame.pixel_count()) * std::f64::consts::LN_2
 }
 
-/// Adds up to [`LANES`] register samples to the log-average's per-lane
-/// log₂ sums.
+/// Adds the terms `10⁻⁴ + max(v, 0)` of a block of register steps whose
+/// leading `valid` lanes hold samples; the padded lanes keep +0 bits, so
+/// they add nothing.
 #[inline(always)]
-fn log_average_step(samples: &[f32], log2_sums: &mut [f64; LANES]) {
-    let lanes = load_lanes(samples, |v| v.max(0.0));
-    for (sum, &v) in log2_sums.iter_mut().zip(&lanes[..samples.len()]) {
-        *sum += log2(1e-4 + f64::from(v));
+fn add_log_average_block(log2: &mut Log2Sum, steps: &[[f32; LANES]], valid: usize) {
+    let mut exponents = [0u64; LANES];
+    let mut products = [1.0f64; LANES];
+    for step in steps {
+        let mut bits = [0u64; LANES];
+        for (bits, &v) in bits.iter_mut().zip(step).take(valid) {
+            *bits = (1e-4 + f64::from(v.max(0.0))).to_bits();
+        }
+        for (exponent, &bits) in exponents.iter_mut().zip(&bits) {
+            *exponent += bits >> 52;
+        }
+        for (product, &bits) in products.iter_mut().zip(&bits) {
+            *product *= f64::from_bits((bits & MANTISSA_MASK) | ONE_BITS);
+        }
     }
+    log2.flush(&exponents, &products);
 }
 
 /// The output pass of a frame: its mean brightness and, when `previous`
@@ -320,6 +455,7 @@ mod tests {
     use super::*;
     use hdr_image::sequence::{FrameSequence, SequenceKind};
     use hdr_image::synth::SceneKind;
+    use tonemap_core::normalize::{max_pixel, normalize_sample};
 
     /// The libm signature the lane pass replaced: the reference it must
     /// match — bins bit for bit, the mean within [`LOG2_MEAN_BOUND`].
@@ -594,6 +730,152 @@ mod tests {
     fn lane_means_stay_within_the_bound_on_every_scene() {
         for scene in SceneKind::ALL {
             assert_lane_means_within_bound(&scene.generate(1024, 768, 9));
+        }
+    }
+
+    /// The mean of `terms` with Neumaier's compensated sum. A plain
+    /// sequential sum drifts by up to half an ulp of the running sum per
+    /// term: over 12,303 copies of log₂(`f32::MAX`) its mean is 1.5e-11
+    /// off, beyond the bound.
+    fn compensated_mean(terms: impl Iterator<Item = f64>) -> f64 {
+        let (mut sum, mut compensation, mut count) = (0.0f64, 0.0f64, 0usize);
+        for term in terms {
+            let next = sum + term;
+            compensation += if sum.abs() >= term.abs() {
+                (sum - next) + term
+            } else {
+                (term - next) + sum
+            };
+            sum = next;
+            count += 1;
+        }
+        (sum + compensation) / count.max(1) as f64
+    }
+
+    /// Asserts that one raw-frame pass bins `frame` exactly as the
+    /// reference does, keeps its mean log₂ and the log-average of its
+    /// unscaled register within the bound of the libm terms' mean, and
+    /// takes its maximum bit for bit as `max_pixel` does.
+    fn assert_block_sums_within_bound(frame: &LuminanceImage) {
+        let (signature, max) = signature_and_max(frame);
+        assert_eq!(signature.histogram, reference_signature(frame).histogram);
+        let log2s = frame
+            .pixels()
+            .iter()
+            .map(|&v| f64::from(signature_sample(v)).log2());
+        let error = (signature.mean_log2 - compensated_mean(log2s)).abs();
+        assert!(error <= LOG2_MEAN_BOUND, "mean log2 off by {error:e}");
+        // The executor's ingest without a scale: non-finite samples read 0.
+        let ingest = |v| normalize_sample(v, None);
+        let lns = frame
+            .pixels()
+            .iter()
+            .map(|&v| (1e-4 + f64::from(ingest(v).max(0.0))).ln());
+        let error = (log_average(frame, ingest) - compensated_mean(lns)).abs();
+        assert!(error <= LOG2_MEAN_BOUND, "log-average off by {error:e}");
+        assert_eq!(max.to_bits(), max_pixel(frame).to_bits());
+    }
+
+    /// A row of `len` samples over twelve decades, 1e-6..1e6.
+    fn twelve_decades(len: usize, values: &mut impl Iterator<Item = f64>) -> LuminanceImage {
+        row((0..len)
+            .map(|_| 10f64.powf(12.0 * values.next().unwrap() - 6.0) as f32)
+            .collect())
+    }
+
+    #[test]
+    fn each_edge_is_the_smallest_f32_at_its_half_octave_place() {
+        for (k, (&edge, &place)) in (1..).zip(BIN_EDGES.iter().zip(&EDGE_PLACES)) {
+            // Edge k − 1 sits at floor(2·log₂ v) = 5k − 40.
+            assert_eq!(i32::from(place), 5 * k - 40 + 254, "edge {edge:e}");
+            let bits = edge.to_bits();
+            assert_eq!(
+                half_octave(bits - 1) + 1,
+                half_octave(bits),
+                "edge {edge:e}"
+            );
+        }
+        // The floor and the +0 padding sit below every edge.
+        for bits in [1e-6f32.to_bits(), 0] {
+            let place = half_octave(bits) as i16;
+            assert!(EDGE_PLACES.iter().all(|&edge| place < edge), "{bits:#x}");
+        }
+    }
+
+    #[test]
+    fn block_sums_stay_within_the_bound_on_extreme_frames() {
+        // Every mantissa all ones, the largest products a lane can take,
+        // over every exponent from the signature's floor to `f32::MAX`'s.
+        let all_ones =
+            (107..=254u32).map(|exponent| f32::from_bits((exponent << 23) | F32_MANTISSA_MASK));
+        assert_block_sums_within_bound(&row(all_ones.cycle().take(3 * BLOCK + 7).collect()));
+        for len in [BLOCK, 3 * BLOCK + 15] {
+            assert_block_sums_within_bound(&row(vec![f32::MAX; len]));
+        }
+        // Every sample at the floor.
+        let floor = [
+            f32::NAN,
+            -f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            0.0,
+            -0.0,
+            -1.0,
+            -f32::MAX,
+            f32::from_bits(1),
+            f32::from_bits(F32_MANTISSA_MASK),
+        ];
+        assert_block_sums_within_bound(&row(floor.into_iter().cycle().take(BLOCK + 9).collect()));
+        // Positive samples of every exponent, up to `f32::MAX`, unscaled.
+        let mut values = uniforms(4096);
+        let top = f64::from(f32::MAX.to_bits());
+        let wide =
+            (0..2 * BLOCK + 3).map(|_| f32::from_bits(1 + (values.next().unwrap() * top) as u32));
+        assert_block_sums_within_bound(&row(wide.collect()));
+        // Around one block, and every tail after three.
+        let lengths = [BLOCK - 1, BLOCK, BLOCK + 1]
+            .into_iter()
+            .chain((1..LANES).map(|tail| 3 * BLOCK + tail));
+        for len in lengths {
+            assert_block_sums_within_bound(&twelve_decades(len, &mut values));
+        }
+    }
+
+    #[test]
+    fn the_pass_maximum_equals_max_pixel_bit_for_bit() {
+        let non_positive = [
+            -0.0,
+            0.0,
+            -1.0,
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            -f32::MAX,
+        ];
+        let non_positive = row(non_positive.into_iter().cycle().take(BLOCK + 5).collect());
+        assert_eq!(
+            signature_and_max(&non_positive).1.to_bits(),
+            0.0f32.to_bits()
+        );
+        let mut values = uniforms(29);
+        let mut frames: Vec<LuminanceImage> = SceneKind::ALL
+            .iter()
+            .map(|scene| scene.generate(37, 23, 5))
+            .collect();
+        for len in [1, LANES - 1, LANES + 1, BLOCK + 3] {
+            let mut frame = twelve_decades(len, &mut values);
+            // The largest sample last, in a tail lane; NaN and +∞ beside it.
+            let last = frame.pixels().len() - 1;
+            frame.pixels_mut()[last] = 2e6;
+            frame.pixels_mut()[0] = if len > 1 { f32::NAN } else { 2e6 };
+            frames.push(frame);
+        }
+        frames.push(row(vec![f32::INFINITY, f32::from_bits(1), -0.0]));
+        for frame in &frames {
+            assert_eq!(
+                signature_and_max(frame).1.to_bits(),
+                max_pixel(frame).to_bits()
+            );
         }
     }
 

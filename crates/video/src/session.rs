@@ -5,13 +5,15 @@ use hdr_image::LuminanceImage;
 use tonemap_backend::{
     BackendRegistry, BackendSpec, Engine, EngineRow, Executor, TemporalMode, TonemapBackend,
 };
-use tonemap_core::normalize::{max_pixel, normalize_sample};
+use tonemap_core::normalize::normalize_sample;
 use tonemap_core::plan::{ChannelLayout, Curve, PipelineOp, PipelinePlan};
 use tonemap_core::{Reductions, ToneMapParams};
 
 use crate::config::TemporalConfig;
 use crate::error::VideoError;
-use crate::metrics::{log_average, output_metrics, FrameMetrics, Signature, StreamSummary};
+use crate::metrics::{
+    log_average, output_metrics, signature_and_max, FrameMetrics, Signature, StreamSummary,
+};
 
 /// First-order leaky update: `s += α·(o − s)`. At `α ≥ 1` the state is
 /// *assigned* — the IEEE sum `s + 1·(o − s)` is not `o`, and `tau=0`
@@ -47,7 +49,8 @@ struct AdaptState {
     /// Adapted normalization maximum.
     max: f64,
     /// Adapted Reinhard log-average (`mean ln(1e-4 + v)` domain); `None`
-    /// until the first frame of a plan that carries a Reinhard stage.
+    /// until the first frame of a plan that carries a Reinhard stage, and
+    /// always at `α ≥ 1`, where the key factor is 1.
     log_avg_ln: Option<f64>,
     /// Adapted per-bin histogram counts, indexed by each barrier's plan
     /// stage; empty until that barrier first executes.
@@ -189,7 +192,7 @@ impl VideoSession {
     /// stability metrics.
     pub fn process(&mut self, frame: &LuminanceImage) -> (LuminanceImage, FrameMetrics) {
         let index = self.frames;
-        let signature = Signature::of(frame);
+        let (signature, frame_max) = signature_and_max(frame);
         let mut scene_cut = false;
         if let Some(state) = &self.state {
             if self.config.mode == TemporalMode::Leaky
@@ -203,7 +206,7 @@ impl VideoSession {
             }
         }
         let alpha = self.config.alpha();
-        let obs_max = f64::from(max_pixel(frame));
+        let obs_max = f64::from(frame_max);
         let mut state = match self.state.take() {
             Some(mut state) => {
                 leak(&mut state.max, obs_max, alpha);
@@ -225,7 +228,10 @@ impl VideoSession {
         } else {
             None
         };
-        let key_scale = if self.track_key {
+        // At α ≥ 1 the integrator assigns each observation, so the key
+        // factor is `exp(obs − obs)` = 1 on every frame and the log-average
+        // need not run.
+        let key_scale = if self.track_key && alpha < 1.0 {
             // The log-average of the register the executor ingests.
             let obs_ln = log_average(frame, |v| normalize_sample(v, scale));
             let adapted = leak_into(&mut state.log_avg_ln, obs_ln, alpha);
