@@ -175,6 +175,26 @@ pub trait TonemapBackend: Send + Sync {
         with_model: bool,
     ) -> Result<BackendOutput, TonemapError>;
 
+    /// [`TonemapBackend::run_luminance`], with the output written into
+    /// `frame`: a frame of the input's length is overwritten without a fill
+    /// and becomes the output image's buffer, and any other is resized.
+    ///
+    /// The default drops `frame` and runs
+    /// [`TonemapBackend::run_luminance`], so an engine that does not
+    /// override this still serves every request, with a fresh output.
+    /// [`crate::Engine`] overrides it.
+    fn run_luminance_into(
+        &self,
+        input: &LuminanceImage,
+        params: Option<&ToneMapParams>,
+        plan: Option<&PipelinePlan>,
+        with_model: bool,
+        frame: Vec<f32>,
+    ) -> Result<BackendOutput, TonemapError> {
+        drop(frame);
+        self.run_luminance(input, params, plan, with_model)
+    }
+
     /// The colour execution primitive: tone-maps one RGB image through the
     /// plan's register file.
     ///
@@ -227,13 +247,30 @@ pub trait TonemapBackend: Send + Sync {
     /// scattered non-finite samples to 0, but an all-non-finite frame has
     /// nothing left to map), or a colour re-application mismatch.
     fn execute(&self, request: &TonemapRequest<'_>) -> Result<TonemapResponse, TonemapError> {
+        self.execute_into(request, Vec::new())
+    }
+
+    /// [`TonemapBackend::execute`], with a luminance request's output
+    /// written into `frame` ([`TonemapBackend::run_luminance_into`]). A
+    /// display-referred response then carries `frame` as its image buffer;
+    /// an LDR-8 response is shaped from it. An RGB request, or a request
+    /// that fails, drops `frame`.
+    ///
+    /// # Errors
+    ///
+    /// As [`TonemapBackend::execute`].
+    fn execute_into(
+        &self,
+        request: &TonemapRequest<'_>,
+        frame: Vec<f32>,
+    ) -> Result<TonemapResponse, TonemapError> {
         let params = request.params_override();
         let plan = request.pipeline_plan();
         let with_telemetry = request.wants_telemetry();
         match *request.input() {
             RequestInput::Luminance(image) => {
                 ensure_some_finite_pixels(image)?;
-                let run = self.run_luminance(image, params, plan, with_telemetry)?;
+                let run = self.run_luminance_into(image, params, plan, with_telemetry, frame)?;
                 Ok(luminance_response(
                     run,
                     request.output_kind(),
@@ -247,7 +284,7 @@ pub trait TonemapBackend: Send + Sync {
             } => {
                 let image = LuminanceImage::from_vec(width, height, pixels.to_vec())?;
                 ensure_some_finite_pixels(&image)?;
-                let run = self.run_luminance(&image, params, plan, with_telemetry)?;
+                let run = self.run_luminance_into(&image, params, plan, with_telemetry, frame)?;
                 Ok(luminance_response(
                     run,
                     request.output_kind(),

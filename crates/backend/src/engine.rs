@@ -24,7 +24,7 @@ use crate::output::{
 };
 use crate::streaming::CompiledPlan;
 use codesign::flow::{CoDesignFlow, DesignImplementation, DesignReport};
-use hdr_image::{ImageBuffer, LuminanceImage, RgbImage};
+use hdr_image::{ImageBuffer, LuminanceImage, Rgb, RgbImage};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 use tonemap_core::{
@@ -228,9 +228,26 @@ impl Engine {
         frame: &LuminanceImage,
         reductions: &mut dyn Reductions,
     ) -> Result<LuminanceImage, TonemapError> {
+        self.map_luminance_into(frame, reductions, Vec::new())
+    }
+
+    /// [`Engine::map_luminance_with`], with the output written into
+    /// `output` ([`CompiledPlan::map_luminance_into`]).
+    ///
+    /// # Errors
+    ///
+    /// As [`Engine::map_luminance_with`].
+    pub fn map_luminance_into(
+        &self,
+        input: &LuminanceImage,
+        reductions: &mut dyn Reductions,
+        output: Vec<f32>,
+    ) -> Result<LuminanceImage, TonemapError> {
         <LuminanceImage as Frame>::check(&self.plan)?;
-        let resolved = self.resolved(frame.width(), frame.height())?;
-        Ok(resolved.compiled.map_luminance(frame, reductions))
+        let resolved = self.resolved(input.width(), input.height())?;
+        Ok(resolved
+            .compiled
+            .map_luminance_into(input, reductions, output))
     }
 
     /// An engine with validated parameters and empty memos.
@@ -314,28 +331,30 @@ impl Engine {
     ///
     /// A job that overrides the parameters or the plan runs on a fresh
     /// engine built for it, so its executor, schedule and platform-model
-    /// evaluation are the job's own and are dropped with it.
+    /// evaluation are the job's own and are dropped with it. The output is
+    /// written into `frame` where the input kind supports it.
     fn run<T>(
         &self,
         input: &ImageBuffer<T>,
         params: Option<&ToneMapParams>,
         plan: Option<&PipelinePlan>,
         with_model: bool,
+        frame: Vec<T>,
     ) -> Result<(ImageBuffer<T>, BackendTelemetry), TonemapError>
     where
-        ImageBuffer<T>: Frame,
+        ImageBuffer<T>: Frame<Sample = T>,
     {
         if params.is_some() || plan.is_some() {
             let params = params.copied().unwrap_or(self.params);
             let plan = self.effective_plan(&params, plan);
             return Engine::for_job(self.row, params, plan, &self.spec)?
-                .run(input, None, None, with_model);
+                .run(input, None, None, with_model, frame);
         }
         <ImageBuffer<T> as Frame>::check(&self.plan)?;
         let (width, height) = input.dimensions();
         let resolved = self.resolved(width, height)?;
         let start = Instant::now();
-        let output = input.map_on(&resolved.compiled)?;
+        let output = input.map_on(&resolved.compiled, frame)?;
         let wall = start.elapsed();
         let modeled = match &resolved.schedule {
             Some((_, base)) => with_model.then(|| ModeledCost::from(base)),
@@ -430,7 +449,18 @@ impl TonemapBackend for Engine {
         plan: Option<&PipelinePlan>,
         with_model: bool,
     ) -> Result<BackendOutput, TonemapError> {
-        let (image, telemetry) = self.run(input, params, plan, with_model)?;
+        self.run_luminance_into(input, params, plan, with_model, Vec::new())
+    }
+
+    fn run_luminance_into(
+        &self,
+        input: &LuminanceImage,
+        params: Option<&ToneMapParams>,
+        plan: Option<&PipelinePlan>,
+        with_model: bool,
+        frame: Vec<f32>,
+    ) -> Result<BackendOutput, TonemapError> {
+        let (image, telemetry) = self.run(input, params, plan, with_model, frame)?;
         Ok(BackendOutput { image, telemetry })
     }
 
@@ -441,7 +471,7 @@ impl TonemapBackend for Engine {
         plan: Option<&PipelinePlan>,
         with_model: bool,
     ) -> Result<RgbBackendOutput, TonemapError> {
-        let (image, telemetry) = self.run(input, params, plan, with_model)?;
+        let (image, telemetry) = self.run(input, params, plan, with_model, Vec::new())?;
         Ok(RgbBackendOutput { image, telemetry })
     }
 
@@ -455,16 +485,25 @@ impl TonemapBackend for Engine {
 /// The pixels of a request — a luminance plane or an RGB image — and the
 /// one thing the two execution primitives do differently with them.
 trait Frame: Sized {
+    /// The pixel type of the frame the output is written into.
+    type Sample;
+
     /// Rejects a plan this input cannot feed, before anything executes.
     fn check(_plan: &PipelinePlan) -> Result<(), TonemapError> {
         Ok(())
     }
 
-    /// Tone-maps the input on a compiled executor.
-    fn map_on(&self, compiled: &CompiledPlan) -> Result<Self, TonemapError>;
+    /// Tone-maps the input on a compiled executor, into `frame`.
+    fn map_on(
+        &self,
+        compiled: &CompiledPlan,
+        frame: Vec<Self::Sample>,
+    ) -> Result<Self, TonemapError>;
 }
 
 impl Frame for LuminanceImage {
+    type Sample = f32;
+
     /// A colour-input plan has no scalar register to feed: a typed error
     /// here, instead of an executor asserting on it.
     fn check(plan: &PipelinePlan) -> Result<(), TonemapError> {
@@ -474,13 +513,16 @@ impl Frame for LuminanceImage {
         }
     }
 
-    fn map_on(&self, compiled: &CompiledPlan) -> Result<Self, TonemapError> {
-        Ok(compiled.map_luminance(self, &mut FrameReductions))
+    fn map_on(&self, compiled: &CompiledPlan, frame: Vec<f32>) -> Result<Self, TonemapError> {
+        Ok(compiled.map_luminance_into(self, &mut FrameReductions, frame))
     }
 }
 
 impl Frame for RgbImage {
-    fn map_on(&self, compiled: &CompiledPlan) -> Result<Self, TonemapError> {
+    type Sample = Rgb<f32>;
+
+    /// Colour outputs allocate their own planes; `frame` goes unused.
+    fn map_on(&self, compiled: &CompiledPlan, _frame: Vec<Rgb<f32>>) -> Result<Self, TonemapError> {
         Ok(compiled.map_rgb(self)?)
     }
 }

@@ -69,20 +69,39 @@ impl CompiledPlan {
         input: &LuminanceImage,
         reductions: &mut dyn Reductions,
     ) -> LuminanceImage {
+        self.map_luminance_into(input, reductions, Vec::new())
+    }
+
+    /// [`CompiledPlan::map_luminance`], with the output written into
+    /// `frame` by the executor's last materializing step. A frame of the
+    /// input's length is overwritten without a fill and returned as the
+    /// output's buffer; any other is resized.
+    ///
+    /// # Panics
+    ///
+    /// As [`CompiledPlan::map_luminance`].
+    pub fn map_luminance_into(
+        &self,
+        input: &LuminanceImage,
+        reductions: &mut dyn Reductions,
+        frame: Vec<f32>,
+    ) -> LuminanceImage {
         match self {
             // In `f32` the accelerator boundary converts nothing, so this is
             // also the all-float reference path, bit for bit.
             CompiledPlan::TwoPass(Numerics::F32, mapper) => {
-                mapper.map_luminance_hw_blur_with::<f32>(input, reductions)
+                mapper.map_luminance_hw_blur_into::<f32>(input, reductions, frame)
             }
             CompiledPlan::TwoPass(Numerics::Fix16Blur, mapper) => {
-                mapper.map_luminance_hw_blur_with::<Fix16>(input, reductions)
+                mapper.map_luminance_hw_blur_into::<Fix16>(input, reductions, frame)
             }
             CompiledPlan::TwoPass(Numerics::Fix16All, mapper) => {
-                mapper.map_luminance_with::<Fix16>(input, reductions)
+                mapper.map_luminance_into::<Fix16>(input, reductions, frame)
             }
-            CompiledPlan::StreamF32(mapper) => mapper.map_luminance_with(input, reductions),
-            CompiledPlan::StreamFix16(mapper) => mapper.map_luminance_with(input, reductions),
+            CompiledPlan::StreamF32(mapper) => mapper.map_luminance_into(input, reductions, frame),
+            CompiledPlan::StreamFix16(mapper) => {
+                mapper.map_luminance_into(input, reductions, frame)
+            }
         }
     }
 

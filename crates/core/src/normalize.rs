@@ -99,17 +99,19 @@ pub fn normalize(image: &LuminanceImage) -> LuminanceImage {
 /// pass (the form used by the fixed-point accelerator path, which quantises
 /// at the accelerator boundary).
 pub fn normalize_to<S: Sample>(image: &LuminanceImage) -> ImageBuffer<S> {
-    normalize_with(image, normalization_scale(image))
+    normalize_with(image, normalization_scale(image), Vec::new())
 }
 
-/// [`normalize_to`] with the scale given, matched once outside the loop.
+/// [`normalize_to`] with the scale given, matched once outside the loop,
+/// written into `frame` ([`ImageBuffer::map_into`]).
 pub(crate) fn normalize_with<S: Sample>(
     image: &LuminanceImage,
     scale: Option<f32>,
+    frame: Vec<S>,
 ) -> ImageBuffer<S> {
     match scale {
-        Some(scale) => image.map(|&v| S::from_f32(normalize_sample(v, Some(scale)))),
-        None => image.map(|&v| S::from_f32(normalize_sample(v, None))),
+        Some(scale) => image.map_into(|&v| S::from_f32(normalize_sample(v, Some(scale))), frame),
+        None => image.map_into(|&v| S::from_f32(normalize_sample(v, None)), frame),
     }
 }
 

@@ -3,7 +3,9 @@
 use crate::blur::blur_separable;
 use crate::ops::PipelineProfile;
 use crate::params::{ParamError, ToneMapParams};
-use crate::plan::{accelerated_blur, execute_plan, run_color_plan, ChannelLayout, PipelinePlan};
+use crate::plan::{
+    accelerated_blur, execute_plan, execute_plan_into, run_color_plan, ChannelLayout, PipelinePlan,
+};
 use crate::reductions::{FrameReductions, Reductions};
 use crate::sample::Sample;
 use hdr_image::{LuminanceImage, RgbImage};
@@ -116,8 +118,21 @@ impl ToneMapper {
         hdr: &LuminanceImage,
         reductions: &mut dyn Reductions,
     ) -> LuminanceImage {
+        self.map_luminance_into::<S>(hdr, reductions, Vec::new())
+    }
+
+    /// [`ToneMapper::map_luminance_with`], converting the result into
+    /// `frame`: a frame of the image's length is overwritten without a
+    /// fill and returned as the output's buffer; any other is resized.
+    pub fn map_luminance_into<S: Sample>(
+        &self,
+        hdr: &LuminanceImage,
+        reductions: &mut dyn Reductions,
+        frame: Vec<f32>,
+    ) -> LuminanceImage {
         self.assert_scalar_input("map_luminance");
-        execute_plan(&self.plan, hdr, blur_separable::<S>, reductions).map(|&v| v.to_f32())
+        execute_plan(&self.plan, hdr, blur_separable::<S>, reductions)
+            .map_into(|&v| v.to_f32(), frame)
     }
 
     /// Tone-maps an HDR luminance image entirely in 32-bit floating point —
@@ -148,8 +163,21 @@ impl ToneMapper {
         hdr: &LuminanceImage,
         reductions: &mut dyn Reductions,
     ) -> LuminanceImage {
+        self.map_luminance_hw_blur_into::<S>(hdr, reductions, Vec::new())
+    }
+
+    /// [`ToneMapper::map_luminance_hw_blur_with`], with the `f32` register
+    /// materialized in `frame`: a frame of the image's length is
+    /// overwritten without a fill and returned as the output's buffer; any
+    /// other is resized.
+    pub fn map_luminance_hw_blur_into<S: Sample>(
+        &self,
+        hdr: &LuminanceImage,
+        reductions: &mut dyn Reductions,
+        frame: Vec<f32>,
+    ) -> LuminanceImage {
         self.assert_scalar_input("map_luminance_hw_blur");
-        execute_plan(&self.plan, hdr, accelerated_blur::<S>, reductions)
+        execute_plan_into(&self.plan, hdr, accelerated_blur::<S>, reductions, frame)
     }
 
     fn assert_scalar_input(&self, method: &str) {

@@ -1662,18 +1662,20 @@ pub fn histogram_level(value: f32, bins: usize) -> usize {
 /// (nothing to equalize) is returned unchanged rather than collapsed to
 /// black.
 pub fn histogram_equalize<S: Sample>(image: &ImageBuffer<S>, bins: usize) -> ImageBuffer<S> {
-    histogram_barrier(image, bins, 0, &mut FrameReductions)
+    histogram_barrier(image, bins, 0, &mut FrameReductions, Vec::new())
 }
 
 /// The histogram barrier both executors run at plan stage `stage`: bins
 /// the register, asks `reductions` for the CDF to remap through (`f64`, so
-/// a blended histogram remaps too), and remaps every sample. A degenerate
-/// CDF (every sample in one bin) leaves the register unchanged.
+/// a blended histogram remaps too), and remaps every sample into `frame`
+/// ([`ImageBuffer::map_into`]). A degenerate CDF (every sample in one bin)
+/// leaves the register unchanged.
 pub(crate) fn histogram_barrier<S: Sample>(
     image: &ImageBuffer<S>,
     bins: usize,
     stage: usize,
     reductions: &mut dyn Reductions,
+    frame: Vec<S>,
 ) -> ImageBuffer<S> {
     let mut counts = vec![0u64; bins];
     for v in image.pixels() {
@@ -1684,15 +1686,19 @@ pub(crate) fn histogram_barrier<S: Sample>(
     let total = cdf.last().copied().unwrap_or(0.0);
     let cdf_min = cdf.iter().copied().find(|&c| c > 0.0).unwrap_or(0.0);
     if total <= cdf_min {
-        return image.clone();
+        return image.map_into(|&v| v, frame);
     }
     let denom = total - cdf_min;
-    image.map(|&v| {
-        let level = histogram_level(v.to_f32(), bins);
-        // A blended CDF can put a pixel below its own first occupied bin;
-        // the difference goes negative there and `clamp01` floors it.
-        S::from_f32(((cdf[level] - cdf_min) / denom) as f32).clamp01()
-    })
+    image.map_into(
+        |&v| {
+            let level = histogram_level(v.to_f32(), bins);
+            // A blended CDF can put a pixel below its own first occupied
+            // bin; the difference goes negative there and `clamp01` floors
+            // it.
+            S::from_f32(((cdf[level] - cdf_min) / denom) as f32).clamp01()
+        },
+        frame,
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -1712,9 +1718,32 @@ pub(crate) fn execute_plan<R: Sample>(
     stencil: impl Fn(&ImageBuffer<R>, &BlurParams) -> ImageBuffer<R>,
     reductions: &mut dyn Reductions,
 ) -> ImageBuffer<R> {
+    execute_plan_into(plan, hdr, stencil, reductions, Vec::new())
+}
+
+/// [`execute_plan`], with the register returned in `frame`: the last step
+/// that materializes the register — the last barrier, or the ingest of a
+/// plan without one — writes it there, and every later stage updates it
+/// in place.
+pub(crate) fn execute_plan_into<R: Sample>(
+    plan: &PipelinePlan,
+    hdr: &LuminanceImage,
+    stencil: impl Fn(&ImageBuffer<R>, &BlurParams) -> ImageBuffer<R>,
+    reductions: &mut dyn Reductions,
+    mut frame: Vec<R>,
+) -> ImageBuffer<R> {
+    let last_barrier = plan
+        .ops()
+        .iter()
+        .rposition(|op| matches!(op, PipelineOp::HistogramEq { .. }));
     let normalize = plan.starts_with_normalize();
     let scale = normalize.then(|| reductions.normalize_scale(hdr)).flatten();
-    let mut img: ImageBuffer<R> = crate::normalize::normalize_with(hdr, scale);
+    let ingest_frame = if last_barrier.is_none() {
+        std::mem::take(&mut frame)
+    } else {
+        Vec::new()
+    };
+    let mut img: ImageBuffer<R> = crate::normalize::normalize_with(hdr, scale, ingest_frame);
     let key_scale = reductions.key_scale();
     let mut mask: Option<ImageBuffer<R>> = None;
     for (stage, op) in plan.ops().iter().enumerate().skip(usize::from(normalize)) {
@@ -1732,7 +1761,12 @@ pub(crate) fn execute_plan<R: Sample>(
                 crate::masking::mask_in_place(img.pixels_mut(), mask.pixels(), &masking);
             }
             PipelineOp::HistogramEq { bins } => {
-                img = histogram_barrier(&img, bins, stage, reductions);
+                let out = if last_barrier == Some(stage) {
+                    std::mem::take(&mut frame)
+                } else {
+                    Vec::new()
+                };
+                img = histogram_barrier(&img, bins, stage, reductions, out);
             }
             // In place over the register, so the row kernels vectorize.
             PipelineOp::Curve(curve) => curve.apply(img.pixels_mut()),

@@ -81,8 +81,8 @@ use crate::cores;
 use crate::normalize::normalize_sample;
 use crate::params::{ParamError, ToneMapParams};
 use crate::plan::{
-    accelerated_blur, execute_plan, histogram_barrier, run_color_plan, ChannelLayout, ColorStage,
-    PipelineOp, PipelinePlan,
+    accelerated_blur, execute_plan_into, histogram_barrier, run_color_plan, ChannelLayout,
+    ColorStage, PipelineOp, PipelinePlan,
 };
 use crate::point::{apply_chain, Ingest};
 use crate::reductions::{FrameReductions, Reductions};
@@ -546,6 +546,20 @@ impl<S: Sample> StreamingToneMapper<S> {
         hdr: &LuminanceImage,
         reductions: &mut dyn Reductions,
     ) -> LuminanceImage {
+        self.map_luminance_into(hdr, reductions, Vec::new())
+    }
+
+    /// [`StreamingToneMapper::map_luminance_with`], with the output written
+    /// into `frame` by the last step that materializes it: the last fused
+    /// segment, or a trailing barrier. A frame of the image's length is
+    /// overwritten without a fill and returned as the output's buffer; any
+    /// other is resized. Intermediates allocate their own planes.
+    pub fn map_luminance_into(
+        &self,
+        hdr: &LuminanceImage,
+        reductions: &mut dyn Reductions,
+        frame: Vec<f32>,
+    ) -> LuminanceImage {
         if let Program::Color(_) = &self.program {
             panic!(
                 "map_luminance requires a scalar-input plan; this plan takes a `{}` register — \
@@ -553,7 +567,7 @@ impl<S: Sample> StreamingToneMapper<S> {
                 self.plan.input_layout()
             );
         }
-        self.run_scalar(&self.program, &self.plan, hdr, reductions)
+        self.run_scalar(&self.program, &self.plan, hdr, reductions, frame)
     }
 
     /// Tone-maps an HDR RGB image through the compiled plan.
@@ -582,23 +596,28 @@ impl<S: Sample> StreamingToneMapper<S> {
                     .expect("compilation visits every scalar stage of the plan"),
                 scalar => scalar,
             };
-            Ok(self.run_scalar(program, sub_plan, lum, &mut FrameReductions))
+            Ok(self.run_scalar(program, sub_plan, lum, &mut FrameReductions, Vec::new()))
         })
     }
 
-    /// Runs one scalar plan on its compiled program; a fallback program
-    /// runs through the two-pass executor with the same hardware/software
-    /// split.
+    /// Runs one scalar plan on its compiled program, writing the output
+    /// into `frame`; a fallback program runs through the two-pass executor
+    /// with the same hardware/software split.
     fn run_scalar(
         &self,
         program: &Program<S>,
         plan: &PipelinePlan,
         lum: &LuminanceImage,
         reductions: &mut dyn Reductions,
+        frame: Vec<f32>,
     ) -> LuminanceImage {
         match program {
-            Program::Stream(program) => run_stream_program(program, lum, self.threads, reductions),
-            Program::Fallback(_) => execute_plan(plan, lum, accelerated_blur::<S>, reductions),
+            Program::Stream(program) => {
+                run_stream_program(program, lum, self.threads, reductions, frame)
+            }
+            Program::Fallback(_) => {
+                execute_plan_into(plan, lum, accelerated_blur::<S>, reductions, frame)
+            }
             Program::Color(_) => unreachable!("colour programs never nest"),
         }
     }
@@ -645,31 +664,44 @@ fn first_kernel<S: Sample>(program: &Program<S>) -> &[S] {
 /// execute as line-buffer cascades (or pure point passes), barriers
 /// materialize and reduce exactly as the two-pass executor would, and
 /// `reductions` binds the normalize scale, the Reinhard key factor and
-/// each barrier's CDF.
+/// each barrier's CDF. The last step that runs writes the output into
+/// `frame`.
 fn run_stream_program<S: Sample>(
     program: &StreamProgram<S>,
     hdr: &LuminanceImage,
     threads: usize,
     reductions: &mut dyn Reductions,
+    mut frame: Vec<f32>,
 ) -> LuminanceImage {
+    // A no-op segment on an already-materialized register (e.g. after a
+    // trailing reduction) has nothing to compute. The *first* segment
+    // always runs: its ingestion is the sanitize/normalize step of the
+    // two-pass executor.
+    let runs = |index: usize, segment: &SegmentProgram<S>| {
+        index == 0 || !matches!(segment, SegmentProgram::Fused(seg) if seg.is_identity())
+    };
+    let last = (0..program.segments.len())
+        .rev()
+        .find(|&index| runs(index, &program.segments[index]));
     let scale = program.normalize.then(|| reductions.normalize_scale(hdr));
     let key_scale = reductions.key_scale();
     let mut ingest = Ingest::Source(scale.flatten());
     let mut current: Option<LuminanceImage> = None;
-    for segment in &program.segments {
+    for (index, segment) in program.segments.iter().enumerate() {
+        if !runs(index, segment) {
+            continue;
+        }
+        let out = if Some(index) == last {
+            std::mem::take(&mut frame)
+        } else {
+            Vec::new()
+        };
         match segment {
             SegmentProgram::Fused(seg) => {
-                // A no-op segment on an already-materialized register
-                // (e.g. a trailing reduction) has nothing to compute.
-                // The *first* segment always runs: its ingestion is the
-                // sanitize/normalize step of the two-pass executor.
-                if seg.is_identity() && matches!(ingest, Ingest::Passthrough) {
-                    continue;
-                }
                 let scaled = (key_scale != 1.0).then(|| seg.with_key_scale(key_scale));
                 let seg = scaled.as_ref().unwrap_or(seg);
                 let input = current.as_ref().unwrap_or(hdr);
-                current = Some(run_fused_segment(seg, input, ingest, threads));
+                current = Some(run_fused_segment(seg, input, ingest, threads, out));
                 ingest = Ingest::Passthrough;
             }
             SegmentProgram::Barrier { index, bins } => {
@@ -678,38 +710,53 @@ fn run_stream_program<S: Sample>(
                     .expect("a fused segment precedes every barrier");
                 // The barrier the two-pass executor runs on its f32
                 // register, so segmented streaming stays bit-identical.
-                current = Some(histogram_barrier::<f32>(input, *bins, *index, reductions));
+                current = Some(histogram_barrier(input, *bins, *index, reductions, out));
             }
         }
     }
     current.expect("compiled plans always run at least one fused segment")
 }
 
-/// Runs one fused segment over its input image, slicing the output rows
-/// across at most `threads` threads: the caller's own, plus one for each
-/// core it can claim that nobody holds ([`crate::cores`]).
+/// Runs one fused segment over its input image into `frame`, slicing the
+/// output rows across at most `threads` threads: the caller's own, plus one
+/// for each core it can claim that nobody holds ([`crate::cores`]).
 fn run_fused_segment<S: Sample>(
     segment: &FusedSegment<S>,
     input: &LuminanceImage,
     ingest: Ingest,
     threads: usize,
+    frame: Vec<f32>,
 ) -> LuminanceImage {
     // The claimed cores go back once every slice has joined.
     let extra = cores::claim(threads.min(input.height()).saturating_sub(1));
-    run_slices(segment, input, ingest, 1 + extra.cores())
+    run_slices(segment, input, ingest, 1 + extra.cores(), frame)
 }
 
-/// Runs one fused segment over its input image — a pure point pass when the
-/// segment has no stencil, otherwise the line-buffer cascade — in `slices`
-/// row slices: the calling thread runs the last, a scoped thread each other.
+/// `frame` holding `len` samples, for a pass that writes every one of them:
+/// a frame of that length as it is, with no fill, any other resized — and a
+/// frame without room a fresh zeroed allocation.
+fn output_buffer(mut frame: Vec<f32>, len: usize) -> Vec<f32> {
+    if frame.capacity() < len {
+        return vec![0.0; len];
+    }
+    frame.resize(len, 0.0);
+    frame
+}
+
+/// Runs one fused segment over its input image into `frame` — a pure point
+/// pass when the segment has no stencil, otherwise the line-buffer cascade
+/// — in `slices` row slices: the calling thread runs the last, a scoped
+/// thread each other. Every output sample is written, so `frame`'s old
+/// contents never show.
 fn run_slices<S: Sample>(
     segment: &FusedSegment<S>,
     input: &LuminanceImage,
     ingest: Ingest,
     slices: usize,
+    frame: Vec<f32>,
 ) -> LuminanceImage {
     let (width, height) = input.dimensions();
-    let mut out = vec![0.0f32; width * height];
+    let mut out = output_buffer(frame, width * height);
     let rows = |first_row: usize, chunk: &mut [f32]| {
         if segment.regions.is_empty() {
             // Pure point chain: every pixel is independent, nothing to ring.
@@ -1088,9 +1135,11 @@ mod tests {
                 panic!("a stream starts with a fused segment");
             };
             let ingest = Ingest::Source(FrameReductions.normalize_scale(&hdr));
-            let single = run_slices(segment, &hdr, ingest, 1);
+            let single = run_slices(segment, &hdr, ingest, 1, Vec::new());
             for slices in 2..=30 {
-                let sliced = run_slices(segment, &hdr, ingest, slices);
+                // Every slice overwrites its rows of a stale frame.
+                let stale = vec![f32::NAN; hdr.pixels().len()];
+                let sliced = run_slices(segment, &hdr, ingest, slices, stale);
                 assert_eq!(
                     sliced,
                     single,

@@ -178,10 +178,22 @@ impl<T> ImageBuffer<T> {
     where
         F: FnMut(&T) -> U,
     {
+        self.map_into(f, Vec::new())
+    }
+
+    /// [`ImageBuffer::map`], writing the new image into `frame`: a frame
+    /// with room for every pixel is overwritten in place, without a fill,
+    /// and any other frame grows to fit.
+    pub fn map_into<U, F>(&self, f: F, mut frame: Vec<U>) -> ImageBuffer<U>
+    where
+        F: FnMut(&T) -> U,
+    {
+        frame.clear();
+        frame.extend(self.data.iter().map(f));
         ImageBuffer {
             width: self.width,
             height: self.height,
-            data: self.data.iter().map(f).collect(),
+            data: frame,
         }
     }
 
@@ -411,6 +423,19 @@ mod tests {
 
         let other = ImageBuffer::filled(3, 3, 1.0f32);
         assert!(a.zip_map(&other, |&x, &y| x + y).is_err());
+    }
+
+    #[test]
+    fn map_into_overwrites_a_frame_of_the_right_length_in_place() {
+        let a = ImageBuffer::from_fn(2, 2, |x, y| (x + 2 * y) as f32);
+        let frame = vec![f32::NAN; 4];
+        let ptr = frame.as_ptr();
+        let b = a.map_into(|&v| v * 2.0, frame);
+        assert_eq!(b.pixels(), &[0.0, 2.0, 4.0, 6.0]);
+        assert_eq!(b.pixels().as_ptr(), ptr);
+        // A frame of another length is resized to fit.
+        let c = a.map_into(|&v| v, vec![9.0; 7]);
+        assert_eq!(c, a);
     }
 
     #[test]

@@ -1,16 +1,26 @@
-//! The `Arc`-based frame pool: steady-state staging of raw inputs without
-//! per-job frame allocations. Engines still allocate their own output
-//! frames; a recycled output frame serves a later job's staging.
+//! The `Arc`-based frame pool: steady-state staging of raw inputs and
+//! steady-state output frames without per-job frame allocations.
 //!
 //! Every raw job that arrives off the wire needs a full-frame staging
-//! buffer, and every response frame a consumer finishes with is a
-//! full-frame buffer going to waste. A [`FramePool`] closes that loop:
-//! workers [`FramePool::acquire`] staging frames (reusing a recycled
-//! buffer of the same size when one exists), and finished frames come
-//! back via [`FramePool::recycle`] — either from the worker itself after
-//! execution, or from a consumer handing a delivered response back
-//! through `TonemapResponse::into_frame` (the buffer-pool handoff in
-//! `tonemap-backend`).
+//! buffer, and every luminance frame the service hands out needs an output
+//! buffer. A [`FramePool`] closes both loops:
+//! - workers [`FramePool::acquire`] staging frames and
+//!   [`FramePool::acquire_output`] the frame the executor writes a
+//!   display-referred luminance output into, each reusing a free frame of
+//!   the same size when one exists;
+//! - the worker returns its staging frame through [`FramePool::recycle`]
+//!   after execution, and a consumer returns each output it has finished
+//!   with — `TonemapService::recycle` or `VideoStreamHandle::recycle` (the
+//!   buffer-pool handoff of `TonemapResponse::into_frame` in
+//!   `tonemap-backend`).
+//!
+//! The ownership rule: an output frame belongs to the consumer from
+//! delivery on. A consumer that recycles every output gets two
+//! acquisitions and two returns per frame, so after warm-up the pool
+//! allocates nothing and discards nothing. A consumer that never recycles
+//! finds no free output frame and gets a fresh one, allocated by the
+//! executor as it would be without a pool. Output frames are counted apart
+//! from staging frames ([`FramePoolStats::outputs`]).
 //!
 //! The pool retains at most [`FramePool::MAX_FREE_FRAMES`] free frames in
 //! all, across every size it has seen. At the bound a returned frame is
@@ -20,25 +30,38 @@
 //!
 //! Fault containment: a frame that was in use when its job panicked is
 //! considered *poisoned* — it may be half-written or inconsistent — and
-//! is dropped, never recycled. [`PoisonGuard`] implements that rule as
-//! RAII: armed around the execution, disarmed on the normal path, and
-//! counting the poisoned drop when an unwind gets there first.
+//! is dropped, never recycled. [`PoisonGuard`] implements that rule for
+//! staging frames as RAII: armed around the execution, disarmed on the
+//! normal path, and counting the poisoned drop when an unwind gets there
+//! first. An output frame is moved into the execution, so an unwind drops
+//! it with the execution's state; it is never delivered, so it is never
+//! recycled.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Counters describing how the pool has been used — the evidence that
-/// staging does not allocate: in steady state `allocated` stays flat while
-/// `reused` grows with traffic.
+/// staging and outputs do not allocate: in steady state `allocated` and
+/// `outputs - outputs_reused` stay flat while `reused` and
+/// `outputs_reused` grow with traffic.
+///
+/// Staging frames ([`FramePool::acquire`]) and output frames
+/// ([`FramePool::acquire_output`]) are counted apart; `recycled`,
+/// `discarded_over_cap` and `dropped_poisoned` count returns of either.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FramePoolStats {
-    /// Frames handed out by [`FramePool::acquire`].
+    /// Staging frames handed out by [`FramePool::acquire`].
     pub acquired: u64,
-    /// Acquisitions served from the free list (no allocation).
+    /// Staging acquisitions served from the free list (no allocation).
     pub reused: u64,
-    /// Acquisitions that had to allocate a fresh frame.
+    /// Staging acquisitions that had to allocate a fresh frame.
     pub allocated: u64,
+    /// Output frames handed out by [`FramePool::acquire_output`].
+    pub outputs: u64,
+    /// Output acquisitions served from the free list. The rest,
+    /// `outputs - outputs_reused`, were allocated fresh by the executor.
+    pub outputs_reused: u64,
     /// Frames returned through [`FramePool::recycle`] below
     /// [`FramePool::MAX_FREE_FRAMES`].
     pub recycled: u64,
@@ -46,8 +69,8 @@ pub struct FramePoolStats {
     /// go of one frame, itself or the free frame returned longest ago.
     /// With `recycled`, every frame returned counts once.
     pub discarded_over_cap: u64,
-    /// Frames that were in use when their job panicked: dropped, not
-    /// recycled, so a half-written buffer can never resurface under a
+    /// Staging frames that were in use when their job panicked: dropped,
+    /// not recycled, so a half-written buffer can never resurface under a
     /// later job.
     pub dropped_poisoned: u64,
 }
@@ -59,6 +82,8 @@ struct PoolShared {
     acquired: AtomicU64,
     reused: AtomicU64,
     allocated: AtomicU64,
+    outputs: AtomicU64,
+    outputs_reused: AtomicU64,
     recycled: AtomicU64,
     discarded_over_cap: AtomicU64,
     dropped_poisoned: AtomicU64,
@@ -85,6 +110,8 @@ impl FramePool {
                 acquired: AtomicU64::new(0),
                 reused: AtomicU64::new(0),
                 allocated: AtomicU64::new(0),
+                outputs: AtomicU64::new(0),
+                outputs_reused: AtomicU64::new(0),
                 recycled: AtomicU64::new(0),
                 discarded_over_cap: AtomicU64::new(0),
                 dropped_poisoned: AtomicU64::new(0),
@@ -97,15 +124,9 @@ impl FramePool {
     /// bounds *retention*, not concurrency.
     pub fn acquire(&self, len: usize) -> Vec<f32> {
         self.shared.acquired.fetch_add(1, Ordering::Relaxed);
-        let recycled = {
-            let mut free = self.shared.free.lock().expect("frame pool poisoned");
-            let newest = free.iter().rposition(|frame| frame.len() == len);
-            newest.and_then(|index| free.remove(index))
-        };
-        match recycled {
+        match self.take_free(len) {
             Some(frame) => {
                 self.shared.reused.fetch_add(1, Ordering::Relaxed);
-                debug_assert_eq!(frame.len(), len);
                 frame
             }
             None => {
@@ -113,6 +134,27 @@ impl FramePool {
                 vec![0.0f32; len]
             }
         }
+    }
+
+    /// A frame for an executor to write a `len`-sample output into: a free
+    /// frame of exactly that length when the pool holds one, and otherwise
+    /// an empty frame, which the executor allocates at the output's size.
+    /// The executor overwrites every sample, so a reused frame's stale
+    /// contents never show.
+    pub fn acquire_output(&self, len: usize) -> Vec<f32> {
+        self.shared.outputs.fetch_add(1, Ordering::Relaxed);
+        let frame = self.take_free(len);
+        if frame.is_some() {
+            self.shared.outputs_reused.fetch_add(1, Ordering::Relaxed);
+        }
+        frame.unwrap_or_default()
+    }
+
+    /// The free frame of `len` samples returned most recently, if any.
+    fn take_free(&self, len: usize) -> Option<Vec<f32>> {
+        let mut free = self.shared.free.lock().expect("frame pool poisoned");
+        let newest = free.iter().rposition(|frame| frame.len() == len);
+        newest.and_then(|index| free.remove(index))
     }
 
     /// Returns a frame to the free list. At [`FramePool::MAX_FREE_FRAMES`]
@@ -164,6 +206,8 @@ impl FramePool {
             acquired: self.shared.acquired.load(Ordering::Relaxed),
             reused: self.shared.reused.load(Ordering::Relaxed),
             allocated: self.shared.allocated.load(Ordering::Relaxed),
+            outputs: self.shared.outputs.load(Ordering::Relaxed),
+            outputs_reused: self.shared.outputs_reused.load(Ordering::Relaxed),
             recycled: self.shared.recycled.load(Ordering::Relaxed),
             discarded_over_cap: self.shared.discarded_over_cap.load(Ordering::Relaxed),
             dropped_poisoned: self.shared.dropped_poisoned.load(Ordering::Relaxed),

@@ -207,6 +207,20 @@ impl JobRequest {
         }
     }
 
+    /// The length of the luminance frame this job's response carries — a
+    /// display-referred job on luminance or raw input — or `None` for an
+    /// RGB or LDR-8 response, which carries none.
+    pub(crate) fn output_frame_len(&self) -> Option<usize> {
+        if self.output != OutputKind::DisplayReferred {
+            return None;
+        }
+        match &self.input {
+            JobInput::Luminance(image) => Some(image.pixels().len()),
+            JobInput::RawLuminance { pixels, .. } => Some(pixels.len()),
+            JobInput::Rgb(_) => None,
+        }
+    }
+
     /// [`JobRequest::to_request`], but over a caller-provided luminance
     /// image in place of the job's own input — used by the service to
     /// execute a raw job through a pool-staged frame without a fresh

@@ -72,10 +72,12 @@ impl Default for ServiceConfig {
 ///   ([`TonemapError::DeadlineExceeded`]) if it is still queued when the
 ///   budget runs out.
 /// - **Frame pooling**: raw-luminance jobs are staged through a shared
-///   [`FramePool`], and [`TonemapService::recycle`] hands finished frames
-///   back to it, so in steady state staging a job's input allocates no
-///   frame. The engine still allocates each job's output frame (and any
-///   intermediates its executor materializes); only staging is pooled.
+///   [`FramePool`], and the engine writes every display-referred luminance
+///   output into a frame from the same pool. [`TonemapService::recycle`]
+///   hands finished frames back, so for a consumer that recycles its
+///   responses, staging and outputs allocate no frame in steady state.
+///   Intermediates the executor materializes, and RGB and LDR-8 outputs,
+///   still allocate.
 ///
 /// See the crate-level docs for the job lifecycle and an example.
 pub struct TonemapService {
@@ -137,10 +139,12 @@ impl TonemapService {
         self.frames.stats()
     }
 
-    /// Returns a finished response's frame to the service's pool, so the
-    /// next raw job of the same size can be staged without an allocation.
-    /// Responses whose payload is not a full luminance frame (RGB, LDR-8)
-    /// are simply dropped.
+    /// Returns a finished response's frame to the service's pool, so a
+    /// later job of the same size stages its input or writes its output
+    /// without an allocation. A response's luminance frame belongs to the
+    /// consumer from delivery on: recycle it only once nothing reads it any
+    /// more. Responses whose payload is not a full luminance frame (RGB,
+    /// LDR-8) are simply dropped.
     pub fn recycle(&self, response: TonemapResponse) {
         if let Some(frame) = response.into_frame() {
             self.frames.recycle(frame);
@@ -380,6 +384,10 @@ impl std::fmt::Debug for TonemapService {
 /// to the pool afterwards — unless the engine panics, in which case the
 /// armed poison guard makes sure the possibly-inconsistent frame is
 /// dropped, not recycled.
+///
+/// A display-referred luminance job's output is written into a frame
+/// from the pool, which the response carries to the consumer. A panic
+/// unwinds through that frame and drops it; a typed error drops it too.
 fn execute_job(
     registry: &BackendRegistry,
     frames: &FramePool,
@@ -404,10 +412,15 @@ fn execute_job(
         })
     });
 
+    let output = job
+        .output_frame_len()
+        .map(|len| frames.acquire_output(len))
+        .unwrap_or_default();
+    let backend = resolved.backend();
     let response = match staged {
         Some(image) => {
             let poison = frames.poison_guard(image.pixels().len());
-            let result = resolved.execute(&job.to_request_with_luminance(&image));
+            let result = backend.execute_into(&job.to_request_with_luminance(&image), output);
             // A typed error leaves the read-only staging frame intact;
             // only a panic (which unwinds past this point with the guard
             // armed) poisons it.
@@ -415,7 +428,7 @@ fn execute_job(
             frames.recycle(image.into_vec());
             result?
         }
-        None => resolved.execute(&job.to_request())?,
+        None => backend.execute_into(&job.to_request(), output)?,
     };
 
     // Jobs that opted into telemetry carry the full resolution (point +

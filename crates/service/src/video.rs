@@ -17,10 +17,12 @@
 //!   [`crate::ServiceStats::frames_completed`], never in the job
 //!   counters — frames/sec and jobs/sec stay separately meaningful.
 //!
-//! Frame staging rides the service's [`crate::FramePool`]: each submitted
-//! frame is copied into a recycled buffer which returns to the pool after
-//! processing, so a steady-state stream performs no per-frame staging
-//! allocations.
+//! Frames ride the service's [`crate::FramePool`] both ways: each
+//! submitted frame is copied into a recycled buffer which returns to the
+//! pool after processing, and the session writes each output into a frame
+//! from the pool. A consumer that hands its outputs back through
+//! [`VideoStreamHandle::recycle`] closes the loop, so a steady-state stream
+//! allocates no frame at all.
 
 use crate::error::ServiceError;
 use crate::pool::{PoolError, Priority, Task, TaskFate, TaskOptions};
@@ -205,14 +207,15 @@ impl VideoStreamHandle<'_> {
                 unreachable!("video frames carry no deadline");
             };
             let poison = frames.poison_guard(staged.pixels().len());
+            let output = frames.acquire_output(staged.pixels().len());
             let (output, metrics) = session
                 .lock()
                 .expect("video session poisoned")
-                .process(&staged);
-            // A panic inside `process` unwinds past this point with the
-            // guard armed: the staged frame is dropped as poisoned, the
-            // stream's next frame still takes its turn, and the waiter sees
-            // `Lost`.
+                .process_into(&staged, output);
+            // A panic inside `process_into` unwinds past this point with
+            // the guard armed: the staged frame is dropped as poisoned, the
+            // output frame is dropped unrecycled, the stream's next frame
+            // still takes its turn, and the waiter sees `Lost`.
             poison.disarm();
             frames.recycle(staged.into_vec());
             stats.record_frame_completed();
@@ -242,7 +245,9 @@ impl VideoStreamHandle<'_> {
     }
 
     /// Returns a delivered output frame to the service's pool, so later
-    /// staging acquisitions of the same size allocate nothing.
+    /// frames of the same size stage their input and write their output
+    /// without an allocation. The output belongs to the consumer from
+    /// delivery on: recycle it only once nothing reads it any more.
     pub fn recycle(&self, output: LuminanceImage) {
         self.service.frames.recycle(output.into_vec());
     }

@@ -25,7 +25,7 @@
 //! frame's size — the one a still of the same spec runs on — and the
 //! session binds the plan's reductions to its integrator through a
 //! [`Reductions`](tonemap_core::Reductions) hook
-//! ([`Engine::map_luminance_with`](tonemap_backend::Engine::map_luminance_with)).
+//! ([`Engine::map_luminance_into`](tonemap_backend::Engine::map_luminance_into)).
 //!
 //! # Example
 //!

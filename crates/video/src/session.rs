@@ -70,7 +70,7 @@ struct AdaptState {
 /// The session runs on an [`Engine`] built for its plan: every frame runs
 /// on the executor the engine compiled and memoized for its size — the one
 /// a still of the same spec runs on — with the plan's reductions bound to
-/// the integrator through [`Engine::map_luminance_with`].
+/// the integrator through [`Engine::map_luminance_into`].
 #[derive(Debug)]
 pub struct VideoSession {
     engine: Engine,
@@ -191,6 +191,18 @@ impl VideoSession {
     /// state, and returns the display-referred output with the frame's
     /// stability metrics.
     pub fn process(&mut self, frame: &LuminanceImage) -> (LuminanceImage, FrameMetrics) {
+        self.process_into(frame, Vec::new())
+    }
+
+    /// [`VideoSession::process`], with the output written into `output`
+    /// ([`Engine::map_luminance_into`]): a frame of the input's length is
+    /// overwritten without a fill and returned as the output's buffer, so
+    /// a caller that recycles its outputs allocates none in steady state.
+    pub fn process_into(
+        &mut self,
+        frame: &LuminanceImage,
+        output: Vec<f32>,
+    ) -> (LuminanceImage, FrameMetrics) {
         let index = self.frames;
         let (signature, frame_max) = signature_and_max(frame);
         let mut scene_cut = false;
@@ -250,7 +262,7 @@ impl VideoSession {
         };
         let output = self
             .engine
-            .map_luminance_with(frame, &mut bound)
+            .map_luminance_into(frame, &mut bound, output)
             .expect("the engine checked the plan and its schedule when the session was built");
         self.state = Some(state);
         let (mean, temporal_psnr_db) = output_metrics(&output, &mut self.prev_output);
