@@ -251,8 +251,9 @@ pub trait TonemapBackend: Send + Sync {
     }
 
     /// [`TonemapBackend::execute`], with a luminance request's output
-    /// written into `frame` ([`TonemapBackend::run_luminance_into`]). A
-    /// display-referred response then carries `frame` as its image buffer;
+    /// written into `frame` ([`TonemapBackend::run_luminance_into`]). On
+    /// an engine that writes there, as [`crate::Engine`] does, a
+    /// display-referred response carries `frame` as its image buffer and
     /// an LDR-8 response is shaped from it. An RGB request, or a request
     /// that fails, drops `frame`.
     ///

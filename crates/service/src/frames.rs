@@ -18,9 +18,11 @@
 //! delivery on. A consumer that recycles every output gets two
 //! acquisitions and two returns per frame, so after warm-up the pool
 //! allocates nothing and discards nothing. A consumer that never recycles
-//! finds no free output frame and gets a fresh one, allocated by the
-//! executor as it would be without a pool. Output frames are counted apart
-//! from staging frames ([`FramePoolStats::outputs`]).
+//! hands no output back, so the pool holds only returned staging frames:
+//! its outputs are allocated by the executor, as without a pool, unless a
+//! staging frame happens to be free when the output is acquired, and one
+//! allocation per frame remains either way. Output frames are counted
+//! apart from staging frames ([`FramePoolStats::outputs`]).
 //!
 //! The pool retains at most [`FramePool::MAX_FREE_FRAMES`] free frames in
 //! all, across every size it has seen. At the bound a returned frame is
@@ -47,8 +49,8 @@ use std::sync::{Arc, Mutex};
 /// `outputs_reused` grow with traffic.
 ///
 /// Staging frames ([`FramePool::acquire`]) and output frames
-/// ([`FramePool::acquire_output`]) are counted apart; `recycled`,
-/// `discarded_over_cap` and `dropped_poisoned` count returns of either.
+/// ([`FramePool::acquire_output`]) are counted apart; `recycled` and
+/// `discarded_over_cap` count returns of either.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FramePoolStats {
     /// Staging frames handed out by [`FramePool::acquire`].
@@ -127,6 +129,7 @@ impl FramePool {
         match self.take_free(len) {
             Some(frame) => {
                 self.shared.reused.fetch_add(1, Ordering::Relaxed);
+                debug_assert_eq!(frame.len(), len);
                 frame
             }
             None => {

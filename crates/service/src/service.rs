@@ -133,8 +133,8 @@ impl TonemapService {
         self.stats.calibrate_admission(mean_service_seconds);
     }
 
-    /// The frame pool's usage counters (reuse vs allocation, poisoned
-    /// drops).
+    /// The frame pool's usage counters: staging and output frames reused
+    /// vs allocated, returns, and poisoned drops.
     pub fn frame_pool_stats(&self) -> FramePoolStats {
         self.frames.stats()
     }
