@@ -208,15 +208,20 @@ impl JobRequest {
     }
 
     /// The length of the luminance frame this job's response carries — a
-    /// display-referred job on luminance or raw input — or `None` for an
-    /// RGB or LDR-8 response, which carries none.
+    /// display-referred job on luminance or well-formed raw input — or
+    /// `None` when it carries none: an RGB or LDR-8 response, or the error
+    /// of raw pixels that do not match their claimed dimensions.
     pub(crate) fn output_frame_len(&self) -> Option<usize> {
         if self.output != OutputKind::DisplayReferred {
             return None;
         }
         match &self.input {
             JobInput::Luminance(image) => Some(image.pixels().len()),
-            JobInput::RawLuminance { pixels, .. } => Some(pixels.len()),
+            JobInput::RawLuminance {
+                width,
+                height,
+                pixels,
+            } => (width.checked_mul(*height) == Some(pixels.len())).then_some(pixels.len()),
             JobInput::Rgb(_) => None,
         }
     }

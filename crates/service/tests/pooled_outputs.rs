@@ -8,6 +8,7 @@
 //!   the pool allocates and discards nothing.
 //! - A consumer that never recycles gets fresh outputs, with the staging
 //!   counters unchanged.
+//! - A malformed raw job takes no pooled frame.
 //! - A panicking engine's output frame never re-enters the pool.
 
 mod harness;
@@ -251,6 +252,23 @@ fn a_consumer_that_never_recycles_gets_fresh_outputs() {
     assert_eq!(pool.allocated, 1);
     assert_eq!(pool.reused, 39);
     assert_eq!(pool.recycled, 40);
+}
+
+#[test]
+fn a_malformed_raw_job_takes_no_pooled_frame() {
+    let service = TonemapService::standard(ServiceConfig::with_workers(1));
+    // A recycled 17-sample response leaves a free frame of 17 samples.
+    let job = JobRequest::raw_luminance(17, 1, vec![0.5f32; 17]);
+    service.recycle(service.submit(job).unwrap().wait().unwrap());
+    let before = service.frame_pool_stats();
+    // 17 samples that do not match their claimed 8×8 fail validation.
+    let malformed = JobRequest::raw_luminance(8, 8, vec![0.5f32; 17]);
+    let outcome = service.submit(malformed).unwrap().wait();
+    assert!(
+        matches!(outcome, Err(ServiceError::Tonemap(_))),
+        "{outcome:?}"
+    );
+    assert_eq!(service.frame_pool_stats(), before);
 }
 
 #[test]
