@@ -124,9 +124,7 @@ pub trait TonemapBackend: Send + Sync {
     ///
     /// # Errors
     ///
-    /// Returns [`TonemapError::InvalidParams`] if `params` fail validation,
-    /// and [`TonemapError::InvalidSpec`] when a `schedule=stream` engine is
-    /// given a plan that cannot stream.
+    /// Returns [`TonemapError::InvalidParams`] if `params` fail validation.
     fn reconfigured(
         &self,
         params: ToneMapParams,
@@ -141,8 +139,7 @@ pub trait TonemapBackend: Send + Sync {
     /// # Errors
     ///
     /// [`TonemapError::InvalidSpec`] when the engine has no schedule space
-    /// (the default: an engine opts in by overriding this), or when
-    /// `schedule=stream` is requested for a plan that cannot stream.
+    /// (the default: an engine opts in by overriding this).
     fn scheduled(
         &self,
         _mode: ScheduleMode,

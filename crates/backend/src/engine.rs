@@ -28,7 +28,8 @@ use hdr_image::{ImageBuffer, LuminanceImage, Rgb, RgbImage};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 use tonemap_core::{
-    ChannelLayout, FrameReductions, PipelinePlan, PlanError, Reductions, ToneMapParams,
+    ChannelLayout, FrameReductions, PipelinePlan, PlanError, Reductions, StreamingDecision,
+    ToneMapParams,
 };
 use tonemap_scheduler::{SampleFormat, ScheduleClass, ScheduleMode, SchedulePoint};
 
@@ -46,8 +47,8 @@ pub enum Numerics {
     Fix16Blur,
     /// Every stage in 16-bit fixed point: the all-fixed ablation. It is not
     /// a Table II design, but it bounds the precision an all-`ap_fixed`
-    /// datapath would lose. Neither the streaming executor nor the
-    /// scheduler reproduces it, so it runs two-pass only.
+    /// datapath would lose. It streams like the other numerics, but has no
+    /// priced design, so it has no schedule space.
     Fix16All,
 }
 
@@ -62,10 +63,12 @@ impl Numerics {
     }
 }
 
-/// How an engine executes its plan.
+/// How an engine executes its plan. Every executor runs the stream; they
+/// differ in the schedule point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Executor {
-    /// The materialized two-pass planner.
+    /// The two-pass point: the stream with a plane materialized after
+    /// every stencil, on one slice.
     TwoPass,
     /// The fused line-buffer pass (the Fig. 4 BRAM line buffer in
     /// software), bit-identical to two-pass.
@@ -183,9 +186,8 @@ impl Engine {
     /// # Errors
     ///
     /// [`TonemapError::InvalidParams`] if `params` fail validation, and
-    /// [`TonemapError::InvalidSpec`] for a `schedule=` row the engine cannot
-    /// serve: one without a schedule space, or `schedule=stream` on a plan
-    /// that cannot stream.
+    /// [`TonemapError::InvalidSpec`] for a `schedule=` row without a
+    /// schedule space.
     pub fn with_plan(
         row: EngineRow,
         params: ToneMapParams,
@@ -193,7 +195,9 @@ impl Engine {
         spec: &str,
     ) -> Result<Self, TonemapError> {
         let engine = Engine::for_job(row, params, plan, spec)?;
-        engine.check_schedule()?;
+        if matches!(row.executor, Executor::Scheduled { .. }) {
+            row.schedule_class_for(spec)?;
+        }
         Ok(engine)
     }
 
@@ -289,18 +293,16 @@ impl Engine {
     }
 
     /// Resolves one image size: the point the row names — the two-pass
-    /// point, the plan's streaming point (two-pass for the all-fixed
-    /// ablation, which has no streaming form), or the scheduler's pick —
-    /// and the plan compiled for it.
+    /// point, the plan's streaming point, or the scheduler's pick — and
+    /// the plan compiled for it.
     fn resolve(&self, width: usize, height: usize) -> Result<Resolved, TonemapError> {
         let format = self.row.numerics.format();
         let (point, schedule) = match self.row.executor {
-            Executor::Stream { threads } if self.row.numerics != Numerics::Fix16All => (
-                SchedulePoint::streaming(&self.decision()?, threads, format, height),
-                None,
-            ),
-            Executor::TwoPass | Executor::Stream { .. } => {
-                (SchedulePoint::two_pass(format, height), None)
+            Executor::TwoPass => (SchedulePoint::two_pass(format, height), None),
+            Executor::Stream { threads } => {
+                let decision = StreamingDecision::of(&self.plan);
+                let point = SchedulePoint::streaming(&decision, threads, format, height);
+                (point, None)
             }
             Executor::Scheduled { mode, threads } => {
                 let (priced, considered, base) = self.schedule(mode, threads, width, height)?;

@@ -36,14 +36,21 @@
 //!   "name?schedule=…" → the same row with Scheduled { mode, threads }
 //! ```
 //!
+//! Every row runs the core stream ([`tonemap_core::StreamingToneMapper`]):
+//! `TwoPass` is its schedule point with a plane materialized after every
+//! stencil, and the numerics pick its datapath — `f32` registers with the
+//! blur in `f32` or `Fix16` (`F32`, `Fix16Blur`), or every register in
+//! `Fix16` (`Fix16All`).
+//!
 //! The modules: [`TonemapBackend`] is the execution contract (`backend`);
 //! [`Engine`] its one implementation, a row of data (`engine`), which picks
 //! each size's point: two-pass, the plan's streaming point, or the
 //! scheduler's pick (`scheduled`). [`CompiledPlan::new`] is the one compile
-//! entry (`streaming`), and [`BackendTelemetry`] names every run's point.
-//! `memo` bounds the caches a client's input keys. `registry` holds the row
-//! table and resolves spec strings ([`BackendSpec`], `spec`); `request` and
-//! `output` are the job contract's data; `error` is its one error type.
+//! entry, onto one stream mapper per numerics (`streaming`), and
+//! [`BackendTelemetry`] names every run's point. `memo` bounds the caches
+//! a client's input keys. `registry` holds the row table and resolves spec
+//! strings ([`BackendSpec`], `spec`); `request` and `output` are the job
+//! contract's data; `error` is its one error type.
 //!
 //! Every input is validated into a typed [`TonemapError`] — unknown specs,
 //! invalid parameters, zero-dimension images — never a panic. A

@@ -818,8 +818,8 @@ mod tests {
             .unwrap();
         assert_eq!(explicit.luminance().unwrap(), &paper);
 
-        // Streaming engines serve plans too (fused or via their reported
-        // fallback), identically to the two-pass engines.
+        // Streaming engines serve plans too (fused or segmented at a
+        // barrier), identically to the two-pass engines.
         for preset in ["reinhard", "histeq"] {
             let streamed = registry
                 .execute(

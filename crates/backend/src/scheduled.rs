@@ -1,5 +1,5 @@
-//! How an engine's plan streams, and how a `schedule=` engine picks its
-//! point: per image size, by the scheduler.
+//! How a `schedule=` engine picks its point: per image size, by the
+//! scheduler.
 //!
 //! At the first request of each image size the
 //! [`tonemap_scheduler::Scheduler`] enumerates the plan's legal
@@ -10,40 +10,12 @@
 //! computed, never their values — so `schedule=auto` output is
 //! bit-identical to `schedule=two-pass`.
 
-use crate::engine::{Engine, Executor};
+use crate::engine::Engine;
 use crate::error::TonemapError;
 use codesign::flow::DesignReport;
-use tonemap_core::{StreamingDecision, StreamingToneMapper};
 use tonemap_scheduler::{PricedPoint, ScheduleMode, SchedulePoint, Scheduler};
 
 impl Engine {
-    /// The streaming planner's verdict on the engine's plan. It depends
-    /// only on the plan's shape — not on the image size, nor on the sample
-    /// type, so the `f32` probe speaks for both formats.
-    pub(crate) fn decision(&self) -> Result<StreamingDecision, TonemapError> {
-        Ok(StreamingToneMapper::<f32>::compile(self.plan.clone(), self.params)?.decision())
-    }
-
-    /// The checks a `schedule=` engine passes when it is built rather than
-    /// on its first request: the row must have a schedule space, and a
-    /// `schedule=stream` plan must stream.
-    pub(crate) fn check_schedule(&self) -> Result<(), TonemapError> {
-        let Executor::Scheduled { mode, .. } = self.row.executor else {
-            return Ok(());
-        };
-        self.row.schedule_class_for(&self.spec)?;
-        if mode == ScheduleMode::Stream {
-            let decision = self.decision()?;
-            if !decision.is_streamed() {
-                return Err(TonemapError::InvalidSpec {
-                    spec: self.spec.clone(),
-                    reason: format!("`schedule=stream` but the plan cannot stream ({decision})"),
-                });
-            }
-        }
-        Ok(())
-    }
-
     /// Schedules the engine's plan at one image size: the point the
     /// `schedule=` mode picks, how many points it was chosen from, and the
     /// platform-model evaluation they were priced on.
@@ -57,24 +29,11 @@ impl Engine {
         let class = self.row.schedule_class_for(&self.spec)?;
         let scheduler = Scheduler::new(self.params, class)?;
         let report = scheduler.schedule(&self.plan, width, height);
-        let cannot_stream = || TonemapError::InvalidSpec {
-            spec: self.spec.clone(),
-            reason: format!(
-                "`schedule=stream` but the effective plan cannot stream ({})",
-                report.decision
-            ),
-        };
         let enumerated = report.ranked.len();
         let (priced, considered) = match (mode, threads) {
             (ScheduleMode::Auto, _) => (report.winner().clone(), enumerated),
             (ScheduleMode::TwoPass, _) => (report.two_pass().clone(), enumerated),
-            // Always present for a streamable plan: the one-worker streaming
-            // point is never pruned. A request-level plan override may still
-            // have taken streaming away.
-            (ScheduleMode::Stream, None) => (
-                report.best_streaming().cloned().ok_or_else(cannot_stream)?,
-                enumerated,
-            ),
+            (ScheduleMode::Stream, None) => (report.best_streaming().clone(), enumerated),
             (ScheduleMode::Stream, Some(threads)) => {
                 let pinned = report
                     .ranked
@@ -82,7 +41,6 @@ impl Engine {
                     .find(|p| p.point.executor.is_streaming() && p.point.threads == threads);
                 match pinned {
                     Some(priced) => (priced.clone(), enumerated),
-                    None if !report.decision.is_streamed() => return Err(cannot_stream()),
                     // Pinned worker counts outside the pruned space (an odd
                     // count, or beyond the host cap) still get an honest
                     // price.
@@ -109,8 +67,9 @@ mod tests {
     use crate::request::TonemapRequest;
     use hdr_image::synth::SceneKind;
     use std::sync::Arc;
+    use tonemap_core::cores;
     use tonemap_core::plan::{PipelineOp, PipelinePlan};
-    use tonemap_core::ToneMapParams;
+    use tonemap_core::{ToneMapParams, ToneMapper};
 
     #[test]
     fn schedule_auto_is_bit_identical_to_forced_two_pass() {
@@ -242,10 +201,10 @@ mod tests {
     }
 
     #[test]
-    fn schedule_stream_on_an_unstreamable_plan_is_rejected_at_wrap() {
+    fn schedule_stream_on_a_mask_across_a_barrier_serves_the_reference() {
         let params = ToneMapParams::paper_default();
-        // A mask consuming its producer across a histogram barrier: the one
-        // shape the streaming planner refuses.
+        // A mask consuming its producer across a histogram barrier: the
+        // mask crosses the barrier as a materialized plane.
         let plan = PipelinePlan::new(vec![
             PipelineOp::Normalize,
             PipelineOp::BlurMask {
@@ -256,16 +215,43 @@ mod tests {
             PipelineOp::Mask(params.masking),
         ])
         .expect("plan validates");
+        let reference = ToneMapper::compile(plan.clone(), params).unwrap();
         let registry = BackendRegistry::standard();
-        let resolved = registry.resolve_spec("sw-f32?schedule=stream").unwrap();
-        let Err(err) = resolved.backend().reconfigured(params, Some(plan)) else {
-            panic!("stream mode on a fallback plan must be rejected");
-        };
-        match err {
-            TonemapError::InvalidSpec { reason, .. } => {
-                assert!(reason.contains("cannot stream"), "{reason}");
+        for (spec, slices) in [
+            ("sw-f32?schedule=stream", None),
+            ("sw-f32?schedule=stream&threads=2", Some(2)),
+            ("sw-f32?schedule=stream&threads=8", Some(8)),
+        ] {
+            let engine = registry
+                .resolve_spec(spec)
+                .unwrap()
+                .backend()
+                .reconfigured(params, Some(plan.clone()))
+                .unwrap_or_else(|e| panic!("{spec} serves the plan: {e}"));
+            // Free cores, then every core held, as by a busy worker pool.
+            for hold in [false, true] {
+                let held: Vec<cores::Held> = (0..cores::host_cores())
+                    .filter(|_| hold)
+                    .map(|_| cores::hold())
+                    .collect();
+                for (w, h) in [(96, 72), (33, 17)] {
+                    let hdr = SceneKind::WindowInDarkRoom.generate(w, h, 6);
+                    let response = engine
+                        .execute(&TonemapRequest::luminance(&hdr).with_telemetry())
+                        .expect("the stream serves the plan");
+                    let point = response.telemetry().unwrap().point;
+                    assert!(point.executor.is_streaming(), "{spec}: {point}");
+                    if let Some(slices) = slices {
+                        assert_eq!(point.threads, slices, "{spec}");
+                    }
+                    assert_eq!(
+                        response.luminance().unwrap(),
+                        &reference.map_luminance_hw_blur::<f32>(&hdr),
+                        "{spec} at {w}x{h}, cores held: {hold}"
+                    );
+                }
+                drop(held);
             }
-            other => panic!("expected InvalidSpec, got {other:?}"),
         }
     }
 

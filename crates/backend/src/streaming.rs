@@ -1,13 +1,15 @@
-//! The executors an engine's plan compiles onto: the fused line-buffer
-//! pass and the two-pass planner it reproduces. [`CompiledPlan::new`] is
-//! the one place a [`SchedulePoint`] becomes an executor.
+//! The executor an engine's plan compiles onto: the stream, at the
+//! engine's [`Numerics`] and schedule point. [`CompiledPlan::new`] is the
+//! one place a [`SchedulePoint`] becomes an executor.
 //!
-//! The streaming pass runs the whole plan as one raster-order pass over a
-//! rolling row ring buffer (the software analogue of the paper's Fig. 4
-//! BRAM line buffer): no full-size intermediate images, the blur kernel
-//! quantised once at compilation, and row-sliced multi-threading. Its
-//! outputs are bit-identical to the two-pass planner's, so streaming is an
-//! execution *shape*, not a Table II design: the `sw-f32-stream` and
+//! Every point runs the core stream ([`StreamingToneMapper`]): the fused
+//! line-buffer pass (the software analogue of the paper's Fig. 4 BRAM line
+//! buffer — no full-size intermediate images, the blur kernel quantised
+//! once at compilation, row-sliced multi-threading), or at the two-pass
+//! point the same stream with a plane materialized after every stencil.
+//! Every point's outputs are bit-identical to the per-pixel two-pass
+//! reference ([`tonemap_core::ToneMapper`]), so streaming is an execution
+//! *shape*, not a Table II design: the `sw-f32-stream` and
 //! `hw-fix16-stream` rows carry no design and their telemetry no modeled
 //! cost.
 
@@ -15,26 +17,29 @@ use crate::engine::Numerics;
 use crate::error::TonemapError;
 use apfixed::Fix16;
 use hdr_image::{ImageError, LuminanceImage, RgbImage};
-use tonemap_core::{PipelinePlan, Reductions, StreamingToneMapper, ToneMapParams, ToneMapper};
+use tonemap_core::stream::AllStages;
+use tonemap_core::{PipelinePlan, Reductions, StreamingToneMapper, ToneMapParams};
 use tonemap_scheduler::SchedulePoint;
 
-/// A plan compiled for one [`Numerics`] at one [`SchedulePoint`]: the one
-/// place the engine layer picks a sample type and an executor.
+/// A plan compiled for one [`Numerics`] at one [`SchedulePoint`]: one
+/// stream mapper per numerics, the one place the engine layer picks a
+/// sample type and a datapath.
 #[derive(Debug)]
 pub enum CompiledPlan {
-    /// The two-pass planner, computing in the given numerics.
-    TwoPass(Numerics, ToneMapper),
-    /// The streaming pass with the `f32` blur datapath.
-    StreamF32(StreamingToneMapper<f32>),
-    /// The streaming pass with the 16-bit fixed-point blur datapath.
-    StreamFix16(StreamingToneMapper<Fix16>),
+    /// [`Numerics::F32`]: every stage in `f32`.
+    F32(StreamingToneMapper<f32>),
+    /// [`Numerics::Fix16Blur`]: the point stages in `f32`, the blur in
+    /// 16-bit fixed point.
+    Fix16Blur(StreamingToneMapper<Fix16>),
+    /// [`Numerics::Fix16All`]: every stage in 16-bit fixed point.
+    Fix16All(StreamingToneMapper<Fix16, AllStages>),
 }
 
 impl CompiledPlan {
-    /// Compiles `plan` for `numerics` at `point`: on the streaming pass,
-    /// row-sliced over `point.threads` workers, when the point streams, and
-    /// on the two-pass planner otherwise. The all-fixed ablation has no
-    /// streaming form and always compiles two-pass.
+    /// Compiles `plan` for `numerics` at `point`: row-sliced over
+    /// `point.threads` workers, with every stencil materialized at the
+    /// two-pass point
+    /// ([`StreamingToneMapper::with_materialized_stencils`]).
     ///
     /// # Errors
     ///
@@ -45,15 +50,23 @@ impl CompiledPlan {
         numerics: Numerics,
         point: &SchedulePoint,
     ) -> Result<Self, TonemapError> {
-        let threads = point.threads;
-        Ok(match (numerics, point.executor.is_streaming()) {
-            (Numerics::F32, true) => CompiledPlan::StreamF32(
-                StreamingToneMapper::compile(plan, params)?.with_threads(threads),
+        let materialize = !point.executor.is_streaming();
+        Ok(match numerics {
+            Numerics::F32 => CompiledPlan::F32(
+                StreamingToneMapper::compile(plan, params)?
+                    .with_threads(point.threads)
+                    .with_materialized_stencils(materialize),
             ),
-            (Numerics::Fix16Blur, true) => CompiledPlan::StreamFix16(
-                StreamingToneMapper::compile(plan, params)?.with_threads(threads),
+            Numerics::Fix16Blur => CompiledPlan::Fix16Blur(
+                StreamingToneMapper::compile(plan, params)?
+                    .with_threads(point.threads)
+                    .with_materialized_stencils(materialize),
             ),
-            _ => CompiledPlan::TwoPass(numerics, ToneMapper::compile(plan, params)?),
+            Numerics::Fix16All => CompiledPlan::Fix16All(
+                StreamingToneMapper::compile(plan, params)?
+                    .with_threads(point.threads)
+                    .with_materialized_stencils(materialize),
+            ),
         })
     }
 
@@ -63,7 +76,7 @@ impl CompiledPlan {
     /// # Panics
     ///
     /// Panics if the plan takes a colour register as input, as the core
-    /// executors do; check the plan's input layout first.
+    /// executor does; check the plan's input layout first.
     pub fn map_luminance(
         &self,
         input: &LuminanceImage,
@@ -73,8 +86,8 @@ impl CompiledPlan {
     }
 
     /// [`CompiledPlan::map_luminance`], with the output written into
-    /// `frame` by the executor's last materializing step. A frame of the
-    /// input's length is overwritten without a fill and returned as the
+    /// `frame` ([`StreamingToneMapper::map_luminance_into`]). A frame of
+    /// the input's length is overwritten without a fill and returned as the
     /// output's buffer; any other is resized.
     ///
     /// # Panics
@@ -87,21 +100,9 @@ impl CompiledPlan {
         frame: Vec<f32>,
     ) -> LuminanceImage {
         match self {
-            // In `f32` the accelerator boundary converts nothing, so this is
-            // also the all-float reference path, bit for bit.
-            CompiledPlan::TwoPass(Numerics::F32, mapper) => {
-                mapper.map_luminance_hw_blur_into::<f32>(input, reductions, frame)
-            }
-            CompiledPlan::TwoPass(Numerics::Fix16Blur, mapper) => {
-                mapper.map_luminance_hw_blur_into::<Fix16>(input, reductions, frame)
-            }
-            CompiledPlan::TwoPass(Numerics::Fix16All, mapper) => {
-                mapper.map_luminance_into::<Fix16>(input, reductions, frame)
-            }
-            CompiledPlan::StreamF32(mapper) => mapper.map_luminance_into(input, reductions, frame),
-            CompiledPlan::StreamFix16(mapper) => {
-                mapper.map_luminance_into(input, reductions, frame)
-            }
+            CompiledPlan::F32(mapper) => mapper.map_luminance_into(input, reductions, frame),
+            CompiledPlan::Fix16Blur(mapper) => mapper.map_luminance_into(input, reductions, frame),
+            CompiledPlan::Fix16All(mapper) => mapper.map_luminance_into(input, reductions, frame),
         }
     }
 
@@ -113,13 +114,9 @@ impl CompiledPlan {
     /// re-application.
     pub fn map_rgb(&self, input: &RgbImage) -> Result<RgbImage, ImageError> {
         match self {
-            CompiledPlan::TwoPass(Numerics::F32, mapper) => mapper.map_rgb_hw_blur::<f32>(input),
-            CompiledPlan::TwoPass(Numerics::Fix16Blur, mapper) => {
-                mapper.map_rgb_hw_blur::<Fix16>(input)
-            }
-            CompiledPlan::TwoPass(Numerics::Fix16All, mapper) => mapper.map_rgb::<Fix16>(input),
-            CompiledPlan::StreamF32(mapper) => mapper.map_rgb(input),
-            CompiledPlan::StreamFix16(mapper) => mapper.map_rgb(input),
+            CompiledPlan::F32(mapper) => mapper.map_rgb(input),
+            CompiledPlan::Fix16Blur(mapper) => mapper.map_rgb(input),
+            CompiledPlan::Fix16All(mapper) => mapper.map_rgb(input),
         }
     }
 }

@@ -1,21 +1,22 @@
 //! Property tests for the auto-scheduler: over randomly drawn
 //! multi-stencil cascade plans, the enumerated schedule space is *legal*
-//! (it never contains a streaming point the streaming planner would
-//! reject, and every streaming point mirrors the planner's decision),
-//! scheduling is *deterministic* (repeated runs produce identical ranked
-//! reports), and the chosen schedule is *invisible in the pixels*
-//! (`schedule=auto` output is bit-identical to the forced two-pass
-//! reference).
+//! (every streaming point mirrors the streaming planner's decision, and
+//! every plan — a mask across a barrier included — has one), scheduling is
+//! *deterministic* (repeated runs produce identical ranked reports), and
+//! the chosen schedule is *invisible in the pixels*: every engine row at
+//! its own point and every `schedule=` mode is bit-identical to the
+//! per-pixel two-pass reference, `ToneMapper`.
 
-use hdr_image::LuminanceImage;
+use apfixed::Fix16;
+use hdr_image::{LuminanceImage, RgbImage};
 use proptest::prelude::*;
-use tonemap_backend::{BackendRegistry, TonemapRequest};
+use tonemap_backend::{BackendRegistry, Numerics, TonemapRequest};
+use tonemap_core::plan::PlanTuning;
 use tonemap_core::{
-    BlurParams, Curve, PipelineOp, PipelinePlan, StreamingToneMapper, ToneMapParams, ToneMapper,
+    BlurParams, ChannelLayout, Curve, PipelineOp, PipelinePlan, StreamingDecision, ToneMapParams,
+    ToneMapper,
 };
-use tonemap_scheduler::{
-    HostModel, SampleFormat, ScheduleClass, ScheduleExecutor, ScheduleMode, Scheduler,
-};
+use tonemap_scheduler::{HostModel, SampleFormat, ScheduleClass, ScheduleExecutor, Scheduler};
 
 /// A deterministic pseudo-random HDR image, seeded per case so failures
 /// replay (same generator as the core streaming properties).
@@ -64,9 +65,9 @@ fn cascade_plan(
     )
 }
 
-/// The one shape the streaming planner refuses: a mask consuming its
-/// blurred producer from across a histogram barrier.
-fn fallback_plan() -> PipelinePlan {
+/// A mask consuming its blurred producer from across a histogram barrier:
+/// the mask crosses the barrier as a materialized plane.
+fn mask_across_barrier_plan() -> PipelinePlan {
     let params = ToneMapParams::paper_default();
     PipelinePlan::new(vec![
         PipelineOp::Normalize,
@@ -118,14 +119,9 @@ proptest! {
         prop_assert_eq!(&sched.schedule(&plan, width, height), &report);
 
         // Legal: every streaming point mirrors the streaming planner's
-        // decision for the same plan, and the planner agrees it streams.
-        let decision = StreamingToneMapper::<f32>::compile(
-            plan.clone(),
-            ToneMapParams::paper_default(),
-        )
-        .expect("plan compiles")
-        .decision();
-        prop_assert!(decision.is_streamed());
+        // decision for the same plan.
+        let decision = StreamingDecision::of(&plan);
+        prop_assert_eq!(&report.decision, &decision);
         for priced in &report.ranked {
             match priced.point.executor {
                 ScheduleExecutor::TwoPass => {
@@ -151,64 +147,176 @@ proptest! {
         );
     }
 
-    /// Plans the streaming planner rejects never grow streaming points —
-    /// regardless of resolution.
+    /// A mask across a barrier streams, segmented at its barrier — at every
+    /// resolution.
     #[test]
-    fn rejected_plans_enumerate_no_streaming_point(
+    fn mask_across_barrier_plans_enumerate_streaming_points(
         width in 16usize..256,
         height in 16usize..256,
     ) {
-        let report = scheduler().schedule(&fallback_plan(), width, height);
-        prop_assert_eq!(report.ranked.len(), 1);
-        prop_assert_eq!(report.winner().point.executor, ScheduleExecutor::TwoPass);
-        prop_assert!(!report.decision.is_streamed());
+        let report = scheduler().schedule(&mask_across_barrier_plan(), width, height);
+        prop_assert!(report.ranked.len() >= 2);
+        prop_assert_eq!(report.two_pass().point.threads, 1);
+        let segmented = tonemap_scheduler::ScheduleExecutor::Streaming { fused: false, barriers: 1 };
+        prop_assert_eq!(report.best_streaming().point.executor, segmented);
+        for priced in report.ranked.iter().filter(|p| p.point.executor.is_streaming()) {
+            prop_assert_eq!(priced.point.executor, segmented);
+        }
     }
 }
 
-proptest! {
-    // End-to-end engine executions per case: fewest cases of all.
-    #![proptest_config(ProptestConfig::with_cases(12))]
+/// Every scalar preset, resolved with its default tuning.
+fn scalar_presets() -> Vec<PipelinePlan> {
+    let params = ToneMapParams::paper_default();
+    PipelinePlan::PRESETS
+        .iter()
+        .map(|name| PipelinePlan::preset(name, &params, &PlanTuning::default()))
+        .map(|plan| plan.expect("default tuning valid").expect("a preset"))
+        .filter(|plan| plan.input_layout() == ChannelLayout::Scalar)
+        .collect()
+}
 
-    /// Running the winner through the engine layer reproduces the forced
-    /// two-pass output bit for bit: the scheduler picks strategies, never
+/// The plans the pixel property draws: a random cascade, any scalar
+/// preset, or the mask-across-barrier plan.
+fn any_plan() -> impl Strategy<Value = PipelinePlan> {
+    let cascades = (
+        1usize..=2,
+        prop::collection::vec(1usize..5, 2..3),
+        prop::collection::vec(0.4f32..3.0, 2..3),
+        0u8..4,
+        8usize..32,
+    )
+        .prop_map(|(n, radii, sigmas, barriers, bins)| {
+            cascade_plan(n, &radii, &sigmas, barriers, bins).0
+        });
+    let presets = (0usize..scalar_presets().len()).prop_map(|i| scalar_presets()[i].clone());
+    prop_oneof![cascades, presets, Just(mask_across_barrier_plan())]
+}
+
+/// Frame shapes: small rectangles; widths one below, on and one past the
+/// stencil block of 64 samples, two blocks plus one, and a single column;
+/// N×1 rows; and frames smaller than every drawn blur radius.
+fn any_dims() -> impl Strategy<Value = (usize, usize)> {
+    prop_oneof![
+        (12usize..48, 12usize..48),
+        ((0usize..5).prop_map(|i| [1, 63, 64, 65, 129][i]), 1usize..9),
+        (2usize..48).prop_map(|width| (width, 1)),
+        (1usize..4, 1usize..4),
+    ]
+}
+
+/// `spec`'s engine reconfigured to serve `plan` with the paper parameters.
+fn engine_for(
+    registry: &BackendRegistry,
+    spec: &str,
+    plan: &PipelinePlan,
+) -> std::sync::Arc<dyn tonemap_backend::TonemapBackend> {
+    registry
+        .resolve_spec(spec)
+        .unwrap_or_else(|e| panic!("{spec} resolves: {e}"))
+        .backend()
+        .reconfigured(ToneMapParams::paper_default(), Some(plan.clone()))
+        .unwrap_or_else(|e| panic!("{spec} serves {plan}: {e}"))
+}
+
+proptest! {
+    // Sixteen engine executions per case, on small frames.
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    /// Every engine row at its own point and every `schedule=` mode
+    /// reproduces the per-pixel two-pass reference bit for bit: the split
+    /// rows `map_luminance_hw_blur` in their blur format, `sw-fix16`
+    /// `map_luminance::<Fix16>`. The scheduler picks strategies, never
     /// pixels.
     #[test]
     fn auto_schedule_output_is_bit_identical_to_two_pass(
-        n_stencils in 1usize..=2,
-        radii in prop::collection::vec(1usize..5, 2..3),
-        sigmas in prop::collection::vec(0.4f32..3.0, 2..3),
-        barrier_mask in 0u8..4,
-        bins in 8usize..32,
-        width in 12usize..48,
-        height in 12usize..48,
+        plan in any_plan(),
+        (width, height) in any_dims(),
         seed in 0u64..1_000_000,
     ) {
-        let (plan, _) = cascade_plan(n_stencils, &radii, &sigmas, barrier_mask, bins);
         let hdr = synthetic_image(width, height, seed);
         let registry = BackendRegistry::standard();
-        let run = |mode: ScheduleMode| {
-            let engine = registry
-                .resolve_spec(&format!("sw-f32?schedule={mode}"))
-                .expect("standard engine schedules")
-                .backend()
-                .reconfigured(ToneMapParams::paper_default(), Some(plan.clone()))
-                .expect("cascade plans schedule");
-            engine
+        let reference = ToneMapper::compile(plan.clone(), ToneMapParams::paper_default())
+            .expect("plan compiles");
+        let expected = |numerics: Numerics| match numerics {
+            Numerics::F32 => reference.map_luminance_hw_blur::<f32>(&hdr),
+            Numerics::Fix16Blur => reference.map_luminance_hw_blur::<Fix16>(&hdr),
+            Numerics::Fix16All => reference.map_luminance::<Fix16>(&hdr),
+        };
+        let run = |spec: &str| {
+            engine_for(&registry, spec, &plan)
                 .execute(&TonemapRequest::luminance(&hdr))
-                .expect("scheduled run executes")
+                .expect("the engine serves the plan")
                 .luminance()
                 .expect("display-referred payload")
                 .clone()
         };
-        let auto = run(ScheduleMode::Auto);
-        let two_pass = run(ScheduleMode::TwoPass);
-        let stream = run(ScheduleMode::Stream);
-        prop_assert_eq!(&auto, &two_pass);
-        prop_assert_eq!(&stream, &two_pass);
-        // And both agree with the core reference for the same plan.
-        let direct = ToneMapper::compile(plan, ToneMapParams::paper_default())
-            .expect("plan compiles")
-            .map_luminance_hw_blur::<f32>(&hdr);
-        prop_assert_eq!(&auto, &direct);
+        for row in BackendRegistry::STANDARD_ENGINES {
+            prop_assert_eq!(
+                run(row.name),
+                expected(row.numerics),
+                "{} on {} at {}x{}", row.name, plan, width, height
+            );
+        }
+        for (engine, numerics) in [("sw-f32", Numerics::F32), ("hw-fix16", Numerics::Fix16Blur)] {
+            for mode in ["auto", "two-pass", "stream", "stream&threads=2"] {
+                let spec = format!("{engine}?schedule={mode}");
+                prop_assert_eq!(
+                    run(&spec),
+                    expected(numerics),
+                    "{} on {} at {}x{}", spec, plan, width, height
+                );
+            }
+        }
+    }
+}
+
+/// A deterministic pseudo-random HDR colour image.
+fn synthetic_rgb(width: usize, height: usize, seed: u64) -> RgbImage {
+    let grey = synthetic_image(width, height, seed);
+    RgbImage::from_fn(width, height, |x, y| {
+        let l = grey.pixels()[y * width + x];
+        hdr_image::Rgb::new(l * (0.3 + 0.1 * (x % 7) as f32), l, l * 0.8)
+    })
+}
+
+/// The colour presets through `map_rgb` on both Fix16 rows, at their own
+/// point and scheduled: `sw-fix16` reproduces `map_rgb::<Fix16>`,
+/// `hw-fix16` `map_rgb_hw_blur::<Fix16>`.
+#[test]
+fn colour_presets_on_the_fix16_rows_match_the_reference() {
+    let params = ToneMapParams::paper_default();
+    let registry = BackendRegistry::standard();
+    for name in PipelinePlan::PRESETS {
+        let plan = PipelinePlan::preset(name, &params, &PlanTuning::default())
+            .expect("default tuning valid")
+            .expect("a preset");
+        if plan.input_layout() != ChannelLayout::Rgb {
+            continue;
+        }
+        let reference = ToneMapper::compile(plan.clone(), params).expect("plan compiles");
+        for (width, height) in [(41, 27), (65, 3), (1, 9)] {
+            let hdr = synthetic_rgb(width, height, 7);
+            let all_fixed = reference.map_rgb::<Fix16>(&hdr).expect("colour plans run");
+            let split = reference
+                .map_rgb_hw_blur::<Fix16>(&hdr)
+                .expect("colour plans run");
+            for (spec, expected) in [
+                ("sw-fix16", &all_fixed),
+                ("hw-fix16", &split),
+                ("hw-fix16-stream", &split),
+                ("hw-fix16?schedule=auto", &split),
+                ("hw-fix16?schedule=stream&threads=2", &split),
+            ] {
+                let out = engine_for(&registry, spec, &plan)
+                    .execute(&TonemapRequest::rgb(&hdr))
+                    .expect("the engine serves the colour plan");
+                assert_eq!(
+                    out.rgb().expect("colour payload"),
+                    expected,
+                    "{spec} on {name} at {width}x{height}"
+                );
+            }
+        }
     }
 }

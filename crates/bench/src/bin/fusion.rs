@@ -6,15 +6,17 @@
 //! the two-stencil `basedetail` preset:
 //!
 //! * **Fusion** — the plan segments into a single fused pass with two
-//!   cascaded regions (`StreamingDecision::FullyFused`; no barriers, no
-//!   fallback reasons).
-//! * **Bit-identity** — the cascade matches the two-pass planner exactly
-//!   (`assert_eq!` on pixels, not a tolerance) on every synthetic scene
-//!   plus degenerate 1×N / N×1 / sub-radius geometries, at 1, 2 and 8 row
-//!   threads, in both `f32` and `Fix16`.
+//!   cascaded regions (`StreamingDecision::FullyFused`; no barriers).
+//! * **Bit-identity** — the cascade matches the per-pixel two-pass
+//!   reference (`ToneMapper`) exactly (`assert_eq!` on pixels, not a
+//!   tolerance) on every synthetic scene plus degenerate 1×N / N×1 /
+//!   sub-radius geometries, at 1, 2 and 8 row threads, in both `f32` and
+//!   `Fix16`.
 //! * **Speed** — at 1024×768 a *single-threaded* fused cascade must be at
-//!   least 2× faster than executing the same plan two-pass. The run fails
-//!   (non-zero exit) otherwise.
+//!   least 2× faster than the per-pixel two-pass reference on the same
+//!   plan. The run fails (non-zero exit) otherwise. Fusion's own share —
+//!   the cascade against the `sw-f32` engine's two-pass point, the same
+//!   stream with every stencil materialized — is reported, not gated.
 //!
 //! It also prints the codesign view of the cascade — one kernel schedule
 //! per region, additive BRAM-analogue ring footprints, per-region
@@ -31,7 +33,7 @@ use codesign::reports::json;
 use hdr_image::synth::SceneKind;
 use hdr_image::LuminanceImage;
 use tonemap_core::plan::{PipelinePlan, PlanTuning};
-use tonemap_core::{Sample, StreamingToneMapper, ToneMapParams, ToneMapper};
+use tonemap_core::{Sample, StreamingDecision, StreamingToneMapper, ToneMapParams, ToneMapper};
 
 const WIDTH: usize = 1024;
 const HEIGHT: usize = 768;
@@ -97,14 +99,14 @@ fn main() {
     let stream = StreamingToneMapper::<f32>::compile(plan.clone(), params)
         .expect("basedetail compiles")
         .with_threads(1);
-    let decision = stream.decision();
+    let decision = StreamingDecision::of(&plan);
     assert!(
         decision.is_fused(),
         "the two-stencil plan must fully fuse, got: {decision}"
     );
     println!("basedetail plan: {decision}");
 
-    println!("bit-identity of the fused cascade vs the two-pass planner:");
+    println!("bit-identity of the fused cascade vs the per-pixel two-pass reference:");
     let two_pass = ToneMapper::compile(plan.clone(), params).expect("basedetail compiles");
     let scenes_checked = identity_checks::<f32>("f32", &plan, params, &two_pass);
     identity_checks::<Fix16>("fix16", &plan, params, &two_pass);
@@ -160,17 +162,33 @@ fn main() {
     let fused_seconds = time_best(iterations, || {
         sink += stream.map_luminance(&hdr).pixels()[0];
     });
+    let two_pass_point = stream.clone().with_materialized_stencils(true);
+    let two_pass_point_seconds = time_best(iterations, || {
+        sink += two_pass_point.map_luminance(&hdr).pixels()[0];
+    });
     assert!(sink.is_finite(), "outputs must be finite");
     let speedup = two_pass_seconds / fused_seconds;
-    println!("  {:<28} {two_pass_seconds:>8.3} s", "two-pass execution");
+    let fusion_share = two_pass_point_seconds / fused_seconds;
+    println!(
+        "  {:<28} {two_pass_seconds:>8.3} s",
+        "per-pixel two-pass reference"
+    );
+    println!(
+        "  {:<28} {two_pass_point_seconds:>8.3} s",
+        "sw-f32 two-pass point"
+    );
     println!(
         "  {:<28} {fused_seconds:>8.3} s  ({speedup:.2}x)",
         "fused cascade, 1 thread"
     );
     println!();
     println!(
-        "single-thread cascade speedup over two-pass: {speedup:.2}x \
+        "single-thread cascade speedup over the per-pixel two-pass reference: {speedup:.2}x \
          (required >= {REQUIRED_SPEEDUP:.1}x)"
+    );
+    println!(
+        "fusion's own share, the cascade over the sw-f32 two-pass point: {fusion_share:.2}x \
+         (reported, not gated)"
     );
 
     let pixels = (WIDTH * HEIGHT) as f64;
@@ -192,12 +210,18 @@ fn main() {
             ("iterations", json::num(iterations as f64)),
             ("two_pass_seconds", json::num(two_pass_seconds)),
             ("fused_seconds", json::num(fused_seconds)),
+            ("two_pass_point_seconds", json::num(two_pass_point_seconds)),
+            ("fusion_share", json::num(fusion_share)),
             ("fused_speedup", json::num(speedup)),
             ("required_speedup", json::num(REQUIRED_SPEEDUP)),
             (
                 "ns_per_pixel",
                 json::obj([
                     ("two_pass", json::num(two_pass_seconds * 1e9 / pixels)),
+                    (
+                        "two_pass_point",
+                        json::num(two_pass_point_seconds * 1e9 / pixels),
+                    ),
                     ("fused", json::num(fused_seconds * 1e9 / pixels)),
                 ]),
             ),

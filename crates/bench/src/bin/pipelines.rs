@@ -1,11 +1,11 @@
 //! Pipeline-plan gate: the operator-graph API keeps its two promises.
 //!
 //! 1. **Bit-identity of the paper plan** — `PipelinePlan::paper_default()`
-//!    compiled by the two-pass planner and by the streaming planner is
+//!    compiled by the two-pass reference and by the streaming planner is
 //!    bit-identical to the *pre-redesign* engines (reconstructed here as
 //!    the hand-written Fig. 1 stage chain the seed code shipped) on every
-//!    synthetic scene, in both the all-float and the hardware-split
-//!    fixed-point modes. The redesign changed the API, not one pixel.
+//!    synthetic scene, in the all-float, the hardware-split fixed-point and
+//!    the all-fixed modes. The redesign changed the API, not one pixel.
 //! 2. **New operators serve end-to-end** — every named preset (two-stencil
 //!    base–detail, global Reinhard, histogram equalization, gamma, log)
 //!    round-trips through the `tonemap-service` worker pool via a
@@ -28,7 +28,8 @@ use tonemap_core::blur::blur_separable;
 use tonemap_core::masking::{apply_masking, invert};
 use tonemap_core::normalize::{normalize, normalize_to};
 use tonemap_core::plan::{PipelinePlan, PlanTuning};
-use tonemap_core::{Sample, StreamingToneMapper, ToneMapParams, ToneMapper};
+use tonemap_core::stream::AllStages;
+use tonemap_core::{Sample, StreamingDecision, StreamingToneMapper, ToneMapParams, ToneMapper};
 use tonemap_service::{JobRequest, ServiceConfig, TonemapService};
 
 /// The pre-redesign software reference: the hard-coded Fig. 1 chain with
@@ -89,8 +90,10 @@ fn bit_identity_gate() {
         StreamingToneMapper::<f32>::compile(plan.clone(), params).expect("paper plan compiles");
     let stream_fix =
         StreamingToneMapper::<Fix16>::compile(plan.clone(), params).expect("paper plan compiles");
+    let stream_all = StreamingToneMapper::<Fix16, AllStages>::compile(plan.clone(), params)
+        .expect("paper plan compiles");
     assert!(
-        stream_f32.decision().is_fused(),
+        StreamingDecision::of(&plan).is_fused(),
         "the paper plan must fuse into one streaming pass"
     );
 
@@ -123,6 +126,11 @@ fn bit_identity_gate() {
             two_pass.map_luminance::<Fix16>(&hdr),
             legacy_ablation,
             "two-pass planner diverged from the legacy all-fixed chain on {name}"
+        );
+        assert_eq!(
+            stream_all.map_luminance(&hdr),
+            legacy_ablation,
+            "streaming planner diverged from the legacy all-fixed chain on {name}"
         );
         println!("  {name:<28} f32 ✓   hw-fix16 ✓   all-fix16 ✓");
     }

@@ -6,14 +6,17 @@
 //! in software. This gate checks both halves of that claim:
 //!
 //! * **Parity** — on every synthetic scene (plus degenerate 1×N / N×1
-//!   geometries) `sw-f32-stream` must equal `sw-f32` and `hw-fix16-stream`
-//!   must equal `hw-fix16` bit for bit: the streaming engines re-schedule
-//!   the same arithmetic, so even a 1-LSB slip is a bug.
+//!   geometries) `sw-f32-stream`, `sw-f32`, `hw-fix16-stream` and
+//!   `hw-fix16` must equal the per-pixel two-pass reference (`ToneMapper`)
+//!   in their blur format bit for bit: every engine runs the same
+//!   arithmetic at another schedule point, so even a 1-LSB slip is a bug.
 //! * **Speed** — at 1024×768 with the paper-default 41-tap kernel, one
 //!   *single-threaded* streaming pass must be at least 2× faster than the
-//!   two-pass `sw-f32` reference, and the Q4.12 stream (`Fix16` taps) may
+//!   per-pixel two-pass reference, and the Q4.12 stream (`Fix16` taps) may
 //!   cost at most 4× the `f32` stream, so a return to wide-integer
-//!   emulation of the 16-bit datapath fails.
+//!   emulation of the 16-bit datapath fails. Fusion's own share — the
+//!   fused stream against the `sw-f32` engine's two-pass point, the same
+//!   stream with every stencil materialized — is reported, not gated.
 //! * **Colour points** — the `hsv-reinhard` colour plan streamed over an
 //!   RGB frame (normalize, RGB → HSV, Reinhard on V, HSV → RGB: the colour
 //!   walk's row pass) must equal the two-pass `map_rgb_hw_blur` bit for
@@ -90,7 +93,8 @@ fn parity_checks() {
         ),
         ("sub-radius", SceneKind::SunAndShadow.generate(7, 5, 7)),
     ];
-    println!("parity of the streaming engines against their two-pass counterparts:");
+    println!("parity of the engines against the per-pixel two-pass reference:");
+    let reference = ToneMapper::new(ToneMapParams::paper_default());
     for (name, scene) in &scenes {
         let run = |spec: &str| {
             registry
@@ -100,12 +104,19 @@ fn parity_checks() {
                 .expect("display-referred payload")
                 .clone()
         };
-        for (stream, classic) in [("sw-f32-stream", "sw-f32"), ("hw-fix16-stream", "hw-fix16")] {
-            if let Some((i, x, y)) = first_mismatch(&run(stream), &run(classic)) {
-                panic!("{stream} diverged from {classic} on {name} at pixel {i}: {x} vs {y}");
+        let f32_reference = reference.map_luminance_hw_blur::<f32>(scene);
+        let fix16_reference = reference.map_luminance_hw_blur::<Fix16>(scene);
+        for (spec, expected) in [
+            ("sw-f32-stream", &f32_reference),
+            ("sw-f32", &f32_reference),
+            ("hw-fix16-stream", &fix16_reference),
+            ("hw-fix16", &fix16_reference),
+        ] {
+            if let Some((i, x, y)) = first_mismatch(&run(spec), expected) {
+                panic!("{spec} diverged from the reference on {name} at pixel {i}: {x} vs {y}");
             }
         }
-        println!("  {name:<20} f32 and fix16 streams bit-identical");
+        println!("  {name:<20} f32 and fix16 engines bit-identical");
     }
     println!();
 }
@@ -131,6 +142,11 @@ fn main() {
     let streaming = StreamingToneMapper::<f32>::new(params);
     let streaming_seconds = time_best(iterations, || {
         sink += streaming.map_luminance(&hdr).pixels()[0];
+    });
+
+    let two_pass_point = StreamingToneMapper::<f32>::new(params).with_materialized_stencils(true);
+    let two_pass_point_seconds = time_best(iterations, || {
+        sink += two_pass_point.map_luminance(&hdr).pixels()[0];
     });
 
     let streaming_fix16 = StreamingToneMapper::<Fix16>::new(params);
@@ -173,9 +189,14 @@ fn main() {
     assert!(sink.is_finite(), "outputs must be finite");
 
     let speedup = reference_seconds / streaming_seconds;
+    let fusion_share = two_pass_point_seconds / streaming_seconds;
     println!(
         "  {:<30} {reference_seconds:>8.3} s",
-        "sw-f32 two-pass reference"
+        "per-pixel two-pass reference"
+    );
+    println!(
+        "  {:<30} {two_pass_point_seconds:>8.3} s",
+        "sw-f32 two-pass point"
     );
     println!(
         "  {:<30} {streaming_seconds:>8.3} s  ({speedup:.2}x)",
@@ -198,7 +219,12 @@ fn main() {
     );
     println!();
     println!(
-        "single-thread streaming speedup over sw-f32: {speedup:.2}x (required >= {REQUIRED_SPEEDUP:.1}x)"
+        "single-thread streaming speedup over the per-pixel two-pass reference: {speedup:.2}x \
+         (required >= {REQUIRED_SPEEDUP:.1}x)"
+    );
+    println!(
+        "fusion's own share, the stream over the sw-f32 two-pass point: {fusion_share:.2}x \
+         (reported, not gated)"
     );
     println!(
         "Fix16 stream over f32 stream: {fix16_over_f32:.2}x (required <= {MAX_FIX16_OVER_F32:.1}x)"
@@ -219,6 +245,8 @@ fn main() {
             ("taps", json::num(params.blur.taps() as f64)),
             ("iterations", json::num(iterations as f64)),
             ("two_pass_seconds", json::num(reference_seconds)),
+            ("two_pass_point_seconds", json::num(two_pass_point_seconds)),
+            ("fusion_share", json::num(fusion_share)),
             ("streaming_seconds", json::num(streaming_seconds)),
             ("threaded_seconds", json::num(threaded_seconds)),
             ("threads", json::num(threads as f64)),
@@ -231,6 +259,7 @@ fn main() {
                 "ns_per_pixel",
                 json::obj([
                     ("two_pass", ns_per_pixel(reference_seconds)),
+                    ("two_pass_point", ns_per_pixel(two_pass_point_seconds)),
                     ("streaming", ns_per_pixel(streaming_seconds)),
                     ("threaded", ns_per_pixel(threaded_seconds)),
                     ("streaming_fix16", ns_per_pixel(fix16_seconds)),

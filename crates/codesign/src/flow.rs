@@ -194,9 +194,10 @@ impl CascadeSegmentCost {
 /// and the per-region initiation intervals — what the cascade costs the
 /// fabric, segment by segment.
 ///
-/// This costs the plan's *segmentation shape*; whether the streaming
-/// planner actually runs it (or falls back for a mask straddling a barrier)
-/// is [`tonemap_core::StreamingToneMapper::decision`]'s call.
+/// This costs the plan's *segmentation shape*, the shape of its fused
+/// schedule points ([`tonemap_core::StreamingDecision::of`]); every plan
+/// streams in it, a mask straddling a barrier crossing as a materialized
+/// plane.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CascadeCostReport {
     /// The design point the regions were scheduled for.

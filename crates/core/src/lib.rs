@@ -33,18 +33,21 @@
 //! re-expresses the old hard-coded RGB ratio path as plan composition
 //! ([`PipelinePlan::compose_for_rgb`]).
 //! [`PipelinePlan::paper_default`] reproduces Fig. 1 exactly, and two
-//! *planners* compile any plan: the stage-by-stage [`ToneMapper`] (one
-//! full-size intermediate per stage, the shape of the paper's original
-//! software) and the fused [`StreamingToneMapper`] ([`stream`]), which
-//! runs plans as raster-order *cascades* of rolling row ring buffers —
-//! one software analogue of the BRAM line buffer of Fig. 4 per stencil
-//! stage, composed back-to-back — producing bit-identical pixels with no
-//! full-size intermediates. Reductions over intermediates become
+//! *planners* compile any plan. The fused [`StreamingToneMapper`]
+//! ([`stream`]) is the one executor: it runs plans as raster-order
+//! *cascades* of rolling row ring buffers — one software analogue of the
+//! BRAM line buffer of Fig. 4 per stencil stage, composed back-to-back —
+//! with no full-size intermediates. Reductions over intermediates become
 //! materialization *barriers* ([`PipelinePlan::segmentation`]) that split
 //! the plan into fused segments rather than blocking fusion, and the
 //! planner's verdict ([`StreamingDecision`]) reports the fusion shape —
-//! fully fused, segmented with its barriers, or the rare two-pass
-//! fallback with its reasons.
+//! fully fused, or segmented with its barriers. Its two-pass schedule point
+//! materializes a plane after every stencil, and its registers compute in
+//! `f32` (the paper's hardware/software split) or in the stencil's sample
+//! type throughout. The stage-by-stage [`ToneMapper`] (one full-size
+//! intermediate per stage and a per-pixel blur, the shape of the paper's
+//! original software) is the independent reference every schedule point
+//! equals bit for bit.
 //!
 //! Each stage also reports its per-pixel operation counts ([`ops`]), which
 //! the `zynq-sim` processing-system model turns into ARM execution-time
@@ -91,7 +94,7 @@ pub use plan::{
 };
 pub use reductions::{FrameReductions, Reductions};
 pub use sample::Sample;
-pub use stream::{FusionBlocker, StreamBarrier, StreamingDecision, StreamingToneMapper};
+pub use stream::{StreamBarrier, StreamingDecision, StreamingToneMapper};
 
 #[cfg(test)]
 mod tests {

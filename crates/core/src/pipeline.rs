@@ -1,18 +1,21 @@
-//! The assembled tone-mapping pipeline.
+//! The assembled tone-mapping pipeline: the two-pass reference.
 
 use crate::blur::blur_separable;
 use crate::ops::PipelineProfile;
 use crate::params::{ParamError, ToneMapParams};
-use crate::plan::{
-    accelerated_blur, execute_plan, execute_plan_into, run_color_plan, ChannelLayout, PipelinePlan,
-};
-use crate::reductions::{FrameReductions, Reductions};
+use crate::plan::{accelerated_blur, execute_plan, run_color_plan, ChannelLayout, PipelinePlan};
 use crate::sample::Sample;
 use hdr_image::{LuminanceImage, RgbImage};
 
-/// The two-pass (materialized) pipeline planner: compiles a
+/// The two-pass (materialized) reference planner: compiles a
 /// [`PipelinePlan`] into stage-by-stage execution with one full-size
-/// intermediate per stage — the shape of the paper's original software.
+/// intermediate per stage and a per-pixel separable blur — the shape of the
+/// paper's original software.
+///
+/// No engine executes through it: every engine runs the stream
+/// ([`crate::StreamingToneMapper`]), at any schedule point. This walk stays
+/// as the independent reference those points are held to bit for bit, by
+/// the tests, the gates and the Fig. 5 sweep.
 ///
 /// The classic constructors ([`ToneMapper::new`], [`ToneMapper::try_new`])
 /// compile the paper's Fig. 1 chain from a [`ToneMapParams`];
@@ -108,31 +111,8 @@ impl ToneMapper {
     /// ([`ChannelLayout::Rgb`]); colour-managed plans have no scalar entry
     /// point — run them through [`ToneMapper::map_rgb`].
     pub fn map_luminance<S: Sample>(&self, hdr: &LuminanceImage) -> LuminanceImage {
-        self.map_luminance_with::<S>(hdr, &mut FrameReductions)
-    }
-
-    /// [`ToneMapper::map_luminance`], with the plan's reductions bound by
-    /// `reductions` instead of the frame's own statistics.
-    pub fn map_luminance_with<S: Sample>(
-        &self,
-        hdr: &LuminanceImage,
-        reductions: &mut dyn Reductions,
-    ) -> LuminanceImage {
-        self.map_luminance_into::<S>(hdr, reductions, Vec::new())
-    }
-
-    /// [`ToneMapper::map_luminance_with`], converting the result into
-    /// `frame`: a frame of the image's length is overwritten without a
-    /// fill and returned as the output's buffer; any other is resized.
-    pub fn map_luminance_into<S: Sample>(
-        &self,
-        hdr: &LuminanceImage,
-        reductions: &mut dyn Reductions,
-        frame: Vec<f32>,
-    ) -> LuminanceImage {
         self.assert_scalar_input("map_luminance");
-        execute_plan(&self.plan, hdr, blur_separable::<S>, reductions)
-            .map_into(|&v| v.to_f32(), frame)
+        execute_plan(&self.plan, hdr, blur_separable::<S>).map(|&v| v.to_f32())
     }
 
     /// Tone-maps an HDR luminance image entirely in 32-bit floating point —
@@ -153,31 +133,8 @@ impl ToneMapper {
     /// ([`ChannelLayout::Rgb`]); colour-managed plans have no scalar entry
     /// point — run them through [`ToneMapper::map_rgb_hw_blur`].
     pub fn map_luminance_hw_blur<S: Sample>(&self, hdr: &LuminanceImage) -> LuminanceImage {
-        self.map_luminance_hw_blur_with::<S>(hdr, &mut FrameReductions)
-    }
-
-    /// [`ToneMapper::map_luminance_hw_blur`], with the plan's reductions
-    /// bound by `reductions` instead of the frame's own statistics.
-    pub fn map_luminance_hw_blur_with<S: Sample>(
-        &self,
-        hdr: &LuminanceImage,
-        reductions: &mut dyn Reductions,
-    ) -> LuminanceImage {
-        self.map_luminance_hw_blur_into::<S>(hdr, reductions, Vec::new())
-    }
-
-    /// [`ToneMapper::map_luminance_hw_blur_with`], with the `f32` register
-    /// materialized in `frame`: a frame of the image's length is
-    /// overwritten without a fill and returned as the output's buffer; any
-    /// other is resized.
-    pub fn map_luminance_hw_blur_into<S: Sample>(
-        &self,
-        hdr: &LuminanceImage,
-        reductions: &mut dyn Reductions,
-        frame: Vec<f32>,
-    ) -> LuminanceImage {
         self.assert_scalar_input("map_luminance_hw_blur");
-        execute_plan_into(&self.plan, hdr, accelerated_blur::<S>, reductions, frame)
+        execute_plan(&self.plan, hdr, accelerated_blur::<S>)
     }
 
     fn assert_scalar_input(&self, method: &str) {
@@ -209,7 +166,7 @@ impl ToneMapper {
     /// API.
     pub fn map_rgb<S: Sample>(&self, hdr: &RgbImage) -> Result<RgbImage, hdr_image::ImageError> {
         run_color_plan(&self.plan, hdr, |_, sub_plan, lum| {
-            let mapped = execute_plan(sub_plan, lum, blur_separable::<S>, &mut FrameReductions);
+            let mapped = execute_plan(sub_plan, lum, blur_separable::<S>);
             Ok(mapped.map(|&v| v.to_f32()))
         })
     }
@@ -231,12 +188,7 @@ impl ToneMapper {
         hdr: &RgbImage,
     ) -> Result<RgbImage, hdr_image::ImageError> {
         run_color_plan(&self.plan, hdr, |_, sub_plan, lum| {
-            Ok(execute_plan(
-                sub_plan,
-                lum,
-                accelerated_blur::<S>,
-                &mut FrameReductions,
-            ))
+            Ok(execute_plan(sub_plan, lum, accelerated_blur::<S>))
         })
     }
 

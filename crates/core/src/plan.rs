@@ -1702,48 +1702,27 @@ pub(crate) fn histogram_barrier<S: Sample>(
 }
 
 // ---------------------------------------------------------------------------
-// The two-pass (materialized) compilation of a plan.
+// The two-pass walk: the per-pixel reference every schedule point of the
+// stream is held to.
 // ---------------------------------------------------------------------------
 
-/// Two-pass execution: the register is a full-size image in `R` between
-/// stages, each stencil runs through `stencil`, and masks and curves update
-/// the register in place. `R = S` with `blur_separable` runs every stage in
-/// `S`; `R = f32` with [`accelerated_blur`] is the paper's hardware/software
-/// split. For the paper plan either computes exactly the arithmetic of the
-/// pre-redesign chains, in the same order. `reductions` binds the
-/// normalize scale, the Reinhard key factor and each barrier's CDF.
+/// Two-pass execution, the reference [`crate::ToneMapper`] runs: the
+/// register is a full-size image in `R` between stages, each stencil runs
+/// through `stencil`, and masks and curves update the register in place.
+/// `R = S` with `blur_separable` runs every stage in `S`; `R = f32` with
+/// [`accelerated_blur`] is the paper's hardware/software split. For the
+/// paper plan either computes exactly the arithmetic of the pre-redesign
+/// chains, in the same order. Every reduction is the frame's own
+/// ([`FrameReductions`]).
 pub(crate) fn execute_plan<R: Sample>(
     plan: &PipelinePlan,
     hdr: &LuminanceImage,
     stencil: impl Fn(&ImageBuffer<R>, &BlurParams) -> ImageBuffer<R>,
-    reductions: &mut dyn Reductions,
 ) -> ImageBuffer<R> {
-    execute_plan_into(plan, hdr, stencil, reductions, Vec::new())
-}
-
-/// [`execute_plan`], with the register returned in `frame`: the last step
-/// that materializes the register — the last barrier, or the ingest of a
-/// plan without one — writes it there, and every later stage updates it
-/// in place.
-pub(crate) fn execute_plan_into<R: Sample>(
-    plan: &PipelinePlan,
-    hdr: &LuminanceImage,
-    stencil: impl Fn(&ImageBuffer<R>, &BlurParams) -> ImageBuffer<R>,
-    reductions: &mut dyn Reductions,
-    mut frame: Vec<R>,
-) -> ImageBuffer<R> {
-    let last_barrier = plan
-        .ops()
-        .iter()
-        .rposition(|op| matches!(op, PipelineOp::HistogramEq { .. }));
+    let reductions = &mut FrameReductions;
     let normalize = plan.starts_with_normalize();
     let scale = normalize.then(|| reductions.normalize_scale(hdr)).flatten();
-    let ingest_frame = if last_barrier.is_none() {
-        std::mem::take(&mut frame)
-    } else {
-        Vec::new()
-    };
-    let mut img: ImageBuffer<R> = crate::normalize::normalize_with(hdr, scale, ingest_frame);
+    let mut img: ImageBuffer<R> = crate::normalize::normalize_with(hdr, scale, Vec::new());
     let key_scale = reductions.key_scale();
     let mut mask: Option<ImageBuffer<R>> = None;
     for (stage, op) in plan.ops().iter().enumerate().skip(usize::from(normalize)) {
@@ -1761,12 +1740,7 @@ pub(crate) fn execute_plan_into<R: Sample>(
                 crate::masking::mask_in_place(img.pixels_mut(), mask.pixels(), &masking);
             }
             PipelineOp::HistogramEq { bins } => {
-                let out = if last_barrier == Some(stage) {
-                    std::mem::take(&mut frame)
-                } else {
-                    Vec::new()
-                };
-                img = histogram_barrier(&img, bins, stage, reductions, out);
+                img = histogram_barrier(&img, bins, stage, reductions, Vec::new());
             }
             // In place over the register, so the row kernels vectorize.
             PipelineOp::Curve(curve) => curve.apply(img.pixels_mut()),
@@ -2210,9 +2184,8 @@ mod tests {
     fn hw_split_executor_with_f32_matches_the_all_sample_executor() {
         let hdr = SceneKind::WindowInDarkRoom.generate(40, 33, 5);
         let plan = PipelinePlan::paper_default();
-        let all = execute_plan(&plan, &hdr, blur_separable::<f32>, &mut FrameReductions)
-            .map(|&v| v.to_f32());
-        let split = execute_plan(&plan, &hdr, accelerated_blur::<f32>, &mut FrameReductions);
+        let all = execute_plan(&plan, &hdr, blur_separable::<f32>).map(|&v| v.to_f32());
+        let split = execute_plan(&plan, &hdr, accelerated_blur::<f32>);
         assert_eq!(all, split);
     }
 
@@ -2229,8 +2202,7 @@ mod tests {
             let stream = crate::StreamingToneMapper::<f32>::compile(plan.clone(), params).unwrap();
             for scene in SceneKind::ALL {
                 let hdr = scene.generate(96, 64, 7);
-                let reference =
-                    execute_plan(&plan, &hdr, blur_separable::<f64>, &mut FrameReductions);
+                let reference = execute_plan(&plan, &hdr, blur_separable::<f64>);
                 let distance = stream
                     .map_luminance(&hdr)
                     .pixels()
@@ -2258,9 +2230,9 @@ mod tests {
             )
             .unwrap()
             .unwrap();
-            let f = execute_plan(&plan, &hdr, accelerated_blur::<f32>, &mut FrameReductions);
+            let f = execute_plan(&plan, &hdr, accelerated_blur::<f32>);
             assert!(f.pixels().iter().all(|v| (0.0..=1.0).contains(v)), "{name}");
-            let fx = execute_plan(&plan, &hdr, blur_separable::<Fix16>, &mut FrameReductions);
+            let fx = execute_plan(&plan, &hdr, blur_separable::<Fix16>);
             for (a, b) in f.pixels().iter().zip(fx.pixels()) {
                 assert!(
                     (a - b.to_f32()).abs() < 0.05,
@@ -2528,9 +2500,10 @@ mod tests {
             let start = out.len();
             out.extend_from_slice(src);
             let row = &mut out[start..];
-            ingest.apply_row(row, |p: Rgb<f32>, scale| {
-                p.map(|c| normalize_sample(c, scale))
-            });
+            if let Ingest::Source(scale) = ingest {
+                row.iter_mut()
+                    .for_each(|p| *p = p.map(|c| normalize_sample(c, scale)));
+            }
             for op in ops {
                 match op {
                     PipelineOp::RgbToHsv => row.iter_mut().for_each(|p| *p = color::rgb_to_hsv(*p)),
@@ -2688,18 +2661,13 @@ mod tests {
         let plan = PipelinePlan::paper_default();
         // The old hard-coded backend path: extract, tone-map, reapply.
         let lum = luminance_plane(&hdr);
-        let mapped = execute_plan(&plan, &lum, accelerated_blur::<Fix16>, &mut FrameReductions);
+        let mapped = execute_plan(&plan, &lum, accelerated_blur::<Fix16>);
         let old = reapply_color(&hdr, &mapped).unwrap();
         // The same wrapper expressed as plan composition.
         let new = run_color_plan::<hdr_image::ImageError, _>(&plan, &hdr, |start, sub, l| {
             assert_eq!(start, 1);
             assert_eq!(sub.ops(), plan.ops());
-            Ok(execute_plan(
-                sub,
-                l,
-                accelerated_blur::<Fix16>,
-                &mut FrameReductions,
-            ))
+            Ok(execute_plan(sub, l, accelerated_blur::<Fix16>))
         })
         .unwrap();
         assert_eq!(old, new);
@@ -2717,12 +2685,7 @@ mod tests {
                 .unwrap()
                 .unwrap();
             let out = run_color_plan::<hdr_image::ImageError, _>(&plan, &black, |_, sub, l| {
-                Ok(execute_plan(
-                    sub,
-                    l,
-                    accelerated_blur::<f32>,
-                    &mut FrameReductions,
-                ))
+                Ok(execute_plan(sub, l, accelerated_blur::<f32>))
             })
             .unwrap();
             for p in out.pixels() {
@@ -2743,12 +2706,7 @@ mod tests {
         let scene = RgbImage::from_vec(16, 16, pixels).unwrap();
         let plan = PipelinePlan::paper_default();
         let out = run_color_plan::<hdr_image::ImageError, _>(&plan, &scene, |_, sub, l| {
-            Ok(execute_plan(
-                sub,
-                l,
-                accelerated_blur::<f32>,
-                &mut FrameReductions,
-            ))
+            Ok(execute_plan(sub, l, accelerated_blur::<f32>))
         })
         .unwrap();
         for p in out.pixels() {
@@ -2777,12 +2735,7 @@ mod tests {
         let run = |ops: Vec<PipelineOp>| {
             let plan = PipelinePlan::with_input(ChannelLayout::Rgb, ops).unwrap();
             run_color_plan::<hdr_image::ImageError, _>(&plan, &hdr, |_, sub, l| {
-                Ok(execute_plan(
-                    sub,
-                    l,
-                    accelerated_blur::<f32>,
-                    &mut FrameReductions,
-                ))
+                Ok(execute_plan(sub, l, accelerated_blur::<f32>))
             })
             .unwrap()
         };

@@ -13,16 +13,17 @@
 
 use crate::masking::mask_in_place;
 use crate::plan::PipelineOp;
+use crate::sample::Sample;
 
-/// Applies a fused chain of masks and curves to one row, op-major. A mask
-/// reads the matching row of the blurred mask.
+/// Applies a fused chain of masks and curves to one row of registers,
+/// op-major. A mask reads the matching row of the blurred mask.
 ///
 /// # Panics
 ///
 /// Panics if a mask op gets no mask row; plan validation pairs every mask
 /// with a blur, so the executors always pass one.
 #[inline]
-pub(crate) fn apply_chain(chain: &[PipelineOp], row: &mut [f32], mask: Option<&[f32]>) {
+pub(crate) fn apply_chain<R: Sample>(chain: &[PipelineOp], row: &mut [R], mask: Option<&[R]>) {
     for op in chain {
         match op {
             PipelineOp::Curve(curve) => curve.apply(row),
@@ -35,29 +36,12 @@ pub(crate) fn apply_chain(chain: &[PipelineOp], row: &mut [f32], mask: Option<&[
     }
 }
 
-/// How a fused pass reads its input samples: the first pass over a raw HDR
-/// input, scalar or colour, ingests it (sanitizing and optionally
-/// normalizing, exactly like the two-pass executor's first step); later
-/// passes read an already materialized register verbatim.
+/// How a colour pass reads its input samples: the first pass over a raw
+/// HDR input ingests it (sanitizing and optionally normalizing, exactly
+/// like the two-pass reference's first step); later passes read an already
+/// materialized register verbatim.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Ingest {
     Source(Option<f32>),
     Passthrough,
-}
-
-impl Ingest {
-    /// Ingests one row in place, matching the variant and the scale once
-    /// for the row. `normalize` is the per-sample normalize of the row's
-    /// pixel type: [`crate::normalize::normalize_sample`] itself for a
-    /// scalar row, or applied to every channel of a colour row.
-    #[inline]
-    pub(crate) fn apply_row<T: Copy>(self, row: &mut [T], normalize: impl Fn(T, Option<f32>) -> T) {
-        match self {
-            Ingest::Source(Some(scale)) => {
-                row.iter_mut().for_each(|v| *v = normalize(*v, Some(scale)))
-            }
-            Ingest::Source(None) => row.iter_mut().for_each(|v| *v = normalize(*v, None)),
-            Ingest::Passthrough => {}
-        }
-    }
 }

@@ -1,13 +1,14 @@
 //! The streaming pipeline planner — the Fig. 4 line buffer in software,
-//! cascaded.
+//! cascaded — and the one executor every engine runs.
 //!
 //! [`crate::ToneMapper`] materialises a full-size intermediate image after
-//! every stage of its plan — one DDR round trip per stage, exactly the
-//! memory traffic the paper's restructured accelerator eliminates with its
-//! BRAM line buffer. [`StreamingToneMapper`] is the software analogue of
-//! that restructuring, generalised to any [`PipelinePlan`]: it *compiles*
-//! the plan and decides, stage class by stage class, how much of it can run
-//! in fused raster order:
+//! every stage of its plan and blurs pixel by pixel — one DDR round trip
+//! per stage, exactly the memory traffic the paper's restructured
+//! accelerator eliminates with its BRAM line buffer. It stays as the
+//! independent reference. [`StreamingToneMapper`] is the software analogue
+//! of that restructuring, generalised to any [`PipelinePlan`]: it
+//! *compiles* the plan into fused raster-order segments, stage class by
+//! stage class:
 //!
 //! * **point ops** (normalize, mask and every [`crate::plan::Curve`]) fuse
 //!   freely into the chains of whichever fused region consumes them,
@@ -27,30 +28,37 @@
 //!   intermediate before the first output pixel, so the plan splits at the
 //!   barrier into fused segments ([`PipelinePlan::segmentation`]) — one
 //!   cascade per segment — instead of abandoning fusion;
-//! * only a **mask whose lifetime straddles a barrier** still forces the
-//!   two-pass fallback: the consumer's segment would need a ring the
-//!   barrier has already drained ([`FusionBlocker::MaskAcrossBarrier`]).
+//! * a segment may also **end at a stencil**: it writes its value plane and
+//!   its mask plane, and the next segment's first chain reads the mask
+//!   rows from that plane. A mask produced before a barrier and consumed
+//!   after it travels the same way, so every plan streams. The two-pass
+//!   schedule point is the stream with such a boundary after every stencil
+//!   ([`StreamingToneMapper::with_materialized_stencils`]).
 //!
-//! The compiled decision — [`StreamingDecision::FullyFused`], `Segmented`
-//! with its barriers, or `Fallback` with its reasons — is inspectable
-//! through [`StreamingToneMapper::decision`].
+//! The fused shape — [`StreamingDecision::FullyFused`], or `Segmented` with
+//! its barriers — is read off the plan's segmentation
+//! ([`StreamingDecision::of`]).
 //!
-//! Whatever the verdict, the arithmetic is *bit-identical* to the two-pass
-//! planner: every sample goes through the same operations in the same
+//! Whatever the schedule, the arithmetic is *bit-identical* to the two-pass
+//! reference: every sample goes through the same operations in the same
 //! order ([`crate::normalize::normalize_sample`],
 //! [`crate::blur::quantize_kernel`]'s taps applied in ascending tap order,
 //! [`crate::masking::masked_sample`], and each curve's one definition,
 //! [`crate::plan::Curve::apply`]), only the schedule changes. That makes
-//! the streaming engines drop-in replacements whose outputs equal the
-//! classic engines' exactly — the property the paper relies on when it
-//! swaps the software blur for the line-buffered accelerator.
+//! every schedule point a drop-in replacement for the reference — the
+//! property the paper relies on when it swaps the software blur for the
+//! line-buffered accelerator.
 //!
-//! Like [`crate::ToneMapper::map_luminance_hw_blur`], the pipeline uses the
-//! paper's hardware/software split: the point-wise stages compute in `f32`
-//! (the processing system) while each stencil computes in the sample type
-//! `S` (the programmable logic), with quantisation at the accelerator
-//! boundary. `S = f32` therefore reproduces the pure software reference and
-//! `S = apfixed::Fix16` the paper's final fixed-point accelerator.
+//! The registers compute in one of two datapaths. The default, [`Split`],
+//! is the paper's hardware/software split, like
+//! [`crate::ToneMapper::map_luminance_hw_blur`]: the point-wise stages
+//! compute in `f32` (the processing system) while each stencil computes in
+//! the sample type `S` (the programmable logic), with quantisation at the
+//! accelerator boundary. `S = f32` therefore reproduces the pure software
+//! reference and `S = apfixed::Fix16` the paper's final fixed-point
+//! accelerator. [`AllStages`] computes every stage in `S`, like
+//! [`crate::ToneMapper::map_luminance`]: for `S = Fix16`, the all-fixed
+//! ablation.
 //!
 //! Rows are an embarrassingly parallel unit: [`StreamingToneMapper`] can
 //! slice each fused segment's output rows across up to
@@ -81,56 +89,15 @@ use crate::cores;
 use crate::normalize::normalize_sample;
 use crate::params::{ParamError, ToneMapParams};
 use crate::plan::{
-    accelerated_blur, execute_plan_into, histogram_barrier, run_color_plan, ChannelLayout,
-    ColorStage, PipelineOp, PipelinePlan,
+    histogram_barrier, run_color_plan, ChannelLayout, ColorStage, PipelineOp, PipelinePlan,
 };
-use crate::point::{apply_chain, Ingest};
+use crate::point::apply_chain;
 use crate::reductions::{FrameReductions, Reductions};
 use crate::sample::Sample;
-use hdr_image::{LuminanceImage, RgbImage};
+use hdr_image::{ImageBuffer, LuminanceImage, RgbImage};
+use sealed::Datapath;
 use std::fmt;
-
-/// Why a plan could not stream at all (not even segmented).
-///
-/// Since plan segmentation landed, reductions and extra stencils no longer
-/// block streaming — barriers split the plan, stencils cascade. The one
-/// remaining blocker is a mask register whose lifetime crosses a barrier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FusionBlocker {
-    /// A blurred mask produced before a materialization barrier is consumed
-    /// after it. The consumer's fused segment would need the producer's row
-    /// ring, but the barrier has already drained the cascade, so the plan
-    /// falls back to two-pass execution.
-    MaskAcrossBarrier {
-        /// Index of the [`PipelineOp::BlurMask`] stage that produced the mask.
-        producer: usize,
-        /// Index of the barrier stage the mask's lifetime straddles.
-        barrier: usize,
-    },
-}
-
-impl FusionBlocker {
-    /// The plan stage this blocker anchors to, used to order the reasons
-    /// list. Every variant reports a real stage index — the old
-    /// `usize::MAX` sentinel for index-less variants is gone.
-    pub fn stage_index(&self) -> usize {
-        match *self {
-            FusionBlocker::MaskAcrossBarrier { barrier, .. } => barrier,
-        }
-    }
-}
-
-impl fmt::Display for FusionBlocker {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            FusionBlocker::MaskAcrossBarrier { producer, barrier } => write!(
-                f,
-                "the mask blurred at stage {producer} is consumed after the materialization \
-                 barrier at stage {barrier}, so its row ring cannot survive the barrier"
-            ),
-        }
-    }
-}
+use std::marker::PhantomData;
 
 /// One materialization barrier of a segmented streaming plan: a reduction
 /// stage (a histogram equalization) that must see the whole intermediate
@@ -148,7 +115,8 @@ impl fmt::Display for StreamBarrier {
     }
 }
 
-/// The streaming planner's verdict on a compiled plan.
+/// The streaming planner's verdict on a plan: the shape of its fused
+/// schedule points.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StreamingDecision {
     /// The whole plan runs as one fused raster-order pass — every stencil a
@@ -160,39 +128,36 @@ pub enum StreamingDecision {
         /// Every materialization barrier, in stage order.
         barriers: Vec<StreamBarrier>,
     },
-    /// The plan executes through the two-pass (materialized) executor, for
-    /// the listed reasons.
-    Fallback {
-        /// Every blocker the planner found, in stage order.
-        reasons: Vec<FusionBlocker>,
-    },
 }
 
 impl StreamingDecision {
+    /// The verdict on `plan`, read off its segmentation
+    /// ([`PipelinePlan::segmentation`]): barrier indices are the outer
+    /// plan's, colour plans included.
+    pub fn of(plan: &PipelinePlan) -> Self {
+        let barriers: Vec<StreamBarrier> = plan
+            .segmentation()
+            .barriers
+            .into_iter()
+            .map(|index| StreamBarrier { index })
+            .collect();
+        if barriers.is_empty() {
+            StreamingDecision::FullyFused
+        } else {
+            StreamingDecision::Segmented { barriers }
+        }
+    }
+
     /// `true` when the plan streams as one fused pass.
     pub fn is_fused(&self) -> bool {
         matches!(self, StreamingDecision::FullyFused)
-    }
-
-    /// `true` when the plan executes through the streaming cascade at all
-    /// — fully fused or segmented — rather than the two-pass fallback.
-    pub fn is_streamed(&self) -> bool {
-        !matches!(self, StreamingDecision::Fallback { .. })
-    }
-
-    /// The fusion blockers (empty unless the plan fell back).
-    pub fn reasons(&self) -> &[FusionBlocker] {
-        match self {
-            StreamingDecision::Fallback { reasons } => reasons,
-            _ => &[],
-        }
     }
 
     /// The materialization barriers (empty unless the plan is segmented).
     pub fn barriers(&self) -> &[StreamBarrier] {
         match self {
             StreamingDecision::Segmented { barriers } => barriers,
-            _ => &[],
+            StreamingDecision::FullyFused => &[],
         }
     }
 }
@@ -217,16 +182,113 @@ impl fmt::Display for StreamingDecision {
                 }
                 Ok(())
             }
-            StreamingDecision::Fallback { reasons } => {
-                f.write_str("materialized two-pass fallback: ")?;
-                for (i, reason) in reasons.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str("; ")?;
-                    }
-                    write!(f, "{reason}")?;
-                }
-                Ok(())
+        }
+    }
+}
+
+/// The paper's hardware/software split, the default datapath of a
+/// [`StreamingToneMapper`]: the registers and every point stage compute in
+/// `f32`, and each stencil quantises its input into `S`, blurs in `S` and
+/// dequantises its mask — the pixels of
+/// [`crate::ToneMapper::map_luminance_hw_blur`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Split;
+
+/// Every stage in `S`: the registers hold `S`, each stencil inverts its
+/// input in `S`, and the output converts to `f32` at the end — the pixels
+/// of [`crate::ToneMapper::map_luminance`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct AllStages;
+
+mod sealed {
+    use super::*;
+
+    /// The arithmetic of a stream's registers: their type, and the steps
+    /// that move samples between them, the raw input, the stencil's sample
+    /// type `S` and the `f32` output.
+    pub trait Datapath<S: Sample> {
+        /// The type of the value and mask registers.
+        type R: Sample;
+
+        /// Ingests one raw input row into `row`: sanitized, and scaled by
+        /// `scale` when the plan starts with normalize.
+        fn ingest(raw: &[f32], row: &mut [Self::R], scale: Option<f32>);
+
+        /// One register sample as the stencil's input, inverted first when
+        /// the stencil asks for it.
+        fn to_stencil(value: Self::R, invert: bool) -> S;
+
+        /// One blurred mask sample as a register.
+        fn from_stencil(mask: S) -> Self::R;
+
+        /// Runs `body` on the buffer the last step writes its plane into,
+        /// and returns the output in `frame`.
+        fn output(
+            frame: Vec<f32>,
+            body: impl FnOnce(Vec<Self::R>) -> ImageBuffer<Self::R>,
+        ) -> LuminanceImage;
+    }
+
+    impl<S: Sample> Datapath<S> for Split {
+        type R = f32;
+
+        /// A copy, then the scale matched once for the row.
+        #[inline(always)]
+        fn ingest(raw: &[f32], row: &mut [f32], scale: Option<f32>) {
+            row.copy_from_slice(raw);
+            match scale {
+                Some(scale) => row
+                    .iter_mut()
+                    .for_each(|v| *v = normalize_sample(*v, Some(scale))),
+                None => row.iter_mut().for_each(|v| *v = normalize_sample(*v, None)),
             }
+        }
+
+        #[inline]
+        fn to_stencil(value: f32, invert: bool) -> S {
+            S::from_f32(if invert { 1.0 - value } else { value })
+        }
+
+        #[inline]
+        fn from_stencil(mask: S) -> f32 {
+            mask.to_f32()
+        }
+
+        /// The last step writes straight into `frame`.
+        fn output(
+            frame: Vec<f32>,
+            body: impl FnOnce(Vec<f32>) -> LuminanceImage,
+        ) -> LuminanceImage {
+            body(frame)
+        }
+    }
+
+    impl<S: Sample> Datapath<S> for AllStages {
+        type R = S;
+
+        fn ingest(raw: &[f32], row: &mut [S], scale: Option<f32>) {
+            for (sample, &value) in row.iter_mut().zip(raw) {
+                *sample = S::from_f32(normalize_sample(value, scale));
+            }
+        }
+
+        #[inline]
+        fn to_stencil(value: S, invert: bool) -> S {
+            if invert {
+                S::one().sub(value)
+            } else {
+                value
+            }
+        }
+
+        #[inline]
+        fn from_stencil(mask: S) -> S {
+            mask
+        }
+
+        /// The last step writes a plane of its own, converted into `frame`.
+        fn output(frame: Vec<f32>, body: impl FnOnce(Vec<S>) -> ImageBuffer<S>) -> LuminanceImage {
+            body(Vec::new()).map_into(|&v| v.to_f32(), frame)
         }
     }
 }
@@ -250,6 +312,23 @@ struct Region<S: Sample> {
 struct FusedSegment<S: Sample> {
     regions: Vec<Region<S>>,
     epilog: Vec<PipelineOp>,
+    /// The first chain (the first region's, or the epilog of a segment
+    /// without one) consumes the mask plane an earlier segment wrote.
+    reads_mask: bool,
+    /// The segment ends with its last stencil's mask still pending, so it
+    /// writes the mask plane for a later segment to consume.
+    writes_mask: bool,
+}
+
+impl<S: Sample> Default for FusedSegment<S> {
+    fn default() -> Self {
+        FusedSegment {
+            regions: Vec::new(),
+            epilog: Vec::new(),
+            reads_mask: false,
+            writes_mask: false,
+        }
+    }
 }
 
 impl<S: Sample> FusedSegment<S> {
@@ -270,15 +349,16 @@ impl<S: Sample> FusedSegment<S> {
 }
 
 /// One step of a compiled streaming plan: a fused raster-order cascade, or
-/// the materialization barrier between two of them. Segments always
-/// alternate starting (and ending) with a fused segment, possibly empty.
+/// a materialization barrier. The first step is always a fused segment
+/// (possibly empty: it ingests the raw input); every later fused segment
+/// has work to do.
 #[derive(Debug, Clone, PartialEq)]
 enum SegmentProgram<S: Sample> {
     Fused(FusedSegment<S>),
     Barrier { index: usize, bins: usize },
 }
 
-/// A plan compiled for streaming execution.
+/// A scalar plan compiled for streaming execution.
 #[derive(Debug, Clone, PartialEq)]
 struct StreamProgram<S: Sample> {
     /// Whether the plan starts with normalization (resolved by the scale
@@ -287,122 +367,113 @@ struct StreamProgram<S: Sample> {
     segments: Vec<SegmentProgram<S>>,
 }
 
-/// A colour-managed (`Rgb`-input) plan compiled for streaming: each
-/// embedded scalar sub-plan gets its own compiled streaming program, keyed
-/// by the index of its first op in the outer plan. The colour point stages
-/// (conversions, transfer curves, HSV tone curves) are pure per-pixel work
-/// executed straight from the plan's colour walk.
-#[derive(Debug, Clone, PartialEq)]
-struct ColorProgram<S: Sample> {
-    /// `(start, compiled sub-program)` per embedded scalar run.
-    subs: Vec<(usize, Program<S>)>,
-}
-
+/// A compiled plan: one stream for a scalar-input plan, or for a
+/// colour-managed (`Rgb`-input) plan one stream per embedded scalar
+/// sub-plan, keyed by the index of its first op in the outer plan. The
+/// colour point stages (conversions, transfer curves, HSV tone curves) are
+/// pure per-pixel work executed straight from the plan's colour walk.
 #[derive(Debug, Clone, PartialEq)]
 enum Program<S: Sample> {
     Stream(StreamProgram<S>),
-    Fallback(Vec<FusionBlocker>),
-    Color(ColorProgram<S>),
+    Color(Vec<(usize, StreamProgram<S>)>),
 }
 
-fn compile_program<S: Sample>(plan: &PipelinePlan) -> Program<S> {
+fn compile_program<S: Sample>(plan: &PipelinePlan, materialize: bool) -> Program<S> {
     if plan.input_layout() == ChannelLayout::Rgb {
         let subs = plan
             .color_stages()
             .into_iter()
             .filter_map(|stage| match stage {
                 ColorStage::Scalar { plan, start } => {
-                    Some((start, compile_scalar_program::<S>(&plan)))
+                    Some((start, compile_stream(&plan, materialize)))
                 }
                 _ => None,
             })
             .collect();
-        return Program::Color(ColorProgram { subs });
+        return Program::Color(subs);
     }
-    compile_scalar_program(plan)
+    Program::Stream(compile_stream(plan, materialize))
 }
 
-fn compile_scalar_program<S: Sample>(plan: &PipelinePlan) -> Program<S> {
-    // The one shape that cannot stream: a mask produced before a barrier
-    // and consumed after it. Plan validation allows it (reductions do not
-    // touch the mask register), but the consumer's segment would need a row
-    // ring the barrier has already drained.
-    let mut reasons: Vec<FusionBlocker> = Vec::new();
-    let mut pending_mask: Option<usize> = None;
-    for (index, op) in plan.ops().iter().enumerate() {
-        match op {
-            PipelineOp::BlurMask { .. } => pending_mask = Some(index),
-            PipelineOp::Mask(_) => pending_mask = None,
-            PipelineOp::HistogramEq { .. } => {
-                if let Some(producer) = pending_mask {
-                    reasons.push(FusionBlocker::MaskAcrossBarrier {
-                        producer,
-                        barrier: index,
-                    });
-                }
-            }
-            _ => {}
-        }
-    }
-    if !reasons.is_empty() {
-        reasons.sort_by_key(|r| {
-            let FusionBlocker::MaskAcrossBarrier { producer, .. } = *r;
-            (r.stage_index(), producer)
-        });
-        return Program::Fallback(reasons);
-    }
-
+/// Compiles a scalar plan into fused segments: one per run of its
+/// segmentation ([`PipelinePlan::segmentation`]), with a barrier step
+/// between runs. With `materialize`, every stencil ends its segment too.
+fn compile_stream<S: Sample>(plan: &PipelinePlan, materialize: bool) -> StreamProgram<S> {
     let normalize = plan.starts_with_normalize();
-    let mut segments = Vec::new();
-    let mut regions: Vec<Region<S>> = Vec::new();
-    let mut chain: Vec<PipelineOp> = Vec::new();
-    for (index, op) in plan.ops().iter().enumerate() {
-        if index == 0 && normalize {
-            continue;
+    let segmentation = plan.segmentation();
+    let mut steps = Vec::new();
+    // The first step always runs, as the ingest; a later empty segment has
+    // nothing to compute.
+    let close = |steps: &mut Vec<SegmentProgram<S>>, segment: FusedSegment<S>| {
+        if steps.is_empty() || !segment.is_identity() {
+            steps.push(SegmentProgram::Fused(segment));
         }
-        match op {
-            PipelineOp::BlurMask { blur, invert_input } => regions.push(Region {
-                chain: std::mem::take(&mut chain),
-                kernel: quantize_kernel::<S>(&gaussian_kernel(blur)),
-                invert_input: *invert_input,
-            }),
-            PipelineOp::HistogramEq { bins } => {
-                segments.push(SegmentProgram::Fused(FusedSegment {
-                    regions: std::mem::take(&mut regions),
-                    epilog: std::mem::take(&mut chain),
-                }));
-                segments.push(SegmentProgram::Barrier { index, bins: *bins });
+    };
+    // Whether a blurred mask awaits the mask op that consumes it.
+    let mut pending = false;
+    for (run, span) in segmentation.segments.iter().enumerate() {
+        let mut segment = FusedSegment::default();
+        for op in &plan.ops()[span.start.max(usize::from(normalize))..span.end] {
+            match *op {
+                PipelineOp::BlurMask { blur, invert_input } => {
+                    segment.regions.push(Region {
+                        chain: std::mem::take(&mut segment.epilog),
+                        kernel: quantize_kernel::<S>(&gaussian_kernel(&blur)),
+                        invert_input,
+                    });
+                    pending = true;
+                    if materialize {
+                        segment.writes_mask = true;
+                        close(&mut steps, std::mem::take(&mut segment));
+                    }
+                }
+                PipelineOp::Mask(_) => {
+                    // Before the segment's first stencil, the pending mask
+                    // was blurred by an earlier segment.
+                    segment.reads_mask |= segment.regions.is_empty();
+                    pending = false;
+                    segment.epilog.push(*op);
+                }
+                _ => segment.epilog.push(*op),
             }
-            _ => chain.push(*op),
+        }
+        segment.writes_mask = pending && !segment.regions.is_empty();
+        close(&mut steps, segment);
+        if let Some(&index) = segmentation.barriers.get(run) {
+            let PipelineOp::HistogramEq { bins } = plan.ops()[index] else {
+                unreachable!("a plan segments only at its histogram barriers");
+            };
+            steps.push(SegmentProgram::Barrier { index, bins });
         }
     }
-    segments.push(SegmentProgram::Fused(FusedSegment {
-        regions,
-        epilog: chain,
-    }));
-    Program::Stream(StreamProgram {
+    StreamProgram {
         normalize,
-        segments,
-    })
+        segments: steps,
+    }
 }
 
 /// The streaming tone mapper: a [`PipelinePlan`] compiled into fused
 /// raster-order cascades of rolling row rings — one line buffer per stencil
-/// stage — with full-size intermediates only at materialization barriers.
+/// stage — with full-size intermediates only at materialization barriers
+/// (and, at the two-pass point, after every stencil). `D` is the datapath
+/// its registers compute in: the hardware/software [`Split`] by default,
+/// or [`AllStages`].
 ///
 /// Unlike [`crate::ToneMapper`], every blur kernel is quantised into `S`
 /// **once at construction** and reused for every image this mapper
-/// processes — the classic path re-derives and re-quantises it on every
-/// call.
+/// processes — the reference re-derives and re-quantises it on every call.
 #[derive(Debug, Clone, PartialEq)]
-pub struct StreamingToneMapper<S: Sample> {
+pub struct StreamingToneMapper<S: Sample, D = Split> {
     params: ToneMapParams,
     plan: PipelinePlan,
     program: Program<S>,
+    /// Whether `program` ends a segment after every stencil.
+    materialized: bool,
     threads: usize,
+    datapath: PhantomData<D>,
 }
 
-impl<S: Sample> StreamingToneMapper<S> {
+impl<S: Sample, D: Datapath<S>> StreamingToneMapper<S, D> {
     /// Creates a streaming mapper compiling the paper's Fig. 1 chain from
     /// the given parameters, single-threaded by default.
     ///
@@ -425,10 +496,8 @@ impl<S: Sample> StreamingToneMapper<S> {
 
     /// Compiles an arbitrary validated [`PipelinePlan`] for streaming
     /// execution. Multi-stencil plans fuse into one cascade; reductions
-    /// split the plan into fused segments; the rare plan that cannot stream
-    /// at all (a mask straddling a barrier) still executes — through the
-    /// two-pass fallback — and [`StreamingToneMapper::decision`] reports
-    /// why.
+    /// split the plan into fused segments, and a mask whose lifetime
+    /// crosses one travels to its consumer as a materialized plane.
     ///
     /// # Errors
     ///
@@ -438,9 +507,11 @@ impl<S: Sample> StreamingToneMapper<S> {
         params.validate()?;
         Ok(StreamingToneMapper {
             params,
-            program: compile_program::<S>(&plan),
+            program: compile_program::<S>(&plan, false),
             plan,
+            materialized: false,
             threads: 1,
+            datapath: PhantomData,
         })
     }
 
@@ -454,6 +525,19 @@ impl<S: Sample> StreamingToneMapper<S> {
         self
     }
 
+    /// Sets whether every stencil ends its fused segment: `true` is the
+    /// two-pass schedule point, where each stencil writes its value and
+    /// mask planes and the next segment reads them; `false`, the default,
+    /// cascades the stencils through row rings. Outputs are bit-identical
+    /// either way.
+    pub fn with_materialized_stencils(mut self, materialize: bool) -> Self {
+        if materialize != self.materialized {
+            self.program = compile_program(&self.plan, materialize);
+            self.materialized = materialize;
+        }
+        self
+    }
+
     /// The parameters this mapper was built with.
     pub const fn params(&self) -> &ToneMapParams {
         &self.params
@@ -464,51 +548,10 @@ impl<S: Sample> StreamingToneMapper<S> {
         &self.plan
     }
 
-    /// The planner's verdict for the compiled plan — one fused pass, a
-    /// barrier-segmented stream, or the two-pass fallback with the reasons
-    /// why.
+    /// The planner's verdict on the compiled plan — one fused pass or a
+    /// barrier-segmented stream ([`StreamingDecision::of`]).
     pub fn decision(&self) -> StreamingDecision {
-        match &self.program {
-            Program::Fallback(reasons) => StreamingDecision::Fallback {
-                reasons: reasons.clone(),
-            },
-            Program::Stream(program) => {
-                let barriers = stream_barriers(program, 0);
-                if barriers.is_empty() {
-                    StreamingDecision::FullyFused
-                } else {
-                    StreamingDecision::Segmented { barriers }
-                }
-            }
-            // A colour program aggregates its scalar sub-programs' verdicts,
-            // with barrier/blocker indices offset back into the outer plan.
-            // The colour point stages themselves always stream (pure
-            // per-pixel work), so they never add barriers or blockers.
-            Program::Color(color) => {
-                let mut reasons: Vec<FusionBlocker> = Vec::new();
-                let mut barriers: Vec<StreamBarrier> = Vec::new();
-                for (start, program) in &color.subs {
-                    match program {
-                        Program::Fallback(sub) => reasons.extend(sub.iter().map(|r| {
-                            let FusionBlocker::MaskAcrossBarrier { producer, barrier } = *r;
-                            FusionBlocker::MaskAcrossBarrier {
-                                producer: producer + start,
-                                barrier: barrier + start,
-                            }
-                        })),
-                        Program::Stream(sub) => barriers.extend(stream_barriers(sub, *start)),
-                        Program::Color(_) => unreachable!("colour programs never nest"),
-                    }
-                }
-                if !reasons.is_empty() {
-                    StreamingDecision::Fallback { reasons }
-                } else if barriers.is_empty() {
-                    StreamingDecision::FullyFused
-                } else {
-                    StreamingDecision::Segmented { barriers }
-                }
-            }
-        }
+        StreamingDecision::of(&self.plan)
     }
 
     /// The most row slices a fused segment runs concurrently
@@ -517,18 +560,11 @@ impl<S: Sample> StreamingToneMapper<S> {
         self.threads
     }
 
-    /// The first cascade region's blur kernel quantised into the working
-    /// sample type at construction (empty for plans without a fused stencil
-    /// stage).
-    pub fn kernel(&self) -> &[S] {
-        first_kernel(&self.program)
-    }
-
     /// Tone-maps an HDR luminance image through the compiled plan,
     /// returning the display-referred result — the same pixels
     /// [`crate::ToneMapper::map_luminance_hw_blur`] produces for the same
-    /// plan (and, for `S = f32`, the same pixels as the all-float
-    /// reference).
+    /// plan on the [`Split`] datapath, and [`crate::ToneMapper::map_luminance`]
+    /// on [`AllStages`].
     ///
     /// # Panics
     ///
@@ -550,36 +586,37 @@ impl<S: Sample> StreamingToneMapper<S> {
     }
 
     /// [`StreamingToneMapper::map_luminance_with`], with the output written
-    /// into `frame` by the last step that materializes it: the last fused
-    /// segment, or a trailing barrier. A frame of the image's length is
-    /// overwritten without a fill and returned as the output's buffer; any
-    /// other is resized. Intermediates allocate their own planes.
+    /// into `frame` by the last step: the last fused segment or a trailing
+    /// barrier on the [`Split`] datapath, the final conversion to `f32` on
+    /// [`AllStages`]. A frame of the image's length is overwritten without
+    /// a fill and returned as the output's buffer; any other is resized.
+    /// Intermediates allocate their own planes.
     pub fn map_luminance_into(
         &self,
         hdr: &LuminanceImage,
         reductions: &mut dyn Reductions,
         frame: Vec<f32>,
     ) -> LuminanceImage {
-        if let Program::Color(_) = &self.program {
+        let Program::Stream(program) = &self.program else {
             panic!(
                 "map_luminance requires a scalar-input plan; this plan takes a `{}` register — \
                  stream it through map_rgb",
                 self.plan.input_layout()
             );
-        }
-        self.run_scalar(&self.program, &self.plan, hdr, reductions, frame)
+        };
+        run_stream_program::<S, D>(program, hdr, self.threads, reductions, frame)
     }
 
     /// Tone-maps an HDR RGB image through the compiled plan.
     ///
     /// The colour point stages (conversions, transfer curves, HSV tone
     /// curves, chroma split/merge) run through the shared register walk of
-    /// [`run_color_plan`] while every scalar plan streams through its
-    /// compiled line-buffer cascade, row-sliced across the configured
+    /// [`run_color_plan`] in `f32`, while every scalar plan streams through
+    /// its compiled line-buffer cascade, row-sliced across the configured
     /// threads. A **scalar-input plan** is that walk's auto-composed ratio
     /// wrapper — extract the luminance plane, stream it, re-apply the colour
     /// by clamped ratio — exactly as [`crate::ToneMapper::map_rgb`] runs it.
-    /// Either way the result is bit-identical to the two-pass planner's.
+    /// Either way the result is bit-identical to the two-pass reference's.
     ///
     /// # Errors
     ///
@@ -587,243 +624,235 @@ impl<S: Sample> StreamingToneMapper<S> {
     /// (dimension mismatches cannot occur for plans built by this type, so
     /// in practice this is infallible).
     pub fn map_rgb(&self, hdr: &RgbImage) -> Result<RgbImage, hdr_image::ImageError> {
-        run_color_plan(&self.plan, hdr, |start, sub_plan, lum| {
+        run_color_plan(&self.plan, hdr, |start, _, lum| {
             let program = match &self.program {
-                Program::Color(color) => color
-                    .subs
+                Program::Color(subs) => subs
                     .iter()
                     .find_map(|(s, program)| (*s == start).then_some(program))
                     .expect("compilation visits every scalar stage of the plan"),
-                scalar => scalar,
+                Program::Stream(program) => program,
             };
-            Ok(self.run_scalar(program, sub_plan, lum, &mut FrameReductions, Vec::new()))
+            Ok(run_stream_program::<S, D>(
+                program,
+                lum,
+                self.threads,
+                &mut FrameReductions,
+                Vec::new(),
+            ))
         })
     }
+}
 
-    /// Runs one scalar plan on its compiled program, writing the output
-    /// into `frame`; a fallback program runs through the two-pass executor
-    /// with the same hardware/software split.
-    fn run_scalar(
-        &self,
-        program: &Program<S>,
-        plan: &PipelinePlan,
-        lum: &LuminanceImage,
-        reductions: &mut dyn Reductions,
-        frame: Vec<f32>,
-    ) -> LuminanceImage {
-        match program {
-            Program::Stream(program) => {
-                run_stream_program(program, lum, self.threads, reductions, frame)
+/// What a fused segment reads: the raw input, ingested on the way with the
+/// normalize scale, or the plane the previous step materialized.
+#[derive(Clone, Copy)]
+enum Input<'a, R> {
+    Source(&'a LuminanceImage, Option<f32>),
+    Plane(&'a ImageBuffer<R>),
+}
+
+impl<R: Sample> Input<'_, R> {
+    fn dimensions(&self) -> (usize, usize) {
+        match self {
+            Input::Source(image, _) => image.dimensions(),
+            Input::Plane(image) => image.dimensions(),
+        }
+    }
+
+    /// Reads source row `y` into `row`, inlined into the row loops as the
+    /// copy and the ingest were before they took this branch.
+    #[inline(always)]
+    fn read_row<S: Sample, D: Datapath<S, R = R>>(&self, y: usize, row: &mut [R]) {
+        let width = row.len();
+        match self {
+            Input::Source(image, scale) => {
+                D::ingest(&image.pixels()[y * width..][..width], row, *scale)
             }
-            Program::Fallback(_) => {
-                execute_plan_into(plan, lum, accelerated_blur::<S>, reductions, frame)
-            }
-            Program::Color(_) => unreachable!("colour programs never nest"),
+            Input::Plane(image) => row.copy_from_slice(&image.pixels()[y * width..][..width]),
         }
     }
 }
 
-/// The barriers of one compiled scalar stream, with stage indices offset
-/// back into the outer plan (offset 0 for a stand-alone scalar plan).
-fn stream_barriers<S: Sample>(program: &StreamProgram<S>, offset: usize) -> Vec<StreamBarrier> {
-    program
-        .segments
-        .iter()
-        .filter_map(|segment| match segment {
-            SegmentProgram::Barrier { index, .. } => Some(StreamBarrier {
-                index: index + offset,
-            }),
-            SegmentProgram::Fused(_) => None,
-        })
-        .collect()
-}
-
-/// The first fused region's quantised kernel anywhere in the program — for
-/// colour programs, the first scalar sub-program that has one.
-fn first_kernel<S: Sample>(program: &Program<S>) -> &[S] {
-    match program {
-        Program::Stream(program) => program
-            .segments
-            .iter()
-            .find_map(|segment| match segment {
-                SegmentProgram::Fused(seg) => seg.regions.first().map(|r| r.kernel.as_slice()),
-                SegmentProgram::Barrier { .. } => None,
-            })
-            .unwrap_or(&[]),
-        Program::Fallback(_) => &[],
-        Program::Color(color) => color
-            .subs
-            .iter()
-            .map(|(_, sub)| first_kernel(sub))
-            .find(|kernel| !kernel.is_empty())
-            .unwrap_or(&[]),
-    }
+/// Row `y` of a materialized mask plane, when there is one.
+fn mask_row<R: Sample>(mask: Option<&ImageBuffer<R>>, y: usize, width: usize) -> Option<&[R]> {
+    mask.map(|plane| &plane.pixels()[y * width..][..width])
 }
 
 /// Runs one compiled scalar stream over a luminance image: fused segments
 /// execute as line-buffer cascades (or pure point passes), barriers
-/// materialize and reduce exactly as the two-pass executor would, and
-/// `reductions` binds the normalize scale, the Reinhard key factor and
-/// each barrier's CDF. The last step that runs writes the output into
-/// `frame`.
-fn run_stream_program<S: Sample>(
+/// materialize and reduce exactly as the two-pass reference does, and
+/// `reductions` binds the normalize scale, the Reinhard key factor and each
+/// barrier's CDF. The output lands in `frame` ([`Datapath::output`]).
+fn run_stream_program<S: Sample, D: Datapath<S>>(
     program: &StreamProgram<S>,
     hdr: &LuminanceImage,
     threads: usize,
     reductions: &mut dyn Reductions,
-    mut frame: Vec<f32>,
-) -> LuminanceImage {
-    // A no-op segment on an already-materialized register (e.g. after a
-    // trailing reduction) has nothing to compute. The *first* segment
-    // always runs: its ingestion is the sanitize/normalize step of the
-    // two-pass executor.
-    let runs = |index: usize, segment: &SegmentProgram<S>| {
-        index == 0 || !matches!(segment, SegmentProgram::Fused(seg) if seg.is_identity())
-    };
-    let last = (0..program.segments.len())
-        .rev()
-        .find(|&index| runs(index, &program.segments[index]));
-    let scale = program.normalize.then(|| reductions.normalize_scale(hdr));
-    let key_scale = reductions.key_scale();
-    let mut ingest = Ingest::Source(scale.flatten());
-    let mut current: Option<LuminanceImage> = None;
-    for (index, segment) in program.segments.iter().enumerate() {
-        if !runs(index, segment) {
-            continue;
-        }
-        let out = if Some(index) == last {
-            std::mem::take(&mut frame)
-        } else {
-            Vec::new()
-        };
-        match segment {
-            SegmentProgram::Fused(seg) => {
-                let scaled = (key_scale != 1.0).then(|| seg.with_key_scale(key_scale));
-                let seg = scaled.as_ref().unwrap_or(seg);
-                let input = current.as_ref().unwrap_or(hdr);
-                current = Some(run_fused_segment(seg, input, ingest, threads, out));
-                ingest = Ingest::Passthrough;
-            }
-            SegmentProgram::Barrier { index, bins } => {
-                let input = current
-                    .as_ref()
-                    .expect("a fused segment precedes every barrier");
-                // The barrier the two-pass executor runs on its f32
-                // register, so segmented streaming stays bit-identical.
-                current = Some(histogram_barrier(input, *bins, *index, reductions, out));
-            }
-        }
-    }
-    current.expect("compiled plans always run at least one fused segment")
-}
-
-/// Runs one fused segment over its input image into `frame`, slicing the
-/// output rows across at most `threads` threads: the caller's own, plus one
-/// for each core it can claim that nobody holds ([`crate::cores`]).
-fn run_fused_segment<S: Sample>(
-    segment: &FusedSegment<S>,
-    input: &LuminanceImage,
-    ingest: Ingest,
-    threads: usize,
     frame: Vec<f32>,
 ) -> LuminanceImage {
+    let scale = program.normalize.then(|| reductions.normalize_scale(hdr));
+    let key_scale = reductions.key_scale();
+    D::output(frame, |mut frame| {
+        let last = program.segments.len() - 1;
+        let mut values: Option<ImageBuffer<D::R>> = None;
+        // The pending mask plane a segment that ends at a stencil wrote.
+        let mut mask: Option<ImageBuffer<D::R>> = None;
+        for (index, segment) in program.segments.iter().enumerate() {
+            let out = if index == last {
+                std::mem::take(&mut frame)
+            } else {
+                Vec::new()
+            };
+            match segment {
+                SegmentProgram::Fused(seg) => {
+                    let scaled = (key_scale != 1.0).then(|| seg.with_key_scale(key_scale));
+                    let seg = scaled.as_ref().unwrap_or(seg);
+                    let input = match &values {
+                        Some(plane) => Input::Plane(plane),
+                        None => Input::Source(hdr, scale.flatten()),
+                    };
+                    let mask_in = if seg.reads_mask { mask.take() } else { None };
+                    let (plane, written) =
+                        run_fused_segment::<S, D>(seg, input, mask_in.as_ref(), threads, out);
+                    values = Some(plane);
+                    mask = written.or(mask);
+                }
+                SegmentProgram::Barrier { index, bins } => {
+                    let input = values
+                        .as_ref()
+                        .expect("a fused segment precedes every barrier");
+                    // The barrier the two-pass reference runs on its
+                    // register, so segmented streaming stays bit-identical.
+                    values = Some(histogram_barrier(input, *bins, *index, reductions, out));
+                }
+            }
+        }
+        values.expect("compiled plans always run at least one fused segment")
+    })
+}
+
+/// Runs one fused segment over its input into `frame`, slicing the output
+/// rows across at most `threads` threads: the caller's own, plus one for
+/// each core it can claim that nobody holds ([`crate::cores`]). Returns the
+/// value plane and, for a segment that ends at a stencil with its mask
+/// pending, the mask plane.
+fn run_fused_segment<S: Sample, D: Datapath<S>>(
+    segment: &FusedSegment<S>,
+    input: Input<'_, D::R>,
+    mask: Option<&ImageBuffer<D::R>>,
+    threads: usize,
+    frame: Vec<D::R>,
+) -> (ImageBuffer<D::R>, Option<ImageBuffer<D::R>>) {
     // The claimed cores go back once every slice has joined.
-    let extra = cores::claim(threads.min(input.height()).saturating_sub(1));
-    run_slices(segment, input, ingest, 1 + extra.cores(), frame)
+    let extra = cores::claim(threads.min(input.dimensions().1).saturating_sub(1));
+    run_slices::<S, D>(segment, input, mask, 1 + extra.cores(), frame)
 }
 
 /// `frame` holding `len` samples, for a pass that writes every one of them:
 /// a frame of that length as it is, with no fill, any other resized — and a
 /// frame without room a fresh zeroed allocation.
-fn output_buffer(mut frame: Vec<f32>, len: usize) -> Vec<f32> {
+fn output_buffer<R: Sample>(mut frame: Vec<R>, len: usize) -> Vec<R> {
     if frame.capacity() < len {
-        return vec![0.0; len];
+        return vec![R::zero(); len];
     }
-    frame.resize(len, 0.0);
+    frame.resize(len, R::zero());
     frame
 }
 
-/// Runs one fused segment over its input image into `frame` — a pure point
-/// pass when the segment has no stencil, otherwise the line-buffer cascade
-/// — in `slices` row slices: the calling thread runs the last, a scoped
-/// thread each other. Every output sample is written, so `frame`'s old
-/// contents never show.
-fn run_slices<S: Sample>(
+/// Runs one fused segment over its input into `frame` — a pure point pass
+/// when the segment has no stencil, otherwise the line-buffer cascade — in
+/// `slices` row slices: the calling thread runs the last, a scoped thread
+/// each other. Every output sample is written, so `frame`'s old contents
+/// never show.
+fn run_slices<S: Sample, D: Datapath<S>>(
     segment: &FusedSegment<S>,
-    input: &LuminanceImage,
-    ingest: Ingest,
+    input: Input<'_, D::R>,
+    mask: Option<&ImageBuffer<D::R>>,
     slices: usize,
-    frame: Vec<f32>,
-) -> LuminanceImage {
+    frame: Vec<D::R>,
+) -> (ImageBuffer<D::R>, Option<ImageBuffer<D::R>>) {
     let (width, height) = input.dimensions();
     let mut out = output_buffer(frame, width * height);
-    let rows = |first_row: usize, chunk: &mut [f32]| {
+    let mut mask_out = if segment.writes_mask {
+        vec![<D::R as Sample>::zero(); width * height]
+    } else {
+        Vec::new()
+    };
+    let rows = |first_row: usize, values: &mut [D::R], masks: &mut [D::R]| {
         if segment.regions.is_empty() {
             // Pure point chain: every pixel is independent, nothing to ring.
-            let pixels = &input.pixels()[first_row * width..][..chunk.len()];
-            for (row, raw) in chunk
-                .chunks_exact_mut(width)
-                .zip(pixels.chunks_exact(width))
-            {
-                row.copy_from_slice(raw);
-                ingest.apply_row(row, normalize_sample);
-                apply_chain(&segment.epilog, row, None);
+            for (index, row) in values.chunks_exact_mut(width).enumerate() {
+                let y = first_row + index;
+                input.read_row::<S, D>(y, row);
+                apply_chain(&segment.epilog, row, mask_row(mask, y, width));
             }
         } else {
-            run_rows(segment, input, ingest, first_row, chunk);
+            run_rows::<S, D>(segment, &input, mask, first_row, values, masks);
         }
     };
     if slices <= 1 {
-        rows(0, &mut out);
+        rows(0, &mut out, &mut mask_out);
     } else {
         let rows_per_slice = height.div_ceil(slices);
+        let chunk = rows_per_slice * width;
         std::thread::scope(|scope| {
-            let mut chunks = out.chunks_mut(rows_per_slice * width).enumerate();
-            let (last, last_chunk) = chunks.next_back().expect("an image has at least one row");
-            for (slice, chunk) in chunks {
-                scope.spawn(move || rows(slice * rows_per_slice, chunk));
+            let mut masks = mask_out.chunks_mut(chunk);
+            let chunks = out.chunks_mut(chunk);
+            let last = chunks.len() - 1;
+            for (slice, values) in chunks.enumerate() {
+                let masks = masks.next().unwrap_or_default();
+                let first_row = slice * rows_per_slice;
+                if slice == last {
+                    rows(first_row, values, masks);
+                } else {
+                    scope.spawn(move || rows(first_row, values, masks));
+                }
             }
-            rows(last * rows_per_slice, last_chunk);
         });
     }
-    LuminanceImage::from_vec(width, height, out).expect("output dimensions equal input dimensions")
+    let plane = |pixels| {
+        ImageBuffer::from_vec(width, height, pixels)
+            .expect("output dimensions equal input dimensions")
+    };
+    let written = segment.writes_mask.then(|| plane(mask_out));
+    (plane(out), written)
 }
 
 /// The per-slice working state of one cascade region: the Fig. 4 line
 /// buffer (`hrows`, horizontally blurred in `S`) plus the region's own
-/// chain-output rows (`vrows`, the `f32` value stream the next region — or
+/// chain-output rows (`vrows`, the register stream the next region — or
 /// the epilog — reads). Both rings hold `min(2·radius + 1, height)` rows
 /// and are indexed by source row modulo ring length. Nothing here scales
 /// with the image height.
-struct RegionState<S: Sample> {
+struct RegionState<S: Sample, R: Sample> {
     hrows: Vec<Vec<S>>,
-    vrows: Vec<Vec<f32>>,
+    vrows: Vec<Vec<R>>,
     /// Edge-padded scratch row for the horizontal blur.
     padded: Vec<S>,
     /// The ring slot each vertical tap reads for the current output row.
     tap_slots: Vec<usize>,
     /// Scratch row receiving the upstream region's mask stream (empty for
     /// the first region, which has no upstream mask).
-    up_mask: Vec<f32>,
+    up_mask: Vec<R>,
     /// The next source row this region will produce — rows are produced
     /// lazily, in order, the moment a consumer's vertical window first
     /// reaches them.
     next_row: Option<usize>,
 }
 
-impl<S: Sample> RegionState<S> {
+impl<S: Sample, R: Sample> RegionState<S, R> {
     fn new(region: &Region<S>, width: usize, height: usize, has_upstream: bool) -> Self {
         let taps = region.kernel.len();
         let radius = taps / 2;
         let len = taps.min(height).max(1);
         let up_mask = if has_upstream {
-            vec![0.0f32; width]
+            vec![R::zero(); width]
         } else {
             Vec::new()
         };
         RegionState {
             hrows: vec![vec![S::zero(); width]; len],
-            vrows: vec![vec![0.0f32; width]; len],
+            vrows: vec![vec![R::zero(); width]; len],
             padded: vec![S::zero(); width + 2 * radius],
             tap_slots: vec![0; taps],
             up_mask,
@@ -834,37 +863,44 @@ impl<S: Sample> RegionState<S> {
 
 /// Processes the output rows `first_row ..` covered by `out` (a
 /// whole-row-aligned slice of the output buffer) in raster order through
-/// the segment's cascade. Each slice owns fresh region states, so slices
-/// are fully independent and bit-identical at any thread count.
-fn run_rows<S: Sample>(
+/// the segment's cascade, writing the last region's mask rows into
+/// `masks` when the segment writes its mask plane (`masks` is empty
+/// otherwise). Each slice owns fresh region states, so slices are fully
+/// independent and bit-identical at any thread count.
+fn run_rows<S: Sample, D: Datapath<S>>(
     segment: &FusedSegment<S>,
-    input: &LuminanceImage,
-    ingest: Ingest,
+    input: &Input<'_, D::R>,
+    mask: Option<&ImageBuffer<D::R>>,
     first_row: usize,
-    out: &mut [f32],
+    out: &mut [D::R],
+    masks: &mut [D::R],
 ) {
     let (width, height) = input.dimensions();
-    let mut states: Vec<RegionState<S>> = segment
+    let mut states: Vec<RegionState<S, D::R>> = segment
         .regions
         .iter()
         .enumerate()
         .map(|(i, region)| RegionState::new(region, width, height, i > 0))
         .collect();
-    let mut mask_row = vec![0.0f32; width];
+    let mut scratch = vec![<D::R as Sample>::zero(); width];
     for (row_index, out_row) in out.chunks_exact_mut(width).enumerate() {
-        let y = first_row + row_index;
-        emit_row(
+        let mask_row = if segment.writes_mask {
+            &mut masks[row_index * width..][..width]
+        } else {
+            &mut scratch[..]
+        };
+        emit_row::<S, D>(
             &segment.regions,
             &mut states,
             input,
-            ingest,
-            y,
+            mask,
+            first_row + row_index,
             out_row,
-            &mut mask_row,
+            mask_row,
         );
         // Fused point-wise tail: the epilog chain runs against the last
         // region's value stream and blurred mask.
-        apply_chain(&segment.epilog, out_row, Some(&mask_row));
+        apply_chain(&segment.epilog, out_row, Some(&*mask_row));
     }
 }
 
@@ -879,14 +915,14 @@ fn run_rows<S: Sample>(
 /// region's lazy `next_row` cursor advances monotonically and every ring
 /// slot is consumed before it is overwritten (ring length ≥ radius + 1
 /// rows beyond the newest consumer row).
-fn emit_row<S: Sample>(
+fn emit_row<S: Sample, D: Datapath<S>>(
     regions: &[Region<S>],
-    states: &mut [RegionState<S>],
-    input: &LuminanceImage,
-    ingest: Ingest,
+    states: &mut [RegionState<S, D::R>],
+    input: &Input<'_, D::R>,
+    mask: Option<&ImageBuffer<D::R>>,
     y: usize,
-    v_out: &mut [f32],
-    mask_out: &mut [f32],
+    v_out: &mut [D::R],
+    mask_out: &mut [D::R],
 ) {
     let (region, upstream_regions) = regions
         .split_last()
@@ -905,27 +941,26 @@ fn emit_row<S: Sample>(
         let slot = next % len;
         let v_row = &mut state.vrows[slot];
         if upstream_regions.is_empty() {
-            // First region: the value stream is the ingested segment input
-            // through this region's point chain (mask-free by plan
-            // validation — no mask exists before the first stencil).
-            v_row.copy_from_slice(&input.pixels()[next * width..(next + 1) * width]);
-            ingest.apply_row(v_row, normalize_sample);
-            apply_chain(&region.chain, v_row, None);
+            // First region: the value stream is the segment input through
+            // this region's point chain, whose mask (if it applies one) is
+            // the plane an earlier segment wrote.
+            input.read_row::<S, D>(next, v_row);
+            apply_chain(&region.chain, v_row, mask_row(mask, next, width));
         } else {
             // Later region: pull the upstream row on demand, then run this
             // region's chain against the upstream value/mask streams.
-            emit_row(
+            emit_row::<S, D>(
                 upstream_regions,
                 upstream_states,
                 input,
-                ingest,
+                mask,
                 next,
                 v_row,
                 &mut state.up_mask,
             );
             apply_chain(&region.chain, v_row, Some(&state.up_mask));
         }
-        fill_blurred_row(
+        fill_blurred_row::<S, D>(
             &mut state.hrows[slot],
             &mut state.padded,
             &state.vrows[slot],
@@ -942,31 +977,31 @@ fn emit_row<S: Sample>(
         *slot = (y + k).saturating_sub(radius).min(height - 1) % len;
     }
     let (hrows, tap_slots) = (&state.hrows, &state.tap_slots);
-    fir(mask_out, kernel, |k| &hrows[tap_slots[k]], S::to_f32);
+    fir(mask_out, kernel, |k| &hrows[tap_slots[k]], D::from_stencil);
     v_out.copy_from_slice(&state.vrows[y % len]);
 }
 
 /// Horizontally blurs one chain-output row into `dst` — the producer side
 /// of a region's line buffer.
 ///
-/// The row is quantised at the accelerator boundary (with the Moroney
-/// inversion applied first, in `f32`, when the region asks for it), then
-/// edge-padded by `radius` replicated samples so the horizontal window
-/// never needs a clamp; tap `k` then reads the padded row shifted by `k`.
-/// [`fir`] applies the taps to each output sample in ascending order,
-/// matching [`crate::blur::blur_horizontal`] bit-for-bit.
-fn fill_blurred_row<S: Sample>(
+/// The row is converted into the stencil's sample type
+/// ([`Datapath::to_stencil`], with the Moroney inversion applied first
+/// when the region asks for it), then edge-padded by `radius` replicated
+/// samples so the horizontal window never needs a clamp; tap `k` then
+/// reads the padded row shifted by `k`. [`fir`] applies the taps to each
+/// output sample in ascending order, matching
+/// [`crate::blur::blur_horizontal`] bit-for-bit.
+fn fill_blurred_row<S: Sample, D: Datapath<S>>(
     dst: &mut [S],
     padded: &mut [S],
-    source: &[f32],
+    source: &[D::R],
     kernel: &[S],
     invert_input: bool,
 ) {
     let radius = kernel.len() / 2;
     let width = source.len();
     for (slot, &value) in padded[radius..radius + width].iter_mut().zip(source) {
-        let mask_input = if invert_input { 1.0 - value } else { value };
-        *slot = S::from_f32(mask_input);
+        *slot = D::to_stencil(value, invert_input);
     }
     let first = padded[radius];
     let last = padded[radius + width - 1];
@@ -1084,6 +1119,38 @@ mod tests {
         .unwrap()
     }
 
+    /// Every stencil kernel of a compiled program, in stage order.
+    fn kernels<S: Sample, D>(mapper: &StreamingToneMapper<S, D>) -> Vec<&[S]> {
+        let programs: Vec<&StreamProgram<S>> = match &mapper.program {
+            Program::Stream(program) => vec![program],
+            Program::Color(subs) => subs.iter().map(|(_, program)| program).collect(),
+        };
+        let segments = programs.into_iter().flat_map(|program| &program.segments);
+        let regions = segments.flat_map(|segment| match segment {
+            SegmentProgram::Fused(segment) => segment.regions.as_slice(),
+            SegmentProgram::Barrier { .. } => &[],
+        });
+        regions.map(|region| region.kernel.as_slice()).collect()
+    }
+
+    /// A blurred mask consumed after the histogram barrier that follows
+    /// its stencil: the mask crosses the barrier as a materialized plane.
+    fn mask_across_barrier_plan() -> PipelinePlan {
+        PipelinePlan::new(vec![
+            PipelineOp::Normalize,
+            PipelineOp::BlurMask {
+                blur: BlurParams {
+                    sigma: 1.5,
+                    radius: 3,
+                },
+                invert_input: true,
+            },
+            PipelineOp::HistogramEq { bins: 64 },
+            PipelineOp::Mask(MaskingParams::paper_default()),
+        ])
+        .unwrap()
+    }
+
     #[test]
     fn f32_streaming_is_bit_identical_to_the_two_pass_reference() {
         for (w, h) in [(48, 48), (33, 17), (64, 9)] {
@@ -1118,30 +1185,36 @@ mod tests {
     fn every_slice_count_is_bit_identical() {
         // A run slices only as wide as the host has free cores, so this
         // drives the slicing itself at every count up to one row a slice,
-        // on a stencil cascade, a two-stencil cascade and a point chain.
+        // on a stencil cascade, a two-stencil cascade, a point chain, and
+        // segments that write their mask plane.
         let hdr = SceneKind::MemorialComposite.generate(37, 29, 9);
         let p = ToneMapParams::paper_default();
         let reinhard = PipelinePlan::preset("reinhard", &p, &PlanTuning::default());
-        for plan in [
-            PipelinePlan::from_params(&p),
-            two_stencil_plan(),
-            reinhard.unwrap().unwrap(),
+        for (plan, materialize) in [
+            (PipelinePlan::from_params(&p), false),
+            (two_stencil_plan(), false),
+            (reinhard.unwrap().unwrap(), false),
+            (two_stencil_plan(), true),
+            (mask_across_barrier_plan(), false),
         ] {
-            let mapper = StreamingToneMapper::<f32>::compile(plan, p).unwrap();
+            let mapper = StreamingToneMapper::<f32>::compile(plan, p)
+                .unwrap()
+                .with_materialized_stencils(materialize);
             let Program::Stream(program) = &mapper.program else {
                 panic!("{} streams", mapper.plan());
             };
             let SegmentProgram::Fused(segment) = &program.segments[0] else {
                 panic!("a stream starts with a fused segment");
             };
-            let ingest = Ingest::Source(FrameReductions.normalize_scale(&hdr));
-            let single = run_slices(segment, &hdr, ingest, 1, Vec::new());
+            let input = Input::Source(&hdr, FrameReductions.normalize_scale(&hdr));
+            let run = |slices, frame| run_slices::<f32, Split>(segment, input, None, slices, frame);
+            let single = run(1, Vec::new());
+            assert_eq!(single.1.is_some(), segment.writes_mask);
             for slices in 2..=30 {
                 // Every slice overwrites its rows of a stale frame.
                 let stale = vec![f32::NAN; hdr.pixels().len()];
-                let sliced = run_slices(segment, &hdr, ingest, slices, stale);
                 assert_eq!(
-                    sliced,
+                    run(slices, stale),
                     single,
                     "{} diverged at {slices} slices",
                     mapper.plan()
@@ -1239,11 +1312,9 @@ mod tests {
     #[test]
     fn kernel_is_quantised_once_at_construction() {
         let mapper = StreamingToneMapper::<Fix16>::new(params());
-        assert_eq!(
-            mapper.kernel(),
-            quantize_kernel::<Fix16>(&gaussian_kernel(&params().blur)).as_slice()
-        );
-        assert_eq!(mapper.kernel().len(), params().blur.taps());
+        let kernel = quantize_kernel::<Fix16>(&gaussian_kernel(&params().blur));
+        assert_eq!(kernels(&mapper), [kernel.as_slice()]);
+        assert_eq!(kernel.len(), params().blur.taps());
     }
 
     #[test]
@@ -1266,8 +1337,6 @@ mod tests {
     fn paper_plan_fuses_and_reports_so() {
         let mapper = StreamingToneMapper::<f32>::new(params());
         assert!(mapper.decision().is_fused());
-        assert!(mapper.decision().is_streamed());
-        assert!(mapper.decision().reasons().is_empty());
         assert!(mapper.decision().barriers().is_empty());
         assert!(mapper.decision().to_string().contains("fused"));
     }
@@ -1287,7 +1356,7 @@ mod tests {
                 StreamingToneMapper::<f32>::compile(plan.clone(), ToneMapParams::paper_default())
                     .unwrap();
             assert!(streaming.decision().is_fused(), "{preset} must fuse");
-            assert!(streaming.kernel().is_empty(), "{preset} has no stencil");
+            assert!(kernels(&streaming).is_empty(), "{preset} has no stencil");
             let two_pass = ToneMapper::compile(plan, ToneMapParams::paper_default()).unwrap();
             let expected = two_pass.map_luminance_hw_blur::<f32>(&hdr);
             assert_eq!(streaming.map_luminance(&hdr), expected, "{preset} diverged");
@@ -1311,8 +1380,9 @@ mod tests {
                 .unwrap();
         assert_eq!(streaming.decision(), StreamingDecision::FullyFused);
         assert!(streaming.decision().is_fused());
-        // kernel() reports the *first* region's (radius-3) kernel.
-        assert_eq!(streaming.kernel().len(), 7);
+        // The radius-3 region, then the radius-2 one.
+        let taps: Vec<usize> = kernels(&streaming).iter().map(|k| k.len()).collect();
+        assert_eq!(taps, [7, 5]);
         let two_pass = ToneMapper::compile(plan.clone(), ToneMapParams::paper_default()).unwrap();
         for (w, h) in [(20, 14), (1, 9), (9, 1), (2, 2), (33, 5)] {
             let hdr = SceneKind::GradientRamp.generate(w, h, 2);
@@ -1345,7 +1415,7 @@ mod tests {
             .unwrap();
         let streaming = StreamingToneMapper::<Fix16>::compile(plan.clone(), params).unwrap();
         assert!(streaming.decision().is_fused());
-        assert_eq!(streaming.kernel().len(), params.blur.taps());
+        assert_eq!(kernels(&streaming)[0].len(), params.blur.taps());
         let hdr = SceneKind::MemorialComposite.generate(32, 24, 17);
         let two_pass = ToneMapper::compile(plan, params).unwrap();
         assert_eq!(
@@ -1369,8 +1439,6 @@ mod tests {
                 .unwrap();
         let decision = streaming.decision();
         assert!(!decision.is_fused());
-        assert!(decision.is_streamed());
-        assert!(decision.reasons().is_empty());
         assert_eq!(decision.barriers(), [StreamBarrier { index: 1 }]);
         assert_eq!(
             decision.to_string(),
@@ -1414,7 +1482,6 @@ mod tests {
             StreamingToneMapper::<f32>::compile(plan.clone(), ToneMapParams::paper_default())
                 .unwrap();
         let decision = streaming.decision();
-        assert!(decision.is_streamed());
         assert_eq!(decision.barriers(), [StreamBarrier { index: 3 }]);
         let two_pass = ToneMapper::compile(plan, ToneMapParams::paper_default()).unwrap();
         for (w, h) in [(26, 21), (1, 12), (12, 1), (3, 3)] {
@@ -1431,45 +1498,112 @@ mod tests {
     }
 
     #[test]
-    fn masks_straddling_a_barrier_fall_back_with_a_reason() {
+    fn masks_straddling_a_barrier_stream_through_a_materialized_plane() {
         // The mask blurred at stage 1 is consumed at stage 3, *after* the
-        // barrier at stage 2 — the one remaining non-streamable shape.
-        let plan = PipelinePlan::new(vec![
-            PipelineOp::Normalize,
-            PipelineOp::BlurMask {
-                blur: BlurParams {
-                    sigma: 1.5,
-                    radius: 3,
-                },
-                invert_input: true,
-            },
-            PipelineOp::HistogramEq { bins: 32 },
-            PipelineOp::Mask(MaskingParams::paper_default()),
-        ])
-        .unwrap();
-        let streaming =
-            StreamingToneMapper::<f32>::compile(plan.clone(), ToneMapParams::paper_default())
-                .unwrap();
+        // barrier at stage 2: segment 0 writes its mask plane, the barrier
+        // passes it on, and segment 1's mask reads its rows.
+        let plan = mask_across_barrier_plan();
+        let p = ToneMapParams::paper_default();
+        let streaming = StreamingToneMapper::<f32>::compile(plan.clone(), p).unwrap();
         let decision = streaming.decision();
-        assert!(!decision.is_fused());
-        assert!(!decision.is_streamed());
+        assert_eq!(decision.barriers(), [StreamBarrier { index: 2 }]);
         assert_eq!(
-            decision.reasons(),
-            [FusionBlocker::MaskAcrossBarrier {
-                producer: 1,
-                barrier: 2,
-            }]
+            decision.to_string(),
+            "segmented into 2 fused passes at 1 materialization barrier: stage 2 (histogram-eq)"
         );
-        assert_eq!(decision.reasons()[0].stage_index(), 2);
-        assert!(decision.to_string().contains("materialized"));
-        // The fallback still executes the plan, identically to the
-        // two-pass planner.
-        let hdr = SceneKind::WindowInDarkRoom.generate(22, 17, 6);
-        let two_pass = ToneMapper::compile(plan, ToneMapParams::paper_default()).unwrap();
-        assert_eq!(
-            streaming.map_luminance(&hdr),
-            two_pass.map_luminance_hw_blur::<f32>(&hdr)
-        );
+        let Program::Stream(program) = &streaming.program else {
+            panic!("a scalar plan compiles to one stream");
+        };
+        let [SegmentProgram::Fused(first), SegmentProgram::Barrier { .. }, SegmentProgram::Fused(second)] =
+            program.segments.as_slice()
+        else {
+            panic!(
+                "two fused segments around the barrier: {:?}",
+                program.segments
+            );
+        };
+        assert!(first.writes_mask && !first.reads_mask);
+        assert!(second.reads_mask && !second.writes_mask);
+        let reference = ToneMapper::compile(plan.clone(), p).unwrap();
+        for (w, h) in [(22, 17), (1, 9), (9, 1), (2, 2)] {
+            let hdr = SceneKind::WindowInDarkRoom.generate(w, h, 6);
+            let f32_ref = reference.map_luminance_hw_blur::<f32>(&hdr);
+            let fix_ref = reference.map_luminance_hw_blur::<Fix16>(&hdr);
+            let all_ref = reference.map_luminance::<Fix16>(&hdr);
+            for threads in [1, 2, 8] {
+                let at = format!("{w}x{h}, {threads} threads");
+                let f32_stream = streaming.clone().with_threads(threads);
+                assert_eq!(f32_stream.map_luminance(&hdr), f32_ref, "f32 at {at}");
+                let fix = StreamingToneMapper::<Fix16>::compile(plan.clone(), p).unwrap();
+                let fix = fix.with_threads(threads);
+                assert_eq!(fix.map_luminance(&hdr), fix_ref, "Fix16 at {at}");
+                let all =
+                    StreamingToneMapper::<Fix16, AllStages>::compile(plan.clone(), p).unwrap();
+                let all = all.with_threads(threads);
+                assert_eq!(all.map_luminance(&hdr), all_ref, "all-Fix16 at {at}");
+            }
+        }
+    }
+
+    #[test]
+    fn materialized_stencils_match_the_reference_on_every_scalar_preset() {
+        // The two-pass point: a boundary after every stencil, on both
+        // datapaths, at every thread count.
+        let p = params();
+        let hdr = SceneKind::SunAndShadow.generate(29, 23, 4);
+        let mut plans: Vec<PipelinePlan> = PipelinePlan::PRESETS
+            .iter()
+            .map(|name| PipelinePlan::preset(name, &p, &PlanTuning::default()))
+            .map(|plan| plan.unwrap().unwrap())
+            .filter(|plan| plan.input_layout() == ChannelLayout::Scalar)
+            .collect();
+        plans.extend([two_stencil_plan(), mask_across_barrier_plan()]);
+        for plan in plans {
+            let reference = ToneMapper::compile(plan.clone(), p).unwrap();
+            let split_ref = reference.map_luminance_hw_blur::<Fix16>(&hdr);
+            let all_ref = reference.map_luminance::<Fix16>(&hdr);
+            for threads in [1, 2, 8] {
+                let split = StreamingToneMapper::<Fix16>::compile(plan.clone(), p)
+                    .unwrap()
+                    .with_threads(threads)
+                    .with_materialized_stencils(true);
+                assert_eq!(split.map_luminance(&hdr), split_ref, "{plan} split");
+                let all = StreamingToneMapper::<Fix16, AllStages>::compile(plan.clone(), p)
+                    .unwrap()
+                    .with_threads(threads)
+                    .with_materialized_stencils(true);
+                assert_eq!(all.map_luminance(&hdr), all_ref, "{plan} all-Fix16");
+            }
+        }
+    }
+
+    #[test]
+    fn every_stage_datapath_matches_the_all_sample_reference() {
+        // Registers in `S`: the stencil inverts in `S` and the output
+        // converts into the caller's frame at the end.
+        let p = params();
+        for (w, h) in [(37, 29), (1, 12), (12, 1), (3, 2), (BLOCK + 1, 5)] {
+            let hdr = SceneKind::MemorialComposite.generate(w, h, 9);
+            for plan in [PipelinePlan::from_params(&p), two_stencil_plan()] {
+                let reference = ToneMapper::compile(plan.clone(), p).unwrap();
+                let fix_ref = reference.map_luminance::<Fix16>(&hdr);
+                let f64_ref = reference.map_luminance::<f64>(&hdr);
+                for threads in [1, 2, 8] {
+                    let at = format!("{plan} at {w}x{h}, {threads} threads");
+                    let fix = StreamingToneMapper::<Fix16, AllStages>::compile(plan.clone(), p)
+                        .unwrap()
+                        .with_threads(threads);
+                    let stale = vec![f32::NAN; hdr.pixels().len()];
+                    let into = fix.map_luminance_into(&hdr, &mut FrameReductions, stale);
+                    assert_eq!(into, fix_ref, "Fix16 {at}");
+                    let f64_stream =
+                        StreamingToneMapper::<f64, AllStages>::compile(plan.clone(), p)
+                            .unwrap()
+                            .with_threads(threads);
+                    assert_eq!(f64_stream.map_luminance(&hdr), f64_ref, "f64 {at}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -1522,6 +1656,10 @@ mod tests {
                 .unwrap()
                 .map_rgb_hw_blur::<Fix16>(&hdr)
                 .unwrap();
+            let all_fixed = ToneMapper::compile(plan.clone(), p)
+                .unwrap()
+                .map_rgb::<Fix16>(&hdr)
+                .unwrap();
             for threads in [1, 2, 8] {
                 let streaming = StreamingToneMapper::<Fix16>::compile(plan.clone(), p)
                     .unwrap()
@@ -1529,6 +1667,15 @@ mod tests {
                     .map_rgb(&hdr)
                     .unwrap();
                 assert_eq!(streaming, reference, "{name} diverged at {threads} threads");
+                let all = StreamingToneMapper::<Fix16, AllStages>::compile(plan.clone(), p)
+                    .unwrap()
+                    .with_threads(threads)
+                    .map_rgb(&hdr)
+                    .unwrap();
+                assert_eq!(
+                    all, all_fixed,
+                    "all-Fix16 {name} diverged at {threads} threads"
+                );
             }
         }
     }
@@ -1547,7 +1694,7 @@ mod tests {
         for threads in [1, 2, 8] {
             let mapper = StreamingToneMapper::<Fix16>::compile(plan.clone(), p).unwrap();
             assert!(mapper.decision().is_fused());
-            assert!(!mapper.kernel().is_empty());
+            assert!(!kernels(&mapper).is_empty());
             let streaming = mapper.with_threads(threads).map_rgb(&hdr).unwrap();
             assert_eq!(streaming, reference, "diverged at {threads} threads");
         }
@@ -1590,7 +1737,7 @@ mod tests {
             .unwrap();
         let mapper = StreamingToneMapper::<f32>::compile(plan, p).unwrap();
         assert!(mapper.decision().is_fused());
-        assert!(mapper.kernel().is_empty());
+        assert!(kernels(&mapper).is_empty());
     }
 
     #[test]

@@ -10,6 +10,7 @@
 use apfixed::Fix16;
 use hdr_image::{LuminanceImage, Rgb, RgbImage};
 use proptest::prelude::*;
+use tonemap_core::stream::AllStages;
 use tonemap_core::{
     AdjustParams, BlurParams, ChannelLayout, Curve, PipelineOp, PipelinePlan, StreamingToneMapper,
     ToneMapParams, ToneMapper,
@@ -163,11 +164,14 @@ proptest! {
 
     /// Random multi-stencil, multi-barrier plans: 1–3 `BlurMask`+`Mask`
     /// stencil stages, each optionally followed by a `HistogramEq`
-    /// materialization barrier, with 0–2 drawn curves before each stencil
-    /// (in its region's chain) and after the last one (in the epilog).
-    /// Every generated plan must stream (fully fused when there are no
-    /// barriers, segmented otherwise) and stay bit-identical to the
-    /// two-pass planner in `f32` and `Fix16` at 1, 2 and 8 row threads.
+    /// materialization barrier — placed between the stencil and its mask
+    /// when `straddle_mask` selects it — with 0–2 drawn curves before each
+    /// stencil (in its region's chain) and after the last one (in the
+    /// epilog). Every generated plan streams (fully fused when there are no
+    /// barriers, segmented otherwise) and stays bit-identical to the
+    /// two-pass reference: on the split datapath in `f32` and `Fix16` and
+    /// on the all-`Fix16` one, at 1, 2 and 8 row threads, fused and with
+    /// every stencil materialized.
     #[test]
     fn random_multi_stencil_cascades_match_two_pass(
         (width, height) in cascade_dims(),
@@ -175,6 +179,7 @@ proptest! {
         radii in prop::collection::vec(1usize..6, 3..4),
         sigmas in prop::collection::vec(0.4f32..4.0, 3..4),
         barrier_mask in 0u8..8,
+        straddle_mask in 0u8..8,
         bins in 8usize..64,
         curves in prop::collection::vec(prop::collection::vec(any_curve(), 0..3), 4..5),
         seed in 0u64..1_000_000,
@@ -189,14 +194,17 @@ proptest! {
                 blur: BlurParams { sigma: sigmas[i], radius: radii[i] },
                 invert_input: i % 2 == 0,
             });
-            // The mask is consumed before any barrier, so every generated
-            // plan streams — `MaskAcrossBarrier` shapes are covered by the
-            // unit tests.
-            ops.push(PipelineOp::Mask(params.masking));
-            if barrier_mask & (1 << i) != 0 {
+            // A straddled barrier sends the mask across it as a plane.
+            let barrier = barrier_mask & (1 << i) != 0;
+            let straddle = barrier && straddle_mask & (1 << i) != 0;
+            if straddle {
                 ops.push(PipelineOp::HistogramEq { bins });
-                barrier_count += 1;
             }
+            ops.push(PipelineOp::Mask(params.masking));
+            if barrier && !straddle {
+                ops.push(PipelineOp::HistogramEq { bins });
+            }
+            barrier_count += usize::from(barrier);
         }
         ops.extend(curves[n_stencils].iter().copied().map(PipelineOp::Curve));
         ops.push(PipelineOp::Curve(Curve::Adjust(params.adjust)));
@@ -209,27 +217,39 @@ proptest! {
         let two_pass = ToneMapper::compile(plan.clone(), params).expect("plan compiles");
         let classic_f32 = two_pass.map_luminance_hw_blur::<f32>(&hdr);
         let classic_fix = two_pass.map_luminance_hw_blur::<Fix16>(&hdr);
+        let classic_all = two_pass.map_luminance::<Fix16>(&hdr);
 
         let probe = StreamingToneMapper::<f32>::compile(plan.clone(), params)
             .expect("plan compiles");
         let decision = probe.decision();
-        prop_assert!(decision.is_streamed(), "must stream, got: {decision}");
         prop_assert_eq!(decision.is_fused(), barrier_count == 0);
         prop_assert_eq!(decision.barriers().len(), barrier_count);
 
         for threads in [1usize, 2, 8] {
-            let streamed_f32 = StreamingToneMapper::<f32>::compile(plan.clone(), params)
-                .expect("plan compiles")
-                .with_threads(threads)
-                .map_luminance(&hdr);
-            prop_assert_eq!(&streamed_f32, &classic_f32,
-                "f32 cascade diverged at {} thread(s)", threads);
-            let streamed_fix = StreamingToneMapper::<Fix16>::compile(plan.clone(), params)
-                .expect("plan compiles")
-                .with_threads(threads)
-                .map_luminance(&hdr);
-            prop_assert_eq!(&streamed_fix, &classic_fix,
-                "Fix16 cascade diverged at {} thread(s)", threads);
+            for materialize in [false, true] {
+                let streamed_f32 = StreamingToneMapper::<f32>::compile(plan.clone(), params)
+                    .expect("plan compiles")
+                    .with_threads(threads)
+                    .with_materialized_stencils(materialize)
+                    .map_luminance(&hdr);
+                prop_assert_eq!(&streamed_f32, &classic_f32,
+                    "f32 cascade diverged at {} thread(s)", threads);
+                let streamed_fix = StreamingToneMapper::<Fix16>::compile(plan.clone(), params)
+                    .expect("plan compiles")
+                    .with_threads(threads)
+                    .with_materialized_stencils(materialize)
+                    .map_luminance(&hdr);
+                prop_assert_eq!(&streamed_fix, &classic_fix,
+                    "Fix16 cascade diverged at {} thread(s)", threads);
+                let streamed_all =
+                    StreamingToneMapper::<Fix16, AllStages>::compile(plan.clone(), params)
+                        .expect("plan compiles")
+                        .with_threads(threads)
+                        .with_materialized_stencils(materialize)
+                        .map_luminance(&hdr);
+                prop_assert_eq!(&streamed_all, &classic_all,
+                    "all-Fix16 cascade diverged at {} thread(s)", threads);
+            }
         }
     }
 }

@@ -2,17 +2,18 @@
 //!
 //! PR 5 made the *pipeline* data ([`tonemap_core::PipelinePlan`]) and PR 6
 //! made fused execution general (the cascade and its segmentation); this
-//! crate makes the *schedule* data. Which executor runs a plan — the
-//! materialized two-pass planner or the streaming line-buffer cascade — at
+//! crate makes the *schedule* data. Which schedule point of the stream runs
+//! a plan — every stencil materialized (two-pass) or the fused line-buffer
+//! cascade — at
 //! how many row slices, in which sample format, used to be hand-picked by
 //! engine name. Here it is:
 //!
 //! * a typed point — [`SchedulePoint`]: executor, worker count, quality
 //!   floor, slice shape;
-//! * an enumerable space — [`ScheduleSpace`]: derived from the streaming
-//!   planner's own [`tonemap_core::StreamingDecision`], so illegal points
-//!   (e.g. streaming a plan with a `MaskAcrossBarrier` blocker) are never
-//!   enumerated rather than enumerated-and-rejected;
+//! * an enumerable space — [`ScheduleSpace`]: the two-pass point and the
+//!   plan's streaming points, whose shape is the streaming planner's
+//!   [`tonemap_core::StreamingDecision`] read off the plan's segmentation
+//!   (every plan streams);
 //! * a priced choice — [`Scheduler`] costs every point through the
 //!   existing co-design machinery ([`codesign::flow::CoDesignFlow`]'s plan
 //!   evaluation, the ZC702 data-mover model for materialized planes, the

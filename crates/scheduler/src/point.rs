@@ -59,9 +59,11 @@ impl fmt::Display for SampleFormat {
 /// Which executor a schedule point runs the plan through.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ScheduleExecutor {
-    /// The materialized two-pass planner
-    /// ([`tonemap_core::ToneMapper::map_luminance_hw_blur`]): every stage
-    /// boundary writes a full intermediate plane.
+    /// The stream with a boundary after every stencil
+    /// ([`tonemap_core::StreamingToneMapper::with_materialized_stencils`]),
+    /// on one slice: each stencil writes its value and mask planes, and
+    /// the next segment reads them. The executor the paper's two-pass
+    /// software reference corresponds to.
     TwoPass,
     /// The streaming cascade ([`tonemap_core::StreamingToneMapper`]):
     /// line-buffer row rings, materializing only at reduction barriers.
@@ -129,18 +131,13 @@ impl SchedulePoint {
 
     /// The streaming point of a plan the streaming planner judged
     /// `decision`, row-sliced over `threads` workers of
-    /// `height.div_ceil(threads)` rows each. A plan that falls back gets
-    /// the two-pass point instead: the stream mapper runs such a plan
-    /// two-pass anyway.
+    /// `height.div_ceil(threads)` rows each.
     pub fn streaming(
         decision: &StreamingDecision,
         threads: usize,
         format: SampleFormat,
         height: usize,
     ) -> Self {
-        if !decision.is_streamed() {
-            return SchedulePoint::two_pass(format, height);
-        }
         SchedulePoint {
             executor: ScheduleExecutor::Streaming {
                 fused: decision.is_fused(),
@@ -214,9 +211,9 @@ impl fmt::Display for ScheduleMode {
 /// What an engine tells the scheduler about itself: the quality floor its
 /// callers signed up for and the design point the platform model prices.
 ///
-/// Engines with no streaming-equivalent execution (the all-fixed `sw-fix16`
-/// reference, whose point stages also run in `Fix16`) advertise no class at
-/// all and reject `schedule=` in the registry.
+/// The all-fixed `sw-fix16` ablation, whose point stages also run in
+/// `Fix16`, has no priced design and advertises no class at all: it
+/// rejects `schedule=` in the registry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScheduleClass {
     /// Sample format every enumerated point keeps (the quality floor).

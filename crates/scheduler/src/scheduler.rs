@@ -73,11 +73,13 @@ impl ScheduleReport {
         &self.ranked[0]
     }
 
-    /// The cheapest streaming point, when the plan can stream at all.
-    pub fn best_streaming(&self) -> Option<&PricedPoint> {
+    /// The cheapest streaming point (always present: the one-worker
+    /// streaming point is never pruned).
+    pub fn best_streaming(&self) -> &PricedPoint {
         self.ranked
             .iter()
             .find(|priced| priced.point.executor.is_streaming())
+            .expect("the one-worker streaming point is always enumerated")
     }
 
     /// The priced two-pass point (always present).
@@ -157,14 +159,7 @@ impl Scheduler {
     /// Enumerates and prices every legal point of `plan` at
     /// `width`×`height`, returning the ranked report.
     pub fn schedule(&self, plan: &PipelinePlan, width: usize, height: usize) -> ScheduleReport {
-        let space = ScheduleSpace::enumerate(
-            plan,
-            &self.params,
-            self.class.format,
-            width,
-            height,
-            &self.host,
-        );
+        let space = ScheduleSpace::enumerate(plan, self.class.format, width, height, &self.host);
         let pricer = self.pricer(plan, width, height);
         let mut ranked: Vec<PricedPoint> = space
             .points()
@@ -204,8 +199,6 @@ impl Scheduler {
 
     /// Prices one point directly — used for `threads=N`-forced points that
     /// profitability pruning would have kept out of the enumerated space.
-    /// The caller is responsible for the point's legality (a forced
-    /// streaming point on a fallback plan is rejected upstream).
     pub fn price_point(
         &self,
         plan: &PipelinePlan,
@@ -378,7 +371,7 @@ mod tests {
     }
 
     #[test]
-    fn fallback_plan_schedules_two_pass_only() {
+    fn mask_across_a_barrier_plan_gets_streaming_points() {
         let params = ToneMapParams::paper_default();
         let plan = PipelinePlan::new(vec![
             PipelineOp::Normalize,
@@ -391,10 +384,19 @@ mod tests {
         ])
         .expect("plan validates");
         let report = scheduler(SampleFormat::F32, DesignImplementation::SwSourceCode)
+            .with_host(HostModel::with_cores(8))
             .schedule(&plan, 512, 384);
-        assert_eq!(report.ranked.len(), 1);
-        assert_eq!(report.winner().point.executor, ScheduleExecutor::TwoPass);
-        assert!(!report.decision.is_streamed());
+        assert_eq!(report.decision.barriers().len(), 1);
+        assert!(report.ranked.len() > 1, "{report}");
+        let stream = report.best_streaming();
+        assert_eq!(
+            stream.point.executor,
+            ScheduleExecutor::Streaming {
+                fused: false,
+                barriers: 1
+            }
+        );
+        assert!(report.two_pass().predicted_seconds.is_finite());
     }
 
     #[test]
@@ -404,7 +406,7 @@ mod tests {
         let hsv = preset("hsv-reinhard");
         assert_eq!(hsv.max_register_width(), 3);
         let report = sched.schedule(&hsv, 640, 480);
-        assert!(report.decision.is_streamed());
+        assert!(report.decision.is_fused());
         assert!(report.ranked.len() > 1);
         assert!(report
             .ranked
@@ -458,7 +460,7 @@ mod tests {
             .with_host(HostModel::with_cores(1))
             .schedule(&plan, 1024, 768);
         let winner = report.winner();
-        let stream = report.best_streaming().expect("plan streams");
+        let stream = report.best_streaming();
         assert_eq!(winner.point.executor, ScheduleExecutor::TwoPass);
         assert!((stream.predicted_seconds - winner.predicted_seconds).abs() < 1e-12);
     }

@@ -1,14 +1,13 @@
-//! Legal-point enumeration: which [`SchedulePoint`]s a plan can run at all.
+//! Legal-point enumeration: which [`SchedulePoint`]s a plan can run at.
 //!
-//! The space is derived from the streaming planner's own verdict
-//! ([`StreamingDecision`]), so a point the executor would reject is never
-//! enumerated — when a `MaskAcrossBarrier` blocker forces the two-pass
-//! fallback, no streaming point exists, rather than existing and being
-//! priced badly. Profitability pruning (slices too small to amortize their
-//! cascade refill or their dispatch) is applied on top, and is the only
-//! part of enumeration that is a heuristic rather than a legality fact.
+//! Every plan streams, so every plan gets the two-pass point and its
+//! streaming points, whose shape is the streaming planner's verdict read
+//! off the plan's segmentation ([`StreamingDecision::of`]). Profitability
+//! pruning (slices too small to amortize their cascade refill or their
+//! dispatch) is applied on top, and is the only part of enumeration that
+//! is a heuristic rather than a legality fact.
 
-use tonemap_core::{PipelinePlan, StreamingDecision, StreamingToneMapper, ToneMapParams};
+use tonemap_core::{PipelinePlan, StreamingDecision};
 
 use crate::point::{SampleFormat, SchedulePoint};
 
@@ -116,14 +115,9 @@ impl ScheduleSpace {
     pub const MIN_SLICE_PIXELS: usize = 64 * 1024;
 
     /// Enumerates every legal point of `plan` at `width`×`height` for an
-    /// engine whose quality floor is `format`.
-    ///
-    /// Legality comes from the streaming planner itself: the plan is probed
-    /// through [`StreamingToneMapper::compile`] (fusion legality is
-    /// sample-type-independent, so the `f32` probe speaks for both
-    /// formats). The two-pass point always exists; streaming points exist
-    /// only when the planner does not fall back, one per candidate worker
-    /// count that survives the host cap and the slice prunes:
+    /// engine whose quality floor is `format`: the two-pass point, and one
+    /// streaming point per candidate worker count that survives the host
+    /// cap and the slice prunes:
     ///
     /// * a slice must hold at least [`ScheduleSpace::MIN_SLICE_PIXELS`]
     ///   pixels, and
@@ -131,51 +125,35 @@ impl ScheduleSpace {
     ///   (every slice after the first re-fills each segment's row rings —
     ///   [`tonemap_core::plan::PlanSegment::latency_rows`] rows of halo).
     ///
-    /// `threads == 1` is never pruned, so a streamable plan always has at
-    /// least one streaming point.
+    /// `threads == 1` is never pruned, so every plan has at least one
+    /// streaming point.
     pub fn enumerate(
         plan: &PipelinePlan,
-        params: &ToneMapParams,
         format: SampleFormat,
         width: usize,
         height: usize,
         host: &HostModel,
     ) -> Self {
-        let decision = match StreamingToneMapper::<f32>::compile(plan.clone(), *params) {
-            Ok(probe) => probe.decision(),
-            // Invalid params cannot execute through either planner; report
-            // the smallest truthful space (the two-pass point) rather than
-            // panicking — resolution layers validate params long before
-            // scheduling.
-            Err(_) => {
-                return ScheduleSpace {
-                    points: vec![SchedulePoint::two_pass(format, height)],
-                    decision: StreamingDecision::Fallback { reasons: vec![] },
-                };
-            }
-        };
-
+        let decision = StreamingDecision::of(plan);
+        let halo_rows: usize = plan
+            .segmentation()
+            .segments
+            .iter()
+            .map(|segment| segment.latency_rows())
+            .sum();
         let mut points = vec![SchedulePoint::two_pass(format, height)];
-        if decision.is_streamed() {
-            let halo_rows: usize = plan
-                .segmentation()
-                .segments
-                .iter()
-                .map(|segment| segment.latency_rows())
-                .sum();
-            for threads in Self::THREAD_CANDIDATES {
-                if threads > host.cores() {
-                    continue;
-                }
-                let point = SchedulePoint::streaming(&decision, threads, format, height);
-                if threads > 1
-                    && (point.slice_rows * width < Self::MIN_SLICE_PIXELS
-                        || point.slice_rows <= halo_rows)
-                {
-                    continue;
-                }
-                points.push(point);
+        for threads in Self::THREAD_CANDIDATES {
+            if threads > host.cores() {
+                continue;
             }
+            let point = SchedulePoint::streaming(&decision, threads, format, height);
+            if threads > 1
+                && (point.slice_rows * width < Self::MIN_SLICE_PIXELS
+                    || point.slice_rows <= halo_rows)
+            {
+                continue;
+            }
+            points.push(point);
         }
         ScheduleSpace { points, decision }
     }
@@ -186,7 +164,7 @@ impl ScheduleSpace {
         &self.points
     }
 
-    /// The streaming planner's verdict the space was derived from.
+    /// The streaming planner's verdict the streaming points carry.
     pub fn decision(&self) -> &StreamingDecision {
         &self.decision
     }
@@ -207,6 +185,7 @@ mod tests {
     use super::*;
     use crate::point::ScheduleExecutor;
     use tonemap_core::plan::{PipelineOp, PlanTuning};
+    use tonemap_core::ToneMapParams;
 
     fn params() -> ToneMapParams {
         ToneMapParams::paper_default()
@@ -223,7 +202,6 @@ mod tests {
         let plan = preset("basedetail");
         let space = ScheduleSpace::enumerate(
             &plan,
-            &params(),
             SampleFormat::F32,
             1024,
             768,
@@ -248,7 +226,6 @@ mod tests {
         let plan = preset("basedetail");
         let space = ScheduleSpace::enumerate(
             &plan,
-            &params(),
             SampleFormat::F32,
             1024,
             768,
@@ -266,14 +243,8 @@ mod tests {
     #[test]
     fn tiny_images_keep_only_single_worker_streaming() {
         let plan = preset("basedetail");
-        let space = ScheduleSpace::enumerate(
-            &plan,
-            &params(),
-            SampleFormat::F32,
-            96,
-            72,
-            &HostModel::with_cores(8),
-        );
+        let space =
+            ScheduleSpace::enumerate(&plan, SampleFormat::F32, 96, 72, &HostModel::with_cores(8));
         let streaming: Vec<usize> = space
             .points()
             .iter()
@@ -288,9 +259,9 @@ mod tests {
     }
 
     #[test]
-    fn fallback_plan_enumerates_no_streaming_point() {
-        // A blurred mask consumed after a histogram-eq barrier: the one
-        // remaining fusion blocker.
+    fn mask_across_a_barrier_plan_enumerates_its_streaming_points() {
+        // A blurred mask consumed after a histogram-eq barrier crosses it
+        // as a materialized plane, so the plan gets the full ladder.
         let p = params();
         let plan = PipelinePlan::new(vec![
             PipelineOp::Normalize,
@@ -304,16 +275,27 @@ mod tests {
         .expect("plan validates");
         let space = ScheduleSpace::enumerate(
             &plan,
-            &p,
             SampleFormat::F32,
             1024,
             768,
             &HostModel::with_cores(8),
         );
-        assert!(!space.decision().is_streamed());
-        assert!(!space.decision().reasons().is_empty());
-        assert_eq!(space.len(), 1);
-        assert_eq!(space.points()[0].executor, ScheduleExecutor::TwoPass);
+        assert_eq!(space.decision().barriers().len(), 1);
+        let executors: Vec<ScheduleExecutor> = space.points().iter().map(|p| p.executor).collect();
+        let segmented = ScheduleExecutor::Streaming {
+            fused: false,
+            barriers: 1,
+        };
+        assert_eq!(
+            executors,
+            [
+                ScheduleExecutor::TwoPass,
+                segmented,
+                segmented,
+                segmented,
+                segmented
+            ]
+        );
     }
 
     #[test]
@@ -321,18 +303,16 @@ mod tests {
         let plan = preset("histeq");
         let space = ScheduleSpace::enumerate(
             &plan,
-            &params(),
             SampleFormat::F32,
             1024,
             768,
             &HostModel::with_cores(8),
         );
-        assert!(space.decision().is_streamed());
         let streaming = space
             .points()
             .iter()
             .find(|p| p.executor.is_streaming())
-            .expect("streamable plan has a streaming point");
+            .expect("every plan has a streaming point");
         match streaming.executor {
             ScheduleExecutor::Streaming { fused, barriers } => {
                 assert_eq!(fused, space.decision().is_fused());

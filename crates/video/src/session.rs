@@ -433,7 +433,7 @@ mod tests {
             .expect("a standard engine name")
     }
 
-    /// Every numerics on the two-pass planner, and the stream in both
+    /// Every numerics at the two-pass point, and the fused stream in both
     /// formats, the Fix16 one sliced over two workers.
     fn rows() -> [EngineRow; 5] {
         [
@@ -714,7 +714,7 @@ mod tests {
         // An integrator that assigns (`temporal=independent`, or `tau=0`)
         // binds every reduction to the frame, so each frame is the still of
         // its spec, on every standard row. A leaky session binds them the
-        // same way on the stream as on the two-pass walk.
+        // same way on the fused stream as at the two-pass point.
         let params = ToneMapParams::paper_default();
         let scalar = |name: &&str| {
             let plan = PipelinePlan::preset(name, &params, &Default::default());

@@ -57,8 +57,8 @@ fn row(name: &str) -> EngineRow {
         .expect("a standard engine name")
 }
 
-/// Every numerics on the two-pass planner, and the stream in both formats,
-/// the Fix16 one sliced over two workers.
+/// Every numerics at the two-pass point, and the fused stream in both
+/// formats, the Fix16 one sliced over two workers.
 fn row_strategy() -> impl Strategy<Value = EngineRow> {
     prop_oneof![
         Just(row("sw-f32")),

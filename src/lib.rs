@@ -53,9 +53,9 @@ pub mod prelude {
         TonemapPayload, TonemapRequest, TonemapResponse, UnknownBackendError,
     };
     pub use tonemap_core::{
-        BlurParams, Curve, FusionBlocker, ParamError, PipelineOp, PipelinePlan, PlanError,
-        PlanSegment, PlanSegmentation, PlanTuning, StreamBarrier, StreamingDecision,
-        StreamingToneMapper, ToneMapParams, ToneMapper,
+        BlurParams, Curve, ParamError, PipelineOp, PipelinePlan, PlanError, PlanSegment,
+        PlanSegmentation, PlanTuning, StreamBarrier, StreamingDecision, StreamingToneMapper,
+        ToneMapParams, ToneMapper,
     };
     pub use tonemap_service::{
         EngineUtilisation, FrameHandle, FramePool, FramePoolStats, FrameSequenceRequest, JobHandle,

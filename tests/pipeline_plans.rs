@@ -108,8 +108,8 @@ fn plan_jobs_stream_and_tune_through_the_service() {
         .unwrap();
     assert_ne!(untuned.luminance().unwrap(), two_pass.luminance().unwrap());
 
-    // Histogram equalization streams through the planner's reported
-    // fallback; the hw-fix16 streaming engine serves it too.
+    // Histogram equalization streams segmented at its barrier; the
+    // hw-fix16 streaming engine serves it too.
     let histeq_stream = service
         .submit(
             JobRequest::luminance(Arc::clone(&scene))
