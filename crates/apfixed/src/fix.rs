@@ -237,10 +237,29 @@ impl<const W: u32, const F: u32> Fix<W, F> {
         }
     }
 
-    /// Converts from `f32`, rounding to nearest and saturating.
+    /// Converts from `f32`, rounding to nearest and saturating: the result
+    /// of [`Fix::from_f64`] on the same value.
+    ///
+    /// Where every raw value is below `2^22` in magnitude (`W <= 23`) the
+    /// conversion runs in `f32` without a branch, so a row loop over it
+    /// vectorizes: scaling by `2^F` is exact, [`f32::round`] rounds ties
+    /// away from zero as `from_f64` does, and `f32::min` sends NaN to
+    /// `MAX`. Adding `1.5·2^23` to the clamped integer is exact and leaves
+    /// it, offset by `2^22`, in the low mantissa bits, which a saturating
+    /// `as i32` cast would instead convert one lane at a time.
     #[inline]
     pub fn from_f32(value: f32) -> Self {
-        Self::from_f64(value as f64)
+        #[allow(clippy::let_unit_value)]
+        let _ = Self::VALID;
+        if W > 23 {
+            return Self::from_f64(value as f64);
+        }
+        const MAGIC: f32 = 12_582_912.0;
+        let rounded = (value * Self::SCALE as f32).round();
+        let clamped = rounded.min(Self::MAX.raw as f32).max(Self::MIN.raw as f32);
+        Self {
+            raw: (clamped + MAGIC).to_bits() as i32 - MAGIC.to_bits() as i32,
+        }
     }
 
     /// Converts to `f64` exactly (every `Fix` value is exactly
@@ -317,6 +336,41 @@ impl<const W: u32, const F: u32> Fix<W, F> {
             T::from(self.raw) * T::from(a.raw) + (T::from(b.raw) << F)
         ))
     }
+
+    /// The most taps a [`Fix::nonneg_tap`] chain may hold: the longest whose
+    /// exact sum fits an `i32`, or 0 for a format whose raw products do not.
+    pub const NONNEG_TAPS: usize = {
+        let max = (1u128 << (W - 1)) - 1;
+        let term = max * max + ((1u128 << F) >> 1);
+        if term >= 1 << 31 {
+            0
+        } else {
+            match (i32::MAX as u128).checked_div(term >> F) {
+                Some(taps) => taps as usize,
+                None => usize::MAX,
+            }
+        }
+    };
+
+    /// `sum` plus the tap `self · x` in raw units, rounded to nearest: the
+    /// step of a multiply-accumulate chain whose weights and samples are all
+    /// non-negative, in plain integer lanes.
+    ///
+    /// From a zero sum, and saturated once by [`Fix::from_raw`], a chain of
+    /// at most [`Fix::NONNEG_TAPS`] of them equals the chain of
+    /// [`Fix::mul_add`]s from zero bit for bit. With `acc ≥ 0` and
+    /// `w·x ≥ 0`, `mul_add` rounds `acc·2^F + w·x + 2^(F−1)` down by `F`
+    /// bits, which is `acc + ((w·x + 2^(F−1)) >> F)`; every increment is
+    /// non-negative, so saturating after each tap ends where saturating the
+    /// exact sum once does. Negative operands, or a longer chain, break the
+    /// equality (and may overflow).
+    #[inline(always)]
+    pub fn nonneg_tap(self, x: Self, sum: i32) -> i32 {
+        sum + ((self.raw * x.raw + Self::HALF_LSB) >> F)
+    }
+
+    /// Half an LSB of a product's `2F` fractional bits, in raw units.
+    const HALF_LSB: i32 = ((1i64 << F) >> 1) as i32;
 
     /// Multiplies by an integer without intermediate quantisation.
     #[must_use]

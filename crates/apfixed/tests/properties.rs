@@ -455,3 +455,138 @@ fn q4_12_quantises_every_f32_on_the_raw_lattice_and_its_ties() {
         }
     }
 }
+
+/// `from_f32` against the `i128` reference on `value`, for one format.
+fn assert_from_f32_matches<const W: u32, const F: u32>(value: f32) {
+    assert_eq!(
+        Fix::<W, F>::from_f32(value).raw(),
+        Fix::<W, F>::FORMAT.raw_from_f64(value as f64),
+        "from_f32 on Fix<{W},{F}> of {value:e} ({:#010x})",
+        value.to_bits()
+    );
+}
+
+/// The `f32` inputs where quantizing breaks first, for a format: NaNs,
+/// infinities, zeros, subnormals, and the ½-LSB ties around zero, one and
+/// both saturation edges.
+fn quantizer_edges<const W: u32, const F: u32>() -> Vec<f32> {
+    let lsb = 0.5f64.powi(F as i32);
+    let max = Fix::<W, F>::MAX.raw() as f64;
+    let min = Fix::<W, F>::MIN.raw() as f64;
+    let one = (1i64 << F) as f64;
+    let mut values = vec![
+        f32::NAN,
+        -f32::NAN,
+        f32::from_bits(0x7fc0_0001),
+        f32::from_bits(0xff80_0001),
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        f32::MAX,
+        f32::MIN,
+        0.0,
+        -0.0,
+        f32::from_bits(1),
+        f32::from_bits(0x8000_0001),
+        f32::from_bits(0x007f_ffff),
+        f32::from_bits(0x807f_ffff),
+        f32::MIN_POSITIVE,
+        -f32::MIN_POSITIVE,
+    ];
+    for raw in [0.0, 1.0, -1.0, one, -one, max, max - 1.0, min, min + 1.0] {
+        for offset in [-0.5, 0.5, -0.25, 0.25, 1.0, -1.0] {
+            let exact = ((raw + offset) * lsb) as f32;
+            values.extend([exact, f32::from_bits(exact.to_bits().wrapping_add(1))]);
+            values.push(f32::from_bits(exact.to_bits().wrapping_sub(1)));
+        }
+    }
+    values
+}
+
+#[test]
+fn from_f32_equals_the_reference_on_sampled_bit_patterns() {
+    // Every 2^12-th bit pattern, and each format's edges: the f32 path
+    // (W <= 23) and the f64 one (W > 23) against the `i128` reference.
+    fn check<const W: u32, const F: u32>(step: usize) {
+        for bits in (0..=u32::MAX).step_by(step) {
+            assert_from_f32_matches::<W, F>(f32::from_bits(bits));
+        }
+        for value in quantizer_edges::<W, F>() {
+            assert_from_f32_matches::<W, F>(value);
+        }
+    }
+    check::<16, 12>(1 << 12);
+    check::<8, 6>(1 << 16);
+    check::<8, 8>(1 << 16);
+    check::<23, 20>(1 << 16);
+    check::<24, 18>(1 << 16);
+    check::<32, 24>(1 << 16);
+}
+
+/// Run in release by CI: about 4.3·10⁹ conversions.
+#[test]
+#[ignore = "exhaustive: every f32 bit pattern"]
+fn fix16_from_f32_equals_from_f64_on_every_f32() {
+    for bits in 0..=u32::MAX {
+        let value = f32::from_bits(bits);
+        let (got, reference) = (F16::from_f32(value), F16::from_f64(value as f64));
+        assert!(
+            got == reference,
+            "from_f32 of {value:e} ({bits:#010x}): {got:?}, from_f64 {reference:?}"
+        );
+    }
+}
+
+/// The `mul_add` chain from zero over `weights` and `samples`, and the
+/// `nonneg_tap` chain saturated once by `from_raw`, for one format.
+fn assert_nonneg_taps_match<const W: u32, const F: u32>(weights: &[i64], samples: &[i64]) {
+    let pairs = weights.iter().zip(samples);
+    let pairs = pairs.map(|(&w, &x)| (Fix::<W, F>::from_raw(w), Fix::<W, F>::from_raw(x)));
+    let reference = pairs
+        .clone()
+        .fold(Fix::<W, F>::ZERO, |acc, (w, x)| w.mul_add(x, acc));
+    let exact = pairs.fold(0, |sum, (w, x)| w.nonneg_tap(x, sum));
+    assert_eq!(
+        Fix::<W, F>::from_raw(exact.into()),
+        reference,
+        "Fix<{W},{F}> over {} taps",
+        weights.len()
+    );
+}
+
+/// Non-negative raws of a `width`-bit format, drawing zero, one LSB and
+/// `MAX` often.
+fn nonneg_raw(width: u32) -> impl Strategy<Value = i64> {
+    let max = (1i64 << (width - 1)) - 1;
+    prop_oneof![0..=max, 0..=max, Just(0), Just(1), Just(max), max - 2..=max]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    #[test]
+    fn nonneg_taps_equal_the_mul_add_chain(
+        taps16 in prop::collection::vec((nonneg_raw(16), nonneg_raw(16)), 1..512),
+        taps8 in prop::collection::vec((nonneg_raw(8), nonneg_raw(8)), 1..512),
+        taps12 in prop::collection::vec((nonneg_raw(12), nonneg_raw(12)), 1..512),
+    ) {
+        let split = |taps: &[(i64, i64)]| -> (Vec<i64>, Vec<i64>) { taps.iter().copied().unzip() };
+        let (w, x) = split(&taps16);
+        assert_nonneg_taps_match::<16, 12>(&w, &x);
+        let (w, x) = split(&taps8);
+        assert_nonneg_taps_match::<8, 6>(&w, &x);
+        assert_nonneg_taps_match::<8, 8>(&w, &x);
+        let (w, x) = split(&taps12);
+        assert_nonneg_taps_match::<12, 9>(&w, &x);
+    }
+}
+
+#[test]
+fn nonneg_taps_hold_their_longest_chain_of_max_products() {
+    // `NONNEG_TAPS` products of MAX by MAX fit the `i32` sum; the chain
+    // saturates at MAX like the `mul_add` chain.
+    assert_eq!(F16::NONNEG_TAPS, 8192);
+    assert_eq!(F32::NONNEG_TAPS, 0);
+    let max = F16::MAX.raw();
+    let all_max = vec![max; F16::NONNEG_TAPS];
+    assert_nonneg_taps_match::<16, 12>(&all_max, &all_max);
+}

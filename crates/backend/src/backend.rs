@@ -207,6 +207,10 @@ pub trait TonemapBackend: Send + Sync {
     /// [`PlanError::ScalarInputRequired`](tonemap_core::PlanError) for the
     /// rest.
     ///
+    /// `input` may hold non-finite channels: an implementation zeroes them
+    /// before any step reads a raw channel, as the default does with one
+    /// scan of the image (and a copy only when one is found).
+    ///
     /// # Errors
     ///
     /// As [`TonemapBackend::run_luminance`], plus [`TonemapError::Image`]
@@ -218,6 +222,8 @@ pub trait TonemapBackend: Send + Sync {
         plan: Option<&PipelinePlan>,
         with_model: bool,
     ) -> Result<RgbBackendOutput, TonemapError> {
+        let sanitized = sanitized_rgb(input);
+        let input = sanitized.as_ref().unwrap_or(input);
         let luminance = luminance_plane(input);
         let run = self.run_luminance(&luminance, params, plan, with_model)?;
         let image = reapply_color(input, &run.image)?;
@@ -300,14 +306,7 @@ pub trait TonemapBackend: Send + Sync {
                 {
                     return Err(TonemapError::Image(hdr_image::ImageError::NoFinitePixels));
                 }
-                // Sanitize non-finite channels before any colour register is
-                // derived: normalization zeroes non-finite *luminance*
-                // samples, but the ratio recombine and the colour point ops
-                // read the original channels, where one NaN channel would
-                // otherwise poison the whole output pixel.
-                let sanitized = sanitized_rgb(image);
-                let source = sanitized.as_ref().unwrap_or(image);
-                let run = self.run_rgb(source, params, plan, with_telemetry)?;
+                let run = self.run_rgb(image, params, plan, with_telemetry)?;
                 Ok(rgb_response(run, request.output_kind(), with_telemetry))
             }
         }
@@ -358,7 +357,12 @@ fn ensure_some_finite_pixels(image: &LuminanceImage) -> Result<(), TonemapError>
 /// A copy of `image` with every non-finite channel zeroed, or `None` when
 /// the image is already fully finite (the common case pays one scan, no
 /// copy).
-fn sanitized_rgb(image: &RgbImage) -> Option<RgbImage> {
+///
+/// A colour path that reads raw channels runs on this copy: normalization
+/// zeroes non-finite *luminance* samples, but the ratio recombine and the
+/// colour point ops read the original channels, where one NaN channel
+/// would otherwise poison the whole output pixel.
+pub(crate) fn sanitized_rgb(image: &RgbImage) -> Option<RgbImage> {
     let finite = |c: f32| if c.is_finite() { c } else { 0.0 };
     image
         .pixels()

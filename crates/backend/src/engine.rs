@@ -16,7 +16,7 @@
 //! worker pool sharing one engine behind an `Arc` pays for each image size
 //! once across all workers.
 
-use crate::backend::TonemapBackend;
+use crate::backend::{sanitized_rgb, TonemapBackend};
 use crate::error::TonemapError;
 use crate::memo::BoundedMemo;
 use crate::output::{
@@ -466,6 +466,14 @@ impl TonemapBackend for Engine {
         Ok(BackendOutput { image, telemetry })
     }
 
+    /// A colour plan that starts with normalize ingests every raw channel on
+    /// the colour walk's first pass ([`tonemap_core::run_color_plan`]),
+    /// through `normalize_sample`, which zeroes a non-finite sample, and its
+    /// scale skips them, so it runs on the input as it is. Every other plan
+    /// reads raw channels — the ratio wrapper's chroma, a colour point run
+    /// without a normalize — and runs on a sanitized copy. The plan a job
+    /// runs (`effective_plan`) has the layout and first op of the one
+    /// checked here.
     fn run_rgb(
         &self,
         input: &RgbImage,
@@ -473,6 +481,10 @@ impl TonemapBackend for Engine {
         plan: Option<&PipelinePlan>,
         with_model: bool,
     ) -> Result<RgbBackendOutput, TonemapError> {
+        let walked = plan.unwrap_or(&self.plan);
+        let ingests = walked.input_layout() == ChannelLayout::Rgb && walked.starts_with_normalize();
+        let sanitized = if ingests { None } else { sanitized_rgb(input) };
+        let input = sanitized.as_ref().unwrap_or(input);
         let (image, telemetry) = self.run(input, params, plan, with_model, Vec::new())?;
         Ok(RgbBackendOutput { image, telemetry })
     }

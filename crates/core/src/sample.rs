@@ -33,6 +33,24 @@ pub trait Sample: Copy + PartialOrd + std::fmt::Debug + Send + Sync + 'static {
     fn mul_add(self, a: Self, b: Self) -> Self {
         self.mul(a).add(b)
     }
+    /// The longest kernel whose taps [`Sample::nonneg_tap`] sums exactly: 0,
+    /// the default, for a type with no exact integer form of them.
+    const NONNEG_TAPS: usize = 0;
+    /// `sum` plus the tap `self · x` in the type's raw integer units, for a
+    /// tap sum whose weights and samples are all non-negative. From zero and
+    /// stored by [`Sample::from_nonneg_sum`], a chain of at most
+    /// [`Sample::NONNEG_TAPS`] of them equals the chain of
+    /// [`Sample::mul_add`]s from zero bit for bit. Called only on a type
+    /// whose `NONNEG_TAPS` is not 0.
+    fn nonneg_tap(self, x: Self, sum: i32) -> i32 {
+        let _ = (x, sum);
+        unreachable!("a type without exact integer taps has NONNEG_TAPS = 0")
+    }
+    /// The value of a [`Sample::nonneg_tap`] sum.
+    fn from_nonneg_sum(sum: i32) -> Self {
+        let _ = sum;
+        unreachable!("a type without exact integer taps has NONNEG_TAPS = 0")
+    }
     /// Raises the value (assumed non-negative) to a real power.
     ///
     /// `f32` computes this and [`Sample::exp2`] with the crate's own
@@ -181,6 +199,15 @@ impl<const W: u32, const F: u32> Sample for Fix<W, F> {
     }
     fn mul_add(self, a: Self, b: Self) -> Self {
         Fix::mul_add(self, a, b)
+    }
+    const NONNEG_TAPS: usize = Fix::<W, F>::NONNEG_TAPS;
+    #[inline(always)]
+    fn nonneg_tap(self, x: Self, sum: i32) -> i32 {
+        Fix::nonneg_tap(self, x, sum)
+    }
+    #[inline(always)]
+    fn from_nonneg_sum(sum: i32) -> Self {
+        Fix::from_raw(sum.into())
     }
     fn powf(self, exponent: f32) -> Self {
         self.powf_approx(exponent as f64)

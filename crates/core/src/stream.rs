@@ -15,14 +15,19 @@
 //!   applied as row kernels: each op matched once per row, then run
 //!   op-major over the row;
 //! * **each stencil op** (a separable Gaussian blur) becomes its own
-//!   rolling ring of `2·radius + 1` horizontally-blurred rows — one line
+//!   rolling ring of `2·radius + 4` horizontally-blurred rows — one line
 //!   buffer per stencil, cascaded back-to-back so stage *k*'s ring is fed
 //!   on demand by stage *k − 1*'s rows (staggered row latency = sum of the
 //!   upstream radii), the way HWTool and the Halide-to-hardware flows
 //!   compose line-buffered stages. Both passes of a stencil are
 //!   output-stationary, like the pipelined datapath of Fig. 4: a block of
 //!   output samples accumulates in registers over all taps and is stored
-//!   once;
+//!   once. The vertical pass computes a band of four output rows per sweep
+//!   of its ring, so each ring-row block it loads feeds four rows'
+//!   accumulators, and the ring holds one band's window. Fixed-point taps
+//!   whose weights and samples are all non-negative sum exactly in integer
+//!   lanes ([`Sample::nonneg_tap`]), bit-identical to the per-tap
+//!   [`Sample::mul_add`] that every other pass takes;
 //! * **reductions over an intermediate** (histogram equalization) are
 //!   *materialization barriers*: the histogram/CDF must see the whole
 //!   intermediate before the first output pixel, so the plan splits at the
@@ -304,6 +309,23 @@ struct Region<S: Sample> {
     chain: Vec<PipelineOp>,
     kernel: Vec<S>,
     invert_input: bool,
+    /// Every weight is non-negative and `S` sums this many taps exactly in
+    /// integers ([`Sample::nonneg_tap`]), so a pass whose samples are all
+    /// non-negative may take the [`NonNeg`] taps.
+    exact: bool,
+}
+
+impl<S: Sample> Region<S> {
+    fn new(chain: Vec<PipelineOp>, kernel: Vec<S>, invert_input: bool) -> Self {
+        let exact =
+            kernel.len() <= S::NONNEG_TAPS && kernel.iter().all(|&weight| weight >= S::zero());
+        Region {
+            chain,
+            kernel,
+            invert_input,
+            exact,
+        }
+    }
 }
 
 /// One fused segment of a compiled plan: a cascade of line-buffer regions
@@ -416,11 +438,11 @@ fn compile_stream<S: Sample>(plan: &PipelinePlan, materialize: bool) -> StreamPr
         for op in &plan.ops()[span.start.max(usize::from(normalize))..span.end] {
             match *op {
                 PipelineOp::BlurMask { blur, invert_input } => {
-                    segment.regions.push(Region {
-                        chain: std::mem::take(&mut segment.epilog),
-                        kernel: quantize_kernel::<S>(&gaussian_kernel(&blur)),
+                    segment.regions.push(Region::new(
+                        std::mem::take(&mut segment.epilog),
+                        quantize_kernel::<S>(&gaussian_kernel(&blur)),
                         invert_input,
-                    });
+                    ));
                     pending = true;
                     if materialize {
                         segment.writes_mask = true;
@@ -821,18 +843,25 @@ fn run_slices<S: Sample, D: Datapath<S>>(
 /// The per-slice working state of one cascade region: the Fig. 4 line
 /// buffer (`hrows`, horizontally blurred in `S`) plus the region's own
 /// chain-output rows (`vrows`, the register stream the next region — or
-/// the epilog — reads). Both rings hold `min(2·radius + 1, height)` rows
-/// and are indexed by source row modulo ring length. Nothing here scales
-/// with the image height.
+/// the epilog — reads). Both rings hold `min(2·radius + BAND, height)`
+/// rows, the window of one band of [`BAND`] output rows, and are indexed
+/// by source row modulo ring length. Nothing here scales with the image
+/// height.
 struct RegionState<S: Sample, R: Sample> {
     hrows: Vec<Vec<S>>,
     vrows: Vec<Vec<R>>,
+    /// Per ring row: every sample of it is non-negative and came through
+    /// [`NonNeg`]-eligible taps, so a pass reading only such rows may sum
+    /// its taps exactly in integers. Always `false` unless the region is
+    /// [`Region::exact`].
+    nonneg: Vec<bool>,
     /// Edge-padded scratch row for the horizontal blur.
     padded: Vec<S>,
-    /// The ring slot each vertical tap reads for the current output row.
+    /// The ring slot of each source row a band's vertical taps read: row
+    /// `t` of the window is tap `t − j` of the band's output row `j`.
     tap_slots: Vec<usize>,
-    /// Scratch row receiving the upstream region's mask stream (empty for
-    /// the first region, which has no upstream mask).
+    /// Scratch rows receiving one band of the upstream region's mask stream
+    /// (empty for the first region, which has no upstream mask).
     up_mask: Vec<R>,
     /// The next source row this region will produce — rows are produced
     /// lazily, in order, the moment a consumer's vertical window first
@@ -844,29 +873,37 @@ impl<S: Sample, R: Sample> RegionState<S, R> {
     fn new(region: &Region<S>, width: usize, height: usize, has_upstream: bool) -> Self {
         let taps = region.kernel.len();
         let radius = taps / 2;
-        let len = taps.min(height).max(1);
+        let len = (taps - 1 + BAND).min(height).max(1);
         let up_mask = if has_upstream {
-            vec![R::zero(); width]
+            vec![R::zero(); BAND * width]
         } else {
             Vec::new()
         };
         RegionState {
             hrows: vec![vec![S::zero(); width]; len],
             vrows: vec![vec![R::zero(); width]; len],
+            nonneg: vec![false; len],
             padded: vec![S::zero(); width + 2 * radius],
-            tap_slots: vec![0; taps],
+            tap_slots: vec![0; taps - 1 + BAND],
             up_mask,
             next_row: None,
         }
+    }
+
+    /// The value-stream row of source row `y`, while the ring holds it.
+    fn value_row(&self, y: usize) -> &[R] {
+        &self.vrows[y % self.vrows.len()]
     }
 }
 
 /// Processes the output rows `first_row ..` covered by `out` (a
 /// whole-row-aligned slice of the output buffer) in raster order through
-/// the segment's cascade, writing the last region's mask rows into
+/// the segment's cascade, a band of [`BAND`] rows at a time (the slice's
+/// last band may be shorter), writing the last region's mask rows into
 /// `masks` when the segment writes its mask plane (`masks` is empty
-/// otherwise). Each slice owns fresh region states, so slices are fully
-/// independent and bit-identical at any thread count.
+/// otherwise). The epilog runs row by row after each band. Each slice owns
+/// fresh region states, so slices are fully independent and bit-identical
+/// at any thread count.
 fn run_rows<S: Sample, D: Datapath<S>>(
     segment: &FusedSegment<S>,
     input: &Input<'_, D::R>,
@@ -882,107 +919,148 @@ fn run_rows<S: Sample, D: Datapath<S>>(
         .enumerate()
         .map(|(i, region)| RegionState::new(region, width, height, i > 0))
         .collect();
-    let mut scratch = vec![<D::R as Sample>::zero(); width];
-    for (row_index, out_row) in out.chunks_exact_mut(width).enumerate() {
-        let mask_row = if segment.writes_mask {
-            &mut masks[row_index * width..][..width]
+    let mut scratch = vec![<D::R as Sample>::zero(); BAND * width];
+    for (band, values) in out.chunks_mut(BAND * width).enumerate() {
+        let y = first_row + band * BAND;
+        let mask_rows = if segment.writes_mask {
+            &mut masks[band * BAND * width..][..values.len()]
         } else {
-            &mut scratch[..]
+            &mut scratch[..values.len()]
         };
-        emit_row::<S, D>(
-            &segment.regions,
-            &mut states,
-            input,
-            mask,
-            first_row + row_index,
-            out_row,
-            mask_row,
-        );
-        // Fused point-wise tail: the epilog chain runs against the last
-        // region's value stream and blurred mask.
-        apply_chain(&segment.epilog, out_row, Some(&*mask_row));
+        emit_rows::<S, D>(&segment.regions, &mut states, input, mask, y, mask_rows);
+        let last = states.last().expect("a cascade has at least one region");
+        let rows = values
+            .chunks_exact_mut(width)
+            .zip(mask_rows.chunks_exact(width));
+        for (row, (out_row, mask_row)) in rows.enumerate() {
+            out_row.copy_from_slice(last.value_row(y + row));
+            // Fused point-wise tail: the epilog chain runs against the last
+            // region's value stream and blurred mask.
+            apply_chain(&segment.epilog, out_row, Some(mask_row));
+        }
     }
 }
 
-/// Produces output row `y` of the *last* region in `regions`: its chain
-/// value stream into `v_out` and its blurred mask into `mask_out`.
+/// Produces the band of output rows `y .. y + n` of the *last* region in
+/// `regions`, where `mask_out` holds `n ≤ BAND` rows: its blurred mask into
+/// `mask_out`, and its chain value stream into its ring, where the caller
+/// reads it ([`RegionState::value_row`]) before the next band.
 ///
 /// This is the cascade step. The region pulls the source rows its vertical
-/// window needs from the upstream regions (recursively — `regions` and
-/// `states` are parallel slices split from the back), runs its point chain
-/// over them, horizontally blurs them into its ring, then applies the
-/// vertical taps. Rows are requested in strictly increasing order, so each
-/// region's lazy `next_row` cursor advances monotonically and every ring
-/// slot is consumed before it is overwritten (ring length ≥ radius + 1
-/// rows beyond the newest consumer row).
-fn emit_row<S: Sample, D: Datapath<S>>(
+/// window needs from the upstream regions (recursively, in bands of up to
+/// [`BAND`] rows — `regions` and `states` are parallel slices split from
+/// the back), runs its point chain over them, horizontally blurs them into
+/// its ring, then applies the vertical taps. Rows are requested in strictly
+/// increasing order, so each region's lazy `next_row` cursor advances
+/// monotonically, and a ring of `2·radius + BAND` rows holds the whole
+/// window of a band (`2·radius + n` rows) while it is read: the newest row
+/// written overwrites the row `2·radius + BAND` rows older, which is before
+/// the window's first.
+fn emit_rows<S: Sample, D: Datapath<S>>(
     regions: &[Region<S>],
     states: &mut [RegionState<S, D::R>],
     input: &Input<'_, D::R>,
     mask: Option<&ImageBuffer<D::R>>,
     y: usize,
-    v_out: &mut [D::R],
     mask_out: &mut [D::R],
 ) {
     let (region, upstream_regions) = regions
         .split_last()
-        .expect("emit_row requires at least one region");
+        .expect("emit_rows requires at least one region");
     let (state, upstream_states) = states
         .split_last_mut()
         .expect("region states parallel the regions");
     let (width, height) = input.dimensions();
+    let n = mask_out.len() / width;
     let kernel = &region.kernel;
     let radius = kernel.len() / 2;
     let len = state.hrows.len();
 
-    let newest_needed = (y + radius).min(height - 1);
+    let newest_needed = (y + n - 1 + radius).min(height - 1);
     let mut next = state.next_row.unwrap_or_else(|| y.saturating_sub(radius));
     while next <= newest_needed {
-        let slot = next % len;
-        let v_row = &mut state.vrows[slot];
-        if upstream_regions.is_empty() {
-            // First region: the value stream is the segment input through
-            // this region's point chain, whose mask (if it applies one) is
-            // the plane an earlier segment wrote.
-            input.read_row::<S, D>(next, v_row);
-            apply_chain(&region.chain, v_row, mask_row(mask, next, width));
-        } else {
-            // Later region: pull the upstream row on demand, then run this
-            // region's chain against the upstream value/mask streams.
-            emit_row::<S, D>(
+        let rows = (newest_needed + 1 - next).min(BAND);
+        if !upstream_regions.is_empty() {
+            // Later region: pull the next upstream band on demand, its mask
+            // into `up_mask` and its values left in its ring.
+            let up_mask = &mut state.up_mask[..rows * width];
+            emit_rows::<S, D>(
                 upstream_regions,
                 upstream_states,
                 input,
                 mask,
                 next,
-                v_row,
-                &mut state.up_mask,
+                up_mask,
             );
-            apply_chain(&region.chain, v_row, Some(&state.up_mask));
         }
-        fill_blurred_row::<S, D>(
-            &mut state.hrows[slot],
-            &mut state.padded,
-            &state.vrows[slot],
-            kernel,
-            region.invert_input,
-        );
-        next += 1;
+        for row in next..next + rows {
+            let slot = row % len;
+            let v_row = &mut state.vrows[slot];
+            match upstream_states.last() {
+                // First region: the value stream is the segment input
+                // through this region's point chain, whose mask (if it
+                // applies one) is the plane an earlier segment wrote.
+                None => {
+                    input.read_row::<S, D>(row, v_row);
+                    apply_chain(&region.chain, v_row, mask_row(mask, row, width));
+                }
+                // Later region: this region's chain runs against the
+                // upstream value/mask streams.
+                Some(upstream) => {
+                    v_row.copy_from_slice(upstream.value_row(row));
+                    let up_mask = &state.up_mask[(row - next) * width..][..width];
+                    apply_chain(&region.chain, v_row, Some(up_mask));
+                }
+            }
+            state.nonneg[slot] = fill_blurred_row::<S, D>(
+                &mut state.hrows[slot],
+                &mut state.padded,
+                &state.vrows[slot],
+                region,
+            );
+        }
+        next += rows;
     }
     state.next_row = Some(next);
 
-    // Vertical pass over the ring: tap `k` reads the ring row of source
-    // row `y + k − radius`, edge rows replicated.
-    for (k, slot) in state.tap_slots.iter_mut().enumerate() {
-        *slot = (y + k).saturating_sub(radius).min(height - 1) % len;
+    // Vertical pass over the ring: row `t` of the band's window is source
+    // row `y + t − radius`, edge rows replicated, and output row `j` takes
+    // tap `k` from window row `j + k`.
+    let window = &mut state.tap_slots[..kernel.len() - 1 + n];
+    for (t, slot) in window.iter_mut().enumerate() {
+        *slot = (y + t).saturating_sub(radius).min(height - 1) % len;
     }
-    let (hrows, tap_slots) = (&state.hrows, &state.tap_slots);
-    fir(mask_out, kernel, |k| &hrows[tap_slots[k]], D::from_stencil);
-    v_out.copy_from_slice(&state.vrows[y % len]);
+    let (hrows, window) = (&state.hrows, &*window);
+    let tap_row = |t: usize| hrows[window[t]].as_slice();
+    if window.iter().all(|&slot| state.nonneg[slot]) {
+        vertical::<S, NonNeg, D::R>(mask_out, width, kernel, tap_row, D::from_stencil);
+    } else {
+        vertical::<S, MulAdd, D::R>(mask_out, width, kernel, tap_row, D::from_stencil);
+    }
+}
+
+/// The vertical pass of one band into `dst`, rows of `width` samples: a
+/// full band through [`fir_band`], a shorter one — a slice's last rows —
+/// row by row through [`fir`].
+fn vertical<'a, S: Sample, T: Taps<S>, O>(
+    dst: &mut [O],
+    width: usize,
+    kernel: &[S],
+    tap_row: impl Fn(usize) -> &'a [S],
+    store: impl Fn(S) -> O,
+) {
+    if dst.len() == BAND * width {
+        fir_band::<S, T, O>(dst, kernel, tap_row, store);
+    } else {
+        for (j, row) in dst.chunks_exact_mut(width).enumerate() {
+            fir::<S, T, O>(row, kernel, |k| tap_row(j + k), &store);
+        }
+    }
 }
 
 /// Horizontally blurs one chain-output row into `dst` — the producer side
-/// of a region's line buffer.
+/// of a region's line buffer — and returns whether `dst`'s samples may
+/// feed [`NonNeg`] taps.
 ///
 /// The row is converted into the stencil's sample type
 /// ([`Datapath::to_stencil`], with the Moroney inversion applied first
@@ -990,30 +1068,103 @@ fn emit_row<S: Sample, D: Datapath<S>>(
 /// samples so the horizontal window never needs a clamp; tap `k` then
 /// reads the padded row shifted by `k`. [`fir`] applies the taps to each
 /// output sample in ascending order, matching
-/// [`crate::blur::blur_horizontal`] bit-for-bit.
+/// [`crate::blur::blur_horizontal`] bit-for-bit: through [`NonNeg`] taps
+/// when the region is [`Region::exact`] and every converted sample is
+/// non-negative, whose blurred row is non-negative too, and through
+/// [`MulAdd`] otherwise.
 fn fill_blurred_row<S: Sample, D: Datapath<S>>(
     dst: &mut [S],
     padded: &mut [S],
     source: &[D::R],
-    kernel: &[S],
-    invert_input: bool,
-) {
+    region: &Region<S>,
+) -> bool {
+    let kernel = &region.kernel;
     let radius = kernel.len() / 2;
     let width = source.len();
-    for (slot, &value) in padded[radius..radius + width].iter_mut().zip(source) {
-        *slot = D::to_stencil(value, invert_input);
+    let row = &mut padded[radius..radius + width];
+    for (slot, &value) in row.iter_mut().zip(source) {
+        *slot = D::to_stencil(value, region.invert_input);
     }
+    let nonneg = region.exact && row.iter().fold(true, |all, &v| all & (v >= S::zero()));
     let first = padded[radius];
     let last = padded[radius + width - 1];
     padded[..radius].fill(first);
     padded[radius + width..].fill(last);
     let padded: &[S] = padded;
-    fir(dst, kernel, |k| &padded[k..], |acc| acc);
+    if nonneg {
+        fir::<S, NonNeg, S>(dst, kernel, |k| &padded[k..], |acc| acc);
+    } else {
+        fir::<S, MulAdd, S>(dst, kernel, |k| &padded[k..], |acc| acc);
+    }
+    nonneg
 }
 
 /// Output samples per block of [`fir`]: eight 256-bit registers of `f32`
-/// accumulators, or of `Fix16`'s `i32` raws.
+/// accumulators, or of the `i32` sums of exact `Fix16` taps.
 const BLOCK: usize = 64;
+
+/// Output rows per band of the vertical pass: each ring-row block
+/// [`fir_band`] loads feeds this many rows' accumulators.
+const BAND: usize = 4;
+
+// `fir_band` is written out for a band of four rows.
+const _: () = assert!(BAND == 4);
+
+/// Output columns per block of [`fir_band`]: [`BAND`] rows of them are
+/// eight 256-bit registers of `f32` accumulators, or of the `i32` sums of
+/// exact `Fix16` taps.
+const BAND_BLOCK: usize = 16;
+
+/// How a stencil pass sums the taps of one output: from [`Taps::zero`],
+/// one [`Taps::tap`] per weight in ascending tap order, then
+/// [`Taps::store`].
+trait Taps<S: Sample> {
+    type Acc: Copy;
+    fn zero() -> Self::Acc;
+    fn tap(weight: S, sample: S, acc: Self::Acc) -> Self::Acc;
+    fn store(acc: Self::Acc) -> S;
+}
+
+/// Every tap through [`Sample::mul_add`]: the reference, and the only taps
+/// of the floating-point types.
+struct MulAdd;
+
+impl<S: Sample> Taps<S> for MulAdd {
+    type Acc = S;
+    #[inline(always)]
+    fn zero() -> S {
+        S::zero()
+    }
+    #[inline(always)]
+    fn tap(weight: S, sample: S, acc: S) -> S {
+        weight.mul_add(sample, acc)
+    }
+    #[inline(always)]
+    fn store(acc: S) -> S {
+        acc
+    }
+}
+
+/// Taps whose weights and samples are all non-negative, summed exactly in
+/// `i32` lanes ([`Sample::nonneg_tap`]) and saturated once: bit-identical
+/// to [`MulAdd`] on them, which for `Fix16` rounds and saturates per tap.
+struct NonNeg;
+
+impl<S: Sample> Taps<S> for NonNeg {
+    type Acc = i32;
+    #[inline(always)]
+    fn zero() -> i32 {
+        0
+    }
+    #[inline(always)]
+    fn tap(weight: S, sample: S, acc: i32) -> i32 {
+        weight.nonneg_tap(sample, acc)
+    }
+    #[inline(always)]
+    fn store(acc: i32) -> S {
+        S::from_nonneg_sum(acc)
+    }
+}
 
 /// The output-stationary FIR of both stencil passes:
 /// `dst[i] = store(Σ_k kernel[k] · tap_row(k)[i])`, where `tap_row(k)` is
@@ -1026,28 +1177,28 @@ const BLOCK: usize = 64;
 /// ascending order, the order of [`crate::blur::blur_horizontal`] and
 /// [`crate::blur::blur_vertical`], so the result is bit-identical to them
 /// at every width, the tail after the last full block included.
-fn fir<'a, S: Sample, T>(
-    dst: &mut [T],
+fn fir<'a, S: Sample, T: Taps<S>, O>(
+    dst: &mut [O],
     kernel: &[S],
     tap_row: impl Fn(usize) -> &'a [S],
-    store: impl Fn(S) -> T,
+    store: impl Fn(S) -> O,
 ) {
     let mut blocks = dst.chunks_exact_mut(BLOCK);
     let mut start = 0;
     for outputs in &mut blocks {
-        let mut acc = [S::zero(); BLOCK];
-        accumulate(&mut acc, kernel, &tap_row, start);
+        let mut acc = [T::zero(); BLOCK];
+        accumulate::<S, T>(&mut acc, kernel, &tap_row, start);
         for (out, a) in outputs.iter_mut().zip(acc) {
-            *out = store(a);
+            *out = store(T::store(a));
         }
         start += BLOCK;
     }
     let outputs = blocks.into_remainder();
-    let mut acc = [S::zero(); BLOCK];
+    let mut acc = [T::zero(); BLOCK];
     let acc = &mut acc[..outputs.len()];
-    accumulate(acc, kernel, &tap_row, start);
+    accumulate::<S, T>(acc, kernel, &tap_row, start);
     for (out, &a) in outputs.iter_mut().zip(acc.iter()) {
-        *out = store(a);
+        *out = store(T::store(a));
     }
 }
 
@@ -1055,8 +1206,8 @@ fn fir<'a, S: Sample, T>(
 /// acc.len()`, tap by tap in ascending order: the one accumulation order of
 /// full blocks and of the tail.
 #[inline(always)]
-fn accumulate<'a, S: Sample>(
-    acc: &mut [S],
+fn accumulate<'a, S: Sample, T: Taps<S>>(
+    acc: &mut [T::Acc],
     kernel: &[S],
     tap_row: &impl Fn(usize) -> &'a [S],
     start: usize,
@@ -1064,8 +1215,94 @@ fn accumulate<'a, S: Sample>(
     for (k, &weight) in kernel.iter().enumerate() {
         let window = &tap_row(k)[start..start + acc.len()];
         for (a, &sample) in acc.iter_mut().zip(window) {
-            *a = weight.mul_add(sample, *a);
+            *a = T::tap(weight, sample, *a);
         }
+    }
+}
+
+/// The vertical pass of one full band: `dst` holds [`BAND`] output rows
+/// back to back, and output row `j` takes tap `k` from window row
+/// `tap_row(j + k)`.
+///
+/// Each block of [`BAND_BLOCK`] columns keeps the band's accumulators in
+/// fixed-size arrays, which stay in registers, and each window-row block it
+/// loads feeds every output row that reads it: window row `t` is tap
+/// `t − j` of row `j`. Row `j` still starts at zero and takes its taps in
+/// ascending order, so every sample equals [`fir`]'s on the same rows. The
+/// columns after the last full block run through [`fir`] row by row.
+fn fir_band<'a, S: Sample, T: Taps<S>, O>(
+    dst: &mut [O],
+    kernel: &[S],
+    tap_row: impl Fn(usize) -> &'a [S],
+    store: impl Fn(S) -> O,
+) {
+    let width = dst.len() / BAND;
+    let taps = kernel.len();
+    assert!(taps >= BAND - 1, "a stencil has at least three taps");
+    let full = width - width % BAND_BLOCK;
+    for start in (0..full).step_by(BAND_BLOCK) {
+        let block = |t: usize| -> &'a [S; BAND_BLOCK] {
+            tap_row(t)[start..start + BAND_BLOCK]
+                .try_into()
+                .expect("a block spans BAND_BLOCK columns")
+        };
+        let [mut a0, mut a1, mut a2, mut a3] = [[T::zero(); BAND_BLOCK]; BAND];
+        // Window rows 0, 1 and 2 open output rows 0 ..= t.
+        let x = block(0);
+        tap_block::<S, T>(&mut a0, kernel[0], x);
+        let x = block(1);
+        tap_block::<S, T>(&mut a0, kernel[1], x);
+        tap_block::<S, T>(&mut a1, kernel[0], x);
+        let x = block(2);
+        tap_block::<S, T>(&mut a0, kernel[2], x);
+        tap_block::<S, T>(&mut a1, kernel[1], x);
+        tap_block::<S, T>(&mut a2, kernel[0], x);
+        // Window rows 3 .. taps feed every output row.
+        for (t, w) in kernel.windows(BAND).enumerate() {
+            let x = block(t + BAND - 1);
+            tap_block::<S, T>(&mut a0, w[3], x);
+            tap_block::<S, T>(&mut a1, w[2], x);
+            tap_block::<S, T>(&mut a2, w[1], x);
+            tap_block::<S, T>(&mut a3, w[0], x);
+        }
+        // Window rows taps, taps + 1 and taps + 2 close output rows 1, 2
+        // and 3.
+        let x = block(taps);
+        tap_block::<S, T>(&mut a1, kernel[taps - 1], x);
+        tap_block::<S, T>(&mut a2, kernel[taps - 2], x);
+        tap_block::<S, T>(&mut a3, kernel[taps - 3], x);
+        let x = block(taps + 1);
+        tap_block::<S, T>(&mut a2, kernel[taps - 1], x);
+        tap_block::<S, T>(&mut a3, kernel[taps - 2], x);
+        let x = block(taps + 2);
+        tap_block::<S, T>(&mut a3, kernel[taps - 1], x);
+        for (row, acc) in dst.chunks_exact_mut(width).zip([a0, a1, a2, a3]) {
+            for (out, a) in row[start..start + BAND_BLOCK].iter_mut().zip(acc) {
+                *out = store(T::store(a));
+            }
+        }
+    }
+    if full < width {
+        for (j, row) in dst.chunks_exact_mut(width).enumerate() {
+            fir::<S, T, O>(
+                &mut row[full..],
+                kernel,
+                |k| &tap_row(j + k)[full..],
+                &store,
+            );
+        }
+    }
+}
+
+/// One tap of one [`fir_band`] row over a block of columns.
+#[inline(always)]
+fn tap_block<S: Sample, T: Taps<S>>(
+    acc: &mut [T::Acc; BAND_BLOCK],
+    weight: S,
+    samples: &[S; BAND_BLOCK],
+) {
+    for (a, &sample) in acc.iter_mut().zip(samples) {
+        *a = T::tap(weight, sample, *a);
     }
 }
 
@@ -1751,5 +1988,231 @@ mod tests {
         let _ = StreamingToneMapper::<f32>::compile(plan, p)
             .unwrap()
             .map_luminance(&hdr);
+    }
+
+    /// The stream of `plan` on datapath `D` in `S`, at `threads`, fused or
+    /// with materialized stencils.
+    fn stream<S: Sample, D: Datapath<S>>(
+        plan: &PipelinePlan,
+        p: ToneMapParams,
+        hdr: &LuminanceImage,
+        threads: usize,
+        materialize: bool,
+    ) -> LuminanceImage {
+        StreamingToneMapper::<S, D>::compile(plan.clone(), p)
+            .unwrap()
+            .with_threads(threads)
+            .with_materialized_stencils(materialize)
+            .map_luminance(hdr)
+    }
+
+    /// Every datapath and sample type of a plan's stream against its
+    /// reference — `f32` and Fix16 on [`Split`], Fix16 and `f64` on
+    /// [`AllStages`] — fused and with materialized stencils, at `threads`.
+    fn assert_every_numerics_matches(
+        plan: &PipelinePlan,
+        p: ToneMapParams,
+        hdr: &LuminanceImage,
+        threads: usize,
+    ) {
+        let reference = ToneMapper::compile(plan.clone(), p).unwrap();
+        let (w, h) = hdr.dimensions();
+        for m in [false, true] {
+            let at = format!("{plan} at {w}x{h}, {threads} threads, materialized {m}");
+            let f32_ref = reference.map_luminance_hw_blur::<f32>(hdr);
+            let fix_ref = reference.map_luminance_hw_blur::<Fix16>(hdr);
+            let all_ref = reference.map_luminance::<Fix16>(hdr);
+            let f64_ref = reference.map_luminance::<f64>(hdr);
+            let f32_stream = stream::<f32, Split>(plan, p, hdr, threads, m);
+            assert_eq!(f32_stream, f32_ref, "f32 {at}");
+            let fix_stream = stream::<Fix16, Split>(plan, p, hdr, threads, m);
+            assert_eq!(fix_stream, fix_ref, "Fix16 {at}");
+            let all_stream = stream::<Fix16, AllStages>(plan, p, hdr, threads, m);
+            assert_eq!(all_stream, all_ref, "all-Fix16 {at}");
+            let f64_stream = stream::<f64, AllStages>(plan, p, hdr, threads, m);
+            assert_eq!(f64_stream, f64_ref, "all-f64 {at}");
+        }
+    }
+
+    #[test]
+    fn band_straddling_geometries_match_the_reference() {
+        // Heights 1–9 and 4k ± 1 straddle the band of four rows; widths
+        // 15, 16, 17, 31 and 33 straddle its block of sixteen columns. The
+        // radius-5 kernel meets or exceeds every height up to 5, and the
+        // two-stencil cascade's radii (3, then 2) differ.
+        let p = params();
+        let plans = [PipelinePlan::from_params(&p), two_stencil_plan()];
+        let heights = (1..=9).chain([15, 17, 31, 33]);
+        let geometries = heights
+            .map(|h| (17, h))
+            .chain([15, 16, 31, 33].map(|w| (w, 9)))
+            .chain([(33, 17), (16, 4), (1, 9), (48, 1)]);
+        for (w, h) in geometries {
+            let hdr = SceneKind::MemorialComposite.generate(w, h, 23);
+            for plan in &plans {
+                assert_every_numerics_matches(plan, p, &hdr, 1);
+            }
+        }
+    }
+
+    #[test]
+    fn band_slices_match_the_reference_at_every_slice_count() {
+        // Slices of 17 and 33 rows at 2, 3 and 8 slices hold row counts
+        // that are not multiples of the band (9 + 8, 6 + 6 + 5, 3 × 5 + 2,
+        // …); each slice starts its own rings and ends on a short band.
+        let p = params();
+        for plan in [PipelinePlan::from_params(&p), two_stencil_plan()] {
+            for (w, h) in [(33, 17), (17, 33), (31, 9)] {
+                let hdr = SceneKind::SunAndShadow.generate(w, h, 29);
+                let reference = ToneMapper::compile(plan.clone(), p).unwrap();
+                let split_ref = reference.map_luminance_hw_blur::<Fix16>(&hdr);
+                let f32_ref = reference.map_luminance_hw_blur::<f32>(&hdr);
+                let all_ref = reference.map_luminance::<Fix16>(&hdr);
+                let f64_ref = reference.map_luminance::<f64>(&hdr);
+                for slices in [1, 2, 3, 8] {
+                    let at = format!("{plan} at {w}x{h}, {slices} slices");
+                    let f32_run = sliced::<f32, Split>(&plan, p, &hdr, slices);
+                    assert_eq!(f32_run, f32_ref.pixels(), "f32 {at}");
+                    let fix_run = sliced::<Fix16, Split>(&plan, p, &hdr, slices);
+                    assert_eq!(fix_run, split_ref.pixels(), "Fix16 {at}");
+                    let all_run = sliced::<Fix16, AllStages>(&plan, p, &hdr, slices);
+                    assert_eq!(all_run, all_ref.pixels(), "all-Fix16 {at}");
+                    let f64_run = sliced::<f64, AllStages>(&plan, p, &hdr, slices);
+                    assert_eq!(f64_run, f64_ref.pixels(), "all-f64 {at}");
+                }
+            }
+        }
+        // Every host core held: a ×8 run is granted no slice and runs the
+        // whole frame as one slice, bands and all.
+        let held: Vec<cores::Held> = (0..cores::host_cores()).map(|_| cores::hold()).collect();
+        let hdr = SceneKind::SunAndShadow.generate(33, 17, 29);
+        for plan in [PipelinePlan::from_params(&p), two_stencil_plan()] {
+            assert_every_numerics_matches(&plan, p, &hdr, 8);
+        }
+        drop(held);
+    }
+
+    /// The pixels `run_slices` gives for the one fused segment of `plan`
+    /// in `slices` slices, as `f32`.
+    fn sliced<S: Sample, D: Datapath<S>>(
+        plan: &PipelinePlan,
+        p: ToneMapParams,
+        hdr: &LuminanceImage,
+        slices: usize,
+    ) -> Vec<f32> {
+        let mapper = StreamingToneMapper::<S, D>::compile(plan.clone(), p).unwrap();
+        let input = Input::Source(hdr, FrameReductions.normalize_scale(hdr));
+        let (out, _) = run_slices::<S, D>(first_segment(&mapper), input, None, slices, Vec::new());
+        out.pixels().iter().map(|v| v.to_f32()).collect()
+    }
+
+    /// The one fused segment of a compiled single-segment scalar plan.
+    fn first_segment<S: Sample, D>(mapper: &StreamingToneMapper<S, D>) -> &FusedSegment<S> {
+        let Program::Stream(program) = &mapper.program else {
+            panic!("{} streams", mapper.plan);
+        };
+        let [SegmentProgram::Fused(segment)] = program.segments.as_slice() else {
+            panic!("{} compiles to one fused segment", mapper.plan);
+        };
+        segment
+    }
+
+    /// A plan with no normalize: its stencils see the raw luminance, signs
+    /// and all, and the Fix16 quantizer saturates samples beyond ±8.
+    fn raw_plan() -> PipelinePlan {
+        PipelinePlan::new(vec![
+            PipelineOp::BlurMask {
+                blur: BlurParams {
+                    sigma: 2.0,
+                    radius: 4,
+                },
+                invert_input: false,
+            },
+            PipelineOp::Mask(MaskingParams::paper_default()),
+            PipelineOp::BlurMask {
+                blur: BlurParams {
+                    sigma: 1.0,
+                    radius: 2,
+                },
+                invert_input: true,
+            },
+            PipelineOp::Mask(MaskingParams::paper_default()),
+        ])
+        .unwrap()
+    }
+
+    #[test]
+    fn fix16_taps_match_the_reference_on_negative_saturating_and_mixed_blocks() {
+        let p = params();
+        let plan = raw_plan();
+        let scene = |w, h| SceneKind::MemorialComposite.generate(w, h, 31);
+        // Negative luminance everywhere: every block falls back to the
+        // per-tap `Fix::mul_add`.
+        let negative = scene(37, 21).map(|&v| -v - 0.01);
+        // Samples at and beyond Fix16's range: sums saturate at MAX.
+        let saturating = scene(37, 21).map(|&v| 7.999 + 50.0 * v);
+        // Signs mixed by row band, by column block and by pixel: exact
+        // blocks sit beside fallback blocks, and the second stencil's
+        // inverted input turns the sign of the first's mask.
+        let mixed = ImageBuffer::from_fn(41, 27, |x, y| {
+            let v = (x * 7 + y * 13) as f32 % 9.0 / 4.0;
+            match (y / 6 + x / 16) % 3 {
+                0 => v,
+                1 => -v,
+                _ => {
+                    if (x + y) % 5 == 0 {
+                        -0.5 * v
+                    } else {
+                        8.5 * v
+                    }
+                }
+            }
+        });
+        for hdr in [negative, saturating, mixed] {
+            for threads in [1, 2] {
+                assert_every_numerics_matches(&plan, p, &hdr, threads);
+            }
+        }
+    }
+
+    #[test]
+    fn exact_taps_equal_per_tap_mul_add_on_non_negative_rows() {
+        // Both passes' kernels over rows of non-negative Fix16 samples up
+        // to MAX, at widths around both blocks: the exact integer sums
+        // equal the per-tap reference, saturation included.
+        let kernel = quantize_kernel::<Fix16>(&gaussian_kernel(&BlurParams {
+            sigma: 3.0,
+            radius: 6,
+        }));
+        let heavy = vec![Fix16::MAX; kernel.len()];
+        for weights in [kernel.as_slice(), heavy.as_slice()] {
+            for width in [1, 15, 16, 17, 63, 64, 65, 97] {
+                let rows: Vec<Vec<Fix16>> = (0..weights.len() + BAND - 1)
+                    .map(|r| {
+                        (0..width)
+                            .map(|c| match (r + c) % 4 {
+                                0 => Fix16::MAX,
+                                _ => Fix16::from_raw(((r * 977 + c * 131) % 32768) as i64),
+                            })
+                            .collect()
+                    })
+                    .collect();
+                let tap_row = |t: usize| rows[t].as_slice();
+                let mut exact = vec![Fix16::ZERO; BAND * width];
+                let mut reference = exact.clone();
+                fir_band::<Fix16, NonNeg, Fix16>(&mut exact, weights, tap_row, |v| v);
+                fir_band::<Fix16, MulAdd, Fix16>(&mut reference, weights, tap_row, |v| v);
+                assert_eq!(exact, reference, "band at width {width}");
+                for j in 0..BAND {
+                    let mut row = vec![Fix16::ZERO; width];
+                    fir::<Fix16, MulAdd, Fix16>(&mut row, weights, |k| tap_row(j + k), |v| v);
+                    assert_eq!(
+                        row,
+                        reference[j * width..][..width],
+                        "row {j} at width {width}"
+                    );
+                }
+            }
+        }
     }
 }

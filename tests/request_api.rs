@@ -302,6 +302,74 @@ fn nan_channels_in_rgb_inputs_do_not_poison_the_colour_path() {
 }
 
 #[test]
+fn rgb_jobs_equal_their_pre_sanitized_frame_on_every_colour_path() {
+    // A colour plan that starts with normalize runs on the raw frame, whose
+    // non-finite channels its first pass zeroes; every other plan runs on
+    // a sanitized copy. Either way a frame with NaN, ±Inf and negative
+    // channels gives the pixels of the same frame with its non-finite
+    // channels zeroed first, on every engine.
+    use tonemap_zynq_repro::tonemap_core::plan::ChannelLayout;
+    let mut hdr = SceneKind::SunAndShadow.generate_rgb(29, 23, 5);
+    let channels = [
+        f32::NAN,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        -0.75,
+        -3.0e38,
+        0.5 * f32::MIN_POSITIVE,
+    ];
+    for (i, &c) in channels.iter().enumerate() {
+        hdr.set(3 * i, 2 * i + 1, hdr_image::Rgb::new(c, 0.4, 0.6));
+        hdr.set(3 * i + 1, 2 * i, hdr_image::Rgb::splat(c));
+        hdr.set(28 - i, 22 - i, hdr_image::Rgb::new(0.2, c, -c));
+    }
+    let clean = hdr.map(|p| p.map(|c| if c.is_finite() { c } else { 0.0 }));
+    let p = ToneMapParams::paper_default();
+    let preset = |name| PipelinePlan::preset(name, &p, &PlanTuning::default());
+    let reinhard = Curve::Reinhard {
+        key: 8.0,
+        white: 8.0,
+    };
+    let colour = |ops| PipelinePlan::with_input(ChannelLayout::Rgb, ops).unwrap();
+    let plans = [
+        // Normalize-first colour walks: no scan.
+        preset("hsv-reinhard").unwrap().unwrap(),
+        colour(vec![
+            PipelineOp::Normalize,
+            PipelineOp::ExtractLuminance,
+            PipelineOp::Curve(Curve::Gamma { gamma: 0.8 }),
+            PipelineOp::ReapplyRatio,
+        ]),
+        colour(vec![PipelineOp::Normalize]),
+        // Raw channels read: the scan stays.
+        colour(vec![
+            PipelineOp::RgbToHsv,
+            PipelineOp::Curve(reinhard),
+            PipelineOp::HsvToRgb,
+        ]),
+        PipelinePlan::from_params(&p),
+        PipelinePlan::from_params(&p).compose_for_rgb(),
+        preset("filmic").unwrap().unwrap(),
+    ];
+    for backend in BackendRegistry::standard().iter() {
+        for plan in &plans {
+            let run = |frame| {
+                backend
+                    .execute(&TonemapRequest::rgb(frame).with_pipeline(plan.clone()))
+                    .unwrap_or_else(|e| panic!("{} on {plan}: {e}", backend.name()))
+            };
+            let (dirty, sanitized) = (run(&hdr), run(&clean));
+            let (dirty, sanitized) = (dirty.rgb().unwrap(), sanitized.rgb().unwrap());
+            assert!(
+                dirty == sanitized,
+                "{} on {plan} diverged from the pre-sanitized frame",
+                backend.name()
+            );
+        }
+    }
+}
+
+#[test]
 fn extreme_curve_parameters_give_finite_in_range_pixels() {
     // `strength=3e38` drives the masking exponent to 0 or +∞ (and `1^∞`
     // must stay 1); an unsaturated filmic curve squared `x·3.4e38` into
