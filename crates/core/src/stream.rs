@@ -1166,9 +1166,12 @@ impl<S: Sample> Taps<S> for NonNeg {
     }
 }
 
-/// The output-stationary FIR of both stencil passes:
+/// The one-row output-stationary FIR:
 /// `dst[i] = store(Σ_k kernel[k] · tap_row(k)[i])`, where `tap_row(k)` is
-/// the input row tap `k` reads, aligned with the output.
+/// the input row tap `k` reads, aligned with the output, and `T` sums the
+/// taps. It runs the horizontal pass, and the vertical pass wherever
+/// [`fir_band`] does not: a slice's last one to three rows and the columns
+/// after a band's last full block.
 ///
 /// A block of outputs accumulates in a local array over all taps and is
 /// stored once, so the accumulators stay in registers instead of making an
